@@ -264,11 +264,6 @@ impl Rebalancer {
         (self.r_cpu, self.r_gpu)
     }
 
-    /// Whether the controller has been frozen by recovery.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Freeze the controller: every subsequent boundary returns
     /// [`RebalanceDecision::Frozen`]. Called by the runner after a
     /// `rank.loss` foldback, whose asymmetric decomposition a uniform
@@ -620,7 +615,6 @@ mod tests {
         );
         rb.note_realized(0.02);
         rb.freeze();
-        assert!(rb.is_frozen());
         let before = rb.fraction;
         let d = rb.observe(SimDuration::from_secs(1), SimDuration::from_secs(1));
         assert_eq!(d, RebalanceDecision::Frozen);

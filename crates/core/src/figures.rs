@@ -71,15 +71,6 @@ impl FigureSpec {
             })
             .collect()
     }
-
-    /// Largest total zone count in the sweep.
-    pub fn max_zones(&self) -> u64 {
-        self.points()
-            .iter()
-            .map(SweepPoint::zones)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 fn steps(from: usize, to: usize, step: usize) -> Vec<usize> {
@@ -263,6 +254,11 @@ pub fn all_figures() -> Vec<FigureSpec> {
 mod tests {
     use super::*;
 
+    /// Largest total zone count in the sweep.
+    fn max_zones(f: &FigureSpec) -> u64 {
+        f.points().iter().map(SweepPoint::zones).max().unwrap_or(0)
+    }
+
     #[test]
     fn eleven_figures_with_unique_ids() {
         let figs = all_figures();
@@ -308,8 +304,8 @@ mod tests {
             }
         );
         // Paper: up to ≈ 4.1e7 zones at y=400.
-        assert_eq!(f.max_zones(), 320 * 400 * 320);
-        assert!(f.max_zones() > 37_000_000, "sweep crosses the kink");
+        assert_eq!(max_zones(&f), 320 * 400 * 320);
+        assert!(max_zones(&f) > 37_000_000, "sweep crosses the kink");
     }
 
     #[test]
@@ -324,7 +320,7 @@ mod tests {
 
     #[test]
     fn fig18_crosses_the_default_mode_kink() {
-        assert!(fig18().max_zones() > 37_000_000);
+        assert!(max_zones(&fig18()) > 37_000_000);
     }
 
     #[test]
@@ -332,7 +328,7 @@ mod tests {
         // Paper: "Because the z-dimension is smaller … the x-dimension
         // size goes to a larger value"; the sweep tops out below the
         // Default kink, so no crossover appears in Figure 14.
-        assert!(fig14().max_zones() < 37_000_000);
+        assert!(max_zones(&fig14()) < 37_000_000);
     }
 
     #[test]

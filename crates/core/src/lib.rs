@@ -24,10 +24,16 @@
 //!   §5.3's future work).
 //! * [`runner`] — the cooperative runner: decompose per mode, bind,
 //!   spawn ranks, run hydro cycles, apply the host-bandwidth model,
-//!   report per-rank time breakdowns. With a [`faults`] plan it also
-//!   retries transient device/transfer failures and folds a lost CPU
-//!   rank's slab back into its parent GPU block (graceful
-//!   degradation toward the Default mode).
+//!   report per-rank time breakdowns. One loop over *segments*
+//!   ([`runner::run_with_fraction`]): the decomposition is static
+//!   within a segment and may change at the boundary between two. A
+//!   boundary is a controller tick (the online [`Rebalancer`] may
+//!   re-split) or the permanent loss of a CPU rank from a [`faults`]
+//!   plan (its slab folds back into its parent GPU block — graceful
+//!   degradation toward the Default mode); a run with neither is one
+//!   segment. Every boundary that moves zones is charged the same
+//!   α–β redistribution cost, controller or not. Transient
+//!   device/transfer faults are retried inside a segment.
 //! * [`figures`] — sweep configurations for every evaluation figure
 //!   (12–18).
 //! * [`calib`] — every tunable constant of the cost model, documented.

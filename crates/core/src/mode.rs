@@ -58,10 +58,6 @@ impl ExecMode {
             ExecMode::Heterogeneous { .. } => "hetero".to_string(),
         }
     }
-
-    pub fn uses_gpus(&self) -> bool {
-        !matches!(self, ExecMode::CpuOnly)
-    }
 }
 
 #[cfg(test)]

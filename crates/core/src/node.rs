@@ -75,17 +75,6 @@ impl NodeConfig {
     pub fn workers_per_gpu(&self) -> usize {
         self.worker_cores().checked_div(self.gpus).unwrap_or(0)
     }
-
-    /// Aggregate GPU FP64 throughput in GFLOP/s.
-    pub fn gpu_gflops(&self) -> f64 {
-        self.gpus as f64 * self.gpu_spec.fp64_gflops
-    }
-
-    /// Aggregate worker-core FP64 throughput in GFLOP/s (no bug
-    /// penalty — the balancer applies that separately per kernel mix).
-    pub fn cpu_worker_gflops(&self) -> f64 {
-        self.worker_cores() as f64 * self.cpu.ghz * self.cpu.flops_per_cycle
-    }
 }
 
 #[cfg(test)]
@@ -106,13 +95,15 @@ mod tests {
     fn gpus_dominate_the_flops() {
         // §2: "GPUs comprising 95% of the FLOPs of the machine" (for
         // Sierra; RZHasGPU is similar in spirit).
-        let n = NodeConfig::rzhasgpu();
-        let gpu = n.gpu_gflops();
-        let cpu = n.cpu_worker_gflops();
-        let share = gpu / (gpu + cpu);
+        // Peak FP64 GFLOP/s, no lambda-bug penalty on the CPU side.
+        let gpu_share = |n: &NodeConfig| {
+            let gpu = n.gpus as f64 * n.gpu_spec.fp64_gflops;
+            let cpu = n.worker_cores() as f64 * n.cpu.ghz * n.cpu.flops_per_cycle;
+            gpu / (gpu + cpu)
+        };
+        let share = gpu_share(&NodeConfig::rzhasgpu());
         assert!(share > 0.90, "GPU share {share}");
-        let s = NodeConfig::sierra_ea();
-        let share_s = s.gpu_gflops() / (s.gpu_gflops() + s.cpu_worker_gflops());
+        let share_s = gpu_share(&NodeConfig::sierra_ea());
         assert!(share_s > 0.95, "Sierra GPU share {share_s}");
     }
 

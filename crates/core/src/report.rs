@@ -25,6 +25,41 @@ pub struct RankReport {
     pub bytes_sent: u64,
 }
 
+impl RankReport {
+    /// Fold in the same rank's report from a later segment of the run:
+    /// time and traffic buckets sum, the identity fields (`role`,
+    /// `zones`) follow the latest world.
+    pub(crate) fn absorb(&mut self, later: RankReport) {
+        self.role = later.role;
+        self.zones = later.zones;
+        self.setup += later.setup;
+        self.total += later.total;
+        self.compute += later.compute;
+        self.launch += later.launch;
+        self.memory += later.memory;
+        self.comm += later.comm;
+        self.control += later.control;
+        self.wait += later.wait;
+        self.launches += later.launches;
+        self.bytes_sent += later.bytes_sent;
+    }
+}
+
+pub(crate) fn slowest(times: impl Iterator<Item = SimDuration>) -> SimDuration {
+    times.fold(SimDuration::ZERO, SimDuration::max)
+}
+
+/// Largest compute-bucket time among CPU-worker ranks: the CPU side
+/// of both balancers' measured input.
+pub(crate) fn slowest_cpu_compute(ranks: &[RankReport]) -> SimDuration {
+    slowest(
+        ranks
+            .iter()
+            .filter(|r| !r.role.is_gpu_driver())
+            .map(|r| r.compute),
+    )
+}
+
 /// Summary of the tracer-particle phase at the end of a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParticleReport {
@@ -81,19 +116,12 @@ pub struct RunResult {
 impl RunResult {
     /// Largest compute-bucket time among CPU-worker ranks.
     pub fn slowest_cpu_compute(&self) -> SimDuration {
-        self.ranks
-            .iter()
-            .filter(|r| !r.role.is_gpu_driver())
-            .map(|r| r.compute)
-            .fold(SimDuration::ZERO, SimDuration::max)
+        slowest_cpu_compute(&self.ranks)
     }
 
     /// Largest device busy time.
     pub fn slowest_device_busy(&self) -> SimDuration {
-        self.device_busy
-            .iter()
-            .copied()
-            .fold(SimDuration::ZERO, SimDuration::max)
+        slowest(self.device_busy.iter().copied())
     }
 
     /// Total kernel launches across ranks.

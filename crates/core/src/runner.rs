@@ -36,7 +36,7 @@ use crate::coupler::MpiCoupler;
 use crate::memscheme;
 use crate::mode::ExecMode;
 use crate::node::NodeConfig;
-use crate::report::{ParticleReport, RankReport, RunResult};
+use crate::report::{slowest, slowest_cpu_compute, ParticleReport, RankReport, RunResult};
 use crate::scenario::{self, ScenarioDiag};
 
 /// The physics problem a run initializes.
@@ -222,8 +222,39 @@ pub fn run(cfg: &RunConfig) -> Result<RunResult, String> {
     run_with_fraction(cfg, fraction_request)
 }
 
+/// What happens at the end of a segment of a run.
+#[derive(Debug, Clone, Copy)]
+enum Boundary {
+    /// A controller tick: the [`Rebalancer`] sees the segment's
+    /// measured busy times and may re-split the decomposition.
+    Tick,
+    /// The permanent loss of this rank: its slab folds back into a
+    /// box-mergeable neighbor and the run finishes on the survivors.
+    Loss(usize),
+    /// The run is over.
+    End,
+}
+
 /// Execute one run with an explicit heterogeneous CPU fraction
 /// (ignored by the other modes).
+///
+/// The paper's control code, "static within an iteration, but the
+/// decomposition can be adjusted between iterations" (§6.1–6.2), as
+/// one loop over *segments*: contiguous cycle ranges on a fixed
+/// decomposition, each ended by a boundary. A run with no
+/// controller and no rank loss is a single segment. State crosses a
+/// boundary through a host-staged checkpoint, and every boundary
+/// that moves zones — a re-split or a foldback, controlled or not — is
+/// charged as a tree-barrier collective plus the α–β wire time of what
+/// moved.
+///
+/// A loss folds the lost CPU rank's slab back (preferring its parent
+/// GPU block, so Heterogeneous degrades toward Default) and *freezes*
+/// the controller if there is one: the folded world is no longer a
+/// uniform weighted split. A lost GPU driver is fatal — its device
+/// block has nowhere to fold back to. Every controller input is a
+/// virtual-time measurement, so two same-seed runs re-split
+/// identically, byte for byte — the property the chaos gate asserts.
 pub fn run_with_fraction(cfg: &RunConfig, cpu_fraction: f64) -> Result<RunResult, String> {
     let fault_plan = Arc::new(cfg.faults.clone().unwrap_or_default());
     let mut losses: Vec<(usize, u64)> = fault_plan
@@ -239,36 +270,26 @@ pub fn run_with_fraction(cfg: &RunConfig, cpu_fraction: f64) -> Result<RunResult
                 .to_string(),
         );
     }
-    if let Some(rcfg) = &cfg.rebalance {
-        if !matches!(cfg.mode, ExecMode::Heterogeneous { .. }) {
+    let loss = losses.first().copied();
+    let mut rb = match &cfg.rebalance {
+        Some(_) if !matches!(cfg.mode, ExecMode::Heterogeneous { .. }) => {
             return Err(format!(
                 "the rebalance controller re-splits the weighted heterogeneous \
                  decomposition; mode {:?} has no CPU fraction to adjust",
                 cfg.mode
             ));
         }
-        return run_online(
-            cfg,
-            cpu_fraction,
-            rcfg,
-            &fault_plan,
-            losses.first().copied(),
-        );
-    }
-    match losses.first().copied() {
-        None => run_intact(cfg, cpu_fraction, &fault_plan),
-        Some((lost, at_cycle)) => run_degraded(cfg, cpu_fraction, &fault_plan, lost, at_cycle),
-    }
-}
+        Some(rcfg) => {
+            let mut rb = Rebalancer::new(cpu_fraction, rcfg);
+            rb.set_min_fraction(hetero_min_fraction(cfg));
+            Some(rb)
+        }
+        None => None,
+    };
 
-/// Build and cross-check the decomposition and rank bindings.
-fn build_world(
-    cfg: &RunConfig,
-    cpu_fraction: f64,
-) -> Result<(Decomposition, Vec<RankRole>), String> {
-    let decomp = build_decomposition(cfg, cpu_fraction)?;
+    let mut decomp = build_decomposition(cfg, rb.as_ref().map_or(cpu_fraction, |rb| rb.fraction))?;
     decomp.validate()?;
-    let roles = build_bindings(&cfg.mode, &cfg.node);
+    let mut roles = build_bindings(&cfg.mode, &cfg.node);
     validate_bindings(&roles, &cfg.node)?;
     if roles.len() != decomp.len() {
         return Err(format!(
@@ -277,7 +298,103 @@ fn build_world(
             decomp.len()
         ));
     }
-    Ok((decomp, roles))
+    if let Some(rb) = rb.as_mut() {
+        rb.note_realized(decomp.cpu_zone_fraction());
+    }
+    if let Some((lost, _)) = loss {
+        if lost >= decomp.len() {
+            return Err(format!(
+                "injected rank loss {lost} out of range ({} ranks)",
+                decomp.len()
+            ));
+        }
+        // Owner layout is invariant across re-splits, so the check
+        // against the initial decomposition holds at the loss cycle.
+        if decomp.owners[lost].is_gpu() {
+            return Err(format!(
+                "injected loss of rank {lost} is fatal: it drives a GPU and its device \
+                 block cannot be folded back onto the remaining ranks"
+            ));
+        }
+    }
+    let mut acc = RunAcc::new(cfg, decomp.len());
+    let mut setup_extra = mps_connect_charges(cfg, &fault_plan, decomp.len(), &mut acc)?;
+
+    // Segment boundaries: a controller tick every `every` cycles, plus
+    // the loss cycle — where the loss wins a tie with a tick.
+    let mut boundaries: Vec<(u64, Boundary)> = Vec::new();
+    if let Some(rcfg) = &cfg.rebalance {
+        boundaries.extend(
+            (1..)
+                .map(|k| k * rcfg.every)
+                .take_while(|&c| c < cfg.cycles)
+                .map(|c| (c, Boundary::Tick)),
+        );
+    }
+    if let Some((lost, at)) = loss {
+        boundaries.retain(|&(c, _)| c != at);
+        boundaries.push((at, Boundary::Loss(lost)));
+        boundaries.sort_unstable_by_key(|&(c, _)| c);
+    }
+    boundaries.push((cfg.cycles, Boundary::End));
+
+    // Pre-loss rank ids of the live world: a re-split keeps them, the
+    // foldback drops the lost one.
+    let mut orig_ids: Vec<usize> = (0..decomp.len()).collect();
+    let mut first = 0u64;
+    for (last, action) in boundaries {
+        let seg = run_segment(
+            cfg,
+            &fault_plan,
+            Segment {
+                decomp: &decomp,
+                roles: &roles,
+                orig_ids: &orig_ids,
+                first_cycle: first,
+                last_cycle: last,
+                restore: acc.end.as_ref(),
+                take_checkpoint: last < cfg.cycles,
+                setup_extra: &setup_extra,
+            },
+        )?;
+        // MPS connect retries are paid once, on the first segment.
+        setup_extra.clear();
+        first = last;
+        acc.fold(&orig_ids, seg);
+
+        match (action, rb.as_mut()) {
+            (Boundary::Tick, Some(rb)) => {
+                if let RebalanceDecision::Resplit { fraction, .. } =
+                    rb.observe(acc.window_cpu, acc.window_gpu)
+                {
+                    let next = build_decomposition(cfg, fraction)?;
+                    next.validate()?;
+                    acc.charge_move(cfg, &decomp, &next, |j| j, "balance_resplit");
+                    decomp = next;
+                    rb.note_realized(decomp.cpu_zone_fraction());
+                }
+            }
+            (Boundary::Loss(lost), rb) => {
+                // At most one loss per run, so the live world still
+                // carries the original numbering: `lost` indexes it.
+                let folded = fold_lost_rank(&decomp, lost)?;
+                let survivor = |j: usize| if j < lost { j } else { j + 1 };
+                acc.charge_move(cfg, &decomp, &folded, survivor, "balance_freeze");
+                roles.remove(lost);
+                orig_ids.remove(lost);
+                decomp = folded;
+                acc.count(Counter::FaultsInjected, 1);
+                acc.count(Counter::FaultRankLosses, 1);
+                if let Some(rb) = rb {
+                    rb.freeze_at(decomp.cpu_zone_fraction());
+                    acc.count(Counter::BalanceFrozen, 1);
+                }
+            }
+            (Boundary::Tick, None) | (Boundary::End, _) => {}
+        }
+    }
+
+    acc.finish(cfg, &decomp, &orig_ids, rb)
 }
 
 /// Main-thread MPS client setup faults: a permanent rejection is a
@@ -288,11 +405,11 @@ fn mps_connect_charges(
     cfg: &RunConfig,
     plan: &hsim_faults::FaultPlan,
     n_ranks: usize,
-) -> Result<(Vec<SimDuration>, u64, u64), String> {
+    acc: &mut RunAcc,
+) -> Result<Vec<SimDuration>, String> {
     let mut extra = vec![SimDuration::ZERO; n_ranks];
-    let (mut injected, mut retries) = (0u64, 0u64);
     if !matches!(cfg.mode, ExecMode::Mps { .. }) {
-        return Ok((extra, injected, retries));
+        return Ok(extra);
     }
     for ev in plan.of_site(hsim_faults::Site::MpsConnect) {
         if ev.rank >= n_ranks {
@@ -312,261 +429,176 @@ fn mps_connect_charges(
                         ev.rank
                     ));
                 }
-                injected += 1;
+                acc.count(Counter::FaultsInjected, 1);
+                acc.count(Counter::FaultsRecovered, 1);
+                acc.count(Counter::FaultRetries, u64::from(count));
                 for attempt in 0..count {
                     extra[ev.rank] += hsim_faults::backoff_delay(attempt);
-                    retries += 1;
                 }
             }
         }
     }
-    Ok((extra, injected, retries))
+    Ok(extra)
 }
 
-fn slowest_total(reports: &[RankReport]) -> SimDuration {
-    reports
-        .iter()
-        .map(|r| r.total)
-        .fold(SimDuration::ZERO, SimDuration::max)
-}
-
-/// Assemble the [`RunResult`] shared by the intact and degraded paths.
-fn finish_result(
-    cfg: &RunConfig,
-    decomp: &Decomposition,
-    reports: Vec<RankReport>,
+/// Everything the run loop folds its segments into.
+#[derive(Default)]
+struct RunAcc {
+    /// Per-original-rank report buckets, summed across segments.
+    ranks: Vec<Option<RankReport>>,
     device_busy: Vec<SimDuration>,
-    summary: Option<Summary>,
+    collectors: Vec<Collector>,
+    /// What happens on the coordinating thread — boundary spans,
+    /// main-thread fault and balance counters — lands on its own
+    /// collector (rank id one past the world) beside the rank
+    /// collectors; `None` when nothing is collected.
+    coordinator: Option<Collector>,
+    /// Each segment's slowest rank (a boundary resynchronizes every
+    /// survivor) plus the boundary charges.
     runtime: SimDuration,
-    mass: Option<f64>,
-) -> Result<RunResult, String> {
-    let trace = match (&summary, cfg.trace) {
-        (Some(s), true) => Some(s.legacy_trace_where(|sp| sp.name == "cycle" || sp.name == "wait")),
-        _ => None,
-    };
-    Ok(RunResult {
-        mode_key: cfg.mode.key(),
-        mode_label: cfg.mode.label(),
-        grid: cfg.grid,
-        zones: cfg.global_grid().zones(),
-        runtime,
-        cpu_fraction: decomp.cpu_zone_fraction(),
-        cycles: cfg.cycles,
-        ranks: reports,
-        device_busy,
-        trace,
-        telemetry: if cfg.telemetry { summary } else { None },
-        mass,
-        balance_history: Vec::new(),
-        particles: None,
-        scenario: None,
-    })
+    migrated: u64,
+    /// The latest segment's slowest CPU-worker compute and slowest
+    /// device busy time: the controller's inputs.
+    window_cpu: SimDuration,
+    window_gpu: SimDuration,
+    /// The latest segment's end state.
+    end: Option<EndState>,
 }
 
-/// The fault-free (or transient-fault-only) path: one segment over
-/// the full cycle range.
-fn run_intact(
-    cfg: &RunConfig,
-    cpu_fraction: f64,
-    fault_plan: &Arc<hsim_faults::FaultPlan>,
-) -> Result<RunResult, String> {
-    let (decomp, roles) = build_world(cfg, cpu_fraction)?;
-    let (setup_extra, mps_injected, mps_retries) =
-        mps_connect_charges(cfg, fault_plan, decomp.len())?;
-    let collect = cfg.telemetry || cfg.trace;
-    let orig_ids: Vec<usize> = (0..decomp.len()).collect();
-    let seg = run_segment(
-        cfg,
-        fault_plan,
-        Segment {
-            decomp: &decomp,
-            roles: &roles,
-            orig_ids: &orig_ids,
-            first_cycle: 0,
-            last_cycle: cfg.cycles,
-            restore: None,
-            take_checkpoint: false,
-            setup_extra: &setup_extra,
-        },
-    )?;
-    let runtime = slowest_total(&seg.reports);
-    let summary = if collect {
-        let mut s = Summary::from_collectors(seg.collectors);
-        s.metrics
-            .gauge_set(Gauge::CpuFraction, decomp.cpu_zone_fraction());
-        s.metrics.count(Counter::FaultsInjected, mps_injected);
-        s.metrics.count(Counter::FaultRetries, mps_retries);
-        s.metrics.count(Counter::FaultsRecovered, mps_injected);
-        Some(s)
-    } else {
-        None
-    };
-    let mass = seg.masses.as_ref().map(|m| m.iter().sum());
-    let particles = particle_report(seg.particles.as_deref(), seg.migrated);
-    let outcome = scenario::outcome(
-        &cfg.problem,
-        &cfg.global_grid(),
-        seg.t_end,
-        seg.diag.as_ref(),
-    );
-    let mut result = finish_result(
-        cfg,
-        &decomp,
-        seg.reports,
-        seg.device_busy,
-        summary,
-        runtime,
-        mass,
-    )?;
-    result.particles = particles;
-    result.scenario = outcome;
-    Ok(result)
-}
-
-/// The graceful-degradation path: run to the loss cycle, checkpoint
-/// the conserved fields through the host, fold the lost CPU rank's
-/// slab back into a box-mergeable neighbor (preferring its parent GPU
-/// block, so Heterogeneous degrades toward Default), and finish the
-/// remaining cycles on the smaller world. A lost GPU driver is fatal:
-/// its device block has nowhere to fold back to.
-fn run_degraded(
-    cfg: &RunConfig,
-    cpu_fraction: f64,
-    fault_plan: &Arc<hsim_faults::FaultPlan>,
-    lost: usize,
-    at_cycle: u64,
-) -> Result<RunResult, String> {
-    let (decomp, roles) = build_world(cfg, cpu_fraction)?;
-    if lost >= decomp.len() {
-        return Err(format!(
-            "injected rank loss {lost} out of range ({} ranks)",
-            decomp.len()
-        ));
+impl RunAcc {
+    fn new(cfg: &RunConfig, n_ranks: usize) -> Self {
+        RunAcc {
+            ranks: (0..n_ranks).map(|_| None).collect(),
+            coordinator: (cfg.telemetry || cfg.trace).then(|| Collector::new(n_ranks)),
+            ..RunAcc::default()
+        }
     }
-    if decomp.owners[lost].is_gpu() {
-        return Err(format!(
-            "injected loss of rank {lost} is fatal: it drives a GPU and its device \
-             block cannot be folded back onto the remaining ranks"
-        ));
+
+    fn count(&mut self, counter: Counter, n: u64) {
+        if let Some(c) = self.coordinator.as_mut() {
+            c.metrics.count(counter, n);
+        }
     }
-    let collect = cfg.telemetry || cfg.trace;
-    let (setup_extra, mps_injected, mps_retries) =
-        mps_connect_charges(cfg, fault_plan, decomp.len())?;
-    let orig_ids: Vec<usize> = (0..decomp.len()).collect();
-    let seg1 = run_segment(
-        cfg,
-        fault_plan,
-        Segment {
-            decomp: &decomp,
-            roles: &roles,
-            orig_ids: &orig_ids,
-            first_cycle: 0,
-            last_cycle: at_cycle,
-            restore: None,
-            take_checkpoint: true,
-            setup_extra: &setup_extra,
-        },
-    )?;
-    let checkpoint = seg1
-        .checkpoint
-        .ok_or("degraded restart: segment 1 produced no checkpoint")?;
 
-    // Weighted re-split over the survivors.
-    let degraded = fold_lost_rank(&decomp, lost)?;
-    let roles2: Vec<RankRole> = roles
-        .iter()
-        .enumerate()
-        .filter(|&(r, _)| r != lost)
-        .map(|(_, role)| *role)
-        .collect();
-    let orig_ids2: Vec<usize> = (0..decomp.len()).filter(|&r| r != lost).collect();
-    let zeros = vec![SimDuration::ZERO; degraded.len()];
-    let seg2 = run_segment(
-        cfg,
-        fault_plan,
-        Segment {
-            decomp: &degraded,
-            roles: &roles2,
-            orig_ids: &orig_ids2,
-            first_cycle: at_cycle,
-            last_cycle: cfg.cycles,
-            restore: Some(&checkpoint),
-            take_checkpoint: false,
-            setup_extra: &zeros,
-        },
-    )?;
+    /// Fold one segment in; `orig_ids` maps its ranks to their
+    /// accumulators. A lost rank's partial work is dropped with it.
+    fn fold(&mut self, orig_ids: &[usize], seg: SegmentOut) {
+        self.runtime += slowest(seg.reports.iter().map(|r| r.total));
+        self.window_cpu = slowest_cpu_compute(&seg.reports);
+        self.window_gpu = slowest(seg.device_busy.iter().copied());
+        for (rep, &orig) in seg.reports.into_iter().zip(orig_ids) {
+            match &mut self.ranks[orig] {
+                Some(acc) => acc.absorb(rep),
+                slot => *slot = Some(rep),
+            }
+        }
+        self.device_busy
+            .resize(seg.device_busy.len(), SimDuration::ZERO);
+        for (acc, busy) in self.device_busy.iter_mut().zip(seg.device_busy) {
+            *acc += busy;
+        }
+        self.collectors.extend(seg.collectors);
+        self.migrated += seg.migrated;
+        self.end = Some(seg.end);
+    }
 
-    // Merge: the run's wall-clock is segment 1 plus segment 2 (the
-    // recovery is a collective that resynchronizes every survivor at
-    // the loss boundary); per-rank buckets sum through the orig-id
-    // map, and the lost rank's partial segment-1 work is dropped with
-    // it.
-    let runtime = slowest_total(&seg1.reports) + slowest_total(&seg2.reports);
-    let mut reports = Vec::with_capacity(seg2.reports.len());
-    for (new_rank, s2) in seg2.reports.into_iter().enumerate() {
-        let s1 = &seg1.reports[orig_ids2[new_rank]];
-        reports.push(RankReport {
-            rank: new_rank,
-            role: s2.role,
-            zones: s2.zones,
-            setup: s1.setup + s2.setup,
-            total: s1.total + s2.total,
-            compute: s1.compute + s2.compute,
-            launch: s1.launch + s2.launch,
-            memory: s1.memory + s2.memory,
-            comm: s1.comm + s2.comm,
-            control: s1.control + s2.control,
-            wait: s1.wait + s2.wait,
-            launches: s1.launches + s2.launches,
-            bytes_sent: s1.bytes_sent + s2.bytes_sent,
+    /// Charge the redistribution from `old` to `new` at a boundary:
+    /// every zone and particle that changes owner is staged through
+    /// the host, priced as a tree-barrier collective plus the α–β wire
+    /// time, and recorded as a `span` on the coordinator timeline.
+    /// `old_rank` maps a rank of `new` to the same rank in `old`.
+    fn charge_move(
+        &mut self,
+        cfg: &RunConfig,
+        old: &Decomposition,
+        new: &Decomposition,
+        old_rank: impl Fn(usize) -> usize,
+        span: &'static str,
+    ) {
+        let particles = self
+            .end
+            .as_ref()
+            .and_then(|end| end.particles.as_deref())
+            .map_or(0, |parts| particles_moved(old, new, parts));
+        let bytes = redistribution_bytes(zones_moved(old, new, old_rank))
+            + particles * hsim_particles::WIRE_BYTES;
+        let t0 = SimTime::from_nanos(self.runtime.as_nanos());
+        self.runtime += cfg.node.comm.redistribution_time(bytes, new.len());
+        if let Some(c) = self.coordinator.as_mut() {
+            c.metrics.count(Counter::BalanceBytesMoved, bytes);
+            let t1 = SimTime::from_nanos(self.runtime.as_nanos());
+            c.rank_span(Category::Runtime, span, t0, t1);
+        }
+    }
+
+    /// Renumber the survivors into the final world's rank order, run
+    /// the telemetry epilogue and assemble the [`RunResult`].
+    fn finish(
+        mut self,
+        cfg: &RunConfig,
+        decomp: &Decomposition,
+        orig_ids: &[usize],
+        rb: Option<Rebalancer>,
+    ) -> Result<RunResult, String> {
+        let mut ranks = Vec::with_capacity(orig_ids.len());
+        for (new_rank, &orig) in orig_ids.iter().enumerate() {
+            let mut rep = self.ranks[orig]
+                .take()
+                .ok_or_else(|| format!("rank {orig} produced no report"))?;
+            rep.rank = new_rank;
+            ranks.push(rep);
+        }
+
+        let summary = self.coordinator.take().map(|coordinator| {
+            self.collectors.push(coordinator);
+            let mut s = Summary::from_collectors(self.collectors);
+            // The gauge reports the final (re-split or folded) world.
+            s.metrics
+                .gauge_set(Gauge::CpuFraction, decomp.cpu_zone_fraction());
+            if let Some(rb) = &rb {
+                s.metrics.gauge_set(Gauge::BalanceFraction, rb.fraction);
+                s.metrics.count(Counter::Rebalances, rb.resplits());
+                s.metrics.count(Counter::BalanceResplits, rb.resplits());
+                s.metrics.count(Counter::BalanceHolds, rb.holds());
+            }
+            s
         });
+        let trace = summary
+            .as_ref()
+            .filter(|_| cfg.trace)
+            .map(|s| s.legacy_trace_where(|sp| sp.name == "cycle" || sp.name == "wait"));
+        let grid = cfg.global_grid();
+        let end = self.end.ok_or("the run produced no segment")?;
+        Ok(RunResult {
+            mode_key: cfg.mode.key(),
+            mode_label: cfg.mode.label(),
+            grid: cfg.grid,
+            zones: grid.zones(),
+            runtime: self.runtime,
+            cpu_fraction: decomp.cpu_zone_fraction(),
+            cycles: cfg.cycles,
+            ranks,
+            device_busy: self.device_busy,
+            trace,
+            telemetry: summary.filter(|_| cfg.telemetry),
+            mass: end.mass,
+            balance_history: rb.map(|rb| rb.history).unwrap_or_default(),
+            particles: end.particles.as_deref().map(|p| ParticleReport {
+                count: p.len() as u64,
+                momentum: hsim_particles::momentum(p),
+                migrated: self.migrated,
+                checksum: hsim_particles::checksum(p),
+            }),
+            scenario: scenario::outcome(&cfg.problem, &grid, end.t, end.diag.as_ref()),
+        })
     }
-    let device_busy: Vec<SimDuration> = seg1
-        .device_busy
-        .iter()
-        .zip(&seg2.device_busy)
-        .map(|(a, b)| *a + *b)
-        .collect();
-    let summary = if collect {
-        let mut collectors = seg1.collectors;
-        collectors.extend(seg2.collectors);
-        let mut s = Summary::from_collectors(collectors);
-        // Telemetry reports the *rebalanced foldback* decomposition:
-        // the CPU-fraction gauge reflects the post-loss world.
-        s.metrics
-            .gauge_set(Gauge::CpuFraction, degraded.cpu_zone_fraction());
-        s.metrics.count(Counter::FaultsInjected, 1 + mps_injected);
-        s.metrics.count(Counter::FaultRankLosses, 1);
-        s.metrics.count(Counter::FaultRetries, mps_retries);
-        s.metrics.count(Counter::FaultsRecovered, mps_injected);
-        Some(s)
-    } else {
-        None
-    };
-    // The final state lives on segment 2's survivors.
-    let mass = seg2.masses.as_ref().map(|m| m.iter().sum());
-    let particles = particle_report(seg2.particles.as_deref(), seg1.migrated + seg2.migrated);
-    let outcome = scenario::outcome(
-        &cfg.problem,
-        &cfg.global_grid(),
-        seg2.t_end,
-        seg2.diag.as_ref(),
-    );
-    let mut result = finish_result(cfg, &degraded, reports, device_busy, summary, runtime, mass)?;
-    result.particles = particles;
-    result.scenario = outcome;
-    Ok(result)
 }
 
 /// Zones whose owner changes between two decompositions, matched
-/// through `old_index` (new rank → old rank; `None` = every zone of
-/// the new rank's box migrates). A zone moves when it sits in the new
-/// rank's box but not the same rank's old box.
-fn zones_moved(
-    old: &Decomposition,
-    new: &Decomposition,
-    old_index: impl Fn(usize) -> Option<usize>,
-) -> u64 {
+/// through `old_rank` (rank of `new` → the same rank in `old`). A zone
+/// moves when it sits in the new rank's box but not the same rank's
+/// old box.
+fn zones_moved(old: &Decomposition, new: &Decomposition, old_rank: impl Fn(usize) -> usize) -> u64 {
     let overlap = |a: &hsim_mesh::Subdomain, b: &hsim_mesh::Subdomain| -> u64 {
         (0..3)
             .map(|ax| {
@@ -579,10 +611,7 @@ fn zones_moved(
     new.domains
         .iter()
         .enumerate()
-        .map(|(j, d)| match old_index(j) {
-            Some(i) => d.zones() - overlap(d, &old.domains[i]),
-            None => d.zones(),
-        })
+        .map(|(j, d)| d.zones() - overlap(d, &old.domains[old_rank(j)]))
         .sum()
 }
 
@@ -614,281 +643,27 @@ fn particles_moved(old: &Decomposition, new: &Decomposition, parts: &[Particle])
         .count() as u64
 }
 
-/// The particle block of a result: the merged final set plus the
-/// run-total migration count.
-fn particle_report(parts: Option<&[Particle]>, migrated: u64) -> Option<ParticleReport> {
-    parts.map(|p| ParticleReport {
-        count: p.len() as u64,
-        momentum: hsim_particles::momentum(p),
-        migrated,
-        checksum: hsim_particles::checksum(p),
-    })
-}
-
-/// The online measured-speed rebalancing path (ROADMAP item 1): the
-/// run is chopped into segments at every-`N`-cycle boundaries (plus
-/// the loss cycle when the plan injects a permanent `rank.loss`); at
-/// each rebalance boundary the [`Rebalancer`] folds the window's
-/// measured busy times — slowest CPU worker compute vs slowest device
-/// — into its EWMA speed estimator, and when the predicted cycle-time
-/// improvement clears the hysteresis threshold the weighted
-/// decomposition is rebuilt at the new fraction and the [`HaloPlan`]
-/// with it. State crosses each boundary through the same host-staged
-/// checkpoint the recovery path uses, and the redistribution is
-/// charged as a tree-barrier collective plus the α–β wire time of the
-/// moved zones. A loss boundary folds the lost slab back exactly as
-/// [`run_degraded`] does and *freezes* the controller: the folded
-/// decomposition is no longer expressible as a uniform weighted
-/// re-split.
-///
-/// Every controller input is a virtual-time measurement, so the
-/// decision sequence is a pure function of the seed and plan: two
-/// same-seed runs re-split identically, byte for byte — the property
-/// the chaos gate asserts.
-fn run_online(
-    cfg: &RunConfig,
-    cpu_fraction: f64,
-    rcfg: &RebalanceConfig,
-    fault_plan: &Arc<hsim_faults::FaultPlan>,
-    loss: Option<(usize, u64)>,
-) -> Result<RunResult, String> {
-    let collect = cfg.telemetry || cfg.trace;
-    let mut rb = Rebalancer::new(cpu_fraction, rcfg);
-    rb.set_min_fraction(hetero_min_fraction(cfg));
-
-    // Segment boundaries: every `N` cycles, plus the loss cycle.
-    let mut boundaries: Vec<u64> = (1..)
-        .map(|k| k * rcfg.every)
-        .take_while(|&c| c < cfg.cycles)
-        .collect();
-    boundaries.extend(fault_plan.loss_boundaries(cfg.cycles));
-    boundaries.sort_unstable();
-    boundaries.dedup();
-    boundaries.push(cfg.cycles);
-
-    let (mut decomp, mut roles) = build_world(cfg, rb.fraction)?;
-    rb.note_realized(decomp.cpu_zone_fraction());
-    if let Some((lost, _)) = loss {
-        if lost >= decomp.len() {
-            return Err(format!(
-                "injected rank loss {lost} out of range ({} ranks)",
-                decomp.len()
-            ));
-        }
-        // Owner layout is invariant across re-splits, so the check
-        // against the initial decomposition holds at the loss cycle.
-        if decomp.owners[lost].is_gpu() {
-            return Err(format!(
-                "injected loss of rank {lost} is fatal: it drives a GPU and its device \
-                 block cannot be folded back onto the remaining ranks"
-            ));
-        }
-    }
-    let n_orig = decomp.len();
-    let mut orig_ids: Vec<usize> = (0..n_orig).collect();
-
-    // Controller decisions happen on the coordinating thread between
-    // segments; give them their own collector (rank id one past the
-    // world) so `balance_*` spans land in the summary beside the rank
-    // spans.
-    if collect {
-        hsim_telemetry::install(Collector::new(n_orig));
-    }
-
-    // Per-original-rank report accumulators; a re-split keeps the
-    // rank count, the foldback drops the lost id from `orig_ids`.
-    let mut acc: Vec<Option<RankReport>> = (0..n_orig).map(|_| None).collect();
-    let mut device_busy = vec![SimDuration::ZERO; cfg.node.gpus];
-    let mut collectors: Vec<Collector> = Vec::new();
-    let mut runtime = SimDuration::ZERO;
-    let mut checkpoint: Option<Checkpoint> = None;
-    let mut masses: Option<Vec<f64>> = None;
-    let (mut resplits, mut holds, mut frozen_count) = (0u64, 0u64, 0u64);
-    let mut bytes_moved = 0u64;
-    let mut loss_handled = false;
-    let mut migrated_total = 0u64;
-    let mut final_particles: Option<Vec<Particle>> = None;
-    let mut final_diag: Option<ScenarioDiag> = None;
-    let mut final_t = 0.0;
-
-    let mut first = 0u64;
-    for &last in &boundaries {
-        let zeros = vec![SimDuration::ZERO; decomp.len()];
-        let seg = run_segment(
-            cfg,
-            fault_plan,
-            Segment {
-                decomp: &decomp,
-                roles: &roles,
-                orig_ids: &orig_ids,
-                first_cycle: first,
-                last_cycle: last,
-                restore: checkpoint.as_ref(),
-                take_checkpoint: last < cfg.cycles,
-                setup_extra: &zeros,
-            },
-        )?;
-        runtime += slowest_total(&seg.reports);
-        for (rank, rep) in seg.reports.iter().enumerate() {
-            let slot = &mut acc[orig_ids[rank]];
-            match slot {
-                None => *slot = Some(rep.clone()),
-                Some(a) => {
-                    // Buckets sum across segments; identity fields
-                    // (role, zones) track the latest world.
-                    a.role = rep.role;
-                    a.zones = rep.zones;
-                    a.setup += rep.setup;
-                    a.total += rep.total;
-                    a.compute += rep.compute;
-                    a.launch += rep.launch;
-                    a.memory += rep.memory;
-                    a.comm += rep.comm;
-                    a.control += rep.control;
-                    a.wait += rep.wait;
-                    a.launches += rep.launches;
-                    a.bytes_sent += rep.bytes_sent;
-                }
+/// Visit every zone of `sub`'s owned box in x-fastest order with its
+/// local `(i, j, k)` and its index into a global x-major array — the
+/// layout the host-staged [`EndState`] uses.
+fn for_each_owned(
+    grid: &GlobalGrid,
+    sub: &hsim_mesh::Subdomain,
+    mut f: impl FnMut([usize; 3], usize),
+) {
+    for k in 0..sub.extent(2) {
+        for j in 0..sub.extent(1) {
+            for i in 0..sub.extent(0) {
+                let g = (sub.lo[0] + i) + grid.nx * ((sub.lo[1] + j) + grid.ny * (sub.lo[2] + k));
+                f([i, j, k], g);
             }
         }
-        for (g, busy) in seg.device_busy.iter().enumerate() {
-            device_busy[g] += *busy;
-        }
-        collectors.extend(seg.collectors);
-        if seg.masses.is_some() {
-            masses = seg.masses;
-        }
-        migrated_total += seg.migrated;
-        final_particles = seg.particles;
-        final_diag = seg.diag;
-        final_t = seg.t_end;
-        checkpoint = seg.checkpoint;
-        if last >= cfg.cycles {
-            break;
-        }
-
-        let boundary_loss = loss.filter(|&(_, at)| at == last && !loss_handled);
-        if let Some((lost, _)) = boundary_loss {
-            // Fold the lost slab back (same collective as the
-            // degraded path) and freeze the controller: the folded
-            // world is not a uniform weighted split any more.
-            let pos = orig_ids
-                .iter()
-                .position(|&o| o == lost)
-                .ok_or_else(|| format!("lost rank {lost} missing from the live world"))?;
-            let folded = fold_lost_rank(&decomp, pos)?;
-            let moved = zones_moved(&decomp, &folded, |j| Some(if j < pos { j } else { j + 1 }));
-            let pmoved = checkpoint
-                .as_ref()
-                .map_or(0, |ck| particles_moved(&decomp, &folded, &ck.particles));
-            let bytes = redistribution_bytes(moved) + pmoved * hsim_particles::WIRE_BYTES;
-            let t0 = SimTime::from_nanos(runtime.as_nanos());
-            runtime += cfg.node.comm.redistribution_time(bytes, folded.len());
-            if collect {
-                hsim_telemetry::rank_span(
-                    Category::Runtime,
-                    "balance_freeze",
-                    t0,
-                    SimTime::from_nanos(runtime.as_nanos()),
-                );
-            }
-            bytes_moved += bytes;
-            roles.remove(pos);
-            orig_ids.remove(pos);
-            decomp = folded;
-            rb.freeze_at(decomp.cpu_zone_fraction());
-            frozen_count += 1;
-            loss_handled = true;
-        } else {
-            let cpu_time = seg
-                .reports
-                .iter()
-                .zip(roles.iter())
-                .filter(|(_, role)| !role.is_gpu_driver())
-                .map(|(r, _)| r.compute)
-                .fold(SimDuration::ZERO, SimDuration::max);
-            let gpu_time = seg
-                .device_busy
-                .iter()
-                .fold(SimDuration::ZERO, |a, &b| a.max(b));
-            match rb.observe(cpu_time, gpu_time) {
-                RebalanceDecision::Resplit { fraction, .. } => {
-                    let next = build_decomposition(cfg, fraction)?;
-                    next.validate()?;
-                    let moved = zones_moved(&decomp, &next, Some);
-                    let pmoved = checkpoint
-                        .as_ref()
-                        .map_or(0, |ck| particles_moved(&decomp, &next, &ck.particles));
-                    let bytes = redistribution_bytes(moved) + pmoved * hsim_particles::WIRE_BYTES;
-                    let t0 = SimTime::from_nanos(runtime.as_nanos());
-                    runtime += cfg.node.comm.redistribution_time(bytes, next.len());
-                    if collect {
-                        hsim_telemetry::rank_span(
-                            Category::Runtime,
-                            "balance_resplit",
-                            t0,
-                            SimTime::from_nanos(runtime.as_nanos()),
-                        );
-                    }
-                    bytes_moved += bytes;
-                    decomp = next;
-                    rb.note_realized(decomp.cpu_zone_fraction());
-                    resplits += 1;
-                }
-                RebalanceDecision::Hold { .. } => holds += 1,
-                RebalanceDecision::Frozen => {}
-            }
-        }
-        first = last;
     }
-
-    // Renumber the survivors into the final world's rank order.
-    let mut reports = Vec::with_capacity(orig_ids.len());
-    for (new_rank, &orig) in orig_ids.iter().enumerate() {
-        let mut rep = acc[orig]
-            .take()
-            .ok_or_else(|| format!("online rebalance: rank {orig} produced no report"))?;
-        rep.rank = new_rank;
-        reports.push(rep);
-    }
-
-    let summary = if collect {
-        collectors.extend(hsim_telemetry::uninstall());
-        let mut s = Summary::from_collectors(collectors);
-        s.metrics
-            .gauge_set(Gauge::CpuFraction, decomp.cpu_zone_fraction());
-        s.metrics.gauge_set(Gauge::BalanceFraction, rb.fraction);
-        s.metrics.count(Counter::Rebalances, resplits);
-        s.metrics.count(Counter::BalanceResplits, resplits);
-        s.metrics.count(Counter::BalanceHolds, holds);
-        s.metrics.count(Counter::BalanceFrozen, frozen_count);
-        s.metrics.count(Counter::BalanceBytesMoved, bytes_moved);
-        if loss_handled {
-            s.metrics.count(Counter::FaultsInjected, 1);
-            s.metrics.count(Counter::FaultRankLosses, 1);
-        }
-        Some(s)
-    } else {
-        None
-    };
-    let mass = masses.as_ref().map(|m| m.iter().sum());
-    let particles = particle_report(final_particles.as_deref(), migrated_total);
-    let outcome = scenario::outcome(
-        &cfg.problem,
-        &cfg.global_grid(),
-        final_t,
-        final_diag.as_ref(),
-    );
-    let mut result = finish_result(cfg, &decomp, reports, device_busy, summary, runtime, mass)?;
-    result.balance_history = rb.history;
-    result.particles = particles;
-    result.scenario = outcome;
-    Ok(result)
 }
 
 /// One contiguous span of cycles over a fixed decomposition: the
-/// whole run in the fault-free case, the spans before/after the loss
-/// in the degraded case.
+/// whole run when nothing interrupts it, else the span between two
+/// boundaries.
 struct Segment<'a> {
     decomp: &'a Decomposition,
     roles: &'a [RankRole],
@@ -897,9 +672,13 @@ struct Segment<'a> {
     /// Global cycle numbers `[first, last)`.
     first_cycle: u64,
     last_cycle: u64,
-    restore: Option<&'a Checkpoint>,
+    /// The previous segment's end state to restart from.
+    restore: Option<&'a EndState>,
+    /// Stage the conserved fields into [`EndState::vars`]: a boundary
+    /// follows.
     take_checkpoint: bool,
-    /// Extra per-rank setup charge (MPS connect retry backoff).
+    /// Extra per-rank setup charge (MPS connect retry backoff); empty
+    /// on every segment but the first.
     setup_extra: &'a [SimDuration],
 }
 
@@ -907,37 +686,35 @@ struct SegmentOut {
     reports: Vec<RankReport>,
     collectors: Vec<Collector>,
     device_busy: Vec<SimDuration>,
-    checkpoint: Option<Checkpoint>,
-    /// Total owned mass per rank, in rank order (full fidelity only).
-    masses: Option<Vec<f64>>,
-    /// The live particle set at segment end, merged across ranks and
-    /// sorted by id (`None` when the particle phase is off).
-    particles: Option<Vec<Particle>>,
     /// Cross-rank particle migrations during this segment.
     migrated: u64,
-    /// Merged final-state scenario diagnostics (full fidelity only).
-    diag: Option<ScenarioDiag>,
-    /// Simulation time at segment end.
-    t_end: f64,
+    end: EndState,
 }
 
-/// A host-staged snapshot of the conserved fields at a segment
-/// boundary (the recovery path's checkpoint/restart; communication
-/// goes through the host, consistent with the paper's §5.3 staging).
-struct Checkpoint {
-    /// One global x-major array per conserved variable; empty in
-    /// cost-only fidelity, where zone values carry no state.
+/// The global state at a segment's end: what the result reports after
+/// the last segment, and what the next segment restarts from after any
+/// other (checkpoint/restart staged through the host, consistent with
+/// the paper's §5.3 staging).
+struct EndState {
+    /// One global x-major array per conserved variable; filled only
+    /// when a boundary follows and zone values carry state (full
+    /// fidelity).
     vars: Vec<Vec<f64>>,
-    /// The global particle set, sorted by id (empty when the particle
-    /// phase is off). Restore re-filters by subdomain ownership, so a
-    /// re-split or foldback re-homes particles for free.
-    particles: Vec<Particle>,
+    /// The live particle set, merged across ranks and sorted by id
+    /// (`None` when the particle phase is off). Restore re-filters by
+    /// subdomain ownership, so a re-split or foldback re-homes
+    /// particles for free.
+    particles: Option<Vec<Particle>>,
     t: f64,
     cycle: u64,
+    /// Total owned mass (full fidelity only).
+    mass: Option<f64>,
+    /// Merged scenario diagnostics (full fidelity only).
+    diag: Option<ScenarioDiag>,
 }
 
 /// Run one segment and collect per-rank reports, telemetry, device
-/// busy time, and (when requested) the boundary checkpoint. Rank
+/// busy time and the end state. Rank
 /// failures surface as typed errors — never panics or hangs (a dead
 /// rank's mailboxes disconnect its peers).
 fn run_segment(
@@ -988,11 +765,7 @@ fn run_segment(
     // parallel kernels and reductions. None = the paper's sequential
     // CPU ranks. `WorkPool::shared` serializes concurrent regions via
     // its region lock, so simultaneous served runs are safe.
-    let host_pool: Option<Arc<WorkPool>> = if cfg.host_threads > 1 {
-        Some(WorkPool::shared(cfg.host_threads - 1))
-    } else {
-        None
-    };
+    let host_pool = (cfg.host_threads > 1).then(|| WorkPool::shared(cfg.host_threads - 1));
 
     // Node-level host-bandwidth model (the Figure 12 kink): aggregate
     // host traffic beyond the active cores' capacity costs extra,
@@ -1007,16 +780,6 @@ fn run_segment(
         })
         .collect();
 
-    let decomp_ref = &decomp;
-    let plan_ref = &plan;
-    let roles_ref = &roles;
-    let slots_ref = &slots;
-    let penalty_ref = &penalty_per_cycle;
-    let pool_ref = &host_pool;
-    let cfg_ref = cfg;
-    let seg_ref = &seg;
-    let fault_plan_ref = fault_plan;
-
     // One collector per rank thread serves both consumers: the full
     // telemetry summary and the legacy per-cycle Gantt trace (now a
     // projection of the same span store).
@@ -1028,7 +791,8 @@ fn run_segment(
         dump: Option<Vec<Vec<f64>>>,
         t: f64,
         cycle: u64,
-        mass: f64,
+        /// Total owned mass (full fidelity only).
+        mass: Option<f64>,
         /// This rank's live particles at segment end.
         particles: Option<Vec<Particle>>,
         /// Particles this rank shipped to peers during the segment.
@@ -1041,18 +805,18 @@ fn run_segment(
         node.comm.clone(),
         |comm| {
             let rank = comm.rank();
-            let orig = seg_ref.orig_ids[rank];
-            let sub = decomp_ref.domains[rank];
-            let role = roles_ref[rank];
-            let client = slots_ref.lock()[rank].take();
+            let orig = seg.orig_ids[rank];
+            let sub = decomp.domains[rank];
+            let role = roles[rank];
+            let client = slots.lock()[rank].take();
             let mut clock = RankClock::new(rank);
             if collect {
                 hsim_telemetry::install(Collector::new(rank));
             }
             // Arm the injector under this rank's *original* id, so the
             // plan keeps naming the same rank across the foldback.
-            hsim_faults::install(orig, Arc::clone(fault_plan_ref));
-            hsim_faults::set_cycle(seg_ref.first_cycle);
+            hsim_faults::install(orig, Arc::clone(fault_plan));
+            hsim_faults::set_cycle(seg.first_cycle);
 
             // Figure 8 memory scheme: GPU ranks put mesh data in unified
             // memory (paying the initial fault-in) and temporaries in a
@@ -1105,7 +869,7 @@ fn run_segment(
                 ));
                 Target::Gpu(client.clone())
             } else {
-                match pool_ref {
+                match &host_pool {
                     Some(pool) => Target::CpuParallel {
                         pool: Arc::clone(pool),
                     },
@@ -1113,49 +877,47 @@ fn run_segment(
                 }
             };
 
-            let mut exec = Executor::new(target, cfg_ref.node.cpu.clone(), cfg_ref.fidelity)
+            let mut exec = Executor::new(target, cfg.node.cpu.clone(), cfg.fidelity)
                 .with_multipolicy(hsim_raja::MultiPolicy::with_threshold(
-                    cfg_ref.multipolicy_threshold,
+                    cfg.multipolicy_threshold,
                 ));
-            let mut state = HydroState::new(grid, sub, cfg_ref.fidelity);
-            state.tile = cfg_ref
+            let mut state = HydroState::new(grid, sub, cfg.fidelity);
+            state.tile = cfg
                 .tile
-                .unwrap_or_else(|| calib::auto_tile_for(cfg_ref.host_threads));
-            cfg_ref.problem.init(&mut state);
-            // Degraded restart: unpack this rank's owned box from the
+                .unwrap_or_else(|| calib::auto_tile_for(cfg.host_threads));
+            cfg.problem.init(&mut state);
+            // Restart: unpack this rank's owned box from the
             // host-staged checkpoint (ghosts refill on the first
             // exchange; scratch fields are recomputed every cycle).
-            if let Some(ck) = seg_ref.restore {
+            if let Some(ck) = seg.restore {
                 state.t = ck.t;
                 state.cycle = ck.cycle;
-                if cfg_ref.fidelity == Fidelity::Full {
-                    for (var, global) in ck.vars.iter().enumerate() {
-                        for k in 0..sub.extent(2) {
-                            for j in 0..sub.extent(1) {
-                                for i in 0..sub.extent(0) {
-                                    let g = (sub.lo[0] + i)
-                                        + grid.nx * ((sub.lo[1] + j) + grid.ny * (sub.lo[2] + k));
-                                    state.u.set(var, i, j, k, global[g]);
-                                }
-                            }
-                        }
-                    }
+                for (var, global) in ck.vars.iter().enumerate() {
+                    for_each_owned(&grid, &sub, |[i, j, k], g| {
+                        state.u.set(var, i, j, k, global[g]);
+                    });
                 }
             }
             // The particle phase: fresh deterministic placement on a
             // cold start, ownership re-filter of the global snapshot
             // on a restore (re-splits and foldbacks re-home particles
             // through exactly this path).
-            let mut phase = cfg_ref.particles.map(|pcfg| match seg_ref.restore {
-                Some(ck) => PhaseState::from_global(pcfg, &ck.particles, &grid, &sub),
+            let mut phase = cfg.particles.map(|pcfg| match seg.restore {
+                Some(ck) => PhaseState::from_global(
+                    pcfg,
+                    ck.particles.as_deref().unwrap_or_default(),
+                    &grid,
+                    &sub,
+                ),
                 None => PhaseState::init_owned(pcfg, &grid, &sub),
             });
 
             // Main-thread MPS connect retries land on the rejected
             // rank's setup clock.
-            if seg_ref.setup_extra[rank] > SimDuration::ZERO {
+            let setup_extra = seg.setup_extra.get(rank).copied().unwrap_or_default();
+            if setup_extra > SimDuration::ZERO {
                 let t_f = clock.now();
-                clock.charge(ChargeKind::Wait, seg_ref.setup_extra[rank]);
+                clock.charge(ChargeKind::Wait, setup_extra);
                 hsim_telemetry::rank_span(Category::Runtime, "fault_mps_retry", t_f, clock.now());
             }
 
@@ -1170,13 +932,13 @@ fn run_segment(
 
             let mut coupler = MpiCoupler {
                 comm,
-                plan: plan_ref,
-                decomp: decomp_ref,
-                gpu_spec: client.as_ref().map(|_| cfg_ref.node.gpu_spec.clone()),
-                gpu_direct: cfg_ref.gpu_direct,
+                plan: &plan,
+                decomp,
+                gpu_spec: client.as_ref().map(|_| cfg.node.gpu_spec.clone()),
+                gpu_direct: cfg.gpu_direct,
             };
 
-            for cycle in seg_ref.first_cycle..seg_ref.last_cycle {
+            for cycle in seg.first_cycle..seg.last_cycle {
                 hsim_faults::set_cycle(cycle);
                 let cycle_start = clock.now();
                 let wait_before = clock.bucket(ChargeKind::Wait);
@@ -1196,7 +958,7 @@ fn run_segment(
                     calib::COST_ONLY_DT,
                 )
                 .map_err(|e| format!("rank {orig}: {e}"))?;
-                if let Some(diff) = &cfg_ref.diffusion {
+                if let Some(diff) = &cfg.diffusion {
                     diffuse_step(
                         &mut state,
                         &mut exec,
@@ -1210,7 +972,7 @@ fn run_segment(
                 if let Some(phase) = phase.as_mut() {
                     hsim_particles::advect(phase, &state, &mut exec, &mut clock, stats.dt, cycle)
                         .map_err(|e| format!("rank {orig}: {e}"))?;
-                    hsim_particles::migrate(phase, decomp_ref, rank, &mut coupler, &mut clock)
+                    hsim_particles::migrate(phase, decomp, rank, &mut coupler, &mut clock)
                         .map_err(|e| format!("rank {orig}: {e}"))?;
                 }
                 // Serial host control code between kernels.
@@ -1221,7 +983,7 @@ fn run_segment(
                     ),
                 );
                 // Host-bandwidth saturation penalty.
-                clock.charge(ChargeKind::Memory, penalty_ref[rank]);
+                clock.charge(ChargeKind::Memory, penalty_per_cycle[rank]);
                 if collect {
                     // One busy span + one idle span per cycle: the idle
                     // share is the Wait-bucket growth (GPU sync + peers).
@@ -1240,28 +1002,20 @@ fn run_segment(
                 }
             }
 
-            // Boundary checkpoint for the degraded-restart path:
-            // owned zone values per conserved variable, staged through
-            // the host (data only matters in full fidelity).
-            let dump = if seg_ref.take_checkpoint && cfg_ref.fidelity == Fidelity::Full {
-                Some(
-                    (0..hsim_hydro::NCONS)
-                        .map(|var| {
-                            let mut v = Vec::with_capacity(sub.zones() as usize);
-                            for k in 0..sub.extent(2) {
-                                for j in 0..sub.extent(1) {
-                                    for i in 0..sub.extent(0) {
-                                        v.push(state.u.get(var, i, j, k));
-                                    }
-                                }
-                            }
-                            v
-                        })
-                        .collect::<Vec<_>>(),
-                )
-            } else {
-                None
-            };
+            // Boundary checkpoint: owned zone values per conserved
+            // variable, staged through the host (data only matters in
+            // full fidelity).
+            let dump = (seg.take_checkpoint && cfg.fidelity == Fidelity::Full).then(|| {
+                (0..hsim_hydro::NCONS)
+                    .map(|var| {
+                        let mut v = Vec::with_capacity(sub.zones() as usize);
+                        for_each_owned(&grid, &sub, |[i, j, k], _| {
+                            v.push(state.u.get(var, i, j, k))
+                        });
+                        v
+                    })
+                    .collect::<Vec<_>>()
+            });
 
             // Fold the communicator's clock into the rank clock and report.
             let comm_clock = coupler.comm.clock().clone();
@@ -1283,52 +1037,26 @@ fn run_segment(
                 bytes_sent,
             };
             hsim_faults::uninstall();
-            let mass = if cfg_ref.fidelity == Fidelity::Full {
-                state.total_mass()
-            } else {
-                0.0
-            };
-            let diag = (cfg_ref.fidelity == Fidelity::Full).then(|| ScenarioDiag::of_rank(&state));
+            let full = cfg.fidelity == Fidelity::Full;
             Ok(RankOut {
                 report,
                 collector: hsim_telemetry::uninstall(),
                 dump,
                 t: state.t,
                 cycle: state.cycle,
-                mass,
+                mass: full.then(|| state.total_mass()),
+                diag: full.then(|| ScenarioDiag::of_rank(&state)),
                 migrated: phase.as_ref().map_or(0, |ph| ph.migrated),
                 particles: phase.map(|ph| ph.parts),
-                diag,
             })
         },
     );
 
-    let mut reports = Vec::with_capacity(outputs.len());
-    let mut collectors = Vec::new();
-    let mut dumps = Vec::with_capacity(outputs.len());
+    let mut ranks = Vec::with_capacity(n_ranks);
     let mut errors: Vec<String> = Vec::new();
-    let mut t_end = 0.0;
-    let mut cycle_end = seg.last_cycle;
-    let mut masses = Vec::with_capacity(n_ranks);
-    let mut all_parts: Option<Vec<Particle>> = cfg.particles.map(|_| Vec::new());
-    let mut migrated = 0u64;
-    let mut diags: Vec<ScenarioDiag> = Vec::new();
     for res in outputs {
         match res {
-            Ok(out) => {
-                collectors.extend(out.collector);
-                dumps.push(out.dump);
-                masses.push(out.mass);
-                // Identical on every rank: dt is an exact collective.
-                t_end = out.t;
-                cycle_end = out.cycle;
-                if let (Some(all), Some(p)) = (all_parts.as_mut(), out.particles) {
-                    all.extend(p);
-                }
-                migrated += out.migrated;
-                diags.extend(out.diag);
-                reports.push(out.report);
-            }
+            Ok(out) => ranks.push(out),
             Err(e) => errors.push(e),
         }
     }
@@ -1348,60 +1076,58 @@ fn run_segment(
         return Err(root);
     }
 
-    let checkpoint = if seg.take_checkpoint {
-        let mut vars: Vec<Vec<f64>> = if cfg.fidelity == Fidelity::Full {
-            vec![vec![0.0; grid.zones() as usize]; hsim_hydro::NCONS]
-        } else {
-            Vec::new()
-        };
-        for (rank, dump) in dumps.iter().enumerate() {
-            if let Some(dump) = dump {
-                let sub = decomp.domains[rank];
-                for (var, vals) in dump.iter().enumerate() {
-                    let mut it = vals.iter();
-                    for k in 0..sub.extent(2) {
-                        for j in 0..sub.extent(1) {
-                            for i in 0..sub.extent(0) {
-                                let g = (sub.lo[0] + i)
-                                    + grid.nx * ((sub.lo[1] + j) + grid.ny * (sub.lo[2] + k));
-                                vars[var][g] = *it.next().ok_or_else(|| {
-                                    format!(
-                                        "rank {rank} checkpoint dump smaller than its owned box"
-                                    )
-                                })?;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(all) = all_parts.as_mut() {
-            all.sort_unstable_by_key(|p| p.id);
-        }
-        Some(Checkpoint {
-            vars,
-            particles: all_parts.clone().unwrap_or_default(),
-            t: t_end,
-            cycle: cycle_end,
-        })
-    } else {
-        None
-    };
-
-    if let Some(all) = all_parts.as_mut() {
-        all.sort_unstable_by_key(|p| p.id);
+    let mut vars = Vec::new();
+    if ranks.iter().any(|out| out.dump.is_some()) {
+        vars = vec![vec![0.0; grid.zones() as usize]; hsim_hydro::NCONS];
     }
-    let diag = (!diags.is_empty()).then(|| ScenarioDiag::merge(grid.nx, diags.iter()));
+    for (rank, out) in ranks.iter_mut().enumerate() {
+        let sub = decomp.domains[rank];
+        // Each dump is freed as soon as it is staged.
+        for (var, vals) in out.dump.take().into_iter().flatten().enumerate() {
+            if vals.len() as u64 != sub.zones() {
+                return Err(format!(
+                    "rank {rank} checkpoint dump does not match its owned box"
+                ));
+            }
+            let mut n = 0;
+            for_each_owned(&grid, &sub, |_, g| {
+                vars[var][g] = vals[n];
+                n += 1;
+            });
+        }
+    }
+    let particles = cfg.particles.map(|_| {
+        let mut all: Vec<Particle> = ranks
+            .iter_mut()
+            .flat_map(|out| out.particles.take().unwrap_or_default())
+            .collect();
+        all.sort_unstable_by_key(|p| p.id);
+        all
+    });
+    // `t` and `cycle` are identical on every rank: dt is an exact
+    // collective.
+    let (t, cycle) = ranks
+        .last()
+        .map_or((0.0, seg.last_cycle), |out| (out.t, out.cycle));
+    let end = EndState {
+        vars,
+        particles,
+        t,
+        cycle,
+        mass: ranks.iter().map(|out| out.mass).sum(),
+        diag: (cfg.fidelity == Fidelity::Full).then(|| {
+            ScenarioDiag::merge(grid.nx, ranks.iter().filter_map(|out| out.diag.as_ref()))
+        }),
+    };
     Ok(SegmentOut {
-        reports,
-        collectors,
+        migrated: ranks.iter().map(|out| out.migrated).sum(),
+        collectors: ranks
+            .iter_mut()
+            .filter_map(|out| out.collector.take())
+            .collect(),
+        reports: ranks.into_iter().map(|out| out.report).collect(),
         device_busy: devices.iter().map(|d| d.busy()).collect(),
-        checkpoint,
-        masses: (cfg.fidelity == Fidelity::Full).then_some(masses),
-        particles: all_parts,
-        migrated,
-        diag,
-        t_end,
+        end,
     })
 }
 
@@ -1940,6 +1666,40 @@ mod tests {
             ((mi - ma) / mi).abs() < 1e-12,
             "mass drift across controlled recovery: {mi} vs {ma}"
         );
+    }
+
+    #[test]
+    fn a_controller_that_never_ticks_is_invisible() {
+        // One loop, one account: with `every` ≥ the run length the
+        // controller adds no boundary, so a loss foldback (and the
+        // zero-boundary run) must charge exactly what the uncontrolled
+        // run charges — the foldback's α–β redistribution included.
+        for fidelity in [Fidelity::CostOnly, Fidelity::Full] {
+            for faults in [Some("rank.loss@rank4.cycle2"), None] {
+                let mut cfg = sweep_cfg((32, 48, 32), ExecMode::hetero());
+                cfg.fidelity = fidelity;
+                cfg.cycles = 4;
+                cfg.tile = Some([8, 8]);
+                cfg.particles = Some(ParticlesConfig::default());
+                cfg.faults = faults.map(|spec| hsim_faults::FaultPlan::parse(spec).unwrap());
+                let bare = run(&cfg).unwrap();
+                cfg.rebalance = Some(RebalanceConfig {
+                    every: cfg.cycles,
+                    hysteresis: calib::REBALANCE_DEFAULT_HYSTERESIS,
+                });
+                let idle = run(&cfg).unwrap();
+                let case = format!("{fidelity:?}, faults {faults:?}");
+                assert_eq!(bare.runtime, idle.runtime, "{case}");
+                assert_eq!(
+                    format!("{:?}", bare.ranks),
+                    format!("{:?}", idle.ranks),
+                    "{case}"
+                );
+                assert_eq!(bare.mass, idle.mass, "{case}");
+                assert_eq!(bare.cpu_fraction, idle.cpu_fraction, "{case}");
+                assert_eq!(bare.particles, idle.particles, "{case}");
+            }
+        }
     }
 
     #[test]

@@ -269,23 +269,6 @@ impl FaultPlan {
             .collect()
     }
 
-    /// Cycle numbers at which a permanent rank loss interrupts a run
-    /// of `cycles` total, sorted and deduplicated. These are the
-    /// segment boundaries a controller-aware runner must break at, so
-    /// rank-loss recovery and online re-splits compose on the same
-    /// checkpoint/restart machinery.
-    pub fn loss_boundaries(&self, cycles: u64) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .rank_losses()
-            .into_iter()
-            .map(|(_, c)| c)
-            .filter(|&c| c < cycles)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
@@ -341,11 +324,6 @@ pub fn install(rank: usize, plan: Arc<FaultPlan>) {
 /// Disarm fault injection on this thread.
 pub fn uninstall() {
     INJECTOR.with(|inj| *inj.borrow_mut() = None);
-}
-
-/// True when a fault plan is armed on this thread.
-pub fn is_installed() -> bool {
-    INJECTOR.with(|inj| inj.borrow().is_some())
 }
 
 /// Advance the injector to `cycle`; events fire only on their cycle.
@@ -417,20 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn loss_boundaries_sort_dedup_and_clip_to_the_run() {
-        let plan = FaultPlan::parse(
-            "rank.loss@rank5.cycle4;xfer.delay@rank1.cycle2;rank.loss@rank6.cycle2;\
-             rank.loss@rank7.cycle4;rank.loss@rank8.cycle99",
-        )
-        .unwrap();
-        assert_eq!(plan.loss_boundaries(10), vec![2, 4]);
-        assert_eq!(plan.loss_boundaries(3), vec![2]);
-        // Transient losses are not boundaries.
-        let transient = FaultPlan::parse("rank.loss@rank5.cycle4:count=1").unwrap();
-        assert!(transient.loss_boundaries(10).is_empty());
-    }
-
-    #[test]
     fn parses_severity_options() {
         let plan = FaultPlan::parse("gpu.launch@rank0.cycle3:count=2").unwrap();
         assert_eq!(plan.events[0].severity, Severity::Transient { count: 2 });
@@ -493,7 +457,6 @@ mod tests {
     fn injector_fires_once_on_the_right_rank_and_cycle() {
         let plan = Arc::new(FaultPlan::parse("gpu.launch@rank3.cycle2").unwrap());
         install(3, plan.clone());
-        assert!(is_installed());
         assert!(check(Site::GpuLaunch).is_none(), "cycle 0: nothing");
         set_cycle(2);
         assert!(check(Site::GpuOom).is_none(), "wrong site");
@@ -501,7 +464,6 @@ mod tests {
         assert_eq!(hit.severity, Severity::Transient { count: 1 });
         assert!(check(Site::GpuLaunch).is_none(), "consumed");
         uninstall();
-        assert!(!is_installed());
 
         // The wrong rank never sees it.
         install(1, plan);
@@ -514,7 +476,6 @@ mod tests {
     fn no_injector_means_no_faults() {
         uninstall();
         assert!(check(Site::XferDelay).is_none());
-        assert!(!is_installed());
     }
 
     #[test]

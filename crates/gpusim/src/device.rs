@@ -132,11 +132,6 @@ impl Device {
         Ok(LaunchTicket { job, overhead })
     }
 
-    /// Number of launches queued but not yet executed.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// The queued launches themselves (profilers read `work` and
     /// `max_rate` before [`Device::run_pending`] clears the queue).
     pub fn pending_jobs(&self) -> &[Job] {
@@ -244,7 +239,7 @@ mod tests {
         let o1 = out.iter().find(|o| o.id == t1.job).unwrap();
         let o2 = out.iter().find(|o| o.id == t2.job).unwrap();
         assert!(o2.start >= o1.end, "same-stream kernels serialize");
-        assert_eq!(d.pending_len(), 0);
+        assert!(d.pending_jobs().is_empty());
         assert!(d.busy() > SimDuration::ZERO);
     }
 

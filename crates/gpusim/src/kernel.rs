@@ -57,16 +57,6 @@ impl KernelDesc {
         let t_memory = n * self.bytes_per_elem / (spec.mem_bandwidth_gbs * 1e9);
         SimDuration::from_secs_f64(t_compute.max(t_memory))
     }
-
-    /// Achieved kernel duration for one launch of `shape` on `spec`,
-    /// i.e. roofline time divided by occupancy. This is the duration a
-    /// kernel takes when it runs *alone*; the rate-sharing timeline uses
-    /// `occupancy` directly so that co-resident kernels can reclaim the
-    /// idle fraction.
-    pub fn solo_duration(&self, spec: &DeviceSpec, shape: KernelShape) -> SimDuration {
-        let eff = occupancy(spec, shape);
-        self.roofline_time(spec, shape.elems).mul_f64(1.0 / eff)
-    }
 }
 
 /// Fraction of peak device throughput one kernel launch can achieve,
@@ -145,29 +135,5 @@ mod tests {
         // Durations quantize to whole nanoseconds: allow 1 ns slack.
         assert!((t_mem.as_secs_f64() - expect_mem).abs() < 1.5e-9);
         assert!((t_cmp.as_secs_f64() - expect_cmp).abs() < 1.5e-9);
-    }
-
-    #[test]
-    fn solo_duration_exceeds_roofline_by_inverse_occupancy() {
-        let spec = k80();
-        let k = KernelDesc::new("k", 30.0, 16.0);
-        let shape = KernelShape::new(2_000_000, 64);
-        let solo = k.solo_duration(&spec, shape);
-        let roof = k.roofline_time(&spec, shape.elems);
-        let eff = occupancy(&spec, shape);
-        assert!(solo >= roof);
-        let ratio = solo.ratio(roof);
-        assert!((ratio - 1.0 / eff).abs() < 0.01, "ratio {ratio}, eff {eff}");
-    }
-
-    #[test]
-    fn duration_scales_linearly_with_elems_at_saturation() {
-        let spec = k80();
-        let k = KernelDesc::new("k", 30.0, 16.0);
-        // Far past the size ramp, doubling elems ≈ doubles time.
-        let t1 = k.solo_duration(&spec, KernelShape::new(20_000_000, 320));
-        let t2 = k.solo_duration(&spec, KernelShape::new(40_000_000, 320));
-        let r = t2.ratio(t1);
-        assert!((r - 2.0).abs() < 0.02, "ratio {r}");
     }
 }

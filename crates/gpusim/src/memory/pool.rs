@@ -94,14 +94,6 @@ impl MemoryPool {
         self.high_water
     }
 
-    pub fn slab_size(&self) -> u64 {
-        self.slab
-    }
-
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
     pub fn failures(&self) -> u64 {
         self.failures
     }
@@ -146,7 +138,6 @@ mod tests {
         let _b = p.alloc(1024).unwrap();
         p.reset();
         assert_eq!(p.in_use(), 0);
-        assert_eq!(p.live_count(), 0);
         // Full slab available again.
         assert!(p.alloc(4096).is_ok());
     }

@@ -167,11 +167,6 @@ impl UnifiedMemory {
     pub fn device_resident_bytes(&self) -> u64 {
         self.device_resident_pages * self.page_size
     }
-
-    /// Number of live regions.
-    pub fn live_regions(&self) -> usize {
-        self.regions.iter().filter(|r| r.live).count()
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +182,6 @@ mod tests {
         let mut m = um();
         let r = m.alloc(1 << 20);
         assert_eq!(m.device_resident_bytes(), 0);
-        assert_eq!(m.live_regions(), 1);
         // First device touch migrates everything.
         let cost = m.touch_device(r).unwrap();
         assert!(cost > SimDuration::ZERO);
@@ -265,7 +259,6 @@ mod tests {
         m.touch_device(r).unwrap();
         m.free(r).unwrap();
         assert_eq!(m.device_resident_bytes(), 0);
-        assert_eq!(m.live_regions(), 0);
         assert!(m.touch_device(r).is_err(), "freed region rejects touches");
         assert!(m.free(r).is_err(), "double free rejected");
     }

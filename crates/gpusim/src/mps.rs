@@ -90,11 +90,6 @@ impl MpsServer {
         device.submit(self.ctx, client.stream.id, desc, shape, at, true)
     }
 
-    /// Number of connected clients.
-    pub fn client_count(&self) -> usize {
-        self.clients.len()
-    }
-
     /// Stop the server, releasing the device context.
     pub fn shutdown(self, device: &mut Device) -> Result<(), GpuError> {
         device.destroy_context(self.ctx)
@@ -125,7 +120,6 @@ mod tests {
         let mut mps = MpsServer::start(&mut d, 2).unwrap();
         mps.connect(&mut d, 0).unwrap();
         mps.connect(&mut d, 1).unwrap();
-        assert_eq!(mps.client_count(), 2);
         assert!(matches!(
             mps.connect(&mut d, 2),
             Err(GpuError::MpsRejected { .. })

@@ -29,7 +29,7 @@
 //!
 //! Row helpers live at module scope (not inside tile bodies): the
 //! `tile-bounds` tidy lint forbids per-element indexing inside
-//! `run_tiles`/`run_tiles_collect` bodies, so bodies only carve ranges
+//! `run_tiles` bodies, so bodies only carve ranges
 //! and call helpers.
 //!
 //! The row helpers themselves are written for autovectorization:
@@ -677,42 +677,6 @@ pub fn sweep_muscl(
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Per-tile diagnostics (parallel write-once collection).
-// ---------------------------------------------------------------------
-
-/// Sum of one owned row (row order, left to right).
-fn row_sum(row: &[f64]) -> f64 {
-    row.iter().sum()
-}
-
-/// Per-tile owned-zone mass (Σρ over each tile's owned zones, rows
-/// accumulated in j-then-k order), in the tile set's deterministic
-/// enumeration order. Built on [`Executor::run_tiles_collect`] — the
-/// write-once tile-slot collection — so the returned sequence is
-/// bitwise identical for any worker count, making it usable as a
-/// conservation diagnostic for the parallel tile path. Empty under
-/// [`Fidelity::CostOnly`].
-pub fn tile_masses(state: &HydroState, exec: &mut Executor) -> Vec<f64> {
-    if state.fidelity != Fidelity::Full {
-        return Vec::new();
-    }
-    let ext = state.ext();
-    let dims = state.u.dims();
-    let g = state.sub.ghost;
-    let tiles = TileSet2::new(ext[1], ext[2], state.tile);
-    let u_slab = state.u.slab();
-    exec.run_tiles_collect(&tiles, |tile| {
-        let mut acc = 0.0;
-        for k in tile.k0..tile.k1 {
-            for j in tile.j0..tile.j1 {
-                acc += row_sum(owned_row(u_slab, dims, g, RHO, j + g, k + g));
-            }
-        }
-        acc
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -835,31 +799,6 @@ mod tests {
         assert_slabs_identical(&before, st.u0.slab(), "combine fixed point");
         // 5 SAVE_STATE + 5 COMBINE launches.
         assert_eq!(exec.registry.total_launches(), 10);
-    }
-
-    #[test]
-    fn tile_masses_are_worker_count_invariant_and_sum_to_total() {
-        let mut reference = perturbed(11, 1);
-        reference.tile = [3, 5];
-        let (mut e1, _c1) = exec_seq();
-        let expect = tile_masses(&reference, &mut e1);
-        assert!(!expect.is_empty());
-        // Per-tile partials in tile order sum (in that fixed order) to
-        // a value ulp-close to the slab reduction.
-        let total: f64 = expect.iter().sum();
-        assert!((total - reference.u.sum_owned(RHO)).abs() <= 1e-12 * total.abs());
-        for threads in [1, 2, 4] {
-            let mut exec = Executor::new(
-                Target::cpu_parallel(threads),
-                CpuModel::haswell_fixed(),
-                Fidelity::Full,
-            );
-            let got = tile_masses(&reference, &mut exec);
-            assert_eq!(got.len(), expect.len());
-            for (i, (a, b)) in expect.iter().zip(&got).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "tile {i} threads {threads}");
-            }
-        }
     }
 
     #[test]

@@ -134,19 +134,13 @@ pub const CATALOG: [&KernelDesc; 15] = [
     &FACE_PRIMS,
 ];
 
-/// Kernel launches issued per cycle for bookkeeping claims: see
-/// `cycle::LAUNCHES_PER_CYCLE_APPROX`.
-pub fn catalog_names() -> Vec<&'static str> {
-    CATALOG.iter().map(|d| d.name).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn catalog_names_are_unique() {
-        let mut names = catalog_names();
+        let mut names: Vec<&str> = CATALOG.iter().map(|d| d.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), CATALOG.len());

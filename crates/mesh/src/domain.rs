@@ -69,25 +69,6 @@ impl Subdomain {
         touching_axis.is_some()
     }
 
-    /// The number of shared zone faces with a face neighbor (the halo
-    /// message size per field per unit ghost width). Zero if not a face
-    /// neighbor.
-    pub fn shared_face_area(&self, other: &Subdomain) -> u64 {
-        if !self.is_face_neighbor(other) {
-            return 0;
-        }
-        let mut area = 1u64;
-        for axis in 0..3 {
-            if self.hi[axis] == other.lo[axis] || other.hi[axis] == self.lo[axis] {
-                continue; // the touching axis contributes no extent
-            }
-            let lo = self.lo[axis].max(other.lo[axis]);
-            let hi = self.hi[axis].min(other.hi[axis]);
-            area *= (hi - lo) as u64;
-        }
-        area
-    }
-
     /// True if the subdomain touches the global boundary on `axis` in
     /// direction `dir` (−1/+1).
     pub fn on_boundary(&self, grid: &GlobalGrid, axis: usize, dir: i32) -> bool {
@@ -197,7 +178,6 @@ mod tests {
         let b = dom([4, 0, 0], [8, 4, 4]);
         assert!(a.is_face_neighbor(&b));
         assert!(b.is_face_neighbor(&a));
-        assert_eq!(a.shared_face_area(&b), 16);
     }
 
     #[test]
@@ -207,15 +187,13 @@ mod tests {
         let far = dom([8, 0, 0], [12, 4, 4]);
         assert!(!a.is_face_neighbor(&edge));
         assert!(!a.is_face_neighbor(&far));
-        assert_eq!(a.shared_face_area(&edge), 0);
     }
 
     #[test]
-    fn partial_overlap_counts_only_shared_area() {
+    fn partial_overlap_is_still_a_face_neighbor() {
         let a = dom([0, 0, 0], [4, 4, 4]);
         let b = dom([4, 2, 0], [8, 6, 4]); // overlaps y in [2,4)
         assert!(a.is_face_neighbor(&b));
-        assert_eq!(a.shared_face_area(&b), 2 * 4);
     }
 
     #[test]

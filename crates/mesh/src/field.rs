@@ -119,10 +119,6 @@ impl Field {
         &self.data
     }
 
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Fill every entry (including ghosts).
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);

@@ -101,11 +101,6 @@ impl Comm {
         self.size
     }
 
-    /// The communication cost model in force.
-    pub fn cost_model(&self) -> &CommCost {
-        &self.cost
-    }
-
     /// Current virtual instant of this rank.
     pub fn now(&self) -> SimTime {
         self.clock.now()

@@ -28,17 +28,6 @@ impl CommCost {
         }
     }
 
-    /// EDR InfiniBand-class inter-node transport (for the multi-node
-    /// extension experiments).
-    pub fn infiniband() -> Self {
-        CommCost {
-            latency: SimDuration::from_micros(2),
-            bandwidth_gbs: 12.0,
-            send_overhead: SimDuration::from_nanos(400),
-            recv_overhead: SimDuration::from_nanos(400),
-        }
-    }
-
     /// A zero-cost model for semantics-only tests.
     pub fn free() -> Self {
         CommCost {
@@ -93,11 +82,6 @@ mod tests {
     fn free_model_is_actually_free() {
         let c = CommCost::free();
         assert_eq!(c.msg_time(1 << 30), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn infiniband_has_higher_latency_than_shared_memory() {
-        assert!(CommCost::infiniband().latency > CommCost::on_node().latency);
     }
 
     #[test]

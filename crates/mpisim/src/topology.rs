@@ -21,35 +21,6 @@ impl CartComm {
         CartComm { dims, periodic }
     }
 
-    /// Factor `n` ranks into a near-cubic 3D grid (MPI_Dims_create):
-    /// the factorization minimizing the sum of dimensions (a proxy for
-    /// halo surface area), with the largest factor in z.
-    pub fn dims_create(n: usize) -> [usize; 3] {
-        assert!(n > 0);
-        let mut best = [1, 1, n];
-        let mut best_score = usize::MAX;
-        for a in 1..=n {
-            if !n.is_multiple_of(a) {
-                continue;
-            }
-            let m = n / a;
-            for b in 1..=m {
-                if !m.is_multiple_of(b) {
-                    continue;
-                }
-                let c = m / b;
-                let mut d = [a, b, c];
-                d.sort_unstable();
-                let score = d[0].abs_diff(d[2]) * n + (d[0] + d[1] + d[2]);
-                if score < best_score {
-                    best_score = score;
-                    best = d;
-                }
-            }
-        }
-        best
-    }
-
     /// The process-grid dimensions.
     pub fn dims(&self) -> [usize; 3] {
         self.dims
@@ -104,36 +75,11 @@ impl CartComm {
         c[axis] = next;
         Ok(Some(self.rank_of(c)?))
     }
-
-    /// All face neighbors of `rank` (up to 6).
-    pub fn face_neighbors(&self, rank: usize) -> Result<Vec<usize>, MpiError> {
-        let mut out = Vec::with_capacity(6);
-        for axis in 0..3 {
-            for dir in [-1, 1] {
-                if let Some(nb) = self.neighbor(rank, axis, dir)? {
-                    out.push(nb);
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dims_create_prefers_near_cubes() {
-        assert_eq!(CartComm::dims_create(8), [2, 2, 2]);
-        assert_eq!(CartComm::dims_create(27), [3, 3, 3]);
-        assert_eq!(CartComm::dims_create(64), [4, 4, 4]);
-        assert_eq!(CartComm::dims_create(4), [1, 2, 2]);
-        assert_eq!(CartComm::dims_create(16), [2, 2, 4]);
-        assert_eq!(CartComm::dims_create(1), [1, 1, 1]);
-        // Prime counts degrade to slabs.
-        assert_eq!(CartComm::dims_create(7), [1, 1, 7]);
-    }
 
     #[test]
     fn coords_roundtrip() {
@@ -169,20 +115,5 @@ mod tests {
         let c = CartComm::new([3, 1, 1], [true, false, false]);
         assert_eq!(c.neighbor(0, 0, -1).unwrap(), Some(2));
         assert_eq!(c.neighbor(2, 0, 1).unwrap(), Some(0));
-    }
-
-    #[test]
-    fn face_neighbor_counts_match_position() {
-        let c = CartComm::new([4, 4, 1], [false; 3]);
-        // Corner rank: 2 neighbors; interior rank of the 4x4 plane: 4.
-        assert_eq!(c.face_neighbors(0).unwrap().len(), 2);
-        assert_eq!(c.face_neighbors(5).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn interior_rank_in_3d_has_six_neighbors() {
-        let c = CartComm::new([3, 3, 3], [false; 3]);
-        let center = c.rank_of([1, 1, 1]).unwrap();
-        assert_eq!(c.face_neighbors(center).unwrap().len(), 6);
     }
 }

@@ -89,23 +89,6 @@ impl World {
             }
         })
     }
-
-    /// Like [`World::run`] but also returns each rank's final virtual
-    /// time breakdown `(result, now_ns, comm_ns, wait_ns)`.
-    pub fn run_timed<R, F>(size: usize, cost: CommCost, f: F) -> Vec<(R, u64, u64, u64)>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Sync,
-    {
-        use hsim_time::clock::ChargeKind;
-        Self::run(size, cost, |comm| {
-            let r = f(comm);
-            let now = comm.now().as_nanos();
-            let comm_ns = comm.clock().bucket(ChargeKind::Comm).as_nanos();
-            let wait_ns = comm.clock().bucket(ChargeKind::Wait).as_nanos();
-            (r, now, comm_ns, wait_ns)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -329,19 +312,6 @@ mod tests {
             }
         });
         assert_eq!(out[0], (150, 2));
-    }
-
-    #[test]
-    fn run_timed_reports_breakdowns() {
-        let out = World::run_timed(2, CommCost::on_node(), |comm| {
-            comm.charge(ChargeKind::Compute, SimDuration::from_micros(5));
-            comm.barrier().unwrap();
-            comm.rank()
-        });
-        assert_eq!(out.len(), 2);
-        for (rank, now, _comm_ns, _wait_ns) in out {
-            assert!(now >= 5_000, "rank {rank} now {now}");
-        }
     }
 
     #[test]

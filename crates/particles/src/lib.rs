@@ -136,18 +136,6 @@ pub fn sub_contains(sub: &Subdomain, zone: [usize; 3]) -> bool {
     (0..3).all(|a| zone[a] >= sub.lo[a] && zone[a] < sub.hi[a])
 }
 
-/// The rank owning the zone containing `pos`, by linear scan of the
-/// decomposition (rank counts are small; determinism beats cleverness
-/// here). Subdomains tile the grid, so this only returns `None` on a
-/// malformed decomposition.
-pub fn owner_of(decomp: &Decomposition, pos: [f64; 3]) -> Option<usize> {
-    let zone = zone_of(&decomp.grid, pos);
-    decomp
-        .domains
-        .iter()
-        .position(|sub| sub_contains(sub, zone))
-}
-
 /// The per-rank particle phase.
 #[derive(Debug, Clone)]
 pub struct PhaseState {

@@ -90,20 +90,6 @@ impl CpuModel {
         self.kernel_time(desc, elems).mul_f64(1.0 / (threads * eff))
     }
 
-    /// The slowdown factor the lambda bug causes for `desc` (1.0 when
-    /// inactive). SAXPY-class kernels report 100–300×; hydro kernels
-    /// report single digits.
-    pub fn bug_slowdown(&self, desc: &KernelDesc) -> f64 {
-        if !self.bug_active {
-            return 1.0;
-        }
-        let clean = CpuModel {
-            bug_active: false,
-            ..self.clone()
-        };
-        self.elem_time_secs(desc) / clean.elem_time_secs(desc)
-    }
-
     /// Effective per-core throughput on `desc` in elements/second.
     pub fn elems_per_sec(&self, desc: &KernelDesc) -> f64 {
         1.0 / self.elem_time_secs(desc)
@@ -123,25 +109,29 @@ mod tests {
         KernelDesc::new("hydro", 80.0, 64.0)
     }
 
+    /// The slowdown factor the lambda bug causes for `desc`.
+    fn bug_slowdown(desc: &KernelDesc) -> f64 {
+        CpuModel::haswell_e5_2667v3().elem_time_secs(desc)
+            / CpuModel::haswell_fixed().elem_time_secs(desc)
+    }
+
     #[test]
     fn saxpy_suffers_the_paper_slowdown_range() {
-        let cpu = CpuModel::haswell_e5_2667v3();
         // Tight-register SAXPY variant: compute-bound body.
         let tight = KernelDesc::new("tight", 2.0, 0.0);
-        let factor = cpu.bug_slowdown(&tight);
+        let factor = bug_slowdown(&tight);
         assert!(
             (50.0..400.0).contains(&factor),
             "SAXPY-class slowdown {factor} should be ~100-300x"
         );
         // Memory-streaming SAXPY is less extreme but still severe.
-        let f2 = cpu.bug_slowdown(&saxpy());
+        let f2 = bug_slowdown(&saxpy());
         assert!(f2 > 2.0, "{f2}");
     }
 
     #[test]
     fn hydro_kernels_suffer_modest_slowdown() {
-        let cpu = CpuModel::haswell_e5_2667v3();
-        let factor = cpu.bug_slowdown(&hydro_kernel());
+        let factor = bug_slowdown(&hydro_kernel());
         assert!(
             (1.3..4.0).contains(&factor),
             "hydro-class slowdown {factor} should be small multiples"
@@ -151,7 +141,6 @@ mod tests {
     #[test]
     fn fixed_compiler_has_no_penalty() {
         let cpu = CpuModel::haswell_fixed();
-        assert_eq!(cpu.bug_slowdown(&saxpy()), 1.0);
         assert!(
             cpu.kernel_time(&saxpy(), 1000)
                 < CpuModel::haswell_e5_2667v3().kernel_time(&saxpy(), 1000)

@@ -254,56 +254,6 @@ impl Executor {
         Ok(acc)
     }
 
-    /// 3D sum-reduction (diagnostics). Skipped body returns `default`.
-    ///
-    /// Chunk-ordered on the pool under [`Target::CpuParallel`], like
-    /// [`Executor::forall3_min`]: bit-identical across pool
-    /// geometries. The *grouping* differs from the serial single
-    /// accumulator, so sums may differ from [`Target::CpuSeq`] in the
-    /// last ulps (min is associative, so it matches exactly).
-    pub fn forall3_sum<F>(
-        &mut self,
-        clock: &mut RankClock,
-        desc: &KernelDesc,
-        ext: [usize; 3],
-        default: f64,
-        body: F,
-    ) -> Result<f64, GpuError>
-    where
-        F: Fn(usize, usize, usize) -> f64 + Send + Sync,
-    {
-        let elems = (ext[0] * ext[1] * ext[2]) as u64;
-        let shape = KernelShape::new(elems, ext[0].min(u32::MAX as usize) as u32);
-        self.charge_launch(clock, desc, shape)?;
-        let mut acc = 0.0;
-        if self.fidelity == Fidelity::Full {
-            match &self.target {
-                Target::CpuParallel { pool } => {
-                    let (nx, ny) = (ext[0], ext[1]);
-                    acc = pool.sum(0, ext[0] * ext[1] * ext[2], PAR_CHUNK, |idx| {
-                        body(idx % nx, (idx / nx) % ny, idx / (nx * ny))
-                    });
-                }
-                _ => {
-                    for k in 0..ext[2] {
-                        for j in 0..ext[1] {
-                            for i in 0..ext[0] {
-                                acc += body(i, j, k);
-                            }
-                        }
-                    }
-                }
-            }
-        } else {
-            acc = default;
-        }
-        self.registry.record_launch(desc.name, elems);
-        if let Target::Gpu(client) = &self.target {
-            clock.charge(ChargeKind::Memory, client.spec().xfer_time(8));
-        }
-        Ok(acc)
-    }
-
     /// Charge the virtual cost and registry record of a 3D launch
     /// without running a body — byte-for-byte the accounting half of
     /// [`Executor::forall3`].
@@ -648,16 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_reduction_matches_serial() {
-        let mut exec = Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), Fidelity::Full);
-        let mut clock = RankClock::new(0);
-        let s = exec
-            .forall3_sum(&mut clock, &desc(), [3, 3, 3], 0.0, |_, _, _| 1.0)
-            .unwrap();
-        assert_eq!(s, 27.0);
-    }
-
-    #[test]
     fn gpu_target_charges_launch_and_sync_waits() {
         let device = Device::new(0, DeviceSpec::tesla_k80());
         let (_dev, client) = SharedDevice::new_exclusive(device, 0).unwrap();
@@ -929,11 +869,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reductions_are_pool_geometry_invariant() {
+    fn parallel_min_is_pool_geometry_invariant() {
         // Several chunks' worth of elements: min must match the serial
-        // target bit-for-bit (associative), sums must be bit-identical
-        // across every pool geometry (chunk partials combined in chunk
-        // order) and ulp-close to serial.
+        // target bit-for-bit (associative) on every pool geometry.
         let ext = [40, 20, 9];
         let body = |i: usize, j: usize, k: usize| ((i * 31 + j * 7 + k) as f64 * 0.01).sin();
         let mut serial = Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), Fidelity::Full);
@@ -941,10 +879,6 @@ mod tests {
         let m0 = serial
             .forall3_min(&mut clock, &desc(), ext, 9.9, body)
             .unwrap();
-        let s0 = serial
-            .forall3_sum(&mut clock, &desc(), ext, 0.0, body)
-            .unwrap();
-        let mut par_reference: Option<(f64, f64)> = None;
         for threads in [2usize, 4, 8] {
             let mut exec = Executor::new(
                 Target::cpu_parallel(threads),
@@ -954,21 +888,7 @@ mod tests {
             let m = exec
                 .forall3_min(&mut clock, &desc(), ext, 9.9, body)
                 .unwrap();
-            let s = exec
-                .forall3_sum(&mut clock, &desc(), ext, 0.0, body)
-                .unwrap();
             assert_eq!(m.to_bits(), m0.to_bits(), "min @ {threads} threads");
-            assert!(
-                (s - s0).abs() <= 1e-9 * s0.abs().max(1.0),
-                "sum @ {threads}"
-            );
-            match par_reference {
-                None => par_reference = Some((m, s)),
-                Some((mr, sr)) => {
-                    assert_eq!(m.to_bits(), mr.to_bits());
-                    assert_eq!(s.to_bits(), sr.to_bits(), "sum geometry-invariant");
-                }
-            }
         }
     }
 }

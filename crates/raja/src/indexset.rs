@@ -1,91 +1,5 @@
-//! Index sets: RAJA's segmented iteration spaces.
-//!
-//! RAJA applications iterate over `IndexSet`s — ordered collections of
-//! segments (contiguous ranges for the bulk of a mesh, explicit index
-//! lists for irregular subsets like boundary or mixed-material zones).
-//! Each segment launches as its own kernel, which is precisely why
-//! real multi-physics codes have many *small* kernels and why launch
-//! overhead matters on GPUs (paper §2).
-
-use hsim_gpu::{GpuError, KernelDesc};
-use hsim_time::RankClock;
-
-use crate::forall::Executor;
-
-/// One segment of an iteration space.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Segment {
-    /// Contiguous `[begin, end)`.
-    Range(usize, usize),
-    /// Explicit indices (irregular subsets).
-    List(Vec<usize>),
-}
-
-impl Segment {
-    pub fn len(&self) -> usize {
-        match self {
-            Segment::Range(b, e) => e.saturating_sub(*b),
-            Segment::List(v) => v.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// An ordered collection of segments.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IndexSet {
-    segments: Vec<Segment>,
-}
-
-impl IndexSet {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a contiguous range segment (empty ranges are dropped).
-    pub fn push_range(&mut self, begin: usize, end: usize) -> &mut Self {
-        if end > begin {
-            self.segments.push(Segment::Range(begin, end));
-        }
-        self
-    }
-
-    /// Append a list segment (empty lists are dropped).
-    pub fn push_list(&mut self, indices: Vec<usize>) -> &mut Self {
-        if !indices.is_empty() {
-            self.segments.push(Segment::List(indices));
-        }
-        self
-    }
-
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
-    /// Total indices across segments.
-    pub fn len(&self) -> usize {
-        self.segments.iter().map(Segment::len).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterate every index in segment order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.segments
-            .iter()
-            .flat_map(|s| -> Box<dyn Iterator<Item = usize>> {
-                match s {
-                    Segment::Range(b, e) => Box::new(*b..*e),
-                    Segment::List(v) => Box::new(v.iter().copied()),
-                }
-            })
-    }
-}
+//! Tile sets: the y–z tiling of a 3D iteration space that the fused
+//! cache-blocked sweeps iterate over.
 
 /// One y–z tile of a 3D iteration space: the j/k half-open ranges a
 /// cache-blocked kernel sweeps while the x runs inside stay whole rows.
@@ -162,110 +76,9 @@ impl TileSet2 {
     }
 }
 
-impl Executor {
-    /// Execute `body` over every index of `set`, launching one kernel
-    /// per segment (RAJA's `forall(IndexSet, …)` semantics: segment
-    /// boundaries are kernel boundaries).
-    pub fn forall_set<F>(
-        &mut self,
-        clock: &mut RankClock,
-        desc: &KernelDesc,
-        set: &IndexSet,
-        mut body: F,
-    ) -> Result<(), GpuError>
-    where
-        F: FnMut(usize),
-    {
-        for seg in set.segments() {
-            match seg {
-                Segment::Range(b, e) => {
-                    let n = e - b;
-                    let base = *b;
-                    self.forall(clock, desc, n, n.min(u32::MAX as usize) as u32, |i| {
-                        body(base + i)
-                    })?;
-                }
-                Segment::List(v) => {
-                    // List segments are gather-indexed: unit-stride
-                    // efficiency is poor regardless of size.
-                    self.forall(clock, desc, v.len(), 1, |i| body(v[i]))?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::CpuModel;
-    use crate::forall::{Fidelity, Target};
-
-    fn exec(fidelity: Fidelity) -> Executor {
-        Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), fidelity)
-    }
-
-    #[test]
-    fn construction_drops_empty_segments() {
-        let mut set = IndexSet::new();
-        set.push_range(5, 5)
-            .push_range(0, 3)
-            .push_list(vec![])
-            .push_list(vec![9, 11]);
-        assert_eq!(set.segments().len(), 2);
-        assert_eq!(set.len(), 5);
-        assert!(!set.is_empty());
-        let all: Vec<usize> = set.iter().collect();
-        assert_eq!(all, vec![0, 1, 2, 9, 11]);
-    }
-
-    #[test]
-    fn forall_set_visits_everything_once_in_order() {
-        let mut set = IndexSet::new();
-        set.push_range(0, 4)
-            .push_list(vec![10, 12])
-            .push_range(20, 22);
-        let mut e = exec(Fidelity::Full);
-        let mut clock = RankClock::new(0);
-        let mut seen = Vec::new();
-        e.forall_set(&mut clock, &KernelDesc::new("seg", 2.0, 16.0), &set, |i| {
-            seen.push(i)
-        })
-        .unwrap();
-        assert_eq!(seen, vec![0, 1, 2, 3, 10, 12, 20, 21]);
-    }
-
-    #[test]
-    fn one_launch_per_segment() {
-        let mut set = IndexSet::new();
-        set.push_range(0, 100)
-            .push_list(vec![1, 2, 3])
-            .push_range(200, 300);
-        let mut e = exec(Fidelity::CostOnly);
-        let mut clock = RankClock::new(0);
-        e.forall_set(&mut clock, &KernelDesc::new("seg", 2.0, 16.0), &set, |_| {})
-            .unwrap();
-        assert_eq!(e.registry.total_launches(), 3);
-        let report = e.registry.report();
-        assert_eq!(report[0].elems, 203);
-    }
-
-    #[test]
-    fn empty_set_launches_nothing() {
-        let set = IndexSet::new();
-        let mut e = exec(Fidelity::Full);
-        let mut clock = RankClock::new(0);
-        e.forall_set(
-            &mut clock,
-            &KernelDesc::new("seg", 2.0, 16.0),
-            &set,
-            |_| unreachable!(),
-        )
-        .unwrap();
-        assert_eq!(e.registry.total_launches(), 0);
-        assert_eq!(clock.now().as_nanos(), 0);
-    }
 
     #[test]
     fn tileset_partitions_the_plane_exactly() {
@@ -307,24 +120,5 @@ mod tests {
         assert_eq!(tiles.tile_shape(), [1, 1]);
         assert_eq!(tiles.len(), 9);
         assert!(TileSet2::new(0, 5, [4, 4]).is_empty());
-    }
-
-    #[test]
-    fn list_segments_charge_gather_shaped_kernels() {
-        // A list segment of n indices must not be cheaper than a range
-        // segment of n contiguous indices (inner extent 1 vs n).
-        let mut range_set = IndexSet::new();
-        range_set.push_range(0, 10_000);
-        let mut list_set = IndexSet::new();
-        list_set.push_list((0..10_000).collect());
-
-        let desc = KernelDesc::new("seg", 2.0, 16.0);
-        let mut e1 = exec(Fidelity::CostOnly);
-        let mut c1 = RankClock::new(0);
-        e1.forall_set(&mut c1, &desc, &range_set, |_| {}).unwrap();
-        let mut e2 = exec(Fidelity::CostOnly);
-        let mut c2 = RankClock::new(0);
-        e2.forall_set(&mut c2, &desc, &list_set, |_| {}).unwrap();
-        assert!(c2.now() >= c1.now(), "gather must not be cheaper");
     }
 }

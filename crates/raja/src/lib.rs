@@ -53,7 +53,7 @@ pub mod simgpu;
 pub use cpu::CpuModel;
 pub use dispatch::{select_policy, Arch, AresPolicy, PolicyKind};
 pub use forall::{Executor, Fidelity, Target};
-pub use indexset::{IndexSet, Segment, Tile2, TileSet2};
+pub use indexset::{Tile2, TileSet2};
 pub use multipolicy::{MultiPolicy, PolicyChoice};
 pub use pool::{RegionSlots, WorkPool};
 pub use registry::KernelRegistry;

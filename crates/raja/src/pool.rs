@@ -283,16 +283,6 @@ impl WorkPool {
         }
     }
 
-    /// Parallel region for `'static` bodies. Since the lifetime-erased
-    /// job slot handles borrowed bodies too, this is now a plain alias
-    /// for [`WorkPool::for_each`], kept for API continuity.
-    pub fn for_each_static<F>(&self, begin: usize, end: usize, chunk: usize, body: F)
-    where
-        F: Fn(usize) + Send + Sync + 'static,
-    {
-        self.for_each(begin, end, chunk, body);
-    }
-
     /// Parallel sum reduction: `Σ body(i)` over `[begin, end)` with a
     /// deterministic per-chunk partial order (chunk partials summed in
     /// chunk order), so the result is independent of worker count and
@@ -572,19 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_static_runs_on_persistent_workers() {
-        let pool = WorkPool::new(3);
-        let hits = Arc::new(AtomicU64::new(0));
-        for _ in 0..5 {
-            let h = Arc::clone(&hits);
-            pool.for_each_static(0, 100, 9, move |_| {
-                h.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        assert_eq!(hits.load(Ordering::Relaxed), 500);
-    }
-
-    #[test]
     fn borrowed_bodies_run_on_persistent_workers() {
         // The tentpole property: a region whose body borrows stack
         // data runs without spawning threads. Observable as: worker
@@ -623,10 +600,9 @@ mod tests {
         let pool = WorkPool::new(0);
         let total = pool.sum(0, 100, 10, |i| i as f64);
         assert_eq!(total, 4950.0);
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
-        pool.for_each_static(0, 10, 3, move |_| {
-            h.fetch_add(1, Ordering::Relaxed);
+        let hits = AtomicU64::new(0);
+        pool.for_each(0, 10, 3, |_| {
+            hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 10);
     }

@@ -1,12 +1,9 @@
 //! Per-kernel launch statistics.
 //!
 //! The runner uses these to report the Figure 11 caption's claim ("a
-//! hydrodynamics calculation with 80 kernels") and to feed the load
-//! balancer's measured view of where time goes.
+//! hydrodynamics calculation with 80 kernels").
 
 use std::collections::BTreeMap;
-
-use hsim_time::{SimDuration, Welford};
 
 /// Aggregate statistics for one kernel name.
 #[derive(Debug, Clone)]
@@ -14,7 +11,6 @@ pub struct KernelStats {
     pub name: &'static str,
     pub launches: u64,
     pub elems: u64,
-    pub time: Welford,
 }
 
 /// Registry of all kernels a rank has launched.
@@ -34,22 +30,9 @@ impl KernelRegistry {
             name,
             launches: 0,
             elems: 0,
-            time: Welford::new(),
         });
         entry.launches += 1;
         entry.elems += elems;
-    }
-
-    /// Attribute measured time to `name`.
-    pub fn record_time(&mut self, name: &'static str, d: SimDuration) {
-        if let Some(entry) = self.stats.get_mut(name) {
-            entry.time.push_duration(d);
-        }
-    }
-
-    /// Number of distinct kernels seen.
-    pub fn distinct_kernels(&self) -> usize {
-        self.stats.len()
     }
 
     /// Total launches across kernels.
@@ -82,21 +65,11 @@ mod tests {
         r.record_launch("eos", 100);
         r.record_launch("eos", 100);
         r.record_launch("force", 50);
-        assert_eq!(r.distinct_kernels(), 2);
         assert_eq!(r.total_launches(), 3);
         let report = r.report();
+        assert_eq!(report.len(), 2);
         assert_eq!(report[0].name, "eos");
         assert_eq!(report[0].elems, 200);
-    }
-
-    #[test]
-    fn time_attribution_requires_prior_launch() {
-        let mut r = KernelRegistry::new();
-        r.record_time("ghost", SimDuration::from_micros(1));
-        assert_eq!(r.distinct_kernels(), 0);
-        r.record_launch("eos", 10);
-        r.record_time("eos", SimDuration::from_micros(2));
-        assert_eq!(r.report()[0].time.count(), 1);
     }
 
     #[test]

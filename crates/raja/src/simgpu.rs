@@ -30,13 +30,6 @@ struct Inner {
     /// stream key → completion time of the last kernel in the resolved
     /// epoch (cumulative across epochs).
     stream_end: HashMap<u64, SimTime>,
-    /// Last job id submitted per stream in the in-flight epoch.
-    stream_last_job: HashMap<u64, u64>,
-    /// CUDA-style timing events: pending (recorded, not yet resolved
-    /// by a sync) and resolved.
-    next_event: u64,
-    events_pending: HashMap<u64, EventMark>,
-    events_resolved: HashMap<u64, SimTime>,
     /// job id → (kernel name, elements) for the in-flight epoch.
     /// Populated only when the submitting thread records telemetry, so
     /// the disabled path never allocates here.
@@ -57,15 +50,6 @@ struct ResolvedKernel {
     start: SimTime,
     end: SimTime,
     occupancy: f64,
-}
-
-/// What a recorded event points at: the last job on its stream at
-/// record time (if any this epoch), plus the stream's prior completion
-/// time as fallback.
-#[derive(Debug, Clone, Copy)]
-struct EventMark {
-    job: Option<u64>,
-    fallback: SimTime,
 }
 
 /// One simulated GPU shared by one or more rank threads.
@@ -105,10 +89,6 @@ impl SharedDevice {
                 epoch: 0,
                 job_streams: HashMap::new(),
                 stream_end: HashMap::new(),
-                stream_last_job: HashMap::new(),
-                next_event: 0,
-                events_pending: HashMap::new(),
-                events_resolved: HashMap::new(),
                 job_meta: HashMap::new(),
                 resolved_kernels: HashMap::new(),
             }),
@@ -148,10 +128,6 @@ impl SharedDevice {
                 epoch: 0,
                 job_streams: HashMap::new(),
                 stream_end: HashMap::new(),
-                stream_last_job: HashMap::new(),
-                next_event: 0,
-                events_pending: HashMap::new(),
-                events_resolved: HashMap::new(),
                 job_meta: HashMap::new(),
                 resolved_kernels: HashMap::new(),
             }),
@@ -221,22 +197,12 @@ impl SharedDevice {
         let mut inner = self.inner.lock();
         inner.device.um_mut().touch_host_range(region, offset, len)
     }
-
-    /// Bytes currently resident on the device (UM accounting).
-    pub fn um_resident_bytes(&self) -> u64 {
-        self.inner.lock().device.um().device_resident_bytes()
-    }
 }
 
 impl GpuClient {
     /// Device capability sheet.
     pub fn spec(&self) -> &DeviceSpec {
         self.dev.spec()
-    }
-
-    /// Whether launches go through the MPS server.
-    pub fn is_mps(&self) -> bool {
-        self.mps_client.is_some()
     }
 
     /// Submit one kernel launch at virtual instant `at`. Returns the
@@ -257,7 +223,6 @@ impl GpuClient {
             _ => return Err(GpuError::InvalidContext),
         };
         inner.job_streams.insert(ticket.job, self.stream.0);
-        inner.stream_last_job.insert(self.stream.0, ticket.job);
         if hsim_telemetry::is_enabled() {
             inner.job_meta.insert(ticket.job, (desc.name, shape.elems));
         }
@@ -291,9 +256,7 @@ impl GpuClient {
                     .collect()
             };
             let outcomes = inner.device.run_pending();
-            let mut job_ends: HashMap<u64, SimTime> = HashMap::new();
             for o in &outcomes {
-                job_ends.insert(o.id, o.end);
                 if let Some(&stream) = inner.job_streams.get(&o.id) {
                     let e = inner.stream_end.entry(stream).or_insert(SimTime::ZERO);
                     *e = e.merge(o.end);
@@ -325,18 +288,6 @@ impl GpuClient {
             }
             inner.job_meta.clear();
             inner.job_streams.clear();
-            inner.stream_last_job.clear();
-            // Resolve recorded events: the completion of the last job
-            // submitted to their stream before the record, or the
-            // stream's prior end when nothing was in flight.
-            let pending: Vec<(u64, EventMark)> = inner.events_pending.drain().collect();
-            for (ev, mark) in pending {
-                let t = mark
-                    .job
-                    .and_then(|j| job_ends.get(&j).copied())
-                    .unwrap_or(mark.fallback);
-                inner.events_resolved.insert(ev, t);
-            }
             inner.syncers = 0;
             inner.epoch += 1;
             self.dev.resolved.notify_all();
@@ -381,46 +332,6 @@ impl GpuClient {
             .copied()
             .unwrap_or(at)
             .merge(at)
-    }
-}
-
-/// Handle to a recorded timing event (see [`GpuClient::record_event`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
-
-impl GpuClient {
-    /// Record a CUDA-style timing event on this client's stream: it
-    /// resolves, at the next sync, to the completion time of the last
-    /// kernel submitted to the stream before the record.
-    pub fn record_event(&self) -> EventHandle {
-        let mut inner = self.dev.inner.lock();
-        let id = inner.next_event;
-        inner.next_event += 1;
-        let mark = EventMark {
-            job: inner.stream_last_job.get(&self.stream.0).copied(),
-            fallback: inner
-                .stream_end
-                .get(&self.stream.0)
-                .copied()
-                .unwrap_or(SimTime::ZERO),
-        };
-        inner.events_pending.insert(id, mark);
-        EventHandle(id)
-    }
-
-    /// The resolved time of an event; `None` until a sync has resolved
-    /// it (CUDA's `cudaEventQuery` returning not-ready).
-    pub fn event_time(&self, ev: EventHandle) -> Option<SimTime> {
-        self.dev.inner.lock().events_resolved.get(&ev.0).copied()
-    }
-
-    /// Elapsed virtual time between two resolved events (CUDA's
-    /// `cudaEventElapsedTime`); `None` if either is unresolved.
-    pub fn event_elapsed(&self, start: EventHandle, end: EventHandle) -> Option<SimDuration> {
-        let inner = self.dev.inner.lock();
-        let a = inner.events_resolved.get(&start.0)?;
-        let b = inner.events_resolved.get(&end.0)?;
-        Some(*b - *a)
     }
 }
 
@@ -538,45 +449,6 @@ mod tests {
             .launch(&desc(), KernelShape::new(1000, 10), SimTime::ZERO)
             .unwrap();
         assert!(overhead > DeviceSpec::tesla_k80().launch_overhead);
-    }
-
-    #[test]
-    fn events_resolve_to_stream_completion_times() {
-        let (_dev, client) = SharedDevice::new_exclusive(k80(), 0).unwrap();
-        let start = client.record_event();
-        client
-            .launch(&desc(), KernelShape::new(4_000_000, 320), SimTime::ZERO)
-            .unwrap();
-        let end = client.record_event();
-        assert!(client.event_time(end).is_none(), "unresolved before sync");
-        let sync_end = client.sync(SimTime::ZERO);
-        // `start` was recorded on an empty stream: resolves to zero;
-        // `end` resolves to the kernel's completion.
-        assert_eq!(client.event_time(start), Some(SimTime::ZERO));
-        assert_eq!(client.event_time(end), Some(sync_end));
-        let elapsed = client.event_elapsed(start, end).unwrap();
-        assert!(elapsed > hsim_time::SimDuration::ZERO);
-    }
-
-    #[test]
-    fn events_measure_per_cycle_gpu_time() {
-        // The load-balancer use case: bracket a batch of kernels with
-        // events and read the GPU time back.
-        let (_dev, client) = SharedDevice::new_exclusive(k80(), 0).unwrap();
-        client
-            .launch(&desc(), KernelShape::new(2_000_000, 320), SimTime::ZERO)
-            .unwrap();
-        client.sync(SimTime::ZERO);
-        let before = client.record_event();
-        for _ in 0..3 {
-            client
-                .launch(&desc(), KernelShape::new(2_000_000, 320), SimTime::ZERO)
-                .unwrap();
-        }
-        let after = client.record_event();
-        client.sync(SimTime::ZERO);
-        let gpu_time = client.event_elapsed(before, after).unwrap();
-        assert!(gpu_time > hsim_time::SimDuration::ZERO);
     }
 
     #[test]

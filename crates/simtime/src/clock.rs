@@ -127,19 +127,6 @@ impl RankClock {
         self.buckets[kind.index()]
     }
 
-    /// Sum of all buckets (equals `now` for a clock that never merged
-    /// forward past its own charges).
-    pub fn total_charged(&self) -> SimDuration {
-        self.buckets.iter().copied().sum()
-    }
-
-    /// Reset the attribution buckets but keep the current instant.
-    /// Called by the runner at cycle boundaries so per-cycle breakdowns
-    /// can be reported.
-    pub fn reset_buckets(&mut self) {
-        self.buckets = [SimDuration::ZERO; 6];
-    }
-
     /// A snapshot of (kind, duration) pairs in reporting order.
     pub fn breakdown(&self) -> Vec<(ChargeKind, SimDuration)> {
         ChargeKind::ALL
@@ -163,7 +150,6 @@ mod tests {
         assert_eq!(c.bucket(ChargeKind::Compute), SimDuration::from_nanos(100));
         assert_eq!(c.bucket(ChargeKind::Comm), SimDuration::from_nanos(40));
         assert_eq!(c.bucket(ChargeKind::Launch), SimDuration::ZERO);
-        assert_eq!(c.total_charged(), SimDuration::from_nanos(140));
     }
 
     #[test]
@@ -186,15 +172,6 @@ mod tests {
         b.charge(ChargeKind::Compute, SimDuration::from_nanos(25));
         a.merge(b.now());
         assert_eq!(a.now(), b.now());
-    }
-
-    #[test]
-    fn reset_buckets_keeps_now() {
-        let mut c = RankClock::new(0);
-        c.charge(ChargeKind::Launch, SimDuration::from_micros(2));
-        c.reset_buckets();
-        assert_eq!(c.now(), SimTime::from_nanos(2_000));
-        assert_eq!(c.total_charged(), SimDuration::ZERO);
     }
 
     #[test]

@@ -43,6 +43,24 @@ impl Collector {
         self.spans_on = false;
         self
     }
+
+    /// Record a span on this collector's own rank timeline
+    /// (`pid = rank`, `tid = 0`). Inverted intervals clamp to zero
+    /// length.
+    pub fn rank_span(&mut self, cat: Category, name: &'static str, start: SimTime, end: SimTime) {
+        if !self.spans_on {
+            return;
+        }
+        self.spans.push(SpanEvent {
+            pid: self.rank as u32,
+            tid: 0,
+            cat,
+            name,
+            ts: start,
+            dur: end.merge(start) - start,
+            args: Vec::new(),
+        });
+    }
 }
 
 thread_local! {
@@ -138,22 +156,7 @@ pub fn span_args(
 /// `tid = 0`).
 #[inline]
 pub fn rank_span(cat: Category, name: &'static str, start: SimTime, end: SimTime) {
-    with(|col| {
-        if !col.spans_on {
-            return;
-        }
-        let end = end.merge(start);
-        let pid = col.rank as u32;
-        col.spans.push(SpanEvent {
-            pid,
-            tid: 0,
-            cat,
-            name,
-            ts: start,
-            dur: end - start,
-            args: Vec::new(),
-        });
-    });
+    with(|col| col.rank_span(cat, name, start, end));
 }
 
 /// Feed the per-kernel profiler and the kernel-wide counters in one

@@ -103,16 +103,6 @@ impl KernelProfiles {
         p.occupancy.push(occupancy);
     }
 
-    /// Extra bytes attributed to a kernel after the fact (e.g. UM
-    /// migration triggered by its access pattern).
-    pub fn add_bytes(&mut self, name: &'static str, bytes: u64) {
-        let p = self
-            .map
-            .entry(name)
-            .or_insert_with(|| KernelProfile::new(name));
-        p.bytes_moved += bytes;
-    }
-
     pub fn get(&self, name: &str) -> Option<&KernelProfile> {
         self.map.get(name)
     }

@@ -46,19 +46,33 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 /// the tile-bounds lint.)
 const INDEX_PANIC_PATH: &str = "serve/src/";
 
-/// The no-panic roots: the fallible rank runner, the online runner,
-/// every `Coupler` implementation, and the serve request path.
+/// No-panic root names matched anywhere in the workspace: the
+/// fallible rank runner and the segmented run loop.
+const PANIC_ROOTS: &[&str] = &["run_fallible", "run_with_fraction"];
+
+/// Root names that count only on the serve request path.
+const SERVE_PANIC_ROOTS: &[&str] = &["submit", "worker_loop", "execute", "handle_connection"];
+
+/// The no-panic roots: [`PANIC_ROOTS`], every `Coupler`
+/// implementation, and the serve request path.
 fn is_panic_root(f: &FnDef) -> bool {
-    if f.trait_name.as_deref() == Some("Coupler") {
-        return true;
-    }
-    match f.name.as_str() {
-        "run_fallible" | "run_online" => true,
-        "submit" | "worker_loop" | "execute" | "handle_connection" | "handle" => {
-            f.file.contains("serve/src/")
-        }
-        _ => false,
-    }
+    let name = f.name.as_str();
+    f.trait_name.as_deref() == Some("Coupler")
+        || PANIC_ROOTS.contains(&name)
+        || (SERVE_PANIC_ROOTS.contains(&name) && f.file.contains("serve/src/"))
+}
+
+/// Configured root names that no function in the graph answers to. A
+/// renamed or deleted root silently takes its whole subtree out of
+/// panic-reach, so the live-workspace self-test requires this to be
+/// empty (fixture trees legitimately lack most roots).
+pub fn unresolved_panic_roots(g: &Graph) -> Vec<&'static str> {
+    PANIC_ROOTS
+        .iter()
+        .chain(SERVE_PANIC_ROOTS)
+        .copied()
+        .filter(|&name| !g.fns.iter().any(|f| f.name == name && is_panic_root(f)))
+        .collect()
 }
 
 fn panic_reach(ws: &Workspace, out: &mut Vec<Finding>) {

@@ -25,8 +25,9 @@
 //! paths (root → … → site with file:line per hop):
 //!
 //! - **panic-reach** — no `unwrap`/`expect`/`panic!`/unguarded serve
-//!   index reachable from `World::run_fallible`, `run_online`, any
-//!   `Coupler` impl, or the serve request path.
+//!   index reachable from `World::run_fallible`, the run loop
+//!   `run_with_fraction`, any `Coupler` impl, or the serve request
+//!   path.
 //! - **nondet-taint** — no nondeterminism source (unordered-container
 //!   iteration, unsanctioned wall-clock reads, thread identity,
 //!   pointer-as-integer casts) reachable from a deterministic
@@ -85,6 +86,9 @@ pub struct Report {
     pub violations: Vec<Finding>,
     /// `.rs` files and `Cargo.toml`s examined.
     pub files_scanned: usize,
+    /// Configured panic-reach root names that matched no function
+    /// (see [`deep::unresolved_panic_roots`]).
+    pub unresolved_roots: Vec<&'static str>,
 }
 
 /// Directories never descended into. `fixtures` keeps tidy's own
@@ -181,6 +185,7 @@ pub fn check_dir(root: &Path) -> io::Result<Report> {
         graph: callgraph::Graph::build(&parsed),
         files: infos,
     };
+    report.unresolved_roots = deep::unresolved_panic_roots(&ws.graph);
     let mut deep_raw = Vec::new();
     deep::run_all(&ws, &mut deep_raw);
     for f in deep_raw {

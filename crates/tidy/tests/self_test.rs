@@ -153,6 +153,11 @@ fn live_workspace_scans_clean() {
         msgs.join("\n")
     );
     assert!(
+        report.unresolved_roots.is_empty(),
+        "panic-reach roots that no longer name any function: {:?}",
+        report.unresolved_roots
+    );
+    assert!(
         report.files_scanned > 100,
         "workspace scan looks truncated: {} files",
         report.files_scanned
