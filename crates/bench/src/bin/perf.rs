@@ -1,153 +1,55 @@
-//! Wall-clock performance harness for the host-side parallel layers.
+//! The perf harness: host wall-clock measurements of the simulator's
+//! parallel layers plus the virtual-time regression studies, written
+//! as one flat results file ([`hsim_bench::results`]) and gated by one
+//! table.
 //!
-//! Usage: `cargo run --release -p hsim-bench --bin perf
-//!         [--quick] [--jobs N] [--out PATH]`
+//! Usage: `perf [--quick] [--jobs N] [--host-threads N] [--out PATH] [SECTION…]`
+//!        `perf ci-gate [--fresh PATH] [--baseline PATH] [--section all|SECTION]`
 //!
-//! The `ci-gate` subcommand turns the harness into a regression gate:
-//! `perf ci-gate [--fresh PATH] [--baseline PATH] [--section all|serve|rebalance]`
-//! compares a freshly written results file against the checked-in
-//! `ci/perf-baseline.json`
-//! and exits nonzero when the persistent pool regresses past 2× the
-//! baseline dispatch latency, loses to the spawn-per-region baseline,
-//! a sweep's parallel output diverged from serial, or (on hosts that
-//! actually have cores to fan out over) a sweep speedup falls below
-//! 0.9. Single-core runners can only bound the fan-out *overhead*, so
-//! there the speedup floor relaxes to 0.5.
+//! With no `SECTION` every study runs. Each returns rows `(key,
+//! number | bool)`; [`METRICS`] holds, per key pattern, the unit, the
+//! clock the number was read from, the gate rule and the reason for
+//! it, and `ci-gate` walks that table.
 //!
-//! Schema v2 adds a `kernels` block: fused cache-blocked hydro sweeps
-//! vs the legacy per-pass kernels, in million zones per wall-clock
-//! second, for each tile candidate plus a whole-plane "tile" that
-//! ablates the cache blocking. The gate enforces machine-independent
-//! *ratio* floors (fused must beat legacy at every cache-blocked tile,
-//! and the best blocked tile must clear [`BEST_KERNEL_RATIO_FLOOR`]),
-//! requires fused output to be bitwise-identical to legacy, and
-//! rejects results files whose `schema_version` it does not recognize.
+//! The clock decides which rules are legal. *Virtual* rows come from
+//! the cost model's simulated seconds: they are identical on every
+//! machine and may be held to the checked-in `ci/perf-baseline.json`.
+//! *Wall* rows time the host and may only be compared with constants
+//! or with other rows of the same run — serial against parallel,
+//! fused against legacy, pool against spawn. Comparing wall-clock
+//! numbers across commits is the benchmark package's job
+//! (`crates/bench/e2e`), which runs parent and change on one host.
 //!
-//! Schema v3 adds a `serve` block fed by the synthetic many-client
-//! load driver ([`hsim_bench::serveload`]): cache hit rate, request
-//! latency quantiles, and the overflow probe's typed-rejection count
-//! against a live `hsim-serve` server. The `serve-slo` subcommand
-//! (`perf serve-slo [--out PATH]`) runs only that driver and writes a
-//! serve-only results file; `ci-gate --section serve` gates it on the
-//! SLO floors (hit rate >= [`SERVE_HIT_RATE_FLOOR`], p50/p99 latency
-//! ceilings, and at least one typed queue-overflow rejection) without
-//! demanding the sweep/kernel/pool blocks a full run carries.
-//!
-//! Schema v4 measures the **parallel-tile** fused path and predicts
-//! its roof. `kernels.parallel` runs the fused sweep on the shared
-//! [`WorkPool`] at `--host-threads` workers (default 4) against the
-//! serial fused path on the same tile, after verifying byte-identical
-//! output at worker counts 1, 2, and 4; the gate floors the
-//! parallel:serial ratio by the *effective* parallelism
-//! `min(workers, host_cores)`, so an oversubscribed single-core
-//! runner bounds overhead instead of demanding impossible speedup
-//! (the same rule now governs the sweep speedup floor via
-//! `min(jobs, host_cores)`). A `roofline` block records a
-//! STREAM-triad bandwidth probe at the same worker count, the
-//! catalog's per-kernel flop/byte intensities, and the
-//! bandwidth-predicted Mzones/s for the per-pass workload
-//! ([`hsim_bench::roofline`]); the gate rejects runs whose best fused
-//! throughput falls under [`ROOFLINE_FRACTION_FLOOR`] of that roof.
-//! Fractions *above* 1.0 are expected — they are cache-resident
-//! fusion beating streamed traffic. Serve latency quantiles are now
-//! microsecond-valued (`p50_us`/`p99_us`, nanosecond-recorded), and
-//! `p50_us` must be strictly positive: a zero median means the
-//! harness lost sub-millisecond resolution again. `host_parallelism`
-//! is renamed `host_cores`.
-//!
-//! Schema v5 adds a `rebalance` block fed by the online-controller
-//! convergence study ([`hsim_bench::rebalance`]): a CPU:GPU
-//! speed-ratio sweep where the measured-speed controller starts from
-//! a wrong split and must converge onto the analytic optimum weight,
-//! a granularity-clamped `ny = 24` row reproducing the paper's
-//! `12/ny` bottleneck, and a controller-enabled `rank.loss` double
-//! run that must replay byte-identically. The `rebalance` subcommand
-//! (`perf rebalance [--out PATH]`) runs only that study and writes a
-//! rebalance-only results file; `ci-gate --section rebalance` gates
-//! it on the convergence floors (rel err <=
-//! [`REBALANCE_REL_ERR_CEILING`], converged by
-//! [`REBALANCE_CONVERGED_CYCLE_CEILING`] cycles, splits never below
-//! the guard, the clamped row pinned to it) and on the recovery
-//! identity. Unlike every other block, the rebalance numbers are
-//! *virtual-time* measurements: they are deterministic and identical
-//! on every machine, so the gate compares them exactly, not by ratio.
-//!
-//! Schema v6 adds a `scenarios` block: every first-class scenario
-//! (Sedov, Sod, Noh, Taylor–Green) runs at full fidelity in both
-//! CpuOnly and Heterogeneous modes on a fixed per-regime grid with
-//! the tracer-particle phase on. Each entry records the virtual-time
-//! zone throughput, the scenario's analytic-error metric (L1 against
-//! the exact Sod/Noh solutions, Taylor–Green kinetic-energy decay
-//! error; `-1` for Sedov, which has no pointwise reference), whether
-//! a same-seed double run was bit-identical, and whether the particle
-//! totals were conserved. The `scenarios` subcommand (`perf scenarios
-//! [--out PATH]`) runs only that study; `ci-gate --section scenarios`
-//! gates it on per-scenario throughput floors
-//! ([`SCENARIO_MZPS_FLOOR_FRAC`] of baseline) and analytic error
-//! ceilings ([`SCENARIO_ERROR_CEILING_FRAC`] of baseline). Like the
-//! rebalance block these are virtual-time numbers, identical on every
-//! machine.
-//!
-//! Everything else in this repo measures *virtual* time — the cost
-//! model's simulated seconds, which are deterministic and identical
-//! on every machine. This harness is the one place that measures
-//! *host* wall-clock instead: how fast the simulator itself runs when
-//! the figure sweeps fan out over a job pool and when parallel
-//! regions go through the persistent [`WorkPool`] workers. Virtual
-//! clocks are never touched; the serial and parallel sweeps are
-//! asserted byte-identical before any number is reported.
-//!
-//! Results are written as deterministic-schema JSON (default
-//! `BENCH_figures.json`): sweep serial/parallel seconds and speedup,
-//! pool region-dispatch latency against a spawn-per-region baseline,
-//! reduction throughput, and the `host_*` telemetry counters the
-//! measured code recorded along the way. `host_cores` is recorded so
-//! single-core results are read as such.
+//! The baseline is itself a results file:
+//! `perf --jobs 4 --host-threads 4 --out ci/perf-baseline.json`.
 
-use std::fmt::Write as _;
+use std::hint::black_box;
+use std::process::exit;
 use std::time::Instant;
 
-use hsim_bench::{paper_modes, run_figure_jobs, FigureData};
+use hsim_bench::results::{key_matches, section_of, SCHEMA_VERSION};
+use hsim_bench::{paper_modes, roofline, row, rows, run_figure_jobs, serveload};
+use hsim_bench::{Results, Row, Value};
 use hsim_core::calib::{self, TILE_CANDIDATES};
 use hsim_core::figures::{self, FigureSpec};
 use hsim_core::runner::{self, RunConfig};
 use hsim_core::{ExecMode, RunResult, Scenario};
+use hsim_gpu::GpuError;
 use hsim_hydro::{eos, flux, fused, HydroState};
 use hsim_particles::ParticlesConfig;
 use hsim_raja::{CpuModel, Executor, Fidelity, Target, WorkPool};
 use hsim_telemetry::{Collector, Counter};
 use hsim_time::RankClock;
 
-/// The results-file schema this binary writes and the only one the
-/// gate accepts. Bump when the JSON layout changes and regenerate
-/// `ci/perf-baseline.json`.
-const SCHEMA_VERSION: u32 = 6;
+/// Kernel bench grid edge and timed iterations per sample, `--quick`
+/// or not: a smaller sample is too short for the parallel:serial
+/// ratio to mean anything.
+const KERNEL_GRID_N: usize = 56;
+const KERNEL_REPS: usize = 3;
 
-/// Gate floor on the *best* cache-blocked tile's fused:legacy
-/// throughput ratio. Fusing primitive recovery, wavespeeds, fluxes and
-/// updates into one tile-local traversal removes whole-array passes,
-/// so the win is machine-independent; 1.3× is the tentpole's target.
-const BEST_KERNEL_RATIO_FLOOR: f64 = 1.3;
-
-/// Gate floor on every individual cache-blocked tile: fused must at
-/// least match the legacy per-pass kernels it replaces.
-const KERNEL_RATIO_FLOOR: f64 = 1.0;
-
-/// Gate floor on the serve cache hit rate. The load driver requests
-/// each distinct config many times, so a healthy cache lands far
-/// above this; falling below it means the content-hash cache or the
-/// single-flight join broke.
-const SERVE_HIT_RATE_FLOOR: f64 = 0.5;
-
-/// Ceiling on the serve p50 request latency (µs). The median request
-/// is a cache hit (hash + map lookup), so even slow CI hosts sit
-/// orders of magnitude under this.
-const SERVE_P50_CEILING_US: f64 = 50_000.0;
-
-/// Ceiling on the serve p99 request latency (µs): generous enough to
-/// cover a full cold run of the load driver's workload on a slow
-/// host.
-const SERVE_P99_CEILING_US: f64 = 10_000_000.0;
+/// Timestep for the kernel bench: small enough that repeated sweeps
+/// on the hot-spot state stay far from the CFL bound.
+const KERNEL_DT: f64 = 1e-5;
 
 /// Tile shape for the parallel fused bench: the serial sweet spot,
 /// so the parallel:serial ratio isolates the pool scheduling.
@@ -161,52 +63,6 @@ const PARALLEL_WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 /// the triad probe.
 const DEFAULT_HOST_THREADS: usize = 4;
 
-/// Gate floor on the parallel:serial fused throughput ratio, keyed by
-/// the *effective* parallelism `min(workers, host_cores)`: with 4+
-/// real cores the parallel-tile path must at least double the serial
-/// fused path; with 2–3 it must still win; oversubscribed (1 core
-/// running 4 workers) it can only be floored on scheduling overhead.
-fn parallel_ratio_floor(effective: f64) -> f64 {
-    if effective >= 4.0 {
-        2.0
-    } else if effective >= 2.0 {
-        1.2
-    } else {
-        0.35
-    }
-}
-
-/// Gate ceiling on every rebalance sweep point's relative error
-/// between the controller's final split and the analytic optimum
-/// weight (pushed through the real, plane-quantized decomposition). A
-/// converged controller lands on the identical discrete split, so
-/// healthy runs read 0.
-const REBALANCE_REL_ERR_CEILING: f64 = 0.05;
-
-/// Gate ceiling on the cycle by which every rebalance sweep point
-/// must have settled inside the convergence band and stayed there;
-/// the sweep runs [`hsim_bench::rebalance::SWEEP_CYCLES`] cycles.
-const REBALANCE_CONVERGED_CYCLE_CEILING: f64 = 10.0;
-
-/// Gate floor on `roofline.roof_fraction`: the best fused throughput
-/// as a fraction of the bandwidth-predicted per-pass roof. Fused runs
-/// routinely *exceed* 1.0 (cache-resident tiles don't stream the
-/// naive traffic); under a quarter of the roof means the kernels or
-/// the probe broke.
-const ROOFLINE_FRACTION_FLOOR: f64 = 0.25;
-
-/// Gate floor on every scenario entry's virtual-time zone throughput
-/// as a fraction of the baseline's for the same (scenario, mode).
-/// The numbers are deterministic, so the 5% slack only absorbs
-/// deliberate cost-model recalibrations, not host noise.
-const SCENARIO_MZPS_FLOOR_FRAC: f64 = 0.95;
-
-/// Gate ceiling on every scenario entry's analytic-error metric as a
-/// multiple of the baseline's: a scheme or coupling change that makes
-/// Sod/Noh L1 or the Taylor–Green kinetic-energy decay error grow
-/// more than 5% past the pinned baseline fails the gate.
-const SCENARIO_ERROR_CEILING_FRAC: f64 = 1.05;
-
 /// Particle count for every scenario gate entry: enough to exercise
 /// cross-rank migration on the gate grids.
 const SCENARIO_PARTICLES: u64 = 128;
@@ -215,20 +71,368 @@ const SCENARIO_PARTICLES: u64 = 128;
 /// study's cost; the analytic metrics are already nonzero here.
 const SCENARIO_CYCLES: u64 = 4;
 
-/// One sweep's serial-vs-parallel wall-clock comparison.
-struct SweepResult {
-    id: String,
-    tasks: usize,
-    serial_s: f64,
-    parallel_s: f64,
-    skipped: usize,
+/// Interleaved pairs behind every same-run wall ratio. On the 2-core
+/// CI-class host the median parallel:serial kernel ratio of 7 pairs
+/// spread over 1.20–1.84 across 20 runs, of 15 pairs over 1.34–1.46.
+const PAIRS: usize = 15;
+
+/// Where `perf` writes and `ci-gate` reads when not told otherwise.
+const DEFAULT_OUT: &str = "BENCH.json";
+
+/// The studies `perf [SECTION…]` can run, in run order. The
+/// virtual-time studies come first: their runner drives rank 0 on the
+/// calling thread and would clobber the host-counter collector the
+/// wall-clock studies record into. `kernels` also emits `roofline.*`.
+const VIRTUAL_STUDIES: [&str; 2] = ["rebalance", "scenarios"];
+const WALL_STUDIES: [&str; 4] = ["sweeps", "kernels", "pool", "serve"];
+
+/// Which clock a metric was read from.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Clock {
+    /// Host time: differs per machine and per run.
+    Wall,
+    /// The cost model's time (or a constant of it): deterministic.
+    Virtual,
 }
 
-/// One tile shape's fused-vs-legacy kernel throughput comparison.
-struct KernelResult {
-    tile: String,
-    blocked: bool,
-    fused_mzps: f64,
+/// What `ci-gate` holds a metric to: nothing (`Info`), `true`, a
+/// constant (`Min` >=, `Max` <=, `Above` >, `Below` <), a floor stepped
+/// by the effective cores the value was emitted with (`(cores, floor)`,
+/// highest first), or a fraction of the baseline's value for the same
+/// key.
+#[derive(Clone, Copy)]
+enum Rule {
+    Info,
+    IsTrue,
+    Min(f64),
+    Max(f64),
+    Above(f64),
+    Below(f64),
+    MinByCores(&'static [(f64, f64)]),
+    MinOfBase(f64),
+    MaxOfBase(f64),
+}
+
+impl Rule {
+    fn reads_baseline(self) -> bool {
+        matches!(self, Rule::MinOfBase(_) | Rule::MaxOfBase(_))
+    }
+}
+
+/// The floor a [`Rule::MinByCores`] row holds `key` to: that of the
+/// first `(cores, floor)` step its sibling `effective_cores` row
+/// reaches. NaN — which fails every comparison — when that row is
+/// missing.
+fn floor_by_cores(r: &Results, key: &str, steps: &[(f64, f64)]) -> f64 {
+    let parent = key.rsplit_once('.').map_or(key, |(parent, _)| parent);
+    let cores = r.num(&format!("{parent}.effective_cores"));
+    let step = steps.iter().find(|s| cores.is_some_and(|c| c >= s.0));
+    step.map_or(f64::NAN, |s| s.1)
+}
+
+/// One row of the metric table: a key pattern (`*` matches any one
+/// segment), its unit, its clock, its gate rule and the reason for it.
+type Metric = (&'static str, &'static str, Clock, Rule, &'static str);
+
+use Clock::{Virtual as V, Wall as W};
+use Rule::{Above, Below, Info, IsTrue, Max, MaxOfBase, Min, MinByCores, MinOfBase};
+
+/// Every key the harness may emit. A section is gated by the rows
+/// whose rule is not `Info`; each such row must match at least one
+/// fresh key.
+#[rustfmt::skip]
+static METRICS: &[Metric] = &[
+    ("sweeps.jobs",               "count", W, Info, "--jobs: fan-out width of the parallel side"),
+    ("sweeps.*.effective_cores",  "count", W, Info, "min(jobs, host_cores): what the speedup floor is keyed on"),
+    ("sweeps.*.tasks",            "count", V, Info, "sweep points x modes"),
+    ("sweeps.*.skipped",          "count", V, Info, "infeasible points, recorded not run"),
+    ("sweeps.*.serial_s",         "s",     W, Info, "median wall time at --jobs 1"),
+    ("sweeps.*.parallel_s",       "s",     W, Info, "median wall time at --jobs N"),
+    ("sweeps.*.speedup",          "x",     W, MinByCores(&[(2.0, 0.9), (0.0, 0.5)]), "median serial:parallel over interleaved pairs: --jobs N must not lose to serial where more than one effective core exists; on one (--jobs 4 there is oversubscription) only fan-out overhead is bounded"),
+    ("sweeps.*.identical_output", "bool",  V, IsTrue, "--jobs N must not change a byte of the figure CSV or markdown"),
+
+    ("kernels.legacy_mzones_per_s",            "Mz/s",  W, Info, "per-pass reference kernels"),
+    ("kernels.tiles.*.fused_mzones_per_s",     "Mz/s",  W, Info, "fused cache-blocked kernels at this tile"),
+    ("kernels.tiles.*.ratio",                  "x",     W, Min(1.0), "fused must not lose to the per-pass kernels it replaced at any cache-blocked tile"),
+    ("kernels.tiles.*.identical_output",       "bool",  V, IsTrue, "fused output must equal legacy bit for bit"),
+    ("kernels.whole.fused_mzones_per_s",       "Mz/s",  W, Info, "whole-plane tile: fusion without cache blocking"),
+    ("kernels.whole.ratio",                    "x",     W, Info, "blocking ablation, not gated"),
+    ("kernels.whole.identical_output",         "bool",  V, IsTrue, "fused output must equal legacy bit for bit"),
+    ("kernels.best_blocked_ratio",             "x",     W, Min(1.3), "fusing removes whole-array passes: the best cache-blocked tile must beat legacy by 1.3x on any host"),
+    ("kernels.parallel.workers",               "count", W, Info, "--host-threads"),
+    ("kernels.parallel.effective_cores",       "count", W, Info, "min(workers, host_cores): what the ratio floor is keyed on"),
+    ("kernels.parallel.serial_mzones_per_s",   "Mz/s",  W, Info, "median serial fused throughput on the 8x8 tile"),
+    ("kernels.parallel.parallel_mzones_per_s", "Mz/s",  W, Info, "median parallel-tile fused throughput on the 8x8 tile"),
+    ("kernels.parallel.ratio",                 "x",     W, MinByCores(&[(4.0, 2.0), (2.0, 1.2), (0.0, 0.35)]), "median parallel:serial over interleaved pairs: with 4+ effective cores the parallel-tile path must double serial fused, with 2-3 it must still win, on one (oversubscribed) only scheduling overhead is bounded"),
+    ("kernels.parallel.identical_output",      "bool",  V, IsTrue, "worker counts 1, 2, 4 and --host-threads must all reproduce the legacy bytes"),
+
+    ("roofline.triad_gbps",              "GB/s",   W, Info, "STREAM triad at --host-threads workers"),
+    ("roofline.triad_workers",           "count",  W, Info, "triad fan-out"),
+    ("roofline.bytes_per_zone",          "B",      V, Info, "per-pass first-order traffic from the kernel catalog"),
+    ("roofline.flops_per_zone",          "flop",   V, Info, "per-pass first-order work from the kernel catalog"),
+    ("roofline.arithmetic_intensity",    "flop/B", V, Info, "far below 1: bandwidth-bound"),
+    ("roofline.predicted_mzones_per_s",  "Mz/s",   W, Info, "triad bandwidth / bytes_per_zone"),
+    ("roofline.best_mzones_per_s",       "Mz/s",   W, Info, "best fused throughput of this run, serial or parallel"),
+    ("roofline.roof_fraction",           "x",      W, Min(0.25), "best fused throughput over the streamed-traffic roof; above 1 is cache-resident fusion working, under a quarter means the kernels or the probe broke"),
+    ("roofline.kernel.*.flops_per_elem", "flop",   V, Info, "kernel catalog"),
+    ("roofline.kernel.*.bytes_per_elem", "B",      V, Info, "kernel catalog"),
+    ("roofline.kernel.*.intensity",      "flop/B", V, Info, "kernel catalog"),
+
+    ("pool.workers",                "count",   W, Info, "pool parallelism (--jobs)"),
+    ("pool.region_ns_persistent",   "ns",      W, Info, "median per-region handoff on the persistent pool"),
+    ("pool.region_ns_scoped_spawn", "ns",      W, Info, "median per-region cost of spawning scoped threads instead"),
+    ("pool.persistent_over_spawn",  "x",       W, Below(1.0), "the persistent pool must beat the spawn-per-region baseline it replaced, same run, same host"),
+    ("pool.sum_melems_per_s",       "Melem/s", W, Info, "pool reduction throughput"),
+
+    ("serve.hits",             "count", V, Info, "cache hits and single-flight joins"),
+    ("serve.misses",           "count", V, Info, "executions"),
+    ("serve.admitted",         "count", V, Info, "requests past admission"),
+    ("serve.deadline_drops",   "count", W, Info, "requests that outlived their deadline"),
+    ("serve.hit_rate",         "frac",  V, Min(0.5), "every config is requested many times: below half means the content-hash cache or the single-flight join broke"),
+    ("serve.p50_us",           "us",    W, Max(50_000.0), "the median request is a cache hit (hash + map lookup), orders of magnitude under this on any host"),
+    ("serve.p50_us",           "us",    W, Above(0.0), "quantiles are nanosecond-recorded: a zero median means sub-millisecond hits truncated again"),
+    ("serve.p99_us",           "us",    W, Max(10_000_000.0), "covers a full cold run of the load driver's workload on a slow host"),
+    ("serve.rejected",         "count", V, Min(1.0), "the overflow probe must be rejected at least once"),
+    ("serve.rejections_typed", "bool",  V, IsTrue, "every overflow must surface as the typed QueueFull with the configured capacity"),
+
+    ("rebalance.*.ratio",                     "x",     V, Info, "per-core CPU speed multiplier"),
+    ("rebalance.*.start",                     "frac",  V, Info, "the wrong split the controller starts from"),
+    ("rebalance.*.guard",                     "frac",  V, Info, "the 12/ny granularity guard for this grid"),
+    ("rebalance.*.optimum",                   "frac",  V, Info, "analytic optimum from the fixed-point probe"),
+    ("rebalance.*.optimum_realized",          "frac",  V, Info, "the optimum after plane quantization"),
+    ("rebalance.*.final",                     "frac",  V, Info, "the controller's final realized split"),
+    ("rebalance.*.final_minus_guard",         "frac",  V, Min(-1e-9), "no split may sit below the 12/ny guard"),
+    ("rebalance.*.rel_err",                   "frac",  V, Max(0.05), "final split vs the quantized analytic optimum; a converged controller lands on the identical discrete split and reads 0"),
+    ("rebalance.*.converged_cycle",           "cycle", V, Max(10.0), "settled inside the 5% band and stayed there (9999 = never)"),
+    ("rebalance.*.resplits",                  "count", V, Info, "re-splits taken"),
+    ("rebalance.*.holds",                     "count", V, Info, "boundaries where hysteresis held"),
+    ("rebalance.*.clamped",                   "bool",  V, Info, "the optimum itself hit the guard"),
+    ("rebalance.*.clamped_offset",            "frac",  V, Max(1e-9), "|final - guard| of a clamped point: it must pin to the guard"),
+    ("rebalance.recovery.identical",          "bool",  V, IsTrue, "the same-seed controlled rank.loss double run must replay byte for byte"),
+    ("rebalance.recovery.frozen",             "count", V, Min(1.0), "the loss must freeze the controller"),
+    ("rebalance.recovery.rank_losses",        "count", V, Min(1.0), "the injected loss must be recorded"),
+    ("rebalance.recovery.ranks_after",        "count", V, Info, "survivors after the foldback"),
+    ("rebalance.recovery.post_loss_fraction", "frac",  V, Info, "the frozen post-loss split"),
+
+    ("scenarios.*.*.virtual_s",           "s",     V, Info, "simulated runtime"),
+    ("scenarios.*.*.mzps",                "Mz/s",  V, MinOfBase(0.95), "virtual-time zone throughput; the 5% slack absorbs deliberate cost-model recalibration, not noise"),
+    ("scenarios.*.*.error",               "err",   V, MaxOfBase(1.05), "Sod/Noh L1 vs the exact solution, Taylor-Green kinetic-energy decay error; absent for Sedov (no pointwise reference), in fresh and baseline alike"),
+    ("scenarios.*.*.identical",           "bool",  V, IsTrue, "the same-seed double run must be bit-identical"),
+    ("scenarios.*.*.particles_conserved", "bool",  V, IsTrue, "tracer count and finite momentum must survive the run"),
+    ("scenarios.*.*.migrated",            "count", V, Info, "cross-rank particle migrations"),
+
+    ("telemetry.host_sweep_points", "count", W, Info, "sweep points the host counters saw"),
+    ("telemetry.host_sweep_nanos",  "ns",    W, Info, "host time inside sweep points"),
+    ("telemetry.host_pool_regions", "count", W, Info, "pool regions the host counters saw"),
+    ("telemetry.host_pool_nanos",   "ns",    W, Info, "host time inside pool regions"),
+];
+
+/// The sections `ci-gate` can gate, in table order.
+fn gated_sections() -> Vec<&'static str> {
+    let mut out = Vec::new();
+    for &(key, _, _, rule, _) in METRICS {
+        if !matches!(rule, Info) && !out.contains(&section_of(key)) {
+            out.push(section_of(key));
+        }
+    }
+    out
+}
+
+/// Numbers in gate messages: six decimals, trailing zeros dropped
+/// (exponent form for what that would flatten to zero).
+fn show(v: f64) -> String {
+    if v != 0.0 && v.abs() < 1e-6 {
+        return format!("{v:e}");
+    }
+    let s = format!("{v:.6}");
+    s.trim_end_matches('0').trim_end_matches('.').to_string()
+}
+
+fn show_value(v: Option<&Value>) -> String {
+    match v {
+        Some(Value::Num(v)) => show(*v),
+        Some(Value::Bool(b)) => b.to_string(),
+        None => "n/a".to_string(),
+    }
+}
+
+/// Gate `fresh` against `base`: every non-`Info` table row of the
+/// `only` section (`None` = all of them). Returns the violations and
+/// the log of checks that passed; every line quotes the rule and the
+/// baseline's value, so a failure reads as a diff.
+fn gate(fresh: &Results, base: &Results, only: Option<&str>) -> (Vec<String>, Vec<String>) {
+    let (mut bad, mut log) = (Vec::new(), Vec::new());
+    // Both files must carry the schema this binary writes: any other
+    // — older, newer, absent — makes every further check meaningless.
+    for (role, r) in [("fresh", fresh), ("baseline", base)] {
+        if r.schema_version != Some(f64::from(SCHEMA_VERSION)) {
+            let found = r.schema_version.map_or("none".to_string(), show);
+            bad.push(format!(
+                "{role} schema_version: expected {SCHEMA_VERSION}, found {found} \
+                 (unrecognized; regenerate the file with this perf binary)"
+            ));
+        }
+    }
+    if !bad.is_empty() {
+        return (bad, log);
+    }
+    let present = fresh.sections();
+    for &(pattern, unit, clock, rule, why) in METRICS {
+        let section = section_of(pattern);
+        if matches!(rule, Info) || only.is_some_and(|s| s != section) {
+            continue;
+        }
+        if !present.contains(&section) {
+            let msg = format!("missing {section} section in fresh results");
+            if !bad.contains(&msg) {
+                bad.push(msg);
+            }
+            continue;
+        }
+        // A baseline-relative rule also visits what only the baseline
+        // has: a metric may not silently disappear.
+        let mut keys: Vec<&String> = fresh.metrics.keys().collect();
+        if rule.reads_baseline() {
+            keys.extend(
+                base.metrics
+                    .keys()
+                    .filter(|k| !fresh.metrics.contains_key(*k)),
+            );
+        }
+        keys.retain(|k| key_matches(pattern, k));
+        if keys.is_empty() {
+            bad.push(format!("missing {pattern} in fresh results"));
+        }
+        for key in keys {
+            let b = base.metrics.get(key);
+            let Some(v) = fresh.metrics.get(key) else {
+                bad.push(format!("{key}: the baseline has it, fresh results lost it"));
+                continue;
+            };
+            if rule.reads_baseline() && b.is_none() {
+                bad.push(format!("{key}: missing from baseline"));
+                continue;
+            }
+            let base_num = base.num(key).unwrap_or(f64::NAN);
+            // NaN fails every comparison, so a broken number or a
+            // missing floor input is a violation, never a pass.
+            let floor = |v: f64, f: f64, of: &str| (v >= f, format!("floor {}{of}", show(f)));
+            let ceiling = |v: f64, c: f64, of: &str| (v <= c, format!("ceiling {}{of}", show(c)));
+            let (pass, held_to) = match (rule, *v) {
+                (IsTrue, Value::Bool(ok)) => (ok, "expected true".to_string()),
+                (Min(f), Value::Num(v)) => floor(v, f, ""),
+                (MinByCores(steps), Value::Num(v)) => {
+                    floor(v, floor_by_cores(fresh, key, steps), "")
+                }
+                (MinOfBase(k), Value::Num(v)) => {
+                    floor(v, k * base_num, &format!(" ({k} x baseline)"))
+                }
+                (Max(c), Value::Num(v)) => ceiling(v, c, ""),
+                (MaxOfBase(k), Value::Num(v)) => {
+                    ceiling(v, k * base_num, &format!(" ({k} x baseline)"))
+                }
+                (Above(x), Value::Num(v)) => (v > x, format!("expected > {}", show(x))),
+                (Below(x), Value::Num(v)) => (v < x, format!("expected < {}", show(x))),
+                _ => (false, "wrong value type".to_string()),
+            };
+            let (base, measured) = (show_value(b), show_value(Some(v)));
+            let tag = format!("{key} [{unit}, {clock:?}]");
+            if pass {
+                log.push(format!("{tag} {measured}: {held_to} (baseline {base})"));
+            } else {
+                bad.push(format!(
+                    "{tag}: {held_to}, baseline {base}, measured {measured} — {why}"
+                ));
+            }
+        }
+    }
+    (bad, log)
+}
+
+/// Remove `flag VALUE` from `args` and return the value.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
+    if i + 1 >= args.len() {
+        eprintln!("{flag} needs a value");
+        exit(2);
+    }
+    let v = args.remove(i + 1);
+    args.remove(i);
+    Some(v)
+}
+
+fn take_count(args: &mut Vec<String>, flag: &str, default: usize) -> usize {
+    take_flag(args, flag).map_or(default, |v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("{flag} needs a positive integer, got {v:?}");
+            exit(2);
+        })
+    })
+}
+
+fn usage() -> ! {
+    eprintln!("usage: perf [--quick] [--jobs N] [--host-threads N] [--out PATH] [SECTION...]");
+    eprintln!("       perf ci-gate [--fresh PATH] [--baseline PATH] [--section all|SECTION]");
+    eprintln!("sections to run: {VIRTUAL_STUDIES:?} {WALL_STUDIES:?}");
+    eprintln!("sections to gate: {:?}", gated_sections());
+    exit(2);
+}
+
+fn ci_gate(mut args: Vec<String>) -> ! {
+    let fresh_path = take_flag(&mut args, "--fresh").unwrap_or_else(|| DEFAULT_OUT.into());
+    let base_path =
+        take_flag(&mut args, "--baseline").unwrap_or_else(|| "ci/perf-baseline.json".into());
+    let section = take_flag(&mut args, "--section").filter(|s| s != "all");
+    let gated = gated_sections();
+    if let Some(bad) = section.as_deref().filter(|s| !gated.contains(s)) {
+        eprintln!("--section must be \"all\" or one of {gated:?}, got {bad:?}");
+        exit(2);
+    }
+    if let Some(stray) = args.first() {
+        eprintln!("unknown argument: {stray}");
+        usage();
+    }
+    let read = |p: &str| {
+        let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
+            eprintln!("ci-gate: cannot read {p}: {e}");
+            exit(2);
+        });
+        Results::parse(&text).unwrap_or_else(|e| {
+            eprintln!("ci-gate: FAIL: {p} is not a results file: {e}");
+            exit(1);
+        })
+    };
+    let (bad, log) = gate(&read(&fresh_path), &read(&base_path), section.as_deref());
+    for line in &log {
+        eprintln!("ci-gate: ok: {line}");
+    }
+    if bad.is_empty() {
+        eprintln!("ci-gate: PASS ({fresh_path} vs {base_path})");
+        exit(0);
+    }
+    for v in &bad {
+        eprintln!("ci-gate: FAIL: {v}");
+    }
+    exit(1);
+}
+
+/// Run `pair` [`PAIRS`] times — each call measures both sides of a
+/// ratio back to back — and return the median of each side and of the
+/// per-pair ratio `first / second`. Interleaving puts both sides
+/// under the same host conditions, and the median drops the pairs a
+/// scheduler hiccup landed on: what one short sample cannot do.
+fn median_of_pairs(mut pair: impl FnMut() -> (f64, f64)) -> [f64; 3] {
+    let samples: Vec<(f64, f64)> = (0..PAIRS).map(|_| pair()).collect();
+    let median = |of: fn(&(f64, f64)) -> f64| {
+        let mut v: Vec<f64> = samples.iter().map(of).collect();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    [
+        median(|s| s.0),
+        median(|s| s.1),
+        median(|s| s.0 / s.1.max(1e-12)),
+    ]
 }
 
 /// A small custom sweep so `--quick` finishes in seconds anywhere.
@@ -239,57 +443,50 @@ fn quick_spec() -> FigureSpec {
         sweep: figures::SweepAxis::X,
         values: vec![64, 96, 128, 160],
         fixed: (48, 32),
-        scenario: hsim_core::Scenario::Sedov,
+        scenario: Scenario::Sedov,
     }
 }
 
-fn measure_sweep(spec: &FigureSpec, jobs: usize) -> SweepResult {
+/// Sweep fan-out: serial vs `--jobs N` wall time per figure sweep,
+/// asserted byte-identical before any number is reported. Quick mode
+/// runs a trimmed spec; the full harness adds the paper's Fig. 14.
+fn measure_sweeps(quick: bool, jobs: usize, host_cores: usize) -> Vec<Row> {
+    let mut specs = vec![quick_spec()];
+    specs.extend(
+        figures::all_figures()
+            .into_iter()
+            .find(|s| !quick && s.id == "fig14"),
+    );
     let modes = paper_modes();
-    let t0 = Instant::now();
-    let serial = run_figure_jobs(spec, &modes, 1);
-    let serial_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let parallel = run_figure_jobs(spec, &modes, jobs);
-    let parallel_s = t1.elapsed().as_secs_f64();
-    assert_identical(&serial, &parallel, spec.id);
-    SweepResult {
-        id: spec.id.to_string(),
-        tasks: modes.len() * spec.values.len(),
-        serial_s,
-        parallel_s,
-        skipped: serial.skipped.len(),
+    let mut out = Vec::new();
+    for spec in &specs {
+        let (id, tasks) = (spec.id, modes.len() * spec.values.len());
+        eprintln!("sweep {id}: {tasks} tasks, serial vs --jobs {jobs}...");
+        let mut skipped = 0;
+        let [serial_s, parallel_s, speedup] = median_of_pairs(|| {
+            let t0 = Instant::now();
+            let serial = run_figure_jobs(spec, &modes, 1);
+            let serial_s = t0.elapsed().as_secs_f64();
+            let t1 = Instant::now();
+            let parallel = run_figure_jobs(spec, &modes, jobs);
+            let parallel_s = t1.elapsed().as_secs_f64();
+            // The whole point of deterministic fan-out.
+            let (s_csv, p_csv) = (serial.to_csv(), parallel.to_csv());
+            assert_eq!(s_csv, p_csv, "{id}: --jobs changed the CSV");
+            let (s_md, p_md) = (serial.to_markdown(), parallel.to_markdown());
+            assert_eq!(s_md, p_md, "{id}: --jobs changed the markdown");
+            skipped = serial.skipped.len();
+            (serial_s, parallel_s)
+        });
+        out.extend(rows!(format!("sweeps.{id}");
+            "tasks" => tasks, "skipped" => skipped, "serial_s" => serial_s,
+            "parallel_s" => parallel_s, "speedup" => speedup,
+            "effective_cores" => jobs.min(host_cores),
+            "identical_output" => true,
+        ));
     }
-}
-
-/// The whole point of deterministic fan-out: `--jobs N` must never
-/// change a single byte of any figure artifact.
-fn assert_identical(serial: &FigureData, parallel: &FigureData, id: &str) {
-    assert_eq!(
-        serial.to_csv(),
-        parallel.to_csv(),
-        "{id}: parallel sweep changed the CSV output"
-    );
-    assert_eq!(
-        serial.to_markdown(),
-        parallel.to_markdown(),
-        "{id}: parallel sweep changed the markdown output"
-    );
-}
-
-/// Timestep for the kernel bench: small enough that repeated sweeps
-/// on the hot-spot state stay far from the CFL bound.
-const KERNEL_DT: f64 = 1e-5;
-
-/// The kernel bench for one `--quick`/full configuration: legacy
-/// per-pass throughput once (it has no tile knob), fused throughput
-/// per tile shape.
-struct KernelBench {
-    grid_n: usize,
-    reps: usize,
-    legacy_mzps: f64,
-    /// Legacy end state, the bitwise reference for the parallel bench.
-    legacy_st: HydroState,
-    tiles: Vec<KernelResult>,
+    out.push(row("sweeps.jobs", jobs));
+    out
 }
 
 /// A deterministic full-fidelity state with a hot central zone, so the
@@ -304,1039 +501,174 @@ fn kernel_state(n: usize) -> HydroState {
     st
 }
 
-/// Time `reps` fused (primitive recovery + first-order sweep)
-/// iterations on a fresh state; returns throughput in million zones
-/// per wall-clock second plus the final state for the identity check.
-fn run_fused_kernels(n: usize, tile: [usize; 2], reps: usize) -> (f64, HydroState) {
-    let mut st = kernel_state(n);
-    st.tile = tile;
-    let mut exec = Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), Fidelity::Full);
-    let mut clock = RankClock::new(0);
-    // One warm-up rep keeps first-touch and allocator effects out of
-    // the timed region; the legacy run mirrors it, so the end states
-    // stay comparable bit for bit.
-    fused::primitives(&mut st, &mut exec, &mut clock).expect("fused primitives");
-    fused::sweep(&mut st, &mut exec, &mut clock, KERNEL_DT).expect("fused sweep");
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        fused::primitives(&mut st, &mut exec, &mut clock).expect("fused primitives");
-        fused::sweep(&mut st, &mut exec, &mut clock, KERNEL_DT).expect("fused sweep");
-    }
-    let mzps = (n * n * n * reps) as f64 / t0.elapsed().as_secs_f64() / 1e6;
-    (mzps, st)
-}
+type PrimitivesFn = fn(&mut HydroState, &mut Executor, &mut RankClock) -> Result<(), GpuError>;
+type SweepFn = fn(&mut HydroState, &mut Executor, &mut RankClock, f64) -> Result<(), GpuError>;
 
-/// The fused workload on the parallel-tile path: tiles of the fused
-/// sweep scheduled across the process-wide shared [`WorkPool`] at
-/// `threads` host threads (1 = the pool degenerates to the caller).
-fn run_fused_kernels_par(
-    n: usize,
+/// The fused cache-blocked kernels and the per-pass kernels they
+/// replaced (one whole-array traversal per logical kernel).
+const FUSED: (PrimitivesFn, SweepFn) = (fused::primitives, fused::sweep);
+const LEGACY: (PrimitivesFn, SweepFn) = (eos::primitives, flux::sweep);
+
+/// The one kernel timing loop: [`KERNEL_REPS`] (primitive recovery +
+/// first-order sweep) iterations of `kernels` on `target` over a fresh
+/// state, after one untimed warm-up iteration that keeps first-touch
+/// and allocator effects out. Returns million zones per wall-clock
+/// second and the end state — every flavour runs the same iteration
+/// count, so end states compare bit for bit.
+fn time_kernels(
+    target: Target,
     tile: [usize; 2],
-    reps: usize,
-    threads: usize,
+    (primitives, sweep): (PrimitivesFn, SweepFn),
 ) -> (f64, HydroState) {
-    let mut st = kernel_state(n);
+    let mut st = kernel_state(KERNEL_GRID_N);
     st.tile = tile;
-    let target = Target::CpuParallel {
-        pool: WorkPool::shared(threads.saturating_sub(1)),
-    };
     let mut exec = Executor::new(target, CpuModel::haswell_fixed(), Fidelity::Full);
     let mut clock = RankClock::new(0);
-    fused::primitives(&mut st, &mut exec, &mut clock).expect("fused primitives");
-    fused::sweep(&mut st, &mut exec, &mut clock, KERNEL_DT).expect("fused sweep");
+    let mut iterate = |st: &mut HydroState| {
+        primitives(st, &mut exec, &mut clock).expect("kernel bench primitives");
+        sweep(st, &mut exec, &mut clock, KERNEL_DT).expect("kernel bench sweep");
+    };
+    iterate(&mut st);
     let t0 = Instant::now();
-    for _ in 0..reps {
-        fused::primitives(&mut st, &mut exec, &mut clock).expect("fused primitives");
-        fused::sweep(&mut st, &mut exec, &mut clock, KERNEL_DT).expect("fused sweep");
+    for _ in 0..KERNEL_REPS {
+        iterate(&mut st);
     }
-    let mzps = (n * n * n * reps) as f64 / t0.elapsed().as_secs_f64() / 1e6;
-    (mzps, st)
-}
-
-/// The parallel-tile fused bench: serial-vs-parallel fused throughput
-/// on [`PARALLEL_TILE`], after proving every gated worker count
-/// reproduces the legacy output bit for bit.
-struct ParallelBench {
-    workers: usize,
-    serial_mzps: f64,
-    parallel_mzps: f64,
-}
-
-fn bench_parallel_kernels(
-    n: usize,
-    reps: usize,
-    host_threads: usize,
-    legacy_st: &HydroState,
-    serial_mzps: f64,
-) -> ParallelBench {
-    // Worker-count invariance first: every gated count must reproduce
-    // the legacy bytes (same warm-up + reps as the legacy run, so the
-    // end states are comparable) before any throughput is believed.
-    let mut parallel_mzps = None;
-    for threads in PARALLEL_WORKER_COUNTS {
-        eprintln!("kernel bench: parallel fused x{threads}, {reps} reps on {n}^3...");
-        let (mzps, st) = run_fused_kernels_par(n, PARALLEL_TILE, reps, threads);
-        assert_kernels_identical(&st, legacy_st, &format!("parallel x{threads}"));
-        if threads == host_threads {
-            parallel_mzps = Some(mzps);
-        }
-    }
-    let parallel_mzps = parallel_mzps.unwrap_or_else(|| {
-        eprintln!("kernel bench: parallel fused x{host_threads}, {reps} reps on {n}^3...");
-        let (mzps, st) = run_fused_kernels_par(n, PARALLEL_TILE, reps, host_threads);
-        assert_kernels_identical(&st, legacy_st, &format!("parallel x{host_threads}"));
-        mzps
-    });
-    ParallelBench {
-        workers: host_threads,
-        serial_mzps,
-        parallel_mzps,
-    }
-}
-
-/// Same workload through the legacy per-pass kernels (one whole-array
-/// traversal per logical kernel), the reference the fused path fuses.
-fn run_legacy_kernels(n: usize, reps: usize) -> (f64, HydroState) {
-    let mut st = kernel_state(n);
-    let mut exec = Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), Fidelity::Full);
-    let mut clock = RankClock::new(0);
-    eos::primitives(&mut st, &mut exec, &mut clock).expect("legacy primitives");
-    flux::sweep(&mut st, &mut exec, &mut clock, KERNEL_DT).expect("legacy sweep");
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        eos::primitives(&mut st, &mut exec, &mut clock).expect("legacy primitives");
-        flux::sweep(&mut st, &mut exec, &mut clock, KERNEL_DT).expect("legacy sweep");
-    }
-    let mzps = (n * n * n * reps) as f64 / t0.elapsed().as_secs_f64() / 1e6;
-    (mzps, st)
+    let zones = (KERNEL_GRID_N.pow(3) * KERNEL_REPS) as f64;
+    (zones / t0.elapsed().as_secs_f64() / 1e6, st)
 }
 
 /// The fused path exists to move throughput, never bytes: every tile
-/// shape must reproduce the legacy per-pass kernels bit for bit.
+/// shape and worker count must reproduce the legacy per-pass kernels
+/// bit for bit, conserved state and primitives alike.
 fn assert_kernels_identical(fused: &HydroState, legacy: &HydroState, label: &str) {
     let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+    let (u, prim) = (fused.u.slab(), fused.prim.slab());
+    let same = same(u, legacy.u.slab()) && same(prim, legacy.prim.slab());
     assert!(
-        same(fused.u.slab(), legacy.u.slab()),
-        "kernel tile {label}: fused conserved state diverged from legacy"
-    );
-    assert!(
-        same(fused.prim.slab(), legacy.prim.slab()),
-        "kernel tile {label}: fused primitives diverged from legacy"
+        same,
+        "kernel bench {label}: fused output diverged from legacy"
     );
 }
 
-/// Fused-vs-legacy throughput for every tile candidate plus a
-/// whole-plane tile that keeps the fusion but ablates the blocking.
-fn bench_kernels(quick: bool) -> KernelBench {
-    let (n, reps) = if quick { (40, 2) } else { (56, 3) };
-    eprintln!("kernel bench: legacy per-pass, {reps} reps on {n}^3...");
-    let (legacy_mzps, legacy_st) = run_legacy_kernels(n, reps);
+/// The `kernels.*` and `roofline.*` rows: fused-vs-legacy throughput
+/// per tile candidate plus a whole-plane tile that keeps the fusion
+/// but ablates the blocking; the parallel-tile fused path (tiles
+/// scheduled over the process-wide shared pool) against the serial
+/// one at `host_threads` workers; and the triad-bandwidth roof the
+/// best of them is held against.
+fn measure_kernels(quick: bool, host_threads: usize, host_cores: usize) -> Vec<Row> {
+    let (n, reps) = (KERNEL_GRID_N, KERNEL_REPS);
+    eprintln!("kernel bench: legacy, fused per tile, fused parallel: {reps} reps on {n}^3 each...");
+    // The per-pass kernels ignore the tile shape.
+    let (legacy_mzps, legacy_st) = time_kernels(Target::CpuSeq, PARALLEL_TILE, LEGACY);
+    let mut out = vec![row("kernels.legacy_mzones_per_s", legacy_mzps)];
+    let (mut best_mzps, mut best_blocked_ratio) = (0.0_f64, 0.0_f64);
     let whole = [n + 2, n + 2];
-    let mut tiles = Vec::new();
-    for tile in TILE_CANDIDATES
-        .iter()
-        .copied()
-        .chain(std::iter::once(whole))
-    {
-        let blocked = tile != whole;
-        let label = if blocked {
-            format!("{}x{}", tile[0], tile[1])
+    for tile in TILE_CANDIDATES.into_iter().chain([whole]) {
+        let at = if tile == whole {
+            "kernels.whole".to_string()
         } else {
-            "whole".to_string()
+            format!("kernels.tiles.{}", calib::tile_spec(tile))
         };
-        eprintln!("kernel bench: fused tile {label}, {reps} reps on {n}^3...");
-        let (fused_mzps, fused_st) = run_fused_kernels(n, tile, reps);
-        assert_kernels_identical(&fused_st, &legacy_st, &label);
-        tiles.push(KernelResult {
-            tile: label,
-            blocked,
-            fused_mzps,
-        });
+        let (mzps, st) = time_kernels(Target::CpuSeq, tile, FUSED);
+        assert_kernels_identical(&st, &legacy_st, &at);
+        let ratio = mzps / legacy_mzps.max(1e-12);
+        best_mzps = best_mzps.max(mzps);
+        if tile != whole {
+            best_blocked_ratio = best_blocked_ratio.max(ratio);
+        }
+        out.extend(rows!(at;
+            "fused_mzones_per_s" => mzps, "ratio" => ratio, "identical_output" => true,
+        ));
     }
-    KernelBench {
-        grid_n: n,
-        reps,
-        legacy_mzps,
-        legacy_st,
-        tiles,
+    out.push(row("kernels.best_blocked_ratio", best_blocked_ratio));
+
+    // Worker-count invariance before any parallel throughput is
+    // believed (1 thread = the pool degenerates to the caller).
+    let on_pool = |threads: usize| Target::CpuParallel {
+        pool: WorkPool::shared(threads.saturating_sub(1)),
+    };
+    for threads in PARALLEL_WORKER_COUNTS.into_iter().chain([host_threads]) {
+        let (_, st) = time_kernels(on_pool(threads), PARALLEL_TILE, FUSED);
+        assert_kernels_identical(&st, &legacy_st, &format!("parallel x{threads}"));
     }
+    let [parallel_mzps, serial_mzps, ratio] = median_of_pairs(|| {
+        (
+            time_kernels(on_pool(host_threads), PARALLEL_TILE, FUSED).0,
+            time_kernels(Target::CpuSeq, PARALLEL_TILE, FUSED).0,
+        )
+    });
+    out.extend(rows!("kernels.parallel";
+        "workers" => host_threads, "effective_cores" => host_threads.min(host_cores),
+        "serial_mzones_per_s" => serial_mzps, "parallel_mzones_per_s" => parallel_mzps,
+        "ratio" => ratio, "identical_output" => true,
+    ));
+
+    let (triad_len, triad_reps) = if quick { (1 << 20, 3) } else { (1 << 22, 5) };
+    eprintln!("roofline: triad probe, {triad_reps} reps x {triad_len} elems x{host_threads}...");
+    let triad = roofline::measure_triad(host_threads, triad_len, triad_reps);
+    let predicted_mzps = roofline::predicted_mzones_per_s(triad.gbps);
+    let best_mzps = best_mzps.max(parallel_mzps);
+    out.extend(rows!("roofline";
+        "triad_gbps" => triad.gbps, "triad_workers" => triad.workers,
+        "bytes_per_zone" => roofline::first_order_bytes_per_zone(),
+        "flops_per_zone" => roofline::first_order_flops_per_zone(),
+        "arithmetic_intensity" => roofline::first_order_intensity(),
+        "predicted_mzones_per_s" => predicted_mzps, "best_mzones_per_s" => best_mzps,
+        "roof_fraction" => best_mzps / predicted_mzps.max(1e-12),
+    ));
+    for (name, flops, bytes, intensity) in roofline::kernel_intensities() {
+        out.extend(rows!(format!("roofline.kernel.{name}");
+            "flops_per_elem" => flops, "bytes_per_elem" => bytes, "intensity" => intensity,
+        ));
+    }
+    out
 }
 
-/// Wall-clock nanoseconds per no-op parallel region on the persistent
-/// pool: the handoff cost the lifetime-erased job slot pays instead
-/// of spawning.
-fn bench_pool_region_ns(pool: &WorkPool, regions: usize) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..regions {
-        pool.for_chunks(0, 64, 64, |_, _| {});
-    }
-    t0.elapsed().as_nanos() as f64 / regions as f64
-}
-
-/// The baseline the pool replaces: spawn scoped threads per region,
-/// as `for_chunks` did before workers became persistent.
-fn bench_spawn_region_ns(threads: usize, regions: usize) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..regions {
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| std::hint::black_box(64));
-            }
-        });
-    }
-    t0.elapsed().as_nanos() as f64 / regions as f64
-}
-
-/// Reduction throughput in millions of elements per wall-clock second.
-fn bench_sum_melems(pool: &WorkPool, elems: usize, reps: usize) -> f64 {
+/// Pool microbenches on the calling thread (the coordinator role the
+/// runner plays): the per-region handoff of the persistent workers
+/// against spawning scoped threads per region, as `for_chunks` did
+/// before workers became persistent, plus reduction throughput.
+fn measure_pool(quick: bool, jobs: usize) -> Vec<Row> {
+    let [regions, elems, reps] = if quick {
+        [200, 1 << 20, 4]
+    } else {
+        [2000, 1 << 23, 8]
+    };
+    let pool = WorkPool::new(jobs.saturating_sub(1));
+    let threads = pool.parallelism();
+    eprintln!("pool microbench: {regions} regions, {threads} threads...");
+    let per_region = |t0: Instant| t0.elapsed().as_nanos() as f64 / regions as f64;
+    let [persistent, spawn, persistent_over_spawn] = median_of_pairs(|| {
+        let t0 = Instant::now();
+        for _ in 0..regions {
+            pool.for_chunks(0, 64, 64, |_, _| {});
+        }
+        let persistent = per_region(t0);
+        let t1 = Instant::now();
+        for _ in 0..regions {
+            std::thread::scope(|s| (0..threads).for_each(|_| drop(s.spawn(|| black_box(64)))));
+        }
+        (persistent, per_region(t1))
+    });
     let t0 = Instant::now();
     let mut acc = 0.0;
     for _ in 0..reps {
         acc += pool.sum(0, elems, 1024, |i| i as f64 * 1e-9);
     }
-    std::hint::black_box(acc);
-    (elems * reps) as f64 / t0.elapsed().as_secs_f64() / 1e6
+    black_box(acc);
+    let sum_melems_per_s = (elems * reps) as f64 / t0.elapsed().as_secs_f64() / 1e6;
+    rows!("pool";
+        "workers" => threads, "region_ns_persistent" => persistent,
+        "region_ns_scoped_spawn" => spawn, "persistent_over_spawn" => persistent_over_spawn,
+        "sum_melems_per_s" => sum_melems_per_s,
+    )
+    .into()
 }
 
-/// Extract the first `"key": <number>` after `from` in our own
-/// fixed-schema JSON. No general parser: the harness wrote the file.
-fn json_num(text: &str, key: &str, from: usize) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text[from..].find(&needle)? + from + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The byte offset of sweep `id`'s line in a results file, if present.
-fn sweep_pos(text: &str, id: &str) -> Option<usize> {
-    text.find(&format!("\"id\": \"{id}\""))
-}
-
-/// The `(tile label, byte offset)` of every kernel entry in a results
-/// file, in file order. Entries live only in the `kernels` block, so
-/// the scan starts there.
-fn kernel_entries(text: &str) -> Vec<(String, usize)> {
-    let Some(kpos) = text.find("\"kernels\"") else {
-        return Vec::new();
-    };
-    let needle = "\"tile\": \"";
-    let mut out = Vec::new();
-    let mut at = kpos;
-    while let Some(rel) = text[at..].find(needle) {
-        let start = at + rel + needle.len();
-        let Some(len) = text[start..].find('"') else {
-            break;
-        };
-        out.push((text[start..start + len].to_string(), start));
-        at = start + len;
-    }
-    out
-}
-
-/// The line of text containing byte offset `pos`.
-fn line_at(text: &str, pos: usize) -> &str {
-    let start = text[..pos].rfind('\n').map_or(0, |i| i + 1);
-    let end = text[pos..].find('\n').map_or(text.len(), |i| pos + i);
-    &text[start..end]
-}
-
-/// Schema gate: both files must carry the `schema_version` this
-/// binary understands. Anything else — older, newer, or absent — is
-/// rejected outright, because the remaining checks would silently
-/// mis-parse an unknown layout.
-fn schema_violations(fresh: &str, baseline: &str) -> Vec<String> {
-    let mut bad = Vec::new();
-    for (role, text) in [("fresh", fresh), ("baseline", baseline)] {
-        match json_num(text, "schema_version", 0) {
-            Some(v) if v == f64::from(SCHEMA_VERSION) => {}
-            Some(v) => bad.push(format!(
-                "{role} schema_version: expected {SCHEMA_VERSION}, found {v} (unrecognized; regenerate the file with this perf binary)"
-            )),
-            None => bad.push(format!(
-                "{role} schema_version: expected {SCHEMA_VERSION}, found none (unrecognized; regenerate the file with this perf binary)"
-            )),
-        }
-    }
-    bad
-}
-
-/// Kernel-throughput floors. All floors are fused:legacy *ratios*, so
-/// they hold on any hardware: the fused path must not lose to the
-/// per-pass kernels it replaced at any cache-blocked tile, and the
-/// best blocked tile must clear [`BEST_KERNEL_RATIO_FLOOR`]. The
-/// baseline's ratio for the same tile is quoted in every message so a
-/// failure reads as a diff.
-fn kernel_violations(fresh: &str, baseline: &str, bad: &mut Vec<String>, log: &mut Vec<String>) {
-    let entries = kernel_entries(fresh);
-    if entries.is_empty() {
-        bad.push("missing kernels block in fresh results".to_string());
-        return;
-    }
-    let base_ratio = |label: &str| -> String {
-        baseline
-            .find(&format!("\"tile\": \"{label}\""))
-            .and_then(|pos| json_num(baseline, "ratio", pos))
-            .map_or_else(|| "n/a".to_string(), |r| format!("{r:.3}"))
-    };
-    let mut best: Option<(String, f64)> = None;
-    for (label, pos) in &entries {
-        let line = line_at(fresh, *pos);
-        let Some(ratio) = json_num(line, "ratio", 0) else {
-            bad.push(format!("missing kernels[{label}] ratio"));
-            continue;
-        };
-        if !line.contains("\"identical_output\": true") {
-            bad.push(format!(
-                "kernels[{label}] identical_output: expected true, measured false (fused output diverged from legacy)"
-            ));
-        }
-        let blocked = line.contains("\"blocked\": true");
-        if !blocked {
-            log.push(format!(
-                "kernels[{label}] (blocking ablation) fused:legacy ratio {ratio:.3}, not gated"
-            ));
-            continue;
-        }
-        if ratio < KERNEL_RATIO_FLOOR {
-            bad.push(format!(
-                "kernels[{label}] fused:legacy ratio: floor {KERNEL_RATIO_FLOOR:.2}, baseline {}, measured {ratio:.3}",
-                base_ratio(label)
-            ));
-        } else {
-            log.push(format!(
-                "kernels[{label}] fused:legacy ratio {ratio:.3} >= floor {KERNEL_RATIO_FLOOR:.2} (baseline {})",
-                base_ratio(label)
-            ));
-        }
-        let improves = match &best {
-            Some((_, b)) => ratio > *b,
-            None => true,
-        };
-        if improves {
-            best = Some((label.clone(), ratio));
-        }
-    }
-    if let Some((label, ratio)) = best {
-        if ratio < BEST_KERNEL_RATIO_FLOOR {
-            bad.push(format!(
-                "kernels best blocked tile ({label}) fused:legacy ratio: floor {BEST_KERNEL_RATIO_FLOOR:.2}, baseline {}, measured {ratio:.3}",
-                base_ratio(&label)
-            ));
-        } else {
-            log.push(format!(
-                "kernels best blocked tile ({label}) ratio {ratio:.3} >= floor {BEST_KERNEL_RATIO_FLOOR:.2}"
-            ));
-        }
-    }
-}
-
-/// Parallel-tile fused floors. The ratio floor scales with the
-/// *effective* parallelism `min(workers, host_cores)` — a runner with
-/// fewer cores than workers is oversubscribed and can only be held to
-/// a scheduling-overhead bound — and the worker-count identity flag
-/// is mandatory regardless.
-fn parallel_kernel_violations(
-    fresh: &str,
-    baseline: &str,
-    host_cores: f64,
-    bad: &mut Vec<String>,
-    log: &mut Vec<String>,
-) {
-    let Some(ppos) = fresh.find("\"parallel\"") else {
-        bad.push("missing kernels.parallel block in fresh results".to_string());
-        return;
-    };
-    let end = fresh[ppos..].find('}').map_or(fresh.len(), |e| ppos + e);
-    let block = &fresh[ppos..end];
-    let base_ratio = baseline
-        .find("\"parallel\"")
-        .and_then(|p| {
-            let bend = baseline[p..].find('}').map_or(baseline.len(), |e| p + e);
-            json_num(&baseline[p..bend], "ratio", 0)
-        })
-        .map_or_else(|| "n/a".to_string(), |r| format!("{r:.3}"));
-    let need = |what: &str, bad: &mut Vec<String>| -> f64 {
-        json_num(block, what, 0).unwrap_or_else(|| {
-            bad.push(format!("missing kernels.parallel {what}"));
-            f64::NAN
-        })
-    };
-    let workers = need("workers", bad);
-    let ratio = need("ratio", bad);
-    let effective = workers.min(host_cores);
-    let floor = parallel_ratio_floor(effective);
-    if ratio < floor {
-        bad.push(format!(
-            "kernels.parallel fused ratio at {workers} workers: floor {floor:.2} \
-             (effective cores {effective}), baseline {base_ratio}, measured {ratio:.3}"
-        ));
-    } else {
-        log.push(format!(
-            "kernels.parallel fused ratio {ratio:.3} >= floor {floor:.2} at {workers} workers \
-             (effective cores {effective}, baseline {base_ratio})"
-        ));
-    }
-    if block.contains("\"identical_output\": true") {
-        log.push("kernels.parallel output identical across worker counts".to_string());
-    } else {
-        bad.push(
-            "kernels.parallel identical_output: expected true, measured false \
-             (parallel-tile output diverged across worker counts)"
-                .to_string(),
-        );
-    }
-}
-
-/// Roofline floor: the best fused throughput must clear
-/// [`ROOFLINE_FRACTION_FLOOR`] of the bandwidth-predicted per-pass
-/// roof. Fractions above 1.0 are healthy (cache-resident fusion).
-fn roofline_violations(fresh: &str, baseline: &str, bad: &mut Vec<String>, log: &mut Vec<String>) {
-    let Some(rpos) = fresh.find("\"roofline\"") else {
-        bad.push("missing roofline block in fresh results".to_string());
-        return;
-    };
-    let base_frac = baseline
-        .find("\"roofline\"")
-        .and_then(|p| json_num(baseline, "roof_fraction", p))
-        .map_or_else(|| "n/a".to_string(), |r| format!("{r:.3}"));
-    let Some(frac) = json_num(fresh, "roof_fraction", rpos) else {
-        bad.push("missing roofline roof_fraction".to_string());
-        return;
-    };
-    if frac < ROOFLINE_FRACTION_FLOOR {
-        bad.push(format!(
-            "roofline roof_fraction: floor {ROOFLINE_FRACTION_FLOOR:.2}, \
-             baseline {base_frac}, measured {frac:.3}"
-        ));
-    } else {
-        log.push(format!(
-            "roofline roof_fraction {frac:.3} >= floor {ROOFLINE_FRACTION_FLOOR:.2} \
-             (baseline {base_frac})"
-        ));
-    }
-}
-
-/// Serve SLO floors. Hit rate and the typed-rejection probe are
-/// machine-independent (the load driver's request mix is fixed); the
-/// latency ceilings are deliberately loose so only a pathological
-/// regression — a lost cache, a hung queue — trips them. The
-/// baseline's value is quoted in every message so a failure reads as
-/// a diff.
-fn serve_violations(fresh: &str, baseline: &str, bad: &mut Vec<String>, log: &mut Vec<String>) {
-    let Some(spos) = fresh.find("\"serve\"") else {
-        bad.push("missing serve block in fresh results".to_string());
-        return;
-    };
-    let base = |key: &str| -> String {
-        baseline
-            .find("\"serve\"")
-            .and_then(|p| json_num(baseline, key, p))
-            .map_or_else(|| "n/a".to_string(), |v| format!("{v:.3}"))
-    };
-    let need = |what: &str, bad: &mut Vec<String>| -> f64 {
-        json_num(fresh, what, spos).unwrap_or_else(|| {
-            bad.push(format!("missing serve {what}"));
-            f64::NAN
-        })
-    };
-    let hit_rate = need("hit_rate", bad);
-    let p50 = need("p50_us", bad);
-    let p99 = need("p99_us", bad);
-    let rejected = need("rejected", bad);
-
-    if hit_rate < SERVE_HIT_RATE_FLOOR {
-        bad.push(format!(
-            "serve hit_rate: floor {SERVE_HIT_RATE_FLOOR:.2}, baseline {}, measured {hit_rate:.3}",
-            base("hit_rate")
-        ));
-    } else {
-        log.push(format!(
-            "serve hit_rate {hit_rate:.3} >= floor {SERVE_HIT_RATE_FLOOR:.2} (baseline {})",
-            base("hit_rate")
-        ));
-    }
-    for (label, ceiling, v) in [
-        ("p50_us", SERVE_P50_CEILING_US, p50),
-        ("p99_us", SERVE_P99_CEILING_US, p99),
-    ] {
-        if v > ceiling {
-            bad.push(format!(
-                "serve {label}: ceiling {ceiling:.1} us, baseline {}, measured {v:.1}",
-                base(label)
-            ));
-        } else {
-            log.push(format!(
-                "serve {label} {v:.1} us <= ceiling {ceiling:.1} us (baseline {})",
-                base(label)
-            ));
-        }
-    }
-    // The precision gate: quantiles are nanosecond-recorded, so the
-    // load driver's sub-millisecond cache hits must resolve to a
-    // strictly positive median. A hard 0 means truncation came back.
-    if p50 > 0.0 {
-        log.push(format!(
-            "serve p50_us {p50:.3} resolves sub-millisecond hits"
-        ));
-    } else if p50 == 0.0 {
-        bad.push(format!(
-            "serve p50_us: expected > 0 (nanosecond-resolution quantiles), baseline {}, measured {p50}",
-            base("p50_us")
-        ));
-    }
-    if rejected >= 1.0 {
-        log.push(format!("serve overflow probe rejected {rejected} requests"));
-    } else {
-        // NaN (missing key) lands here too: no evidence of a rejection.
-        bad.push(format!(
-            "serve rejected: expected >= 1 overflow rejection from the probe, baseline {}, measured {rejected}",
-            base("rejected")
-        ));
-    }
-    if !fresh[spos..].contains("\"rejections_typed\": true") {
-        bad.push(
-            "serve rejections_typed: expected true, measured false \
-             (an overflow surfaced as something other than the typed QueueFull)"
-                .to_string(),
-        );
-    } else {
-        log.push("serve overflow rejections all carried the typed QueueFull".to_string());
-    }
-}
-
-/// Rebalance-controller floors. The sweep numbers are virtual-time
-/// measurements — deterministic on every machine — so the checks are
-/// exact: every speed ratio must converge onto the quantized analytic
-/// optimum within the rel-err ceiling and by the cycle ceiling, no
-/// split may sit below the `12/ny` guard, the clamped row must pin to
-/// the guard, and the controller-enabled `rank.loss` double run must
-/// have replayed byte-identically with exactly a freeze recorded.
-fn rebalance_violations(fresh: &str, baseline: &str, bad: &mut Vec<String>, log: &mut Vec<String>) {
-    let Some(rpos) = fresh.find("\"rebalance\"") else {
-        bad.push("missing rebalance block in fresh results".to_string());
-        return;
-    };
-    let end = fresh[rpos..]
-        .find("\"recovery\"")
-        .map_or(fresh.len(), |e| rpos + e);
-    let base_err = |ratio: f64| -> String {
-        baseline
-            .find("\"rebalance\"")
-            .and_then(|p| {
-                baseline[p..]
-                    .find(&format!("\"ratio\": {ratio:.4}"))
-                    .map(|r| p + r)
-            })
-            .and_then(|pos| json_num(baseline, "rel_err", pos))
-            .map_or_else(|| "n/a".to_string(), |v| format!("{v:.3}"))
-    };
-    let needle = "{\"ratio\":";
-    let mut at = rpos;
-    let mut points = 0;
-    while let Some(rel) = fresh[at..end].find(needle) {
-        let pos = at + rel;
-        let line = line_at(fresh, pos);
-        at = pos + needle.len();
-        points += 1;
-        let need = |what: &str, bad: &mut Vec<String>| -> f64 {
-            json_num(line, what, 0).unwrap_or_else(|| {
-                bad.push(format!("missing rebalance point {what}"));
-                f64::NAN
-            })
-        };
-        let ratio = need("ratio", bad);
-        let guard = need("guard", bad);
-        let final_f = need("final", bad);
-        let rel_err = need("rel_err", bad);
-        let converged = need("converged_cycle", bad);
-        let tag = format!("rebalance[ratio {ratio}]");
-        if rel_err > REBALANCE_REL_ERR_CEILING {
-            bad.push(format!(
-                "{tag} rel_err vs analytic optimum: ceiling {REBALANCE_REL_ERR_CEILING:.2}, \
-                 baseline {}, measured {rel_err:.3}",
-                base_err(ratio)
-            ));
-        } else {
-            log.push(format!(
-                "{tag} rel_err {rel_err:.3} <= ceiling {REBALANCE_REL_ERR_CEILING:.2} \
-                 (baseline {})",
-                base_err(ratio)
-            ));
-        }
-        if converged > REBALANCE_CONVERGED_CYCLE_CEILING {
-            bad.push(format!(
-                "{tag} converged_cycle: ceiling {REBALANCE_CONVERGED_CYCLE_CEILING:.0}, \
-                 measured {converged:.0} (9999 = never settled)"
-            ));
-        } else {
-            log.push(format!(
-                "{tag} converged by cycle {converged:.0} <= ceiling \
-                 {REBALANCE_CONVERGED_CYCLE_CEILING:.0}"
-            ));
-        }
-        if final_f < guard - 1e-9 {
-            bad.push(format!(
-                "{tag} final split {final_f:.6} fell below the 12/ny guard {guard:.6}"
-            ));
-        }
-        if line.contains("\"clamped\": true") {
-            if (final_f - guard).abs() > 1e-9 {
-                bad.push(format!(
-                    "{tag} clamped point must pin to the guard: guard {guard:.6}, \
-                     final {final_f:.6}"
-                ));
-            } else {
-                log.push(format!("{tag} clamped to the guard {guard:.6} as required"));
-            }
-        }
-    }
-    if points == 0 {
-        bad.push("rebalance block carries no sweep points".to_string());
-    }
-    let Some(rec) = fresh[rpos..].find("\"recovery\"").map(|e| rpos + e) else {
-        bad.push("missing rebalance.recovery block in fresh results".to_string());
-        return;
-    };
-    let line = line_at(fresh, rec);
-    if line.contains("\"identical\": true") {
-        log.push("rebalance recovery double run replayed byte-identically".to_string());
-    } else {
-        bad.push(
-            "rebalance recovery identical: expected true, measured false \
-             (same-seed controlled recovery diverged)"
-                .to_string(),
-        );
-    }
-    for (key, floor) in [("frozen", 1.0), ("rank_losses", 1.0)] {
-        let v = json_num(line, key, 0).unwrap_or(f64::NAN);
-        if v >= floor {
-            log.push(format!("rebalance recovery {key} {v:.0} >= {floor:.0}"));
-        } else {
-            bad.push(format!(
-                "rebalance recovery {key}: expected >= {floor:.0}, measured {v}"
-            ));
-        }
-    }
-}
-
-/// Scenario regression floors and ceilings. Every (scenario, mode)
-/// pair the study runs must be present, hold
-/// [`SCENARIO_MZPS_FLOOR_FRAC`] of the baseline's virtual-time
-/// throughput, keep its analytic error under
-/// [`SCENARIO_ERROR_CEILING_FRAC`] of the baseline's, replay a
-/// same-seed double run bit-identically, and conserve its particle
-/// totals. The baseline's value is quoted in every message so a
-/// failure reads as a diff.
-fn scenario_violations(fresh: &str, baseline: &str, bad: &mut Vec<String>, log: &mut Vec<String>) {
-    let Some(spos) = fresh.find("\"scenarios\"") else {
-        bad.push("missing scenarios block in fresh results".to_string());
-        return;
-    };
-    let Some(bpos) = baseline.find("\"scenarios\"") else {
-        bad.push("missing scenarios block in baseline".to_string());
-        return;
-    };
-    for s in Scenario::ALL {
-        for mode in ["cpu", "hetero"] {
-            let needle = format!("{{\"name\": \"{}\", \"mode\": \"{mode}\"", s.name());
-            let tag = format!("scenarios[{} {mode}]", s.name());
-            let Some(rel) = fresh[spos..].find(&needle) else {
-                bad.push(format!("{tag}: missing from fresh results"));
-                continue;
-            };
-            let line = line_at(fresh, spos + rel);
-            let base_line = baseline[bpos..]
-                .find(&needle)
-                .map(|r| line_at(baseline, bpos + r));
-            let need = |what: &str, bad: &mut Vec<String>| -> f64 {
-                json_num(line, what, 0).unwrap_or_else(|| {
-                    bad.push(format!("{tag}: missing {what}"));
-                    f64::NAN
-                })
-            };
-            let mzps = need("mzps", bad);
-            let err = need("error", bad);
-            match base_line.and_then(|l| json_num(l, "mzps", 0)) {
-                Some(base_mzps) => {
-                    let floor = SCENARIO_MZPS_FLOOR_FRAC * base_mzps;
-                    if mzps < floor {
-                        bad.push(format!(
-                            "{tag} mzps: floor {floor:.3} \
-                             ({SCENARIO_MZPS_FLOOR_FRAC} x baseline {base_mzps:.3}), \
-                             measured {mzps:.3}"
-                        ));
-                    } else {
-                        log.push(format!(
-                            "{tag} mzps {mzps:.3} >= floor {floor:.3} (baseline {base_mzps:.3})"
-                        ));
-                    }
-                }
-                None => bad.push(format!("{tag}: missing from baseline")),
-            }
-            // Negative error is the "no analytic reference" sentinel
-            // (Sedov); both files must agree on which kind it is.
-            let base_err = base_line.and_then(|l| json_num(l, "error", 0));
-            if err >= 0.0 {
-                match base_err {
-                    Some(b) if b >= 0.0 => {
-                        let ceiling = SCENARIO_ERROR_CEILING_FRAC * b;
-                        if err > ceiling {
-                            bad.push(format!(
-                                "{tag} analytic error: ceiling {ceiling:.6} \
-                                 ({SCENARIO_ERROR_CEILING_FRAC} x baseline {b:.6}), \
-                                 measured {err:.6}"
-                            ));
-                        } else {
-                            log.push(format!(
-                                "{tag} analytic error {err:.6} <= ceiling {ceiling:.6} \
-                                 (baseline {b:.6})"
-                            ));
-                        }
-                    }
-                    _ => bad.push(format!(
-                        "{tag}: fresh carries an analytic error but the baseline has none"
-                    )),
-                }
-            } else if matches!(base_err, Some(b) if b >= 0.0) {
-                bad.push(format!(
-                    "{tag}: baseline carries an analytic error but fresh lost its metric"
-                ));
-            } else {
-                log.push(format!("{tag}: no analytic reference (error skipped)"));
-            }
-            if line.contains("\"identical\": true") {
-                log.push(format!("{tag} same-seed double run bit-identical"));
-            } else {
-                bad.push(format!(
-                    "{tag} identical: expected true, measured false \
-                     (same-seed double run diverged)"
-                ));
-            }
-            if line.contains("\"particles_conserved\": true") {
-                log.push(format!("{tag} particle totals conserved"));
-            } else {
-                bad.push(format!(
-                    "{tag} particles_conserved: expected true, measured false \
-                     (tracer count/momentum/checksum changed)"
-                ));
-            }
-        }
-    }
-}
-
-/// Which blocks of the results file the gate demands. A full `perf`
-/// run carries every block; a `serve-slo` run carries only the serve
-/// block, a `rebalance` run only the rebalance block, and a
-/// `scenarios` run only the scenarios block, so gating any of them as
-/// `All` would fail on the missing sweeps.
-#[derive(Clone, Copy, PartialEq)]
-enum GateSection {
-    All,
-    Serve,
-    Rebalance,
-    Scenarios,
-}
-
-/// Apply the full gate (every section) to a fresh results file
-/// against a baseline: the shape the tests exercise, and what
-/// `ci-gate` runs for `--section all`.
-#[cfg(test)]
-fn gate_violations(fresh: &str, baseline: &str) -> (Vec<String>, Vec<String>) {
-    gate_violations_in(fresh, baseline, GateSection::All)
-}
-
-fn gate_violations_in(
-    fresh: &str,
-    baseline: &str,
-    section: GateSection,
-) -> (Vec<String>, Vec<String>) {
-    let mut bad = schema_violations(fresh, baseline);
-    if !bad.is_empty() {
-        // An unrecognized layout makes every other check meaningless.
-        return (bad, Vec::new());
-    }
-    let mut log = Vec::new();
-    if section == GateSection::Rebalance {
-        rebalance_violations(fresh, baseline, &mut bad, &mut log);
-        return (bad, log);
-    }
-    if section == GateSection::Scenarios {
-        scenario_violations(fresh, baseline, &mut bad, &mut log);
-        return (bad, log);
-    }
-    serve_violations(fresh, baseline, &mut bad, &mut log);
-    if section == GateSection::Serve {
-        return (bad, log);
-    }
-    rebalance_violations(fresh, baseline, &mut bad, &mut log);
-    scenario_violations(fresh, baseline, &mut bad, &mut log);
-    kernel_violations(fresh, baseline, &mut bad, &mut log);
-    fn need(bad: &mut Vec<String>, what: &str, v: Option<f64>) -> f64 {
-        v.unwrap_or_else(|| {
-            bad.push(format!("missing {what}"));
-            f64::NAN
-        })
-    }
-
-    let fresh_persistent = need(
-        &mut bad,
-        "fresh pool.region_ns_persistent",
-        json_num(fresh, "region_ns_persistent", 0),
-    );
-    let fresh_spawn = need(
-        &mut bad,
-        "fresh pool.region_ns_scoped_spawn",
-        json_num(fresh, "region_ns_scoped_spawn", 0),
-    );
-    let base_persistent = need(
-        &mut bad,
-        "baseline pool.region_ns_persistent",
-        json_num(baseline, "region_ns_persistent", 0),
-    );
-    let host_cores = need(
-        &mut bad,
-        "fresh host_cores",
-        json_num(fresh, "host_cores", 0),
-    );
-
-    parallel_kernel_violations(fresh, baseline, host_cores, &mut bad, &mut log);
-    roofline_violations(fresh, baseline, &mut bad, &mut log);
-
-    if fresh_persistent > 2.0 * base_persistent {
-        bad.push(format!(
-            "pool region dispatch regressed: {fresh_persistent:.1} ns > 2x baseline {base_persistent:.1} ns"
-        ));
-    } else {
-        log.push(format!(
-            "pool dispatch {fresh_persistent:.1} ns <= 2x baseline {base_persistent:.1} ns"
-        ));
-    }
-    if fresh_persistent >= fresh_spawn {
-        bad.push(format!(
-            "persistent pool lost to spawn-per-region: {fresh_persistent:.1} ns >= {fresh_spawn:.1} ns"
-        ));
-    } else {
-        log.push(format!(
-            "persistent pool beats scoped spawn: {fresh_persistent:.1} ns < {fresh_spawn:.1} ns"
-        ));
-    }
-
-    // A 1-core runner cannot speed anything up; it can only pay
-    // overhead. Require real speedup only where the *effective*
-    // parallelism — min(jobs, host cores) — exceeds one: `--jobs 4`
-    // on a single core is oversubscription, not parallelism, and can
-    // only be floored on fan-out overhead.
-    let jobs = json_num(fresh, "jobs", 0).unwrap_or(host_cores);
-    let effective_jobs = jobs.min(host_cores);
-    let floor = if effective_jobs > 1.0 { 0.9 } else { 0.5 };
-    for id in ["quick", "fig14"] {
-        let Some(pos) = sweep_pos(fresh, id) else {
-            log.push(format!("sweep {id} not in fresh results (skipped)"));
-            continue;
-        };
-        let speedup = need(
-            &mut bad,
-            &format!("sweep {id} speedup"),
-            json_num(fresh, "speedup", pos),
-        );
-        if speedup < floor {
-            bad.push(format!(
-                "sweep {id} speedup {speedup:.3} < floor {floor} \
-                 (jobs {jobs}, host_cores {host_cores})"
-            ));
-        } else {
-            log.push(format!(
-                "sweep {id} speedup {speedup:.3} >= floor {floor} \
-                 (effective jobs {effective_jobs})"
-            ));
-        }
-        if !fresh[pos..fresh[pos..].find('\n').map_or(fresh.len(), |e| pos + e)]
-            .contains("\"identical_output\": true")
-        {
-            bad.push(format!("sweep {id} parallel output diverged from serial"));
-        } else {
-            log.push(format!("sweep {id} parallel output identical to serial"));
-        }
-    }
-    (bad, log)
-}
-
-fn ci_gate(mut args: Vec<String>) -> ! {
-    let mut take_flag = |flag: &str| -> Option<String> {
-        let i = args.iter().position(|a| a == flag)?;
-        if i + 1 >= args.len() {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Some(v)
-    };
-    let fresh_path = take_flag("--fresh").unwrap_or_else(|| "BENCH_figures.json".into());
-    let base_path = take_flag("--baseline").unwrap_or_else(|| "ci/perf-baseline.json".into());
-    let section = match take_flag("--section").as_deref() {
-        None | Some("all") => GateSection::All,
-        Some("serve") => GateSection::Serve,
-        Some("rebalance") => GateSection::Rebalance,
-        Some("scenarios") => GateSection::Scenarios,
-        Some(other) => {
-            eprintln!(
-                "--section must be \"all\", \"serve\", \"rebalance\", or \"scenarios\", \
-                 got {other:?}"
-            );
-            std::process::exit(2);
-        }
-    };
-    let read = |p: &str| {
-        std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("ci-gate: cannot read {p}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let (bad, log) = gate_violations_in(&read(&fresh_path), &read(&base_path), section);
-    for line in &log {
-        eprintln!("ci-gate: ok: {line}");
-    }
-    if bad.is_empty() {
-        eprintln!("ci-gate: PASS ({fresh_path} vs {base_path})");
-        std::process::exit(0);
-    }
-    for v in &bad {
-        eprintln!("ci-gate: FAIL: {v}");
-    }
-    std::process::exit(1);
-}
-
-/// Render the `serve` results block (no trailing comma/newline, so
-/// callers can place it anywhere in their object).
-fn serve_json(r: &hsim_bench::ServeLoadReport) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "  \"serve\": {{");
-    let _ = writeln!(s, "    \"clients\": {},", r.clients);
-    let _ = writeln!(s, "    \"requests\": {},", r.requests);
-    let _ = writeln!(s, "    \"distinct_configs\": {},", r.distinct_configs);
-    let _ = writeln!(s, "    \"hits\": {},", r.hits);
-    let _ = writeln!(s, "    \"misses\": {},", r.misses);
-    let _ = writeln!(s, "    \"admitted\": {},", r.admitted);
-    let _ = writeln!(s, "    \"rejected\": {},", r.rejected);
-    let _ = writeln!(s, "    \"deadline_drops\": {},", r.deadline_drops);
-    let _ = writeln!(s, "    \"hit_rate\": {:.3},", r.hit_rate);
-    let _ = writeln!(s, "    \"p50_us\": {:.3},", r.p50_us);
-    let _ = writeln!(s, "    \"p99_us\": {:.3},", r.p99_us);
-    let _ = writeln!(s, "    \"rejections_typed\": {}", r.rejections_typed);
-    let _ = write!(s, "  }}");
-    s
-}
-
-/// `perf serve-slo [--out PATH]`: run only the serve load driver and
-/// write a serve-only results file for `ci-gate --section serve`.
-fn serve_slo(mut args: Vec<String>) -> ! {
-    let mut take_flag = |flag: &str| -> Option<String> {
-        let i = args.iter().position(|a| a == flag)?;
-        if i + 1 >= args.len() {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Some(v)
-    };
-    let out_path = take_flag("--out").unwrap_or_else(|| "BENCH_serve.json".into());
-    if let Some(stray) = args.first() {
-        eprintln!("unknown argument: {stray}");
-        eprintln!("usage: perf serve-slo [--out PATH]");
-        std::process::exit(2);
-    }
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!(
-        "serve load: {} clients x {} requests over {} configs, then overflow probe...",
-        hsim_bench::serveload::CLIENTS,
-        hsim_bench::serveload::PER_CLIENT,
-        hsim_bench::serveload::DISTINCT_CONFIGS,
-    );
-    let report = hsim_bench::run_load(calib::auto_tile());
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    json.push_str(&serve_json(&report));
-    json.push('\n');
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("wrote {out_path}");
-    print!("{json}");
-    std::process::exit(0);
-}
-
-/// `perf rebalance [--out PATH]`: run only the online-controller
-/// convergence study and write a rebalance-only results file for
-/// `ci-gate --section rebalance`. The study runs in virtual time, so
-/// the file is byte-reproducible on any machine.
-fn rebalance_only(mut args: Vec<String>) -> ! {
-    let mut take_flag = |flag: &str| -> Option<String> {
-        let i = args.iter().position(|a| a == flag)?;
-        if i + 1 >= args.len() {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Some(v)
-    };
-    let out_path = take_flag("--out").unwrap_or_else(|| "BENCH_rebalance.json".into());
-    if let Some(stray) = args.first() {
-        eprintln!("unknown argument: {stray}");
-        eprintln!("usage: perf rebalance [--out PATH]");
-        std::process::exit(2);
-    }
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let report = hsim_bench::run_rebalance_report().unwrap_or_else(|e| {
-        eprintln!("rebalance study failed: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("{}", report.to_markdown());
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    json.push_str(&report.to_json());
-    json.push('\n');
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("wrote {out_path}");
-    print!("{json}");
-    std::process::exit(0);
-}
-
-/// One (scenario, mode) row of the scenario regression study.
-struct ScenarioPoint {
-    name: &'static str,
-    mode: &'static str,
-    zones: u64,
-    virtual_s: f64,
-    mzps: f64,
-    metric: &'static str,
-    /// Analytic-error metric; `None` for Sedov (no pointwise
-    /// reference), serialized as the `-1` sentinel.
-    error: Option<f64>,
-    identical: bool,
-    particles_conserved: bool,
-    migrated: u64,
-}
-
-/// The scenario gate's fixed grid, one per kernel-size regime: Sod is
-/// the thin small-kernel tube, Sedov the mid-size reference blast,
-/// Noh the near-cubic implosion, Taylor–Green the large-kernel
-/// smooth vortex.
+/// The scenario gate's fixed grid, one per kernel-size regime: the
+/// thin small-kernel Sod tube, the mid-size Sedov reference blast, the
+/// near-cubic Noh implosion, the large-kernel Taylor–Green vortex.
 fn scenario_grid(s: Scenario) -> (usize, usize, usize) {
     match s {
         Scenario::Sedov => (40, 36, 32),
@@ -1346,11 +678,13 @@ fn scenario_grid(s: Scenario) -> (usize, usize, usize) {
     }
 }
 
-/// Run every scenario in both modes at full fidelity with the tracer
-/// phase on, double-running each config to prove same-seed identity.
-/// All numbers are virtual-time, so the rows are byte-reproducible on
-/// any machine.
-fn run_scenario_study() -> Vec<ScenarioPoint> {
+/// The scenario regression study: every first-class scenario in both
+/// modes at full fidelity with the tracer phase on, double-running
+/// each config to prove same-seed identity. All numbers are
+/// virtual-time, so the rows are reproducible on any machine. The
+/// `error` row is the scenario's analytic-error metric and is absent
+/// where there is no pointwise reference (Sedov).
+fn scenario_rows() -> Vec<Row> {
     let fingerprint = |r: &RunResult| -> Vec<u64> {
         let sc = r.scenario.as_ref().expect("scenario problems report");
         let p = r.particles.as_ref().expect("particles were configured");
@@ -1382,99 +716,20 @@ fn run_scenario_study() -> Vec<ScenarioPoint> {
             let b = runner::run(&cfg).expect("scenario study rerun");
             let sc = a.scenario.as_ref().expect("scenario problems report");
             let p = a.particles.as_ref().expect("particles were configured");
-            let zones = (nx * ny * nz) as u64;
             let virtual_s = a.runtime.as_secs_f64();
-            out.push(ScenarioPoint {
-                name: s.name(),
-                mode: mode_name,
-                zones,
-                virtual_s,
-                mzps: (zones * a.cycles) as f64 / virtual_s.max(1e-12) / 1e6,
-                metric: sc.metric,
-                error: sc.error,
-                identical: fingerprint(&a) == fingerprint(&b),
-                particles_conserved: p.count == SCENARIO_PARTICLES
-                    && p.momentum.iter().all(|m| m.is_finite()),
-                migrated: p.migrated,
-            });
+            let zone_cycles = (nx * ny * nz) as f64 * a.cycles as f64;
+            let conserved =
+                p.count == SCENARIO_PARTICLES && p.momentum.iter().all(|m| m.is_finite());
+            let at = format!("scenarios.{}.{mode_name}", s.name());
+            out.extend(rows!(&at;
+                "virtual_s" => virtual_s, "mzps" => zone_cycles / virtual_s.max(1e-12) / 1e6,
+                "identical" => fingerprint(&a) == fingerprint(&b),
+                "particles_conserved" => conserved, "migrated" => p.migrated,
+            ));
+            out.extend(sc.error.map(|e| row(format!("{at}.error"), e)));
         }
     }
     out
-}
-
-/// Render the `scenarios` results block (no trailing comma/newline,
-/// so callers can place it anywhere in their object).
-fn scenarios_json(points: &[ScenarioPoint]) -> String {
-    let mut out = String::from("  \"scenarios\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let error = p
-            .error
-            .map_or_else(|| "-1".to_string(), |e| format!("{e:.6}"));
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"mode\": \"{}\", \"zones\": {}, \"cycles\": {}, \
-             \"particles\": {SCENARIO_PARTICLES}, \"virtual_s\": {:.6}, \"mzps\": {:.3}, \
-             \"metric\": \"{}\", \"error\": {error}, \"identical\": {}, \
-             \"particles_conserved\": {}, \"migrated\": {}}}{comma}",
-            p.name,
-            p.mode,
-            p.zones,
-            SCENARIO_CYCLES,
-            p.virtual_s,
-            p.mzps,
-            p.metric,
-            p.identical,
-            p.particles_conserved,
-            p.migrated
-        );
-    }
-    out.push_str("  ]");
-    out
-}
-
-/// `perf scenarios [--out PATH]`: run only the scenario regression
-/// study and write a scenarios-only results file for
-/// `ci-gate --section scenarios`. The study runs in virtual time, so
-/// the file is byte-reproducible on any machine.
-fn scenarios_only(mut args: Vec<String>) -> ! {
-    let mut take_flag = |flag: &str| -> Option<String> {
-        let i = args.iter().position(|a| a == flag)?;
-        if i + 1 >= args.len() {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Some(v)
-    };
-    let out_path = take_flag("--out").unwrap_or_else(|| "BENCH_scenarios.json".into());
-    if let Some(stray) = args.first() {
-        eprintln!("unknown argument: {stray}");
-        eprintln!("usage: perf scenarios [--out PATH]");
-        std::process::exit(2);
-    }
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!(
-        "scenario study: {} scenarios x 2 modes, full fidelity, \
-         {SCENARIO_PARTICLES} particles, double runs...",
-        Scenario::ALL.len()
-    );
-    let points = run_scenario_study();
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    json.push_str(&scenarios_json(&points));
-    json.push('\n');
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("wrote {out_path}");
-    print!("{json}");
-    std::process::exit(0);
 }
 
 fn main() {
@@ -1482,313 +737,72 @@ fn main() {
     if args.first().map(String::as_str) == Some("ci-gate") {
         ci_gate(args.split_off(1));
     }
-    if args.first().map(String::as_str) == Some("serve-slo") {
-        serve_slo(args.split_off(1));
-    }
-    if args.first().map(String::as_str) == Some("rebalance") {
-        rebalance_only(args.split_off(1));
-    }
-    if args.first().map(String::as_str) == Some("scenarios") {
-        scenarios_only(args.split_off(1));
-    }
-    let mut take_flag = |flag: &str| -> Option<String> {
-        let i = args.iter().position(|a| a == flag)?;
-        if i + 1 >= args.len() {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Some(v)
-    };
-    let out_path = take_flag("--out").unwrap_or_else(|| "BENCH_figures.json".into());
+    let out_path = take_flag(&mut args, "--out").unwrap_or_else(|| DEFAULT_OUT.into());
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let jobs: usize = match take_flag("--jobs") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs needs a positive integer, got {v:?}");
-            std::process::exit(2);
-        }),
-        None => host_cores,
-    };
-    let host_threads: usize = match take_flag("--host-threads") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--host-threads needs a positive integer, got {v:?}");
-            std::process::exit(2);
-        }),
-        None => DEFAULT_HOST_THREADS,
-    };
+    let jobs = take_count(&mut args, "--jobs", host_cores);
+    let host_threads = take_count(&mut args, "--host-threads", DEFAULT_HOST_THREADS);
     let quick = args.iter().any(|a| a == "--quick");
     args.retain(|a| a != "--quick");
-    if let Some(stray) = args.first() {
+    let known = |a: &str| VIRTUAL_STUDIES.contains(&a) || WALL_STUDIES.contains(&a);
+    if let Some(stray) = args.iter().find(|a| !known(a)) {
         eprintln!("unknown argument: {stray}");
-        eprintln!("usage: perf [--quick] [--jobs N] [--host-threads N] [--out PATH]");
-        eprintln!("       perf serve-slo [--out PATH]");
-        eprintln!("       perf rebalance [--out PATH]");
-        eprintln!("       perf scenarios [--out PATH]");
-        eprintln!(
-            "       perf ci-gate [--fresh PATH] [--baseline PATH] \
-             [--section all|serve|rebalance|scenarios]"
-        );
-        std::process::exit(2);
+        usage();
+    }
+    let want = |study: &str| args.is_empty() || args.iter().any(|a| a == study);
+
+    let mut results = Results::new(host_cores);
+    if want("rebalance") {
+        let report = hsim_bench::run_rebalance_report().unwrap_or_else(|e| {
+            eprintln!("rebalance study failed: {e}");
+            exit(1);
+        });
+        eprintln!("{}", report.to_markdown());
+        results.extend(report.rows());
+    }
+    if want("scenarios") {
+        let n = Scenario::ALL.len();
+        eprintln!("scenario study: {n} scenarios x 2 modes, full fidelity, double runs...");
+        results.extend(scenario_rows());
+    }
+    if WALL_STUDIES.iter().any(|s| want(s)) {
+        // Collect the host-time counters the measured code records;
+        // spans stay off so the collector costs nothing measurable.
+        hsim_telemetry::install(Collector::new(0).without_spans());
+        if want("sweeps") {
+            results.extend(measure_sweeps(quick, jobs, host_cores));
+        }
+        if want("kernels") {
+            results.extend(measure_kernels(quick, host_threads, host_cores));
+        }
+        if want("pool") {
+            results.extend(measure_pool(quick, jobs));
+        }
+        if want("serve") {
+            let (clients, each) = (serveload::CLIENTS, serveload::PER_CLIENT);
+            eprintln!("serve load: {clients} clients x {each} requests, then overflow probe...");
+            // Seeding the server with the process's probed tile keeps
+            // the driver from paying (or racing on) the probe.
+            results.extend(hsim_bench::run_load(calib::auto_tile()).rows());
+        }
+        let metrics = hsim_telemetry::uninstall()
+            .expect("collector installed above")
+            .metrics;
+        results.extend(rows!("telemetry";
+            "host_sweep_points" => metrics.counter(Counter::HostSweepPoints),
+            "host_sweep_nanos" => metrics.counter(Counter::HostSweepNanos),
+            "host_pool_regions" => metrics.counter(Counter::HostPoolRegions),
+            "host_pool_nanos" => metrics.counter(Counter::HostPoolNanos),
+        ));
     }
 
-    // The online-rebalance convergence study. Virtual-time, so its
-    // numbers are machine-independent. It runs before the host-counter
-    // collector is installed: the study's runner installs and drains
-    // its own main-thread collector, which would clobber ours.
-    let rebalance_report = hsim_bench::run_rebalance_report().unwrap_or_else(|e| {
-        eprintln!("rebalance study failed: {e}");
-        std::process::exit(1);
-    });
-
-    // The scenario regression study: every first-class scenario in
-    // both modes, virtual-time like the rebalance study, and likewise
-    // run before the host collector for the same reason.
-    eprintln!(
-        "scenario study: {} scenarios x 2 modes, full fidelity, double runs...",
-        Scenario::ALL.len()
-    );
-    let scenario_points = run_scenario_study();
-
-    // Collect the host-time counters the measured code records; spans
-    // stay off so the collector itself costs nothing measurable.
-    hsim_telemetry::install(Collector::new(0).without_spans());
-
-    // Sweep fan-out: quick mode runs a trimmed spec, the full harness
-    // adds the paper's Fig. 14 strong-scaling style sweep.
-    let mut sweep_specs = vec![quick_spec()];
-    if !quick {
-        sweep_specs.extend(
-            figures::all_figures()
-                .into_iter()
-                .filter(|s| s.id == "fig14"),
-        );
+    for key in results.metrics.keys() {
+        let listed = METRICS.iter().any(|m| key_matches(m.0, key));
+        assert!(listed, "{key} has no METRICS row");
     }
-    let mut sweeps = Vec::new();
-    for spec in &sweep_specs {
-        eprintln!(
-            "sweep {}: {} tasks, serial then --jobs {jobs}...",
-            spec.id,
-            paper_modes().len() * spec.values.len()
-        );
-        sweeps.push(measure_sweep(spec, jobs));
-    }
-
-    // Fused-vs-legacy hydro kernel throughput, per tile shape.
-    let kernels = bench_kernels(quick);
-
-    // Parallel-tile fused path: serial-vs-parallel fused throughput
-    // at --host-threads workers on the serial sweet-spot tile, with
-    // worker-count identity proven first against the legacy state.
-    let par_label = format!("{}x{}", PARALLEL_TILE[0], PARALLEL_TILE[1]);
-    let serial_at_par_tile = kernels
-        .tiles
-        .iter()
-        .find(|k| k.tile == par_label)
-        .map(|k| k.fused_mzps)
-        .expect("parallel tile is a serial candidate");
-    let parallel = bench_parallel_kernels(
-        kernels.grid_n,
-        kernels.reps,
-        host_threads,
-        &kernels.legacy_st,
-        serial_at_par_tile,
-    );
-
-    // Roofline: triad bandwidth at the same worker count, and the
-    // bandwidth-predicted Mzones/s roof for the per-pass workload.
-    let (triad_len, triad_reps) = if quick { (1 << 20, 3) } else { (1 << 22, 5) };
-    eprintln!("roofline: triad probe, {triad_reps} reps x {triad_len} elems x{host_threads}...");
-    let triad = hsim_bench::roofline::measure_triad(host_threads, triad_len, triad_reps);
-    let predicted_mzps = hsim_bench::roofline::predicted_mzones_per_s(triad.gbps);
-    let best_mzps = kernels
-        .tiles
-        .iter()
-        .map(|k| k.fused_mzps)
-        .chain(std::iter::once(parallel.parallel_mzps))
-        .fold(0.0_f64, f64::max);
-    let roof_fraction = best_mzps / predicted_mzps.max(1e-12);
-
-    // Pool microbenches on the calling thread (the coordinator role
-    // the runner plays), sized down in quick mode.
-    let (regions, elems, reps) = if quick {
-        (200, 1 << 20, 4)
-    } else {
-        (2000, 1 << 23, 8)
-    };
-    let pool = WorkPool::new(jobs.saturating_sub(1));
-    eprintln!(
-        "pool microbench: {regions} regions, {} threads...",
-        pool.parallelism()
-    );
-    let region_ns_persistent = bench_pool_region_ns(&pool, regions);
-    let region_ns_spawn = bench_spawn_region_ns(pool.parallelism(), regions);
-    let sum_melems_per_s = bench_sum_melems(&pool, elems, reps);
-
-    // The serve load driver: many clients, few configs, one shared
-    // server + a queue-overflow probe. The sweeps above already ran
-    // the tile probe, so the server is seeded with the cached tile.
-    eprintln!(
-        "serve load: {} clients x {} requests over {} configs, then overflow probe...",
-        hsim_bench::serveload::CLIENTS,
-        hsim_bench::serveload::PER_CLIENT,
-        hsim_bench::serveload::DISTINCT_CONFIGS,
-    );
-    let serve_report = hsim_bench::run_load(calib::auto_tile());
-
-    let metrics = hsim_telemetry::uninstall()
-        .expect("collector installed above")
-        .metrics;
-    let counter = |c| metrics.counter(c);
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"jobs\": {jobs},");
-    let _ = writeln!(json, "  \"host_threads\": {host_threads},");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"sweeps\": [");
-    for (i, s) in sweeps.iter().enumerate() {
-        let comma = if i + 1 < sweeps.len() { "," } else { "" };
-        let speedup = s.serial_s / s.parallel_s.max(1e-12);
-        let _ = writeln!(
-            json,
-            "    {{\"id\": \"{}\", \"tasks\": {}, \"skipped\": {}, \"serial_s\": {:.6}, \
-             \"parallel_s\": {:.6}, \"speedup\": {:.3}, \"identical_output\": true}}{comma}",
-            s.id, s.tasks, s.skipped, s.serial_s, s.parallel_s, speedup
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"kernels\": {{");
-    let _ = writeln!(json, "    \"grid_n\": {},", kernels.grid_n);
-    let _ = writeln!(json, "    \"reps\": {},", kernels.reps);
-    let _ = writeln!(
-        json,
-        "    \"legacy_mzones_per_s\": {:.3},",
-        kernels.legacy_mzps
-    );
-    let _ = writeln!(json, "    \"tiles\": [");
-    for (i, k) in kernels.tiles.iter().enumerate() {
-        let comma = if i + 1 < kernels.tiles.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{\"tile\": \"{}\", \"blocked\": {}, \"fused_mzones_per_s\": {:.3}, \
-             \"ratio\": {:.3}, \"identical_output\": true}}{comma}",
-            k.tile,
-            k.blocked,
-            k.fused_mzps,
-            k.fused_mzps / kernels.legacy_mzps.max(1e-12)
-        );
-    }
-    let _ = writeln!(json, "    ],");
-    let _ = writeln!(json, "    \"parallel\": {{");
-    let _ = writeln!(json, "      \"workers\": {},", parallel.workers);
-    let _ = writeln!(json, "      \"tile_shape\": \"{par_label}\",");
-    let _ = writeln!(
-        json,
-        "      \"serial_mzones_per_s\": {:.3},",
-        parallel.serial_mzps
-    );
-    let _ = writeln!(
-        json,
-        "      \"parallel_mzones_per_s\": {:.3},",
-        parallel.parallel_mzps
-    );
-    let _ = writeln!(
-        json,
-        "      \"ratio\": {:.3},",
-        parallel.parallel_mzps / parallel.serial_mzps.max(1e-12)
-    );
-    let _ = writeln!(json, "      \"identical_output\": true,");
-    let _ = writeln!(
-        json,
-        "      \"worker_counts\": [{}]",
-        PARALLEL_WORKER_COUNTS.map(|w| w.to_string()).join(", ")
-    );
-    let _ = writeln!(json, "    }}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"roofline\": {{");
-    let _ = writeln!(json, "    \"triad_gbps\": {:.3},", triad.gbps);
-    let _ = writeln!(json, "    \"triad_len\": {},", triad.len);
-    let _ = writeln!(json, "    \"triad_reps\": {},", triad.reps);
-    let _ = writeln!(json, "    \"triad_workers\": {},", triad.workers);
-    let _ = writeln!(
-        json,
-        "    \"bytes_per_zone\": {:.1},",
-        hsim_bench::roofline::first_order_bytes_per_zone()
-    );
-    let _ = writeln!(
-        json,
-        "    \"flops_per_zone\": {:.1},",
-        hsim_bench::roofline::first_order_flops_per_zone()
-    );
-    let _ = writeln!(
-        json,
-        "    \"arithmetic_intensity\": {:.4},",
-        hsim_bench::roofline::first_order_intensity()
-    );
-    let _ = writeln!(json, "    \"predicted_mzones_per_s\": {predicted_mzps:.3},");
-    let _ = writeln!(json, "    \"best_mzones_per_s\": {best_mzps:.3},");
-    let _ = writeln!(json, "    \"roof_fraction\": {roof_fraction:.3},");
-    let _ = writeln!(json, "    \"kernel_intensities\": [");
-    let intensities = hsim_bench::roofline::kernel_intensities();
-    for (i, (name, flops, bytes, ai)) in intensities.iter().enumerate() {
-        let comma = if i + 1 < intensities.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{\"name\": \"{name}\", \"flops_per_elem\": {flops:.1}, \
-             \"bytes_per_elem\": {bytes:.1}, \"intensity\": {ai:.4}}}{comma}"
-        );
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"pool\": {{");
-    let _ = writeln!(json, "    \"workers\": {},", pool.parallelism());
-    let _ = writeln!(json, "    \"regions_timed\": {regions},");
-    let _ = writeln!(
-        json,
-        "    \"region_ns_persistent\": {region_ns_persistent:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"region_ns_scoped_spawn\": {region_ns_spawn:.1},"
-    );
-    let _ = writeln!(json, "    \"sum_melems_per_s\": {sum_melems_per_s:.2}");
-    let _ = writeln!(json, "  }},");
-    json.push_str(&serve_json(&serve_report));
-    let _ = writeln!(json, ",");
-    json.push_str(&rebalance_report.to_json());
-    let _ = writeln!(json, ",");
-    json.push_str(&scenarios_json(&scenario_points));
-    let _ = writeln!(json, ",");
-    let _ = writeln!(json, "  \"telemetry\": {{");
-    let _ = writeln!(
-        json,
-        "    \"host_sweep_points\": {},",
-        counter(Counter::HostSweepPoints)
-    );
-    let _ = writeln!(
-        json,
-        "    \"host_sweep_nanos\": {},",
-        counter(Counter::HostSweepNanos)
-    );
-    let _ = writeln!(
-        json,
-        "    \"host_pool_regions\": {},",
-        counter(Counter::HostPoolRegions)
-    );
-    let _ = writeln!(
-        json,
-        "    \"host_pool_nanos\": {}",
-        counter(Counter::HostPoolNanos)
-    );
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
-
+    let json = results.to_json();
     std::fs::write(&out_path, &json).unwrap_or_else(|e| {
         eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
+        exit(1);
     });
     eprintln!("wrote {out_path}");
     print!("{json}");
@@ -1798,914 +812,240 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// `(tile, blocked, ratio, identical_output)` rows for a fixture's
-    /// kernels block.
-    type KernelRow = (&'static str, bool, f64, bool);
+    const N: fn(f64) -> Value = Value::Num;
+    const B: fn(bool) -> Value = Value::Bool;
 
-    const HEALTHY_KERNELS: &[KernelRow] = &[
-        ("4x4", true, 1.35, true),
-        ("8x8", true, 1.62, true),
-        ("16x16", true, 1.51, true),
-        ("whole", false, 1.08, true),
-    ];
+    /// A healthy full run on a 4-core host: every gated key, plus the
+    /// rows the floor functions read. Two rebalance points share a
+    /// speed ratio and are told apart by their keys.
+    const HEALTHY: &str = r#"{"schema_version": 7, "host_cores": 4, "metrics": {
+        "sweeps.quick.effective_cores": 4, "sweeps.quick.speedup": 2.9, "sweeps.quick.identical_output": true,
+        "kernels.tiles.4x4.ratio": 1.35, "kernels.tiles.4x4.identical_output": true,
+        "kernels.tiles.8x8.ratio": 1.62, "kernels.tiles.8x8.identical_output": true,
+        "kernels.tiles.16x16.ratio": 1.51, "kernels.tiles.16x16.identical_output": true,
+        "kernels.whole.ratio": 1.08, "kernels.whole.identical_output": true,
+        "kernels.best_blocked_ratio": 1.62, "kernels.parallel.effective_cores": 4,
+        "kernels.parallel.ratio": 2.6, "kernels.parallel.identical_output": true,
+        "roofline.roof_fraction": 0.62, "pool.persistent_over_spawn": 0.06,
+        "serve.hit_rate": 0.875, "serve.p50_us": 412.5, "serve.p99_us": 120000,
+        "serve.rejected": 3, "serve.rejections_typed": true,
+        "rebalance.r025_s30.rel_err": 0, "rebalance.r025_s30.converged_cycle": 4,
+        "rebalance.r025_s30.final_minus_guard": 0.004167,
+        "rebalance.r100_s30.rel_err": 0, "rebalance.r100_s30.converged_cycle": 6,
+        "rebalance.r100_s30.final_minus_guard": 0.0125,
+        "rebalance.r100_s45.rel_err": 0.01, "rebalance.r100_s45.converged_cycle": 2,
+        "rebalance.r100_s45.final_minus_guard": 0, "rebalance.r100_s45.clamped_offset": 0,
+        "rebalance.recovery.identical": true, "rebalance.recovery.frozen": 1,
+        "rebalance.recovery.rank_losses": 1,
+        "scenarios.sedov.cpu.mzps": 1.2, "scenarios.sedov.hetero.mzps": 1.6,
+        "scenarios.sod.cpu.mzps": 0.8, "scenarios.sod.cpu.error": 0.031,
+        "scenarios.sod.hetero.mzps": 0.7, "scenarios.sod.hetero.error": 0.031,
+        "scenarios.noh.cpu.mzps": 1.3, "scenarios.noh.cpu.error": 0.12,
+        "scenarios.noh.hetero.mzps": 1.8, "scenarios.noh.hetero.error": 0.12,
+        "scenarios.taylor-green.cpu.mzps": 1.4, "scenarios.taylor-green.cpu.error": 0.002,
+        "scenarios.taylor-green.hetero.mzps": 2.1, "scenarios.taylor-green.hetero.error": 0.002
+    }}"#;
 
-    /// A `kernels.parallel` sub-block (indented for the kernels
-    /// object; trailing newline, no trailing comma).
-    fn parallel_block(workers: u32, ratio: f64, identical: bool) -> String {
-        format!(
-            "    \"parallel\": {{\n      \"workers\": {workers},\n      \
-             \"tile_shape\": \"8x8\",\n      \"serial_mzones_per_s\": 16.200,\n      \
-             \"parallel_mzones_per_s\": {:.3},\n      \"ratio\": {ratio:.3},\n      \
-             \"identical_output\": {identical},\n      \"worker_counts\": [1, 2, 4]\n    }}\n",
-            ratio * 16.2
-        )
+    fn healthy() -> Results {
+        let mut r = Results::parse(HEALTHY).expect("fixture parses");
+        let pairs: Vec<String> = r
+            .metrics
+            .keys()
+            .filter_map(|k| k.strip_suffix(".mzps"))
+            .map(String::from)
+            .collect();
+        for at in pairs {
+            r.extend(rows!(at; "identical" => true, "particles_conserved" => true));
+        }
+        r
     }
 
-    fn healthy_parallel() -> String {
-        parallel_block(4, 2.6, true)
+    /// `healthy()` with `sets` applied, then every key matching a
+    /// `drops` pattern removed.
+    fn edited(sets: &[(&str, Value)], drops: &[&str]) -> Results {
+        let mut r = healthy();
+        for (key, v) in sets {
+            r.metrics.insert(key.to_string(), *v);
+        }
+        r.metrics
+            .retain(|k, _| !drops.iter().any(|d| key_matches(d, k)));
+        r
     }
 
-    fn kernels_block(rows: &[KernelRow], parallel: &str) -> String {
-        let mut out = String::from(
-            "  \"kernels\": {\n    \"grid_n\": 56,\n    \"reps\": 3,\n    \
-             \"legacy_mzones_per_s\": 10.000,\n    \"tiles\": [\n",
+    /// Gate `fresh` against the healthy baseline and require exactly
+    /// the `want`ed violations, in order, each containing its
+    /// fragment. Returns the log.
+    fn expect(fresh: &Results, only: Option<&str>, want: &[&str]) -> Vec<String> {
+        let (bad, log) = gate(fresh, &healthy(), only);
+        assert_eq!(bad.len(), want.len(), "{bad:#?}");
+        for (got, fragment) in bad.iter().zip(want) {
+            assert!(got.contains(fragment), "{fragment:?} not in {got:?}");
+        }
+        log
+    }
+
+    #[test]
+    fn gate_passes_a_healthy_run_and_each_single_section_file() {
+        let log = expect(&healthy(), None, &[]);
+        assert!(log.iter().any(|l| l.contains("sweeps.quick.speedup")));
+        // What `perf serve` / `perf rebalance` / `perf scenarios`
+        // write gates under its own section, fails as `all` on the
+        // sections it lacks, and still needs the schema handshake.
+        for section in ["serve", "rebalance", "scenarios"] {
+            let mut only = healthy();
+            only.metrics.retain(|k, _| section_of(k) == section);
+            let log = expect(&only, Some(section), &[]);
+            assert!(log.iter().all(|l| l.starts_with(section)), "{log:?}");
+            let (bad, _) = gate(&only, &healthy(), None);
+            assert_eq!(bad.len(), gated_sections().len() - 1, "{bad:?}");
+            assert_eq!(bad[0], "missing sweeps section in fresh results");
+            only.schema_version = Some(6.0);
+            let log = expect(&only, Some(section), &["unrecognized"]);
+            assert!(log.is_empty(), "{log:?}");
+        }
+    }
+
+    #[test]
+    #[rustfmt::skip]
+    fn every_rule_fails_with_the_rule_the_baseline_and_the_measurement() {
+        let set = |sets: &[(&str, Value)], want: &[&str]| expect(&edited(sets, &[]), None, want);
+        let drop = |drops: &[&str], want: &[&str]| expect(&edited(&[], drops), None, want);
+        // pool: the same-run race against spawn-per-region.
+        set(&[("pool.persistent_over_spawn", N(1.2))], &["pool.persistent_over_spawn [x, Wall]: expected < 1, baseline 0.06, measured 1.2"]);
+        // sweeps: diverged output, and a key that went missing.
+        set(&[("sweeps.quick.identical_output", B(false))], &["sweeps.quick.identical_output [bool, Virtual]: expected true, baseline true, measured false"]);
+        drop(&["sweeps.quick.speedup"], &["missing sweeps.*.speedup in fresh results"]);
+        // kernels: each tile's floor, the best-tile floor (which the
+        // ungated ablation cannot rescue), divergence, no tiles at all.
+        set(&[("kernels.tiles.4x4.ratio", N(0.93))], &["kernels.tiles.4x4.ratio [x, Wall]: floor 1, baseline 1.35, measured 0.93"]);
+        set(&[("kernels.best_blocked_ratio", N(1.12)), ("kernels.whole.ratio", N(2.0))], &["kernels.best_blocked_ratio [x, Wall]: floor 1.3, baseline 1.62, measured 1.12"]);
+        set(&[("kernels.tiles.8x8.identical_output", B(false))], &["kernels.tiles.8x8.identical_output [bool, Virtual]: expected true"]);
+        drop(&["kernels.tiles.*.*"], &["missing kernels.tiles.*.ratio", "missing kernels.tiles.*.identical_output"]);
+        // roofline: under a quarter of the roof fails; above 1.0 is
+        // cache-resident fusion beating streamed traffic, and healthy.
+        set(&[("roofline.roof_fraction", N(0.18))], &["roofline.roof_fraction [x, Wall]: floor 0.25, baseline 0.62, measured 0.18"]);
+        set(&[("roofline.roof_fraction", N(1.85))], &[]);
+        // serve: floor, ceiling, the precision bound, the probe.
+        set(&[("serve.hit_rate", N(0.3))], &["serve.hit_rate [frac, Virtual]: floor 0.5, baseline 0.875, measured 0.3"]);
+        set(&[("serve.p50_us", N(80_000.0))], &["serve.p50_us [us, Wall]: ceiling 50000, baseline 412.5, measured 80000"]);
+        set(&[("serve.p50_us", N(0.0))], &["serve.p50_us [us, Wall]: expected > 0, baseline 412.5, measured 0"]);
+        set(&[("serve.rejected", N(0.0)), ("serve.rejections_typed", B(false))], &["serve.rejected [count, Virtual]: floor 1", "serve.rejections_typed [bool, Virtual]: expected true"]);
+        drop(&["serve.p99_us"], &["missing serve.p99_us in fresh results"]);
+        // rebalance: each point check, keyed so the second ratio-1
+        // point quotes its own baseline, not the first's.
+        set(&[("rebalance.r100_s45.rel_err", N(0.2))], &["rebalance.r100_s45.rel_err [frac, Virtual]: ceiling 0.05, baseline 0.01, measured 0.2"]);
+        set(&[("rebalance.r100_s30.converged_cycle", N(9999.0)), ("rebalance.r100_s30.final_minus_guard", N(-0.0025))],
+            &["rebalance.r100_s30.final_minus_guard [frac, Virtual]: floor -1e-9, baseline 0.0125, measured -0.0025", "rebalance.r100_s30.converged_cycle [cycle, Virtual]: ceiling 10, baseline 6, measured 9999"]);
+        set(&[("rebalance.r100_s45.clamped_offset", N(0.041667))], &["rebalance.r100_s45.clamped_offset [frac, Virtual]: ceiling 1e-9, baseline 0, measured 0.041667"]);
+        drop(&["rebalance.*.rel_err"], &["missing rebalance.*.rel_err in fresh results"]);
+        set(&[("rebalance.recovery.identical", B(false)), ("rebalance.recovery.frozen", N(0.0))], &["rebalance.recovery.identical [bool, Virtual]: expected true", "rebalance.recovery.frozen [count, Virtual]: floor 1"]);
+        // scenarios: baseline-relative floor and ceiling, held on the
+        // value (0.7599 prints as 0.760 at three decimals).
+        set(&[("scenarios.sod.cpu.mzps", N(0.7599))], &["scenarios.sod.cpu.mzps [Mz/s, Virtual]: floor 0.76 (0.95 x baseline), baseline 0.8, measured 0.7599"]);
+        set(&[("scenarios.noh.hetero.error", N(0.2))], &["scenarios.noh.hetero.error [err, Virtual]: ceiling 0.126 (1.05 x baseline), baseline 0.12, measured 0.2"]);
+        set(&[("scenarios.sedov.cpu.identical", B(false)), ("scenarios.taylor-green.hetero.particles_conserved", B(false))],
+            &["scenarios.sedov.cpu.identical [bool, Virtual]: expected true", "scenarios.taylor-green.hetero.particles_conserved [bool, Virtual]: expected true"]);
+        // A metric present on one side only (Sedov has no analytic
+        // error in either file, the others have it in both), and a
+        // study that no longer covers the full matrix.
+        set(&[("scenarios.sedov.cpu.error", N(0.01))], &["scenarios.sedov.cpu.error: missing from baseline"]);
+        drop(&["scenarios.sod.hetero.error"], &["scenarios.sod.hetero.error: the baseline has it, fresh results lost it"]);
+        drop(&["scenarios.noh.cpu.*"], &["scenarios.noh.cpu.mzps: the baseline has it", "scenarios.noh.cpu.error: the baseline has it"]);
+    }
+
+    #[test]
+    fn core_dependent_floors_follow_the_effective_cores() {
+        let at = |cores: f64, ratio: f64, speedup: f64| {
+            let ratio = ("kernels.parallel.ratio", N(ratio));
+            let speedup = ("sweeps.quick.speedup", N(speedup));
+            let k = ("kernels.parallel.effective_cores", N(cores));
+            edited(
+                &[
+                    ratio,
+                    speedup,
+                    k,
+                    ("sweeps.quick.effective_cores", N(cores)),
+                ],
+                &[],
+            )
+        };
+        let logged = |fresh: Results, floors: &[&str]| {
+            let log = expect(&fresh, None, &[]);
+            for floor in floors {
+                assert!(log.iter().any(|l| l.contains(floor)), "{floor}: {log:#?}");
+            }
+        };
+        // 4 effective cores must double serial fused: 1.5 fails...
+        let want = ["kernels.parallel.ratio [x, Wall]: floor 2, baseline 2.6, measured 1.5"];
+        expect(&at(4.0, 1.5, 2.9), None, &want);
+        // ...clears the 1.2 floor on 2, and an oversubscribed single
+        // core is only held to the overhead bounds.
+        logged(
+            at(2.0, 1.5, 0.95),
+            &["ratio [x, Wall] 1.5: floor 1.2", "0.95: floor 0.9"],
         );
-        for (i, (tile, blocked, ratio, identical)) in rows.iter().enumerate() {
-            let comma = if i + 1 < rows.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "      {{\"tile\": \"{tile}\", \"blocked\": {blocked}, \
-                 \"fused_mzones_per_s\": {:.3}, \"ratio\": {ratio:.3}, \
-                 \"identical_output\": {identical}}}{comma}",
-                ratio * 10.0
-            );
-        }
-        out.push_str("    ],\n");
-        out.push_str(parallel);
-        out.push_str("  },\n");
-        out
-    }
-
-    /// A `roofline` block (trailing newline, no trailing comma).
-    fn roofline_block(roof_fraction: f64) -> String {
-        format!(
-            "  \"roofline\": {{\n    \"triad_gbps\": 12.500,\n    \"triad_workers\": 4,\n    \
-             \"bytes_per_zone\": 1816.0,\n    \"flops_per_zone\": 333.0,\n    \
-             \"predicted_mzones_per_s\": 6.883,\n    \"best_mzones_per_s\": {:.3},\n    \
-             \"roof_fraction\": {roof_fraction:.3}\n  }},\n",
-            roof_fraction * 6.883
-        )
-    }
-
-    /// A fixture `serve` block (no surrounding commas/newlines).
-    /// Latency arguments are microseconds.
-    fn serve_block(hit_rate: f64, p50: f64, p99: f64, rejected: u64, typed: bool) -> String {
-        format!(
-            "  \"serve\": {{\n    \"clients\": 4,\n    \"requests\": 48,\n    \
-             \"distinct_configs\": 6,\n    \"hits\": 42,\n    \"misses\": 6,\n    \
-             \"admitted\": 48,\n    \"rejected\": {rejected},\n    \"deadline_drops\": 0,\n    \
-             \"hit_rate\": {hit_rate:.3},\n    \"p50_us\": {p50:.3},\n    \"p99_us\": {p99:.3},\n    \
-             \"rejections_typed\": {typed}\n  }}"
-        )
-    }
-
-    fn healthy_serve() -> String {
-        serve_block(0.875, 412.5, 120_000.0, 3, true)
-    }
-
-    /// One rebalance sweep point:
-    /// `(ratio, guard, final, rel_err, converged_cycle, clamped)`.
-    type RebalanceRow = (f64, f64, f64, f64, u64, bool);
-
-    const HEALTHY_REBALANCE: &[RebalanceRow] = &[
-        (0.2500, 0.0125, 0.016667, 0.0, 4, false),
-        (4.0000, 0.0125, 0.104167, 0.0, 6, false),
-        (1.0000, 0.2500, 0.250000, 0.0, 2, true),
-    ];
-
-    /// A `recovery` line for the rebalance block (trailing newline).
-    fn recovery_line(identical: bool, frozen: u64, losses: u64) -> String {
-        format!(
-            "    \"recovery\": {{\"identical\": {identical}, \"frozen\": {frozen}, \
-             \"rank_losses\": {losses}, \"ranks_after\": 15, \
-             \"post_loss_fraction\": 0.020833}}\n"
-        )
-    }
-
-    /// A fixture `rebalance` block (no surrounding commas/newlines),
-    /// shaped exactly like `RebalanceReport::to_json`.
-    fn rebalance_block(rows: &[RebalanceRow], recovery: &str) -> String {
-        let mut out = String::from(
-            "  \"rebalance\": {\n    \"figure\": \"fig-rebalance\",\n    \"every\": 2,\n    \
-             \"hysteresis\": 0.0200,\n    \"cycles\": 12,\n    \"start_fraction\": 0.3000,\n    \
-             \"points\": [\n",
+        logged(
+            at(1.0, 0.5, 0.7),
+            &["ratio [x, Wall] 0.5: floor 0.35", "0.7: floor 0.5"],
         );
-        for (i, (ratio, guard, final_f, rel_err, conv, clamped)) in rows.iter().enumerate() {
-            let comma = if i + 1 < rows.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "      {{\"ratio\": {ratio:.4}, \"start\": 0.3000, \"guard\": {guard:.6}, \
-                 \"optimum\": {final_f:.6}, \"optimum_realized\": {final_f:.6}, \
-                 \"final\": {final_f:.6}, \"rel_err\": {rel_err:.6}, \
-                 \"converged_cycle\": {conv}, \"resplits\": 3, \"holds\": 2, \
-                 \"clamped\": {clamped}}}{comma}"
-            );
-        }
-        out.push_str("    ],\n");
-        out.push_str(recovery);
-        out.push_str("  }");
-        out
-    }
-
-    fn healthy_rebalance() -> String {
-        rebalance_block(HEALTHY_REBALANCE, &recovery_line(true, 1, 1))
-    }
-
-    /// One scenario gate row:
-    /// `(name, mode, mzps, error, identical, conserved)`. A negative
-    /// error is the "no analytic reference" sentinel.
-    type ScenarioRow = (&'static str, &'static str, f64, f64, bool, bool);
-
-    const HEALTHY_SCENARIOS: &[ScenarioRow] = &[
-        ("sedov", "cpu", 1.2, -1.0, true, true),
-        ("sedov", "hetero", 1.6, -1.0, true, true),
-        ("sod", "cpu", 0.8, 0.031, true, true),
-        ("sod", "hetero", 0.7, 0.031, true, true),
-        ("noh", "cpu", 1.3, 0.12, true, true),
-        ("noh", "hetero", 1.8, 0.12, true, true),
-        ("taylor-green", "cpu", 1.4, 0.002, true, true),
-        ("taylor-green", "hetero", 2.1, 0.002, true, true),
-    ];
-
-    /// A fixture `scenarios` block shaped exactly like
-    /// `scenarios_json` (no surrounding commas/newlines).
-    fn scenarios_fixture(rows: &[ScenarioRow]) -> String {
-        let mut out = String::from("  \"scenarios\": [\n");
-        for (i, (name, mode, mzps, error, identical, conserved)) in rows.iter().enumerate() {
-            let comma = if i + 1 < rows.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{name}\", \"mode\": \"{mode}\", \"zones\": 46080, \
-                 \"cycles\": 4, \"particles\": 128, \"virtual_s\": 0.184320, \
-                 \"mzps\": {mzps:.3}, \"metric\": \"m\", \"error\": {error}, \
-                 \"identical\": {identical}, \"particles_conserved\": {conserved}, \
-                 \"migrated\": 3}}{comma}"
-            );
-        }
-        out.push_str("  ]");
-        out
-    }
-
-    fn healthy_scenarios() -> String {
-        scenarios_fixture(HEALTHY_SCENARIOS)
-    }
-
-    /// What `perf scenarios` writes: schema + host_cores + scenarios
-    /// block, nothing else.
-    fn scenarios_doc(block: &str) -> String {
-        format!("{{\n  \"schema_version\": 6,\n  \"host_cores\": 4,\n{block}\n}}\n")
-    }
-
-    /// The fully custom fixture: every block is a caller-supplied
-    /// string, so any single block can be made sick.
-    #[allow(clippy::too_many_arguments)] // fixture builder, named args read fine
-    fn results_doc(
-        schema: &str,
-        cores: u32,
-        jobs: u32,
-        speedup: f64,
-        identical: bool,
-        persistent: f64,
-        spawn: f64,
-        kernels: &str,
-        roofline: &str,
-        serve: &str,
-        rebalance: &str,
-    ) -> String {
-        let scenarios = healthy_scenarios();
-        format!(
-            "{{\n{schema}  \"host_cores\": {cores},\n  \"jobs\": {jobs},\n  \"sweeps\": [\n    \
-             {{\"id\": \"quick\", \"tasks\": 12, \"speedup\": {speedup:.3}, \"identical_output\": {identical}}}\n  ],\n\
-             {kernels}{roofline}  \"pool\": {{\n    \"region_ns_persistent\": {persistent:.1},\n    \
-             \"region_ns_scoped_spawn\": {spawn:.1}\n  }},\n{serve},\n{rebalance},\n{scenarios}\n}}\n"
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)] // fixture builder, named args read fine
-    fn results_with(
-        schema: &str,
-        cores: u32,
-        speedup: f64,
-        identical: bool,
-        persistent: f64,
-        spawn: f64,
-        kernels: &[KernelRow],
-        serve: &str,
-    ) -> String {
-        results_doc(
-            schema,
-            cores,
-            cores,
-            speedup,
-            identical,
-            persistent,
-            spawn,
-            &kernels_block(kernels, &healthy_parallel()),
-            &roofline_block(0.62),
-            serve,
-            &healthy_rebalance(),
-        )
-    }
-
-    fn results(cores: u32, speedup: f64, identical: bool, persistent: f64, spawn: f64) -> String {
-        results_with(
-            "  \"schema_version\": 6,\n",
-            cores,
-            speedup,
-            identical,
-            persistent,
-            spawn,
-            HEALTHY_KERNELS,
-            &healthy_serve(),
-        )
-    }
-
-    #[test]
-    fn gate_passes_a_healthy_run() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        let fresh = results(4, 2.9, true, 12_000.0, 190_000.0);
-        let (bad, log) = gate_violations(&fresh, &base);
-        assert!(bad.is_empty(), "{bad:?}");
-        assert!(log.iter().any(|l| l.contains("quick")));
-    }
-
-    #[test]
-    fn gate_fails_on_pool_regression_and_lost_baseline_race() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // 3x slower dispatch AND slower than spawning threads.
-        let fresh = results(4, 3.0, true, 30_000.0, 25_000.0);
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 2, "{bad:?}");
-        assert!(bad[0].contains("2x baseline"));
-        assert!(bad[1].contains("spawn-per-region"));
-    }
-
-    #[test]
-    fn gate_enforces_speedup_only_where_cores_exist() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // 0.7x "speedup" is a violation on 4 cores...
-        let (bad, _) = gate_violations(&results(4, 0.7, true, 10_000.0, 200_000.0), &base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("speedup"));
-        // ...but acceptable overhead on a single-core runner.
-        let (bad, log) = gate_violations(&results(1, 0.7, true, 10_000.0, 200_000.0), &base);
-        assert!(bad.is_empty(), "{bad:?}");
-        assert!(log.iter().any(|l| l.contains("floor 0.5")));
-    }
-
-    #[test]
-    fn gate_fails_on_diverged_output_and_missing_keys() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        let (bad, _) = gate_violations(&results(4, 3.0, false, 10_000.0, 200_000.0), &base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("diverged"));
-        let schema_only = "{\n  \"schema_version\": 6\n}\n";
-        let (bad, _) = gate_violations(schema_only, &base);
-        assert!(bad.iter().any(|b| b.contains("missing")), "{bad:?}");
+        // A sweep "speedup" of 0.7 is a regression where cores exist.
+        let want = ["sweeps.quick.speedup [x, Wall]: floor 0.9, baseline 2.9, measured 0.7"];
+        expect(&at(2.0, 1.5, 0.7), None, &want);
+        // A floor whose input is gone fails closed.
+        let fresh = edited(&[], &["sweeps.quick.effective_cores"]);
+        expect(&fresh, None, &["sweeps.quick.speedup [x, Wall]: floor NaN"]);
     }
 
     #[test]
     fn gate_rejects_unrecognized_schema_versions() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // Older, newer, and absent schema versions are all rejected
-        // before any metric check runs (the log stays empty).
-        for schema in [
-            "  \"schema_version\": 5,\n",
-            "  \"schema_version\": 7,\n",
-            "",
-        ] {
-            let fresh = results_with(
-                schema,
-                4,
-                2.9,
-                true,
-                12_000.0,
-                190_000.0,
-                HEALTHY_KERNELS,
-                &healthy_serve(),
+        // Older, newer and absent versions are all rejected before any
+        // metric check runs, in the fresh file and in the baseline.
+        for version in [Some(6.0), Some(8.0), None] {
+            let mut stale = healthy();
+            stale.schema_version = version;
+            let log = expect(&stale, None, &["fresh schema_version: expected 7"]);
+            assert!(log.is_empty(), "{log:?}");
+            let (bad, log) = gate(&healthy(), &stale, None);
+            assert_eq!(bad.len(), 1, "{bad:?}");
+            let want = "baseline schema_version: expected 7";
+            assert!(
+                bad[0].contains(want) && bad[0].contains("unrecognized"),
+                "{bad:?}"
             );
-            let (bad, log) = gate_violations(&fresh, &base);
-            assert_eq!(bad.len(), 1, "{schema:?}: {bad:?}");
-            assert!(bad[0].contains("schema_version"), "{bad:?}");
-            assert!(bad[0].contains("unrecognized"), "{bad:?}");
             assert!(log.is_empty(), "{log:?}");
         }
-        // A stale baseline is rejected the same way.
-        let v1_base = results_with(
-            "  \"schema_version\": 5,\n",
-            4,
-            3.1,
-            true,
-            10_000.0,
-            200_000.0,
-            HEALTHY_KERNELS,
-            &healthy_serve(),
-        );
-        let (bad, _) = gate_violations(&results(4, 2.9, true, 12_000.0, 190_000.0), &v1_base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("baseline schema_version"), "{bad:?}");
     }
 
     #[test]
-    fn gate_enforces_per_tile_kernel_floor_with_diff_style_message() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // One blocked tile slips under 1.0: fused lost to legacy there.
-        let fresh = results_with(
-            "  \"schema_version\": 6,\n",
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            &[
-                ("4x4", true, 0.93, true),
-                ("8x8", true, 1.62, true),
-                ("16x16", true, 1.51, true),
-                ("whole", false, 1.08, true),
-            ],
-            &healthy_serve(),
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        // Diff-style: the message names the metric, the floor, the
-        // baseline's value for the same tile, and what was measured.
-        assert!(bad[0].contains("kernels[4x4]"), "{bad:?}");
-        assert!(bad[0].contains("floor 1.00"), "{bad:?}");
-        assert!(bad[0].contains("baseline 1.350"), "{bad:?}");
-        assert!(bad[0].contains("measured 0.930"), "{bad:?}");
+    fn wall_rows_are_never_held_to_the_baseline() {
+        for &(key, unit, clock, rule, why) in METRICS {
+            assert!(
+                clock == Clock::Virtual || !rule.reads_baseline(),
+                "{key}: a wall-clock row may not be held to another machine's baseline"
+            );
+            assert!(!unit.is_empty() && !why.is_empty(), "{key}");
+        }
+        let sections = "sweeps kernels roofline pool serve rebalance scenarios";
+        assert_eq!(gated_sections().join(" "), sections);
     }
 
     #[test]
-    fn gate_enforces_best_tile_floor_and_ignores_the_ablation() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // Every blocked tile beats legacy but none reaches 1.3x; the
-        // unblocked whole-plane ablation at 2.0 must not rescue it.
-        let fresh = results_with(
-            "  \"schema_version\": 6,\n",
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            &[
-                ("4x4", true, 1.05, true),
-                ("8x8", true, 1.12, true),
-                ("16x16", true, 1.08, true),
-                ("whole", false, 2.00, true),
-            ],
-            &healthy_serve(),
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("best blocked tile (8x8)"), "{bad:?}");
-        assert!(bad[0].contains("floor 1.30"), "{bad:?}");
-        assert!(bad[0].contains("measured 1.120"), "{bad:?}");
-    }
-
-    #[test]
-    fn gate_fails_when_fused_kernels_diverge_or_go_missing() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        let fresh = results_with(
-            "  \"schema_version\": 6,\n",
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            &[
-                ("4x4", true, 1.35, true),
-                ("8x8", true, 1.62, false),
-                ("16x16", true, 1.51, true),
-                ("whole", false, 1.08, true),
-            ],
-            &healthy_serve(),
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("kernels[8x8] identical_output"), "{bad:?}");
-        // No kernels block at all is its own violation.
-        let fresh = results_with(
-            "  \"schema_version\": 6,\n",
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            &[],
-            &healthy_serve(),
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert!(
-            bad.iter().any(|b| b.contains("missing kernels block")),
-            "{bad:?}"
-        );
-    }
-
-    #[test]
-    fn gate_enforces_serve_hit_rate_floor_with_diff_style_message() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        let fresh = results_with(
-            "  \"schema_version\": 6,\n",
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            HEALTHY_KERNELS,
-            &serve_block(0.300, 412.5, 120_000.0, 3, true),
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("serve hit_rate"), "{bad:?}");
-        assert!(bad[0].contains("floor 0.50"), "{bad:?}");
-        assert!(bad[0].contains("baseline 0.875"), "{bad:?}");
-        assert!(bad[0].contains("measured 0.300"), "{bad:?}");
-    }
-
-    #[test]
-    fn gate_enforces_serve_latency_ceilings_and_typed_rejections() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // p50 over its ceiling.
-        let fresh = results_with(
-            "  \"schema_version\": 6,\n",
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            HEALTHY_KERNELS,
-            &serve_block(0.875, 80_000.0, 120_000.0, 3, true),
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("serve p50_us"), "{bad:?}");
-        assert!(bad[0].contains("ceiling 50000.0 us"), "{bad:?}");
-        // No overflow rejections, and the ones seen weren't typed:
-        // both are independent violations.
-        let fresh = results_with(
-            "  \"schema_version\": 6,\n",
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            HEALTHY_KERNELS,
-            &serve_block(0.875, 412.5, 120_000.0, 0, false),
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 2, "{bad:?}");
-        assert!(bad[0].contains("serve rejected"), "{bad:?}");
-        assert!(bad[1].contains("rejections_typed"), "{bad:?}");
-        // A results file with no serve block at all is a violation.
-        let fresh = results(4, 2.9, true, 12_000.0, 190_000.0).replace("\"serve\"", "\"svc\"");
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert!(
-            bad.iter().any(|b| b.contains("missing serve block")),
-            "{bad:?}"
-        );
-    }
-
-    #[test]
-    fn serve_section_gates_a_serve_only_results_file() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // What `perf serve-slo` writes: schema + host_cores + serve
-        // block, no sweeps/kernels/pool.
-        let fresh = format!(
-            "{{\n  \"schema_version\": 6,\n  \"host_cores\": 4,\n{}\n}}\n",
-            healthy_serve()
-        );
-        let (bad, log) = gate_violations_in(&fresh, &base, GateSection::Serve);
-        assert!(bad.is_empty(), "{bad:?}");
-        assert!(log.iter().any(|l| l.contains("serve hit_rate")), "{log:?}");
-        // The same file gated as `all` fails on the missing blocks.
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert!(!bad.is_empty());
-        // And the serve section still enforces the schema handshake.
-        let stale = fresh.replace("\"schema_version\": 6", "\"schema_version\": 5");
-        let (bad, log) = gate_violations_in(&stale, &base, GateSection::Serve);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("schema_version"), "{bad:?}");
-        assert!(log.is_empty(), "{log:?}");
-    }
-
-    /// A healthy fixture with a custom kernels.parallel block and
-    /// host_cores/jobs set independently.
-    fn results_with_parallel(cores: u32, jobs: u32, parallel: &str) -> String {
-        results_doc(
-            "  \"schema_version\": 6,\n",
-            cores,
-            jobs,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            &kernels_block(HEALTHY_KERNELS, parallel),
-            &roofline_block(0.62),
-            &healthy_serve(),
-            &healthy_rebalance(),
-        )
-    }
-
-    #[test]
-    fn gate_scales_parallel_fused_floor_by_effective_cores() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // 4 workers on 4 cores must double serial fused: 1.5 fails.
-        let fresh = results_with_parallel(4, 4, &parallel_block(4, 1.5, true));
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("kernels.parallel fused ratio"), "{bad:?}");
-        assert!(bad[0].contains("floor 2.00"), "{bad:?}");
-        assert!(bad[0].contains("measured 1.500"), "{bad:?}");
-        // The same ratio on 2 cores clears the 1.2 floor...
-        let fresh = results_with_parallel(2, 2, &parallel_block(4, 1.5, true));
-        let (bad, log) = gate_violations(&fresh, &base);
-        assert!(bad.is_empty(), "{bad:?}");
-        assert!(log.iter().any(|l| l.contains("floor 1.20")), "{log:?}");
-        // ...and an oversubscribed single-core runner is only held to
-        // the scheduling-overhead bound.
-        let fresh = results_with_parallel(1, 1, &parallel_block(4, 0.5, true));
-        let (bad, log) = gate_violations(&fresh, &base);
-        assert!(bad.is_empty(), "{bad:?}");
-        assert!(log.iter().any(|l| l.contains("floor 0.35")), "{log:?}");
-        // Worker-count divergence is fatal at any core count.
-        let fresh = results_with_parallel(1, 1, &parallel_block(4, 2.6, false));
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(
-            bad[0].contains("kernels.parallel identical_output"),
-            "{bad:?}"
-        );
-        // A results file with no parallel block at all is a violation.
-        let fresh = results_doc(
-            "  \"schema_version\": 6,\n",
-            4,
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            &kernels_block(HEALTHY_KERNELS, ""),
-            &roofline_block(0.62),
-            &healthy_serve(),
-            &healthy_rebalance(),
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert!(
-            bad.iter()
-                .any(|b| b.contains("missing kernels.parallel block")),
-            "{bad:?}"
-        );
-    }
-
-    #[test]
-    fn gate_enforces_roofline_fraction_floor() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // Under a quarter of the bandwidth-predicted roof: violation.
-        let fresh = results_doc(
-            "  \"schema_version\": 6,\n",
-            4,
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            &kernels_block(HEALTHY_KERNELS, &healthy_parallel()),
-            &roofline_block(0.18),
-            &healthy_serve(),
-            &healthy_rebalance(),
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("roofline roof_fraction"), "{bad:?}");
-        assert!(bad[0].contains("floor 0.25"), "{bad:?}");
-        assert!(bad[0].contains("measured 0.180"), "{bad:?}");
-        // Fractions above 1.0 are healthy, not suspicious: that is
-        // cache-resident fusion beating streamed traffic.
-        let fresh = results_doc(
-            "  \"schema_version\": 6,\n",
-            4,
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            &kernels_block(HEALTHY_KERNELS, &healthy_parallel()),
-            &roofline_block(1.85),
-            &healthy_serve(),
-            &healthy_rebalance(),
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert!(bad.is_empty(), "{bad:?}");
-        // A missing roofline block is its own violation.
-        let fresh = results_doc(
-            "  \"schema_version\": 6,\n",
-            4,
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            &kernels_block(HEALTHY_KERNELS, &healthy_parallel()),
-            "",
-            &healthy_serve(),
-            &healthy_rebalance(),
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert!(
-            bad.iter().any(|b| b.contains("missing roofline block")),
-            "{bad:?}"
-        );
-    }
-
-    #[test]
-    fn gate_rejects_truncated_serve_latency_precision() {
-        // p50_us of exactly 0 means the quantiles lost sub-millisecond
-        // resolution — the regression this gate exists to catch.
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        let fresh = results_with(
-            "  \"schema_version\": 6,\n",
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            HEALTHY_KERNELS,
-            &serve_block(0.875, 0.0, 120_000.0, 3, true),
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("serve p50_us: expected > 0"), "{bad:?}");
-    }
-
-    #[test]
-    fn sweep_floor_is_oversubscription_aware() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // --jobs 4 on one core is oversubscription: effective jobs 1,
-        // so 0.7 "speedup" is acceptable fan-out overhead...
-        let fresh = results_with_parallel(1, 4, &parallel_block(4, 0.5, true));
-        let fresh = fresh.replace("\"speedup\": 2.900", "\"speedup\": 0.700");
-        let (bad, log) = gate_violations(&fresh, &base);
-        assert!(bad.is_empty(), "{bad:?}");
-        assert!(log.iter().any(|l| l.contains("floor 0.5")), "{log:?}");
-        // ...but the same number with 4 real cores is a regression.
-        let fresh = results_with_parallel(4, 4, &healthy_parallel());
-        let fresh = fresh.replace("\"speedup\": 2.900", "\"speedup\": 0.700");
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("speedup"), "{bad:?}");
-        assert!(bad[0].contains("jobs 4"), "{bad:?}");
-    }
-
-    #[test]
-    fn gate_enforces_rebalance_convergence_floors() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // rel_err over the ceiling: the controller settled off-optimum.
-        let sick = rebalance_block(
-            &[(0.2500, 0.0125, 0.020000, 0.200, 4, false)],
-            &recovery_line(true, 1, 1),
-        );
-        let fresh = results_doc(
-            "  \"schema_version\": 6,\n",
-            4,
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            &kernels_block(HEALTHY_KERNELS, &healthy_parallel()),
-            &roofline_block(0.62),
-            &healthy_serve(),
-            &sick,
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("rebalance[ratio 0.25] rel_err"), "{bad:?}");
-        assert!(bad[0].contains("ceiling 0.05"), "{bad:?}");
-        assert!(bad[0].contains("baseline 0.000"), "{bad:?}");
-        assert!(bad[0].contains("measured 0.200"), "{bad:?}");
-        // Never converged (9999 sentinel) and a split below the guard
-        // are independent violations on one point.
-        let sick = rebalance_block(
-            &[(1.0000, 0.0125, 0.010000, 0.0, 9999, false)],
-            &recovery_line(true, 1, 1),
-        );
-        let fresh = results_doc(
-            "  \"schema_version\": 6,\n",
-            4,
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            &kernels_block(HEALTHY_KERNELS, &healthy_parallel()),
-            &roofline_block(0.62),
-            &healthy_serve(),
-            &sick,
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 2, "{bad:?}");
-        assert!(bad[0].contains("converged_cycle"), "{bad:?}");
-        assert!(bad[0].contains("never settled"), "{bad:?}");
-        assert!(bad[1].contains("below the 12/ny guard"), "{bad:?}");
-        // A clamped point that drifted off the guard is a violation.
-        let sick = rebalance_block(
-            &[(1.0000, 0.2500, 0.291667, 0.0, 2, true)],
-            &recovery_line(true, 1, 1),
-        );
-        let fresh = results_doc(
-            "  \"schema_version\": 6,\n",
-            4,
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            &kernels_block(HEALTHY_KERNELS, &healthy_parallel()),
-            &roofline_block(0.62),
-            &healthy_serve(),
-            &sick,
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("clamped point must pin"), "{bad:?}");
-        // No rebalance block at all is its own violation.
-        let fresh =
-            results(4, 2.9, true, 12_000.0, 190_000.0).replace("\"rebalance\"", "\"rebal\"");
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert!(
-            bad.iter().any(|b| b.contains("missing rebalance block")),
-            "{bad:?}"
-        );
-    }
-
-    #[test]
-    fn gate_fails_on_rebalance_recovery_divergence() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // A diverged double run and a missing freeze are independent.
-        let sick = rebalance_block(HEALTHY_REBALANCE, &recovery_line(false, 0, 1));
-        let fresh = results_doc(
-            "  \"schema_version\": 6,\n",
-            4,
-            4,
-            2.9,
-            true,
-            12_000.0,
-            190_000.0,
-            &kernels_block(HEALTHY_KERNELS, &healthy_parallel()),
-            &roofline_block(0.62),
-            &healthy_serve(),
-            &sick,
-        );
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert_eq!(bad.len(), 2, "{bad:?}");
-        assert!(bad[0].contains("recovery identical"), "{bad:?}");
-        assert!(bad[0].contains("diverged"), "{bad:?}");
-        assert!(bad[1].contains("recovery frozen"), "{bad:?}");
-    }
-
-    #[test]
-    fn rebalance_section_gates_a_rebalance_only_results_file() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // What `perf rebalance` writes: schema + host_cores +
-        // rebalance block, nothing else.
-        let fresh = format!(
-            "{{\n  \"schema_version\": 6,\n  \"host_cores\": 4,\n{}\n}}\n",
-            healthy_rebalance()
-        );
-        let (bad, log) = gate_violations_in(&fresh, &base, GateSection::Rebalance);
-        assert!(bad.is_empty(), "{bad:?}");
-        assert!(log.iter().any(|l| l.contains("rel_err")), "{log:?}");
-        assert!(
-            log.iter().any(|l| l.contains("byte-identically")),
-            "{log:?}"
-        );
-        // The same file gated as `all` fails on the missing blocks.
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert!(!bad.is_empty());
-        // And the rebalance section still enforces the schema handshake.
-        let stale = fresh.replace("\"schema_version\": 6", "\"schema_version\": 5");
-        let (bad, log) = gate_violations_in(&stale, &base, GateSection::Rebalance);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("unrecognized"), "{bad:?}");
-        assert!(log.is_empty(), "{log:?}");
-    }
-
-    #[test]
-    fn scenarios_section_gates_a_scenarios_only_results_file() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        let fresh = scenarios_doc(&healthy_scenarios());
-        let (bad, log) = gate_violations_in(&fresh, &base, GateSection::Scenarios);
-        assert!(bad.is_empty(), "{bad:?}");
-        assert!(log.iter().any(|l| l.contains("mzps")), "{log:?}");
-        assert!(log.iter().any(|l| l.contains("bit-identical")), "{log:?}");
-        assert!(
-            log.iter().any(|l| l.contains("no analytic reference")),
-            "{log:?}"
-        );
-        // The same file gated as `all` fails on the missing blocks.
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert!(!bad.is_empty());
-        // And the scenarios section still enforces the schema handshake.
-        let stale = fresh.replace("\"schema_version\": 6", "\"schema_version\": 5");
-        let (bad, log) = gate_violations_in(&stale, &base, GateSection::Scenarios);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("unrecognized"), "{bad:?}");
-        assert!(log.is_empty(), "{log:?}");
-    }
-
-    #[test]
-    fn gate_enforces_scenario_throughput_floors_with_diff_style_message() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // sod/cpu throughput collapses (healthy baseline 0.800).
-        let mut rows = HEALTHY_SCENARIOS.to_vec();
-        rows[2].2 = 0.1;
-        let fresh = scenarios_doc(&scenarios_fixture(&rows));
-        let (bad, _) = gate_violations_in(&fresh, &base, GateSection::Scenarios);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("scenarios[sod cpu] mzps"), "{bad:?}");
-        assert!(bad[0].contains("baseline 0.800"), "{bad:?}");
-        assert!(bad[0].contains("measured 0.100"), "{bad:?}");
-    }
-
-    #[test]
-    fn gate_enforces_scenario_error_ceilings_and_metric_presence() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // Noh/hetero analytic error grows past 1.05x the baseline.
-        let mut rows = HEALTHY_SCENARIOS.to_vec();
-        rows[5].3 = 0.2;
-        let fresh = scenarios_doc(&scenarios_fixture(&rows));
-        let (bad, _) = gate_violations_in(&fresh, &base, GateSection::Scenarios);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(
-            bad[0].contains("scenarios[noh hetero] analytic error"),
-            "{bad:?}"
-        );
-        assert!(bad[0].contains("baseline 0.120000"), "{bad:?}");
-        assert!(bad[0].contains("measured 0.200000"), "{bad:?}");
-        // A scenario that *loses* its metric (baseline has one, fresh
-        // reports the sentinel) is a violation, not a skip.
-        let mut rows = HEALTHY_SCENARIOS.to_vec();
-        rows[3].3 = -1.0;
-        let fresh = scenarios_doc(&scenarios_fixture(&rows));
-        let (bad, _) = gate_violations_in(&fresh, &base, GateSection::Scenarios);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("lost its metric"), "{bad:?}");
-    }
-
-    #[test]
-    fn gate_fails_on_scenario_divergence_lost_particles_or_missing_rows() {
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        // A diverged double run and lost particle totals on separate
-        // rows are independent violations.
-        let mut rows = HEALTHY_SCENARIOS.to_vec();
-        rows[0].4 = false;
-        rows[7].5 = false;
-        let fresh = scenarios_doc(&scenarios_fixture(&rows));
-        let (bad, _) = gate_violations_in(&fresh, &base, GateSection::Scenarios);
-        assert_eq!(bad.len(), 2, "{bad:?}");
-        assert!(bad[0].contains("scenarios[sedov cpu] identical"), "{bad:?}");
-        assert!(bad[0].contains("diverged"), "{bad:?}");
-        assert!(
-            bad[1].contains("scenarios[taylor-green hetero] particles_conserved"),
-            "{bad:?}"
-        );
-        // A missing (scenario, mode) row is a violation: the study
-        // must cover the full matrix.
-        let mut rows = HEALTHY_SCENARIOS.to_vec();
-        rows.remove(4);
-        let fresh = scenarios_doc(&scenarios_fixture(&rows));
-        let (bad, _) = gate_violations_in(&fresh, &base, GateSection::Scenarios);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(
-            bad[0].contains("scenarios[noh cpu]: missing from fresh results"),
-            "{bad:?}"
-        );
-        // No scenarios block at all is its own violation, in the
-        // section gate and in `all`.
-        let fresh = results(4, 2.9, true, 12_000.0, 190_000.0).replace("\"scenarios\"", "\"scen\"");
-        let (bad, _) = gate_violations(&fresh, &base);
-        assert!(
-            bad.iter().any(|b| b.contains("missing scenarios block")),
-            "{bad:?}"
-        );
-    }
-
-    #[test]
-    fn sweeps_absent_from_a_quick_run_are_skipped_not_failed() {
-        // Quick runs carry no fig14 sweep; the gate must not invent one.
-        let base = results(4, 3.1, true, 10_000.0, 200_000.0);
-        let (bad, log) = gate_violations(&results(4, 2.9, true, 10_000.0, 200_000.0), &base);
-        assert!(bad.is_empty(), "{bad:?}");
-        assert!(log.iter().any(|l| l.contains("fig14 not in fresh results")));
+    fn the_committed_baseline_is_current_and_complete() {
+        let base = Results::parse(include_str!("../../../../ci/perf-baseline.json")).unwrap();
+        assert_eq!(base.schema_version, Some(f64::from(SCHEMA_VERSION)));
+        // Every key a baseline-relative rule reads, for the full
+        // scenario matrix...
+        for s in Scenario::ALL {
+            for mode in ["cpu", "hetero"] {
+                let key = format!("scenarios.{}.{mode}.mzps", s.name());
+                assert!(base.num(&key).is_some(), "{key} missing");
+            }
+        }
+        // ...and its virtual-time sections, the same on every
+        // machine, pass their own gate.
+        for section in ["rebalance", "scenarios"] {
+            let (bad, _) = gate(&base, &base, Some(section));
+            assert!(bad.is_empty(), "{bad:#?}");
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! The online-rebalance convergence study: the data source for the
-//! `fig-rebalance` figure and the perf harness's `rebalance` results
-//! block (gated by `perf ci-gate --section rebalance`).
+//! `fig-rebalance` figure and the perf harness's `rebalance.*` result
+//! rows (`perf rebalance`, gated by `perf ci-gate --section
+//! rebalance`).
 //!
 //! Three parts, all in deterministic virtual time:
 //!
@@ -33,6 +34,9 @@ use hsim_raja::Fidelity;
 use hsim_telemetry::Counter;
 
 use std::fmt::Write as _;
+
+use crate::results::Row;
+use crate::rows;
 
 /// The deliberately oversized CPU share every controlled run starts
 /// from; the converged share on the stock node is a few percent, so
@@ -219,11 +223,7 @@ pub fn run_convergence_point(
 }
 
 /// The controller-enabled rank-loss double run: same seed, same plan,
-/// twice in this process. The tile is pinned because the wall-clock
-/// auto-tune probe is one-shot per process — its kernel launches
-/// would land only in the first run's telemetry and break the
-/// byte-compare for a reason that has nothing to do with the
-/// controller.
+/// twice in this process.
 pub fn run_recovery_check() -> Result<RecoveryCheck, String> {
     let mut cfg = RunConfig::sweep((32, 48, 32), ExecMode::hetero());
     cfg.cycles = 6;
@@ -233,7 +233,6 @@ pub fn run_recovery_check() -> Result<RecoveryCheck, String> {
     });
     cfg.fidelity = Fidelity::Full;
     cfg.telemetry = true;
-    cfg.tile = Some([8, 8]);
     cfg.faults = Some(FaultPlan::parse("rank.loss@rank4.cycle3")?);
     let a = run(&cfg)?;
     let b = run(&cfg)?;
@@ -288,52 +287,38 @@ pub fn run_rebalance_report() -> Result<RebalanceReport, String> {
 }
 
 impl RebalanceReport {
-    /// Render the `rebalance` results block (no trailing
-    /// comma/newline, one JSON line per point so the gate's line-based
-    /// scanner reads each row whole).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "  \"rebalance\": {{");
-        let _ = writeln!(s, "    \"figure\": \"{}\",", figures::REBALANCE_FIGURE_ID);
-        let _ = writeln!(s, "    \"every\": {},", self.every);
-        let _ = writeln!(s, "    \"hysteresis\": {:.4},", self.hysteresis);
-        let _ = writeln!(s, "    \"cycles\": {},", self.cycles);
-        let _ = writeln!(s, "    \"start_fraction\": {START_FRACTION:.4},");
-        let _ = writeln!(s, "    \"points\": [");
-        for (i, p) in self.points.iter().enumerate() {
-            let comma = if i + 1 < self.points.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "      {{\"ratio\": {:.4}, \"start\": {:.4}, \"guard\": {:.6}, \
-                 \"optimum\": {:.6}, \"optimum_realized\": {:.6}, \"final\": {:.6}, \
-                 \"rel_err\": {:.6}, \"converged_cycle\": {}, \"resplits\": {}, \
-                 \"holds\": {}, \"clamped\": {}}}{comma}",
-                p.ratio,
-                p.start,
-                p.guard,
-                p.optimum,
-                p.optimum_realized,
-                p.final_fraction,
-                p.rel_err,
-                p.converged_cycle,
-                p.resplits,
-                p.holds,
-                p.clamped
+    /// The `rebalance.*` result rows. Each sweep point's rows sit
+    /// under a label built from its speed ratio and start split
+    /// (`r100_s30`, `r100_s45`), so two points at one ratio keep
+    /// distinct keys; the cross-field checks the gate holds are
+    /// derived here, where both numbers are in hand.
+    pub fn rows(&self) -> Vec<Row> {
+        let mut out = Vec::new();
+        for p in &self.points {
+            let at = format!(
+                "rebalance.r{:03.0}_s{:02.0}",
+                p.ratio * 100.0,
+                p.start * 100.0
             );
+            out.extend(rows!(at;
+                "ratio" => p.ratio, "start" => p.start, "guard" => p.guard,
+                "optimum" => p.optimum, "optimum_realized" => p.optimum_realized,
+                "final" => p.final_fraction, "final_minus_guard" => p.final_fraction - p.guard,
+                "rel_err" => p.rel_err, "converged_cycle" => p.converged_cycle,
+                "resplits" => p.resplits, "holds" => p.holds, "clamped" => p.clamped,
+            ));
+            if p.clamped {
+                let off = (p.final_fraction - p.guard).abs();
+                out.extend(rows!(at; "clamped_offset" => off));
+            }
         }
-        let _ = writeln!(s, "    ],");
-        let _ = writeln!(
-            s,
-            "    \"recovery\": {{\"identical\": {}, \"frozen\": {}, \"rank_losses\": {}, \
-             \"ranks_after\": {}, \"post_loss_fraction\": {:.6}}}",
-            self.recovery.identical,
-            self.recovery.frozen,
-            self.recovery.rank_losses,
-            self.recovery.ranks_after,
-            self.recovery.post_loss_fraction
-        );
-        let _ = write!(s, "  }}");
-        s
+        let rec = &self.recovery;
+        out.extend(rows!("rebalance.recovery";
+            "identical" => rec.identical, "frozen" => rec.frozen,
+            "rank_losses" => rec.rank_losses, "ranks_after" => rec.ranks_after,
+            "post_loss_fraction" => rec.post_loss_fraction,
+        ));
+        out
     }
 
     /// Human-readable table plus a convergence-trajectory chart.
@@ -428,25 +413,29 @@ mod tests {
     }
 
     #[test]
-    fn report_json_is_line_oriented_for_the_gate() {
+    fn rows_key_same_ratio_points_apart_and_derive_the_guard_checks() {
+        let point = |start: f64, guard: f64, final_fraction: f64, clamped: bool| ConvergencePoint {
+            ratio: 1.0,
+            start,
+            guard,
+            optimum: 0.031,
+            optimum_realized: 0.03125,
+            final_fraction,
+            rel_err: 0.0,
+            converged_cycle: 6,
+            resplits: 3,
+            holds: 2,
+            clamped,
+            history: vec![start, final_fraction],
+        };
         let report = RebalanceReport {
             every: 2,
             hysteresis: 0.02,
             cycles: 12,
-            points: vec![ConvergencePoint {
-                ratio: 1.0,
-                start: 0.30,
-                guard: 0.0125,
-                optimum: 0.031,
-                optimum_realized: 0.03125,
-                final_fraction: 0.03125,
-                rel_err: 0.0,
-                converged_cycle: 6,
-                resplits: 3,
-                holds: 2,
-                clamped: false,
-                history: vec![0.30, 0.03125],
-            }],
+            points: vec![
+                point(0.30, 0.0125, 0.03125, false),
+                point(0.45, 0.25, 0.25, true),
+            ],
             recovery: RecoveryCheck {
                 identical: true,
                 frozen: 1,
@@ -455,19 +444,15 @@ mod tests {
                 post_loss_fraction: 0.02,
             },
         };
-        let json = report.to_json();
-        let point_line = json
-            .lines()
-            .find(|l| l.contains("\"ratio\":"))
-            .expect("one line per point");
-        for key in ["rel_err", "converged_cycle", "clamped", "guard", "final"] {
-            assert!(point_line.contains(key), "{key} missing from {point_line}");
-        }
-        let recovery_line = json
-            .lines()
-            .find(|l| l.contains("\"recovery\":"))
-            .expect("recovery on one line");
-        assert!(recovery_line.contains("\"identical\": true"));
-        assert!(recovery_line.contains("\"frozen\": 1"));
+        let mut results = crate::Results::new(1);
+        results.extend(report.rows()); // panics on a duplicate key
+        let num = |k: &str| results.num(k);
+        assert_eq!(
+            num("rebalance.r100_s30.final_minus_guard"),
+            Some(0.03125 - 0.0125)
+        );
+        assert_eq!(num("rebalance.r100_s30.clamped_offset"), None);
+        assert_eq!(num("rebalance.r100_s45.clamped_offset"), Some(0.0));
+        assert_eq!(num("rebalance.recovery.frozen"), Some(1.0));
     }
 }

@@ -1,6 +1,6 @@
 //! Synthetic many-client load driver for the serve subsystem.
 //!
-//! Two deterministic phases feed the `serve` section of the perf
+//! Two deterministic phases feed the `serve.*` rows of the perf
 //! harness's results file:
 //!
 //! 1. **Hit-rate / latency phase** — a small fleet of client threads
@@ -24,6 +24,9 @@ use hsim_core::runner::RunConfig;
 use hsim_core::ExecMode;
 use hsim_serve::{Request, ServeError, Server, ServerConfig};
 
+use crate::results::Row;
+use crate::rows;
+
 /// Client threads in the hit-rate phase.
 pub const CLIENTS: usize = 4;
 /// Requests each client issues.
@@ -36,8 +39,8 @@ pub const PROBE_CAPACITY: usize = 4;
 /// Submissions past the bound; each must be a typed rejection.
 pub const PROBE_OVERFLOW: usize = 3;
 
-/// What the load driver observed; serialized into the `serve` block
-/// of the perf results file and gated by `perf ci-gate`.
+/// What the load driver observed; [`ServeLoadReport::rows`] puts it
+/// in the perf results file, where `perf ci-gate` gates it.
 #[derive(Debug, Clone)]
 pub struct ServeLoadReport {
     pub clients: usize,
@@ -58,6 +61,19 @@ pub struct ServeLoadReport {
     /// `true` iff every probe rejection was the typed `QueueFull`
     /// carrying the configured capacity.
     pub rejections_typed: bool,
+}
+
+impl ServeLoadReport {
+    /// The `serve.*` result rows.
+    pub fn rows(&self) -> Vec<Row> {
+        rows!("serve";
+            "hits" => self.hits, "misses" => self.misses, "admitted" => self.admitted,
+            "rejected" => self.rejected, "deadline_drops" => self.deadline_drops,
+            "hit_rate" => self.hit_rate, "p50_us" => self.p50_us, "p99_us" => self.p99_us,
+            "rejections_typed" => self.rejections_typed,
+        )
+        .into()
+    }
 }
 
 /// The i-th distinct workload: same small grid, distinct cycle count,

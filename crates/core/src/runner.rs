@@ -319,6 +319,12 @@ pub fn run_with_fraction(cfg: &RunConfig, cpu_fraction: f64) -> Result<RunResult
     }
     let mut acc = RunAcc::new(cfg, decomp.len());
     let mut setup_extra = mps_connect_charges(cfg, &fault_plan, decomp.len(), &mut acc)?;
+    // Resolve the tile here, on the calling thread, before any rank
+    // installs its collector: the one-shot wall-clock probe's kernel
+    // launches belong to no run's telemetry.
+    let tile = cfg
+        .tile
+        .unwrap_or_else(|| calib::auto_tile_for(cfg.host_threads));
 
     // Segment boundaries: a controller tick every `every` cycles, plus
     // the loss cycle — where the loss wins a tie with a tick.
@@ -355,6 +361,7 @@ pub fn run_with_fraction(cfg: &RunConfig, cpu_fraction: f64) -> Result<RunResult
                 restore: acc.end.as_ref(),
                 take_checkpoint: last < cfg.cycles,
                 setup_extra: &setup_extra,
+                tile,
             },
         )?;
         // MPS connect retries are paid once, on the first segment.
@@ -680,6 +687,9 @@ struct Segment<'a> {
     /// Extra per-rank setup charge (MPS connect retry backoff); empty
     /// on every segment but the first.
     setup_extra: &'a [SimDuration],
+    /// The resolved fused-kernel tile shape, the same for every
+    /// segment of a run.
+    tile: [usize; 2],
 }
 
 struct SegmentOut {
@@ -882,9 +892,7 @@ fn run_segment(
                     cfg.multipolicy_threshold,
                 ));
             let mut state = HydroState::new(grid, sub, cfg.fidelity);
-            state.tile = cfg
-                .tile
-                .unwrap_or_else(|| calib::auto_tile_for(cfg.host_threads));
+            state.tile = seg.tile;
             cfg.problem.init(&mut state);
             // Restart: unpack this rank's owned box from the
             // host-staged checkpoint (ghosts refill on the first
@@ -1631,10 +1639,6 @@ mod tests {
         let mut cfg = online_cfg((32, 48, 32), 6, 2);
         cfg.fidelity = Fidelity::Full;
         cfg.telemetry = true;
-        // Pin the tile: the wall-clock auto-tune probe is one-shot per
-        // process, so its kernel launches would land only in the first
-        // run's telemetry and break the byte-compare.
-        cfg.tile = Some([8, 8]);
         cfg.faults = Some(hsim_faults::FaultPlan::parse("rank.loss@rank4.cycle3").unwrap());
         let a = run(&cfg).unwrap();
         let b = run(&cfg).unwrap();

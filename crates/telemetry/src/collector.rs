@@ -4,8 +4,8 @@
 //! code anywhere below it calls the free functions in this module.
 //! With no collector installed (the default), every function is a
 //! thread-local load plus an `Option` check — no heap allocation, no
-//! locks, no virtual-time charge. That property is asserted by the
-//! `mode_overhead` bench with a counting allocator.
+//! locks, no virtual-time charge. That property is asserted by
+//! `tests/disabled_path_allocation_free.rs` with a counting allocator.
 
 use std::cell::RefCell;
 

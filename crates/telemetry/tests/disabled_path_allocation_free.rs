@@ -1,19 +1,14 @@
-//! Modes side by side (paper Figures 1–4): one fixed problem run in
-//! each of the four node-utilization modes, with the simulated
-//! runtimes printed for the record.
-//!
-//! Also proves the telemetry contract: with no collector installed
-//! (the default for every run here), the per-launch recording calls
-//! perform zero heap allocations.
+//! The telemetry contract: with no collector installed, the
+//! per-launch recording calls perform zero heap allocations. This
+//! file is its own test binary so it may own the global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use hsim_core::{run, ExecMode, RunConfig};
+use hsim_telemetry as tel;
 use hsim_time::{SimDuration, SimTime};
 
-/// System allocator with an allocation counter, so the bench can
+/// System allocator with an allocation counter, so the test can
 /// assert the disabled telemetry hot path never touches the heap.
 struct CountingAlloc;
 
@@ -49,9 +44,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Drive every per-launch recording entry point with telemetry
 /// disabled and assert the allocation counter did not move.
-fn assert_disabled_telemetry_is_allocation_free() {
-    use hsim_telemetry as tel;
-    assert!(!tel::is_enabled(), "bench must start with telemetry off");
+#[test]
+fn disabled_telemetry_is_allocation_free() {
+    assert!(!tel::is_enabled(), "test must start with telemetry off");
     const CALLS: u64 = 10_000;
     // One warm-up round so lazy thread-local init cannot be charged
     // to the measured window.
@@ -80,36 +75,4 @@ fn assert_disabled_telemetry_is_allocation_free() {
         allocated, 0,
         "disabled telemetry hot path allocated {allocated} times"
     );
-    eprintln!(
-        "telemetry disabled-path: 0 heap allocations across {} record calls",
-        CALLS * 6
-    );
 }
-
-fn bench(c: &mut Criterion) {
-    assert_disabled_telemetry_is_allocation_free();
-    let grid = (320, 240, 160);
-    let mut group = c.benchmark_group("mode_overhead");
-    group.sample_size(10);
-    for mode in [
-        ExecMode::CpuOnly,
-        ExecMode::Default,
-        ExecMode::mps4(),
-        ExecMode::hetero(),
-    ] {
-        let cfg = RunConfig::sweep(grid, mode);
-        let r = run(&cfg).expect("mode runs");
-        eprintln!(
-            "{:24} simulated_runtime={:.4}s ranks={} launches={}",
-            mode.label(),
-            r.runtime.as_secs_f64(),
-            r.ranks.len(),
-            r.total_launches()
-        );
-        group.bench_function(mode.key(), |b| b.iter(|| run(&cfg).expect("run")));
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);
