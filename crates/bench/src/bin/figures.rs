@@ -17,7 +17,7 @@
 use std::fs;
 use std::path::Path;
 
-use hsim_bench::{ascii_chart, paper_modes, run_figure_jobs};
+use hsim_bench::{ascii_chart, paper_modes, run_figure_jobs, take_count, take_flag};
 use hsim_core::figures;
 use hsim_core::{run_balanced, ExecMode, RunConfig};
 
@@ -43,25 +43,10 @@ fn reference_run(trace_json: Option<&str>, metrics_json: Option<&str>) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut take_flag = |flag: &str| -> Option<String> {
-        let i = args.iter().position(|a| a == flag)?;
-        if i + 1 >= args.len() {
-            eprintln!("{flag} needs a PATH argument");
-            std::process::exit(2);
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Some(v)
-    };
-    let trace_json = take_flag("--trace-json");
-    let metrics_json = take_flag("--metrics-json");
-    let jobs = match take_flag("--jobs") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs needs a positive integer, got {v:?}");
-            std::process::exit(2);
-        }),
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
+    let trace_json = take_flag(&mut args, "--trace-json");
+    let metrics_json = take_flag(&mut args, "--metrics-json");
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let jobs = take_count(&mut args, "--jobs", host_cores);
     if trace_json.is_some() || metrics_json.is_some() {
         reference_run(trace_json.as_deref(), metrics_json.as_deref());
         if args.is_empty() {

@@ -29,6 +29,7 @@ use std::time::Instant;
 
 use hsim_bench::results::{key_matches, section_of, SCHEMA_VERSION};
 use hsim_bench::{paper_modes, roofline, row, rows, run_figure_jobs, serveload};
+use hsim_bench::{take_count, take_flag};
 use hsim_bench::{Results, Row, Value};
 use hsim_core::calib::{self, TILE_CANDIDATES};
 use hsim_core::figures::{self, FigureSpec};
@@ -347,27 +348,6 @@ fn gate(fresh: &Results, base: &Results, only: Option<&str>) -> (Vec<String>, Ve
         }
     }
     (bad, log)
-}
-
-/// Remove `flag VALUE` from `args` and return the value.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("{flag} needs a value");
-        exit(2);
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
-}
-
-fn take_count(args: &mut Vec<String>, flag: &str, default: usize) -> usize {
-    take_flag(args, flag).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("{flag} needs a positive integer, got {v:?}");
-            exit(2);
-        })
-    })
 }
 
 fn usage() -> ! {

@@ -1,274 +1,30 @@
 //! Figure sweep execution: run every mode over a figure's points.
 //!
-//! Sweeps fan out over a small host-side job pool: every
-//! `(mode, point)` pair is an independent simulation, so
-//! [`run_figure_jobs`] claims pairs from an atomic cursor and runs
-//! them on `jobs` OS threads. Results land in per-task slots and are
-//! assembled in the fixed mode-major, point-minor order, so the CSV,
-//! markdown, and chart output are byte-identical for any job count
-//! (the simulations themselves are deterministic virtual-time runs —
-//! wall-clock parallelism cannot leak into them).
-//!
-//! Points the runner rejects (e.g. a carve axis too small for the CPU
-//! ranks) are recorded as [`SkippedPoint`]s on the [`FigureData`]
-//! instead of being printed to stderr, so figure footers can report
-//! them and tests can assert on them.
+//! The sweep engine itself is [`hsim_core::figures::run_figure_with`];
+//! [`run_figure_jobs`] is the caller that executes each point through
+//! the load balancer and owns the wall-clock `host_sweep_*` counters
+//! (which is why it lives here and not in `hsim-core`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+pub use hsim_core::figures::{paper_modes, FigureData, Series, SkippedPoint};
+use hsim_core::figures::{run_figure_with, FigureSpec};
+use hsim_core::{run_balanced, ExecMode};
+use hsim_telemetry::Counter;
 
-use hsim_core::figures::FigureSpec;
-use hsim_core::{run_balanced, ExecMode, RunConfig};
-
-/// One mode's series over a sweep.
-#[derive(Debug, Clone)]
-pub struct Series {
-    pub mode: ExecMode,
-    pub label: String,
-    /// `(zones, swept_dim, runtime_s, cpu_fraction)` per point.
-    pub points: Vec<(u64, usize, f64, f64)>,
-}
-
-/// A sweep point the runner refused, kept for footers and tests.
-#[derive(Debug, Clone)]
-pub struct SkippedPoint {
-    pub mode: String,
-    pub grid: (usize, usize, usize),
-    pub swept_dim: usize,
-    pub reason: String,
-}
-
-/// All series of one figure.
-#[derive(Debug, Clone)]
-pub struct FigureData {
-    pub id: &'static str,
-    pub caption: &'static str,
-    pub series: Vec<Series>,
-    /// Infeasible points, in the same deterministic sweep order.
-    pub skipped: Vec<SkippedPoint>,
-}
-
-/// The three modes every evaluation figure compares.
-pub fn paper_modes() -> Vec<ExecMode> {
-    vec![ExecMode::Default, ExecMode::mps4(), ExecMode::hetero()]
-}
-
-/// What one `(mode, point)` task produced.
-enum Outcome {
-    Point((u64, usize, f64, f64)),
-    Skip(String),
-}
-
-/// Run one figure's sweep for `modes` (cost-only fidelity, RZHasGPU).
-/// Heterogeneous points run through the load balancer, exactly as the
-/// paper adjusted the split per problem size. Serial (`jobs = 1`)
-/// compatibility wrapper around [`run_figure_jobs`].
-pub fn run_figure(spec: &FigureSpec, modes: &[ExecMode]) -> FigureData {
-    run_figure_jobs(spec, modes, 1)
-}
-
-/// Run one figure's sweep with up to `jobs` simulations in flight.
-///
-/// `jobs` is clamped to at least 1; the calling thread always acts as
-/// one of the workers, so `jobs = 1` spawns nothing and degenerates to
-/// the serial loop. Output is byte-identical for every `jobs` value.
+/// Run one figure's sweep for `modes` (cost-only fidelity, RZHasGPU)
+/// with up to `jobs` simulations in flight. Heterogeneous points run
+/// through the load balancer, exactly as the paper adjusted the split
+/// per problem size. Output is byte-identical for every `jobs` value.
 pub fn run_figure_jobs(spec: &FigureSpec, modes: &[ExecMode], jobs: usize) -> FigureData {
-    let pts: Vec<((usize, usize, usize), usize)> = spec
-        .points()
-        .iter()
-        .zip(&spec.values)
-        .map(|(p, &v)| (p.grid(), v))
-        .collect();
-    let n_tasks = modes.len() * pts.len();
-    let slots: Vec<Mutex<Option<Outcome>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
     let host_t0 = hsim_telemetry::is_enabled().then(std::time::Instant::now);
-
-    // Longest-processing-time claim order: hand out the most
-    // expensive simulations first so a big point claimed late cannot
-    // serialize the tail of the sweep (sweeps run small → large, so
-    // flat order used to put the largest grids last and capped fig14
-    // speedup well below the job count). Cost ∝ zones, with a
-    // heterogeneous surcharge for the balancer's repeated runs.
-    // Only the *claim* order changes: slots and assembly stay in the
-    // fixed mode-major order, so output is still byte-identical.
-    let mut order: Vec<usize> = (0..n_tasks).collect();
-    order.sort_by_key(|&t| {
-        let (grid, _) = pts[t % pts.len()];
-        let weight = match modes[t / pts.len()] {
-            ExecMode::Heterogeneous { .. } => 4,
-            _ => 1,
-        };
-        std::cmp::Reverse((grid.0 * grid.1 * grid.2) as u64 * weight)
+    let data = run_figure_with(spec, modes, jobs, |cfg| {
+        run_balanced(cfg).map(|(r, _lb)| (r.zones, r.runtime.as_secs_f64(), r.cpu_fraction))
     });
-    let order = &order;
-
-    // Each worker claims tasks in LPT order until the cursor runs
-    // dry. Slots are written exactly once.
-    let worker = || loop {
-        let c = cursor.fetch_add(1, Ordering::Relaxed);
-        if c >= n_tasks {
-            break;
-        }
-        let t = order[c];
-        let mode = modes[t / pts.len()];
-        let (grid, v) = pts[t % pts.len()];
-        let mut cfg = RunConfig::sweep(grid, mode);
-        cfg.problem = spec.scenario.problem();
-        let outcome = match run_balanced(&cfg) {
-            Ok((result, _lb)) => Outcome::Point((
-                result.zones,
-                v,
-                result.runtime.as_secs_f64(),
-                result.cpu_fraction,
-            )),
-            Err(e) => Outcome::Skip(e.to_string()),
-        };
-        *slots[t].lock().unwrap() = Some(outcome);
-    };
-    let extra = jobs.max(1).min(n_tasks.max(1)) - 1;
-    if extra == 0 {
-        worker();
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..extra {
-                s.spawn(worker);
-            }
-            worker();
-        });
-    }
-
     if let Some(t0) = host_t0 {
-        hsim_telemetry::count(hsim_telemetry::Counter::HostSweepPoints, n_tasks as u64);
-        hsim_telemetry::count(
-            hsim_telemetry::Counter::HostSweepNanos,
-            t0.elapsed().as_nanos() as u64,
-        );
+        let points = (modes.len() * spec.values.len()) as u64;
+        hsim_telemetry::count(Counter::HostSweepPoints, points);
+        hsim_telemetry::count(Counter::HostSweepNanos, t0.elapsed().as_nanos() as u64);
     }
-
-    // Deterministic assembly: fixed mode-major, point-minor order,
-    // independent of which worker ran which task.
-    let mut series = Vec::with_capacity(modes.len());
-    let mut skipped = Vec::new();
-    for (mi, mode) in modes.iter().enumerate() {
-        let mut points = Vec::with_capacity(pts.len());
-        for (pi, &(grid, v)) in pts.iter().enumerate() {
-            let outcome = slots[mi * pts.len() + pi]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("every sweep task runs exactly once");
-            match outcome {
-                Outcome::Point(p) => points.push(p),
-                Outcome::Skip(reason) => skipped.push(SkippedPoint {
-                    mode: mode.label(),
-                    grid,
-                    swept_dim: v,
-                    reason,
-                }),
-            }
-        }
-        series.push(Series {
-            mode: *mode,
-            label: mode.label(),
-            points,
-        });
-    }
-    FigureData {
-        id: spec.id,
-        caption: spec.caption,
-        series,
-        skipped,
-    }
-}
-
-impl FigureData {
-    /// A markdown table of the figure's series with Default-relative
-    /// ratios (the EXPERIMENTS.md presentation). Skipped points, if
-    /// any, are listed in a footer below the table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = format!("## {} — {}\n\n", self.id, self.caption);
-        out.push_str("| zones | dim | Default | MPS | Hetero | Het/Def | MPS/Def | CPU share |\n");
-        out.push_str("|---|---|---|---|---|---|---|---|\n");
-        let find = |key: &str| self.series.iter().find(|s| s.mode.key() == key);
-        let (d, m, h) = (find("default"), find("mps4"), find("hetero"));
-        let zones: Vec<(u64, usize)> = d
-            .map(|s| s.points.iter().map(|&(z, v, _, _)| (z, v)).collect())
-            .unwrap_or_default();
-        for (z, v) in zones {
-            let at = |s: Option<&Series>| {
-                s.and_then(|s| s.points.iter().find(|p| p.0 == z))
-                    .map(|p| (p.2, p.3))
-            };
-            let dd = at(d);
-            let mm = at(m);
-            let hh = at(h);
-            let ratio = |x: Option<(f64, f64)>| match (x, dd) {
-                (Some((t, _)), Some((td, _))) if td > 0.0 => format!("{:.3}", t / td),
-                _ => "—".to_string(),
-            };
-            let cell = |x: Option<(f64, f64)>| {
-                x.map(|(t, _)| format!("{t:.4}"))
-                    .unwrap_or_else(|| "—".into())
-            };
-            let share = hh
-                .map(|(_, f)| format!("{:.2}%", f * 100.0))
-                .unwrap_or_else(|| "—".into());
-            out.push_str(&format!(
-                "| {z} | {v} | {} | {} | {} | {} | {} | {share} |\n",
-                cell(dd),
-                cell(mm),
-                cell(hh),
-                ratio(hh),
-                ratio(mm)
-            ));
-        }
-        out.push_str(&self.skip_footer());
-        out
-    }
-
-    /// Footer lines describing skipped points, empty when none were.
-    pub fn skip_footer(&self) -> String {
-        if self.skipped.is_empty() {
-            return String::new();
-        }
-        let mut out = format!("\n_{} infeasible point(s) skipped:_\n", self.skipped.len());
-        for s in &self.skipped {
-            out.push_str(&format!(
-                "- {} at {}×{}×{} (dim {}): {}\n",
-                s.mode, s.grid.0, s.grid.1, s.grid.2, s.swept_dim, s.reason
-            ));
-        }
-        out
-    }
-
-    /// CSV rows: `figure,mode,zones,swept,runtime_s,cpu_fraction`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("figure,mode,zones,swept_dim,runtime_s,cpu_fraction\n");
-        for s in &self.series {
-            for &(zones, v, t, f) in &s.points {
-                out.push_str(&format!(
-                    "{},{},{zones},{v},{t:.6},{f:.4}\n",
-                    self.id,
-                    s.mode.key()
-                ));
-            }
-        }
-        out
-    }
-
-    /// Chart-ready series `(label, [(zones, runtime_s)])`.
-    pub fn chart_series(&self) -> Vec<(String, Vec<(f64, f64)>)> {
-        self.series
-            .iter()
-            .map(|s| {
-                (
-                    s.label.clone(),
-                    s.points.iter().map(|&(z, _, t, _)| (z as f64, t)).collect(),
-                )
-            })
-            .collect()
-    }
+    data
 }
 
 #[cfg(test)]
@@ -288,7 +44,7 @@ mod tests {
             fixed: (48, 32),
             scenario: hsim_core::Scenario::Sedov,
         };
-        let data = run_figure(&spec, &paper_modes());
+        let data = run_figure_jobs(&spec, &paper_modes(), 1);
         assert_eq!(data.series.len(), 3);
         for s in &data.series {
             assert_eq!(s.points.len(), 2, "{}", s.label);

@@ -205,9 +205,6 @@ pub struct Rebalancer {
     pub hysteresis: f64,
     /// EWMA smoothing factor for the speed estimator.
     pub alpha: f64,
-    /// Conservatism applied to the balance point (see
-    /// [`LoadBalancer::phase_derate`]).
-    pub phase_derate: f64,
     /// EWMA-smoothed CPU rate (work-fraction per second); 0 until the
     /// first observation.
     r_cpu: f64,
@@ -230,7 +227,6 @@ impl Rebalancer {
             min_fraction: 0.0,
             hysteresis: cfg.hysteresis,
             alpha: calib::REBALANCE_EWMA_ALPHA,
-            phase_derate: 1.0,
             r_cpu: 0.0,
             r_gpu: 0.0,
             observations: 0,
@@ -262,14 +258,6 @@ impl Rebalancer {
     /// The smoothed `(R_cpu, R_gpu)` rate estimates.
     pub fn rates(&self) -> (f64, f64) {
         (self.r_cpu, self.r_gpu)
-    }
-
-    /// Freeze the controller: every subsequent boundary returns
-    /// [`RebalanceDecision::Frozen`]. Called by the runner after a
-    /// `rank.loss` foldback, whose asymmetric decomposition a uniform
-    /// weighted re-split can no longer express.
-    pub fn freeze(&mut self) {
-        self.frozen = true;
     }
 
     /// The analytic optimum weight for rates `(r_cpu, r_gpu)` under
@@ -326,8 +314,7 @@ impl Rebalancer {
             self.r_gpu = self.alpha * r_gpu + (1.0 - self.alpha) * self.r_gpu;
         }
         self.observations += 1;
-        let target =
-            Self::analytic_optimum(self.r_cpu, self.r_gpu, self.phase_derate, self.min_fraction);
+        let target = Self::analytic_optimum(self.r_cpu, self.r_gpu, 1.0, self.min_fraction);
         let now = self.predicted_cycle_time(f);
         let then = self.predicted_cycle_time(target);
         let predicted_gain = if now > 0.0 { 1.0 - then / now } else { 0.0 };
@@ -613,8 +600,7 @@ mod tests {
             97.0,
             3,
         );
-        rb.note_realized(0.02);
-        rb.freeze();
+        rb.freeze_at(0.02);
         let before = rb.fraction;
         let d = rb.observe(SimDuration::from_secs(1), SimDuration::from_secs(1));
         assert_eq!(d, RebalanceDecision::Frozen);

@@ -134,12 +134,13 @@ pub fn tile_spec(tile: [usize; 2]) -> String {
     format!("{}x{}", tile[0], tile[1])
 }
 
-/// Parse the [`tile_spec`] form back into a shape. Accepts any
-/// positive dimensions (not just [`TILE_CANDIDATES`]) so operators can
-/// pin shapes the probe would never pick.
+/// Parse the [`tile_spec`] form back into a shape; the CLI's `8,8`
+/// spelling is accepted too. Accepts any positive dimensions (not
+/// just [`TILE_CANDIDATES`]) so operators can pin shapes the probe
+/// would never pick.
 pub fn parse_tile_spec(s: &str) -> Result<[usize; 2], String> {
     let (ty, tz) = s
-        .split_once('x')
+        .split_once(['x', ','])
         .ok_or_else(|| format!("bad tile spec `{s}`: expected TYxTZ, e.g. 8x8"))?;
     let ty: usize = ty
         .trim()
@@ -264,6 +265,8 @@ mod tests {
             assert_eq!(parse_tile_spec(&tile_spec(tile)), Ok(tile));
         }
         assert_eq!(parse_tile_spec(" 8 x 16 "), Ok([8, 16]));
+        assert_eq!(parse_tile_spec("8,16"), Ok([8, 16]));
+        assert!(parse_tile_spec("8,8,8").is_err());
         assert!(parse_tile_spec("8").is_err());
         assert!(parse_tile_spec("8x").is_err());
         assert!(parse_tile_spec("0x8").is_err());

@@ -7,7 +7,24 @@
 //! main x-axis of the plots is total zones, the top x-axis the swept
 //! dimension. All figures compare three modes: Default (1 MPI/GPU),
 //! MPS (4 MPI/GPU), and Heterogeneous.
+//!
+//! [`run_figure_with`] is the one sweep engine: every `(mode, point)`
+//! pair is an independent simulation, so the engine claims pairs from
+//! an atomic cursor and hands each [`RunConfig`] to the caller's
+//! executor on up to `jobs` OS threads. Results land in per-task
+//! slots and are assembled in the fixed mode-major, point-minor
+//! order, so the CSV, markdown, and chart output are byte-identical
+//! for any job count (the simulations themselves are deterministic
+//! virtual-time runs — wall-clock parallelism cannot leak into them).
+//! Points the executor refuses (e.g. a carve axis too small for the
+//! CPU ranks) are recorded as [`SkippedPoint`]s on the [`FigureData`],
+//! so figure footers can report them and tests can assert on them.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+use crate::mode::ExecMode;
+use crate::runner::RunConfig;
 use crate::scenario::Scenario;
 
 /// One sweep point: a concrete grid.
@@ -70,6 +87,14 @@ impl FigureSpec {
                 },
             })
             .collect()
+    }
+
+    /// The run configuration of one sweep point: cost-only fidelity
+    /// on RZHasGPU, initializing this figure's scenario.
+    pub fn config(&self, point: &SweepPoint, mode: ExecMode) -> RunConfig {
+        let mut cfg = RunConfig::sweep(point.grid(), mode);
+        cfg.problem = self.scenario.problem();
+        cfg
     }
 }
 
@@ -248,6 +273,228 @@ pub fn all_figures() -> Vec<FigureSpec> {
     ];
     figs.extend(Scenario::ALL.into_iter().map(fig_scenario));
     figs
+}
+
+/// The three modes every evaluation figure compares.
+pub fn paper_modes() -> Vec<ExecMode> {
+    vec![ExecMode::Default, ExecMode::mps4(), ExecMode::hetero()]
+}
+
+/// Heterogeneous runs do cooperative CPU work on top of the device
+/// timeline and, balanced, repeat the run: they cost more wall-clock
+/// per zone than the other modes.
+const HETERO_LPT_WEIGHT: u64 = 4;
+
+/// Relative host cost of executing `cfg`, for longest-processing-time
+/// ordering: zones, weighted up for heterogeneous runs. Feeds both the
+/// sweep engine's claim order and the serve admission queue.
+pub fn lpt_cost(cfg: &RunConfig) -> u64 {
+    let (x, y, z) = cfg.grid;
+    let zones = (x as u64).saturating_mul(y as u64).saturating_mul(z as u64);
+    match cfg.mode {
+        ExecMode::Heterogeneous { .. } => zones.saturating_mul(HETERO_LPT_WEIGHT),
+        _ => zones,
+    }
+}
+
+/// One mode's series over a sweep.
+#[derive(Debug, Clone)]
+pub struct Series {
+    pub mode: ExecMode,
+    pub label: String,
+    /// `(zones, swept_dim, runtime_s, cpu_fraction)` per point.
+    pub points: Vec<(u64, usize, f64, f64)>,
+}
+
+/// A sweep point the executor refused, kept for footers and tests.
+#[derive(Debug, Clone)]
+pub struct SkippedPoint {
+    pub mode: String,
+    pub grid: (usize, usize, usize),
+    pub swept_dim: usize,
+    pub reason: String,
+}
+
+/// All series of one figure.
+#[derive(Debug, Clone)]
+pub struct FigureData {
+    pub id: &'static str,
+    pub caption: &'static str,
+    pub series: Vec<Series>,
+    /// Infeasible points, in the same deterministic sweep order.
+    pub skipped: Vec<SkippedPoint>,
+}
+
+/// What executing one sweep point yields: `(zones, runtime_s,
+/// cpu_fraction)`, or the reason the point is skipped.
+pub type PointResult = Result<(u64, f64, f64), String>;
+
+/// Run one figure's sweep for `modes` with up to `jobs` simulations in
+/// flight; `exec` executes one point's configuration.
+///
+/// `jobs` is clamped to at least 1; the calling thread always acts as
+/// one of the workers, so `jobs = 1` spawns nothing and degenerates to
+/// the serial loop. Output is byte-identical for every `jobs` value.
+pub fn run_figure_with<E>(spec: &FigureSpec, modes: &[ExecMode], jobs: usize, exec: E) -> FigureData
+where
+    E: Fn(&RunConfig) -> PointResult + Sync,
+{
+    let points = spec.points();
+    let cfgs: Vec<RunConfig> = modes
+        .iter()
+        .flat_map(|&mode| points.iter().map(move |p| spec.config(p, mode)))
+        .collect();
+    let slots: Vec<OnceLock<PointResult>> = cfgs.iter().map(|_| OnceLock::new()).collect();
+    let cursor = AtomicUsize::new(0);
+
+    // Longest-processing-time claim order: hand out the most
+    // expensive simulations first so a big point claimed late cannot
+    // serialize the tail of the sweep (sweeps run small → large, so
+    // flat order used to put the largest grids last and capped fig14
+    // speedup well below the job count). Only the *claim* order
+    // changes: slots and assembly stay in the fixed mode-major order,
+    // so output is still byte-identical.
+    let mut order: Vec<usize> = (0..cfgs.len()).collect();
+    order.sort_by_key(|&t| std::cmp::Reverse(lpt_cost(&cfgs[t])));
+
+    // Each worker claims tasks in LPT order until the cursor runs
+    // dry. Slots are written exactly once.
+    let worker = || {
+        while let Some(&t) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let _ = slots[t].set(exec(&cfgs[t]));
+        }
+    };
+    let extra = jobs.max(1).min(cfgs.len().max(1)) - 1;
+    std::thread::scope(|s| {
+        for _ in 0..extra {
+            s.spawn(worker);
+        }
+        worker();
+    });
+
+    // Deterministic assembly: fixed mode-major, point-minor order,
+    // independent of which worker ran which task.
+    let mut outcomes = slots.into_iter().map(OnceLock::into_inner);
+    let mut series = Vec::with_capacity(modes.len());
+    let mut skipped = Vec::new();
+    for mode in modes {
+        let mut done = Vec::with_capacity(points.len());
+        for (point, &v) in points.iter().zip(&spec.values) {
+            match outcomes.next().flatten() {
+                Some(Ok((zones, runtime_s, cpu_fraction))) => {
+                    done.push((zones, v, runtime_s, cpu_fraction))
+                }
+                other => skipped.push(SkippedPoint {
+                    mode: mode.label(),
+                    grid: point.grid(),
+                    swept_dim: v,
+                    reason: other
+                        .and_then(Result::err)
+                        .unwrap_or_else(|| "sweep point never ran".to_string()),
+                }),
+            }
+        }
+        series.push(Series {
+            mode: *mode,
+            label: mode.label(),
+            points: done,
+        });
+    }
+    FigureData {
+        id: spec.id,
+        caption: spec.caption,
+        series,
+        skipped,
+    }
+}
+
+impl FigureData {
+    /// A markdown table of the figure's series with Default-relative
+    /// ratios (the EXPERIMENTS.md presentation). Skipped points, if
+    /// any, are listed in a footer below the table.
+    pub fn to_markdown(&self) -> String {
+        let mut out = format!("## {} — {}\n\n", self.id, self.caption);
+        out.push_str("| zones | dim | Default | MPS | Hetero | Het/Def | MPS/Def | CPU share |\n");
+        out.push_str("|---|---|---|---|---|---|---|---|\n");
+        let find = |key: &str| self.series.iter().find(|s| s.mode.key() == key);
+        let (d, m, h) = (find("default"), find("mps4"), find("hetero"));
+        let zones: Vec<(u64, usize)> = d
+            .map(|s| s.points.iter().map(|&(z, v, _, _)| (z, v)).collect())
+            .unwrap_or_default();
+        for (z, v) in zones {
+            let at = |s: Option<&Series>| {
+                s.and_then(|s| s.points.iter().find(|p| p.0 == z))
+                    .map(|p| (p.2, p.3))
+            };
+            let dd = at(d);
+            let mm = at(m);
+            let hh = at(h);
+            let ratio = |x: Option<(f64, f64)>| match (x, dd) {
+                (Some((t, _)), Some((td, _))) if td > 0.0 => format!("{:.3}", t / td),
+                _ => "—".to_string(),
+            };
+            let cell = |x: Option<(f64, f64)>| {
+                x.map(|(t, _)| format!("{t:.4}"))
+                    .unwrap_or_else(|| "—".into())
+            };
+            let share = hh
+                .map(|(_, f)| format!("{:.2}%", f * 100.0))
+                .unwrap_or_else(|| "—".into());
+            out.push_str(&format!(
+                "| {z} | {v} | {} | {} | {} | {} | {} | {share} |\n",
+                cell(dd),
+                cell(mm),
+                cell(hh),
+                ratio(hh),
+                ratio(mm)
+            ));
+        }
+        out.push_str(&self.skip_footer());
+        out
+    }
+
+    /// Footer lines describing skipped points, empty when none were.
+    pub fn skip_footer(&self) -> String {
+        if self.skipped.is_empty() {
+            return String::new();
+        }
+        let mut out = format!("\n_{} infeasible point(s) skipped:_\n", self.skipped.len());
+        for s in &self.skipped {
+            out.push_str(&format!(
+                "- {} at {}×{}×{} (dim {}): {}\n",
+                s.mode, s.grid.0, s.grid.1, s.grid.2, s.swept_dim, s.reason
+            ));
+        }
+        out
+    }
+
+    /// CSV rows: `figure,mode,zones,swept,runtime_s,cpu_fraction`.
+    pub fn to_csv(&self) -> String {
+        let mut out = String::from("figure,mode,zones,swept_dim,runtime_s,cpu_fraction\n");
+        for s in &self.series {
+            for &(zones, v, t, f) in &s.points {
+                out.push_str(&format!(
+                    "{},{},{zones},{v},{t:.6},{f:.4}\n",
+                    self.id,
+                    s.mode.key()
+                ));
+            }
+        }
+        out
+    }
+
+    /// Chart-ready series `(label, [(zones, runtime_s)])`.
+    pub fn chart_series(&self) -> Vec<(String, Vec<(f64, f64)>)> {
+        self.series
+            .iter()
+            .map(|s| {
+                (
+                    s.label.clone(),
+                    s.points.iter().map(|&(z, _, t, _)| (z as f64, t)).collect(),
+                )
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -35,7 +35,11 @@
 //!   α–β redistribution cost, controller or not. Transient
 //!   device/transfer faults are retried inside a segment.
 //! * [`figures`] — sweep configurations for every evaluation figure
-//!   (12–18).
+//!   (12–18) and the one sweep engine that runs them
+//!   ([`figures::run_figure_with`]).
+//! * [`spec`] — the run-spec table: every key, name table and value
+//!   syntax by which text becomes a [`runner::RunConfig`], shared by
+//!   the command line and the serve front end.
 //! * [`calib`] — every tunable constant of the cost model, documented.
 //! * [`confhash`] — canonical byte encoding + FNV-1a content hash of
 //!   a [`runner::RunConfig`], the exact cache key for served results.
@@ -54,6 +58,7 @@ pub mod node;
 pub mod report;
 pub mod runner;
 pub mod scenario;
+pub mod spec;
 
 /// Fault-injection plans and sites (re-exported so callers can build
 /// [`runner::RunConfig::faults`] without a direct dependency).

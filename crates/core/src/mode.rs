@@ -58,6 +58,18 @@ impl ExecMode {
             ExecMode::Heterogeneous { .. } => "hetero".to_string(),
         }
     }
+
+    /// Parse a mode name: the inverse of [`ExecMode::key`] on the four
+    /// paper modes, plus `mps` for [`ExecMode::mps4`].
+    pub fn parse(s: &str) -> Option<ExecMode> {
+        match s {
+            "cpuonly" => Some(ExecMode::CpuOnly),
+            "default" => Some(ExecMode::Default),
+            "mps" | "mps4" => Some(ExecMode::mps4()),
+            "hetero" => Some(ExecMode::hetero()),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]

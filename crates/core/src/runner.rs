@@ -63,6 +63,15 @@ impl Default for Problem {
 }
 
 impl Problem {
+    /// Parse a problem name — a [`scenario::Scenario`] name or
+    /// `perturbed` — at its default configuration.
+    pub fn parse(s: &str) -> Option<Problem> {
+        match s {
+            "perturbed" => Some(Problem::Perturbed(PerturbedConfig::default())),
+            _ => scenario::Scenario::parse(s).ok().map(|sc| sc.problem()),
+        }
+    }
+
     fn init(&self, state: &mut HydroState) {
         match self {
             Problem::Sedov(cfg) => sedov::init(state, cfg),
@@ -1143,12 +1152,18 @@ fn run_segment(
 /// repeat until the fraction converges ("static within an iteration,
 /// but the decomposition can be adjusted between iterations").
 ///
-/// Returns the final run and the balancer with its history. For
-/// non-heterogeneous modes this is a single plain run.
+/// Returns the final run and the balancer with its history. Outside
+/// the heterogeneous mode there is no split to adjust; a fault plan
+/// is keyed to ranks and cycles a re-measured split would move; the
+/// online controller ([`RunConfig::rebalance`]) is a single in-run
+/// loop: each of those is one static [`run`] and an empty history.
 pub fn run_balanced(cfg: &RunConfig) -> Result<(RunResult, LoadBalancer), String> {
-    if !matches!(cfg.mode, ExecMode::Heterogeneous { .. }) {
+    let hetero = matches!(cfg.mode, ExecMode::Heterogeneous { .. });
+    if !hetero || cfg.faults.is_some() || cfg.rebalance.is_some() {
         let result = run(cfg)?;
-        return Ok((result, LoadBalancer::with_fraction(0.0)));
+        let mut lb = LoadBalancer::with_fraction(result.cpu_fraction);
+        lb.history.clear();
+        return Ok((result, lb));
     }
     let mut lb = match cfg.mode {
         ExecMode::Heterogeneous {
@@ -1603,6 +1618,26 @@ mod tests {
         assert!(s.metrics.counter(Counter::BalanceBytesMoved) > 0);
         assert_eq!(s.metrics.counter(Counter::BalanceFrozen), 0);
         assert!((s.metrics.gauge(Gauge::BalanceFraction) - last).abs() < 1e-12);
+    }
+
+    #[test]
+    fn run_balanced_runs_the_online_controller_once_not_inside_the_restart_loop() {
+        let mut cfg = online_cfg((320, 480, 160), 12, 2);
+        cfg.mode = ExecMode::Heterogeneous {
+            cpu_fraction: Some(0.30),
+        };
+        cfg.telemetry = true;
+        let direct = run(&cfg).unwrap();
+        let (balanced, lb) = run_balanced(&cfg).unwrap();
+        assert_eq!(balanced.csv_row(), direct.csv_row());
+        assert_eq!(balanced.breakdown_table(), direct.breakdown_table());
+        let rebalances = |r: &RunResult| {
+            let s = r.telemetry.as_ref().expect("telemetry is on");
+            s.metrics.counter(Counter::Rebalances)
+        };
+        assert!(rebalances(&direct) >= 1);
+        assert_eq!(rebalances(&balanced), rebalances(&direct));
+        assert!(lb.history.is_empty(), "the balancer tried nothing");
     }
 
     #[test]

@@ -9,33 +9,55 @@
 //! * `GET /metrics` — the telemetry registry in Prometheus text
 //!   format, including the `serve_*` counters and latency quantiles.
 //! * `POST /run` — body is `key=value` pairs (`&`- or
-//!   newline-separated): `mode=default|mps|hetero|cpuonly`,
-//!   `grid=X,Y,Z`, `cycles=N`, `balanced=0|1` (default 1),
-//!   `problem=sedov|sod|perturbed`,
-//!   `scenario=sedov|sod|noh|taylor-green` (first-class setups; folds
-//!   into the content hash through the selected problem),
-//!   `particles=COUNT` (enable the tracer-particle phase),
-//!   `deadline_ms=N`. Replies with the rendered run report;
-//!   `X-Cache: hit|miss` and `X-Content-Key` carry the cache
-//!   disposition and key.
+//!   newline-separated). The keys that describe the run — `mode`,
+//!   `grid`, `cycles`, `problem`, `scenario`, `particles` — are
+//!   forwarded to the run-spec table ([`hsim_core::spec`]; the README's
+//!   "Configuring a run" lists syntax and bounds); this front end
+//!   adds `balanced=0|1` (default 1) and `deadline_ms=N`. Replies
+//!   with the rendered run report; `X-Cache: hit|miss` and
+//!   `X-Content-Key` carry the cache disposition and key.
 //! * `GET /figure/<id>` — the figure sweep CSV (e.g. `/figure/fig14`).
 //!
 //! Typed failures map to statuses: queue full → 429, deadline → 504,
-//! run failure → 422, bad request → 400, shutdown → 503.
+//! run failure → 422, bad request → 400, shutdown → 503. The socket
+//! is not trusted: an over-long request or header line is a 400, a
+//! body over the cap a 413, and a run larger than any the paper swept
+//! a 400 — none of them is executed.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-use hsim_core::runner::{Problem, RunConfig};
-use hsim_core::{ExecMode, Scenario};
-use hsim_particles::ParticlesConfig;
+use hsim_core::runner::RunConfig;
+use hsim_core::spec::RunSpec;
+use hsim_core::{figures, ExecMode};
 
 use crate::server::{Request, ServeError, Server};
 
 /// Socket read timeout: a stalled client must not wedge the accept
 /// loop forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Longest request line or header line read: a newline-free stream
+/// must not grow a `String` without limit.
+const MAX_LINE: u64 = 8 << 10;
+
+/// Largest request body read.
+const MAX_BODY: usize = 1 << 20;
+
+/// Most cycles one request may run: a thousand times the sweeps' 10.
+const MAX_CYCLES: u64 = 10_000;
+
+/// Most zones one request may run: a hundred times the largest paper
+/// sweep point (4.6e7); a cost-only run of this size takes 0.06 s.
+const MAX_ZONES: u64 = 1 << 32;
+
+/// Most particles one request may seed: every rank materializes the
+/// global set (56 B x count x 16 ranks).
+const MAX_PARTICLES: u64 = 1 << 18;
+
+/// The run-spec keys reachable over HTTP.
+const RUN_KEYS: [&str; 6] = ["mode", "grid", "cycles", "problem", "scenario", "particles"];
 
 /// Serve HTTP requests from `listener` until `max_requests` have been
 /// answered (`None` = forever). Bind the listener yourself (port 0
@@ -57,11 +79,21 @@ pub fn serve(
     Ok(())
 }
 
+/// Read one line of at most [`MAX_LINE`] bytes; `None` if the line is
+/// longer than that.
+fn read_bounded_line(reader: &mut impl BufRead) -> std::io::Result<Option<String>> {
+    let mut line = String::new();
+    reader.by_ref().take(MAX_LINE).read_line(&mut line)?;
+    let truncated = line.len() as u64 >= MAX_LINE && !line.ends_with('\n');
+    Ok((!truncated).then_some(line))
+}
+
 fn handle_connection(server: &Server, stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let Some(line) = read_bounded_line(&mut reader)? else {
+        return respond(stream, 400, "request line too long\n", &[]);
+    };
     let mut parts = line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m.to_string(), p.to_string()),
@@ -69,10 +101,9 @@ fn handle_connection(server: &Server, stream: TcpStream) -> std::io::Result<()> 
     };
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
-        }
+        let Some(header) = read_bounded_line(&mut reader)? else {
+            return respond(stream, 400, "header line too long\n", &[]);
+        };
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -85,32 +116,29 @@ fn handle_connection(server: &Server, stream: TcpStream) -> std::io::Result<()> 
             content_length = v.parse().unwrap_or(0);
         }
     }
-    let mut body = vec![0u8; content_length.min(1 << 20)];
-    if !body.is_empty() {
-        reader.read_exact(&mut body)?;
+    if content_length > MAX_BODY {
+        return respond(stream, 413, "request body too large\n", &[]);
     }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body)?;
     let body = String::from_utf8_lossy(&body).into_owned();
 
     match (method.as_str(), path.as_str()) {
         ("GET", "/healthz") => respond(stream, 200, "ok\n", &[]),
         ("GET", "/metrics") => respond(stream, 200, &server.metrics_text(), &[]),
-        ("POST", "/run") => match parse_run_body(&body) {
-            Ok(req) => match server.submit(req) {
-                Ok(resp) => {
-                    let headers = [
-                        format!("X-Cache: {}", if resp.cached { "hit" } else { "miss" }),
-                        format!("X-Content-Key: {:016x}", resp.key),
-                    ];
-                    respond_bytes(stream, 200, &resp.outcome.bytes, &headers)
-                }
-                Err(e) => respond(stream, e.http_status(), &format!("{e}\n"), &[]),
-            },
+        ("POST", "/run") => match parse_run_body(&body).and_then(|req| server.submit(req)) {
+            Ok(resp) => {
+                let headers = [
+                    format!("X-Cache: {}", if resp.cached { "hit" } else { "miss" }),
+                    format!("X-Content-Key: {:016x}", resp.key),
+                ];
+                respond_bytes(stream, 200, &resp.outcome.bytes, &headers)
+            }
             Err(e) => respond(stream, e.http_status(), &format!("{e}\n"), &[]),
         },
         ("GET", p) if p.starts_with("/figure/") => {
             let id = &p["/figure/".len()..];
-            let modes = [ExecMode::Default, ExecMode::mps4(), ExecMode::hetero()];
-            match server.figure_csv(id, &modes) {
+            match server.figure_csv(id, &figures::paper_modes()) {
                 Ok(csv) => respond(stream, 200, &csv, &[]),
                 Err(e) => respond(stream, e.http_status(), &format!("{e}\n"), &[]),
             }
@@ -119,71 +147,53 @@ fn handle_connection(server: &Server, stream: TcpStream) -> std::io::Result<()> 
     }
 }
 
+/// Refuse a run larger than this front end will execute.
+fn check_bounds(cfg: &RunConfig) -> Result<(), ServeError> {
+    let (x, y, z) = cfg.grid;
+    let zones = (x as u64)
+        .checked_mul(y as u64)
+        .and_then(|xy| xy.checked_mul(z as u64));
+    let particles = cfg.particles.map_or(0, |p| p.count);
+    for (what, value, max) in [
+        ("cycles", cfg.cycles, MAX_CYCLES),
+        ("grid zone count", zones.unwrap_or(u64::MAX), MAX_ZONES),
+        ("particles", particles, MAX_PARTICLES),
+    ] {
+        if value > max {
+            return Err(ServeError::BadRequest(format!("{what} above {max}")));
+        }
+    }
+    Ok(())
+}
+
 /// Parse the `POST /run` body into a [`Request`].
 fn parse_run_body(body: &str) -> Result<Request, ServeError> {
-    let mut cfg = RunConfig::sweep((64, 48, 32), ExecMode::hetero());
+    let mut spec = RunSpec::new(RunConfig::sweep((64, 48, 32), ExecMode::hetero()));
     let mut balanced = true;
     let mut deadline = None;
-    for pair in body.split(['&', '\n']) {
-        let pair = pair.trim();
+    for pair in body.split(['&', '\n']).map(str::trim) {
         if pair.is_empty() {
             continue;
         }
         let (k, v) = pair
             .split_once('=')
             .ok_or_else(|| ServeError::BadRequest(format!("expected key=value, got `{pair}`")))?;
-        let bad = |what: &str| ServeError::BadRequest(format!("bad {what} `{v}`"));
+        let bad = || ServeError::BadRequest(format!("bad {k} `{v}`"));
         match k {
-            "mode" => {
-                cfg.mode = match v {
-                    "default" => ExecMode::Default,
-                    "mps" => ExecMode::mps4(),
-                    "hetero" => ExecMode::hetero(),
-                    "cpuonly" => ExecMode::CpuOnly,
-                    _ => return Err(bad("mode")),
-                }
-            }
-            "grid" => {
-                let dims: Vec<usize> = v
-                    .split(',')
-                    .map(|p| p.trim().parse().map_err(|_| bad("grid")))
-                    .collect::<Result<_, _>>()?;
-                cfg.grid = match dims.as_slice() {
-                    [x, y, z] => (*x, *y, *z),
-                    _ => return Err(bad("grid")),
-                };
-            }
-            "cycles" => cfg.cycles = v.parse().map_err(|_| bad("cycles"))?,
-            "problem" => {
-                cfg.problem = match v {
-                    "sedov" => Problem::default(),
-                    "sod" => Problem::Sod(Default::default()),
-                    "perturbed" => Problem::Perturbed(Default::default()),
-                    _ => return Err(bad("problem")),
-                }
-            }
-            "scenario" => cfg.problem = Scenario::parse(v).map_err(|_| bad("scenario"))?.problem(),
-            "particles" => {
-                cfg.particles = Some(ParticlesConfig {
-                    count: v.parse().map_err(|_| bad("particles"))?,
-                    ..ParticlesConfig::default()
-                })
-            }
             "balanced" => {
                 balanced = match v {
                     "1" | "true" => true,
                     "0" | "false" => false,
-                    _ => return Err(bad("balanced")),
+                    _ => return Err(bad()),
                 }
             }
-            "deadline_ms" => {
-                deadline = Some(Duration::from_millis(
-                    v.parse().map_err(|_| bad("deadline_ms"))?,
-                ))
-            }
+            "deadline_ms" => deadline = Some(Duration::from_millis(v.parse().map_err(|_| bad())?)),
+            _ if RUN_KEYS.contains(&k) => spec.set(k, v).map_err(ServeError::BadRequest)?,
             _ => return Err(ServeError::BadRequest(format!("unknown key `{k}`"))),
         }
     }
+    let cfg = spec.finish();
+    check_bounds(&cfg)?;
     Ok(Request {
         cfg,
         balanced,
@@ -196,6 +206,7 @@ fn status_reason(status: u16) -> &'static str {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Payload Too Large",
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
         503 => "Service Unavailable",
@@ -286,6 +297,13 @@ mod tests {
             "frobnicate=1",
             "scenario=vortex",
             "particles=lots",
+            "particles=20000000000",
+            "cycles=18446744073709551615",
+            "grid=4294967296,4294967296,2",
+            // Run-spec keys this front end does not expose.
+            "faults=rank.loss@rank5.cycle4",
+            "tile=8x8",
+            "full=",
         ] {
             let err = parse_run_body(body).unwrap_err();
             assert_eq!(err.http_status(), 400, "body `{body}` → {err:?}");

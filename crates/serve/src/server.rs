@@ -289,25 +289,11 @@ struct Task {
     key: u64,
     /// Admission order, for deterministic LPT tie-breaking.
     seq: u64,
-    /// LPT cost: zones, weighted up for heterogeneous runs the same
-    /// way the sweep engine weights them.
+    /// LPT cost ([`figures::lpt_cost`]), the sweep engine's weighting.
     cost: u64,
     cfg: RunConfig,
     balanced: bool,
     pending: Arc<Pending>,
-}
-
-/// Heterogeneous runs do cooperative CPU work on top of the device
-/// timeline, so they cost more wall-clock per zone — same weight the
-/// sweep engine's LPT batching uses.
-const HETERO_LPT_WEIGHT: u64 = 4;
-
-fn lpt_cost(cfg: &RunConfig) -> u64 {
-    let zones = (cfg.grid.0 * cfg.grid.1 * cfg.grid.2) as u64;
-    match cfg.mode {
-        ExecMode::Heterogeneous { .. } => zones * HETERO_LPT_WEIGHT,
-        _ => zones,
-    }
 }
 
 struct Inner {
@@ -441,7 +427,7 @@ impl Server {
                 q.push(Arc::new(Task {
                     key,
                     seq: inner.seq.fetch_add(1, Ordering::Relaxed),
-                    cost: lpt_cost(&req.cfg),
+                    cost: figures::lpt_cost(&req.cfg),
                     cfg: req.cfg,
                     balanced: req.balanced,
                     pending: Arc::clone(&p),
@@ -475,10 +461,25 @@ impl Server {
         })
     }
 
-    /// Serve a whole figure sweep: every (mode × sweep point) goes
-    /// through the same queue/cache as any other request — concurrent
-    /// figure requests share executions — and the CSV is assembled in
-    /// fixed mode-major order, so the bytes are deterministic.
+    /// [`Server::submit`] with client-side backpressure: a full queue
+    /// is not an error for a batch — retry while workers drain.
+    fn submit_batched(&self, req: Request) -> Result<Response, ServeError> {
+        let mut res = self.submit(req.clone());
+        let mut tries = 0u32;
+        while matches!(res, Err(ServeError::QueueFull { .. })) && tries < 10_000 {
+            std::thread::sleep(Duration::from_millis(1));
+            res = self.submit(req.clone());
+            tries += 1;
+        }
+        res
+    }
+
+    /// Serve a whole figure sweep: the sweep engine
+    /// ([`figures::run_figure_with`]) with this server as its executor,
+    /// so every (mode × sweep point) goes through the same queue/cache
+    /// as any other request and concurrent figure requests share
+    /// executions. A point that fails fails the figure with that
+    /// point's error.
     pub fn figure_csv(&self, id: &str, modes: &[ExecMode]) -> Result<String, ServeError> {
         let spec = figures::all_figures()
             .into_iter()
@@ -487,60 +488,27 @@ impl Server {
         if modes.is_empty() {
             return Err(ServeError::BadRequest("no modes requested".to_string()));
         }
-        let points = spec.points();
-        let jobs: Vec<(usize, usize)> = (0..modes.len())
-            .flat_map(|mi| (0..points.len()).map(move |pi| (mi, pi)))
-            .collect();
-        let slots: Vec<ResultSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        let clients = jobs.len().min((self.workers.len().max(1)) * 2);
-        std::thread::scope(|s| {
-            for _ in 0..clients.max(1) {
-                s.spawn(|| loop {
-                    let j = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(mi, pi)) = jobs.get(j) else { break };
-                    let (Some(point), Some(&mode)) = (points.get(pi), modes.get(mi)) else {
-                        break;
-                    };
-                    let cfg = RunConfig::sweep(point.grid(), mode);
-                    let req = Request::balanced(cfg);
-                    // Client-side backpressure: a full queue is not an
-                    // error for a batch — retry while workers drain.
-                    let mut res = self.submit(req.clone());
-                    let mut tries = 0u32;
-                    while matches!(res, Err(ServeError::QueueFull { .. })) && tries < 10_000 {
-                        std::thread::sleep(Duration::from_millis(1));
-                        res = self.submit(req.clone());
-                        tries += 1;
-                    }
-                    if let Some(slot) = slots.get(j) {
-                        *lock(slot) = Some(res.map(|r| r.outcome));
-                    }
-                });
-            }
+        let errors = Mutex::new(Vec::new());
+        let clients = self.workers.len().max(1) * 2;
+        let data = figures::run_figure_with(&spec, modes, clients, |cfg| {
+            let sent = self.submit_batched(Request::balanced(cfg.clone()));
+            let o = sent.map(|r| r.outcome).map_err(|e| {
+                let reason = e.to_string();
+                lock(&errors).push(e);
+                reason
+            })?;
+            Ok((o.zones, o.runtime_s, o.cpu_fraction))
         });
-        let mut out = String::from("figure,mode,zones,swept_dim,runtime_s,cpu_fraction\n");
-        for (mi, mode) in modes.iter().enumerate() {
-            for (pi, v) in spec.values.iter().enumerate() {
-                let j = mi * points.len() + pi;
-                match slots.get(j).and_then(|slot| lock(slot).take()) {
-                    Some(Ok(o)) => {
-                        out.push_str(&format!(
-                            "{},{},{},{},{:.6},{:.4}\n",
-                            spec.id,
-                            mode.key(),
-                            o.zones,
-                            v,
-                            o.runtime_s,
-                            o.cpu_fraction
-                        ));
-                    }
-                    Some(Err(e)) => return Err(e),
-                    None => return Err(ServeError::Run("sweep point never ran".to_string())),
-                }
-            }
-        }
-        Ok(out)
+        // The skipped point carries its error's rendering; hand back
+        // the typed error that rendered it.
+        let Some(skip) = data.skipped.first() else {
+            return Ok(data.to_csv());
+        };
+        let typed = lock(&errors)
+            .iter()
+            .find(|e| e.to_string() == skip.reason)
+            .cloned();
+        Err(typed.unwrap_or_else(|| ServeError::Run(skip.reason.clone())))
     }
 
     fn record_latency(&self, t0: Instant) {

@@ -7,7 +7,7 @@
 //! cargo run --release --example figure_sweep -- fig13   # pick one
 //! ```
 
-use heterosim::bench::{ascii_chart, paper_modes, run_figure};
+use heterosim::bench::{ascii_chart, paper_modes, run_figure_jobs};
 use heterosim::core::figures;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         spec.caption,
         spec.values.len()
     );
-    let data = run_figure(&spec, &paper_modes());
+    let data = run_figure_jobs(&spec, &paper_modes(), 1);
 
     println!("\n=== {} — {} ===", spec.id, spec.caption);
     println!("{}", ascii_chart(&data.chart_series(), 72, 20));

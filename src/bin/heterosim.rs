@@ -1,47 +1,21 @@
 //! Command-line driver for the cooperative heterogeneous runner.
 //!
-//! ```text
-//! heterosim [--mode default|mps|hetero|cpuonly] [--grid X,Y,Z]
-//!           [--cycles N] [--full] [--node rzhasgpu|fixed|sierra]
-//!           [--gpu-direct] [--diffusion KAPPA] [--multipolicy N]
-//!           [--fraction F] [--no-balance] [--faults SPEC]
-//!           [--rebalance every=N,hysteresis=X]
-//!           [--scenario sedov|sod|noh|taylor-green]
-//!           [--problem sedov|sod|perturbed] [--trace] [--csv]
-//!           [--particles COUNT[,DRAG[,SEED]]]
-//!           [--host-threads N] [--tile TY,TZ]
-//!           [--trace-json PATH] [--metrics-json PATH]
-//! ```
+//! `heterosim --help` prints the synopsis. The options that describe
+//! the run are the keys of the run-spec table
+//! (`heterosim::core::spec::KEYS`, documented under "Configuring a
+//! run" in the README), spelled `--dash-key VALUE`; this binary adds
+//! only what concerns its own output and driving:
 //!
-//! `--scenario` selects one of the first-class problem setups (each
-//! stressing a different kernel-size regime; see README Scenarios);
-//! `--problem` remains as the lower-level selector and also accepts
-//! the balancer's `perturbed` workload, which is not a scenario.
-//! `--particles` enables the Lagrangian tracer phase: particles are
-//! advected through the hydro field each cycle and migrate between
-//! ranks through the coupler's all-to-all.
-//!
-//! `--tile` pins the y–z tile shape of the fused cache-blocked hydro
-//! kernels (default: one-shot auto-tune probe). Physics and figures
-//! are bitwise-independent of the choice.
+//! * `--no-balance` skips the §6.2 load balancer and runs the mode's
+//!   static split once. (A run with `--faults` or `--rebalance` is one
+//!   static run regardless: `run_balanced` owns that rule.)
+//! * `--csv` prints the schema-versioned CSV row instead of the report.
+//! * `--trace-json PATH` / `--metrics-json PATH` collect telemetry and
+//!   write the Chrome trace / the metrics document.
 //!
 //! The `serve` subcommand starts the long-lived simulation server
 //! (HTTP over pure-std TCP, content-hash result cache, bounded
-//! admission, live `/metrics`):
-//! ```text
-//! heterosim serve [--addr HOST:PORT] [--workers N] [--queue N]
-//!                 [--deadline-ms N] [--tile TY,TZ] [--max-requests N]
-//! ```
-//!
-//! `--faults` takes a fault plan such as
-//! `xfer.delay@rank1.cycle2:ns=200000;rank.loss@rank5.cycle4` (see the
-//! README's Resilience section). `--no-balance` skips the §6.2 load
-//! balancer and runs the mode's static split once — required for
-//! byte-identical chaos reruns, since the balancer re-measures.
-//! `--rebalance` enables the *online* measured-speed controller
-//! instead (hetero mode only): the split is adjusted in-run every N
-//! cycles from virtual-time measurements, so controller-enabled chaos
-//! reruns stay byte-identical without `--no-balance`.
+//! admission, live `/metrics`).
 //!
 //! Examples:
 //! ```sh
@@ -49,44 +23,33 @@
 //! cargo run --release --bin heterosim -- --mode mps --grid 320,240,160 --trace
 //! ```
 
-use heterosim::core::{run_balanced, runner, ExecMode, NodeConfig, RunConfig, RunResult};
-use heterosim::hydro::DiffusionConfig;
-use heterosim::raja::Fidelity;
+use heterosim::core::spec::{RunSpec, KEYS};
+use heterosim::core::{calib, run_balanced, runner, ExecMode, RunConfig, RunResult};
+use heterosim::serve::{http, Server, ServerConfig};
+
+const SERVE_USAGE: &str = "heterosim serve [--addr HOST:PORT] [--workers N] [--queue N]\n\
+    \x20                      [--deadline-ms N] [--tile TY,TZ] [--max-requests N]";
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: heterosim [--mode default|mps|hetero|cpuonly] [--grid X,Y,Z]\n\
-         \x20                [--cycles N] [--full] [--node rzhasgpu|fixed|sierra]\n\
-         \x20                [--gpu-direct] [--diffusion KAPPA] [--multipolicy N]\n\
-         \x20                [--fraction F] [--no-balance] [--faults SPEC]\n\
-         \x20                [--rebalance every=N,hysteresis=X]\n\
-         \x20                [--scenario sedov|sod|noh|taylor-green]\n\
-         \x20                [--problem sedov|sod|perturbed] [--trace] [--csv]\n\
-         \x20                [--particles COUNT[,DRAG[,SEED]]]\n\
-         \x20                [--host-threads N] [--tile TY,TZ]\n\
-         \x20                [--trace-json PATH] [--metrics-json PATH]\n\
-         \x20      heterosim serve [--addr HOST:PORT] [--workers N] [--queue N]\n\
-         \x20                [--deadline-ms N] [--tile TY,TZ] [--max-requests N]"
-    );
+    let own = [
+        "--no-balance",
+        "--csv",
+        "--trace-json PATH",
+        "--metrics-json PATH",
+    ];
+    let keys = KEYS
+        .iter()
+        .map(|k| format!("{} {}", k.flag(), k.value.unwrap_or("")));
+    eprintln!("usage: heterosim [OPTION...]");
+    for opt in keys.chain(own.map(String::from)) {
+        eprintln!("         {}", opt.trim_end());
+    }
+    eprintln!("       {SERVE_USAGE}");
     std::process::exit(2)
 }
 
-fn parse_grid(s: &str) -> (usize, usize, usize) {
-    let parts: Vec<usize> = s
-        .split(',')
-        .map(|p| p.trim().parse().unwrap_or_else(|_| usage()))
-        .collect();
-    match parts.as_slice() {
-        [x, y, z] => (*x, *y, *z),
-        _ => usage(),
-    }
-}
-
 fn serve_usage() -> ! {
-    eprintln!(
-        "usage: heterosim serve [--addr HOST:PORT] [--workers N] [--queue N]\n\
-         \x20                      [--deadline-ms N] [--tile TY,TZ] [--max-requests N]"
-    );
+    eprintln!("usage: {SERVE_USAGE}");
     std::process::exit(2)
 }
 
@@ -94,7 +57,7 @@ fn serve_usage() -> ! {
 /// until `--max-requests` connections, for CI smoke tests).
 fn serve_main(args: &[String]) -> ! {
     let mut addr = "127.0.0.1:8080".to_string();
-    let mut cfg = heterosim::serve::ServerConfig::default();
+    let mut cfg = ServerConfig::default();
     let mut max_requests: Option<usize> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -108,13 +71,10 @@ fn serve_main(args: &[String]) -> ! {
                 cfg.default_deadline = Some(std::time::Duration::from_millis(ms));
             }
             "--tile" => {
-                let v = value().replace(',', "x");
-                cfg.tile = Some(
-                    heterosim::core::calib::parse_tile_spec(&v).unwrap_or_else(|e| {
-                        eprintln!("bad --tile: {e}");
-                        serve_usage()
-                    }),
-                );
+                cfg.tile = Some(calib::parse_tile_spec(&value()).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    serve_usage()
+                }));
             }
             "--max-requests" => {
                 max_requests = Some(value().parse().unwrap_or_else(|_| serve_usage()))
@@ -130,13 +90,13 @@ fn serve_main(args: &[String]) -> ! {
         eprintln!("cannot bind {addr}: {e}");
         std::process::exit(1);
     });
-    let server = heterosim::serve::Server::new(cfg);
+    let server = Server::new(cfg);
     eprintln!(
         "serving on http://{} (tile {}; endpoints: /healthz /metrics /run /figure/<id>)",
         listener.local_addr().map(|a| a.to_string()).unwrap_or(addr),
-        heterosim::core::calib::tile_spec(server.tile()),
+        calib::tile_spec(server.tile()),
     );
-    if let Err(e) = heterosim::serve::http::serve(&server, listener, max_requests) {
+    if let Err(e) = http::serve(&server, listener, max_requests) {
         eprintln!("serve failed: {e}");
         std::process::exit(1);
     }
@@ -144,185 +104,49 @@ fn serve_main(args: &[String]) -> ! {
 }
 
 fn main() {
-    let serve_args: Vec<String> = std::env::args().skip(1).collect();
-    if serve_args.first().map(String::as_str) == Some("serve") {
-        serve_main(&serve_args[1..]);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("serve") {
+        serve_main(&args[1..]);
     }
 
-    let mut mode = ExecMode::hetero();
-    let mut grid = (320, 480, 160);
-    let mut cycles = 10u64;
-    let mut fidelity = Fidelity::CostOnly;
-    let mut node = NodeConfig::rzhasgpu();
-    let mut gpu_direct = false;
-    let mut diffusion = None;
-    let mut multipolicy = 0u64;
-    let mut fraction: Option<f64> = None;
-    let mut trace = false;
+    let mut spec = RunSpec::new(RunConfig::sweep((320, 480, 160), ExecMode::hetero()));
     let mut csv = false;
+    let mut no_balance = false;
     let mut trace_json: Option<String> = None;
     let mut metrics_json: Option<String> = None;
-    let mut problem_choice = heterosim::core::runner::Problem::default();
-    let mut host_threads = 1usize;
-    let mut tile: Option<[usize; 2]> = None;
-    let mut no_balance = false;
-    let mut faults: Option<heterosim::core::faults::FaultPlan> = None;
-    let mut rebalance: Option<heterosim::core::RebalanceConfig> = None;
-    let mut particles: Option<heterosim::particles::ParticlesConfig> = None;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
         match arg.as_str() {
-            "--mode" => {
-                mode = match value().as_str() {
-                    "default" => ExecMode::Default,
-                    "mps" => ExecMode::mps4(),
-                    "hetero" => ExecMode::hetero(),
-                    "cpuonly" => ExecMode::CpuOnly,
-                    _ => usage(),
-                }
-            }
-            "--grid" => grid = parse_grid(&value()),
-            "--cycles" => cycles = value().parse().unwrap_or_else(|_| usage()),
-            "--full" => fidelity = Fidelity::Full,
-            "--node" => {
-                node = match value().as_str() {
-                    "rzhasgpu" => NodeConfig::rzhasgpu(),
-                    "fixed" => NodeConfig::rzhasgpu_fixed_compiler(),
-                    "sierra" => NodeConfig::sierra_ea(),
-                    _ => usage(),
-                }
-            }
-            "--gpu-direct" => gpu_direct = true,
-            "--diffusion" => {
-                diffusion = Some(DiffusionConfig {
-                    kappa: value().parse().unwrap_or_else(|_| usage()),
-                })
-            }
-            "--multipolicy" => multipolicy = value().parse().unwrap_or_else(|_| usage()),
-            "--fraction" => fraction = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--trace" => trace = true,
             "--csv" => csv = true,
             "--no-balance" => no_balance = true,
-            "--faults" => {
-                faults = Some(
-                    heterosim::core::faults::FaultPlan::parse(&value()).unwrap_or_else(|e| {
-                        eprintln!("bad --faults spec: {e}");
-                        usage()
-                    }),
-                )
-            }
-            "--rebalance" => {
-                rebalance = Some(
-                    heterosim::core::RebalanceConfig::parse(&value()).unwrap_or_else(|e| {
-                        eprintln!("bad --rebalance spec: {e}");
-                        usage()
-                    }),
-                )
-            }
-            "--host-threads" => host_threads = value().parse().unwrap_or_else(|_| usage()),
-            "--tile" => {
-                let v = value();
-                let parts: Vec<usize> = v
-                    .split(',')
-                    .map(|p| p.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                tile = match parts.as_slice() {
-                    [ty, tz] => Some([*ty, *tz]),
-                    _ => usage(),
-                };
-            }
-            "--trace-json" => trace_json = Some(value()),
-            "--metrics-json" => metrics_json = Some(value()),
-            "--problem" => {
-                problem_choice = match value().as_str() {
-                    "sedov" => heterosim::core::runner::Problem::default(),
-                    "sod" => heterosim::core::runner::Problem::Sod(Default::default()),
-                    "perturbed" => heterosim::core::runner::Problem::Perturbed(Default::default()),
-                    _ => usage(),
-                }
-            }
-            "--scenario" => {
-                let v = value();
-                let scenario = heterosim::core::Scenario::parse(&v).unwrap_or_else(|e| {
-                    eprintln!("bad --scenario: {e}");
-                    usage()
-                });
-                problem_choice = scenario.problem();
-            }
-            "--particles" => {
-                let v = value();
-                let parts: Vec<&str> = v.split(',').collect();
-                let mut pcfg = heterosim::particles::ParticlesConfig::default();
-                match parts.as_slice() {
-                    [c] => pcfg.count = c.trim().parse().unwrap_or_else(|_| usage()),
-                    [c, d] => {
-                        pcfg.count = c.trim().parse().unwrap_or_else(|_| usage());
-                        pcfg.drag = d.trim().parse().unwrap_or_else(|_| usage());
-                    }
-                    [c, d, s] => {
-                        pcfg.count = c.trim().parse().unwrap_or_else(|_| usage());
-                        pcfg.drag = d.trim().parse().unwrap_or_else(|_| usage());
-                        pcfg.seed = s.trim().parse().unwrap_or_else(|_| usage());
-                    }
-                    _ => usage(),
-                }
-                particles = Some(pcfg);
-            }
+            "--trace-json" => trace_json = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            "--metrics-json" => metrics_json = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage()
-            }
+            other => match spec.set_arg(other, || it.next().cloned()) {
+                Ok(true) => {}
+                Ok(false) => {
+                    eprintln!("unknown argument: {other}");
+                    usage()
+                }
+                Err(e) => {
+                    eprintln!("{e}");
+                    usage()
+                }
+            },
         }
     }
+    let mut cfg = spec.finish();
+    cfg.telemetry = trace_json.is_some() || metrics_json.is_some();
 
-    if let (ExecMode::Heterogeneous { cpu_fraction }, Some(f)) = (&mut mode, fraction) {
-        *cpu_fraction = Some(f);
-    }
-    let cfg = RunConfig {
-        grid,
-        mode,
-        node,
-        cycles,
-        fidelity,
-        gpu_direct,
-        diffusion,
-        multipolicy_threshold: multipolicy,
-        trace,
-        telemetry: trace_json.is_some() || metrics_json.is_some(),
-        problem: problem_choice,
-        faults,
-        rebalance,
-        host_threads,
-        tile,
-        particles,
-    };
-
-    // The balancer re-measures between iterations; a fault plan is
-    // keyed to specific ranks and cycles, so chaos runs use the
-    // static split (as does --no-balance). The online controller is a
-    // single in-run loop — never wrapped in the restart balancer.
-    let run_once = no_balance || cfg.faults.is_some() || cfg.rebalance.is_some();
-    let (result, lb_history) = if run_once {
-        match runner::run(&cfg) {
-            Ok(r) => (r, Vec::new()),
-            Err(e) => {
-                eprintln!("run failed: {e}");
-                std::process::exit(1);
-            }
-        }
+    let run = if no_balance {
+        runner::run(&cfg).map(|r| (r, Vec::new()))
     } else {
-        match run_balanced(&cfg) {
-            Ok((r, lb)) => (r, lb.history),
-            Err(e) => {
-                eprintln!("run failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        run_balanced(&cfg).map(|(r, lb)| (r, lb.history))
     };
+    let (result, lb_history) = run.unwrap_or_else(|e| {
+        eprintln!("run failed: {e}");
+        std::process::exit(1);
+    });
 
     if let Some(summary) = &result.telemetry {
         if let Some(path) = &trace_json {
@@ -350,7 +174,7 @@ fn main() {
     println!("mode:            {}", result.mode_label);
     println!(
         "grid:            {} x {} x {} = {} zones",
-        grid.0, grid.1, grid.2, result.zones
+        cfg.grid.0, cfg.grid.1, cfg.grid.2, result.zones
     );
     println!("node:            {}", cfg.node.name);
     println!("cycles:          {}", result.cycles);

@@ -112,3 +112,25 @@ fn skip_order_is_deterministic_across_job_counts() {
     assert_eq!(fmt(&a), fmt(&b));
     assert_eq!(a.to_markdown(), b.to_markdown());
 }
+
+/// The serve front end runs the same engine over the same
+/// configurations: `/figure/fig-sod` is byte for byte the `figures`
+/// binary's CSV, and it executes — and caches — Sod runs, so a later
+/// `POST /run scenario=sod` for one of its points is a hit.
+#[test]
+fn served_figure_is_the_same_sweep_under_the_same_cache_keys() {
+    use heterosim::core::{figures, Scenario};
+    use heterosim::serve::{Request, Server, ServerConfig};
+
+    let spec = figures::fig_scenario(Scenario::Sod);
+    let modes = paper_modes();
+    let server = Server::new(ServerConfig::default());
+    let served = server.figure_csv(spec.id, &modes).expect("figure serves");
+
+    let first = spec.config(&spec.points()[0], modes[0]);
+    assert_eq!(first.problem, Scenario::Sod.problem());
+    let again = server.submit(Request::balanced(first)).expect("serves");
+    assert!(again.cached, "the sweep ran this point under this key");
+
+    assert_eq!(served, run_figure_jobs(&spec, &modes, 2).to_csv());
+}
