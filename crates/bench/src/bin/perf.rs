@@ -214,6 +214,7 @@ static METRICS: &[Metric] = &[
     ("rebalance.recovery.rank_losses",        "count", V, Min(1.0), "the injected loss must be recorded"),
     ("rebalance.recovery.ranks_after",        "count", V, Info, "survivors after the foldback"),
     ("rebalance.recovery.post_loss_fraction", "frac",  V, Info, "the frozen post-loss split"),
+    ("rebalance.recovery.account_residual_ns", "ns",   V, Max(0.0), "max over ranks of |sum of the six buckets - total|, folded across the re-split and foldback segments: a rank has one clock"),
 
     ("scenarios.*.*.virtual_s",           "s",     V, Info, "simulated runtime"),
     ("scenarios.*.*.mzps",                "Mz/s",  V, MinOfBase(0.95), "virtual-time zone throughput; the 5% slack absorbs deliberate cost-model recalibration, not noise"),
@@ -221,6 +222,7 @@ static METRICS: &[Metric] = &[
     ("scenarios.*.*.identical",           "bool",  V, IsTrue, "the same-seed double run must be bit-identical"),
     ("scenarios.*.*.particles_conserved", "bool",  V, IsTrue, "tracer count and finite momentum must survive the run"),
     ("scenarios.*.*.migrated",            "count", V, Info, "cross-rank particle migrations"),
+    ("scenarios.*.*.account_residual_ns", "ns",    V, Max(0.0), "max over ranks of |sum of the six buckets - total|: charging a bucket is the only way a rank's clock advances"),
 
     ("telemetry.host_sweep_points", "count", W, Info, "sweep points the host counters saw"),
     ("telemetry.host_sweep_nanos",  "ns",    W, Info, "host time inside sweep points"),
@@ -705,6 +707,7 @@ fn scenario_rows() -> Vec<Row> {
                 "virtual_s" => virtual_s, "mzps" => zone_cycles / virtual_s.max(1e-12) / 1e6,
                 "identical" => fingerprint(&a) == fingerprint(&b),
                 "particles_conserved" => conserved, "migrated" => p.migrated,
+                "account_residual_ns" => a.account_residual().as_nanos(),
             ));
             out.extend(sc.error.map(|e| row(format!("{at}.error"), e)));
         }
@@ -816,7 +819,7 @@ mod tests {
         "rebalance.r100_s45.rel_err": 0.01, "rebalance.r100_s45.converged_cycle": 2,
         "rebalance.r100_s45.final_minus_guard": 0, "rebalance.r100_s45.clamped_offset": 0,
         "rebalance.recovery.identical": true, "rebalance.recovery.frozen": 1,
-        "rebalance.recovery.rank_losses": 1,
+        "rebalance.recovery.rank_losses": 1, "rebalance.recovery.account_residual_ns": 0,
         "scenarios.sedov.cpu.mzps": 1.2, "scenarios.sedov.hetero.mzps": 1.6,
         "scenarios.sod.cpu.mzps": 0.8, "scenarios.sod.cpu.error": 0.031,
         "scenarios.sod.hetero.mzps": 0.7, "scenarios.sod.hetero.error": 0.031,
@@ -835,7 +838,9 @@ mod tests {
             .map(String::from)
             .collect();
         for at in pairs {
-            r.extend(rows!(at; "identical" => true, "particles_conserved" => true));
+            r.extend(rows!(at;
+                "identical" => true, "particles_conserved" => true, "account_residual_ns" => 0u64,
+            ));
         }
         r
     }

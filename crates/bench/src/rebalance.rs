@@ -112,6 +112,9 @@ pub struct RecoveryCheck {
     /// The frozen post-loss split (may sit below the guard: the
     /// foldback hands the lost slab to a GPU block).
     pub post_loss_fraction: f64,
+    /// Largest `|Σ buckets − total|` over the survivors' folded
+    /// reports (must be 0).
+    pub account_residual_ns: u64,
 }
 
 /// The full study: sweep points (the last one is the clamped `ny=24`
@@ -252,6 +255,7 @@ pub fn run_recovery_check() -> Result<RecoveryCheck, String> {
         rank_losses: sa.metrics.counter(Counter::FaultRankLosses),
         ranks_after: a.ranks.len(),
         post_loss_fraction: a.cpu_fraction,
+        account_residual_ns: a.account_residual().as_nanos(),
     })
 }
 
@@ -317,6 +321,7 @@ impl RebalanceReport {
             "identical" => rec.identical, "frozen" => rec.frozen,
             "rank_losses" => rec.rank_losses, "ranks_after" => rec.ranks_after,
             "post_loss_fraction" => rec.post_loss_fraction,
+            "account_residual_ns" => rec.account_residual_ns,
         ));
         out
     }
@@ -442,6 +447,7 @@ mod tests {
                 rank_losses: 1,
                 ranks_after: 15,
                 post_loss_fraction: 0.02,
+                account_residual_ns: 0,
             },
         };
         let mut results = crate::Results::new(1);

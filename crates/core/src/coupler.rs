@@ -15,6 +15,22 @@ use hsim_raja::Fidelity;
 use hsim_time::clock::ChargeKind;
 use hsim_time::RankClock;
 
+/// Run `op` on `comm` with the rank's `clock` lent to it: the two
+/// swap places for the duration, so every send overhead, arrival wait
+/// and collective hop `op` causes is charged to the one clock the
+/// rank keeps, at the instant the rank had reached. The communicator's
+/// own clock is never advanced by a cooperative run.
+pub(crate) fn lend_clock<R>(
+    comm: &mut Comm,
+    clock: &mut RankClock,
+    op: impl FnOnce(&mut Comm) -> R,
+) -> R {
+    std::mem::swap(comm.clock_mut(), clock);
+    let out = op(comm);
+    std::mem::swap(comm.clock_mut(), clock);
+    out
+}
+
 /// A halo face message: real data in full fidelity, an empty vector
 /// with the true wire size in cost-only fidelity.
 pub struct FaceMsg {
@@ -158,15 +174,12 @@ impl Coupler for MpiCoupler<'_> {
         if exchanges.is_empty() {
             return Ok(());
         }
-        // Bring the communicator clock up to the rank's causal time.
-        self.comm.clock_mut().merge(clock.now());
-
         // Injected link delay (hsim-faults): the slow link charges its
         // virtual latency before any staging leg; data is unaffected.
         if let Some(hit) = hsim_faults::check(hsim_faults::Site::XferDelay) {
             hsim_telemetry::count(hsim_telemetry::Counter::FaultsInjected, 1);
-            let t0 = self.comm.now();
-            self.comm.clock_mut().charge(
+            let t0 = clock.now();
+            clock.charge(
                 ChargeKind::Comm,
                 hsim_time::SimDuration::from_nanos(hit.param),
             );
@@ -175,7 +188,7 @@ impl Coupler for MpiCoupler<'_> {
                 hsim_telemetry::Category::Transfer,
                 "fault_xfer_delay",
                 t0,
-                self.comm.now(),
+                clock.now(),
             );
         }
 
@@ -187,15 +200,15 @@ impl Coupler for MpiCoupler<'_> {
         let (gpu_peer_bytes, other_bytes) = self.classify_bytes(rank, &exchanges, ghost);
         let staged_out = other_bytes + if self.gpu_direct { 0 } else { gpu_peer_bytes };
         let p2p_out = if self.gpu_direct { gpu_peer_bytes } else { 0 };
-        let t_stage = self.comm.now();
+        let t_stage = clock.now();
         let cost = self.staging_cost(staged_out) + self.p2p_cost(p2p_out);
-        self.comm.clock_mut().charge(ChargeKind::Memory, cost);
+        clock.charge(ChargeKind::Memory, cost);
         if cost > hsim_time::SimDuration::ZERO {
             hsim_telemetry::rank_span(
                 hsim_telemetry::Category::Transfer,
                 "halo_stage_out",
                 t_stage,
-                self.comm.now(),
+                clock.now(),
             );
         }
 
@@ -215,9 +228,11 @@ impl Coupler for MpiCoupler<'_> {
                     data,
                     wire_bytes: ex.bytes(ghost),
                 };
-                self.comm.send(peer, tag, msg).map_err(|e| CoupleError {
-                    op: "halo_send",
-                    detail: format!("rank {rank} -> {peer}: {e}"),
+                lend_clock(self.comm, clock, |comm| comm.send(peer, tag, msg)).map_err(|e| {
+                    CoupleError {
+                        op: "halo_send",
+                        detail: format!("rank {rank} -> {peer}: {e}"),
+                    }
                 })?;
             }
         }
@@ -230,10 +245,11 @@ impl Coupler for MpiCoupler<'_> {
             for var in 0..NCONS {
                 // The peer's direction bit is the complement of ours.
                 let tag = (*idx as u32) * 16 + var as u32 * 2 + u32::from(ex.a == peer);
-                let msg: FaceMsg = self.comm.recv(peer, tag).map_err(|e| CoupleError {
-                    op: "halo_recv",
-                    detail: format!("rank {rank} <- {peer}: {e}"),
-                })?;
+                let msg: FaceMsg = lend_clock(self.comm, clock, |comm| comm.recv(peer, tag))
+                    .map_err(|e| CoupleError {
+                        op: "halo_recv",
+                        detail: format!("rank {rank} <- {peer}: {e}"),
+                    })?;
                 in_bytes += msg.wire_bytes;
                 if state.fidelity == Fidelity::Full {
                     let (llo, lhi) = self.to_local(rank, r_lo, r_hi);
@@ -246,15 +262,15 @@ impl Coupler for MpiCoupler<'_> {
         // here); CPU-peer faces — and everything without GPU-direct —
         // pay the H2D leg.
         let _ = in_bytes;
-        let t_stage = self.comm.now();
+        let t_stage = clock.now();
         let cost = self.staging_cost(staged_out);
-        self.comm.clock_mut().charge(ChargeKind::Memory, cost);
+        clock.charge(ChargeKind::Memory, cost);
         if cost > hsim_time::SimDuration::ZERO {
             hsim_telemetry::rank_span(
                 hsim_telemetry::Category::Transfer,
                 "halo_stage_in",
                 t_stage,
-                self.comm.now(),
+                clock.now(),
             );
         }
 
@@ -266,7 +282,7 @@ impl Coupler for MpiCoupler<'_> {
         // here — a `perm` marking caps at the full retry budget.
         if let Some(hit) = hsim_faults::check(hsim_faults::Site::XferCorrupt) {
             hsim_telemetry::count(hsim_telemetry::Counter::FaultsInjected, 1);
-            let t0 = self.comm.now();
+            let t0 = clock.now();
             let retries = match hit.severity {
                 hsim_faults::Severity::Permanent => hsim_faults::MAX_RETRIES,
                 hsim_faults::Severity::Transient { count } => count.min(hsim_faults::MAX_RETRIES),
@@ -278,10 +294,8 @@ impl Coupler for MpiCoupler<'_> {
                 _ => hsim_time::SimDuration::ZERO,
             };
             for attempt in 0..retries {
-                self.comm.clock_mut().charge(ChargeKind::Memory, resend);
-                self.comm
-                    .clock_mut()
-                    .charge(ChargeKind::Wait, hsim_faults::backoff_delay(attempt));
+                clock.charge(ChargeKind::Memory, resend);
+                clock.charge(ChargeKind::Wait, hsim_faults::backoff_delay(attempt));
                 hsim_telemetry::count(hsim_telemetry::Counter::FaultRetries, 1);
             }
             hsim_telemetry::count(hsim_telemetry::Counter::FaultsRecovered, 1);
@@ -289,23 +303,17 @@ impl Coupler for MpiCoupler<'_> {
                 hsim_telemetry::Category::Transfer,
                 "fault_xfer_retry",
                 t0,
-                self.comm.now(),
+                clock.now(),
             );
         }
-
-        // Propagate the communicator's advanced time back.
-        clock.merge(self.comm.now());
         Ok(())
     }
 
     fn allreduce_min(&mut self, x: f64, clock: &mut RankClock) -> Result<f64, CoupleError> {
-        self.comm.clock_mut().merge(clock.now());
-        let r = self.comm.allreduce_min(x).map_err(|e| CoupleError {
+        lend_clock(self.comm, clock, |comm| comm.allreduce_min(x)).map_err(|e| CoupleError {
             op: "allreduce_min",
             detail: e.to_string(),
-        })?;
-        clock.merge(self.comm.now());
-        Ok(r)
+        })
     }
 
     fn migrate_particles(
@@ -313,13 +321,10 @@ impl Coupler for MpiCoupler<'_> {
         outbound: Vec<Vec<f64>>,
         clock: &mut RankClock,
     ) -> Result<Vec<Vec<f64>>, CoupleError> {
-        self.comm.clock_mut().merge(clock.now());
-        let inbound = self.comm.alltoallv_f64(outbound).map_err(|e| CoupleError {
+        lend_clock(self.comm, clock, |comm| comm.alltoallv_f64(outbound)).map_err(|e| CoupleError {
             op: "particle_migrate",
             detail: e.to_string(),
-        })?;
-        clock.merge(self.comm.now());
-        Ok(inbound)
+        })
     }
 }
 
@@ -473,7 +478,7 @@ mod tests {
                 coupler
                     .exchange(&mut state, &mut clock)
                     .expect("exchange on a live world");
-                coupler.comm.clock().bucket(ChargeKind::Memory).as_nanos()
+                clock.bucket(ChargeKind::Memory).as_nanos()
             });
             assert!(charges.iter().all(|&c| c > 0), "{charges:?}");
             measured.push(charges[0]);

@@ -13,7 +13,8 @@ pub struct RankReport {
     /// One-time setup cost (memory scheme fault-in etc.), excluded
     /// from `total`.
     pub setup: SimDuration,
-    /// Cycle-loop runtime (post-setup).
+    /// Cycle-loop runtime (post-setup). The six buckets below are the
+    /// same interval on the same clock, so they sum to it exactly.
     pub total: SimDuration,
     pub compute: SimDuration,
     pub launch: SimDuration,
@@ -26,6 +27,13 @@ pub struct RankReport {
 }
 
 impl RankReport {
+    /// `|Σ six buckets − total|` — zero for every rank of every run:
+    /// charging a bucket is the only way a rank's clock advances.
+    pub fn account_residual(&self) -> SimDuration {
+        let parts = self.compute + self.launch + self.memory + self.comm + self.control + self.wait;
+        SimDuration::from_nanos(parts.as_nanos().abs_diff(self.total.as_nanos()))
+    }
+
     /// Fold in the same rank's report from a later segment of the run:
     /// time and traffic buckets sum, the identity fields (`role`,
     /// `zones`) follow the latest world.
@@ -42,6 +50,7 @@ impl RankReport {
         self.wait += later.wait;
         self.launches += later.launches;
         self.bytes_sent += later.bytes_sent;
+        debug_assert_eq!(self.account_residual(), SimDuration::ZERO);
     }
 }
 
@@ -122,6 +131,12 @@ impl RunResult {
     /// Largest device busy time.
     pub fn slowest_device_busy(&self) -> SimDuration {
         slowest(self.device_busy.iter().copied())
+    }
+
+    /// Largest [`RankReport::account_residual`] over the ranks (the
+    /// release-build gate on what debug builds assert per rank).
+    pub fn account_residual(&self) -> SimDuration {
+        slowest(self.ranks.iter().map(RankReport::account_residual))
     }
 
     /// Total kernel launches across ranks.
@@ -206,14 +221,14 @@ impl RunResult {
     /// Human-readable per-rank breakdown table.
     pub fn breakdown_table(&self) -> String {
         let mut out = String::new();
-        out.push_str("rank  role        zones      total      compute    launch     memory     comm       wait\n");
+        out.push_str("rank  role        zones      total      compute    launch     memory     comm       control    wait\n");
         for r in &self.ranks {
             let role = match r.role {
                 RankRole::GpuDriver { gpu, .. } => format!("gpu{gpu}-drv"),
                 RankRole::CpuWorker { .. } => "cpu-wrk".to_string(),
             };
             out.push_str(&format!(
-                "{:>4}  {:<10} {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}\n",
+                "{:>4}  {:<10} {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}\n",
                 r.rank,
                 role,
                 r.zones,
@@ -222,6 +237,7 @@ impl RunResult {
                 format!("{}", r.launch),
                 format!("{}", r.memory),
                 format!("{}", r.comm),
+                format!("{}", r.control),
                 format!("{}", r.wait),
             ));
         }

@@ -32,7 +32,7 @@ use hsim_time::{RankClock, SimDuration, SimTime};
 use crate::balance::{LoadBalancer, RebalanceConfig, RebalanceDecision, Rebalancer};
 use crate::binding::{build_bindings, validate_bindings, RankRole};
 use crate::calib;
-use crate::coupler::MpiCoupler;
+use crate::coupler::{lend_clock, MpiCoupler};
 use crate::memscheme;
 use crate::mode::ExecMode;
 use crate::node::NodeConfig;
@@ -941,10 +941,10 @@ fn run_segment(
             // Setup complete: synchronize and zero the runtime baseline.
             // The figures report cycle-loop time (setup — UM fault-in,
             // allocation — amortizes to noise over a real run's length).
-            comm.clock_mut().merge(clock.now());
-            comm.barrier().map_err(|e| format!("rank {orig}: {e}"))?;
-            clock.merge(comm.now());
-            let t0 = clock.now();
+            lend_clock(comm, &mut clock, |comm| comm.barrier())
+                .map_err(|e| format!("rank {orig}: {e}"))?;
+            let at_t0 = clock.clone();
+            let t0 = at_t0.now();
             hsim_telemetry::rank_span(Category::Runtime, "setup", SimTime::ZERO, t0);
 
             let mut coupler = MpiCoupler {
@@ -1034,25 +1034,25 @@ fn run_segment(
                     .collect::<Vec<_>>()
             });
 
-            // Fold the communicator's clock into the rank clock and report.
-            let comm_clock = coupler.comm.clock().clone();
-            clock.merge(comm_clock.now());
-            let bytes_sent = coupler.comm.bytes_sent();
+            // The cycle loop's account: each bucket's growth since
+            // `t0` on the rank's one clock, so the six partition `total`.
+            let since_t0 = |kind| clock.bucket(kind) - at_t0.bucket(kind);
             let report = RankReport {
                 rank,
                 role,
                 zones: sub.zones(),
-                setup: t0 - hsim_time::SimTime::ZERO,
+                setup: t0 - SimTime::ZERO,
                 total: clock.now() - t0,
-                compute: clock.bucket(ChargeKind::Compute),
-                launch: clock.bucket(ChargeKind::Launch),
-                memory: clock.bucket(ChargeKind::Memory) + comm_clock.bucket(ChargeKind::Memory),
-                comm: comm_clock.bucket(ChargeKind::Comm),
-                control: clock.bucket(ChargeKind::Control),
-                wait: clock.bucket(ChargeKind::Wait) + comm_clock.bucket(ChargeKind::Wait),
+                compute: since_t0(ChargeKind::Compute),
+                launch: since_t0(ChargeKind::Launch),
+                memory: since_t0(ChargeKind::Memory),
+                comm: since_t0(ChargeKind::Comm),
+                control: since_t0(ChargeKind::Control),
+                wait: since_t0(ChargeKind::Wait),
                 launches: exec.registry.total_launches(),
-                bytes_sent,
+                bytes_sent: coupler.comm.bytes_sent(),
             };
+            debug_assert_eq!(report.account_residual(), SimDuration::ZERO);
             hsim_faults::uninstall();
             let full = cfg.fidelity == Fidelity::Full;
             Ok(RankOut {

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use crossbeam::channel::{Receiver, Sender};
 use hsim_time::clock::ChargeKind;
-use hsim_time::{RankClock, SimDuration, SimTime};
+use hsim_time::{RankClock, SimTime};
 
 use crate::cost::CommCost;
 use crate::error::MpiError;
@@ -26,13 +26,6 @@ fn tag_category(tag: u32) -> hsim_telemetry::Category {
     }
 }
 
-/// Handle to a posted nonblocking receive (see [`Comm::irecv`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvRequest {
-    src: usize,
-    tag: u32,
-}
-
 pub(crate) struct Packet {
     tag: u32,
     data: Box<dyn Any + Send>,
@@ -42,9 +35,12 @@ pub(crate) struct Packet {
 
 /// One rank's endpoint in the simulated MPI world.
 ///
-/// A `Comm` owns the rank's [`RankClock`]; application code charges
-/// compute time through [`Comm::charge`] and communication charges
-/// itself.
+/// A `Comm` carries a [`RankClock`] of its own, which every send,
+/// receive and collective charges — enough for a stand-alone SPMD
+/// closure under [`crate::World::run`]. A caller that keeps the rank's
+/// clock itself (the cooperative runner, whose kernels charge it too)
+/// swaps that clock in through [`Comm::clock_mut`] for the duration of
+/// each operation, so the rank has one clock and one set of buckets.
 pub struct Comm {
     rank: usize,
     size: usize,
@@ -60,11 +56,6 @@ pub struct Comm {
     coll_seq: u32,
     /// Total bytes sent (reporting).
     bytes_sent: u64,
-    /// Total messages sent (reporting).
-    msgs_sent: u64,
-    /// Bytes sent per destination rank (mpiP-style communication
-    /// matrix row).
-    bytes_per_dst: Vec<u64>,
 }
 
 impl Comm {
@@ -86,8 +77,6 @@ impl Comm {
             pending,
             coll_seq: 0,
             bytes_sent: 0,
-            msgs_sent: 0,
-            bytes_per_dst: vec![0; size],
         }
     }
 
@@ -106,18 +95,10 @@ impl Comm {
         self.clock.now()
     }
 
-    /// Charge local (non-communication) virtual time.
-    pub fn charge(&mut self, kind: ChargeKind, d: SimDuration) {
-        self.clock.charge(kind, d);
-    }
-
-    /// Immutable view of the rank's clock (bucket breakdowns).
-    pub fn clock(&self) -> &RankClock {
-        &self.clock
-    }
-
-    /// Mutable access for runners that need to merge external timelines
-    /// (e.g. a GPU device completion time).
+    /// The clock this endpoint charges. A caller that owns the rank's
+    /// clock lends it here with `std::mem::swap` around an operation
+    /// and swaps it back afterwards; a stand-alone closure charges its
+    /// own compute through it.
     pub fn clock_mut(&mut self) -> &mut RankClock {
         &mut self.clock
     }
@@ -125,18 +106,6 @@ impl Comm {
     /// Total bytes this rank has sent.
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
-    }
-
-    /// Total messages this rank has sent.
-    pub fn msgs_sent(&self) -> u64 {
-        self.msgs_sent
-    }
-
-    /// This rank's row of the communication matrix: bytes sent to each
-    /// destination (the mpiP-style profile the paper's §6.1 neighbor
-    /// discussion is about).
-    pub fn bytes_per_dst(&self) -> &[u64] {
-        &self.bytes_per_dst
     }
 
     fn check_rank(&self, r: usize) -> Result<(), MpiError> {
@@ -174,8 +143,6 @@ impl Comm {
             departure: self.clock.now(),
         };
         self.bytes_sent += bytes;
-        self.msgs_sent += 1;
-        self.bytes_per_dst[dst] += bytes;
         hsim_telemetry::count(hsim_telemetry::Counter::MpiSends, 1);
         hsim_telemetry::count(hsim_telemetry::Counter::MpiBytesSent, bytes);
         hsim_telemetry::span_args(
@@ -225,18 +192,8 @@ impl Comm {
         let arrival = pkt.departure + self.cost.msg_time(pkt.bytes);
         self.clock.wait_until(arrival);
         self.clock.charge(ChargeKind::Comm, self.cost.recv_overhead);
-        self.note_recv(src, tag, pkt.bytes, t0, arrival);
-        pkt.data
-            .downcast::<T>()
-            .map(|b| *b)
-            .map_err(|_| MpiError::TypeMismatch { tag })
-    }
-
-    /// Telemetry for one completed receive (shared by the blocking and
-    /// nonblocking completion paths). No-op without a collector.
-    fn note_recv(&mut self, src: usize, tag: u32, bytes: u64, t0: SimTime, arrival: SimTime) {
         hsim_telemetry::count(hsim_telemetry::Counter::MpiRecvs, 1);
-        hsim_telemetry::count(hsim_telemetry::Counter::MpiBytesReceived, bytes);
+        hsim_telemetry::count(hsim_telemetry::Counter::MpiBytesReceived, pkt.bytes);
         hsim_telemetry::time_stat(hsim_telemetry::TimeStat::MpiWait, arrival - t0);
         hsim_telemetry::time_stat(
             hsim_telemetry::TimeStat::MessageLatency,
@@ -249,81 +206,16 @@ impl Comm {
             "mpi_recv",
             t0,
             self.clock.now(),
-            &[("bytes", bytes), ("src", src as u64), ("tag", tag as u64)],
+            &[
+                ("bytes", pkt.bytes),
+                ("src", src as u64),
+                ("tag", tag as u64),
+            ],
         );
-    }
-
-    /// Combined exchange with one peer: send then receive (safe because
-    /// transport is buffered).
-    pub fn sendrecv<T: Payload, U: Payload>(
-        &mut self,
-        peer: usize,
-        tag: u32,
-        data: T,
-    ) -> Result<U, MpiError> {
-        self.send(peer, tag, data)?;
-        self.recv(peer, tag)
-    }
-
-    /// Nonblocking send. Transport is buffered (eager protocol), so an
-    /// isend completes locally at once — identical to [`Comm::send`];
-    /// provided for source fidelity with MPI codes.
-    pub fn isend<T: Payload>(&mut self, dst: usize, tag: u32, data: T) -> Result<(), MpiError> {
-        self.send(dst, tag, data)
-    }
-
-    /// Post a nonblocking receive. No matching happens until
-    /// [`Comm::wait`]; in virtual time this is what lets a rank
-    /// overlap computation with an in-flight message (its clock keeps
-    /// advancing on compute, and `wait` only blocks to the message's
-    /// arrival instant).
-    pub fn irecv(&mut self, src: usize, tag: u32) -> Result<RecvRequest, MpiError> {
-        self.check_rank(src)?;
-        if src == self.rank {
-            return Err(MpiError::SelfMessage);
-        }
-        Ok(RecvRequest { src, tag })
-    }
-
-    /// Complete a posted receive.
-    pub fn wait<T: Payload>(&mut self, req: RecvRequest) -> Result<T, MpiError> {
-        self.recv_internal(req.src, req.tag)
-    }
-
-    /// Complete a batch of posted receives of one payload type, in
-    /// posting order.
-    pub fn waitall<T: Payload>(&mut self, reqs: Vec<RecvRequest>) -> Result<Vec<T>, MpiError> {
-        reqs.into_iter().map(|r| self.wait(r)).collect()
-    }
-
-    /// Nonblocking completion test: `Some(value)` if a matching
-    /// message has already been delivered to this endpoint (no virtual
-    /// waiting beyond the message's arrival time), `None` otherwise.
-    /// The request stays valid when `None` is returned.
-    pub fn test<T: Payload>(&mut self, req: &RecvRequest) -> Result<Option<T>, MpiError> {
-        // Drain anything already sitting in the channel into the
-        // pending buffer, then look for a match.
-        while let Ok(p) = self.receivers[req.src].try_recv() {
-            self.pending[req.src].push_back(p);
-        }
-        let found = self.pending[req.src]
-            .iter()
-            .position(|p| p.tag == req.tag)
-            .and_then(|i| self.pending[req.src].remove(i));
-        match found {
-            None => Ok(None),
-            Some(pkt) => {
-                let t0 = self.clock.now();
-                let arrival = pkt.departure + self.cost.msg_time(pkt.bytes);
-                self.clock.wait_until(arrival);
-                self.clock.charge(ChargeKind::Comm, self.cost.recv_overhead);
-                self.note_recv(req.src, req.tag, pkt.bytes, t0, arrival);
-                pkt.data
-                    .downcast::<T>()
-                    .map(|b| Some(*b))
-                    .map_err(|_| MpiError::TypeMismatch { tag: req.tag })
-            }
-        }
+        pkt.data
+            .downcast::<T>()
+            .map(|b| *b)
+            .map_err(|_| MpiError::TypeMismatch { tag })
     }
 
     fn next_coll_tag(&mut self) -> u32 {
@@ -426,11 +318,6 @@ impl Comm {
         self.allreduce(x, f64::max)
     }
 
-    /// Maximum of a `u64` across all ranks (used for clock merging).
-    pub fn allreduce_max_u64(&mut self, x: u64) -> Result<u64, MpiError> {
-        self.allreduce(x, u64::max)
-    }
-
     /// Synchronize all ranks in virtual time: every clock advances to
     /// the latest clock at entry (plus the collective's own cost). This
     /// is the bulk-synchronous step boundary.
@@ -438,165 +325,9 @@ impl Comm {
         if self.size == 1 {
             return Ok(());
         }
-        let t = self.allreduce_max_u64(self.clock.now().as_nanos())?;
+        let t = self.allreduce(self.clock.now().as_nanos(), u64::max)?;
         self.clock.wait_until(SimTime::from_nanos(t));
         Ok(())
-    }
-
-    /// Broadcast a scalar from rank 0 to everyone.
-    pub fn bcast<T: Payload + Copy>(&mut self, x: T) -> Result<T, MpiError> {
-        if self.size == 1 {
-            return Ok(x);
-        }
-        hsim_telemetry::count(hsim_telemetry::Counter::MpiCollectives, 1);
-        let tag = self.next_coll_tag();
-        let val = if self.rank == 0 { Some(x) } else { None };
-        self.bcast_scalar(val, tag)
-    }
-
-    /// Broadcast a vector from rank 0 (binomial tree; each hop pays
-    /// wire time for the whole payload).
-    pub fn bcast_vec(&mut self, x: Vec<f64>) -> Result<Vec<f64>, MpiError> {
-        if self.size == 1 {
-            return Ok(x);
-        }
-        hsim_telemetry::count(hsim_telemetry::Counter::MpiCollectives, 1);
-        let tag = self.next_coll_tag();
-        let mut offset = 1usize;
-        while offset < self.size {
-            offset <<= 1;
-        }
-        offset >>= 1;
-        let mut val = if self.rank == 0 { Some(x) } else { None };
-        while offset >= 1 {
-            let group = 2 * offset;
-            if self.rank.is_multiple_of(group) {
-                let peer = self.rank + offset;
-                if peer < self.size {
-                    let Some(v) = val.as_ref() else {
-                        return Err(MpiError::CollectiveProtocol {
-                            what: "broadcast value missing on a sending hop",
-                        });
-                    };
-                    self.send_internal(peer, tag, v.clone())?;
-                }
-            } else if self.rank % group == offset {
-                let v: Vec<f64> = self.recv_internal(self.rank - offset, tag)?;
-                val = Some(v);
-            }
-            if offset == 1 {
-                break;
-            }
-            offset /= 2;
-        }
-        val.ok_or(MpiError::CollectiveProtocol {
-            what: "broadcast did not reach this rank",
-        })
-    }
-
-    /// Gather one vector per rank to rank 0 (rank order). Returns
-    /// `Some(rows)` on rank 0, `None` elsewhere.
-    pub fn gather_vec(&mut self, x: Vec<f64>) -> Result<Option<Vec<Vec<f64>>>, MpiError> {
-        hsim_telemetry::count(hsim_telemetry::Counter::MpiCollectives, 1);
-        let tag = self.next_coll_tag();
-        if self.rank == 0 {
-            let mut out = Vec::with_capacity(self.size);
-            out.push(x);
-            for src in 1..self.size {
-                out.push(self.recv_internal(src, tag)?);
-            }
-            Ok(Some(out))
-        } else {
-            self.send_internal(0, tag, x)?;
-            Ok(None)
-        }
-    }
-
-    /// Element-wise sum allreduce of equal-length vectors (binomial
-    /// reduce to rank 0 + vector broadcast).
-    pub fn allreduce_vec_sum(&mut self, mut x: Vec<f64>) -> Result<Vec<f64>, MpiError> {
-        if self.size == 1 {
-            return Ok(x);
-        }
-        hsim_telemetry::count(hsim_telemetry::Counter::MpiCollectives, 1);
-        let tag = self.next_coll_tag();
-        let mut offset = 1;
-        let mut holds = true;
-        while offset < self.size {
-            let group = 2 * offset;
-            if self.rank.is_multiple_of(group) {
-                let peer = self.rank + offset;
-                if peer < self.size {
-                    let other: Vec<f64> = self.recv_internal(peer, tag)?;
-                    if other.len() != x.len() {
-                        return Err(MpiError::TypeMismatch { tag });
-                    }
-                    for (a, b) in x.iter_mut().zip(&other) {
-                        *a += b;
-                    }
-                }
-            } else if self.rank % group == offset {
-                self.send_internal(self.rank - offset, tag, x.clone())?;
-                holds = false;
-                break;
-            }
-            offset = group;
-        }
-        let val = if holds && self.rank == 0 {
-            Some(x)
-        } else {
-            None
-        };
-        // Reuse the vector broadcast for the down-sweep.
-        let tag2 = self.next_coll_tag();
-        let mut offset = 1usize;
-        while offset < self.size {
-            offset <<= 1;
-        }
-        offset >>= 1;
-        let mut val = val;
-        while offset >= 1 {
-            let group = 2 * offset;
-            if self.rank.is_multiple_of(group) {
-                let peer = self.rank + offset;
-                if peer < self.size {
-                    let Some(v) = val.as_ref() else {
-                        return Err(MpiError::CollectiveProtocol {
-                            what: "reduced value missing on a down-sweep hop",
-                        });
-                    };
-                    self.send_internal(peer, tag2, v.clone())?;
-                }
-            } else if self.rank % group == offset {
-                let v: Vec<f64> = self.recv_internal(self.rank - offset, tag2)?;
-                val = Some(v);
-            }
-            if offset == 1 {
-                break;
-            }
-            offset /= 2;
-        }
-        val.ok_or(MpiError::CollectiveProtocol {
-            what: "allreduce did not reach this rank",
-        })
-    }
-
-    /// Gather one `f64` per rank to rank 0 (rank order). Returns
-    /// `Some(values)` on rank 0, `None` elsewhere.
-    pub fn gather_f64(&mut self, x: f64) -> Result<Option<Vec<f64>>, MpiError> {
-        hsim_telemetry::count(hsim_telemetry::Counter::MpiCollectives, 1);
-        let tag = self.next_coll_tag();
-        if self.rank == 0 {
-            let mut out = Vec::with_capacity(self.size);
-            out.push(x);
-            for src in 1..self.size {
-                out.push(self.recv_internal(src, tag)?);
-            }
-            Ok(Some(out))
-        } else {
-            self.send_internal(0, tag, x)?;
-            Ok(None)
-        }
     }
 
     /// Personalized all-to-all of `f64` vectors: `parts[dst]` is this
@@ -634,29 +365,6 @@ impl Comm {
             }
         }
         Ok(inbound)
-    }
-
-    /// Gather one `f64` per rank to every rank (gather + bcast of a
-    /// vector would need vector bcast; with node-scale rank counts a
-    /// linear exchange is fine).
-    pub fn allgather_f64(&mut self, x: f64) -> Result<Vec<f64>, MpiError> {
-        hsim_telemetry::count(hsim_telemetry::Counter::MpiCollectives, 1);
-        let tag = self.next_coll_tag();
-        let mut out = vec![0.0; self.size];
-        out[self.rank] = x;
-        // Ring exchange: send to the right, receive from the left,
-        // size-1 times.
-        let right = (self.rank + 1) % self.size;
-        let left = (self.rank + self.size - 1) % self.size;
-        let mut carry = (self.rank as u64, x);
-        for _ in 0..self.size.saturating_sub(1) {
-            self.send_internal(right, tag, vec![carry.0 as f64, carry.1])?;
-            let got: Vec<f64> = self.recv_internal(left, tag)?;
-            let (src, v) = (got[0] as usize, got[1]);
-            out[src] = v;
-            carry = (src as u64, v);
-        }
-        Ok(out)
     }
 }
 

@@ -9,8 +9,8 @@
 //! * `send` charges the sender's clock a send overhead and stamps the
 //!   message with its departure time;
 //! * `recv` waits (in virtual time) until the message's arrival time
-//!   `departure + α + bytes/β`, merging the two ranks' clocks
-//!   Lamport-style;
+//!   `departure + α + bytes/β` — the Lamport `max` of the two ranks'
+//!   clocks;
 //! * collectives are built from point-to-point trees, so their virtual
 //!   cost scales `O(log p)` like real implementations.
 //!
@@ -33,12 +33,10 @@ pub mod comm;
 pub mod cost;
 pub mod error;
 pub mod payload;
-pub mod topology;
 pub mod world;
 
-pub use comm::{Comm, RecvRequest};
+pub use comm::Comm;
 pub use cost::CommCost;
 pub use error::MpiError;
 pub use payload::Payload;
-pub use topology::CartComm;
 pub use world::World;

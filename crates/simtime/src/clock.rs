@@ -1,12 +1,13 @@
 //! Per-rank virtual clocks.
 //!
 //! Each simulated MPI rank owns a [`RankClock`]. Compute and
-//! communication charge durations to it; synchronization points merge
-//! clocks Lamport-style (`max`). Between synchronization points the
-//! clock also accumulates per-category buckets so that the reporting
-//! layer can attribute time to compute / communication / launch
-//! overhead / memory traffic, which is how the paper's discussion
-//! reasons about the modes.
+//! communication charge durations to it; a synchronization point
+//! advances it to the later of the two instants (`wait_until`, the
+//! Lamport `max`) and books the gap as waiting. Every advance lands in
+//! exactly one per-category bucket, so the buckets partition the
+//! clock's reading and the reporting layer can attribute time to
+//! compute / communication / launch overhead / memory traffic, which
+//! is how the paper's discussion reasons about the modes.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -114,13 +115,6 @@ impl RankClock {
         }
     }
 
-    /// Merge with another rank's announced instant (e.g. a message
-    /// arrival time): identical to [`RankClock::wait_until`].
-    #[inline]
-    pub fn merge(&mut self, t: SimTime) {
-        self.wait_until(t);
-    }
-
     /// Time accumulated in one bucket.
     #[inline]
     pub fn bucket(&self, kind: ChargeKind) -> SimDuration {
@@ -162,16 +156,6 @@ mod tests {
         c.wait_until(SimTime::from_nanos(80));
         assert_eq!(c.now(), SimTime::from_nanos(80));
         assert_eq!(c.bucket(ChargeKind::Wait), SimDuration::from_nanos(30));
-    }
-
-    #[test]
-    fn merge_is_wait_until() {
-        let mut a = RankClock::new(0);
-        let mut b = RankClock::new(1);
-        a.charge(ChargeKind::Compute, SimDuration::from_nanos(10));
-        b.charge(ChargeKind::Compute, SimDuration::from_nanos(25));
-        a.merge(b.now());
-        assert_eq!(a.now(), b.now());
     }
 
     #[test]

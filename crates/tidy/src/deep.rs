@@ -259,23 +259,11 @@ fn nondet_taint(ws: &Workspace, out: &mut Vec<Finding>) {
 const COMM_PRIMITIVES: &[&str] = &[
     "send",
     "recv",
-    "sendrecv",
-    "isend",
-    "wait",
-    "waitall",
-    "test",
     "allreduce",
     "allreduce_sum",
     "allreduce_min",
     "allreduce_max",
-    "allreduce_max_u64",
     "barrier",
-    "bcast",
-    "bcast_vec",
-    "gather_vec",
-    "allreduce_vec_sum",
-    "gather_f64",
-    "allgather_f64",
 ];
 
 /// Cost-model primitives that *return* a `SimDuration` the caller is
@@ -295,7 +283,7 @@ const COST_RETURNING: &[&str] = &[
 ];
 
 /// Calls that settle a cost against the virtual clock.
-const CHARGE_CALLS: &[&str] = &["charge", "wait_until", "merge"];
+const CHARGE_CALLS: &[&str] = &["charge", "wait_until"];
 
 /// Paths exempt from the caller-side obligation: the cost models
 /// themselves (gpusim primitives call each other while composing
@@ -334,7 +322,7 @@ fn cost_charge(ws: &Workspace, out: &mut Vec<Finding>) {
                     line: f.line,
                     msg: format!(
                         "communication primitive `{}` never charges the virtual clock \
-                         (no `charge`/`wait_until`/`merge` on any path through it)",
+                         (no `charge`/`wait_until` on any path through it)",
                         g.qual_name(i)
                     ),
                 }),

@@ -111,7 +111,7 @@ fn cost_charge_flags_free_primitives_and_dropped_costs() {
                 "crates/mpisim/src/comm.rs",
                 2,
                 "communication primitive `Comm::send` never charges the virtual clock \
-                 (no `charge`/`wait_until`/`merge` on any path through it)",
+                 (no `charge`/`wait_until` on any path through it)",
             ),
             (
                 "cost-charge",

@@ -72,6 +72,12 @@ proptest! {
                 prop_assert!(rel < 1e-10, "{spec}: relative mass drift {rel:e}");
                 prop_assert!(!r.ranks.is_empty(), "{spec}");
                 prop_assert!(r.runtime.as_secs_f64() > 0.0, "{spec}");
+                // Retries, back-off and the foldback's extra segment
+                // all land in a bucket: the account still closes.
+                for k in &r.ranks {
+                    let parts = k.compute + k.launch + k.memory + k.comm + k.control + k.wait;
+                    prop_assert_eq!(parts, k.total, "{}: rank {}", &spec, k.rank);
+                }
             }
             Err(e) => {
                 prop_assert!(!e.is_empty(), "{spec}: empty error");

@@ -30,6 +30,11 @@ fn every_mode_runs_every_problem_cost_only() {
             let r = run(&cfg).unwrap_or_else(|e| panic!("{mode:?} {problem:?}: {e}"));
             assert!(r.runtime > SimDuration::ZERO);
             assert_eq!(r.cycles, 2);
+            // The six buckets partition every rank's total, in ns.
+            for k in &r.ranks {
+                let parts = k.compute + k.launch + k.memory + k.comm + k.control + k.wait;
+                assert_eq!(parts, k.total, "{mode:?} rank {}", k.rank);
+            }
         }
     }
 }
