@@ -36,7 +36,7 @@ use hsim_core::figures::{self, FigureSpec};
 use hsim_core::runner::{self, RunConfig};
 use hsim_core::{ExecMode, RunResult, Scenario};
 use hsim_gpu::GpuError;
-use hsim_hydro::{eos, flux, fused, HydroState};
+use hsim_hydro::{eos, flux, fused, HydroState, SoloCoupler};
 use hsim_particles::ParticlesConfig;
 use hsim_raja::{CpuModel, Executor, Fidelity, Target, WorkPool};
 use hsim_telemetry::{Collector, Counter};
@@ -77,13 +77,25 @@ const SCENARIO_CYCLES: u64 = 4;
 /// spread over 1.20–1.84 across 20 runs, of 15 pairs over 1.34–1.46.
 const PAIRS: usize = 15;
 
+/// Ceiling on `sweeps.costonly_run_over_floor`. Ten runs of the
+/// stepped driver on the 2-core host read 2.8-3.9, which this clears
+/// by 1.5x; the thread-per-rank driver it replaced read 8-55 there
+/// (4.8-6.6 pinned to one vCPU, where hand-offs cross no core).
+const COSTONLY_RUN_OVER_FLOOR_MAX: f64 = 6.0;
+
+/// Runs per timed sample of the cost-only run and of its floor: one
+/// is a millisecond, too close to a scheduler tick to time alone.
+const COSTONLY_REPS: usize = 5;
+
 /// Where `perf` writes and `ci-gate` reads when not told otherwise.
 const DEFAULT_OUT: &str = "BENCH.json";
 
-/// The studies `perf [SECTION…]` can run, in run order. The
-/// virtual-time studies come first: their runner drives rank 0 on the
-/// calling thread and would clobber the host-counter collector the
-/// wall-clock studies record into. `kernels` also emits `roofline.*`.
+/// The studies `perf [SECTION…]` can run, in run order: the
+/// virtual-time studies, then the wall-clock ones under the
+/// host-counter collector. (A cost-only run steps its ranks on the
+/// calling thread, but each rank's collector is installed only while
+/// that rank is polled: the harness's is neither recorded into nor
+/// replaced.) `kernels` also emits `roofline.*`.
 const VIRTUAL_STUDIES: [&str; 2] = ["rebalance", "scenarios"];
 const WALL_STUDIES: [&str; 4] = ["sweeps", "kernels", "pool", "serve"];
 
@@ -151,6 +163,7 @@ static METRICS: &[Metric] = &[
     ("sweeps.*.parallel_s",       "s",     W, Info, "median wall time at --jobs N"),
     ("sweeps.*.speedup",          "x",     W, MinByCores(&[(2.0, 0.9), (0.0, 0.5)]), "median serial:parallel over interleaved pairs: --jobs N must not lose to serial where more than one effective core exists; on one (--jobs 4 there is oversubscription) only fan-out overhead is bounded"),
     ("sweeps.*.identical_output", "bool",  V, IsTrue, "--jobs N must not change a byte of the figure CSV or markdown"),
+    ("sweeps.costonly_run_over_floor", "x", W, Max(COSTONLY_RUN_OVER_FLOOR_MAX), "median over interleaved pairs of a cost-only 16-rank run against its own pricing work done solo on the same thread: what is left is set-up and message hand-off, and a thread per rank, which has nothing to run in parallel here, reads 8 and up on two cores"),
 
     ("kernels.legacy_mzones_per_s",            "Mz/s",  W, Info, "per-pass reference kernels"),
     ("kernels.tiles.*.fused_mzones_per_s",     "Mz/s",  W, Info, "fused cache-blocked kernels at this tile"),
@@ -468,7 +481,55 @@ fn measure_sweeps(quick: bool, jobs: usize, host_cores: usize) -> Vec<Row> {
         ));
     }
     out.push(row("sweeps.jobs", jobs));
+    out.push(row(
+        "sweeps.costonly_run_over_floor",
+        costonly_run_over_floor(),
+    ));
     out
+}
+
+/// What a cost-only run costs beyond pricing its kernels: the median,
+/// over interleaved pairs, of the wall time of a 16-rank `CpuOnly`
+/// sweep point over that of its *floor* — the same sixteen subdomains
+/// stepped the same ten cycles one after another with no peers, which
+/// is all the cost-model arithmetic of the run and nothing else. Both
+/// sides run on this thread, so the ratio is a property of the code,
+/// not of how many cores the host has free.
+fn costonly_run_over_floor() -> f64 {
+    let cfg = RunConfig::sweep((320, 240, 160), ExecMode::CpuOnly);
+    let decomp = runner::build_decomposition(&cfg, 0.0).expect("block decomposition");
+    let floor = || {
+        for sub in &decomp.domains {
+            let mut st = HydroState::new(decomp.grid, *sub, Fidelity::CostOnly);
+            let mut exec = Executor::new(Target::CpuSeq, cfg.node.cpu.clone(), Fidelity::CostOnly);
+            let mut clock = RankClock::new(0);
+            for _ in 0..cfg.cycles {
+                let cycle = hsim_hydro::step(
+                    &mut st,
+                    &mut exec,
+                    &mut clock,
+                    &mut SoloCoupler,
+                    calib::CFL,
+                    calib::COST_ONLY_DT,
+                );
+                cycle.expect("solo cost-only cycle");
+            }
+            black_box(clock.now());
+        }
+    };
+    let run = || drop(black_box(runner::run(&cfg).expect("cost-only run")));
+    let secs = |f: &dyn Fn()| {
+        let t0 = Instant::now();
+        (0..COSTONLY_REPS).for_each(|_| f());
+        t0.elapsed().as_secs_f64()
+    };
+    eprintln!("cost-only run vs its pricing floor, {COSTONLY_REPS} runs a sample...");
+    // The run's ranks record nothing (`cfg.telemetry` is off), so the
+    // floor must not record into the harness's collector either.
+    let harness = hsim_telemetry::swap(None);
+    let [_, _, ratio] = median_of_pairs(|| (secs(&run), secs(&floor)));
+    hsim_telemetry::swap(harness);
+    ratio
 }
 
 /// A deterministic full-fidelity state with a hot central zone, so the
@@ -803,6 +864,7 @@ mod tests {
     /// speed ratio and are told apart by their keys.
     const HEALTHY: &str = r#"{"schema_version": 7, "host_cores": 4, "metrics": {
         "sweeps.quick.effective_cores": 4, "sweeps.quick.speedup": 2.9, "sweeps.quick.identical_output": true,
+        "sweeps.costonly_run_over_floor": 3.4,
         "kernels.tiles.4x4.ratio": 1.35, "kernels.tiles.4x4.identical_output": true,
         "kernels.tiles.8x8.ratio": 1.62, "kernels.tiles.8x8.identical_output": true,
         "kernels.tiles.16x16.ratio": 1.51, "kernels.tiles.16x16.identical_output": true,
@@ -900,6 +962,8 @@ mod tests {
         // sweeps: diverged output, and a key that went missing.
         set(&[("sweeps.quick.identical_output", B(false))], &["sweeps.quick.identical_output [bool, Virtual]: expected true, baseline true, measured false"]);
         drop(&["sweeps.quick.speedup"], &["missing sweeps.*.speedup in fresh results"]);
+        // The thread-per-rank reading of the cost-only run.
+        set(&[("sweeps.costonly_run_over_floor", N(9.66))], &["sweeps.costonly_run_over_floor [x, Wall]: ceiling 6, baseline 3.4, measured 9.66"]);
         // kernels: each tile's floor, the best-tile floor (which the
         // ungated ablation cannot rescue), divergence, no tiles at all.
         set(&[("kernels.tiles.4x4.ratio", N(0.93))], &["kernels.tiles.4x4.ratio [x, Wall]: floor 1, baseline 1.35, measured 0.93"]);

@@ -15,20 +15,39 @@ use hsim_raja::Fidelity;
 use hsim_time::clock::ChargeKind;
 use hsim_time::RankClock;
 
-/// Run `op` on `comm` with the rank's `clock` lent to it: the two
-/// swap places for the duration, so every send overhead, arrival wait
-/// and collective hop `op` causes is charged to the one clock the
+/// `comm` with the rank's `clock` lent to it: the two swap places
+/// until the loan is dropped, so every send overhead, arrival wait and
+/// collective hop made through it is charged to the one clock the
 /// rank keeps, at the instant the rank had reached. The communicator's
-/// own clock is never advanced by a cooperative run.
-pub(crate) fn lend_clock<R>(
-    comm: &mut Comm,
-    clock: &mut RankClock,
-    op: impl FnOnce(&mut Comm) -> R,
-) -> R {
+/// own clock is never advanced by a cooperative run. A guard rather
+/// than a closure so that the loan can span an `.await`.
+pub(crate) struct LentClock<'a> {
+    comm: &'a mut Comm,
+    clock: &'a mut RankClock,
+}
+
+pub(crate) fn lend_clock<'a>(comm: &'a mut Comm, clock: &'a mut RankClock) -> LentClock<'a> {
     std::mem::swap(comm.clock_mut(), clock);
-    let out = op(comm);
-    std::mem::swap(comm.clock_mut(), clock);
-    out
+    LentClock { comm, clock }
+}
+
+impl std::ops::Deref for LentClock<'_> {
+    type Target = Comm;
+    fn deref(&self) -> &Comm {
+        self.comm
+    }
+}
+
+impl std::ops::DerefMut for LentClock<'_> {
+    fn deref_mut(&mut self) -> &mut Comm {
+        self.comm
+    }
+}
+
+impl Drop for LentClock<'_> {
+    fn drop(&mut self) {
+        std::mem::swap(self.comm.clock_mut(), self.clock);
+    }
 }
 
 /// A halo face message: real data in full fidelity, an empty vector
@@ -159,7 +178,7 @@ impl MpiCoupler<'_> {
 }
 
 impl Coupler for MpiCoupler<'_> {
-    fn exchange(
+    async fn exchange(
         &mut self,
         state: &mut HydroState,
         clock: &mut RankClock,
@@ -228,12 +247,12 @@ impl Coupler for MpiCoupler<'_> {
                     data,
                     wire_bytes: ex.bytes(ghost),
                 };
-                lend_clock(self.comm, clock, |comm| comm.send(peer, tag, msg)).map_err(|e| {
-                    CoupleError {
+                lend_clock(self.comm, clock)
+                    .send(peer, tag, msg)
+                    .map_err(|e| CoupleError {
                         op: "halo_send",
                         detail: format!("rank {rank} -> {peer}: {e}"),
-                    }
-                })?;
+                    })?;
             }
         }
 
@@ -245,7 +264,9 @@ impl Coupler for MpiCoupler<'_> {
             for var in 0..NCONS {
                 // The peer's direction bit is the complement of ours.
                 let tag = (*idx as u32) * 16 + var as u32 * 2 + u32::from(ex.a == peer);
-                let msg: FaceMsg = lend_clock(self.comm, clock, |comm| comm.recv(peer, tag))
+                let msg: FaceMsg = lend_clock(self.comm, clock)
+                    .irecv(peer, tag)
+                    .await
                     .map_err(|e| CoupleError {
                         op: "halo_recv",
                         detail: format!("rank {rank} <- {peer}: {e}"),
@@ -309,22 +330,28 @@ impl Coupler for MpiCoupler<'_> {
         Ok(())
     }
 
-    fn allreduce_min(&mut self, x: f64, clock: &mut RankClock) -> Result<f64, CoupleError> {
-        lend_clock(self.comm, clock, |comm| comm.allreduce_min(x)).map_err(|e| CoupleError {
-            op: "allreduce_min",
-            detail: e.to_string(),
-        })
+    async fn allreduce_min(&mut self, x: f64, clock: &mut RankClock) -> Result<f64, CoupleError> {
+        lend_clock(self.comm, clock)
+            .iallreduce(x, f64::min)
+            .await
+            .map_err(|e| CoupleError {
+                op: "allreduce_min",
+                detail: e.to_string(),
+            })
     }
 
-    fn migrate_particles(
+    async fn migrate_particles(
         &mut self,
         outbound: Vec<Vec<f64>>,
         clock: &mut RankClock,
     ) -> Result<Vec<Vec<f64>>, CoupleError> {
-        lend_clock(self.comm, clock, |comm| comm.alltoallv_f64(outbound)).map_err(|e| CoupleError {
-            op: "particle_migrate",
-            detail: e.to_string(),
-        })
+        lend_clock(self.comm, clock)
+            .ialltoallv_f64(outbound)
+            .await
+            .map_err(|e| CoupleError {
+                op: "particle_migrate",
+                detail: e.to_string(),
+            })
     }
 }
 
@@ -335,6 +362,7 @@ mod tests {
     use hsim_mesh::GlobalGrid;
     use hsim_mpi::{CommCost, World};
     use hsim_raja::{CpuModel, Executor, Target};
+    use hsim_time::task::block_on;
     use hsim_time::SimDuration;
 
     /// Two ranks split along x; verify ghosts carry the neighbor's
@@ -362,9 +390,7 @@ mod tests {
                 gpu_spec: None,
                 gpu_direct: false,
             };
-            coupler
-                .exchange(&mut state, &mut clock)
-                .expect("exchange on a live world");
+            block_on(coupler.exchange(&mut state, &mut clock)).expect("exchange on a live world");
             // Rank 0 owns x ∈ [0,4): its high-x ghosts (allocated x =
             // 5) must now hold rank 1's values; mirrored for rank 1.
             let expect = ((1 - rank) * 1000) as f64;
@@ -394,9 +420,7 @@ mod tests {
                 gpu_spec: None,
                 gpu_direct: false,
             };
-            coupler
-                .exchange(&mut state, &mut clock)
-                .expect("exchange on a live world");
+            block_on(coupler.exchange(&mut state, &mut clock)).expect("exchange on a live world");
             clock.now().as_nanos()
         });
         // 16x16 face × 5 fields × 8 B ≈ 10 KB each way + latency.
@@ -429,8 +453,7 @@ mod tests {
                     gpu_spec: None,
                     gpu_direct: false,
                 };
-                coupler
-                    .exchange(&mut state, &mut clock)
+                block_on(coupler.exchange(&mut state, &mut clock))
                     .expect("exchange on a live world");
                 hsim_faults::uninstall();
                 clock.now().as_nanos()
@@ -475,8 +498,7 @@ mod tests {
                     gpu_spec: Some(DeviceSpec::tesla_k80()),
                     gpu_direct,
                 };
-                coupler
-                    .exchange(&mut state, &mut clock)
+                block_on(coupler.exchange(&mut state, &mut clock))
                     .expect("exchange on a live world");
                 clock.bucket(ChargeKind::Memory).as_nanos()
             });
@@ -509,8 +531,7 @@ mod tests {
                 gpu_spec: None,
                 gpu_direct: false,
             };
-            let m = coupler
-                .allreduce_min(1.0 + rank as f64, &mut clock)
+            let m = block_on(coupler.allreduce_min(1.0 + rank as f64, &mut clock))
                 .expect("allreduce on a live world");
             (m, clock.now().as_nanos())
         });

@@ -6,23 +6,26 @@
 //! fixed number of cycles, applies the node-level host-bandwidth
 //! model, and reports per-rank virtual-time breakdowns.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{Context, Poll};
 
 use parking_lot::Mutex;
 
 use hsim_gpu::memory::MemoryPool;
 use hsim_gpu::Device;
-use hsim_hydro::diffusion::{diffuse_step, DiffusionConfig};
+use hsim_hydro::diffusion::{self, DiffusionConfig};
 use hsim_hydro::noh::{self, NohConfig};
 use hsim_hydro::sedov::{self, SedovConfig};
 use hsim_hydro::taylor_green::{self, TaylorGreenConfig};
 use hsim_hydro::workload::{self, PerturbedConfig};
-use hsim_hydro::{sod, step, HydroState};
+use hsim_hydro::{sod, step_with, HydroState, Reconstruction};
 use hsim_mesh::decomp::block::{block_decomp, block_decomp_yz};
 use hsim_mesh::decomp::hierarchical::hierarchical_decomp_yz;
 use hsim_mesh::decomp::weighted::{fold_lost_rank, weighted_hetero_decomp, WeightedConfig};
 use hsim_mesh::{Decomposition, GlobalGrid, HaloPlan, OwnerKind};
-use hsim_mpi::World;
+use hsim_mpi::{Comm, Driver, World};
 use hsim_particles::{Particle, ParticlesConfig, PhaseState};
 use hsim_raja::{Executor, Fidelity, GpuClient, SharedDevice, Target, WorkPool};
 use hsim_telemetry::{Category, Collector, Counter, Gauge, Summary, TimeStat};
@@ -265,6 +268,21 @@ enum Boundary {
 /// virtual-time measurement, so two same-seed runs re-split
 /// identically, byte for byte — the property the chaos gate asserts.
 pub fn run_with_fraction(cfg: &RunConfig, cpu_fraction: f64) -> Result<RunResult, String> {
+    // Ranks that execute kernel bodies get a thread each and run in
+    // parallel; ranks that only price them exchange nothing but
+    // virtual timestamps, so they are stepped on this thread and the
+    // run spawns nothing.
+    let driver = match cfg.fidelity {
+        Fidelity::Full => Driver::Threads,
+        Fidelity::CostOnly => Driver::Stepped,
+    };
+    run_driven(cfg, cpu_fraction, driver)
+}
+
+/// [`run_with_fraction`] under an explicit rank driver. The result is
+/// the same under either — which the tests of this module assert,
+/// and the only reason the choice is an argument.
+fn run_driven(cfg: &RunConfig, cpu_fraction: f64, driver: Driver) -> Result<RunResult, String> {
     let fault_plan = Arc::new(cfg.faults.clone().unwrap_or_default());
     let mut losses: Vec<(usize, u64)> = fault_plan
         .rank_losses()
@@ -361,6 +379,7 @@ pub fn run_with_fraction(cfg: &RunConfig, cpu_fraction: f64) -> Result<RunResult
         let seg = run_segment(
             cfg,
             &fault_plan,
+            driver,
             Segment {
                 decomp: &decomp,
                 roles: &roles,
@@ -732,6 +751,59 @@ struct EndState {
     diag: Option<ScenarioDiag>,
 }
 
+/// What a rank body installs in thread-local storage: its telemetry
+/// collector and its fault injector. They belong to the rank, not to
+/// the thread — stepped ranks share the caller's thread, which may
+/// have a collector or an injector of its own — so they are installed
+/// for exactly as long as the rank is being polled.
+#[derive(Default)]
+struct RankLocals {
+    collector: Option<Collector>,
+    injector: Option<hsim_faults::Injector>,
+}
+
+impl RankLocals {
+    /// Trade places with whatever the calling thread has installed.
+    fn swap(&mut self) {
+        self.collector = hsim_telemetry::swap(self.collector.take());
+        self.injector = hsim_faults::swap(self.injector.take());
+    }
+}
+
+/// A rank body with its [`RankLocals`]: swapped in before every poll
+/// and out after it (also when the poll unwinds), the thread's own put
+/// back in between. Whatever the body leaves installed when it ends —
+/// on an error path, say — ends with it.
+struct RankTask<F> {
+    locals: RankLocals,
+    body: Pin<Box<F>>,
+}
+
+impl<F: Future> Future for RankTask<F> {
+    type Output = F::Output;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+        struct Installed<'a>(&'a mut RankLocals);
+        impl Drop for Installed<'_> {
+            fn drop(&mut self) {
+                self.0.swap();
+            }
+        }
+        let task = self.get_mut();
+        task.locals.swap();
+        let _installed = Installed(&mut task.locals);
+        task.body.as_mut().poll(cx)
+    }
+}
+
+/// Make every rank that `body` starts a [`RankTask`].
+fn rank_task<F: Future>(body: impl Fn(Comm) -> F + Sync) -> impl Fn(Comm) -> RankTask<F> + Sync {
+    move |comm| RankTask {
+        locals: RankLocals::default(),
+        body: Box::pin(body(comm)),
+    }
+}
+
 /// Run one segment and collect per-rank reports, telemetry, device
 /// busy time and the end state. Rank
 /// failures surface as typed errors — never panics or hangs (a dead
@@ -739,6 +811,7 @@ struct EndState {
 fn run_segment(
     cfg: &RunConfig,
     fault_plan: &Arc<hsim_faults::FaultPlan>,
+    driver: Driver,
     seg: Segment<'_>,
 ) -> Result<SegmentOut, String> {
     let grid = cfg.global_grid();
@@ -799,7 +872,7 @@ fn run_segment(
         })
         .collect();
 
-    // One collector per rank thread serves both consumers: the full
+    // One collector per rank serves both consumers: the full
     // telemetry summary and the legacy per-cycle Gantt trace (now a
     // projection of the same span store).
     let collect = cfg.telemetry || cfg.trace;
@@ -819,10 +892,17 @@ fn run_segment(
         /// Final-state scenario diagnostics (full fidelity only).
         diag: Option<ScenarioDiag>,
     }
+    // One rank body, resumable at every wait on a peer or a device;
+    // `driver` decides whether a wait blocks the rank's thread or
+    // parks the rank. Shared state goes in by reference so each rank's
+    // future can copy the references.
+    let (slots, host_pool, plan, penalty_per_cycle) =
+        (&slots, &host_pool, &plan, &penalty_per_cycle);
     let outputs: Vec<Result<RankOut, String>> = World::run_fallible(
+        driver,
         n_ranks,
         node.comm.clone(),
-        |comm| {
+        rank_task(|mut comm| async move {
             let rank = comm.rank();
             let orig = seg.orig_ids[rank];
             let sub = decomp.domains[rank];
@@ -888,7 +968,7 @@ fn run_segment(
                 ));
                 Target::Gpu(client.clone())
             } else {
-                match &host_pool {
+                match host_pool {
                     Some(pool) => Target::CpuParallel {
                         pool: Arc::clone(pool),
                     },
@@ -941,15 +1021,17 @@ fn run_segment(
             // Setup complete: synchronize and zero the runtime baseline.
             // The figures report cycle-loop time (setup — UM fault-in,
             // allocation — amortizes to noise over a real run's length).
-            lend_clock(comm, &mut clock, |comm| comm.barrier())
+            lend_clock(&mut comm, &mut clock)
+                .ibarrier()
+                .await
                 .map_err(|e| format!("rank {orig}: {e}"))?;
             let at_t0 = clock.clone();
             let t0 = at_t0.now();
             hsim_telemetry::rank_span(Category::Runtime, "setup", SimTime::ZERO, t0);
 
             let mut coupler = MpiCoupler {
-                comm,
-                plan: &plan,
+                comm: &mut comm,
+                plan,
                 decomp,
                 gpu_spec: client.as_ref().map(|_| cfg.node.gpu_spec.clone()),
                 gpu_direct: cfg.gpu_direct,
@@ -966,17 +1048,19 @@ fn run_segment(
                     debug_assert!(a.is_ok());
                     pool.reset();
                 }
-                let stats = step(
+                let stats = step_with(
                     &mut state,
                     &mut exec,
                     &mut clock,
                     &mut coupler,
                     calib::CFL,
                     calib::COST_ONLY_DT,
+                    Reconstruction::FirstOrder,
                 )
+                .await
                 .map_err(|e| format!("rank {orig}: {e}"))?;
                 if let Some(diff) = &cfg.diffusion {
-                    diffuse_step(
+                    diffusion::advance(
                         &mut state,
                         &mut exec,
                         &mut clock,
@@ -984,12 +1068,14 @@ fn run_segment(
                         diff,
                         stats.dt,
                     )
+                    .await
                     .map_err(|e| format!("rank {orig}: {e}"))?;
                 }
                 if let Some(phase) = phase.as_mut() {
                     hsim_particles::advect(phase, &state, &mut exec, &mut clock, stats.dt, cycle)
                         .map_err(|e| format!("rank {orig}: {e}"))?;
                     hsim_particles::migrate(phase, decomp, rank, &mut coupler, &mut clock)
+                        .await
                         .map_err(|e| format!("rank {orig}: {e}"))?;
                 }
                 // Serial host control code between kernels.
@@ -1066,7 +1152,7 @@ fn run_segment(
                 migrated: phase.as_ref().map_or(0, |ph| ph.migrated),
                 particles: phase.map(|ph| ph.parts),
             })
-        },
+        }),
     );
 
     let mut ranks = Vec::with_capacity(n_ranks);
@@ -1739,6 +1825,150 @@ mod tests {
                 assert_eq!(bare.particles, idle.particles, "{case}");
             }
         }
+    }
+
+    /// Everything a run emits, as text: the bytes `POST /run` serves
+    /// (`hsim_serve::render_response`: CSV header and row, a blank
+    /// line, the breakdown table), every rank report and the rest of
+    /// the result, then the trace and the metrics documents. An error
+    /// is its message.
+    fn emitted(cfg: &RunConfig, fraction: f64, driver: Driver) -> String {
+        let r = match run_driven(cfg, fraction, driver) {
+            Ok(r) => r,
+            Err(e) => return format!("error: {e}"),
+        };
+        let s = r.telemetry.as_ref().expect("telemetry is on");
+        format!(
+            "{}\n{}\n\n{}\n{:?}\n{:?} {:?} {:?} {:?} {:?}\n{}\n{}",
+            RunResult::csv_header(),
+            r.csv_row(),
+            r.breakdown_table(),
+            r.ranks,
+            r.device_busy,
+            r.mass,
+            r.particles,
+            r.balance_history,
+            r.scenario,
+            s.to_chrome_json(),
+            s.to_metrics_json(),
+        )
+    }
+
+    #[test]
+    fn stepped_and_threaded_ranks_emit_the_same_bytes() {
+        let controller = Some(RebalanceConfig {
+            every: 2,
+            hysteresis: calib::REBALANCE_DEFAULT_HYSTERESIS,
+        });
+        let mut checked = 0;
+        for mode in [
+            ExecMode::CpuOnly,
+            ExecMode::Default,
+            ExecMode::mps4(),
+            ExecMode::hetero(),
+        ] {
+            let hetero = matches!(mode, ExecMode::Heterogeneous { .. });
+            let mut base = sweep_cfg((64, 48, 32), mode);
+            base.cycles = 5;
+            base.telemetry = true;
+            base.trace = true;
+            base.tile = Some([8, 8]);
+            let mut cases = vec![("plain".to_string(), base.clone())];
+            let mut multi = base.clone();
+            multi.particles = Some(ParticlesConfig::default());
+            multi.diffusion = Some(DiffusionConfig::default());
+            cases.push(("particles + diffusion".to_string(), multi));
+            if hetero {
+                let mut online = base.clone();
+                online.rebalance = controller;
+                cases.push(("rebalance every=2".to_string(), online));
+            }
+            // Every fault site: recovered, past its retry budget (a
+            // typed error, the injected root cause winning over the
+            // peers' disconnects), and the permanent rank loss with
+            // and without the controller.
+            for spec in [
+                "gpu.launch@rank1.cycle1",
+                "gpu.launch@rank1.cycle1:perm",
+                "gpu.oom@rank0.cycle0:count=2",
+                "gpu.oom@rank0.cycle0:perm",
+                "mps.connect@rank1.cycle0",
+                "xfer.delay@rank1.cycle2:ns=200000",
+                "xfer.corrupt@rank2.cycle1",
+                "pool.panic@rank5.cycle2",
+                "rank.loss@rank5.cycle3",
+            ] {
+                let mut faulted = base.clone();
+                faulted.particles = Some(ParticlesConfig::default());
+                faulted.faults = Some(hsim_faults::FaultPlan::parse(spec).expect(spec));
+                cases.push((spec.to_string(), faulted.clone()));
+                if hetero && spec.starts_with("rank.loss") {
+                    faulted.rebalance = controller;
+                    cases.push((format!("{spec} + rebalance"), faulted));
+                }
+            }
+            for (label, cfg) in cases {
+                let fraction = if cfg.rebalance.is_some() { 0.30 } else { 0.05 };
+                let stepped = emitted(&cfg, fraction, Driver::Stepped);
+                checked += 1;
+                // A rank that dies mid-cycle never joins its device's
+                // next sync epoch. Under MPS its surviving clients wait
+                // there: rank threads for ever, stepped ranks until
+                // their driver sees the whole world stalled — and then
+                // the injected root cause wins as for any other loss.
+                if matches!(mode, ExecMode::Mps { .. }) && label == "gpu.launch@rank1.cycle1:perm" {
+                    assert!(stepped.starts_with("error: rank 1: "), "{stepped}");
+                    assert!(stepped.contains("injected permanent launch fault"));
+                    continue;
+                }
+                let threaded = emitted(&cfg, fraction, Driver::Threads);
+                assert!(
+                    threaded == stepped,
+                    "{mode:?}, {label}: the drivers disagree"
+                );
+            }
+        }
+        assert_eq!(checked, 4 * 11 + 2);
+
+        // Kernel bodies do not care which driver resumes them either.
+        let mut full = sweep_cfg((16, 24, 16), ExecMode::hetero());
+        full.fidelity = Fidelity::Full;
+        full.cycles = 2;
+        full.telemetry = true;
+        full.tile = Some([8, 8]);
+        full.particles = Some(ParticlesConfig::default());
+        let threaded = emitted(&full, 0.25, Driver::Threads);
+        assert!(!threaded.starts_with("error"), "{threaded}");
+        assert!(threaded == emitted(&full, 0.25, Driver::Stepped));
+    }
+
+    #[test]
+    fn an_mps_client_that_syncs_twice_in_an_epoch_is_a_deadlock_error() {
+        use hsim_mpi::{CommCost, MpiError};
+        use hsim_time::task::Waiting;
+        let device = Device::new(3, NodeConfig::rzhasgpu().gpu_spec);
+        let (_shared, clients) = SharedDevice::new_mps(device, &[0, 1]).unwrap();
+        let clients = &clients;
+        let out = World::run_fallible(Driver::Stepped, 2, CommCost::free(), |comm| async move {
+            let client = &clients[comm.rank()];
+            client.sync(SimTime::ZERO).await;
+            if comm.rank() == 0 {
+                // Epoch 1 needs both clients; rank 1 never comes.
+                client.sync(SimTime::ZERO).await;
+            }
+            Ok(comm.rank())
+        });
+        let stuck = MpiError::Deadlock {
+            waiting: vec![(
+                0,
+                Waiting::DeviceSync {
+                    device: 3,
+                    epoch: 1,
+                },
+            )],
+        };
+        assert_eq!(out[0], Err(format!("rank 0: {stuck}")));
+        assert_eq!(out[1], Ok(1));
     }
 
     #[test]

@@ -296,7 +296,10 @@ pub struct FaultHit {
     pub param: u64,
 }
 
-struct Injector {
+/// One rank's armed fault plan: its position in the plan and which
+/// events it has already consumed. Opaque; it exists outside the
+/// thread-local only while [`swap`]ped out.
+pub struct Injector {
     rank: usize,
     cycle: u64,
     plan: Arc<FaultPlan>,
@@ -310,20 +313,25 @@ thread_local! {
 /// Arm fault injection on this thread for `rank`. Pairs with
 /// [`uninstall`]; nested installs replace the previous injector.
 pub fn install(rank: usize, plan: Arc<FaultPlan>) {
-    INJECTOR.with(|inj| {
-        let consumed = vec![false; plan.events.len()];
-        *inj.borrow_mut() = Some(Injector {
-            rank,
-            cycle: 0,
-            plan,
-            consumed,
-        });
-    });
+    let consumed = vec![false; plan.events.len()];
+    swap(Some(Injector {
+        rank,
+        cycle: 0,
+        plan,
+        consumed,
+    }));
 }
 
 /// Disarm fault injection on this thread.
 pub fn uninstall() {
-    INJECTOR.with(|inj| *inj.borrow_mut() = None);
+    swap(None);
+}
+
+/// Exchange this thread's injector for `inj` and return the one that
+/// was armed. Ranks that share a thread trade places this way, each
+/// keeping its consumed-event state while another runs.
+pub fn swap(inj: Option<Injector>) -> Option<Injector> {
+    INJECTOR.with(|slot| slot.replace(inj))
 }
 
 /// Advance the injector to `cycle`; events fire only on their cycle.

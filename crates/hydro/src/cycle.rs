@@ -24,9 +24,12 @@
 //! through the fused tiled kernels in [`crate::fused`], which replay
 //! the same charge sequence and produce bitwise-identical states.
 
+use std::future::Future;
+
 use hsim_gpu::GpuError;
 use hsim_raja::Executor;
-use hsim_time::RankClock;
+use hsim_time::task::block_on;
+use hsim_time::{RankClock, SimTime};
 
 use crate::bc;
 use crate::eos::cfl_dt;
@@ -95,6 +98,11 @@ impl std::error::Error for CycleError {}
 
 /// How a rank coordinates with its peers. The cooperative runner backs
 /// this with simulated MPI; single-domain runs use [`SoloCoupler`].
+///
+/// Every operation can wait on a peer, so each returns a future: the
+/// cycle that awaits it is resumable, and the runner's driver decides
+/// whether a wait blocks the rank's thread or parks the rank (see
+/// [`hsim_time::task`]).
 pub trait Coupler {
     /// Exchange ghost layers of the conserved fields with neighbors
     /// (functional copy + virtual communication charge).
@@ -102,10 +110,14 @@ pub trait Coupler {
         &mut self,
         state: &mut HydroState,
         clock: &mut RankClock,
-    ) -> Result<(), CoupleError>;
+    ) -> impl Future<Output = Result<(), CoupleError>>;
 
     /// Global minimum (the timestep reduction).
-    fn allreduce_min(&mut self, x: f64, clock: &mut RankClock) -> Result<f64, CoupleError>;
+    fn allreduce_min(
+        &mut self,
+        x: f64,
+        clock: &mut RankClock,
+    ) -> impl Future<Output = Result<f64, CoupleError>>;
 
     /// Exchange Lagrangian-particle payloads: `outbound[dst]` is the
     /// flat wire encoding of the particles this rank hands to rank
@@ -117,8 +129,8 @@ pub trait Coupler {
         &mut self,
         outbound: Vec<Vec<f64>>,
         _clock: &mut RankClock,
-    ) -> Result<Vec<Vec<f64>>, CoupleError> {
-        Ok(outbound)
+    ) -> impl Future<Output = Result<Vec<Vec<f64>>, CoupleError>> {
+        async { Ok(outbound) }
     }
 }
 
@@ -126,7 +138,7 @@ pub trait Coupler {
 pub struct SoloCoupler;
 
 impl Coupler for SoloCoupler {
-    fn exchange(
+    async fn exchange(
         &mut self,
         _state: &mut HydroState,
         _clock: &mut RankClock,
@@ -134,7 +146,7 @@ impl Coupler for SoloCoupler {
         Ok(())
     }
 
-    fn allreduce_min(&mut self, x: f64, _clock: &mut RankClock) -> Result<f64, CoupleError> {
+    async fn allreduce_min(&mut self, x: f64, _clock: &mut RankClock) -> Result<f64, CoupleError> {
         Ok(x)
     }
 }
@@ -150,7 +162,8 @@ pub struct CycleStats {
     pub launches: u64,
 }
 
-/// Advance the state by one cycle. Returns the step's statistics.
+/// Advance the state by one cycle, blocking in every wait. Returns
+/// the step's statistics.
 ///
 /// `cfl` is the Courant factor (≤ 0.45 for this scheme); `fallback_dt`
 /// is used as the timestep in cost-only fidelity (where the reduction
@@ -163,7 +176,7 @@ pub fn step<C: Coupler>(
     cfl: f64,
     fallback_dt: f64,
 ) -> Result<CycleStats, CycleError> {
-    step_with(
+    block_on(step_with(
         st,
         exec,
         clock,
@@ -171,13 +184,15 @@ pub fn step<C: Coupler>(
         cfl,
         fallback_dt,
         Reconstruction::FirstOrder,
-    )
+    ))
 }
 
-/// [`step`] with an explicit spatial reconstruction order (MUSCL needs
-/// a two-layer halo; see [`crate::muscl`]).
+/// One cycle with an explicit spatial reconstruction order (MUSCL
+/// needs a two-layer halo; see [`crate::muscl`]), as a resumable task:
+/// it can wait in the halo exchanges, the timestep reduction and the
+/// device syncs. [`step`] is this, blocked on.
 #[allow(clippy::too_many_arguments)]
-pub fn step_with<C: Coupler>(
+pub async fn step_with<C: Coupler>(
     st: &mut HydroState,
     exec: &mut Executor,
     clock: &mut RankClock,
@@ -198,60 +213,58 @@ pub fn step_with<C: Coupler>(
             Reconstruction::Muscl => sweep_muscl(st, exec, clock, dt),
         }
     };
-    // Phase span helper: brackets a closure on the rank timeline.
-    fn phase<R>(
-        name: &'static str,
-        clock: &mut RankClock,
-        f: impl FnOnce(&mut RankClock) -> R,
-    ) -> R {
-        let t0 = clock.now();
-        let r = f(clock);
+    // Phase span: brackets `[t0, now)` on the rank timeline.
+    let phase = |name: &'static str, t0: SimTime, clock: &RankClock| {
         hsim_telemetry::rank_span(hsim_telemetry::Category::Phase, name, t0, clock.now());
-        r
-    }
+    };
 
     // Stage 0: snapshot.
-    phase("save", clock, |clock| save_state(st, exec, clock))?;
+    let t0 = clock.now();
+    save_state(st, exec, clock)?;
+    phase("save", t0, clock);
 
     // Stage 1 inputs: ghosts of u^n.
-    phase("halo", clock, |clock| -> Result<(), CycleError> {
-        bc::apply(st, exec, clock)?;
-        coupler.exchange(st, clock)?;
-        Ok(())
-    })?;
-    phase("eos", clock, |clock| primitives(st, exec, clock))?;
+    let t0 = clock.now();
+    bc::apply(st, exec, clock)?;
+    coupler.exchange(st, clock).await?;
+    phase("halo", t0, clock);
+    let t0 = clock.now();
+    primitives(st, exec, clock)?;
+    phase("eos", t0, clock);
 
     // Timestep: local CFL bound, device sync, global min.
-    let dt = phase("cfl", clock, |clock| -> Result<f64, CycleError> {
-        let local_dt = cfl_dt(st, exec, clock, cfl, fallback_dt)?;
-        exec.sync(clock);
-        Ok(coupler
-            .allreduce_min(local_dt, clock)?
-            .min(fallback_dt.max(1e-30)))
-    })?;
+    let t0 = clock.now();
+    let local_dt = cfl_dt(st, exec, clock, cfl, fallback_dt)?;
+    exec.sync(clock).await;
+    let dt = coupler
+        .allreduce_min(local_dt, clock)
+        .await?
+        .min(fallback_dt.max(1e-30));
+    phase("cfl", t0, clock);
 
     // Stage 1: u0 ← u^n − dt·L(u^n) = u*.
-    phase("flux", clock, |clock| -> Result<(), CycleError> {
-        do_sweep(st, exec, clock, dt)?;
-        std::mem::swap(&mut st.u, &mut st.u0);
-        exec.sync(clock);
-        Ok(())
-    })?;
+    let t0 = clock.now();
+    do_sweep(st, exec, clock, dt)?;
+    std::mem::swap(&mut st.u, &mut st.u0);
+    exec.sync(clock).await;
+    phase("flux", t0, clock);
 
     // Stage 2: u0 ← ½u^n + ½u*, then u0 −= ½dt·L(u*).
-    phase("combine", clock, |clock| combine(st, exec, clock))?;
-    phase("halo", clock, |clock| -> Result<(), CycleError> {
-        bc::apply(st, exec, clock)?;
-        coupler.exchange(st, clock)?;
-        Ok(())
-    })?;
-    phase("eos", clock, |clock| primitives(st, exec, clock))?;
-    phase("flux", clock, |clock| -> Result<(), CycleError> {
-        do_sweep(st, exec, clock, 0.5 * dt)?;
-        std::mem::swap(&mut st.u, &mut st.u0);
-        exec.sync(clock);
-        Ok(())
-    })?;
+    let t0 = clock.now();
+    combine(st, exec, clock)?;
+    phase("combine", t0, clock);
+    let t0 = clock.now();
+    bc::apply(st, exec, clock)?;
+    coupler.exchange(st, clock).await?;
+    phase("halo", t0, clock);
+    let t0 = clock.now();
+    primitives(st, exec, clock)?;
+    phase("eos", t0, clock);
+    let t0 = clock.now();
+    do_sweep(st, exec, clock, 0.5 * dt)?;
+    std::mem::swap(&mut st.u, &mut st.u0);
+    exec.sync(clock).await;
+    phase("flux", t0, clock);
 
     st.t += dt;
     st.cycle += 1;

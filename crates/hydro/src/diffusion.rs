@@ -12,11 +12,11 @@
 //! hydro package (per-axis face fluxes + updates), sharing the mesh,
 //! the halo exchange, and the portability layer. Explicit stability
 //! requires `dt ≤ dx²/(6κ)` in 3D; [`diffusion_dt`] reports the bound
-//! and [`diffuse_step`] substeps internally when asked to advance
-//! further.
+//! and [`advance`] substeps internally when asked to go further.
 
 use hsim_gpu::GpuError;
 use hsim_raja::{Executor, Fidelity};
+use hsim_time::task::block_on;
 use hsim_time::RankClock;
 
 use crate::cycle::{Coupler, CycleError};
@@ -138,8 +138,10 @@ fn substep(
 
 /// Advance diffusion by `dt_total`, substepping at the stability bound
 /// if needed. Ghosts are refreshed through `coupler`/boundary fill
-/// before each substep. Returns the number of substeps taken.
-pub fn diffuse_step<C: Coupler>(
+/// before each substep. Returns the number of substeps taken. A
+/// resumable task like [`crate::step_with`]: it can wait in the halo
+/// exchanges and the closing device sync.
+pub async fn advance<C: Coupler>(
     st: &mut HydroState,
     exec: &mut Executor,
     clock: &mut RankClock,
@@ -162,11 +164,23 @@ pub fn diffuse_step<C: Coupler>(
     let dt = dt_total / n as f64;
     for _ in 0..n {
         crate::bc::apply(st, exec, clock)?;
-        coupler.exchange(st, clock)?;
+        coupler.exchange(st, clock).await?;
         substep(st, exec, clock, cfg.kappa, dt)?;
     }
-    exec.sync(clock);
+    exec.sync(clock).await;
     Ok(n)
+}
+
+/// [`advance`], blocking in every wait.
+pub fn diffuse_step<C: Coupler>(
+    st: &mut HydroState,
+    exec: &mut Executor,
+    clock: &mut RankClock,
+    coupler: &mut C,
+    cfg: &DiffusionConfig,
+    dt_total: f64,
+) -> Result<u32, CycleError> {
+    block_on(advance(st, exec, clock, coupler, cfg, dt_total))
 }
 
 #[cfg(test)]

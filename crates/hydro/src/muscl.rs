@@ -202,6 +202,7 @@ mod tests {
     use crate::sod::{self, axial_density, exact_solution, SodConfig};
     use hsim_mesh::{GlobalGrid, Subdomain};
     use hsim_raja::{CpuModel, Target};
+    use hsim_time::task::block_on;
 
     fn sod_l1(n: usize, recon: Reconstruction) -> f64 {
         let grid = GlobalGrid::new(n, 4, 4);
@@ -218,8 +219,10 @@ mod tests {
         let mut solo = SoloCoupler;
         let t_end = 0.15;
         while st.t < t_end {
-            crate::cycle::step_with(&mut st, &mut exec, &mut clock, &mut solo, 0.25, 1.0, recon)
-                .unwrap();
+            let cycle = crate::cycle::step_with(
+                &mut st, &mut exec, &mut clock, &mut solo, 0.25, 1.0, recon,
+            );
+            block_on(cycle).unwrap();
         }
         let sim = axial_density(&st);
         let (dx, _, _) = grid.spacing();
@@ -287,7 +290,7 @@ mod tests {
         let mut clock = RankClock::new(0);
         let mut solo = SoloCoupler;
         for _ in 0..5 {
-            crate::cycle::step_with(
+            block_on(crate::cycle::step_with(
                 &mut st,
                 &mut exec,
                 &mut clock,
@@ -295,7 +298,7 @@ mod tests {
                 0.25,
                 1.0,
                 Reconstruction::Muscl,
-            )
+            ))
             .unwrap();
         }
         assert!(((st.total_mass() - m0) / m0).abs() < 1e-10);

@@ -4,8 +4,9 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use hsim_time::clock::ChargeKind;
+use hsim_time::task::{self, Waiting};
 use hsim_time::{RankClock, SimTime};
 
 use crate::cost::CommCost;
@@ -34,6 +35,15 @@ pub(crate) struct Packet {
 }
 
 /// One rank's endpoint in the simulated MPI world.
+///
+/// Sends are buffered and never wait. Everything that can wait on a
+/// peer — a receive, and the collectives built from receives — is
+/// named the way MPI names its non-blocking calls (`irecv`,
+/// `iallreduce`, `ibarrier`, …) and returns a future in place of a
+/// request handle, so a rank body is resumable and either driver of
+/// [`crate::World`] can run it. [`Comm::recv`], [`Comm::barrier`] and
+/// the named reductions are those futures blocked on, for stand-alone
+/// closures under [`crate::World::run`].
 ///
 /// A `Comm` carries a [`RankClock`] of its own, which every send,
 /// receive and collective charges — enough for a stand-alone SPMD
@@ -119,7 +129,8 @@ impl Comm {
         }
     }
 
-    /// Blocking typed send. User tags must be below `0x8000_0000`.
+    /// Typed send; buffered, so it never waits. User tags must be
+    /// below `0x8000_0000`.
     pub fn send<T: Payload>(&mut self, dst: usize, tag: u32, data: T) -> Result<(), MpiError> {
         self.check_rank(dst)?;
         if dst == self.rank {
@@ -159,16 +170,43 @@ impl Comm {
             .map_err(|_| MpiError::Disconnected { peer: dst })
     }
 
-    /// Blocking typed receive from `src` with exact `tag` match.
-    pub fn recv<T: Payload>(&mut self, src: usize, tag: u32) -> Result<T, MpiError> {
+    /// Typed receive from `src` with exact `tag` match.
+    pub async fn irecv<T: Payload>(&mut self, src: usize, tag: u32) -> Result<T, MpiError> {
         self.check_rank(src)?;
         if src == self.rank {
             return Err(MpiError::SelfMessage);
         }
-        self.recv_internal(src, tag)
+        self.recv_internal(src, tag).await
     }
 
-    fn recv_internal<T: Payload>(&mut self, src: usize, tag: u32) -> Result<T, MpiError> {
+    /// [`Comm::irecv`], blocking the rank's thread until the message
+    /// arrives.
+    pub fn recv<T: Payload>(&mut self, src: usize, tag: u32) -> Result<T, MpiError> {
+        task::block_on(self.irecv(src, tag))
+    }
+
+    /// The next packet from `src`, whatever its tag: the mailbox wait.
+    /// A rank thread blocks in the channel; a stepped rank parks on an
+    /// empty mailbox and is resumed once a peer has run.
+    async fn next_packet(&self, src: usize, tag: u32) -> Result<Packet, MpiError> {
+        let mailbox = &self.receivers[src];
+        task::wait(
+            Waiting::Message { src, tag },
+            || match mailbox.try_recv() {
+                Ok(p) => Some(Ok(p)),
+                Err(TryRecvError::Empty) => None,
+                Err(TryRecvError::Disconnected) => Some(Err(MpiError::Disconnected { peer: src })),
+            },
+            || {
+                mailbox
+                    .recv()
+                    .map_err(|_| MpiError::Disconnected { peer: src })
+            },
+        )
+        .await
+    }
+
+    async fn recv_internal<T: Payload>(&mut self, src: usize, tag: u32) -> Result<T, MpiError> {
         // First look in the out-of-order buffer.
         let buffered = self.pending[src]
             .iter()
@@ -177,9 +215,7 @@ impl Comm {
         let pkt = match buffered {
             Some(p) => p,
             None => loop {
-                let p = self.receivers[src]
-                    .recv()
-                    .map_err(|_| MpiError::Disconnected { peer: src })?;
+                let p = self.next_packet(src, tag).await?;
                 if p.tag == tag {
                     break p;
                 }
@@ -226,7 +262,7 @@ impl Comm {
 
     /// Binomial-tree reduction of a scalar to rank 0. Returns
     /// `Some(result)` on rank 0, `None` elsewhere.
-    fn reduce_scalar<T, F>(&mut self, x: T, tag: u32, op: F) -> Result<Option<T>, MpiError>
+    async fn reduce_scalar<T, F>(&mut self, x: T, tag: u32, op: F) -> Result<Option<T>, MpiError>
     where
         T: Payload + Copy,
         F: Fn(T, T) -> T,
@@ -238,7 +274,7 @@ impl Comm {
             if self.rank.is_multiple_of(group) {
                 let peer = self.rank + offset;
                 if peer < self.size {
-                    let other: T = self.recv_internal(peer, tag)?;
+                    let other: T = self.recv_internal(peer, tag).await?;
                     val = op(val, other);
                 }
             } else if self.rank % group == offset {
@@ -255,7 +291,11 @@ impl Comm {
     }
 
     /// Binomial-tree broadcast of a scalar from rank 0.
-    fn bcast_scalar<T: Payload + Copy>(&mut self, x: Option<T>, tag: u32) -> Result<T, MpiError> {
+    async fn bcast_scalar<T: Payload + Copy>(
+        &mut self,
+        x: Option<T>,
+        tag: u32,
+    ) -> Result<T, MpiError> {
         let mut offset = 1usize;
         while offset < self.size {
             offset <<= 1;
@@ -275,7 +315,7 @@ impl Comm {
                     self.send_internal(peer, tag, v)?;
                 }
             } else if self.rank % group == offset {
-                let v: T = self.recv_internal(self.rank - offset, tag)?;
+                let v: T = self.recv_internal(self.rank - offset, tag).await?;
                 val = Some(v);
             }
             if offset == 1 {
@@ -288,8 +328,9 @@ impl Comm {
         })
     }
 
-    /// All-reduce a scalar with a commutative, associative operator.
-    pub fn allreduce<T, F>(&mut self, x: T, op: F) -> Result<T, MpiError>
+    /// All-reduce a scalar with a commutative, associative operator
+    /// (`f64::min` is the CFL timestep reduction).
+    pub async fn iallreduce<T, F>(&mut self, x: T, op: F) -> Result<T, MpiError>
     where
         T: Payload + Copy,
         F: Fn(T, T) -> T,
@@ -299,35 +340,37 @@ impl Comm {
         }
         hsim_telemetry::count(hsim_telemetry::Counter::MpiCollectives, 1);
         let tag = self.next_coll_tag();
-        let reduced = self.reduce_scalar(x, tag, op)?;
-        self.bcast_scalar(reduced, tag)
+        let reduced = self.reduce_scalar(x, tag, op).await?;
+        self.bcast_scalar(reduced, tag).await
     }
 
-    /// Sum across all ranks.
+    /// Sum across all ranks, blocking.
     pub fn allreduce_sum(&mut self, x: f64) -> Result<f64, MpiError> {
-        self.allreduce(x, |a, b| a + b)
+        task::block_on(self.iallreduce(x, |a, b| a + b))
     }
 
-    /// Minimum across all ranks (the CFL timestep reduction).
-    pub fn allreduce_min(&mut self, x: f64) -> Result<f64, MpiError> {
-        self.allreduce(x, f64::min)
-    }
-
-    /// Maximum across all ranks.
+    /// Maximum across all ranks, blocking.
     pub fn allreduce_max(&mut self, x: f64) -> Result<f64, MpiError> {
-        self.allreduce(x, f64::max)
+        task::block_on(self.iallreduce(x, f64::max))
     }
 
     /// Synchronize all ranks in virtual time: every clock advances to
     /// the latest clock at entry (plus the collective's own cost). This
     /// is the bulk-synchronous step boundary.
-    pub fn barrier(&mut self) -> Result<(), MpiError> {
+    pub async fn ibarrier(&mut self) -> Result<(), MpiError> {
         if self.size == 1 {
             return Ok(());
         }
-        let t = self.allreduce(self.clock.now().as_nanos(), u64::max)?;
+        let t = self
+            .iallreduce(self.clock.now().as_nanos(), u64::max)
+            .await?;
         self.clock.wait_until(SimTime::from_nanos(t));
         Ok(())
+    }
+
+    /// [`Comm::ibarrier`], blocking.
+    pub fn barrier(&mut self) -> Result<(), MpiError> {
+        task::block_on(self.ibarrier())
     }
 
     /// Personalized all-to-all of `f64` vectors: `parts[dst]` is this
@@ -337,7 +380,10 @@ impl Comm {
     /// send before the first receive cannot deadlock, and each leg
     /// pays the usual overhead + wire time — the collective that
     /// prices Lagrangian-particle migration.
-    pub fn alltoallv_f64(&mut self, mut parts: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>, MpiError> {
+    pub async fn ialltoallv_f64(
+        &mut self,
+        mut parts: Vec<Vec<f64>>,
+    ) -> Result<Vec<Vec<f64>>, MpiError> {
         if parts.len() != self.size {
             return Err(MpiError::CollectiveProtocol {
                 what: "alltoallv payload count differs from the world size",
@@ -361,7 +407,7 @@ impl Comm {
             if src == self.rank {
                 inbound.push(std::mem::take(slot));
             } else {
-                inbound.push(self.recv_internal(src, tag)?);
+                inbound.push(self.recv_internal(src, tag).await?);
             }
         }
         Ok(inbound)

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use hsim_time::task::Waiting;
+
 /// Communication errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MpiError {
@@ -18,6 +20,11 @@ pub enum MpiError {
     /// Surfacing this as an error keeps collectives panic-free on the
     /// fallible rank paths.
     CollectiveProtocol { what: &'static str },
+    /// The stepped driver resumed every live rank and none could move:
+    /// each is parked on something no peer will ever provide (a
+    /// mis-tagged receive, a device client that synced twice in one
+    /// epoch). `waiting` lists each live rank with what it waits for.
+    Deadlock { waiting: Vec<(usize, Waiting)> },
 }
 
 impl fmt::Display for MpiError {
@@ -36,6 +43,14 @@ impl fmt::Display for MpiError {
             MpiError::SelfMessage => write!(f, "blocking self-send is a deadlock"),
             MpiError::CollectiveProtocol { what } => {
                 write!(f, "collective protocol invariant broken: {what}")
+            }
+            MpiError::Deadlock { waiting } => {
+                write!(f, "deadlock")?;
+                for (i, (rank, what)) in waiting.iter().enumerate() {
+                    let sep = if i == 0 { ':' } else { ';' };
+                    write!(f, "{sep} rank {rank} waits for {what}")?;
+                }
+                Ok(())
             }
         }
     }

@@ -1,8 +1,10 @@
 //! # hsim-mpi
 //!
 //! An in-process MPI: the substrate standing in for the message-passing
-//! runtime of the paper's testbed. Ranks are OS threads inside one
-//! process; point-to-point messages travel over channels and carry the
+//! runtime of the paper's testbed. Ranks live inside one process —
+//! one OS thread each, or all of them stepped on the caller's thread
+//! when they have nothing to run in parallel (see [`Driver`]);
+//! point-to-point messages travel over channels and carry the
 //! sender's **virtual timestamp**, so simulated time propagates exactly
 //! the way causality does in a real bulk-synchronous MPI code:
 //!
@@ -39,4 +41,4 @@ pub use comm::Comm;
 pub use cost::CommCost;
 pub use error::MpiError;
 pub use payload::Payload;
-pub use world::World;
+pub use world::{Driver, World};

@@ -344,8 +344,9 @@ pub fn advect(
 /// owner through the coupler's migration collective, and absorb
 /// arrivals. Collective: **all ranks must call this every cycle**,
 /// outbound or not, exactly like a halo exchange. Returns the number
-/// of particles this rank sent.
-pub fn migrate<C: Coupler + ?Sized>(
+/// of particles this rank sent. A resumable task: it waits in the
+/// collective.
+pub async fn migrate<C: Coupler + ?Sized>(
     phase: &mut PhaseState,
     decomp: &Decomposition,
     rank: usize,
@@ -376,7 +377,7 @@ pub fn migrate<C: Coupler + ?Sized>(
         .map(|(dst, v)| if dst == rank { 0 } else { v.len() as u64 })
         .sum();
     let outbound: Vec<Vec<f64>> = leaving.iter().map(|v| encode(v)).collect();
-    let inbound = coupler.migrate_particles(outbound, clock)?;
+    let inbound = coupler.migrate_particles(outbound, clock).await?;
     for wire in &inbound {
         keep.extend(decode(wire));
     }
@@ -395,6 +396,7 @@ mod tests {
     use hsim_hydro::SoloCoupler;
     use hsim_mesh::decomp::block_decomp;
     use hsim_raja::{CpuModel, Target};
+    use hsim_time::task::block_on;
 
     fn grid(n: usize) -> GlobalGrid {
         GlobalGrid::new(n, n, n)
@@ -467,7 +469,14 @@ mod tests {
         for cycle in 0..6 {
             advect(&mut solo_phase, &st, &mut exec, &mut clock, 1e-3, cycle).unwrap();
             let solo_decomp = block_decomp(g, 1, 1);
-            migrate(&mut solo_phase, &solo_decomp, 0, &mut solo, &mut clock).unwrap();
+            block_on(migrate(
+                &mut solo_phase,
+                &solo_decomp,
+                0,
+                &mut solo,
+                &mut clock,
+            ))
+            .unwrap();
         }
 
         // Split: 4 slabs advected independently, migration emulated by
@@ -559,7 +568,7 @@ mod tests {
         let before = checksum(&phase.parts);
         let mut solo = SoloCoupler;
         let mut clock = RankClock::new(0);
-        let sent = migrate(&mut phase, &decomp, 0, &mut solo, &mut clock).unwrap();
+        let sent = block_on(migrate(&mut phase, &decomp, 0, &mut solo, &mut clock)).unwrap();
         assert_eq!(sent, 0);
         assert_eq!(checksum(&phase.parts), before);
     }

@@ -417,9 +417,9 @@ impl Executor {
 
     /// Synchronize with the GPU (no-op for CPU targets): the rank's
     /// clock advances to its stream's completion time.
-    pub fn sync(&mut self, clock: &mut RankClock) -> SimTime {
+    pub async fn sync(&mut self, clock: &mut RankClock) -> SimTime {
         if let Target::Gpu(client) = &self.target {
-            let end = client.sync(clock.now());
+            let end = client.sync(clock.now()).await;
             clock.wait_until(end);
         }
         clock.now()
@@ -508,6 +508,7 @@ mod tests {
     use super::*;
     use crate::simgpu::SharedDevice;
     use hsim_gpu::{Device, DeviceSpec};
+    use hsim_time::task::block_on;
 
     fn desc() -> KernelDesc {
         KernelDesc::new("axpy", 2.0, 24.0)
@@ -619,7 +620,7 @@ mod tests {
             hsim_time::SimDuration::ZERO
         );
         let before = clock.now();
-        exec.sync(&mut clock);
+        block_on(exec.sync(&mut clock));
         assert!(clock.now() >= before);
         assert!(clock.bucket(ChargeKind::Wait) > hsim_time::SimDuration::ZERO);
     }
@@ -663,7 +664,7 @@ mod tests {
         exec.forall(&mut clock, &desc(), 100_000, 100, |_| {})
             .unwrap();
         assert!(clock.bucket(ChargeKind::Launch) > hsim_time::SimDuration::ZERO);
-        exec.sync(&mut clock);
+        block_on(exec.sync(&mut clock));
     }
 
     #[test]
@@ -678,7 +679,7 @@ mod tests {
             for _ in 0..200 {
                 exec.forall(&mut clock, &desc(), 64, 8, |_| {}).unwrap();
             }
-            exec.sync(&mut clock);
+            block_on(exec.sync(&mut clock));
             clock.now().as_nanos()
         };
         let naive = run(0);
@@ -704,7 +705,7 @@ mod tests {
             let r = exec.forall(&mut clock, &desc(), 1000, 10, |_| {});
             hsim_faults::uninstall();
             if r.is_ok() {
-                exec.sync(&mut clock);
+                block_on(exec.sync(&mut clock));
             }
             (r, clock.bucket(ChargeKind::Wait))
         };

@@ -1,12 +1,13 @@
-//! The CUDA-like backend: sharing one simulated device between rank
-//! threads.
+//! The CUDA-like backend: sharing one simulated device between ranks.
 //!
 //! Real CUDA resolves concurrency on the device itself; our simulated
 //! device resolves it at a **sync rendezvous**: every client (rank)
 //! submits its kernel launches with virtual arrival times, then all
 //! clients of the device meet in [`GpuClient::sync`]. The last arrival
 //! runs the rate-sharing timeline over the whole batch, publishes each
-//! stream's completion time, and wakes the others. This mirrors the
+//! stream's completion time, and wakes the others — rank threads
+//! sleeping on a condition variable, or stepped ranks parked until
+//! their next resume (see [`hsim_time::task`]). This mirrors the
 //! bulk-synchronous structure of the application (every rank
 //! synchronizes with its device at least once per cycle).
 
@@ -17,6 +18,7 @@ use parking_lot::{Condvar, Mutex};
 
 use hsim_gpu::mps::{MpsClient, MpsServer};
 use hsim_gpu::{ContextId, Device, DeviceSpec, GpuError, KernelDesc, KernelShape, StreamId};
+use hsim_time::task::{self, Waiting};
 use hsim_time::{SimDuration, SimTime};
 
 struct Inner {
@@ -41,6 +43,58 @@ struct Inner {
     resolved_kernels: HashMap<u64, Vec<ResolvedKernel>>,
 }
 
+impl Inner {
+    /// Run the device over every launch of the epoch its last client
+    /// has just joined, and open the next epoch.
+    fn resolve_epoch(&mut self) {
+        // Snapshot the queued jobs' work/occupancy caps first — the
+        // profiler needs them and `run_pending` clears the queue.
+        let job_caps: HashMap<u64, (f64, f64)> = if self.job_meta.is_empty() {
+            HashMap::new()
+        } else {
+            self.device
+                .pending_jobs()
+                .iter()
+                .map(|j| (j.id, (j.work, j.max_rate)))
+                .collect()
+        };
+        let outcomes = self.device.run_pending();
+        for o in &outcomes {
+            if let Some(&stream) = self.job_streams.get(&o.id) {
+                let e = self.stream_end.entry(stream).or_insert(SimTime::ZERO);
+                *e = e.merge(o.end);
+            }
+            // Stash the kernel for its own client to drain: which
+            // thread led the sync must not change the telemetry.
+            if let Some(&(name, elems)) = self.job_meta.get(&o.id) {
+                let (work, max_rate) = job_caps.get(&o.id).copied().unwrap_or((0.0, 1.0));
+                let elapsed = (o.end - o.start).as_secs_f64();
+                let occupancy = if elapsed > 0.0 {
+                    (work / elapsed).clamp(0.0, 1.0)
+                } else {
+                    max_rate
+                };
+                if let Some(&stream) = self.job_streams.get(&o.id) {
+                    self.resolved_kernels
+                        .entry(stream)
+                        .or_default()
+                        .push(ResolvedKernel {
+                            name,
+                            elems,
+                            start: o.start,
+                            end: o.end,
+                            occupancy,
+                        });
+                }
+            }
+        }
+        self.job_meta.clear();
+        self.job_streams.clear();
+        self.syncers = 0;
+        self.epoch += 1;
+    }
+}
+
 /// One device-side kernel execution resolved at a sync, pending
 /// telemetry drain by its stream's client.
 #[derive(Debug, Clone)]
@@ -52,7 +106,7 @@ struct ResolvedKernel {
     occupancy: f64,
 }
 
-/// One simulated GPU shared by one or more rank threads.
+/// One simulated GPU shared by one or more ranks.
 pub struct SharedDevice {
     inner: Mutex<Inner>,
     resolved: Condvar,
@@ -234,68 +288,44 @@ impl GpuClient {
     /// stream (or `at` when the stream had no pending work).
     ///
     /// Every client of the device must call `sync` once per epoch
-    /// (bulk-synchronous discipline); a client calling twice before
-    /// the others once would deadlock, matching a real stream-sync
-    /// against peers that never launch.
-    pub fn sync(&self, at: SimTime) -> SimTime {
-        let mut inner = self.dev.inner.lock();
-        inner.syncers += 1;
-        let my_epoch = inner.epoch;
-        if inner.syncers == inner.clients {
-            // Leader: resolve the batch. Snapshot the queued jobs'
-            // work/occupancy caps first — the profiler needs them and
-            // `run_pending` clears the queue.
-            let job_caps: HashMap<u64, (f64, f64)> = if inner.job_meta.is_empty() {
-                HashMap::new()
+    /// (bulk-synchronous discipline). A client calling twice before
+    /// the others once waits for an epoch that cannot resolve,
+    /// matching a real stream-sync against peers that never launch:
+    /// rank threads deadlock, stepped ranks are reported as
+    /// deadlocked by their driver.
+    pub async fn sync(&self, at: SimTime) -> SimTime {
+        let unresolved = {
+            let mut inner = self.dev.inner.lock();
+            inner.syncers += 1;
+            if inner.syncers == inner.clients {
+                inner.resolve_epoch();
+                self.dev.resolved.notify_all();
+                None
             } else {
-                inner
-                    .device
-                    .pending_jobs()
-                    .iter()
-                    .map(|j| (j.id, (j.work, j.max_rate)))
-                    .collect()
-            };
-            let outcomes = inner.device.run_pending();
-            for o in &outcomes {
-                if let Some(&stream) = inner.job_streams.get(&o.id) {
-                    let e = inner.stream_end.entry(stream).or_insert(SimTime::ZERO);
-                    *e = e.merge(o.end);
-                }
-                // Stash the kernel for its own client to drain: which
-                // thread led the sync must not change the telemetry.
-                if let Some(&(name, elems)) = inner.job_meta.get(&o.id) {
-                    let (work, max_rate) = job_caps.get(&o.id).copied().unwrap_or((0.0, 1.0));
-                    let elapsed = (o.end - o.start).as_secs_f64();
-                    let occupancy = if elapsed > 0.0 {
-                        (work / elapsed).clamp(0.0, 1.0)
-                    } else {
-                        max_rate
-                    };
-                    if let Some(&stream) = inner.job_streams.get(&o.id) {
-                        inner
-                            .resolved_kernels
-                            .entry(stream)
-                            .or_default()
-                            .push(ResolvedKernel {
-                                name,
-                                elems,
-                                start: o.start,
-                                end: o.end,
-                                occupancy,
-                            });
+                Some(inner.epoch)
+            }
+        };
+        if let Some(my_epoch) = unresolved {
+            // The device-epoch wait: a rank thread sleeps on the
+            // condition variable; a stepped rank parks until the last
+            // client of the epoch has been resumed.
+            let dev = &*self.dev;
+            task::wait(
+                Waiting::DeviceSync {
+                    device: dev.id,
+                    epoch: my_epoch,
+                },
+                || (dev.inner.lock().epoch != my_epoch).then_some(()),
+                || {
+                    let mut inner = dev.inner.lock();
+                    while inner.epoch == my_epoch {
+                        dev.resolved.wait(&mut inner);
                     }
-                }
-            }
-            inner.job_meta.clear();
-            inner.job_streams.clear();
-            inner.syncers = 0;
-            inner.epoch += 1;
-            self.dev.resolved.notify_all();
-        } else {
-            while inner.epoch == my_epoch {
-                self.dev.resolved.wait(&mut inner);
-            }
+                },
+            )
+            .await;
         }
+        let mut inner = self.dev.inner.lock();
         // Drain this stream's resolved kernels into the calling
         // thread's collector (device-timeline spans + the per-kernel
         // profile — GPU kernels feed the profiler here, not at launch).
@@ -338,6 +368,7 @@ impl GpuClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsim_time::task::block_on;
 
     fn k80() -> Device {
         Device::new(0, DeviceSpec::tesla_k80())
@@ -354,7 +385,7 @@ mod tests {
             .launch(&desc(), KernelShape::new(1_000_000, 320), SimTime::ZERO)
             .unwrap();
         assert_eq!(overhead, DeviceSpec::tesla_k80().launch_overhead);
-        let end = client.sync(SimTime::ZERO);
+        let end = block_on(client.sync(SimTime::ZERO));
         assert!(end > SimTime::ZERO);
     }
 
@@ -362,15 +393,15 @@ mod tests {
     fn sync_without_launches_returns_at() {
         let (_dev, client) = SharedDevice::new_exclusive(k80(), 0).unwrap();
         let at = SimTime::from_nanos(123);
-        assert_eq!(client.sync(at), at);
+        assert_eq!(block_on(client.sync(at)), at);
     }
 
     #[test]
     fn epochs_advance_per_sync_round() {
         let (dev, client) = SharedDevice::new_exclusive(k80(), 0).unwrap();
         assert_eq!(dev.epoch(), 0);
-        client.sync(SimTime::ZERO);
-        client.sync(SimTime::ZERO);
+        block_on(client.sync(SimTime::ZERO));
+        block_on(client.sync(SimTime::ZERO));
         assert_eq!(dev.epoch(), 2);
     }
 
@@ -385,7 +416,7 @@ mod tests {
                     s.spawn(move || {
                         c.launch(&desc(), KernelShape::new(zones, 40), SimTime::ZERO)
                             .unwrap();
-                        c.sync(SimTime::ZERO)
+                        block_on(c.sync(SimTime::ZERO))
                     })
                 })
                 .collect();
@@ -412,7 +443,7 @@ mod tests {
             SimTime::ZERO,
         )
         .unwrap();
-        let solo_end = solo.sync(SimTime::ZERO);
+        let solo_end = block_on(solo.sync(SimTime::ZERO));
 
         let (_d2, clients) =
             SharedDevice::new_mps(Device::new(1, DeviceSpec::tesla_k80()), &[0, 1, 2, 3]).unwrap();
@@ -427,7 +458,7 @@ mod tests {
                             SimTime::ZERO,
                         )
                         .unwrap();
-                        c.sync(SimTime::ZERO)
+                        block_on(c.sync(SimTime::ZERO))
                     })
                 })
                 .collect::<Vec<_>>()
@@ -458,14 +489,14 @@ mod tests {
         client
             .launch(&desc(), KernelShape::new(4_000_000, 320), SimTime::ZERO)
             .unwrap();
-        let one = client.sync(SimTime::ZERO);
+        let one = block_on(client.sync(SimTime::ZERO));
         client
             .launch(&desc(), KernelShape::new(4_000_000, 320), SimTime::ZERO)
             .unwrap();
         client
             .launch(&desc(), KernelShape::new(4_000_000, 320), SimTime::ZERO)
             .unwrap();
-        let two = client.sync(SimTime::ZERO);
+        let two = block_on(client.sync(SimTime::ZERO));
         let d_one = one - SimTime::ZERO;
         let d_two = two - SimTime::ZERO;
         let ratio = d_two.ratio(d_one);

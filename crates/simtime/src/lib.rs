@@ -18,13 +18,16 @@
 //! * [`trace`] — lightweight span traces with an ASCII Gantt renderer
 //!   used by examples to show who computed when,
 //! * [`rng`] — a SplitMix64 generator for deterministic workload
-//!   perturbations without external dependencies.
+//!   perturbations without external dependencies,
+//! * [`task`] — resumable rank tasks: the blocking and the stepped
+//!   driver, and the wait primitive that serves both.
 
 #![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod rng;
 pub mod stats;
+pub mod task;
 pub mod time;
 pub mod trace;
 

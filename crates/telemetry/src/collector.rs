@@ -1,6 +1,7 @@
 //! Thread-local collector and the free-function recording API.
 //!
-//! The runner installs one [`Collector`] per rank thread; instrumented
+//! The runner installs one [`Collector`] per rank (on the rank's thread,
+//! or for the length of each poll when ranks share one); instrumented
 //! code anywhere below it calls the free functions in this module.
 //! With no collector installed (the default), every function is a
 //! thread-local load plus an `Option` check — no heap allocation, no
@@ -15,7 +16,7 @@ use crate::metrics::{Counter, Gauge, Metrics, TimeStat};
 use crate::profile::KernelProfiles;
 use crate::span::{Category, SpanEvent};
 
-/// Everything one rank thread records.
+/// Everything one rank records.
 #[derive(Debug, Clone)]
 pub struct Collector {
     /// The rank this collector was installed for; used as the default
@@ -69,13 +70,21 @@ thread_local! {
 
 /// Install a collector in the calling thread, enabling recording.
 pub fn install(c: Collector) {
-    COLLECTOR.with(|slot| *slot.borrow_mut() = Some(c));
+    swap(Some(c));
 }
 
 /// Remove and return the calling thread's collector, disabling
 /// recording again.
 pub fn uninstall() -> Option<Collector> {
-    COLLECTOR.with(|slot| slot.borrow_mut().take())
+    swap(None)
+}
+
+/// Exchange the calling thread's collector for `c` and return the one
+/// that was installed. Ranks that share a thread trade places this
+/// way: each keeps its collector while another runs, and whatever the
+/// thread's owner had installed is put back afterwards.
+pub fn swap(c: Option<Collector>) -> Option<Collector> {
+    COLLECTOR.with(|slot| slot.replace(c))
 }
 
 /// Whether the calling thread currently records telemetry.

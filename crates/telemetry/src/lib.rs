@@ -23,7 +23,7 @@
 //! calling thread, so instrumented code needs no config plumbing and
 //! pays one thread-local branch when telemetry is off.
 //!
-//! The runner installs one collector per rank thread, drains them at
+//! The runner installs one collector per rank, drains them at
 //! the end of the run, and merges them into a [`Summary`] whose JSON
 //! exports are byte-deterministic for a given seed.
 
@@ -38,7 +38,7 @@ pub mod summary;
 
 pub use collector::{
     count, gauge_max, gauge_set, install, is_enabled, kernel_launch, rank_span, span, span_args,
-    time_stat, uninstall, Collector,
+    swap, time_stat, uninstall, Collector,
 };
 pub use metrics::{Counter, Gauge, Metrics, TimeStat};
 pub use profile::{KernelProfile, KernelProfiles};

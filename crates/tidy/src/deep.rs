@@ -47,8 +47,9 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 const INDEX_PANIC_PATH: &str = "serve/src/";
 
 /// No-panic root names matched anywhere in the workspace: the
-/// fallible rank runner and the segmented run loop.
-const PANIC_ROOTS: &[&str] = &["run_fallible", "run_with_fraction"];
+/// fallible rank runner, its stepped driver (which resumes every rank
+/// body on the caller's thread) and the segmented run loop.
+const PANIC_ROOTS: &[&str] = &["run_fallible", "stepped", "run_with_fraction"];
 
 /// Root names that count only on the serve request path.
 const SERVE_PANIC_ROOTS: &[&str] = &["submit", "worker_loop", "execute", "handle_connection"];
@@ -255,15 +256,18 @@ fn nondet_taint(ws: &Workspace, out: &mut Vec<Finding>) {
 
 /// `Comm` methods that model a communication primitive: each must
 /// charge the rank's virtual clock (directly or through a callee) on
-/// every completing path.
+/// every completing path. The `i`-named ones are the resumable forms
+/// (`async fn`); the plain ones block on them.
 const COMM_PRIMITIVES: &[&str] = &[
     "send",
+    "irecv",
     "recv",
-    "allreduce",
+    "iallreduce",
     "allreduce_sum",
-    "allreduce_min",
     "allreduce_max",
+    "ibarrier",
     "barrier",
+    "ialltoallv_f64",
 ];
 
 /// Cost-model primitives that *return* a `SimDuration` the caller is

@@ -25,9 +25,10 @@
 //! paths (root → … → site with file:line per hop):
 //!
 //! - **panic-reach** — no `unwrap`/`expect`/`panic!`/unguarded serve
-//!   index reachable from `World::run_fallible`, the run loop
-//!   `run_with_fraction`, any `Coupler` impl, or the serve request
-//!   path.
+//!   index reachable from `World::run_fallible` and its stepped
+//!   driver, the run loop `run_with_fraction`, any `Coupler` impl, or
+//!   the serve request path. Calls are followed through `.await`: an
+//!   `async fn` is a node like any other.
 //! - **nondet-taint** — no nondeterminism source (unordered-container
 //!   iteration, unsanctioned wall-clock reads, thread identity,
 //!   pointer-as-integer casts) reachable from a deterministic

@@ -3,10 +3,11 @@
 //! `impl` / `trait` scopes, `fn` items with bodies, `use` imports,
 //! and inside bodies the events the deep analyses consume (calls,
 //! method calls, macro invocations, indexing, struct literals, `for`
-//! headers, conditional returns). Closures are attributed to their
-//! enclosing function. No full Rust grammar is attempted; everything
-//! this parser cannot classify is simply not an event, which the
-//! analyses treat conservatively (see DESIGN.md).
+//! headers, conditional returns). Closures and `async` blocks are
+//! attributed to their enclosing function, an `async fn` is a `fn`,
+//! and `f(x).await` is the call `f(x)`. No full Rust grammar is
+//! attempted; everything this parser cannot classify is simply not an
+//! event, which the analyses treat conservatively (see DESIGN.md).
 
 use crate::lexer::{Lexed, Tok, TokKind};
 

@@ -48,6 +48,41 @@ fn panic_reach_pins_the_blame_chain() {
     );
 }
 
+/// `async fn` is a node like any other and `.await` hides no call:
+/// the chain runs root → driver → rank body → (through an `async`
+/// block) → coupler, and a resumable `Comm` primitive is held to
+/// "charge before every completing return" like a blocking one. The
+/// blocking facade over it (`recv`) charges through its callee and is
+/// clean, as are the same shapes done right in the good fixture.
+#[test]
+fn async_fns_are_followed_through_await() {
+    expect(
+        "bad/deep_async",
+        &[
+            (
+                "panic-reach",
+                "crates/core/src/runner.rs",
+                25,
+                "`.unwrap()` can panic and is reachable from a no-panic root — return a \
+                 typed error instead; blame path:\n\
+                 \x20 World::run_fallible (crates/core/src/runner.rs:4)\n\
+                 \x20 -> poll_ranks (called at crates/core/src/runner.rs:5)\n\
+                 \x20 -> rank_body (called at crates/core/src/runner.rs:11)\n\
+                 \x20 -> cycle (called at crates/core/src/runner.rs:15)\n\
+                 \x20 -> exchange (called at crates/core/src/runner.rs:21)",
+            ),
+            (
+                "cost-charge",
+                "crates/mpisim/src/comm.rs",
+                4,
+                "`Comm::irecv` returns successfully before its first virtual-clock \
+                 charge — this control-flow path models the operation as free (guard \
+                 it on a degenerate size, or charge first)",
+            ),
+        ],
+    );
+}
+
 #[test]
 fn nondet_taint_crosses_crates_via_use_imports() {
     let stats = "crates/raja/src/stats.rs";
