@@ -208,6 +208,8 @@ static METRICS: &[Metric] = &[
     ("serve.p99_us",           "us",    W, Max(10_000_000.0), "covers a full cold run of the load driver's workload on a slow host"),
     ("serve.rejected",         "count", V, Min(1.0), "the overflow probe must be rejected at least once"),
     ("serve.rejections_typed", "bool",  V, IsTrue, "every overflow must surface as the typed QueueFull with the configured capacity"),
+    ("serve.http.effective_cores",    "count", W, Info, "min(2, host_cores): what the speedup floor is keyed on"),
+    ("serve.http.two_client_speedup", "x",     W, MinByCores(&[(2.0, 1.3), (0.0, 0.8)]), "median over interleaved pairs, fresh server each side, of the same 24 distinct cost-only misses sent over HTTP by one closed-loop client / by two: the front end must let two clients' runs overlap on the two workers where two cores exist (2.0-2.4 on the 2-core host; the serial accept loop it replaced read 1.1-1.2, the second client hiding only its own connect); on one core only the hand-off overhead is bounded"),
 
     ("rebalance.*.ratio",                     "x",     V, Info, "per-core CPU speed multiplier"),
     ("rebalance.*.start",                     "frac",  V, Info, "the wrong split the controller starts from"),
@@ -428,6 +430,22 @@ fn median_of_pairs(mut pair: impl FnMut() -> (f64, f64)) -> [f64; 3] {
         median(|s| s.1),
         median(|s| s.0 / s.1.max(1e-12)),
     ]
+}
+
+/// What the HTTP front end lets overlap: the same batch of misses from
+/// one closed-loop client against from two, a fresh server each side.
+fn measure_serve_http(host_cores: usize) -> Vec<Row> {
+    let n = serveload::HTTP_MISSES;
+    eprintln!("serve http: {n} misses over loopback, one client vs two...");
+    let tile = calib::auto_tile();
+    let [_, _, speedup] = median_of_pairs(|| {
+        let one = serveload::http_miss_round(tile, 1);
+        (one, serveload::http_miss_round(tile, 2))
+    });
+    rows!("serve.http";
+        "two_client_speedup" => speedup, "effective_cores" => host_cores.min(2),
+    )
+    .into()
 }
 
 /// A small custom sweep so `--quick` finishes in seconds anywhere.
@@ -827,6 +845,7 @@ fn main() {
             // Seeding the server with the process's probed tile keeps
             // the driver from paying (or racing on) the probe.
             results.extend(hsim_bench::run_load(calib::auto_tile()).rows());
+            results.extend(measure_serve_http(host_cores));
         }
         let metrics = hsim_telemetry::uninstall()
             .expect("collector installed above")
@@ -874,6 +893,7 @@ mod tests {
         "roofline.roof_fraction": 0.62, "pool.persistent_over_spawn": 0.06,
         "serve.hit_rate": 0.875, "serve.p50_us": 412.5, "serve.p99_us": 120000,
         "serve.rejected": 3, "serve.rejections_typed": true,
+        "serve.http.effective_cores": 2, "serve.http.two_client_speedup": 1.5,
         "rebalance.r025_s30.rel_err": 0, "rebalance.r025_s30.converged_cycle": 4,
         "rebalance.r025_s30.final_minus_guard": 0.004167,
         "rebalance.r100_s30.rel_err": 0, "rebalance.r100_s30.converged_cycle": 6,
@@ -980,6 +1000,10 @@ mod tests {
         set(&[("serve.p50_us", N(0.0))], &["serve.p50_us [us, Wall]: expected > 0, baseline 412.5, measured 0"]);
         set(&[("serve.rejected", N(0.0)), ("serve.rejections_typed", B(false))], &["serve.rejected [count, Virtual]: floor 1", "serve.rejections_typed [bool, Virtual]: expected true"]);
         drop(&["serve.p99_us"], &["missing serve.p99_us in fresh results"]);
+        // The serial accept loop's reading, where a second core exists
+        // and where it does not.
+        set(&[("serve.http.two_client_speedup", N(1.0))], &["serve.http.two_client_speedup [x, Wall]: floor 1.3, baseline 1.5, measured 1"]);
+        set(&[("serve.http.two_client_speedup", N(1.0)), ("serve.http.effective_cores", N(1.0))], &[]);
         // rebalance: each point check, keyed so the second ratio-1
         // point quotes its own baseline, not the first's.
         set(&[("rebalance.r100_s45.rel_err", N(0.2))], &["rebalance.r100_s45.rel_err [frac, Virtual]: ceiling 0.05, baseline 0.01, measured 0.2"]);

@@ -17,12 +17,19 @@
 //!
 //! The counts are fixed (not flags) so the report is comparable across
 //! runs and machines: only the latency columns are wall-clock.
+//!
+//! [`http_miss_round`] is the front end's own measurement: the wall
+//! time of a fixed batch of misses sent over loopback HTTP by one or
+//! by two closed-loop clients, the two sides of
+//! `serve.http.two_client_speedup`.
 
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
 use hsim_core::runner::RunConfig;
 use hsim_core::ExecMode;
-use hsim_serve::{Request, ServeError, Server, ServerConfig};
+use hsim_serve::{http, Request, ServeError, Server, ServerConfig};
 
 use crate::results::Row;
 use crate::rows;
@@ -157,9 +164,84 @@ pub fn run_load(tile: [usize; 2]) -> ServeLoadReport {
     }
 }
 
+/// Distinct runs in one [`http_miss_round`]: four modes on six grids
+/// of the paper's figure range, cost-only, a few milliseconds each.
+pub const HTTP_MISSES: usize = 24;
+
+fn http_miss_bodies() -> Vec<String> {
+    let mut bodies = Vec::with_capacity(HTTP_MISSES);
+    for (y, z) in [(240, 160), (480, 320)] {
+        for x in [100, 200, 300] {
+            for mode in ["cpuonly", "default", "mps", "hetero"] {
+                bodies.push(format!("mode={mode}&grid={x},{y},{z}&cycles=10&balanced=1"));
+            }
+        }
+    }
+    bodies
+}
+
+/// `POST /run` on a connection of its own; true iff the reply is a
+/// 200 that ran the body (`X-Cache: miss`).
+fn post_run_misses(addr: SocketAddr, body: &str) -> std::io::Result<bool> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    let request = format!(
+        "POST /run HTTP/1.1\r\nHost: perf\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(request.as_bytes())?;
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply)?;
+    let head = reply.split("\r\n\r\n").next().unwrap_or("");
+    Ok(head.starts_with("HTTP/1.1 200 ") && head.contains("\r\nX-Cache: miss"))
+}
+
+/// Wall seconds a fresh two-worker server behind [`http::serve`] on a
+/// loopback port takes to answer [`HTTP_MISSES`] distinct runs, none
+/// of them cached, sent by `clients` closed-loop clients (client `c`
+/// sends every `clients`-th body from the `c`-th on, each on its own
+/// connection, the next only after the reply). One client keeps one
+/// worker busy; what two gain over it is what the front end lets
+/// overlap.
+pub fn http_miss_round(tile: [usize; 2], clients: usize) -> f64 {
+    let server = Server::new(ServerConfig {
+        workers: 2,
+        tile: Some(tile),
+        ..ServerConfig::default()
+    });
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+    let addr = listener.local_addr().expect("bound address");
+    let bodies = http_miss_bodies();
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        s.spawn(|| http::serve(&server, listener, Some(bodies.len())).expect("serve"));
+        for c in 0..clients {
+            let mine = bodies.iter().skip(c).step_by(clients);
+            s.spawn(move || {
+                for body in mine {
+                    let missed = post_run_misses(addr, body).expect("loopback request");
+                    assert!(missed, "`{body}` was not answered 200 as a miss");
+                }
+            });
+        }
+    });
+    t0.elapsed().as_secs_f64()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn http_miss_round_sends_distinct_bodies_that_all_run() {
+        let bodies = http_miss_bodies();
+        assert_eq!(bodies.len(), HTTP_MISSES);
+        let distinct: std::collections::BTreeSet<_> = bodies.iter().collect();
+        assert_eq!(distinct.len(), HTTP_MISSES);
+        // Every reply is checked inside: a hit, a refusal or a short
+        // count would panic or hang here.
+        assert!(http_miss_round([8, 8], 2) > 0.0);
+    }
 
     #[test]
     fn load_driver_hits_hot_and_rejects_typed() {

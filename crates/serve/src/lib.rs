@@ -20,7 +20,9 @@
 //!   drive;
 //! * a thin HTTP/1.1 interface over pure-std TCP ([`http`]) —
 //!   `GET /healthz`, `GET /metrics` (Prometheus text),
-//!   `POST /run`, `GET /figure/<id>` — behind `heterosim serve`.
+//!   `POST /run`, `GET /figure/<id>` — behind `heterosim serve`,
+//!   answering connections concurrently so that the workers behind
+//!   [`Server::submit`] are kept busy by as many clients as there are.
 //!
 //! Admission control is a bounded queue with typed rejection
 //! ([`ServeError::QueueFull`], HTTP 429) when full, LPT (longest

@@ -296,6 +296,83 @@ struct Task {
     pending: Arc<Pending>,
 }
 
+/// Buckets of a [`LatencyHistogram`]: one per value below 8 ns, then
+/// eight per power of two up to `u64::MAX`.
+const LATENCY_BUCKETS: usize = 62 * 8;
+
+/// Request latencies in nanoseconds as a fixed log-bucket histogram of
+/// atomic counters: recording is two relaxed adds under no lock,
+/// reading never stops a recorder, and the memory is the same 4 KiB
+/// after a billion requests as after one. Each power of two is split
+/// in eight, so a bucket is at most 12.5 % wide; below 16 ns every
+/// value has its own.
+struct LatencyHistogram {
+    buckets: [AtomicU64; LATENCY_BUCKETS],
+    sum_ns: AtomicU64,
+}
+
+impl LatencyHistogram {
+    fn new() -> Self {
+        LatencyHistogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// The bucket `ns` falls in: its leading one and the three bits
+    /// after it.
+    fn bucket_of(ns: u64) -> usize {
+        if ns < 8 {
+            return ns as usize;
+        }
+        let exp = 63 - ns.leading_zeros();
+        let eighth = (ns >> (exp - 3)) & 7;
+        (exp as usize - 2) * 8 + eighth as usize
+    }
+
+    /// Smallest value of bucket `i` and how many values it spans.
+    fn bucket_span(i: usize) -> (u64, u64) {
+        if i < 8 {
+            return (i as u64, 1);
+        }
+        let shift = i / 8 - 1;
+        ((8 + i as u64 % 8) << shift, 1 << shift)
+    }
+
+    fn record(&self, ns: u64) {
+        // Statistics: the counts publish no other memory.
+        if let Some(bucket) = self.buckets.get(Self::bucket_of(ns)) {
+            bucket.fetch_add(1, Ordering::Relaxed);
+        }
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    fn counts(&self) -> [u64; LATENCY_BUCKETS] {
+        let mut counts = [0; LATENCY_BUCKETS];
+        for (count, bucket) in counts.iter_mut().zip(&self.buckets) {
+            *count = bucket.load(Ordering::Relaxed);
+        }
+        counts
+    }
+
+    /// The `q` quantile of `counts` in (fractional) microseconds: the
+    /// middle of the bucket holding that rank, 0 when nothing was
+    /// recorded.
+    fn quantile_us(counts: &[u64; LATENCY_BUCKETS], q: f64) -> f64 {
+        let total: u64 = counts.iter().sum();
+        let rank = (total.saturating_sub(1) as f64 * q).round() as u64;
+        let mut seen = 0u64;
+        for (i, &n) in counts.iter().enumerate() {
+            seen += n;
+            if seen > rank {
+                let (floor, width) = Self::bucket_span(i);
+                return (floor as f64 + (width - 1) as f64 / 2.0) / 1e3;
+            }
+        }
+        0.0
+    }
+}
+
 struct Inner {
     capacity: usize,
     tile: [usize; 2],
@@ -307,7 +384,7 @@ struct Inner {
     cache: Mutex<BTreeMap<u64, Arc<RunOutcome>>>,
     inflight: Mutex<BTreeMap<u64, Arc<Pending>>>,
     metrics: Mutex<Metrics>,
-    latencies_ns: Mutex<Vec<u64>>,
+    latency: LatencyHistogram,
 }
 
 /// The long-lived simulation server. See the module docs for the
@@ -337,7 +414,7 @@ impl Server {
             cache: Mutex::new(BTreeMap::new()),
             inflight: Mutex::new(BTreeMap::new()),
             metrics: Mutex::new(Metrics::new()),
-            latencies_ns: Mutex::new(Vec::new()),
+            latency: LatencyHistogram::new(),
         });
         let workers = (0..cfg.workers)
             .map(|_| {
@@ -513,52 +590,57 @@ impl Server {
 
     fn record_latency(&self, t0: Instant) {
         let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        lock(&self.inner.latencies_ns).push(ns);
-    }
-
-    /// The `q` latency quantile in (fractional) microseconds.
-    fn latency_quantile_us(&self, q: f64) -> f64 {
-        let mut lat = lock(&self.inner.latencies_ns).clone();
-        if lat.is_empty() {
-            return 0.0;
-        }
-        lat.sort_unstable();
-        let idx = ((lat.len() - 1) as f64 * q).round() as usize;
-        lat.get(idx).or_else(|| lat.last()).copied().unwrap_or(0) as f64 * 1e-3
+        self.inner.latency.record(ns);
     }
 
     /// Counter snapshot + latency quantiles.
     pub fn stats(&self) -> ServeStats {
+        let latency = self.inner.latency.counts();
         let m = lock(&self.inner.metrics);
-        let stats = ServeStats {
+        ServeStats {
             hits: m.counter(Counter::ServeHits),
             misses: m.counter(Counter::ServeMisses),
             admitted: m.counter(Counter::ServeAdmitted),
             rejected: m.counter(Counter::ServeRejected),
             deadline_drops: m.counter(Counter::ServeDeadlineDrops),
             queue_depth_high_water: m.gauge(Gauge::ServeQueueDepth),
-            p50_us: 0.0,
-            p99_us: 0.0,
-        };
-        drop(m);
-        ServeStats {
-            p50_us: self.latency_quantile_us(0.50),
-            p99_us: self.latency_quantile_us(0.99),
-            ..stats
+            p50_us: LatencyHistogram::quantile_us(&latency, 0.50),
+            p99_us: LatencyHistogram::quantile_us(&latency, 0.99),
         }
     }
 
     /// The live `/metrics` payload: the telemetry registry in
-    /// Prometheus text format plus request-latency quantiles.
+    /// Prometheus text format plus the request latencies, as two
+    /// quantiles and as a cumulative histogram (bounds in microseconds
+    /// at every other power of two of nanoseconds, 1 µs to 17 s) that
+    /// can be aggregated across servers.
     pub fn metrics_text(&self) -> String {
         let mut out = lock(&self.inner.metrics).to_prometheus_text();
+        let latency = self.inner.latency.counts();
         out.push_str("# TYPE hsim_serve_latency_us summary\n");
         for (q, tag) in [(0.50, "0.5"), (0.99, "0.99")] {
             out.push_str(&format!(
                 "hsim_serve_latency_us{{quantile=\"{tag}\"}} {}\n",
-                self.latency_quantile_us(q)
+                LatencyHistogram::quantile_us(&latency, q)
             ));
         }
+        out.push_str("# TYPE hsim_serve_latency_hist_us histogram\n");
+        for log2_ns in (10..=34).step_by(2) {
+            // 2^k ns opens bucket (k - 2) * 8: every value in the
+            // buckets before it is at most 2^k - 1 ns.
+            let below: u64 = latency.iter().take((log2_ns - 2) * 8).sum();
+            out.push_str(&format!(
+                "hsim_serve_latency_hist_us_bucket{{le=\"{}\"}} {below}\n",
+                ((1u64 << log2_ns) - 1) as f64 / 1e3
+            ));
+        }
+        let total: u64 = latency.iter().sum();
+        out.push_str(&format!(
+            "hsim_serve_latency_hist_us_bucket{{le=\"+Inf\"}} {total}\n\
+             hsim_serve_latency_hist_us_sum {}\n\
+             hsim_serve_latency_hist_us_count {total}\n",
+            self.inner.latency.sum_ns.load(Ordering::Relaxed) as f64 / 1e3
+        ));
         out
     }
 
@@ -701,6 +783,98 @@ mod tests {
         let q = vec![mk(0, 10), mk(1, 40), mk(2, 40), mk(3, 5)];
         assert_eq!(pick_lpt(&q), Some(1), "heaviest, earliest-admitted wins");
         assert_eq!(pick_lpt(&[]), None);
+    }
+
+    #[test]
+    fn latency_buckets_tile_the_range_an_eighth_wide_at_most() {
+        let mut next = 0u64;
+        for i in 0..LATENCY_BUCKETS {
+            let (floor, width) = LatencyHistogram::bucket_span(i);
+            assert_eq!(
+                floor,
+                next,
+                "bucket {i} starts where {} ended",
+                i.max(1) - 1
+            );
+            assert!(
+                width == 1 || width * 8 <= floor,
+                "bucket {i}: {width} wide at {floor}"
+            );
+            for ns in [floor, floor + (width - 1)] {
+                assert_eq!(LatencyHistogram::bucket_of(ns), i, "{ns} ns");
+            }
+            next = floor.wrapping_add(width);
+        }
+        assert_eq!(next, 0, "the last bucket ends at u64::MAX");
+    }
+
+    #[test]
+    fn latency_quantiles_resolve_sub_microsecond_hits_in_constant_memory() {
+        let h = LatencyHistogram::new();
+        assert_eq!(LatencyHistogram::quantile_us(&h.counts(), 0.5), 0.0);
+        // 98 hits of 300-odd ns, one miss of 5 ms, one of 2 s.
+        for i in 0..98 {
+            h.record(300 + i);
+        }
+        h.record(5_000_000);
+        h.record(2_000_000_000);
+        let counts = h.counts();
+        let within = |got: f64, want_ns: f64| (got * 1e3 / want_ns - 1.0).abs() <= 0.0625;
+        let p50 = LatencyHistogram::quantile_us(&counts, 0.50);
+        assert!(p50 > 0.0 && within(p50, 349.0), "p50 {p50} us");
+        let p99 = LatencyHistogram::quantile_us(&counts, 0.99);
+        assert!(within(p99, 5_000_000.0), "p99 {p99} us");
+        assert!(within(LatencyHistogram::quantile_us(&counts, 1.0), 2e9));
+        assert_eq!(
+            h.sum_ns.load(Ordering::Relaxed),
+            2_005_000_000 + 98 * 300 + 97 * 49
+        );
+    }
+
+    #[test]
+    fn metrics_text_carries_quantiles_and_an_aggregatable_histogram() {
+        let server = Server::new(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        for _ in 0..3 {
+            server.submit(Request::direct(tiny())).expect("serves");
+        }
+        let stats = server.stats();
+        assert!(
+            stats.p50_us > 0.0 && stats.p50_us <= stats.p99_us,
+            "{stats:?}"
+        );
+        let text = server.metrics_text();
+        let sample = |name: &str| -> f64 {
+            let line = text.lines().find(|l| l.starts_with(name));
+            let value = line.and_then(|l| l.rsplit(' ').next());
+            value.and_then(|v| v.parse().ok()).unwrap_or(f64::NAN)
+        };
+        assert_eq!(
+            sample("hsim_serve_latency_us{quantile=\"0.5\"}"),
+            stats.p50_us
+        );
+        assert_eq!(
+            sample("hsim_serve_latency_us{quantile=\"0.99\"}"),
+            stats.p99_us
+        );
+        assert_eq!(sample("hsim_serve_latency_hist_us_count"), 3.0);
+        assert_eq!(
+            sample("hsim_serve_latency_hist_us_bucket{le=\"+Inf\"}"),
+            3.0
+        );
+        assert!(sample("hsim_serve_latency_hist_us_sum") >= stats.p50_us);
+        // Cumulative and complete: nothing here takes 17 s.
+        let buckets: Vec<f64> = text
+            .lines()
+            .filter(|l| l.starts_with("hsim_serve_latency_hist_us_bucket"))
+            .filter_map(|l| l.rsplit(' ').next()?.parse().ok())
+            .collect();
+        assert_eq!(buckets.len(), 14, "{text}");
+        assert!(buckets.windows(2).all(|w| w[0] <= w[1]), "{buckets:?}");
+        assert_eq!(buckets[12], 3.0, "{buckets:?}");
+        assert!(text.contains("_bucket{le=\"1.023\"} "), "{text}");
     }
 
     #[test]

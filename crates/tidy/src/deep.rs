@@ -51,8 +51,16 @@ const INDEX_PANIC_PATH: &str = "serve/src/";
 /// body on the caller's thread) and the segmented run loop.
 const PANIC_ROOTS: &[&str] = &["run_fallible", "stepped", "run_with_fraction"];
 
-/// Root names that count only on the serve request path.
-const SERVE_PANIC_ROOTS: &[&str] = &["submit", "worker_loop", "execute", "handle_connection"];
+/// Root names that count only on the serve request path: a panic in
+/// `handler_loop` (outside the per-connection body it guards) ends
+/// `http::serve` through the scope's join.
+const SERVE_PANIC_ROOTS: &[&str] = &[
+    "submit",
+    "worker_loop",
+    "execute",
+    "handler_loop",
+    "handle_connection",
+];
 
 /// The no-panic roots: [`PANIC_ROOTS`], every `Coupler`
 /// implementation, and the serve request path.

@@ -7,7 +7,8 @@
 //!
 //! - **wall-clock** — virtual-time purity: `Instant`/`SystemTime`
 //!   only in the host-perf allowlist (`crates/bench/`, the pool's
-//!   region timer).
+//!   region timer, the serve latency recorder and connection
+//!   deadlines).
 //! - **unordered-iter** — no `HashMap`/`HashSet` in trace/metrics/
 //!   report/CSV emission paths (byte-identical output).
 //! - **safety-comment** — every `unsafe` carries an adjacent
@@ -15,7 +16,9 @@
 //! - **unsafe-crate** — crates without `unsafe` must
 //!   `#![forbid(unsafe_code)]`; crates with it must opt into the
 //!   workspace `unsafe_op_in_unsafe_fn = "deny"` table.
-//! - **stray-thread** — `thread::spawn` only inside `raja::pool`.
+//! - **stray-thread** — threads, free or scoped, start only in the
+//!   files that own them (`raja::pool`, the serve workers and
+//!   connection handlers, `mpisim` worlds, the sweep fan-out).
 //! - **telemetry-naming** — counter labels and span names follow the
 //!   `fault_*`/`host_*`/snake_case conventions.
 //!

@@ -38,7 +38,7 @@ pub const LINTS: &[(&str, &str)] = &[
     ),
     (
         "stray-thread",
-        "std::thread::spawn outside raja::pool / the serve workers",
+        "thread::spawn, thread::scope or spawn_scoped outside the files that own threads",
     ),
     (
         "telemetry-naming",
@@ -60,14 +60,16 @@ pub const LINTS: &[(&str, &str)] = &[
 
 /// Files (by workspace-relative path prefix) where wall-clock reads
 /// are legitimate: the host-perf harness, the worker-pool region
-/// timer (both feed the `host_*` telemetry counters by design), and
-/// the serve request-latency recorder behind the `serve_*` p50/p99
-/// export — all measure real elapsed time, never a rank's virtual
+/// timer (both feed the `host_*` telemetry counters by design), the
+/// serve request-latency recorder behind the `serve_*` p50/p99
+/// export, and the HTTP front end's per-connection request and reply
+/// deadlines — all measure real elapsed time, never a rank's virtual
 /// clock.
 pub(crate) const WALL_CLOCK_ALLOWED: &[&str] = &[
     "crates/bench/",
     "crates/raja/src/pool.rs",
     "crates/serve/src/server.rs",
+    "crates/serve/src/http.rs",
 ];
 
 /// File-name fragments marking trace/metrics/report/CSV emission
@@ -78,11 +80,20 @@ const EMISSION_FILE_FRAGMENTS: &[&str] = &[
     "registry",
 ];
 
-/// Where `std::thread::spawn` may appear: the sanctioned worker-thread
-/// factories — the raja pool and the long-lived serve workers (whose
-/// lifetime is the server's, not a region's, so scoped threads cannot
-/// express them).
-const THREAD_SPAWN_ALLOWED: &[&str] = &["crates/raja/src/pool.rs", "crates/serve/src/server.rs"];
+/// Where threads may be started, free (`thread::spawn`) or scoped
+/// (`thread::scope`, `spawn_scoped`): the raja pool, the long-lived
+/// serve workers (whose lifetime is the server's, not a region's, so
+/// scoped threads cannot express them), the HTTP front end's
+/// connection handlers, thread-per-rank `mpisim` worlds, the sweep
+/// engine's `--jobs` fan-out, and the host-perf harness.
+const THREAD_SPAWN_ALLOWED: &[&str] = &[
+    "crates/raja/src/pool.rs",
+    "crates/serve/src/server.rs",
+    "crates/serve/src/http.rs",
+    "crates/mpisim/src/world.rs",
+    "crates/core/src/figures.rs",
+    "crates/bench/",
+];
 
 /// Where the tile-bounds lint applies: the fused cache-blocked hydro
 /// kernels, whose inner loops must stay free of per-element indexed
@@ -224,33 +235,47 @@ fn safety_comment(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// Lint: no stray threads. `std::thread::spawn` is confined to the
-/// sanctioned worker-thread factories (the raja pool and the serve
-/// workers); everything else must submit regions to a pool.
+/// Lint: no stray threads. Starting one — `thread::spawn`, or a scoped
+/// one through `thread::scope` / `Builder::spawn_scoped` — is confined
+/// to [`THREAD_SPAWN_ALLOWED`]; everything else must submit regions to
+/// a pool. A scoped `scope.spawn(..)` is found by the `thread::scope`
+/// call that made its scope (the receiver's name is free, the call is
+/// not), so a function handed a `&Scope` by another file is only as
+/// covered as that file.
 fn stray_thread(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     if THREAD_SPAWN_ALLOWED.iter().any(|p| ctx.rel.starts_with(p)) {
         return;
     }
     let toks = ctx.toks();
     for i in 0..toks.len() {
-        if ctx.is_test[i] {
+        if ctx.is_test[i] || toks[i].kind != TokKind::Ident {
             continue;
         }
-        if toks[i].text == "thread"
-            && i + 3 < toks.len()
-            && toks[i + 1].text == ":"
-            && toks[i + 2].text == ":"
-            && toks[i + 3].text == "spawn"
-        {
-            out.push(finding(
-                ctx,
-                "stray-thread",
-                toks[i].line,
-                "`thread::spawn` outside raja::pool: submit work to the persistent \
-                 WorkPool instead of spawning ad-hoc threads"
-                    .to_string(),
-            ));
-        }
+        let path_call = |name: &str| {
+            toks[i].text == "thread"
+                && i + 3 < toks.len()
+                && toks[i + 1].text == ":"
+                && toks[i + 2].text == ":"
+                && toks[i + 3].text == name
+        };
+        let what = if path_call("spawn") {
+            "thread::spawn"
+        } else if path_call("scope") {
+            "thread::scope"
+        } else if toks[i].text == "spawn_scoped" {
+            "spawn_scoped"
+        } else {
+            continue;
+        };
+        out.push(finding(
+            ctx,
+            "stray-thread",
+            toks[i].line,
+            format!(
+                "`{what}` outside the files that own threads: submit work to the persistent \
+                 WorkPool instead of starting ad-hoc threads"
+            ),
+        ));
     }
 }
 

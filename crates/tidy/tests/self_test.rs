@@ -63,9 +63,15 @@ fn safety_comment_fixture_is_flagged() {
 
 #[test]
 fn stray_thread_fixture_is_flagged() {
+    // A free spawn, and the two ways to a scoped one: the scope
+    // itself (whatever its closure calls the handle) and the builder.
     expect(
         "bad/threads",
-        &[("stray-thread", "crates/core/src/sweep.rs", 4)],
+        &[
+            ("stray-thread", "crates/core/src/fanout.rs", 4),
+            ("stray-thread", "crates/core/src/fanout.rs", 5),
+            ("stray-thread", "crates/core/src/sweep.rs", 4),
+        ],
     );
 }
 
@@ -139,7 +145,7 @@ fn good_fixture_is_silent() {
     // And the scan actually visited the files (allows were honored,
     // not the whole tree skipped).
     let report = check_dir(&fixture("good")).expect("fixture scans");
-    assert_eq!(report.files_scanned, 10);
+    assert_eq!(report.files_scanned, 11);
 }
 
 #[test]
