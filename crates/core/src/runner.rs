@@ -24,7 +24,7 @@ use hsim_hydro::{sod, step_with, HydroState, Reconstruction};
 use hsim_mesh::decomp::block::{block_decomp, block_decomp_yz};
 use hsim_mesh::decomp::hierarchical::hierarchical_decomp_yz;
 use hsim_mesh::decomp::weighted::{fold_lost_rank, weighted_hetero_decomp, WeightedConfig};
-use hsim_mesh::{Decomposition, GlobalGrid, HaloPlan, OwnerKind};
+use hsim_mesh::{Decomposition, GlobalGrid, HaloPlan, OwnerKind, SoaBlock, Subdomain};
 use hsim_mpi::{Comm, Driver, World};
 use hsim_particles::{Particle, ParticlesConfig, PhaseState};
 use hsim_raja::{Executor, Fidelity, GpuClient, SharedDevice, Target, WorkPool};
@@ -116,11 +116,13 @@ pub struct RunConfig {
     /// Deterministic seeded fault plan (None = fault-free). Transient
     /// faults recover in virtual time (bounded retry with exponential
     /// backoff charged to the sim clocks); a permanent CPU-rank loss
-    /// degrades gracefully: the run checkpoints at the loss cycle,
-    /// folds the lost slab back into a box-mergeable neighbor
-    /// (preferring its parent GPU block, so Heterogeneous degrades
-    /// toward Default), and finishes on the smaller world. Permanent
-    /// device-side faults are typed errors, never panics.
+    /// degrades gracefully: the run stops at the loss cycle, folds the
+    /// lost slab back into a box-mergeable neighbor (preferring its
+    /// parent GPU block, so Heterogeneous degrades toward Default;
+    /// charged as a host-staged redistribution, though only the
+    /// absorbing rank's state is rebuilt), and finishes on the smaller
+    /// world. Permanent device-side faults are typed errors, never
+    /// panics.
     pub faults: Option<hsim_faults::FaultPlan>,
     /// Host threads per parallel region for CPU ranks. With the
     /// default of 1, CPU ranks execute (and are costed) sequentially
@@ -136,8 +138,8 @@ pub struct RunConfig {
     /// times into its EWMA speed estimator, and — when the predicted
     /// cycle-time improvement clears the hysteresis threshold — the
     /// heterogeneous decomposition is re-split at the new fraction
-    /// (state carried across through the host-staged checkpoint, the
-    /// redistribution charged by the α–β collective model). Only
+    /// (charged as a host-staged redistribution by the α–β collective
+    /// model; the host itself moves the ranks' live states). Only
     /// meaningful for [`ExecMode::Heterogeneous`]; a permanent
     /// `rank.loss` freezes the controller at the foldback split.
     pub rebalance: Option<RebalanceConfig>,
@@ -254,11 +256,13 @@ enum Boundary {
 /// decomposition can be adjusted between iterations" (§6.1–6.2), as
 /// one loop over *segments*: contiguous cycle ranges on a fixed
 /// decomposition, each ended by a boundary. A run with no
-/// controller and no rank loss is a single segment. State crosses a
-/// boundary through a host-staged checkpoint, and every boundary
+/// controller and no rank loss is a single segment. Every boundary
 /// that moves zones — a re-split or a foldback, controlled or not — is
-/// charged as a tree-barrier collective plus the α–β wire time of what
-/// moved.
+/// *charged* as a host-staged redistribution: a tree-barrier collective
+/// plus the α–β wire time of what moved. The host stages nothing: the
+/// ranks' live states are the one representation of zone values and
+/// `hand_over` moves them across, while every segment still opens on
+/// a fresh world, clocks and devices, as a restart would.
 ///
 /// A loss folds the lost CPU rank's slab back (preferring its parent
 /// GPU block, so Heterogeneous degrades toward Default) and *freezes*
@@ -386,8 +390,7 @@ fn run_driven(cfg: &RunConfig, cpu_fraction: f64, driver: Driver) -> Result<RunR
                 orig_ids: &orig_ids,
                 first_cycle: first,
                 last_cycle: last,
-                restore: acc.end.as_ref(),
-                take_checkpoint: last < cfg.cycles,
+                restore: std::mem::take(&mut acc.end),
                 setup_extra: &setup_extra,
                 tile,
             },
@@ -496,8 +499,8 @@ struct RunAcc {
     /// device busy time: the controller's inputs.
     window_cpu: SimDuration,
     window_gpu: SimDuration,
-    /// The latest segment's end state.
-    end: Option<EndState>,
+    /// What the latest segment left behind.
+    end: EndState,
 }
 
 impl RunAcc {
@@ -534,7 +537,7 @@ impl RunAcc {
         }
         self.collectors.extend(seg.collectors);
         self.migrated += seg.migrated;
-        self.end = Some(seg.end);
+        self.end = seg.end;
     }
 
     /// Charge the redistribution from `old` to `new` at a boundary:
@@ -550,11 +553,8 @@ impl RunAcc {
         old_rank: impl Fn(usize) -> usize,
         span: &'static str,
     ) {
-        let particles = self
-            .end
-            .as_ref()
-            .and_then(|end| end.particles.as_deref())
-            .map_or(0, |parts| particles_moved(old, new, parts));
+        let particles =
+            (self.end.particles.as_deref()).map_or(0, |parts| particles_moved(old, new, parts));
         let bytes = redistribution_bytes(zones_moved(old, new, old_rank))
             + particles * hsim_particles::WIRE_BYTES;
         let t0 = SimTime::from_nanos(self.runtime.as_nanos());
@@ -603,7 +603,15 @@ impl RunAcc {
             .filter(|_| cfg.trace)
             .map(|s| s.legacy_trace_where(|sp| sp.name == "cycle" || sp.name == "wait"));
         let grid = cfg.global_grid();
-        let end = self.end.ok_or("the run produced no segment")?;
+        // The final sums run over the ranks' tallies in rank order.
+        let tallies = || {
+            self.end.left.iter().filter_map(|left| match left {
+                Left::Tally(tally) => tally.as_ref(),
+                Left::State(_) => None,
+            })
+        };
+        let full = cfg.fidelity == Fidelity::Full;
+        let diag = full.then(|| ScenarioDiag::merge(grid.nx, tallies().map(|(_, diag)| diag)));
         Ok(RunResult {
             mode_key: cfg.mode.key(),
             mode_label: cfg.mode.label(),
@@ -616,17 +624,26 @@ impl RunAcc {
             device_busy: self.device_busy,
             trace,
             telemetry: summary.filter(|_| cfg.telemetry),
-            mass: end.mass,
+            mass: full.then(|| tallies().map(|(mass, _)| mass).sum()),
             balance_history: rb.map(|rb| rb.history).unwrap_or_default(),
-            particles: end.particles.as_deref().map(|p| ParticleReport {
+            particles: self.end.particles.as_deref().map(|p| ParticleReport {
                 count: p.len() as u64,
                 momentum: hsim_particles::momentum(p),
                 migrated: self.migrated,
                 checksum: hsim_particles::checksum(p),
             }),
-            scenario: scenario::outcome(&cfg.problem, &grid, end.t, end.diag.as_ref()),
+            scenario: scenario::outcome(&cfg.problem, &grid, self.end.t, diag.as_ref()),
         })
     }
+}
+
+/// The zones two boxes share, as a ghostless box.
+fn overlap(a: &Subdomain, b: &Subdomain) -> Option<Subdomain> {
+    let lo = std::array::from_fn(|ax| a.lo[ax].max(b.lo[ax]));
+    let hi = std::array::from_fn(|ax| a.hi[ax].min(b.hi[ax]));
+    (0..3)
+        .all(|ax| lo[ax] < hi[ax])
+        .then(|| Subdomain::new(lo, hi, 0))
 }
 
 /// Zones whose owner changes between two decompositions, matched
@@ -634,19 +651,11 @@ impl RunAcc {
 /// moves when it sits in the new rank's box but not the same rank's
 /// old box.
 fn zones_moved(old: &Decomposition, new: &Decomposition, old_rank: impl Fn(usize) -> usize) -> u64 {
-    let overlap = |a: &hsim_mesh::Subdomain, b: &hsim_mesh::Subdomain| -> u64 {
-        (0..3)
-            .map(|ax| {
-                let lo = a.lo[ax].max(b.lo[ax]);
-                let hi = a.hi[ax].min(b.hi[ax]);
-                hi.saturating_sub(lo) as u64
-            })
-            .product()
-    };
+    let shared = |a, b| overlap(a, b).map_or(0, |both| both.zones());
     new.domains
         .iter()
         .enumerate()
-        .map(|(j, d)| d.zones() - overlap(d, &old.domains[old_rank(j)]))
+        .map(|(j, d)| d.zones() - shared(d, &old.domains[old_rank(j)]))
         .sum()
 }
 
@@ -678,22 +687,53 @@ fn particles_moved(old: &Decomposition, new: &Decomposition, parts: &[Particle])
         .count() as u64
 }
 
-/// Visit every zone of `sub`'s owned box in x-fastest order with its
-/// local `(i, j, k)` and its index into a global x-major array — the
-/// layout the host-staged [`EndState`] uses.
-fn for_each_owned(
-    grid: &GlobalGrid,
-    sub: &hsim_mesh::Subdomain,
-    mut f: impl FnMut([usize; 3], usize),
-) {
-    for k in 0..sub.extent(2) {
-        for j in 0..sub.extent(1) {
-            for i in 0..sub.extent(0) {
-                let g = (sub.lo[0] + i) + grid.nx * ((sub.lo[1] + j) + grid.ny * (sub.lo[2] + k));
-                f([i, j, k], g);
+/// Carry the ranks' states across a boundary onto the boxes of `new`.
+/// A box that did not change — found by its [`Subdomain`], not by
+/// rank, so the survivors a foldback renumbers are found too — keeps
+/// its state, *moved*: no allocation, no copy. A box that did change
+/// gets a fresh state whose owned zones are copied, row by row, out of
+/// the old boxes it overlaps (the boxes partition the grid before and
+/// after, so each is written once). Only owned zones cross: a moved
+/// state keeps last cycle's ghosts and scratch, a rebuilt one has
+/// zeros, and neither is read before it is rewritten
+/// (`tests::segmentation_is_invisible_to_the_physics`).
+fn hand_over(mut old: Vec<HydroState>, new: &Decomposition) -> Vec<Option<HydroState>> {
+    // On a cold start there is no state to go on from: all `None`.
+    let like = old.first().map(|s| (s.fidelity, s.tile, s.t, s.cycle));
+    let kept: Vec<Option<HydroState>> = new
+        .domains
+        .iter()
+        .map(|sub| Some(old.swap_remove(old.iter().position(|s| s.sub == *sub)?)))
+        .collect();
+    // Of a box that is gone only the conserved block is still read.
+    let gone: Vec<(Subdomain, SoaBlock)> = old.into_iter().map(|s| (s.sub, s.u)).collect();
+    let rebuild = |sub: &Subdomain, (fidelity, tile, t, cycle)| {
+        let mut state = HydroState::new(new.grid, *sub, fidelity);
+        (state.tile, state.t, state.cycle) = (tile, t, cycle);
+        // Cost-only states hold no zone values.
+        if fidelity == Fidelity::CostOnly {
+            return state;
+        }
+        for (from, u) in &gone {
+            let Some(Subdomain { lo, hi, .. }) = overlap(from, sub) else {
+                continue;
+            };
+            // Global zones → a block's allocated coordinates.
+            let within = |of: &Subdomain, zone: [usize; 3]| -> [usize; 3] {
+                std::array::from_fn(|ax| zone[ax] - of.lo[ax] + of.ghost)
+            };
+            for var in 0..hsim_hydro::NCONS {
+                let rows = u.pack_box(var, within(from, lo), within(from, hi));
+                let (lo, hi) = (within(sub, lo), within(sub, hi));
+                state.u.unpack_box(var, lo, hi, &rows);
             }
         }
-    }
+        state
+    };
+    kept.into_iter()
+        .zip(&new.domains)
+        .map(|(kept, sub)| kept.or_else(|| Some(rebuild(sub, like?))))
+        .collect()
 }
 
 /// One contiguous span of cycles over a fixed decomposition: the
@@ -707,11 +747,8 @@ struct Segment<'a> {
     /// Global cycle numbers `[first, last)`.
     first_cycle: u64,
     last_cycle: u64,
-    /// The previous segment's end state to restart from.
-    restore: Option<&'a EndState>,
-    /// Stage the conserved fields into [`EndState::vars`]: a boundary
-    /// follows.
-    take_checkpoint: bool,
+    /// What the previous segment left behind: nothing, on a cold start.
+    restore: EndState,
     /// Extra per-rank setup charge (MPS connect retry backoff); empty
     /// on every segment but the first.
     setup_extra: &'a [SimDuration],
@@ -729,26 +766,32 @@ struct SegmentOut {
     end: EndState,
 }
 
-/// The global state at a segment's end: what the result reports after
-/// the last segment, and what the next segment restarts from after any
-/// other (checkpoint/restart staged through the host, consistent with
-/// the paper's §5.3 staging).
+/// What a segment leaves behind (before the first: nothing) for the
+/// next to go on from ([`hand_over`]), or after the last for the result.
+#[derive(Default)]
 struct EndState {
-    /// One global x-major array per conserved variable; filled only
-    /// when a boundary follows and zone values carry state (full
-    /// fidelity).
-    vars: Vec<Vec<f64>>,
+    /// What each rank left, in rank order.
+    left: Vec<Left>,
     /// The live particle set, merged across ranks and sorted by id
-    /// (`None` when the particle phase is off). Restore re-filters by
-    /// subdomain ownership, so a re-split or foldback re-homes
-    /// particles for free.
+    /// (`None` when the particle phase is off). The next segment
+    /// re-filters it by subdomain ownership, so a re-split or foldback
+    /// re-homes particles for free.
     particles: Option<Vec<Particle>>,
     t: f64,
-    cycle: u64,
-    /// Total owned mass (full fidelity only).
-    mass: Option<f64>,
-    /// Merged scenario diagnostics (full fidelity only).
-    diag: Option<ScenarioDiag>,
+}
+
+/// What one rank leaves behind at the end of a segment.
+#[allow(clippy::large_enum_variant)] // one per rank per segment, moved twice
+enum Left {
+    /// A boundary follows: the rank's live state.
+    State(HydroState),
+    /// The run is over: the rank's total owned mass and scenario
+    /// diagnostics, its terms of the result's sums (`None` under
+    /// cost-only fidelity, whose states hold no physics). The rank
+    /// body sums and frees its state itself: freed by the coordinator
+    /// once the rank threads are gone, glibc trims their arenas and the
+    /// process's next run faults every page in again.
+    Tally(Option<(f64, ScenarioDiag)>),
 }
 
 /// What a rank body installs in thread-local storage: its telemetry
@@ -807,7 +850,8 @@ fn rank_task<F: Future>(body: impl Fn(Comm) -> F + Sync) -> impl Fn(Comm) -> Ran
 /// Run one segment and collect per-rank reports, telemetry, device
 /// busy time and the end state. Rank
 /// failures surface as typed errors — never panics or hangs (a dead
-/// rank's mailboxes disconnect its peers).
+/// rank's mailboxes disconnect its peers, and its device's rendezvous
+/// stops counting it).
 fn run_segment(
     cfg: &RunConfig,
     fault_plan: &Arc<hsim_faults::FaultPlan>,
@@ -851,6 +895,15 @@ fn run_segment(
     }
     let slots = Mutex::new(slots);
 
+    // Across the boundary come every rank's state, moved onto this
+    // segment's boxes, and the merged particle set.
+    let states = seg.restore.left.into_iter().filter_map(|left| match left {
+        Left::State(state) => Some(state),
+        Left::Tally(_) => None,
+    });
+    let carried = &Mutex::new(hand_over(states.collect(), decomp));
+    let snapshot = seg.restore.particles.as_deref();
+
     // One host work pool for the whole *process* (never per region,
     // never per rank, and since the serve layer shares runs it is not
     // even per run): CPU ranks share its persistent workers for
@@ -880,17 +933,12 @@ fn run_segment(
     struct RankOut {
         report: RankReport,
         collector: Option<Collector>,
-        dump: Option<Vec<Vec<f64>>>,
+        left: Left,
         t: f64,
-        cycle: u64,
-        /// Total owned mass (full fidelity only).
-        mass: Option<f64>,
         /// This rank's live particles at segment end.
         particles: Option<Vec<Particle>>,
         /// Particles this rank shipped to peers during the segment.
         migrated: u64,
-        /// Final-state scenario diagnostics (full fidelity only).
-        diag: Option<ScenarioDiag>,
     }
     // One rank body, resumable at every wait on a peer or a device;
     // `driver` decides whether a wait blocks the rank's thread or
@@ -908,6 +956,10 @@ fn run_segment(
             let sub = decomp.domains[rank];
             let role = roles[rank];
             let client = slots.lock()[rank].take();
+            // However this body ends, its device's rendezvous learns
+            // that this client joins no further sync epoch.
+            let departure = client.as_ref().map(|(client, _)| client.departure());
+            let _departure = departure.transpose().map_err(|e| e.to_string())?;
             let mut clock = RankClock::new(rank);
             if collect {
                 hsim_telemetry::install(Collector::new(rank));
@@ -980,32 +1032,21 @@ fn run_segment(
                 .with_multipolicy(hsim_raja::MultiPolicy::with_threshold(
                     cfg.multipolicy_threshold,
                 ));
-            let mut state = HydroState::new(grid, sub, cfg.fidelity);
-            state.tile = seg.tile;
-            cfg.problem.init(&mut state);
-            // Restart: unpack this rank's owned box from the
-            // host-staged checkpoint (ghosts refill on the first
-            // exchange; scratch fields are recomputed every cycle).
-            if let Some(ck) = seg.restore {
-                state.t = ck.t;
-                state.cycle = ck.cycle;
-                for (var, global) in ck.vars.iter().enumerate() {
-                    for_each_owned(&grid, &sub, |[i, j, k], g| {
-                        state.u.set(var, i, j, k, global[g]);
-                    });
-                }
-            }
+            // The state the boundary handed over, or on a cold start
+            // the problem's initial condition.
+            let carried = carried.lock().get_mut(rank).and_then(Option::take);
+            let mut state = carried.unwrap_or_else(|| {
+                let mut state = HydroState::new(grid, sub, cfg.fidelity);
+                state.tile = seg.tile;
+                cfg.problem.init(&mut state);
+                state
+            });
             // The particle phase: fresh deterministic placement on a
             // cold start, ownership re-filter of the global snapshot
-            // on a restore (re-splits and foldbacks re-home particles
-            // through exactly this path).
-            let mut phase = cfg.particles.map(|pcfg| match seg.restore {
-                Some(ck) => PhaseState::from_global(
-                    pcfg,
-                    ck.particles.as_deref().unwrap_or_default(),
-                    &grid,
-                    &sub,
-                ),
+            // after a boundary (re-splits and foldbacks re-home
+            // particles through exactly this path).
+            let mut phase = cfg.particles.map(|pcfg| match snapshot {
+                Some(all) => PhaseState::from_global(pcfg, all, &grid, &sub),
                 None => PhaseState::init_owned(pcfg, &grid, &sub),
             });
 
@@ -1105,21 +1146,6 @@ fn run_segment(
                 }
             }
 
-            // Boundary checkpoint: owned zone values per conserved
-            // variable, staged through the host (data only matters in
-            // full fidelity).
-            let dump = (seg.take_checkpoint && cfg.fidelity == Fidelity::Full).then(|| {
-                (0..hsim_hydro::NCONS)
-                    .map(|var| {
-                        let mut v = Vec::with_capacity(sub.zones() as usize);
-                        for_each_owned(&grid, &sub, |[i, j, k], _| {
-                            v.push(state.u.get(var, i, j, k))
-                        });
-                        v
-                    })
-                    .collect::<Vec<_>>()
-            });
-
             // The cycle loop's account: each bucket's growth since
             // `t0` on the rank's one clock, so the six partition `total`.
             let since_t0 = |kind| clock.bucket(kind) - at_t0.bucket(kind);
@@ -1140,15 +1166,18 @@ fn run_segment(
             };
             debug_assert_eq!(report.account_residual(), SimDuration::ZERO);
             hsim_faults::uninstall();
-            let full = cfg.fidelity == Fidelity::Full;
+            let t = state.t;
+            let left = if seg.last_cycle < cfg.cycles {
+                Left::State(state)
+            } else {
+                let full = cfg.fidelity == Fidelity::Full;
+                Left::Tally(full.then(|| (state.total_mass(), ScenarioDiag::of_rank(&state))))
+            };
             Ok(RankOut {
                 report,
                 collector: hsim_telemetry::uninstall(),
-                dump,
-                t: state.t,
-                cycle: state.cycle,
-                mass: full.then(|| state.total_mass()),
-                diag: full.then(|| ScenarioDiag::of_rank(&state)),
+                left,
+                t,
                 migrated: phase.as_ref().map_or(0, |ph| ph.migrated),
                 particles: phase.map(|ph| ph.parts),
             })
@@ -1179,26 +1208,6 @@ fn run_segment(
         return Err(root);
     }
 
-    let mut vars = Vec::new();
-    if ranks.iter().any(|out| out.dump.is_some()) {
-        vars = vec![vec![0.0; grid.zones() as usize]; hsim_hydro::NCONS];
-    }
-    for (rank, out) in ranks.iter_mut().enumerate() {
-        let sub = decomp.domains[rank];
-        // Each dump is freed as soon as it is staged.
-        for (var, vals) in out.dump.take().into_iter().flatten().enumerate() {
-            if vals.len() as u64 != sub.zones() {
-                return Err(format!(
-                    "rank {rank} checkpoint dump does not match its owned box"
-                ));
-            }
-            let mut n = 0;
-            for_each_owned(&grid, &sub, |_, g| {
-                vars[var][g] = vals[n];
-                n += 1;
-            });
-        }
-    }
     let particles = cfg.particles.map(|_| {
         let mut all: Vec<Particle> = ranks
             .iter_mut()
@@ -1207,30 +1216,20 @@ fn run_segment(
         all.sort_unstable_by_key(|p| p.id);
         all
     });
-    // `t` and `cycle` are identical on every rank: dt is an exact
-    // collective.
-    let (t, cycle) = ranks
-        .last()
-        .map_or((0.0, seg.last_cycle), |out| (out.t, out.cycle));
-    let end = EndState {
-        vars,
-        particles,
-        t,
-        cycle,
-        mass: ranks.iter().map(|out| out.mass).sum(),
-        diag: (cfg.fidelity == Fidelity::Full).then(|| {
-            ScenarioDiag::merge(grid.nx, ranks.iter().filter_map(|out| out.diag.as_ref()))
-        }),
-    };
+    // `t` is identical on every rank: dt is an exact collective.
+    let t = ranks.last().map_or(0.0, |out| out.t);
+    let migrated = ranks.iter().map(|out| out.migrated).sum();
+    let collectors = ranks
+        .iter_mut()
+        .filter_map(|out| out.collector.take())
+        .collect();
+    let (reports, left) = ranks.into_iter().map(|out| (out.report, out.left)).unzip();
     Ok(SegmentOut {
-        migrated: ranks.iter().map(|out| out.migrated).sum(),
-        collectors: ranks
-            .iter_mut()
-            .filter_map(|out| out.collector.take())
-            .collect(),
-        reports: ranks.into_iter().map(|out| out.report).collect(),
+        reports,
+        collectors,
         device_busy: devices.iter().map(|d| d.busy()).collect(),
-        end,
+        migrated,
+        end: EndState { left, particles, t },
     })
 }
 
@@ -1585,8 +1584,8 @@ mod tests {
             intact.cpu_fraction
         );
         // Physics does not depend on the decomposition, so the
-        // checkpoint/restart run conserves mass up to the changed
-        // summation order of the per-rank reductions.
+        // folded run conserves mass up to the changed summation order
+        // of the per-rank reductions.
         let (mi, md) = (intact.mass.unwrap(), degraded.mass.unwrap());
         assert!(
             ((mi - md) / mi).abs() < 1e-12,
@@ -1911,16 +1910,6 @@ mod tests {
                 let fraction = if cfg.rebalance.is_some() { 0.30 } else { 0.05 };
                 let stepped = emitted(&cfg, fraction, Driver::Stepped);
                 checked += 1;
-                // A rank that dies mid-cycle never joins its device's
-                // next sync epoch. Under MPS its surviving clients wait
-                // there: rank threads for ever, stepped ranks until
-                // their driver sees the whole world stalled — and then
-                // the injected root cause wins as for any other loss.
-                if matches!(mode, ExecMode::Mps { .. }) && label == "gpu.launch@rank1.cycle1:perm" {
-                    assert!(stepped.starts_with("error: rank 1: "), "{stepped}");
-                    assert!(stepped.contains("injected permanent launch fault"));
-                    continue;
-                }
                 let threaded = emitted(&cfg, fraction, Driver::Threads);
                 assert!(
                     threaded == stepped,
@@ -1940,6 +1929,208 @@ mod tests {
         let threaded = emitted(&full, 0.25, Driver::Threads);
         assert!(!threaded.starts_with("error"), "{threaded}");
         assert!(threaded == emitted(&full, 0.25, Driver::Stepped));
+    }
+
+    /// The physics a run leaves behind, to the bit: mass, scenario
+    /// error, final time and the particle phase.
+    fn physics_bits(cfg: &RunConfig, fraction: f64, driver: Driver) -> (String, RunResult) {
+        let r = run_driven(cfg, fraction, driver).unwrap_or_else(|e| panic!("{e}"));
+        let p = r.particles.as_ref().expect("the particle phase is on");
+        let s = r.scenario.as_ref().expect("a first-class scenario");
+        let bits = format!(
+            "mass {:016x} error {:016x?} t {:016x} particles {} {:016x} {:016x?}",
+            r.mass.expect("full fidelity").to_bits(),
+            s.error.map(f64::to_bits),
+            s.t_end.to_bits(),
+            p.count,
+            p.checksum,
+            p.momentum.map(f64::to_bits),
+        );
+        (bits, r)
+    }
+
+    #[test]
+    fn segmentation_is_invisible_to_the_physics() {
+        // The physics of a zone does not depend on who owns it, and a
+        // boundary carries every owned zone across unchanged — so a run
+        // cut into segments must end, to the bit, where the uncut run
+        // on the same final decomposition ends (same decomposition,
+        // same order of every sum). Stale ghosts and scratch in a state
+        // that crossed a boundary must not matter: every face ghost is
+        // rewritten before the cycle's first read, and nothing reads an
+        // edge or corner ghost.
+        //
+        // Re-split + foldback ends on a 15-rank world no uncut run
+        // reaches; it is compared with the values the host-staged
+        // checkpoint/restart produced at the commit that deleted it.
+        let recorded = [
+            "mass 3fdc71c71c71c71e error None t 3f4a36e2eb1c432e particles 512 fc62256d7644962d \
+             [3f98777743c60313, 3f95b9c17c467c84, bf59af364a839c71]",
+            "mass 3fcffffffffffffd error Some(3f545e1305bb8aa4) t 3f4a36e2eb1c432e particles 512 \
+             e05261d20735d079 [3f73e3f0529e72bf, 0000000000000000, 0000000000000000]",
+            "mass 3fdc71c71c71c71f error Some(3f7a36e2eb1c3bd5) t 3f4a36e2eb1c432e particles 512 \
+             4ddfc6382b4431de [bfc44fb7ae1c71c6, 0000000000000000, 0000000000000000]",
+            "mass 3fdc71c71c71c714 error Some(3f96c1490adb6800) t 3f4a36e2eb1c432e particles 512 \
+             6dd1ca74f4f33cfd [3f9bc1edbbd3cff7, 3f52d9fe2181ca07, 0000000000000000]",
+        ];
+        for (scenario, recorded) in scenario::Scenario::ALL.into_iter().zip(recorded) {
+            let mut base = sweep_cfg((32, 48, 32), ExecMode::hetero());
+            base.fidelity = Fidelity::Full;
+            base.cycles = 8;
+            base.tile = Some([8, 8]);
+            base.problem = scenario.problem();
+            base.particles = Some(ParticlesConfig::default());
+            base.diffusion = Some(DiffusionConfig::default());
+            let ticking = |hysteresis| {
+                let mut cfg = base.clone();
+                cfg.rebalance = Some(RebalanceConfig {
+                    every: 2,
+                    hysteresis,
+                });
+                cfg
+            };
+            for driver in [Driver::Threads, Driver::Stepped] {
+                let case = format!("{scenario:?}, {driver:?}");
+                // (a) Three ticks that all hold.
+                let (uncut, _) = physics_bits(&base, 0.125, driver);
+                let (held, r) = physics_bits(&ticking(0.9), 0.125, driver);
+                assert_eq!(r.balance_history.len(), 4, "{case}");
+                assert!(r.balance_history.iter().all(|&f| f == 0.125), "{case}");
+                assert_eq!(held, uncut, "{case}: held ticks");
+
+                // (b) One forced re-split, against the uncut run at
+                // the split it converges to.
+                let (resplit, r) = physics_bits(&ticking(0.02), 0.30, driver);
+                assert!(r.balance_history[0] > r.cpu_fraction, "{case}");
+                let (uncut, u) = physics_bits(&base, r.cpu_fraction, driver);
+                let zones = |r: &RunResult| r.ranks.iter().map(|x| x.zones).collect::<Vec<_>>();
+                assert_eq!(zones(&r), zones(&u), "{case}: same final decomposition");
+                assert_eq!(resplit, uncut, "{case}: forced re-split");
+
+                // (c) The re-split, then the loss of rank 5.
+                let mut lossy = ticking(0.02);
+                lossy.faults =
+                    Some(hsim_faults::FaultPlan::parse("rank.loss@rank5.cycle5").unwrap());
+                let (folded, r) = physics_bits(&lossy, 0.30, driver);
+                assert_eq!(r.ranks.len(), 15, "{case}");
+                assert_eq!(folded, recorded, "{case}: re-split + rank loss");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_that_dies_mid_cycle_does_not_hang_its_mps_peers() {
+        // Rank 1 dies of a permanent launch fault and never joins its
+        // device's next sync epoch, where the device's other three
+        // clients — rank threads, blocked on a condition variable —
+        // already wait. Its departure must complete that epoch; the
+        // survivors then fail at the dead rank's mailboxes and the
+        // injected root cause wins, as for any other loss.
+        for _ in 0..3 {
+            let mut cfg = sweep_cfg((32, 48, 32), ExecMode::mps4());
+            cfg.fidelity = Fidelity::Full;
+            cfg.faults =
+                Some(hsim_faults::FaultPlan::parse("gpu.launch@rank1.cycle1:perm").unwrap());
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = tx.send(run_driven(&cfg, 0.0, Driver::Threads).map(|_| ()));
+            });
+            let err = rx
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .expect("the run hangs at the device rendezvous")
+                .expect_err("a permanent launch fault is fatal");
+            assert!(err.starts_with("rank 1: "), "{err}");
+            assert!(err.contains("injected permanent launch fault"), "{err}");
+        }
+    }
+
+    /// Every owned zone of `state`, tagged by variable and global
+    /// index — or checked against its tag.
+    fn tags(state: &mut HydroState, check: bool) {
+        let (grid, sub) = (state.grid, state.sub);
+        for var in 0..hsim_hydro::NCONS {
+            for k in 0..sub.extent(2) {
+                for j in 0..sub.extent(1) {
+                    for i in 0..sub.extent(0) {
+                        let [x, y, z] = [sub.lo[0] + i, sub.lo[1] + j, sub.lo[2] + k];
+                        let tag =
+                            (var * grid.zones() as usize + x + grid.nx * (y + grid.ny * z)) as f64;
+                        if check {
+                            assert_eq!(state.u.get(var, i, j, k), tag, "var {var} at {x},{y},{z}");
+                        } else {
+                            state.u.set(var, i, j, k, tag);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The hand-over alone, between any two decompositions the run
+        /// loop can put on either side of a boundary: the owned boxes
+        /// partition the grid before and after, so every owned zone
+        /// must arrive, and a box that did not change must arrive
+        /// *moved* — same allocations, which is what makes a boundary
+        /// that holds cost the host nothing.
+        #[test]
+        fn hand_over_carries_every_owned_zone_and_moves_unchanged_boxes(
+            from in 0usize..3,
+            to in 0usize..3,
+            lose_from in 0usize..16,
+            lose_to in 0usize..16,
+        ) {
+            let grid = (16, 48, 16);
+            let decomp = |which: usize, lose: usize| {
+                let d = match which {
+                    0 => build_decomposition(&sweep_cfg(grid, ExecMode::CpuOnly), 0.0),
+                    1 => build_decomposition(&sweep_cfg(grid, ExecMode::hetero()), 0.25),
+                    _ => build_decomposition(&sweep_cfg(grid, ExecMode::hetero()), 0.5),
+                }
+                .unwrap();
+                // Four draws in sixteen lose no rank; a GPU driver
+                // cannot be lost.
+                match lose {
+                    lose if lose < 12 && !d.owners[lose + 4].is_gpu() => {
+                        fold_lost_rank(&d, lose + 4).unwrap()
+                    }
+                    _ => d,
+                }
+            };
+            let (old, new) = (decomp(from, lose_from), decomp(to, lose_to));
+            old.validate().unwrap();
+            new.validate().unwrap();
+
+            let slabs = |s: &HydroState| [&s.u, &s.u0, &s.prim].map(|b| b.slab().as_ptr());
+            let mut before = Vec::new();
+            let states: Vec<HydroState> = old
+                .domains
+                .iter()
+                .map(|sub| {
+                    let mut state = HydroState::new(old.grid, *sub, Fidelity::Full);
+                    // Nothing but owned zones may be consulted.
+                    state.u.slab_mut().fill(f64::NAN);
+                    tags(&mut state, false);
+                    (state.tile, state.t, state.cycle) = ([4, 2], 0.75, 9);
+                    before.push((*sub, slabs(&state)));
+                    state
+                })
+                .collect();
+
+            let after = hand_over(states, &new);
+            proptest::prop_assert_eq!(after.len(), new.len());
+            for (state, sub) in after.into_iter().zip(&new.domains) {
+                let mut state = state.expect("every box is handed a state");
+                proptest::prop_assert_eq!(state.sub, *sub);
+                proptest::prop_assert_eq!((state.tile, state.t, state.cycle), ([4, 2], 0.75, 9));
+                tags(&mut state, true);
+                if let Some((_, was)) = before.iter().find(|(b, _)| b == sub) {
+                    proptest::prop_assert_eq!(slabs(&state), *was, "an unchanged box is moved");
+                }
+            }
+            // A cold start has nothing to hand over.
+            proptest::prop_assert!(hand_over(Vec::new(), &new).iter().all(Option::is_none));
+        }
     }
 
     #[test]

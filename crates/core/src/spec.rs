@@ -330,6 +330,9 @@ mod tests {
         ("--mode hetero --grid 64,96,64 --cycles 6 --fraction 0.30 --rebalance every=2,hysteresis=0.02 --scenario taylor-green --particles 256 --faults $PLAN $JSON", 0x0ef140d47d503a36),
         // ci.yml rebalance-gate.
         ("--mode hetero --grid 64,96,64 --cycles 8 --fraction 0.30 --rebalance every=2,hysteresis=0.02 --particles 512 --faults rank.loss@rank5.cycle4 $JSON", 0x26e345b9c5330ca6),
+        // Its full-fidelity legs, added after the table: pinned at what it parsed them to.
+        ("--mode hetero --full --grid 32,48,32 --cycles 8 --fraction 0.30 --rebalance every=2,hysteresis=0.02 --particles 512 --diffusion 0.001 --tile 8,8 --faults rank.loss@rank5.cycle5 $JSON", 0x5d6310a8bea7d460),
+        ("--mode mps --full --grid 32,48,32 --cycles 3 --faults gpu.launch@rank1.cycle1:perm", 0x673fdef1a944ef8b),
         // README.md.
         ("--mode hetero --full --tile 8,8", 0x703c3fa7b060b7da),
         ("--mode hetero --grid 600,480,160 --trace", 0xfc7f370299716170),

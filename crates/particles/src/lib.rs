@@ -161,8 +161,9 @@ impl PhaseState {
         }
     }
 
-    /// Restore from a globally-merged snapshot (checkpoint restart or
-    /// re-split): keep what the new subdomain owns.
+    /// Go on from a globally-merged snapshot (any segment boundary:
+    /// held tick, re-split or foldback): keep what the new subdomain
+    /// owns.
     pub fn from_global(
         cfg: ParticlesConfig,
         global: &[Particle],

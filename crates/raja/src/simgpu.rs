@@ -11,7 +11,7 @@
 //! bulk-synchronous structure of the application (every rank
 //! synchronizes with its device at least once per cycle).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -24,9 +24,13 @@ use hsim_time::{SimDuration, SimTime};
 struct Inner {
     device: Device,
     mps: Option<MpsServer>,
+    /// Clients that may still join an epoch: every stream of the
+    /// device until its [`Departure`] drops.
     clients: usize,
     syncers: usize,
     epoch: u64,
+    /// Streams a [`Departure`] has been issued for — one each, ever.
+    guarded: HashSet<u64>,
     /// job id → stream key for the in-flight epoch.
     job_streams: HashMap<u64, u64>,
     /// stream key → completion time of the last kernel in the resolved
@@ -123,6 +127,37 @@ pub struct GpuClient {
     mps_client: Option<MpsClient>,
 }
 
+/// A client's promise to tell its device when it leaves, held by the
+/// *rank body* for as long as the rank may still sync (not by
+/// [`GpuClient`], which is `Clone` and also lives in the rank's
+/// executor). Dropping it — the body ended, cleanly, with an error or
+/// by panic — takes the client out of every later epoch, and resolves
+/// the current one if the clients already waiting in it are now all
+/// there are: what a mailbox learns through `Disconnected`, the
+/// rendezvous learns here, so a dead rank cannot hang its device's
+/// other clients.
+pub struct Departure {
+    dev: Arc<SharedDevice>,
+}
+
+impl Drop for Departure {
+    fn drop(&mut self) {
+        let mut inner = self.dev.inner.lock();
+        // A second departure of one stream would let an epoch resolve
+        // without a live client's launches: silently wrong virtual
+        // times. `GpuClient::departure` refuses to issue one, so the
+        // count cannot pass zero here (and `drop` must not panic).
+        let Some(clients) = inner.clients.checked_sub(1) else {
+            return;
+        };
+        inner.clients = clients;
+        if inner.syncers > 0 && inner.syncers == inner.clients {
+            inner.resolve_epoch();
+            self.dev.resolved.notify_all();
+        }
+    }
+}
+
 impl SharedDevice {
     /// Exclusive arrangement: one rank owns the device directly (the
     /// Default mode). Returns the shared handle and the single client.
@@ -141,6 +176,7 @@ impl SharedDevice {
                 clients: 1,
                 syncers: 0,
                 epoch: 0,
+                guarded: HashSet::new(),
                 job_streams: HashMap::new(),
                 stream_end: HashMap::new(),
                 job_meta: HashMap::new(),
@@ -180,6 +216,7 @@ impl SharedDevice {
                 clients: pids.len(),
                 syncers: 0,
                 epoch: 0,
+                guarded: HashSet::new(),
                 job_streams: HashMap::new(),
                 stream_end: HashMap::new(),
                 job_meta: HashMap::new(),
@@ -259,6 +296,18 @@ impl GpuClient {
         self.dev.spec()
     }
 
+    /// The [`Departure`] guard of this client's stream. A client leaves
+    /// once: asking twice for the same stream is
+    /// [`GpuError::InvalidStream`].
+    pub fn departure(&self) -> Result<Departure, GpuError> {
+        if !self.dev.inner.lock().guarded.insert(self.stream.0) {
+            return Err(GpuError::InvalidStream);
+        }
+        Ok(Departure {
+            dev: Arc::clone(&self.dev),
+        })
+    }
+
     /// Submit one kernel launch at virtual instant `at`. Returns the
     /// host-side launch overhead the caller must charge to its clock.
     pub fn launch(
@@ -288,8 +337,10 @@ impl GpuClient {
     /// stream (or `at` when the stream had no pending work).
     ///
     /// Every client of the device must call `sync` once per epoch
-    /// (bulk-synchronous discipline). A client calling twice before
-    /// the others once waits for an epoch that cannot resolve,
+    /// (bulk-synchronous discipline) until its [`Departure`] drops; an
+    /// epoch resolves without the clients that have left. A client
+    /// calling twice before the others once waits for an epoch that
+    /// cannot resolve,
     /// matching a real stream-sync against peers that never launch:
     /// rank threads deadlock, stepped ranks are reported as
     /// deadlocked by their driver.
@@ -426,6 +477,42 @@ mod tests {
         assert!(ends.iter().all(|&e| e > SimTime::ZERO));
         assert_eq!(dev.epoch(), 1);
         assert_eq!(dev.total_launches(), 4);
+    }
+
+    #[test]
+    fn a_departed_client_no_longer_holds_up_the_epoch() {
+        let (dev, clients) = SharedDevice::new_mps(k80(), &[0, 1, 2]).unwrap();
+        let mut guards: Vec<Departure> = clients.iter().map(|c| c.departure().unwrap()).collect();
+        // A client leaves once.
+        assert_eq!(
+            clients[1].departure().err(),
+            Some(GpuError::InvalidStream),
+            "a second guard for the same stream"
+        );
+        // Nobody waits yet: leaving resolves nothing.
+        drop(guards.remove(0));
+        assert_eq!(dev.epoch(), 0);
+        // Client 1 waits for client 2, which leaves instead of syncing:
+        // its departure completes the epoch and wakes the waiter.
+        let end = std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                clients[1]
+                    .launch(&desc(), KernelShape::new(1_000_000, 40), SimTime::ZERO)
+                    .unwrap();
+                block_on(clients[1].sync(SimTime::ZERO))
+            });
+            while dev.inner.lock().syncers == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(dev.epoch(), 0, "two clients, one has synced");
+            drop(guards.pop());
+            waiter.join().unwrap()
+        });
+        assert!(end > SimTime::ZERO);
+        assert_eq!(dev.epoch(), 1);
+        // The last client alone is a whole epoch.
+        block_on(clients[1].sync(SimTime::ZERO));
+        assert_eq!(dev.epoch(), 2);
     }
 
     #[test]
