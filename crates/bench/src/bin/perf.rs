@@ -87,6 +87,18 @@ const COSTONLY_RUN_OVER_FLOOR_MAX: f64 = 6.0;
 /// is a millisecond, too close to a scheduler tick to time alone.
 const COSTONLY_REPS: usize = 5;
 
+/// Cycles both sides of `sweeps.costonly_run_over_floor` run. A sweep
+/// point steps this many of its ten and adds the rest up (`CpuOnly`
+/// shows its period after three and reads so at the end of the
+/// fourth), so at ten the run would be compared with a floor doing
+/// two and a half times its work.
+const COSTONLY_STEPPED_CYCLES: u64 = 4;
+
+/// Ceiling on `sweeps.costonly_cycles_x8`: eight times the cycles at
+/// well under twice the host time. Stepping every cycle read 7.7
+/// (0.10 + 0.195 ms a cycle); adding the period up reads 1.0–1.1.
+const COSTONLY_CYCLES_X8_MAX: f64 = 2.0;
+
 /// Where `perf` writes and `ci-gate` reads when not told otherwise.
 const DEFAULT_OUT: &str = "BENCH.json";
 
@@ -163,7 +175,8 @@ static METRICS: &[Metric] = &[
     ("sweeps.*.parallel_s",       "s",     W, Info, "median wall time at --jobs N"),
     ("sweeps.*.speedup",          "x",     W, MinByCores(&[(2.0, 0.9), (0.0, 0.5)]), "median serial:parallel over interleaved pairs: --jobs N must not lose to serial where more than one effective core exists; on one (--jobs 4 there is oversubscription) only fan-out overhead is bounded"),
     ("sweeps.*.identical_output", "bool",  V, IsTrue, "--jobs N must not change a byte of the figure CSV or markdown"),
-    ("sweeps.costonly_run_over_floor", "x", W, Max(COSTONLY_RUN_OVER_FLOOR_MAX), "median over interleaved pairs of a cost-only 16-rank run against its own pricing work done solo on the same thread: what is left is set-up and message hand-off, and a thread per rank, which has nothing to run in parallel here, reads 8 and up on two cores"),
+    ("sweeps.costonly_run_over_floor", "x", W, Max(COSTONLY_RUN_OVER_FLOOR_MAX), "median over interleaved pairs of a cost-only 16-rank run against its own pricing work done solo on the same thread, both over the 4 cycles such a run steps before it adds its period up: what is left is set-up, message hand-off and the cycle marks, and a thread per rank, which has nothing to run in parallel here, reads 8 and up on two cores"),
+    ("sweeps.costonly_cycles_x8", "x", W, Max(COSTONLY_CYCLES_X8_MAX), "median over interleaved pairs of one cost-only heterogeneous point at 80 cycles against the same point at 10: a run's host time is that of the cycles it takes to see its period, not proportional to `cycles` (stepping them all reads 7.7)"),
 
     ("kernels.legacy_mzones_per_s",            "Mz/s",  W, Info, "per-pass reference kernels"),
     ("kernels.tiles.*.fused_mzones_per_s",     "Mz/s",  W, Info, "fused cache-blocked kernels at this tile"),
@@ -499,22 +512,36 @@ fn measure_sweeps(quick: bool, jobs: usize, host_cores: usize) -> Vec<Row> {
         ));
     }
     out.push(row("sweeps.jobs", jobs));
+    // The run's ranks record nothing (`cfg.telemetry` is off), so the
+    // solo floor must not record into the harness's collector either.
+    let harness = hsim_telemetry::swap(None);
     out.push(row(
         "sweeps.costonly_run_over_floor",
         costonly_run_over_floor(),
     ));
+    out.push(row("sweeps.costonly_cycles_x8", costonly_cycles_x8()));
+    hsim_telemetry::swap(harness);
     out
+}
+
+/// Wall seconds of [`COSTONLY_REPS`] calls of `f`.
+fn costonly_secs(f: &dyn Fn()) -> f64 {
+    let t0 = Instant::now();
+    (0..COSTONLY_REPS).for_each(|_| f());
+    t0.elapsed().as_secs_f64()
 }
 
 /// What a cost-only run costs beyond pricing its kernels: the median,
 /// over interleaved pairs, of the wall time of a 16-rank `CpuOnly`
 /// sweep point over that of its *floor* — the same sixteen subdomains
-/// stepped the same ten cycles one after another with no peers, which
-/// is all the cost-model arithmetic of the run and nothing else. Both
-/// sides run on this thread, so the ratio is a property of the code,
-/// not of how many cores the host has free.
+/// stepped the same [`COSTONLY_STEPPED_CYCLES`] cycles one after
+/// another with no peers, which is all the cost-model arithmetic of
+/// the run and nothing else. Both sides run on this thread, so the
+/// ratio is a property of the code, not of how many cores the host has
+/// free.
 fn costonly_run_over_floor() -> f64 {
-    let cfg = RunConfig::sweep((320, 240, 160), ExecMode::CpuOnly);
+    let mut cfg = RunConfig::sweep((320, 240, 160), ExecMode::CpuOnly);
+    cfg.cycles = COSTONLY_STEPPED_CYCLES;
     let decomp = runner::build_decomposition(&cfg, 0.0).expect("block decomposition");
     let floor = || {
         for sub in &decomp.domains {
@@ -536,17 +563,23 @@ fn costonly_run_over_floor() -> f64 {
         }
     };
     let run = || drop(black_box(runner::run(&cfg).expect("cost-only run")));
-    let secs = |f: &dyn Fn()| {
-        let t0 = Instant::now();
-        (0..COSTONLY_REPS).for_each(|_| f());
-        t0.elapsed().as_secs_f64()
-    };
     eprintln!("cost-only run vs its pricing floor, {COSTONLY_REPS} runs a sample...");
-    // The run's ranks record nothing (`cfg.telemetry` is off), so the
-    // floor must not record into the harness's collector either.
-    let harness = hsim_telemetry::swap(None);
-    let [_, _, ratio] = median_of_pairs(|| (secs(&run), secs(&floor)));
-    hsim_telemetry::swap(harness);
+    let [_, _, ratio] = median_of_pairs(|| (costonly_secs(&run), costonly_secs(&floor)));
+    ratio
+}
+
+/// What eight times the cycles cost a cost-only run: the median, over
+/// interleaved pairs, of the wall time of one heterogeneous sweep
+/// point at 80 cycles over the same point at 10.
+fn costonly_cycles_x8() -> f64 {
+    let point = |cycles| {
+        let mut cfg = RunConfig::sweep((320, 240, 160), ExecMode::hetero());
+        cfg.cycles = cycles;
+        move || drop(black_box(runner::run(&cfg).expect("cost-only run")))
+    };
+    let (long, short) = (point(8 * calib::SWEEP_CYCLES), point(calib::SWEEP_CYCLES));
+    eprintln!("cost-only run at 80 cycles vs at 10, {COSTONLY_REPS} runs a sample...");
+    let [_, _, ratio] = median_of_pairs(|| (costonly_secs(&long), costonly_secs(&short)));
     ratio
 }
 
@@ -883,7 +916,7 @@ mod tests {
     /// speed ratio and are told apart by their keys.
     const HEALTHY: &str = r#"{"schema_version": 7, "host_cores": 4, "metrics": {
         "sweeps.quick.effective_cores": 4, "sweeps.quick.speedup": 2.9, "sweeps.quick.identical_output": true,
-        "sweeps.costonly_run_over_floor": 3.4,
+        "sweeps.costonly_run_over_floor": 3.4, "sweeps.costonly_cycles_x8": 1.05,
         "kernels.tiles.4x4.ratio": 1.35, "kernels.tiles.4x4.identical_output": true,
         "kernels.tiles.8x8.ratio": 1.62, "kernels.tiles.8x8.identical_output": true,
         "kernels.tiles.16x16.ratio": 1.51, "kernels.tiles.16x16.identical_output": true,
@@ -984,6 +1017,8 @@ mod tests {
         drop(&["sweeps.quick.speedup"], &["missing sweeps.*.speedup in fresh results"]);
         // The thread-per-rank reading of the cost-only run.
         set(&[("sweeps.costonly_run_over_floor", N(9.66))], &["sweeps.costonly_run_over_floor [x, Wall]: ceiling 6, baseline 3.4, measured 9.66"]);
+        // A run that steps every one of its cycles.
+        set(&[("sweeps.costonly_cycles_x8", N(7.7))], &["sweeps.costonly_cycles_x8 [x, Wall]: ceiling 2, baseline 1.05, measured 7.7"]);
         // kernels: each tile's floor, the best-tile floor (which the
         // ungated ablation cannot rescue), divergence, no tiles at all.
         set(&[("kernels.tiles.4x4.ratio", N(0.93))], &["kernels.tiles.4x4.ratio [x, Wall]: floor 1, baseline 1.35, measured 0.93"]);

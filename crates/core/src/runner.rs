@@ -27,7 +27,8 @@ use hsim_mesh::decomp::weighted::{fold_lost_rank, weighted_hetero_decomp, Weight
 use hsim_mesh::{Decomposition, GlobalGrid, HaloPlan, OwnerKind, SoaBlock, Subdomain};
 use hsim_mpi::{Comm, Driver, World};
 use hsim_particles::{Particle, ParticlesConfig, PhaseState};
-use hsim_raja::{Executor, Fidelity, GpuClient, SharedDevice, Target, WorkPool};
+use hsim_raja::simgpu::DeviceMark;
+use hsim_raja::{Executor, Fidelity, GpuClient, KernelRegistry, SharedDevice, Target, WorkPool};
 use hsim_telemetry::{Category, Collector, Counter, Gauge, Summary, TimeStat};
 use hsim_time::clock::ChargeKind;
 use hsim_time::{RankClock, SimDuration, SimTime};
@@ -93,6 +94,13 @@ pub struct RunConfig {
     pub grid: (usize, usize, usize),
     pub mode: ExecMode,
     pub node: NodeConfig,
+    /// Hydro cycles to run. Virtual time is that of every one of them;
+    /// host time is proportional to the count only where cycles are
+    /// stepped one by one — under [`Fidelity::Full`], with telemetry
+    /// or a trace, with particles — while a run that only prices its
+    /// kernels steps until two cycles are equal in every clock and
+    /// counter and adds up the rest (a count the clock cannot hold, or
+    /// more than 2³⁰ cycles to add up at once, is an error).
     pub cycles: u64,
     pub fidelity: Fidelity,
     /// §5.3 future work: GPUs exchange halos without host staging.
@@ -264,6 +272,12 @@ enum Boundary {
 /// `hand_over` moves them across, while every segment still opens on
 /// a fresh world, clocks and devices, as a restart would.
 ///
+/// "Static within an iteration" is also why a segment that only prices
+/// its kernels need not step all its cycles: once two consecutive
+/// cycles grew every clock, counter and device by the same integer
+/// amounts, the rest of the segment is that growth added up (the
+/// `PeriodBoard` of `run_segment`).
+///
 /// A loss folds the lost CPU rank's slab back (preferring its parent
 /// GPU block, so Heterogeneous degrades toward Default) and *freezes*
 /// the controller if there is one: the folded world is no longer a
@@ -280,13 +294,20 @@ pub fn run_with_fraction(cfg: &RunConfig, cpu_fraction: f64) -> Result<RunResult
         Fidelity::Full => Driver::Threads,
         Fidelity::CostOnly => Driver::Stepped,
     };
-    run_driven(cfg, cpu_fraction, driver)
+    run_driven(cfg, cpu_fraction, driver).map(|(result, _)| result)
 }
 
 /// [`run_with_fraction`] under an explicit rank driver. The result is
 /// the same under either — which the tests of this module assert,
-/// and the only reason the choice is an argument.
-fn run_driven(cfg: &RunConfig, cpu_fraction: f64, driver: Driver) -> Result<RunResult, String> {
+/// and the only reason the choice is an argument. Beside the result
+/// comes the number of cycles the ranks stepped, the rest having been
+/// added up (see [`PeriodBoard`]): the tests' view of that choice,
+/// which no output shows.
+fn run_driven(
+    cfg: &RunConfig,
+    cpu_fraction: f64,
+    driver: Driver,
+) -> Result<(RunResult, u64), String> {
     let fault_plan = Arc::new(cfg.faults.clone().unwrap_or_default());
     let mut losses: Vec<(usize, u64)> = fault_plan
         .rank_losses()
@@ -352,10 +373,12 @@ fn run_driven(cfg: &RunConfig, cpu_fraction: f64, driver: Driver) -> Result<RunR
     let mut setup_extra = mps_connect_charges(cfg, &fault_plan, decomp.len(), &mut acc)?;
     // Resolve the tile here, on the calling thread, before any rank
     // installs its collector: the one-shot wall-clock probe's kernel
-    // launches belong to no run's telemetry.
-    let tile = cfg
-        .tile
-        .unwrap_or_else(|| calib::auto_tile_for(cfg.host_threads));
+    // launches belong to no run's telemetry. A run that only prices
+    // its kernels never reads the tile, so it does not probe for one.
+    let tile = cfg.tile.unwrap_or_else(|| match cfg.fidelity {
+        Fidelity::Full => calib::auto_tile_for(cfg.host_threads),
+        Fidelity::CostOnly => hsim_hydro::state::DEFAULT_TILE,
+    });
 
     // Segment boundaries: a controller tick every `every` cycles, plus
     // the loss cycle — where the loss wins a tie with a tick.
@@ -432,7 +455,9 @@ fn run_driven(cfg: &RunConfig, cpu_fraction: f64, driver: Driver) -> Result<RunR
         }
     }
 
-    acc.finish(cfg, &decomp, &orig_ids, rb)
+    let stepped = acc.stepped;
+    let result = acc.finish(cfg, &decomp, &orig_ids, rb)?;
+    Ok((result, stepped))
 }
 
 /// Main-thread MPS client setup faults: a permanent rejection is a
@@ -501,6 +526,8 @@ struct RunAcc {
     window_gpu: SimDuration,
     /// What the latest segment left behind.
     end: EndState,
+    /// Cycles the ranks stepped one by one, over all segments.
+    stepped: u64,
 }
 
 impl RunAcc {
@@ -537,6 +564,7 @@ impl RunAcc {
         }
         self.collectors.extend(seg.collectors);
         self.migrated += seg.migrated;
+        self.stepped += seg.stepped;
         self.end = seg.end;
     }
 
@@ -763,6 +791,8 @@ struct SegmentOut {
     device_busy: Vec<SimDuration>,
     /// Cross-rank particle migrations during this segment.
     migrated: u64,
+    /// Cycles of the segment the ranks stepped (the same on each).
+    stepped: u64,
     end: EndState,
 }
 
@@ -847,11 +877,178 @@ fn rank_task<F: Future>(body: impl Fn(Comm) -> F + Sync) -> impl Fn(Comm) -> Ran
     }
 }
 
+/// What a rank carries from one cycle into the next that a run
+/// reports or a later cycle can read, read at a cycle's end: its
+/// clock, its launch counts, its traffic, the timestep it took, and —
+/// of the one client that leads a device — the device's counters. Two
+/// marks a cycle apart give that cycle's growth, in the same type.
+#[derive(Clone, PartialEq)]
+struct RankMark {
+    clock: RankClock,
+    kernels: KernelRegistry,
+    bytes_sent: u64,
+    /// Messages sent and messages received ([`Comm::messages`]).
+    messages: (u64, u64),
+    /// The cycle's timestep, as bits (of a growth: the later cycle's).
+    dt: u64,
+    device: Option<DeviceMark>,
+}
+
+impl RankMark {
+    fn of(
+        clock: &RankClock,
+        exec: &Executor,
+        comm: &Comm,
+        dt: f64,
+        led: Option<&SharedDevice>,
+    ) -> Self {
+        RankMark {
+            clock: clock.clone(),
+            kernels: exec.registry.clone(),
+            bytes_sent: comm.bytes_sent(),
+            messages: comm.messages(),
+            dt: dt.to_bits(),
+            device: led.map(SharedDevice::mark),
+        }
+    }
+
+    fn since(&self, earlier: &RankMark) -> RankMark {
+        RankMark {
+            clock: self.clock.since(&earlier.clock),
+            kernels: self.kernels.since(&earlier.kernels),
+            bytes_sent: self.bytes_sent - earlier.bytes_sent,
+            messages: (
+                self.messages.0 - earlier.messages.0,
+                self.messages.1 - earlier.messages.1,
+            ),
+            dt: self.dt,
+            device: self
+                .device
+                .zip(earlier.device)
+                .map(|(d, was)| d.since(&was)),
+        }
+    }
+}
+
+/// What a rank posts of a cycle for every rank to judge it by.
+#[derive(Clone, Copy)]
+struct Posted {
+    /// Cycles completed when this was posted.
+    cycle: u64,
+    /// The cycle grew the rank's [`RankMark`] exactly as its previous
+    /// cycle did, its stream ended as much later as its clock, and
+    /// none of its launches is queued.
+    steady: bool,
+    /// The rank's clock advance over the cycle.
+    elapsed: SimDuration,
+    /// Messages sent and received so far ([`Comm::messages`]).
+    messages: (u64, u64),
+}
+
+/// Where the ranks of a segment that only prices its kernels find out
+/// whether the segment has gone *periodic* — and if it has, add the
+/// cycles ahead instead of stepping them.
+///
+/// Between two boundaries such a run launches the same kernels on the
+/// same boxes and exchanges the same faces every cycle, and what a
+/// cycle can see of the one before is only how far the clocks and
+/// streams it waits on are from its own: every charge is an integer
+/// duration, every wait a `max`, and a device resolves an epoch
+/// relative to its first arrival (`Device::run_pending`). So once, at
+/// the end of one cycle,
+///
+/// * every rank has grown its [`RankMark`] exactly as in its previous
+///   cycle (the device counters are in the mark of the client that
+///   leads the device),
+/// * every rank's clock and every client's stream advanced by one
+///   common `D` (all offsets between them are what they were),
+/// * nothing is in flight: over the world as many messages received as
+///   sent, no launch queued,
+///
+/// the next cycle starts from that cycle's state shifted by `D` and
+/// must grow everything by the same amounts again — unless the fault
+/// plan names it. Then `k` cycles ahead are `k ×` that growth, in
+/// checked integer arithmetic.
+///
+/// Nobody waits for a verdict. Each rank posts its cycle into a slot
+/// of its own, and judges a cycle one cycle later: its next cycle's
+/// `dt` allreduce cannot complete before every rank has entered it,
+/// hence posted. The verdict is a function of those posts alone, so
+/// every rank reaches the same one; the cost is that one more cycle is
+/// stepped than it takes to see the period.
+struct PeriodBoard {
+    /// Per rank, its posts of the last even and the last odd cycle: a
+    /// rank cannot complete cycle `c + 2` before every rank has judged
+    /// cycle `c`.
+    slots: Mutex<Vec<[Option<Posted>; 2]>>,
+}
+
+impl PeriodBoard {
+    fn new(ranks: usize) -> Self {
+        PeriodBoard {
+            slots: Mutex::new(vec![[None; 2]; ranks]),
+        }
+    }
+
+    /// Post `rank`'s cycle, and judge the cycle before it: was the
+    /// segment periodic when every rank had completed `cycle - 1`?
+    fn post(&self, rank: usize, posted: Posted) -> bool {
+        let mut slots = self.slots.lock();
+        slots[rank][(posted.cycle % 2) as usize] = Some(posted);
+        let judged = posted.cycle - 1;
+        let (mut sent, mut received, mut elapsed) = (0, 0, None);
+        for slot in slots.iter() {
+            let post = slot[(judged % 2) as usize];
+            let Some(post) = post.filter(|p| p.cycle == judged && p.steady) else {
+                return false;
+            };
+            if *elapsed.get_or_insert(post.elapsed) != post.elapsed {
+                return false;
+            }
+            sent += post.messages.0;
+            received += post.messages.1;
+        }
+        sent == received
+    }
+}
+
+/// The most cycles a segment adds up at once. Every clock and counter
+/// is advanced by one checked multiplication, but `t` — reported, so
+/// summed as stepping sums it — is walked forward one `dt` at a time:
+/// 2³⁰ additions are about a second of host time, and a `cycles` beyond
+/// that is refused rather than left spinning for hours.
+const MAX_ADDED_CYCLES: u64 = 1 << 30;
+
+/// A run asked to add up more than [`MAX_ADDED_CYCLES`] cycles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TooManyCycles(u64);
+
+impl std::fmt::Display for TooManyCycles {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} cycles to add up at once; at most {MAX_ADDED_CYCLES} are",
+            self.0
+        )
+    }
+}
+
 /// Run one segment and collect per-rank reports, telemetry, device
 /// busy time and the end state. Rank
 /// failures surface as typed errors — never panics or hangs (a dead
 /// rank's mailboxes disconnect its peers, and its device's rendezvous
 /// stops counting it).
+///
+/// The ranks step the segment's cycles one by one, except where all a
+/// cycle leaves behind is clocks and counts: in a cost-only segment
+/// with no collector and no particles every rank posts each stepped
+/// cycle on a [`PeriodBoard`], and once the segment has gone periodic
+/// the cycles ahead — up to the segment's end or the next cycle the
+/// fault plan names for any rank, which is stepped — are added, not
+/// stepped. Host time is then that of the few cycles it took to see
+/// the period (two equal cycles and the one after them), whatever
+/// `cfg.cycles` is. Full fidelity, telemetry, `--trace` and particles
+/// step every cycle, as does a segment that never repeats itself.
 fn run_segment(
     cfg: &RunConfig,
     fault_plan: &Arc<hsim_faults::FaultPlan>,
@@ -867,7 +1064,9 @@ fn run_segment(
 
     // Devices and clients per mode.
     let mut devices: Vec<Arc<SharedDevice>> = Vec::new();
-    let mut slots: Vec<Option<(GpuClient, Arc<SharedDevice>)>> =
+    // Per GPU rank: its client, its device, and whether it is the one
+    // client that accounts for the device where cycles are added up.
+    let mut slots: Vec<Option<(GpuClient, Arc<SharedDevice>, bool)>> =
         (0..n_ranks).map(|_| None).collect();
     match cfg.mode {
         ExecMode::CpuOnly => {}
@@ -876,7 +1075,7 @@ fn run_segment(
                 let device = Device::new(g, node.gpu_spec.clone());
                 let (shared, client) =
                     SharedDevice::new_exclusive(device, g).map_err(|e| e.to_string())?;
-                *slot = Some((client, Arc::clone(&shared)));
+                *slot = Some((client, Arc::clone(&shared), true));
                 devices.push(shared);
             }
         }
@@ -887,13 +1086,22 @@ fn run_segment(
                 let (shared, clients) =
                     SharedDevice::new_mps(device, &pids).map_err(|e| e.to_string())?;
                 for (i, client) in clients.into_iter().enumerate() {
-                    slots[g * per_gpu + i] = Some((client, Arc::clone(&shared)));
+                    slots[g * per_gpu + i] = Some((client, Arc::clone(&shared), i == 0));
                 }
                 devices.push(shared);
             }
         }
     }
     let slots = Mutex::new(slots);
+
+    // One collector per rank serves both consumers: the full
+    // telemetry summary and the legacy per-cycle Gantt trace (now a
+    // projection of the same span store).
+    let collect = cfg.telemetry || cfg.trace;
+    // Spans are per cycle and particle positions are real even where
+    // kernels are priced: such runs have more to a cycle than a mark.
+    let priced_only = cfg.fidelity == Fidelity::CostOnly && !collect && cfg.particles.is_none();
+    let board = priced_only.then(|| PeriodBoard::new(n_ranks));
 
     // Across the boundary come every rank's state, moved onto this
     // segment's boxes, and the merged particle set.
@@ -925,11 +1133,6 @@ fn run_segment(
         })
         .collect();
 
-    // One collector per rank serves both consumers: the full
-    // telemetry summary and the legacy per-cycle Gantt trace (now a
-    // projection of the same span store).
-    let collect = cfg.telemetry || cfg.trace;
-
     struct RankOut {
         report: RankReport,
         collector: Option<Collector>,
@@ -939,13 +1142,15 @@ fn run_segment(
         particles: Option<Vec<Particle>>,
         /// Particles this rank shipped to peers during the segment.
         migrated: u64,
+        /// Cycles this rank stepped.
+        stepped: u64,
     }
     // One rank body, resumable at every wait on a peer or a device;
     // `driver` decides whether a wait blocks the rank's thread or
     // parks the rank. Shared state goes in by reference so each rank's
     // future can copy the references.
-    let (slots, host_pool, plan, penalty_per_cycle) =
-        (&slots, &host_pool, &plan, &penalty_per_cycle);
+    let (slots, host_pool, plan, penalty_per_cycle, board) =
+        (&slots, &host_pool, &plan, &penalty_per_cycle, &board);
     let outputs: Vec<Result<RankOut, String>> = World::run_fallible(
         driver,
         n_ranks,
@@ -958,7 +1163,7 @@ fn run_segment(
             let client = slots.lock()[rank].take();
             // However this body ends, its device's rendezvous learns
             // that this client joins no further sync epoch.
-            let departure = client.as_ref().map(|(client, _)| client.departure());
+            let departure = client.as_ref().map(|(client, ..)| client.departure());
             let _departure = departure.transpose().map_err(|e| e.to_string())?;
             let mut clock = RankClock::new(rank);
             if collect {
@@ -973,7 +1178,7 @@ fn run_segment(
             // memory (paying the initial fault-in) and temporaries in a
             // device pool; CPU ranks host-allocate everything.
             let mut _pool: Option<MemoryPool> = None;
-            let target = if let Some((client, shared)) = &client {
+            let target = if let Some((client, shared, _)) = &client {
                 let mesh = memscheme::mesh_bytes(sub.zones());
                 let t_um = clock.now();
                 // Injected device OOM: a transient allocation failure
@@ -1078,7 +1283,20 @@ fn run_segment(
                 gpu_direct: cfg.gpu_direct,
             };
 
-            for cycle in seg.first_cycle..seg.last_cycle {
+            // Where cycles may be added up: the board, the rank's mark
+            // and its stream's end at the last cycle's end, and the
+            // rank's growth over that cycle.
+            let stream_end = |(client, ..): &(GpuClient, _, _)| client.stream_mark().end;
+            let led = client
+                .as_ref()
+                .and_then(|(_, shared, leads)| leads.then_some(&**shared));
+            let mut period = board.as_ref().map(|board| {
+                let start = RankMark::of(&clock, &exec, coupler.comm, 0.0, led);
+                (board, start, client.as_ref().map(stream_end), None)
+            });
+            let mut stepped = 0;
+            let mut cycle = seg.first_cycle;
+            while cycle < seg.last_cycle {
                 hsim_faults::set_cycle(cycle);
                 let cycle_start = clock.now();
                 let wait_before = clock.bucket(ChargeKind::Wait);
@@ -1144,23 +1362,88 @@ fn run_segment(
                     hsim_telemetry::rank_span(cat, "cycle", cycle_start, busy_end);
                     hsim_telemetry::rank_span(Category::Idle, "wait", busy_end, cycle_end);
                 }
+                cycle += 1;
+                stepped += 1;
+
+                let Some((board, mark, stream, grown)) = period.as_mut() else {
+                    continue;
+                };
+                let now = RankMark::of(&clock, &exec, coupler.comm, stats.dt, led);
+                let this = now.since(mark);
+                let elapsed = this.clock.now() - SimTime::ZERO;
+                // The stream kept pace with the clock, nothing queued.
+                let stream_now = client.as_ref().map(|(client, ..)| client.stream_mark());
+                let mut streams = stream_now.zip(*stream).into_iter();
+                let in_step = streams.all(|(now, was)| now.queued == 0 && now.end - was == elapsed);
+                let repeats = grown.as_ref() == Some(&this);
+                let periodic = board.post(
+                    rank,
+                    Posted {
+                        cycle,
+                        steady: repeats && in_step,
+                        elapsed,
+                        messages: now.messages,
+                    },
+                );
+                // A cycle the fault plan names, for any rank, is stepped,
+                // and says nothing about the cycles after it.
+                let named = || fault_plan.events.iter().map(|e| e.cycle);
+                let until = named().filter(|&c| c >= cycle).min();
+                let add = if periodic && named().all(|c| c != cycle - 1) {
+                    until.map_or(seg.last_cycle, |c| c.min(seg.last_cycle)) - cycle
+                } else {
+                    0
+                };
+                *mark = now;
+                *stream = stream_now.map(|s| s.end);
+                if add > 0 {
+                    // The cycle before was the period's; so was this one.
+                    debug_assert!(repeats && in_step, "rank {orig}, cycle {cycle}");
+                    // Every checked sum first: a run too long for the
+                    // clock is an error before `t` is walked forward.
+                    let added = clock
+                        .advance(&this.clock, add)
+                        .and_then(|()| exec.registry.advance(&this.kernels, add))
+                        .and_then(|()| coupler.comm.advance(this.bytes_sent, add))
+                        .and_then(|()| match &client {
+                            Some((client, ..)) => client.advance_stream(elapsed, add),
+                            None => Ok(()),
+                        })
+                        .and_then(|()| match (led, &this.device) {
+                            (Some(device), Some(grown)) => device.advance(grown, add),
+                            _ => Ok(()),
+                        });
+                    added.map_err(|e| format!("rank {orig}: {e}"))?;
+                    if add > MAX_ADDED_CYCLES {
+                        return Err(format!("rank {orig}: {}", TooManyCycles(add)));
+                    }
+                    // `t` is reported, so it is summed as stepping sums it.
+                    (0..add).for_each(|_| state.t += stats.dt);
+                    state.cycle += add;
+                    cycle += add;
+                    // The injector reads the last cycle gone through.
+                    hsim_faults::set_cycle(cycle - 1);
+                    *mark = RankMark::of(&clock, &exec, coupler.comm, stats.dt, led);
+                    *stream = client.as_ref().map(stream_end);
+                }
+                *grown = Some(this);
             }
 
             // The cycle loop's account: each bucket's growth since
             // `t0` on the rank's one clock, so the six partition `total`.
-            let since_t0 = |kind| clock.bucket(kind) - at_t0.bucket(kind);
+            let cycles = clock.since(&at_t0);
             let report = RankReport {
                 rank,
                 role,
                 zones: sub.zones(),
                 setup: t0 - SimTime::ZERO,
-                total: clock.now() - t0,
-                compute: since_t0(ChargeKind::Compute),
-                launch: since_t0(ChargeKind::Launch),
-                memory: since_t0(ChargeKind::Memory),
-                comm: since_t0(ChargeKind::Comm),
-                control: since_t0(ChargeKind::Control),
-                wait: since_t0(ChargeKind::Wait),
+                total: cycles.now() - SimTime::ZERO,
+                compute: cycles.bucket(ChargeKind::Compute),
+                launch: cycles.bucket(ChargeKind::Launch),
+                memory: cycles.bucket(ChargeKind::Memory),
+                comm: cycles.bucket(ChargeKind::Comm),
+                control: cycles.bucket(ChargeKind::Control),
+                wait: cycles.bucket(ChargeKind::Wait),
                 launches: exec.registry.total_launches(),
                 bytes_sent: coupler.comm.bytes_sent(),
             };
@@ -1180,6 +1463,7 @@ fn run_segment(
                 t,
                 migrated: phase.as_ref().map_or(0, |ph| ph.migrated),
                 particles: phase.map(|ph| ph.parts),
+                stepped,
             })
         }),
     );
@@ -1219,6 +1503,7 @@ fn run_segment(
     // `t` is identical on every rank: dt is an exact collective.
     let t = ranks.last().map_or(0.0, |out| out.t);
     let migrated = ranks.iter().map(|out| out.migrated).sum();
+    let stepped = ranks.first().map_or(0, |out| out.stepped);
     let collectors = ranks
         .iter_mut()
         .filter_map(|out| out.collector.take())
@@ -1229,6 +1514,7 @@ fn run_segment(
         collectors,
         device_busy: devices.iter().map(|d| d.busy()).collect(),
         migrated,
+        stepped,
         end: EndState { left, particles, t },
     })
 }
@@ -1833,7 +2119,7 @@ mod tests {
     /// is its message.
     fn emitted(cfg: &RunConfig, fraction: f64, driver: Driver) -> String {
         let r = match run_driven(cfg, fraction, driver) {
-            Ok(r) => r,
+            Ok((r, _)) => r,
             Err(e) => return format!("error: {e}"),
         };
         let s = r.telemetry.as_ref().expect("telemetry is on");
@@ -1931,10 +2217,452 @@ mod tests {
         assert!(threaded == emitted(&full, 0.25, Driver::Stepped));
     }
 
+    /// Everything a cost-only run reports, and the cycles it stepped.
+    /// An error is its message.
+    fn reported(cfg: &RunConfig, fraction: f64) -> (String, u64) {
+        match run_driven(cfg, fraction, Driver::Stepped) {
+            Err(e) => (format!("error: {e}"), 0),
+            Ok((r, stepped)) => {
+                let text = format!(
+                    "{}\n{:?}\n{:?}\n{:?} {:?} {:?} {:?}",
+                    r.csv_row(),
+                    r.runtime,
+                    r.ranks,
+                    r.device_busy,
+                    r.cpu_fraction,
+                    r.balance_history,
+                    r.scenario,
+                );
+                (text, stepped)
+            }
+        }
+    }
+
+    /// `cfg` as shipped against `cfg` stepped through every cycle — a
+    /// run that collects telemetry steps by rule, and reports what the
+    /// same run without telemetry reports. Returns the cycles each
+    /// stepped.
+    fn assert_added_up_equals_stepped(cfg: &RunConfig, fraction: f64, case: &str) -> (u64, u64) {
+        let mut oracle = cfg.clone();
+        oracle.telemetry = true;
+        let (stepped, every) = reported(&oracle, fraction);
+        let (shipped, some) = reported(cfg, fraction);
+        assert!(
+            shipped == stepped,
+            "{case}:\n{shipped}\n-- stepped --\n{stepped}"
+        );
+        assert!(some <= every, "{case}: stepped {some} of {every}");
+        (some, every)
+    }
+
+    /// Random runs on small grids, where some kernels last an exact
+    /// half-nanosecond: a device that resolved its epochs in absolute
+    /// `f64` seconds rounded those up or down with the time of day, and
+    /// one such run in twenty-five did not add up to its stepped twin.
+    #[test]
+    fn a_periodic_segment_added_up_equals_the_segment_stepped() {
+        use proptest::strategy::Strategy;
+        let mut rng = proptest::test_runner::TestRng::from_name("added up == stepped");
+        let mut draw = |below: u64| (0..below).sample(&mut rng);
+        let (mut added_up, mut cases) = (0, 0);
+        for _ in 0..256 {
+            // 16…96 × 16…96 × 16…64, in eights.
+            let mut side = |most: u64| 8 * (2 + draw(most - 1)) as usize;
+            let grid = (side(12), side(12), side(8));
+            let mode = [
+                ExecMode::CpuOnly,
+                ExecMode::Default,
+                ExecMode::Mps { per_gpu: 2 },
+                ExecMode::mps4(),
+                ExecMode::hetero(),
+                ExecMode::hetero(),
+            ][draw(6) as usize];
+            let hetero = matches!(mode, ExecMode::Heterogeneous { .. });
+            let mut cfg = RunConfig::sweep(grid, mode);
+            cfg.cycles = 1 + draw(40);
+            let fraction = 0.05 + 0.05 * draw(7) as f64;
+            if draw(2) == 1 {
+                cfg.diffusion = Some(DiffusionConfig::default());
+            }
+            cfg.gpu_direct = draw(4) == 0;
+            let every = [0, 2, 5, 7][draw(4) as usize];
+            if hetero && every > 0 {
+                cfg.rebalance = Some(RebalanceConfig {
+                    every,
+                    hysteresis: calib::REBALANCE_DEFAULT_HYSTERESIS,
+                });
+            }
+            let ranks = mode.total_ranks(&cfg.node) as u64;
+            let mut plan = Vec::new();
+            if draw(3) == 0 {
+                let site = [
+                    "gpu.launch",
+                    "gpu.oom",
+                    "xfer.delay",
+                    "xfer.corrupt",
+                    "pool.panic",
+                ][draw(5) as usize];
+                plan.push(format!(
+                    "{site}@rank{}.cycle{}",
+                    draw(ranks),
+                    draw(cfg.cycles)
+                ));
+            }
+            if draw(4) == 0 {
+                plan.push(format!(
+                    "rank.loss@rank{}.cycle{}",
+                    draw(ranks),
+                    draw(cfg.cycles + 1)
+                ));
+            }
+            if !plan.is_empty() {
+                cfg.faults = Some(hsim_faults::FaultPlan::parse(&plan.join(";")).unwrap());
+            }
+            let case = format!(
+                "{mode:?} {grid:?} cycles {} fraction {fraction} diffusion {:?} direct {} \
+                 rebalance {:?} faults {plan:?}",
+                cfg.cycles, cfg.diffusion, cfg.gpu_direct, cfg.rebalance
+            );
+            let (some, all) = assert_added_up_equals_stepped(&cfg, fraction, &case);
+            cases += 1;
+            added_up += u64::from(some < all);
+            // Left alone, a segment shows its period within four cycles.
+            if plan.is_empty() && cfg.rebalance.is_none() && all > 0 {
+                assert!(some <= 4, "{case}: stepped {some} of {all}");
+            }
+        }
+        // The optimisation must not have turned itself off.
+        assert!(
+            added_up * 2 > cases,
+            "{added_up} of {cases} runs added cycles up"
+        );
+    }
+
+    /// The four paper modes on the grid of the sweeps' reference point.
+    fn paper_modes() -> [ExecMode; 4] {
+        [
+            ExecMode::CpuOnly,
+            ExecMode::Default,
+            ExecMode::mps4(),
+            ExecMode::Heterogeneous {
+                cpu_fraction: Some(0.05),
+            },
+        ]
+    }
+
+    #[test]
+    fn a_sweep_point_steps_a_few_of_its_ten_cycles() {
+        // Default repeats itself from its first cycle; in the other
+        // modes the first cycle is a transient (the ranks leave set-up
+        // at different instants, and the devices start idle). Two equal
+        // cycles are the evidence, and the verdict on them is read at
+        // the end of the cycle after.
+        for (mode, expect) in paper_modes().into_iter().zip([4, 3, 4, 4]) {
+            let cfg = RunConfig::sweep((320, 240, 160), mode);
+            assert_eq!(cfg.cycles, 10);
+            let (some, all) = assert_added_up_equals_stepped(&cfg, 0.05, &format!("{mode:?}"));
+            assert_eq!((some, all), (expect, 10), "{mode:?}");
+            // Under rank threads too.
+            let threads = run_driven(&cfg, 0.05, Driver::Threads).unwrap();
+            let stepped = run_driven(&cfg, 0.05, Driver::Stepped).unwrap();
+            assert_eq!(threads.1, expect, "{mode:?}");
+            assert_eq!(
+                format!("{:?}", threads.0.ranks),
+                format!("{:?}", stepped.0.ranks)
+            );
+        }
+    }
+
+    #[test]
+    fn ten_thousand_cycles_are_one_cycle_plus_a_period_9999_times() {
+        // The serve front end's bound on `cycles`, per mode: affine in
+        // integer nanoseconds on every field of the report.
+        for mode in paper_modes() {
+            let at = |cycles| {
+                let mut cfg = RunConfig::sweep((320, 240, 160), mode);
+                cfg.cycles = cycles;
+                run_driven(&cfg, 0.05, Driver::Stepped).unwrap()
+            };
+            let ((one, _), (two, _), (many, stepped)) = (at(1), at(2), at(10_000));
+            assert!(stepped <= 4, "{mode:?}: stepped {stepped}");
+            let affine = |f: &dyn Fn(&RunResult) -> u64| {
+                assert_eq!(f(&many), f(&one) + 9_999 * (f(&two) - f(&one)), "{mode:?}");
+            };
+            affine(&|r| r.runtime.as_nanos());
+            for d in 0..one.device_busy.len() {
+                affine(&|r| r.device_busy[d].as_nanos());
+            }
+            for i in 0..one.ranks.len() {
+                assert_eq!(many.ranks[i].setup, one.ranks[i].setup, "{mode:?}");
+                affine(&|r| r.ranks[i].total.as_nanos());
+                affine(&|r| r.ranks[i].compute.as_nanos());
+                affine(&|r| r.ranks[i].launch.as_nanos());
+                affine(&|r| r.ranks[i].memory.as_nanos());
+                affine(&|r| r.ranks[i].comm.as_nanos());
+                affine(&|r| r.ranks[i].control.as_nanos());
+                affine(&|r| r.ranks[i].wait.as_nanos());
+                affine(&|r| r.ranks[i].launches);
+                affine(&|r| r.ranks[i].bytes_sent);
+                assert_eq!(many.ranks[i].account_residual(), SimDuration::ZERO);
+            }
+            let t_end = |r: &RunResult| r.scenario.as_ref().unwrap().t_end;
+            let walked = (0..10_000).fold(0.0, |t, _| t + calib::COST_ONLY_DT);
+            assert_eq!(t_end(&many).to_bits(), f64::to_bits(walked), "{mode:?}");
+
+            // Affine in itself says the sums are right, not the period:
+            // a long run against the same run stepped, on a grid whose
+            // kernels end on half-nanoseconds. (Stepping 10 000 with a
+            // collector takes minutes; CI's `perf-smoke` holds 2000 to
+            // `cmp` in release.)
+            let mut long = RunConfig::sweep((64, 48, 32), mode);
+            long.cycles = 300;
+            long.diffusion = Some(DiffusionConfig::default());
+            let (some, all) = assert_added_up_equals_stepped(&long, 0.05, &format!("{mode:?}"));
+            assert!(some <= 4 && all == 300, "{mode:?}: stepped {some} of {all}");
+        }
+    }
+
+    #[test]
+    fn half_nanosecond_kernels_add_up_exactly() {
+        // The two runs that showed the fence while the device resolved
+        // its epochs in absolute time: `boundary_fill` over 1800 zones
+        // is 119 ns at occupancy 2/53 = 3153.5 ns, and which way such an
+        // end rounded depended on when it ran. The first never showed
+        // two equal cycles; the second did, and a later cycle differed
+        // in `device_busy`.
+        let mut cfg = RunConfig::sweep((64, 48, 32), ExecMode::Mps { per_gpu: 2 });
+        cfg.cycles = 7;
+        cfg.diffusion = Some(DiffusionConfig::default());
+        let (some, all) = assert_added_up_equals_stepped(&cfg, 0.0, "mps2, 7 cycles");
+        assert_eq!((some, all), (4, 7));
+        let mut cfg = RunConfig::sweep((40, 96, 48), ExecMode::hetero());
+        cfg.cycles = 23;
+        cfg.diffusion = Some(DiffusionConfig::default());
+        let (some, all) = assert_added_up_equals_stepped(&cfg, 0.0625, "hetero, 23 cycles");
+        assert_eq!((some, all), (4, 23));
+    }
+
+    /// The heterogeneous 64×48×32 point the fallback tests share, and
+    /// the CSV row the commit before the period check printed for it.
+    fn fallback_cfg() -> RunConfig {
+        let mut cfg = RunConfig::sweep((64, 48, 32), paper_modes()[3]);
+        cfg.tile = Some([8, 8]);
+        cfg
+    }
+    const FALLBACK_ROW: &str = "2,hetero,64,48,32,98304,10,0.027271,0.1250,18480,27855440";
+
+    fn row_and_stepped(cfg: &RunConfig) -> (String, u64) {
+        let (r, stepped) = run_driven(cfg, 0.05, Driver::Stepped).unwrap();
+        (r.csv_row(), stepped)
+    }
+
+    #[test]
+    fn telemetry_steps_every_cycle() {
+        let mut cfg = fallback_cfg();
+        assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 4));
+        cfg.telemetry = true;
+        assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 10));
+        // A span per rank and cycle is still there.
+        let (r, _) = run_driven(&cfg, 0.05, Driver::Stepped).unwrap();
+        let s = r.telemetry.unwrap();
+        assert_eq!(s.metrics.counter(Counter::Cycles), 10 * 16);
+    }
+
+    #[test]
+    fn a_gantt_trace_steps_every_cycle() {
+        let mut cfg = fallback_cfg();
+        cfg.trace = true;
+        assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 10));
+        let (r, _) = run_driven(&cfg, 0.05, Driver::Stepped).unwrap();
+        assert_eq!(r.trace.unwrap().len(), 2 * 10 * 16);
+    }
+
+    #[test]
+    fn particles_step_every_cycle() {
+        let mut cfg = fallback_cfg();
+        cfg.particles = Some(ParticlesConfig {
+            count: 256,
+            ..ParticlesConfig::default()
+        });
+        let row = "2,hetero,64,48,32,98304,10,0.027347,0.1250,18639,27861880";
+        assert_eq!(row_and_stepped(&cfg), (row.to_string(), 10));
+    }
+
+    #[test]
+    fn full_fidelity_steps_every_cycle() {
+        let mut cfg = fallback_cfg();
+        cfg.grid = (32, 48, 32);
+        cfg.fidelity = Fidelity::Full;
+        let row = "2,hetero,32,48,32,49152,10,0.017352,0.1250,18480,13929040";
+        for driver in [Driver::Threads, Driver::Stepped] {
+            let (r, stepped) = run_driven(&cfg, 0.05, driver).unwrap();
+            assert_eq!((r.csv_row(), stepped), (row.to_string(), 10), "{driver:?}");
+        }
+    }
+
+    #[test]
+    fn a_cycle_the_fault_plan_names_is_stepped_and_the_ones_before_it_added() {
+        // Cycles 0–2 show the period and cycle 3 reads the verdict, 4–6
+        // are added, cycle 7 — named by the plan, for whichever rank —
+        // is stepped with its fault, and 8 and 9 after it, the run
+        // having no two equal cycles left to show. The same plan past
+        // the run's end changes nothing.
+        let mut cfg = fallback_cfg();
+        let plan = |spec| Some(hsim_faults::FaultPlan::parse(spec).unwrap());
+        cfg.faults = plan("xfer.delay@rank1.cycle7:ns=5000000");
+        let row = "2,hetero,64,48,32,98304,10,0.031681,0.1250,18480,27855440";
+        assert_eq!(row_and_stepped(&cfg), (row.to_string(), 4 + 3));
+        assert_added_up_equals_stepped(&cfg, 0.05, "delay at 7");
+        cfg.faults = plan("xfer.delay@rank1.cycle70:ns=5000000");
+        assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 4));
+        // A fault early enough leaves a period to find after it: the
+        // fault's cycle differs from the one before, the next from the
+        // fault's, the one after that equals it, and the one after
+        // reads so.
+        cfg.cycles = 40;
+        cfg.faults = plan("xfer.delay@rank1.cycle7:ns=5000000");
+        let (some, all) = assert_added_up_equals_stepped(&cfg, 0.05, "delay at 7 of 40");
+        assert_eq!((some, all), (4 + 1 + 3, 40));
+        // A fault the run absorbs (the driver waits for its device
+        // anyway) leaves every growth what it was, but a named cycle
+        // says nothing about the cycles after it: the verdict is read
+        // one cycle on.
+        cfg.faults = plan("gpu.launch@rank1.cycle7");
+        let (some, all) = assert_added_up_equals_stepped(&cfg, 0.05, "launch retry at 7");
+        assert_eq!((some, all), (4 + 1 + 1, 40));
+        // A named cycle that reads a verdict does not act on it.
+        cfg.faults = plan("xfer.delay@rank1.cycle3:ns=5000000");
+        let (some, all) = assert_added_up_equals_stepped(&cfg, 0.05, "delay at 3 of 40");
+        assert_eq!((some, all), (4 + 3, 40));
+    }
+
+    #[test]
+    fn a_rank_that_ends_early_hangs_nobody_where_cycles_are_added_up() {
+        use hsim_mpi::{CommCost, MpiError};
+        // Posting waits for nobody: a rank that errors out or panics
+        // between two posts leaves its peers to find out where they
+        // would have anyway, at the next collective.
+        for panics in [false, true] {
+            let board = &PeriodBoard::new(3);
+            let out = World::run_fallible(
+                Driver::Stepped,
+                3,
+                CommCost::free(),
+                |mut comm| async move {
+                    let rank = comm.rank();
+                    for cycle in 1..=3 {
+                        let summed = comm.iallreduce(1.0, |a, b| a + b).await;
+                        summed.map_err(|e| format!("rank {rank}: cycle {cycle}: {e}"))?;
+                        let posted = Posted {
+                            cycle,
+                            steady: true,
+                            elapsed: SimDuration::from_nanos(5),
+                            messages: comm.messages(),
+                        };
+                        // Judged a cycle late: cycle 1 at the end of 2.
+                        assert_eq!(board.post(rank, posted), cycle == 2, "{cycle}");
+                        if rank == 1 && cycle == 2 {
+                            if panics {
+                                panic!("rank body panicked");
+                            }
+                            return Err("rank 1: typed failure".to_string());
+                        }
+                    }
+                    Ok(())
+                },
+            );
+            // Rank 0 loses rank 1, and rank 2 — the tree's leaf — rank 0.
+            for (rank, peer) in [(0, 1), (2, 0)] {
+                let gone = MpiError::Disconnected { peer };
+                assert_eq!(out[rank], Err(format!("rank {rank}: cycle 3: {gone}")));
+            }
+            let own = if panics {
+                "rank body panicked"
+            } else {
+                "typed failure"
+            };
+            assert_eq!(out[1], Err(format!("rank 1: {own}")));
+        }
+
+        // Through a whole run, under a watchdog: cycles 4–6 are added,
+        // rank 1 dies in cycle 7, and the injected error surfaces.
+        for driver in [Driver::Stepped, Driver::Threads] {
+            let mut cfg = sweep_cfg((32, 48, 32), ExecMode::mps4());
+            cfg.cycles = 10;
+            cfg.faults =
+                Some(hsim_faults::FaultPlan::parse("gpu.launch@rank1.cycle7:perm").unwrap());
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = tx.send(run_driven(&cfg, 0.0, driver).map(|_| ()));
+            });
+            let err = rx
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .expect("the run hangs")
+                .expect_err("a permanent launch fault is fatal");
+            assert!(err.starts_with("rank 1: "), "{driver:?}: {err}");
+            assert!(err.contains("injected permanent launch fault"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_verdict_takes_every_rank_steady_in_step_and_nothing_in_flight() {
+        let post = |cycle, steady, ns, messages| Posted {
+            cycle,
+            steady,
+            elapsed: SimDuration::from_nanos(ns),
+            messages,
+        };
+        // Posts of cycle 1 by ranks 0 and 1; the verdict on them as
+        // rank 0 reads it when it posts cycle 2.
+        let verdict = |first: [Posted; 2]| {
+            let board = PeriodBoard::new(2);
+            assert!(!board.post(0, first[0]), "nothing to judge yet");
+            assert!(!board.post(1, first[1]));
+            board.post(0, post(2, true, 7, (3, 3)))
+        };
+        assert!(verdict([
+            post(1, true, 7, (2, 1)),
+            post(1, true, 7, (1, 2))
+        ]));
+        let unsteady = post(1, false, 7, (1, 2));
+        assert!(!verdict([post(1, true, 7, (2, 1)), unsteady]));
+        let out_of_step = post(1, true, 8, (1, 2));
+        assert!(!verdict([post(1, true, 7, (2, 1)), out_of_step]));
+        let in_flight = post(1, true, 7, (1, 1));
+        assert!(!verdict([post(1, true, 7, (2, 1)), in_flight]));
+        // A post of some other cycle — what a jump leaves behind.
+        let stale = post(3, true, 7, (1, 2));
+        assert!(!verdict([post(1, true, 7, (2, 1)), stale]));
+    }
+
+    #[test]
+    fn more_cycles_than_are_added_up_at_once_are_a_typed_error() {
+        // The clocks hold 2³⁰ cycles of this grid with room to spare;
+        // walking `t` that far is what the run declines.
+        let mut cfg = RunConfig::sweep((16, 24, 16), ExecMode::Default);
+        cfg.cycles = MAX_ADDED_CYCLES + 4;
+        let err = run_driven(&cfg, 0.0, Driver::Stepped).unwrap_err();
+        let refused = TooManyCycles(MAX_ADDED_CYCLES + 1).to_string();
+        assert!(err.contains(&refused), "{err}");
+    }
+
+    #[test]
+    fn more_cycles_than_the_clock_holds_are_a_typed_error() {
+        for mode in paper_modes() {
+            let mut cfg = RunConfig::sweep((16, 24, 16), mode);
+            cfg.cycles = u64::MAX / 2;
+            let err = run_driven(&cfg, 0.25, Driver::Stepped).unwrap_err();
+            assert!(
+                err.contains(&hsim_time::Overflow.to_string()),
+                "{mode:?}: {err}"
+            );
+        }
+    }
+
     /// The physics a run leaves behind, to the bit: mass, scenario
     /// error, final time and the particle phase.
     fn physics_bits(cfg: &RunConfig, fraction: f64, driver: Driver) -> (String, RunResult) {
-        let r = run_driven(cfg, fraction, driver).unwrap_or_else(|e| panic!("{e}"));
+        let (r, _) = run_driven(cfg, fraction, driver).unwrap_or_else(|e| panic!("{e}"));
         let p = r.particles.as_ref().expect("the particle phase is on");
         let s = r.scenario.as_ref().expect("a first-class scenario");
         let bits = format!(

@@ -333,6 +333,13 @@ mod tests {
         // Its full-fidelity legs, added after the table: pinned at what it parsed them to.
         ("--mode hetero --full --grid 32,48,32 --cycles 8 --fraction 0.30 --rebalance every=2,hysteresis=0.02 --particles 512 --diffusion 0.001 --tile 8,8 --faults rank.loss@rank5.cycle5 $JSON", 0x5d6310a8bea7d460),
         ("--mode mps --full --grid 32,48,32 --cycles 3 --faults gpu.launch@rank1.cycle1:perm", 0x673fdef1a944ef8b),
+        // ci.yml perf-smoke: added up against stepped (telemetry on), pinned as above.
+        ("--mode default --no-balance --grid 320,240,160 --cycles 200 --csv", 0x93aedf33f8c94759),
+        ("--mode mps --no-balance --grid 320,240,160 --cycles 200 --csv --metrics-json /dev/null", 0x25e9d06249803851),
+        ("--mode hetero --no-balance --grid 320,240,160 --cycles 200 --csv", 0x4a9b4a1db0a883c7),
+        ("--mode hetero --diffusion 0.001 --no-balance --grid 320,240,160 --cycles 200 --csv --metrics-json /dev/null", 0xe4c5632ec4fd8965),
+        ("--mode mps --no-balance --grid 64,48,32 --diffusion 0.001 --cycles 2000 --csv", 0xcf0a93dff177268f),
+        ("--mode cpuonly --no-balance --grid 64,48,32 --diffusion 0.001 --cycles 2000 --csv --metrics-json /dev/null", 0x2114af6b302857a0),
         // README.md.
         ("--mode hetero --full --tile 8,8", 0x703c3fa7b060b7da),
         ("--mode hetero --grid 600,480,160 --trace", 0xfc7f370299716170),

@@ -13,7 +13,7 @@ use crate::memory::{DeviceHeap, UnifiedMemory};
 use crate::spec::DeviceSpec;
 use crate::stream::{Stream, StreamId, StreamTable};
 use crate::timeline::{Job, JobOutcome, RateSharingTimeline};
-use hsim_time::{SimDuration, SimTime};
+use hsim_time::{advanced, Overflow, SimDuration, SimTime};
 
 /// Receipt for one kernel submission.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,14 +141,44 @@ impl Device {
     /// Execute every pending launch on the rate-sharing timeline.
     /// Returns per-job outcomes (in submission order) and clears the
     /// queue. The device's cumulative busy time is updated.
+    ///
+    /// The batch is resolved relative to its earliest arrival: the
+    /// timeline works in `f64` seconds and rounds to a nanosecond, so
+    /// in absolute time a batch shifted by whole nanoseconds could
+    /// round differently. Rebased in integer nanoseconds, the same
+    /// launches at the same offsets take the same time whenever they
+    /// run — what lets a run add a repeated cycle up instead of
+    /// stepping it.
     pub fn run_pending(&mut self) -> Vec<JobOutcome> {
         let tl = RateSharingTimeline::with_contention(1.0, self.spec.sharing_penalty);
-        let outcomes = tl.simulate(&self.pending);
-        for o in &outcomes {
+        let first = self.pending.iter().map(|j| j.arrival).min();
+        let first = first.unwrap_or(SimTime::ZERO);
+        let since = first - SimTime::ZERO;
+        for job in &mut self.pending {
+            job.arrival = SimTime::ZERO + (job.arrival - first);
+        }
+        let mut outcomes = tl.simulate(&self.pending);
+        for o in &mut outcomes {
+            (o.start, o.end) = (o.start + since, o.end + since);
             self.busy += o.end - o.start;
         }
         self.pending.clear();
         outcomes
+    }
+
+    /// Account `times` more repetitions of a period in which the device
+    /// was busy for `busy` over `launches` launches, all of them
+    /// resolved. Job ids just continue from where they are: nothing
+    /// reads one across an epoch.
+    pub fn advance(
+        &mut self,
+        busy: SimDuration,
+        launches: u64,
+        times: u64,
+    ) -> Result<(), Overflow> {
+        self.total_launches = advanced(self.total_launches, launches, times)?;
+        self.busy = SimDuration(advanced(self.busy.0, busy.0, times)?);
+        Ok(())
     }
 
     /// Lifetime launch count (reporting).
@@ -277,6 +307,67 @@ mod tests {
             .unwrap_err(),
             GpuError::InvalidStream
         );
+    }
+
+    #[test]
+    fn advancing_by_a_period_is_running_it_again() {
+        let k = KernelDesc::new("k", 50.0, 8.0);
+        let open = || {
+            let mut d = device();
+            let ctx = d.create_context(0).unwrap();
+            let s = d.create_stream(ctx.id).unwrap();
+            (d, ctx.id, s.id)
+        };
+        let period = |(d, ctx, s): &mut (Device, ContextId, StreamId), at: SimTime| {
+            let shape = KernelShape::new(1_000_000, 320);
+            d.submit(*ctx, *s, &k, shape, at, false).unwrap();
+            d.submit(*ctx, *s, &k, shape, at, false).unwrap();
+            let ends = d.run_pending();
+            ends.iter().map(|o| o.end).fold(at, SimTime::merge)
+        };
+        let mut once = open();
+        period(&mut once, SimTime::ZERO);
+        let (busy, launches) = (once.0.busy(), once.0.total_launches());
+        let mut stepped = open();
+        let mut at = SimTime::ZERO;
+        for _ in 0..4 {
+            at = period(&mut stepped, at);
+        }
+        once.0.advance(busy, launches, 3).unwrap();
+        let read = |d: &Device| (d.busy(), d.total_launches());
+        assert_eq!(read(&once.0), (stepped.0.busy(), 8));
+        assert_eq!(once.0.advance(busy, launches, u64::MAX / 2), Err(Overflow));
+    }
+
+    #[test]
+    fn an_epoch_takes_the_same_time_whenever_it_runs() {
+        // 1800 elements in rows of 40 occupy 2/53 of a K80, so 119 ns
+        // of work last 3153.5 ns: an end that rounds up or down with
+        // the absolute time unless the epoch is resolved from its own
+        // start.
+        let k = KernelDesc::new("k", 1.0, 15.9);
+        let shape = KernelShape::new(1800, 40);
+        let epoch = |at: SimTime| {
+            let mut d = device();
+            assert_eq!(
+                k.roofline_time(d.spec(), 1800),
+                SimDuration::from_nanos(119)
+            );
+            let ctx = d.create_context(0).unwrap();
+            for i in 0..3 {
+                let s = d.create_stream(ctx.id).unwrap().id;
+                let later = at + SimDuration::from_nanos(700 * i);
+                d.submit(ctx.id, s, &k, shape, later, false).unwrap();
+                d.submit(ctx.id, s, &k, shape, later, false).unwrap();
+            }
+            let spans = d.run_pending();
+            let offsets: Vec<_> = spans.iter().map(|o| (o.start - at, o.end - at)).collect();
+            (offsets, d.busy())
+        };
+        let at_zero = epoch(SimTime::ZERO);
+        for at in [1, 2, 7_777_777, 129_795_560, 1_000_000_000_001] {
+            assert_eq!(epoch(SimTime::from_nanos(at)), at_zero, "at {at}");
+        }
     }
 
     #[test]

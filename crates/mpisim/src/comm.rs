@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use hsim_time::clock::ChargeKind;
 use hsim_time::task::{self, Waiting};
-use hsim_time::{RankClock, SimTime};
+use hsim_time::{advanced, Overflow, RankClock, SimTime};
 
 use crate::cost::CommCost;
 use crate::error::MpiError;
@@ -66,6 +66,9 @@ pub struct Comm {
     coll_seq: u32,
     /// Total bytes sent (reporting).
     bytes_sent: u64,
+    /// Messages sent, and messages a receive has consumed.
+    sent: u64,
+    received: u64,
 }
 
 impl Comm {
@@ -87,6 +90,8 @@ impl Comm {
             pending,
             coll_seq: 0,
             bytes_sent: 0,
+            sent: 0,
+            received: 0,
         }
     }
 
@@ -116,6 +121,23 @@ impl Comm {
     /// Total bytes this rank has sent.
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
+    }
+
+    /// How many messages this rank has sent, and how many its receives
+    /// have consumed. Over a whole world the two sums are equal exactly
+    /// when nothing is in flight: every mailbox and every out-of-order
+    /// buffer is empty.
+    pub fn messages(&self) -> (u64, u64) {
+        (self.sent, self.received)
+    }
+
+    /// Account `times` more repetitions of a period in which this rank
+    /// sent `bytes` and left nothing in flight. Only the byte count
+    /// moves: the message counts matter as a balance, and collective
+    /// tags only have to be the same on every rank.
+    pub fn advance(&mut self, bytes: u64, times: u64) -> Result<(), Overflow> {
+        self.bytes_sent = advanced(self.bytes_sent, bytes, times)?;
+        Ok(())
     }
 
     fn check_rank(&self, r: usize) -> Result<(), MpiError> {
@@ -154,6 +176,7 @@ impl Comm {
             departure: self.clock.now(),
         };
         self.bytes_sent += bytes;
+        self.sent += 1;
         hsim_telemetry::count(hsim_telemetry::Counter::MpiSends, 1);
         hsim_telemetry::count(hsim_telemetry::Counter::MpiBytesSent, bytes);
         hsim_telemetry::span_args(
@@ -224,6 +247,7 @@ impl Comm {
         };
         // Virtual arrival: departure + wire time. Wait for it, then pay
         // the receive-path overhead.
+        self.received += 1;
         let t0 = self.clock.now();
         let arrival = pkt.departure + self.cost.msg_time(pkt.bytes);
         self.clock.wait_until(arrival);

@@ -416,6 +416,34 @@ mod tests {
     }
 
     #[test]
+    fn message_counts_balance_when_nothing_is_in_flight() {
+        let out = on_both(3, CommCost::on_node(), |mut comm| async move {
+            let right = (comm.rank() + 1) % 3;
+            let left = (comm.rank() + 2) % 3;
+            comm.send(right, 1, vec![0u8; 10]).unwrap();
+            comm.send(right, 2, vec![0u8; 10]).unwrap();
+            // Out of order: tag 1 waits in the buffer, not yet received.
+            let _: Vec<u8> = comm.irecv(left, 2).await.unwrap();
+            let mid = comm.messages();
+            let _: Vec<u8> = comm.irecv(left, 1).await.unwrap();
+            comm.iallreduce(1.0, |a, b| a + b).await.unwrap();
+            // A fast-forwarded period moves the byte count alone.
+            let (bytes, counts) = (comm.bytes_sent(), comm.messages());
+            comm.advance(20, 4).unwrap();
+            assert_eq!(comm.bytes_sent(), bytes + 80);
+            assert_eq!(comm.messages(), counts);
+            assert_eq!(comm.advance(u64::MAX, 2), Err(hsim_time::Overflow));
+            (mid, counts)
+        });
+        assert!(out.iter().all(|(mid, _)| *mid == (2, 1)));
+        let (sent, received) = out
+            .iter()
+            .fold((0, 0), |(s, r), (_, end)| (s + end.0, r + end.1));
+        assert_eq!(sent, received, "{out:?}");
+        assert!(sent > 6, "the collective's hops count too");
+    }
+
+    #[test]
     fn run_fallible_turns_a_dead_rank_into_typed_errors_not_a_hang() {
         // Rank 1 dies before sending anything — by returning an error
         // or by panicking. Rank 0 waits for its message: the dropped

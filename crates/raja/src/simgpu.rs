@@ -11,7 +11,7 @@
 //! bulk-synchronous structure of the application (every rank
 //! synchronizes with its device at least once per cycle).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -19,7 +19,7 @@ use parking_lot::{Condvar, Mutex};
 use hsim_gpu::mps::{MpsClient, MpsServer};
 use hsim_gpu::{ContextId, Device, DeviceSpec, GpuError, KernelDesc, KernelShape, StreamId};
 use hsim_time::task::{self, Waiting};
-use hsim_time::{SimDuration, SimTime};
+use hsim_time::{advanced, Overflow, SimDuration, SimTime};
 
 struct Inner {
     device: Device,
@@ -35,7 +35,7 @@ struct Inner {
     job_streams: HashMap<u64, u64>,
     /// stream key → completion time of the last kernel in the resolved
     /// epoch (cumulative across epochs).
-    stream_end: HashMap<u64, SimTime>,
+    stream_end: BTreeMap<u64, SimTime>,
     /// job id → (kernel name, elements) for the in-flight epoch.
     /// Populated only when the submitting thread records telemetry, so
     /// the disabled path never allocates here.
@@ -110,6 +110,36 @@ struct ResolvedKernel {
     occupancy: f64,
 }
 
+/// A device's counters, read between two epochs. They move only when
+/// an epoch resolves, which takes every client: between two of its own
+/// syncs a client reads the same values whatever its peers are doing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeviceMark {
+    pub busy: SimDuration,
+    /// Launches the device has executed (a queued launch is not).
+    pub launches: u64,
+}
+
+impl DeviceMark {
+    /// The counters' growth since the reading `earlier`.
+    pub fn since(&self, earlier: &DeviceMark) -> DeviceMark {
+        DeviceMark {
+            busy: self.busy - earlier.busy,
+            launches: self.launches - earlier.launches,
+        }
+    }
+}
+
+/// A client's stream, read by that client between two of its syncs —
+/// nobody else launches into it or waits for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamMark {
+    /// Completion time of the stream's last resolved kernel.
+    pub end: SimTime,
+    /// Launches of this client queued for the next epoch.
+    pub queued: usize,
+}
+
 /// One simulated GPU shared by one or more ranks.
 pub struct SharedDevice {
     inner: Mutex<Inner>,
@@ -178,7 +208,7 @@ impl SharedDevice {
                 epoch: 0,
                 guarded: HashSet::new(),
                 job_streams: HashMap::new(),
-                stream_end: HashMap::new(),
+                stream_end: BTreeMap::new(),
                 job_meta: HashMap::new(),
                 resolved_kernels: HashMap::new(),
             }),
@@ -218,7 +248,7 @@ impl SharedDevice {
                 epoch: 0,
                 guarded: HashSet::new(),
                 job_streams: HashMap::new(),
-                stream_end: HashMap::new(),
+                stream_end: BTreeMap::new(),
                 job_meta: HashMap::new(),
                 resolved_kernels: HashMap::new(),
             }),
@@ -264,6 +294,27 @@ impl SharedDevice {
         self.inner.lock().device.busy()
     }
 
+    /// Read the device's counters.
+    pub fn mark(&self) -> DeviceMark {
+        let inner = self.inner.lock();
+        let queued = inner.device.pending_jobs().len() as u64;
+        DeviceMark {
+            busy: inner.device.busy(),
+            launches: inner.device.total_launches() - queued,
+        }
+    }
+
+    /// Account `times` more repetitions of `period` (a growth taken
+    /// with [`DeviceMark::since`]), all of whose launches resolved —
+    /// once per device, whatever the number of its clients; each
+    /// client moves its own stream ([`GpuClient::advance_stream`]).
+    /// The epoch count just continues: it only tells a waiter that its
+    /// epoch has resolved.
+    pub fn advance(&self, period: &DeviceMark, times: u64) -> Result<(), Overflow> {
+        let device = &mut self.inner.lock().device;
+        device.advance(period.busy, period.launches, times)
+    }
+
     /// Allocate a unified-memory region of `bytes` and fault it onto
     /// the device (ARES mesh data, Figure 8). Returns the region and
     /// the migration charge the caller must add to its clock.
@@ -306,6 +357,26 @@ impl GpuClient {
         Ok(Departure {
             dev: Arc::clone(&self.dev),
         })
+    }
+
+    /// Read this client's stream.
+    pub fn stream_mark(&self) -> StreamMark {
+        let inner = self.dev.inner.lock();
+        let end = inner.stream_end.get(&self.stream.0).copied();
+        let mine = |job: &&hsim_gpu::timeline::Job| job.stream == self.stream.0;
+        StreamMark {
+            end: end.unwrap_or(SimTime::ZERO),
+            queued: inner.device.pending_jobs().iter().filter(mine).count(),
+        }
+    }
+
+    /// Move this client's stream `times` more repetitions of a period
+    /// that took it `step` further.
+    pub fn advance_stream(&self, step: SimDuration, times: u64) -> Result<(), Overflow> {
+        let mut inner = self.dev.inner.lock();
+        let end = inner.stream_end.entry(self.stream.0).or_default();
+        *end = SimTime(advanced(end.0, step.0, times)?);
+        Ok(())
     }
 
     /// Submit one kernel launch at virtual instant `at`. Returns the
@@ -513,6 +584,55 @@ mod tests {
         // The last client alone is a whole epoch.
         block_on(clients[1].sync(SimTime::ZERO));
         assert_eq!(dev.epoch(), 2);
+    }
+
+    #[test]
+    fn advancing_a_shared_device_is_running_its_period_again() {
+        // One period: both clients launch at `at`, then sync.
+        let period = |dev: &SharedDevice, clients: &[GpuClient], at: SimTime| {
+            let executed = dev.mark().launches;
+            for c in clients {
+                c.launch(&desc(), KernelShape::new(500_000, 40), at)
+                    .unwrap();
+                assert_eq!(c.stream_mark().queued, 1);
+            }
+            assert_eq!(dev.mark().launches, executed, "queued, not executed");
+            let ends = std::thread::scope(|s| {
+                let syncs: Vec<_> = clients
+                    .iter()
+                    .map(|c| s.spawn(move || block_on(c.sync(at))))
+                    .collect();
+                syncs.into_iter().map(|h| h.join().unwrap()).max()
+            });
+            assert_eq!(dev.mark().launches, executed + 2);
+            ends.unwrap()
+        };
+        let read = |dev: &SharedDevice, clients: &[GpuClient]| {
+            let streams: Vec<StreamMark> = clients.iter().map(|c| c.stream_mark()).collect();
+            (dev.mark(), streams)
+        };
+        let (dev, clients) = SharedDevice::new_mps(k80(), &[0, 1]).unwrap();
+        let t1 = period(&dev, &clients, SimTime::ZERO);
+        let first = dev.mark();
+        let t2 = period(&dev, &clients, t1);
+        let grown = dev.mark().since(&first);
+        // The same launches at the same offsets, whenever they run.
+        assert_eq!((grown.busy, grown.launches), (first.busy, 2));
+        assert_eq!(t2 - t1, t1 - SimTime::ZERO);
+
+        // Three more periods added are three more periods run.
+        dev.advance(&grown, 3).unwrap();
+        for c in &clients {
+            c.advance_stream(t2 - t1, 3).unwrap();
+        }
+        let (run, runners) = SharedDevice::new_mps(k80(), &[0, 1]).unwrap();
+        let end = (0..5).fold(SimTime::ZERO, |at, _| period(&run, &runners, at));
+        assert_eq!(read(&dev, &clients), read(&run, &runners));
+        assert_eq!(clients[0].stream_mark().end, end);
+
+        assert_eq!(dev.advance(&grown, u64::MAX / 2), Err(Overflow));
+        let too_far = clients[0].advance_stream(t2 - t1, u64::MAX / 2);
+        assert_eq!(too_far, Err(Overflow));
     }
 
     #[test]

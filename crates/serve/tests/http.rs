@@ -244,7 +244,10 @@ fn healthz_answers_beside_a_stalled_request_and_a_miss_in_flight() {
     serving(one_worker, 3, |addr, server| {
         let mut stalled = begin(&addr, "GET /hea");
         std::thread::scope(|s| {
-            let long = "mode=default&grid=24,16,8&cycles=10000&balanced=0";
+            // Particles are stepped through every cycle; without them
+            // a run adds its period up and 10 000 cycles are over in
+            // milliseconds.
+            let long = "mode=default&grid=24,16,8&cycles=10000&particles=64&balanced=0";
             let miss = s.spawn(|| request(&addr, "POST", "/run", long));
             until(|| server.stats().misses == 1);
 

@@ -9,7 +9,7 @@
 //! compute / communication / launch overhead / memory traffic, which
 //! is how the paper's discussion reasons about the modes.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::{advanced, Overflow, SimDuration, SimTime};
 
 /// Broad attribution buckets for charged time.
 ///
@@ -68,7 +68,7 @@ impl ChargeKind {
 }
 
 /// The virtual clock owned by one simulated rank.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankClock {
     rank: usize,
     now: SimTime,
@@ -121,6 +121,30 @@ impl RankClock {
         self.buckets[kind.index()]
     }
 
+    /// This clock's growth since the reading `earlier` of it, as a
+    /// clock that read zero then: `now` is the time elapsed, each
+    /// bucket its share. The buckets of a difference partition its
+    /// `now` as those of any clock do.
+    pub fn since(&self, earlier: &RankClock) -> RankClock {
+        RankClock {
+            rank: self.rank,
+            now: SimTime::ZERO + (self.now - earlier.now),
+            buckets: std::array::from_fn(|i| self.buckets[i] - earlier.buckets[i]),
+        }
+    }
+
+    /// Advance by `times` repetitions of `period` (a growth taken with
+    /// [`RankClock::since`]): what charging and waiting through that
+    /// period `times` more would leave, in exact integer nanoseconds.
+    pub fn advance(&mut self, period: &RankClock, times: u64) -> Result<(), Overflow> {
+        self.now = SimTime(advanced(self.now.0, period.now.0, times)?);
+        // The buckets sum to `now` on both sides, so none can pass it.
+        for (bucket, step) in self.buckets.iter_mut().zip(&period.buckets) {
+            bucket.0 += step.0 * times;
+        }
+        Ok(())
+    }
+
     /// A snapshot of (kind, duration) pairs in reporting order.
     pub fn breakdown(&self) -> Vec<(ChargeKind, SimDuration)> {
         ChargeKind::ALL
@@ -156,6 +180,30 @@ mod tests {
         c.wait_until(SimTime::from_nanos(80));
         assert_eq!(c.now(), SimTime::from_nanos(80));
         assert_eq!(c.bucket(ChargeKind::Wait), SimDuration::from_nanos(30));
+    }
+
+    #[test]
+    fn advancing_by_a_period_is_charging_it_again() {
+        let mut c = RankClock::new(1);
+        c.charge(ChargeKind::Memory, SimDuration::from_nanos(9));
+        let before = c.clone();
+        let cycle = |c: &mut RankClock| {
+            c.charge(ChargeKind::Compute, SimDuration::from_nanos(100));
+            c.wait_until(c.now() + SimDuration::from_nanos(7));
+        };
+        cycle(&mut c);
+        let period = c.since(&before);
+        assert_eq!(period.now(), SimTime::from_nanos(107));
+        assert_eq!(period.bucket(ChargeKind::Memory), SimDuration::ZERO);
+        let mut stepped = c.clone();
+        (0..5).for_each(|_| cycle(&mut stepped));
+        c.advance(&period, 5).unwrap();
+        assert_eq!(c, stepped);
+        let sum: SimDuration = c.breakdown().into_iter().map(|(_, d)| d).sum();
+        assert_eq!(SimTime::ZERO + sum, c.now(), "the buckets partition now");
+        c.advance(&period, 0).unwrap();
+        assert_eq!(c, stepped);
+        assert_eq!(c.advance(&period, u64::MAX / 2), Err(Overflow));
     }
 
     #[test]

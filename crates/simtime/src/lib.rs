@@ -34,5 +34,5 @@ pub mod trace;
 pub use clock::RankClock;
 pub use rng::SplitMix64;
 pub use stats::{Histogram, Welford};
-pub use time::{SimDuration, SimTime};
+pub use time::{advanced, Overflow, SimDuration, SimTime};
 pub use trace::{Span, SpanCategory, Trace};

@@ -19,6 +19,33 @@ pub struct SimTime(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
+/// A count or clock that would pass `u64::MAX` if a period were added
+/// to it the asked number of times. Stepping saturates; adding many
+/// periods at once must not, so every `advance` in the stack is checked
+/// and fails with this.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Overflow;
+
+impl fmt::Display for Overflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "overflow: the run's cycles do not fit 64-bit virtual time and counters"
+        )
+    }
+}
+
+impl std::error::Error for Overflow {}
+
+/// `value + times · step`, checked — the one sum every fast-forwarded
+/// quantity is advanced by.
+#[inline]
+pub fn advanced(value: u64, step: u64, times: u64) -> Result<u64, Overflow> {
+    step.checked_mul(times)
+        .and_then(|d| value.checked_add(d))
+        .ok_or(Overflow)
+}
+
 impl SimTime {
     /// The simulated epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
