@@ -1,5 +1,6 @@
 //! Run results and CSV reporting.
 
+use hsim_telemetry::{gantt::render_gantt, SpanEvent};
 use hsim_time::SimDuration;
 
 use crate::binding::RankRole;
@@ -85,6 +86,12 @@ pub struct ParticleReport {
     pub checksum: u64,
 }
 
+/// The busy/wait pair the runner records per rank and cycle: all the
+/// `--trace` timeline draws of the span store.
+pub(crate) fn per_cycle(s: &SpanEvent) -> bool {
+    s.name == "cycle" || s.name == "wait"
+}
+
 /// Aggregate result of one cooperative run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -100,10 +107,9 @@ pub struct RunResult {
     pub ranks: Vec<RankReport>,
     /// Per-device kernel busy time (GPU modes).
     pub device_busy: Vec<SimDuration>,
-    /// Per-cycle rank spans when the run was traced.
-    pub trace: Option<hsim_time::Trace>,
-    /// Full telemetry (metrics, kernel profiles, structured spans)
-    /// when [`crate::RunConfig::telemetry`] was set.
+    /// The run's one span store, with metrics and kernel profiles,
+    /// when [`crate::RunConfig::telemetry`] or
+    /// [`crate::RunConfig::trace`] was set.
     pub telemetry: Option<hsim_telemetry::Summary>,
     /// Total mass Σ ρ·V over the final state (full fidelity only;
     /// None in cost-only runs, whose zone values carry no physics).
@@ -147,6 +153,14 @@ impl RunResult {
     /// Total MPI bytes sent across ranks.
     pub fn total_bytes_sent(&self) -> u64 {
         self.ranks.iter().map(|r| r.bytes_sent).sum()
+    }
+
+    /// The `--trace` timeline, `width` columns wide: one row per rank
+    /// over its per-cycle busy and wait spans (`None` when the run
+    /// kept no span store).
+    pub fn timeline(&self, width: usize) -> Option<String> {
+        let summary = self.telemetry.as_ref()?;
+        Some(render_gantt(&summary.spans, width, per_cycle))
     }
 
     /// Version of the CSV schema emitted by [`RunResult::csv_row`].
@@ -286,7 +300,6 @@ mod tests {
                 report(2, false, 9),
             ],
             device_busy: vec![SimDuration::from_micros(18)],
-            trace: None,
             telemetry: None,
             mass: None,
             balance_history: Vec::new(),

@@ -112,8 +112,8 @@ pub struct RunConfig {
     /// MultiPolicy host threshold for GPU ranks (0 = disabled; the
     /// paper's future-work runtime policy selection).
     pub multipolicy_threshold: u64,
-    /// Record per-cycle spans per rank (busy vs waiting) for Gantt
-    /// rendering.
+    /// Ask for the Gantt ([`RunResult::timeline`]) of the per-cycle
+    /// busy/wait spans. Collects what `telemetry` collects.
     pub trace: bool,
     /// Collect full telemetry (metrics, kernel profiles, structured
     /// spans) into [`RunResult::telemetry`]. Off by default: the
@@ -626,10 +626,6 @@ impl RunAcc {
             }
             s
         });
-        let trace = summary
-            .as_ref()
-            .filter(|_| cfg.trace)
-            .map(|s| s.legacy_trace_where(|sp| sp.name == "cycle" || sp.name == "wait"));
         let grid = cfg.global_grid();
         // The final sums run over the ranks' tallies in rank order.
         let tallies = || {
@@ -650,8 +646,7 @@ impl RunAcc {
             cycles: cfg.cycles,
             ranks,
             device_busy: self.device_busy,
-            trace,
-            telemetry: summary.filter(|_| cfg.telemetry),
+            telemetry: summary,
             mass: full.then(|| tallies().map(|(mass, _)| mass).sum()),
             balance_history: rb.map(|rb| rb.history).unwrap_or_default(),
             particles: self.end.particles.as_deref().map(|p| ParticleReport {
@@ -1094,9 +1089,8 @@ fn run_segment(
     }
     let slots = Mutex::new(slots);
 
-    // One collector per rank serves both consumers: the full
-    // telemetry summary and the legacy per-cycle Gantt trace (now a
-    // projection of the same span store).
+    // One collector per rank serves both consumers: the telemetry
+    // exports and the `--trace` Gantt read the same span store.
     let collect = cfg.telemetry || cfg.trace;
     // Spans are per cycle and particle positions are real even where
     // kernels are priced: such runs have more to a cycle than a mark.
@@ -1813,23 +1807,28 @@ mod tests {
         );
     }
 
+    /// How many spans of the run the `--trace` Gantt draws.
+    fn per_cycle_spans(r: &RunResult) -> usize {
+        let spans = &r.telemetry.as_ref().expect("a span store").spans;
+        spans.iter().filter(|s| crate::report::per_cycle(s)).count()
+    }
+
     #[test]
     fn traced_run_records_spans_for_every_rank_and_cycle() {
         let mut cfg = sweep_cfg((64, 48, 32), ExecMode::hetero());
         cfg.trace = true;
         let r = run(&cfg).unwrap();
-        let trace = r.trace.as_ref().expect("trace requested");
         // Two spans (busy + wait) per rank per cycle.
         assert_eq!(
-            trace.len() as u64,
+            per_cycle_spans(&r) as u64,
             2 * cfg.cycles * r.ranks.len() as u64,
             "span count"
         );
-        let gantt = trace.render_gantt(60);
+        let gantt = r.timeline(60).unwrap();
         assert!(gantt.contains('G') && gantt.contains('C'), "{gantt}");
-        // Untraced runs carry no trace.
+        // Untraced runs carry no span store.
         cfg.trace = false;
-        assert!(run(&cfg).unwrap().trace.is_none());
+        assert!(run(&cfg).unwrap().telemetry.is_none());
     }
 
     #[test]
@@ -2474,7 +2473,7 @@ mod tests {
         cfg.trace = true;
         assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 10));
         let (r, _) = run_driven(&cfg, 0.05, Driver::Stepped).unwrap();
-        assert_eq!(r.trace.unwrap().len(), 2 * 10 * 16);
+        assert_eq!(per_cycle_spans(&r), 2 * 10 * 16);
     }
 
     #[test]

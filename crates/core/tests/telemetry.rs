@@ -124,7 +124,6 @@ fn telemetry_off_leaves_result_lean() {
     };
     let (result, _lb) = run_balanced(&cfg).expect("plain run");
     assert!(result.telemetry.is_none());
-    assert!(result.trace.is_none());
 }
 
 #[test]

@@ -3,8 +3,8 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use hsim_time::clock::ChargeKind;
 use hsim_time::task::{self, Waiting};
 use hsim_time::{advanced, Overflow, RankClock, SimTime};

@@ -9,8 +9,8 @@
 
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::channel;
 
-use crossbeam::channel::unbounded;
 use hsim_time::task::{self, Resumed};
 
 use crate::comm::{Comm, Packet};
@@ -90,7 +90,7 @@ fn endpoints(size: usize, cost: CommCost) -> Vec<Comm> {
     for _src in 0..size {
         let mut row = Vec::with_capacity(size);
         for rx_col in rx_cols.iter_mut() {
-            let (tx, rx) = unbounded::<Packet>();
+            let (tx, rx) = channel::<Packet>();
             row.push(tx);
             rx_col.push(rx);
         }

@@ -18,7 +18,7 @@ use hsim_time::{RankClock, SimTime};
 use crate::cpu::CpuModel;
 use crate::indexset::{Tile2, TileSet2};
 use crate::multipolicy::{MultiPolicy, PolicyChoice};
-use crate::pool::{RegionSlots, WorkPool};
+use crate::pool::WorkPool;
 use crate::registry::KernelRegistry;
 use crate::simgpu::GpuClient;
 
@@ -303,42 +303,6 @@ impl Executor {
                     body(t);
                 }
             }
-        }
-    }
-
-    /// Like [`Executor::run_tiles`], but collect one result per tile,
-    /// ordered by the tile set's deterministic enumeration — the 2-D
-    /// tile-grid extension of the pool's write-once chunk slots
-    /// ([`RegionSlots`]). Each tile writes exactly one slot, and slots
-    /// are read only after the region's completion handoff, so the
-    /// returned sequence is identical for any worker count and
-    /// scheduling order. Under [`Fidelity::CostOnly`] bodies are
-    /// skipped and the result is empty.
-    pub fn run_tiles_collect<T, F>(&mut self, tiles: &TileSet2, body: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Tile2) -> T + Send + Sync,
-    {
-        if self.fidelity != Fidelity::Full {
-            return Vec::new();
-        }
-        match &self.target {
-            Target::CpuParallel { pool } => {
-                let slots = RegionSlots::new(tiles.len());
-                let slots_ref = &slots;
-                pool.for_each(0, tiles.len(), 1, |t| {
-                    // SAFETY: `for_each` hands out each tile index
-                    // exactly once (write-once per slot), and the slots
-                    // are read only after the region returns.
-                    unsafe { slots_ref.set(t, body(tiles.tile(t))) };
-                });
-                slots
-                    .into_values()
-                    .into_iter()
-                    .map(|v| v.expect("every tile writes its result slot"))
-                    .collect()
-            }
-            _ => tiles.iter().map(body).collect(),
         }
     }
 
@@ -811,37 +775,6 @@ mod tests {
         );
         let tiles = crate::indexset::TileSet2::new(4, 4, [2, 2]);
         exec.run_tiles(&tiles, |_| panic!("body must not run under CostOnly"));
-    }
-
-    #[test]
-    fn run_tiles_collect_orders_results_by_tile_for_any_worker_count() {
-        let tiles = crate::indexset::TileSet2::new(13, 7, [4, 4]);
-        let mut serial = Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), Fidelity::Full);
-        let expect = serial.run_tiles_collect(&tiles, |t| (t.j0, t.k0, t.j1 * t.k1));
-        assert_eq!(expect.len(), tiles.len());
-        for threads in [1, 2, 4] {
-            let mut exec = Executor::new(
-                Target::cpu_parallel(threads),
-                CpuModel::haswell_fixed(),
-                Fidelity::Full,
-            );
-            for _ in 0..3 {
-                let got = exec.run_tiles_collect(&tiles, |t| (t.j0, t.k0, t.j1 * t.k1));
-                assert_eq!(got, expect, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn run_tiles_collect_is_empty_under_cost_only() {
-        let mut exec = Executor::new(
-            Target::cpu_parallel(2),
-            CpuModel::haswell_fixed(),
-            Fidelity::CostOnly,
-        );
-        let tiles = crate::indexset::TileSet2::new(4, 4, [2, 2]);
-        let got: Vec<u32> = exec.run_tiles_collect(&tiles, |_| 1);
-        assert!(got.is_empty());
     }
 
     #[test]

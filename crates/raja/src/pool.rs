@@ -343,15 +343,12 @@ impl WorkPool {
     }
 }
 
-/// Write-once result slots for one parallel region: the generic form
-/// of the per-chunk reduction slots, reusable for any unit of work
-/// with a dense index — 1-D chunks (the `sum`/`min` reductions) or 2-D
-/// tile grids (`Executor::run_tiles_collect`), where slot `i` holds
-/// the result of tile `i` in the tile set's deterministic enumeration
-/// order. Each slot is written by exactly one chunk/tile (the atomic
-/// cursor hands out disjoint units, and the slot index is a pure
-/// function of the unit), so plain stores suffice; visibility to the
-/// reading coordinator comes from the region's completion handoff.
+/// Write-once result slots for one parallel region: slot `i` holds
+/// the result of chunk `i` of the `sum`/`min` reductions. Each slot is
+/// written by exactly one chunk (the atomic cursor hands out disjoint
+/// units, and the slot index is a pure function of the unit), so plain
+/// stores suffice; visibility to the reading coordinator comes from
+/// the region's completion handoff.
 pub struct RegionSlots<T> {
     slots: Box<[UnsafeCell<Option<T>>]>,
 }

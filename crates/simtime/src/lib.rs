@@ -15,8 +15,6 @@
 //!   advances and merges (Lamport-style) on communication,
 //! * [`stats`] — Welford mean/variance, min/max, and fixed-bucket
 //!   histograms for kernel-time aggregation,
-//! * [`trace`] — lightweight span traces with an ASCII Gantt renderer
-//!   used by examples to show who computed when,
 //! * [`rng`] — a SplitMix64 generator for deterministic workload
 //!   perturbations without external dependencies,
 //! * [`task`] — resumable rank tasks: the blocking and the stepped
@@ -29,10 +27,8 @@ pub mod rng;
 pub mod stats;
 pub mod task;
 pub mod time;
-pub mod trace;
 
 pub use clock::RankClock;
 pub use rng::SplitMix64;
 pub use stats::{Histogram, Welford};
 pub use time::{advanced, Overflow, SimDuration, SimTime};
-pub use trace::{Span, SpanCategory, Trace};

@@ -11,8 +11,8 @@
 //! * [`mod@span`] / [`chrome`] — structured span tracing (rank, stream,
 //!   kernel, and message spans with categories and key/value
 //!   attributes) exporting Chrome trace-event JSON loadable in
-//!   Perfetto or `chrome://tracing`. The pre-existing ASCII Gantt from
-//!   `hsim-time` becomes one renderer over this span store.
+//!   Perfetto or `chrome://tracing`; [`gantt`] renders the same store
+//!   as an ASCII Gantt, one row per rank.
 //! * [`profile`] — a per-kernel profiler (launch count, total/mean
 //!   virtual duration, occupancy, bytes moved) keyed by the kernel
 //!   names the `hsim-raja` registry uses.
@@ -31,6 +31,7 @@
 
 pub mod chrome;
 pub mod collector;
+pub mod gantt;
 pub mod metrics;
 pub mod profile;
 pub mod span;

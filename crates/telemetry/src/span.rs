@@ -1,10 +1,9 @@
 //! Structured span events: who occupied which timeline, when, and why.
 
-use hsim_time::{SimDuration, SimTime, SpanCategory};
+use hsim_time::{SimDuration, SimTime};
 
-/// What kind of activity a span represents. Richer than the legacy
-/// [`hsim_time::SpanCategory`]; every variant maps onto one of the
-/// legacy categories so the ASCII Gantt renderer keeps working.
+/// What kind of activity a span represents: the one vocabulary behind
+/// the Chrome trace (`chrome_name`) and the ASCII Gantt (`glyph`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
     /// Kernel body executing on host cores.
@@ -59,17 +58,18 @@ impl Category {
         }
     }
 
-    /// Projection onto the legacy trace categories (and thus Gantt
-    /// glyphs): comm-like variants collapse to `Comm`, memory-like to
-    /// `Memory`, cycle phases render as CPU work.
-    pub fn legacy(self) -> SpanCategory {
+    /// The cell the ASCII Gantt paints: `C`/`G` busy on a host core or
+    /// driving a GPU (cycle phases count as host work), `l` launch and
+    /// runtime overhead, `x` communication, `m` memory traffic, `.`
+    /// waiting.
+    pub fn glyph(self) -> char {
         match self {
-            Category::CpuKernel | Category::Phase => SpanCategory::CpuKernel,
-            Category::GpuKernel => SpanCategory::GpuKernel,
-            Category::Launch | Category::Runtime => SpanCategory::Launch,
-            Category::MpiMessage | Category::Collective => SpanCategory::Comm,
-            Category::Transfer | Category::UmMigration => SpanCategory::Memory,
-            Category::Idle => SpanCategory::Idle,
+            Category::CpuKernel | Category::Phase => 'C',
+            Category::GpuKernel => 'G',
+            Category::Launch | Category::Runtime => 'l',
+            Category::MpiMessage | Category::Collective => 'x',
+            Category::Transfer | Category::UmMigration => 'm',
+            Category::Idle => '.',
         }
     }
 }
@@ -142,13 +142,12 @@ mod tests {
     }
 
     #[test]
-    fn every_category_maps_to_a_legacy_glyph() {
-        for cat in Category::ALL {
-            // Must not panic, and chrome names are unique.
-            let _ = cat.legacy().glyph();
-        }
+    fn chrome_names_are_unique_and_glyphs_are_the_six_of_the_legend() {
         let names: std::collections::BTreeSet<_> =
             Category::ALL.iter().map(|c| c.chrome_name()).collect();
         assert_eq!(names.len(), Category::ALL.len());
+        let glyphs: std::collections::BTreeSet<_> =
+            Category::ALL.iter().map(|c| c.glyph()).collect();
+        assert_eq!(glyphs.into_iter().collect::<String>(), ".CGlmx");
     }
 }

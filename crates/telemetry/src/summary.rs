@@ -1,10 +1,8 @@
 //! End-of-run merge of per-rank collectors into one deterministic
 //! [`Summary`], plus its exports (Chrome JSON, metrics JSON, kernel
-//! CSV, legacy ASCII Gantt).
+//! CSV); [`crate::gantt`] draws its spans.
 
 use std::collections::BTreeSet;
-
-use hsim_time::Trace;
 
 use crate::chrome::to_chrome_json;
 use crate::collector::Collector;
@@ -70,31 +68,6 @@ impl Summary {
     pub fn categories(&self) -> BTreeSet<&'static str> {
         self.spans.iter().map(|s| s.cat.chrome_name()).collect()
     }
-
-    /// Project spans onto the legacy `hsim-time` trace. Only
-    /// rank-timeline spans survive (device timelines have no legacy
-    /// rank row); `filter` selects which spans to keep.
-    pub fn legacy_trace_where(&self, filter: impl Fn(&SpanEvent) -> bool) -> Trace {
-        let mut trace = Trace::enabled();
-        for s in &self.spans {
-            if s.pid >= crate::DEVICE_PID_BASE || !filter(s) {
-                continue;
-            }
-            trace.record(s.pid as usize, s.cat.legacy(), s.ts, s.end(), s.name);
-        }
-        trace
-    }
-
-    /// All rank-timeline spans as a legacy trace.
-    pub fn legacy_trace(&self) -> Trace {
-        self.legacy_trace_where(|_| true)
-    }
-
-    /// The ASCII Gantt, rendered over the span store via the legacy
-    /// trace — the pre-existing renderer is now one view of this data.
-    pub fn render_gantt(&self, width: usize) -> String {
-        self.legacy_trace().render_gantt(width)
-    }
 }
 
 #[cfg(test)]
@@ -144,22 +117,6 @@ mod tests {
         let json = s.to_metrics_json();
         assert!(json.contains("\"schema_version\": 1"));
         assert!(json.contains("\"kernels\": ["));
-    }
-
-    #[test]
-    fn legacy_trace_skips_device_timelines() {
-        let s = Summary::from_collectors(vec![collector_with(
-            0,
-            vec![
-                ev(0, Category::CpuKernel, "busy", 0, 10),
-                ev(crate::DEVICE_PID_BASE, Category::GpuKernel, "flux", 0, 5),
-            ],
-        )]);
-        let trace = s.legacy_trace();
-        assert_eq!(trace.len(), 1);
-        let gantt = s.render_gantt(20);
-        assert!(gantt.contains('C'));
-        assert!(!gantt.contains('G'));
     }
 
     #[test]

@@ -371,8 +371,8 @@ fn telemetry_naming(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// Lint: no per-element `[i]` indexing inside `run_tiles` /
-/// `run_tiles_collect` kernel bodies in the fused hydro kernels.
+/// Lint: no per-element `[i]` indexing inside `run_tiles` kernel
+/// bodies in the fused hydro kernels.
 /// Element access there must go through slice re-borrows (`&row[..]`,
 /// `&buf[a..b]`) or iterators, which keep tile bounds explicit and
 /// let bounds checks hoist out of the hot x-loops; a stray `x[i]`
@@ -387,14 +387,13 @@ fn tile_bounds(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     let mut i = 0;
     while i < toks.len() {
         let call = toks[i].kind == TokKind::Ident
-            && (toks[i].text == "run_tiles" || toks[i].text == "run_tiles_collect")
+            && toks[i].text == "run_tiles"
             && !ctx.is_test[i]
             && toks.get(i + 1).is_some_and(|t| t.text == "(");
         if !call {
             i += 1;
             continue;
         }
-        let call_name = toks[i].text.clone();
         // Walk the run_tiles(...) argument list to its closing paren.
         let mut depth = 0usize;
         let mut j = i + 1;
@@ -420,7 +419,7 @@ fn tile_bounds(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                                 "tile-bounds",
                                 toks[j].line,
                                 format!(
-                                    "indexed element access `{}[...]` inside a `{call_name}` kernel \
+                                    "indexed element access `{}[...]` inside a `run_tiles` kernel \
                                      body: re-borrow the row as a slice (`&row[..]`, `&buf[a..b]`) \
                                      or iterate, so tile bounds stay explicit and bounds checks \
                                      hoist out of the x-loop",

@@ -17,7 +17,7 @@ pub fn outside_is_fine(u: &[f64]) -> f64 {
 
 pub fn masses(exec: &mut Exec, tiles: &TileSet2, rho: &[f64]) -> Vec<f64> {
     let n = 8;
-    exec.run_tiles_collect(tiles, |tile| {
+    exec.run_tiles(tiles, |tile| {
         let peek = |j: usize| rho[j * n];
         let mut acc = 0.0;
         for j in tile.j0..tile.j1 {

@@ -94,11 +94,10 @@ fn telemetry_naming_fixture_is_flagged() {
 
 #[test]
 fn tile_bounds_fixture_is_flagged() {
-    // Only the per-element `tgt[i]`/`row[i]` accesses inside the
-    // run_tiles body and the `rho[...]` accesses inside the
-    // run_tiles_collect body (one smuggled through a captured closure)
-    // are findings; the range re-borrows and the indexing outside the
-    // kernel calls are fine.
+    // Only the per-element `tgt[i]`/`row[i]` accesses inside the first
+    // run_tiles body and the `rho[...]` accesses inside the second (one
+    // smuggled through a captured closure) are findings; the range
+    // re-borrows and the indexing outside the kernel calls are fine.
     expect(
         "bad/tile_bounds",
         &[

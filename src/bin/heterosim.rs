@@ -234,8 +234,8 @@ fn main() {
     }
     println!();
     println!("{}", result.breakdown_table());
-    if let Some(t) = &result.trace {
+    if let Some(gantt) = cfg.trace.then(|| result.timeline(96)).flatten() {
         println!("timeline (G = GPU-driving rank busy, C = CPU rank busy, . = waiting):");
-        println!("{}", t.render_gantt(96));
+        println!("{gantt}");
     }
 }

@@ -84,7 +84,7 @@ fn options_compose_without_errors() {
     cfg.multipolicy_threshold = 500;
     cfg.trace = true;
     let r = run(&cfg).unwrap();
-    assert!(r.trace.is_some());
+    assert!(r.telemetry.is_some());
     assert!(r.runtime > SimDuration::ZERO);
 }
 
