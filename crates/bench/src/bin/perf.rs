@@ -1,5 +1,6 @@
 //! The perf harness: host wall-clock measurements of the simulator's
-//! parallel layers plus the virtual-time regression studies, written
+//! parallel layers plus the virtual-time studies (rebalance, scenarios
+//! and the paper's claims table, [`hsim_bench::claims`]), written
 //! as one flat results file ([`hsim_bench::results`]) and gated by one
 //! table.
 //!
@@ -28,7 +29,8 @@ use std::process::exit;
 use std::time::Instant;
 
 use hsim_bench::results::{key_matches, section_of, SCHEMA_VERSION};
-use hsim_bench::{paper_modes, roofline, row, rows, run_figure_jobs, serveload};
+use hsim_bench::{claims, paper_modes, roofline, row, rows, run_figure_jobs, serveload};
+use hsim_bench::{scenario_cfg, SCENARIO_PARTICLES};
 use hsim_bench::{take_count, take_flag};
 use hsim_bench::{Results, Row, Value};
 use hsim_core::calib::{self, TILE_CANDIDATES};
@@ -37,7 +39,6 @@ use hsim_core::runner::{self, RunConfig};
 use hsim_core::{ExecMode, RunResult, Scenario};
 use hsim_gpu::GpuError;
 use hsim_hydro::{eos, flux, fused, HydroState, SoloCoupler};
-use hsim_particles::ParticlesConfig;
 use hsim_raja::{CpuModel, Executor, Fidelity, Target, WorkPool};
 use hsim_telemetry::{Collector, Counter};
 use hsim_time::RankClock;
@@ -63,14 +64,6 @@ const PARALLEL_WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 /// Default `--host-threads`: workers for the parallel fused bench and
 /// the triad probe.
 const DEFAULT_HOST_THREADS: usize = 4;
-
-/// Particle count for every scenario gate entry: enough to exercise
-/// cross-rank migration on the gate grids.
-const SCENARIO_PARTICLES: u64 = 128;
-
-/// Cycles per scenario gate run. Full fidelity, so this bounds the
-/// study's cost; the analytic metrics are already nonzero here.
-const SCENARIO_CYCLES: u64 = 4;
 
 /// Interleaved pairs behind every same-run wall ratio. On the 2-core
 /// CI-class host the median parallel:serial kernel ratio of 7 pairs
@@ -108,7 +101,7 @@ const DEFAULT_OUT: &str = "BENCH.json";
 /// calling thread, but each rank's collector is installed only while
 /// that rank is polled: the harness's is neither recorded into nor
 /// replaced.) `kernels` also emits `roofline.*`.
-const VIRTUAL_STUDIES: [&str; 2] = ["rebalance", "scenarios"];
+const VIRTUAL_STUDIES: [&str; 3] = ["rebalance", "scenarios", "claims"];
 const WALL_STUDIES: [&str; 4] = ["sweeps", "kernels", "pool", "serve"];
 
 /// Which clock a metric was read from.
@@ -251,6 +244,9 @@ static METRICS: &[Metric] = &[
     ("scenarios.*.*.particles_conserved", "bool",  V, IsTrue, "tracer count and finite momentum must survive the run"),
     ("scenarios.*.*.migrated",            "count", V, Info, "cross-rank particle migrations"),
     ("scenarios.*.*.account_residual_ns", "ns",    V, Max(0.0), "max over ranks of |sum of the six buckets - total|: charging a bucket is the only way a rank's clock advances"),
+
+    ("claims.*",       "value", V, Info,   "a claim's measured ratio, gain or share; hsim_bench::claims has what each row runs and its tolerance"),
+    ("claims.*.holds", "bool",  V, IsTrue, "the paper's statement, checked on the virtual clock: the claim's value must lie in its tolerance"),
 
     ("telemetry.host_sweep_points", "count", W, Info, "sweep points the host counters saw"),
     ("telemetry.host_sweep_nanos",  "ns",    W, Info, "host time inside sweep points"),
@@ -760,18 +756,6 @@ fn measure_pool(quick: bool, jobs: usize) -> Vec<Row> {
     .into()
 }
 
-/// The scenario gate's fixed grid, one per kernel-size regime: the
-/// thin small-kernel Sod tube, the mid-size Sedov reference blast, the
-/// near-cubic Noh implosion, the large-kernel Taylor–Green vortex.
-fn scenario_grid(s: Scenario) -> (usize, usize, usize) {
-    match s {
-        Scenario::Sedov => (40, 36, 32),
-        Scenario::Sod => (128, 8, 8),
-        Scenario::Noh => (48, 44, 40),
-        Scenario::TaylorGreen => (36, 56, 64),
-    }
-}
-
 /// The scenario regression study: every first-class scenario in both
 /// modes at full fidelity with the tracer phase on, double-running
 /// each config to prove same-seed identity. All numbers are
@@ -797,15 +781,8 @@ fn scenario_rows() -> Vec<Row> {
     let mut out = Vec::new();
     for s in Scenario::ALL {
         for (mode_name, mode) in [("cpu", ExecMode::CpuOnly), ("hetero", ExecMode::hetero())] {
-            let (nx, ny, nz) = scenario_grid(s);
-            let mut cfg = RunConfig::sweep((nx, ny, nz), mode);
-            cfg.problem = s.problem();
-            cfg.fidelity = Fidelity::Full;
-            cfg.cycles = SCENARIO_CYCLES;
-            cfg.particles = Some(ParticlesConfig {
-                count: SCENARIO_PARTICLES,
-                ..ParticlesConfig::default()
-            });
+            let cfg = scenario_cfg(s, mode);
+            let (nx, ny, nz) = cfg.grid;
             let a = runner::run(&cfg).expect("scenario study run");
             let b = runner::run(&cfg).expect("scenario study rerun");
             let sc = a.scenario.as_ref().expect("scenario problems report");
@@ -858,6 +835,15 @@ fn main() {
         let n = Scenario::ALL.len();
         eprintln!("scenario study: {n} scenarios x 2 modes, full fidelity, double runs...");
         results.extend(scenario_rows());
+    }
+    if want("claims") {
+        eprintln!(
+            "claims: {} rows of the paper's statements...",
+            claims::CLAIMS.len()
+        );
+        let outcomes = claims::check_all();
+        outcomes.iter().for_each(|o| eprintln!("{o}"));
+        results.extend(claims::rows(&outcomes));
     }
     if WALL_STUDIES.iter().any(|s| want(s)) {
         // Collect the host-time counters the measured code records;
@@ -941,7 +927,9 @@ mod tests {
         "scenarios.noh.cpu.mzps": 1.3, "scenarios.noh.cpu.error": 0.12,
         "scenarios.noh.hetero.mzps": 1.8, "scenarios.noh.hetero.error": 0.12,
         "scenarios.taylor-green.cpu.mzps": 1.4, "scenarios.taylor-green.cpu.error": 0.002,
-        "scenarios.taylor-green.hetero.mzps": 2.1, "scenarios.taylor-green.hetero.error": 0.002
+        "scenarios.taylor-green.hetero.mzps": 2.1, "scenarios.taylor-green.hetero.error": 0.002,
+        "claims.fig18_gain": 0.18, "claims.fig18_gain.holds": true,
+        "claims.sierra_projection_sierra_ea": 1.08
     }}"#;
 
     fn healthy() -> Results {
@@ -991,7 +979,7 @@ mod tests {
         // What `perf serve` / `perf rebalance` / `perf scenarios`
         // write gates under its own section, fails as `all` on the
         // sections it lacks, and still needs the schema handshake.
-        for section in ["serve", "rebalance", "scenarios"] {
+        for section in ["serve", "rebalance", "scenarios", "claims"] {
             let mut only = healthy();
             only.metrics.retain(|k, _| section_of(k) == section);
             let log = expect(&only, Some(section), &[]);
@@ -1059,6 +1047,11 @@ mod tests {
         set(&[("scenarios.sedov.cpu.error", N(0.01))], &["scenarios.sedov.cpu.error: missing from baseline"]);
         drop(&["scenarios.sod.hetero.error"], &["scenarios.sod.hetero.error: the baseline has it, fresh results lost it"]);
         drop(&["scenarios.noh.cpu.*"], &["scenarios.noh.cpu.mzps: the baseline has it", "scenarios.noh.cpu.error: the baseline has it"]);
+        // claims: a broken claim is named by its id; a projection's
+        // value is held to nothing.
+        set(&[("claims.fig18_gain", N(0.02)), ("claims.fig18_gain.holds", B(false))], &["claims.fig18_gain.holds [bool, Virtual]: expected true, baseline true, measured false"]);
+        set(&[("claims.sierra_projection_sierra_ea", N(0.5))], &[]);
+        drop(&["claims.*.holds"], &["missing claims.*.holds in fresh results"]);
     }
 
     #[test]
@@ -1133,7 +1126,7 @@ mod tests {
             );
             assert!(!unit.is_empty() && !why.is_empty(), "{key}");
         }
-        let sections = "sweeps kernels roofline pool serve rebalance scenarios";
+        let sections = "sweeps kernels roofline pool serve rebalance scenarios claims";
         assert_eq!(gated_sections().join(" "), sections);
     }
 
@@ -1149,9 +1142,16 @@ mod tests {
                 assert!(base.num(&key).is_some(), "{key} missing");
             }
         }
+        // ...every row of the claims table...
+        for c in claims::CLAIMS {
+            let key = format!("claims.{}", c.id);
+            assert!(base.num(&key).is_some(), "{key} missing");
+            let held = base.metrics.contains_key(&format!("{key}.holds"));
+            assert_eq!(held, c.tolerance.is_some(), "{key}.holds");
+        }
         // ...and its virtual-time sections, the same on every
         // machine, pass their own gate.
-        for section in ["rebalance", "scenarios"] {
+        for section in ["rebalance", "scenarios", "claims"] {
             let (bad, _) = gate(&base, &base, Some(section));
             assert!(bad.is_empty(), "{bad:#?}");
         }

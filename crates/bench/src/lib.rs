@@ -1,9 +1,11 @@
-//! Benchmark-harness support: figure sweep execution, terminal
-//! plotting and argument helpers shared by the `figures` and `perf`
-//! binaries and the Criterion benches.
+//! Benchmark-harness support shared by the `figures` and `perf`
+//! binaries and the root tests: figure sweep execution, terminal
+//! plotting, the paper's claims table ([`claims`]), the virtual-time
+//! studies and argument helpers.
 
 #![forbid(unsafe_code)]
 
+pub mod claims;
 pub mod plot;
 pub mod rebalance;
 pub mod results;
@@ -16,6 +18,41 @@ pub use rebalance::{run_rebalance_report, RebalanceReport};
 pub use results::{row, Results, Row, Value};
 pub use serveload::{run_load, ServeLoadReport};
 pub use sweep::{paper_modes, run_figure_jobs, FigureData, Series, SkippedPoint};
+
+use hsim_core::{ExecMode, RunConfig, Scenario};
+use hsim_particles::ParticlesConfig;
+use hsim_raja::Fidelity;
+
+/// Tracers in every scenario study run: enough to exercise cross-rank
+/// migration on the study's grids.
+pub const SCENARIO_PARTICLES: u64 = 128;
+
+/// Cycles per scenario study run. Full fidelity, so this bounds the
+/// study's cost; the analytic metrics are already nonzero here.
+const SCENARIO_CYCLES: u64 = 4;
+
+/// The scenario study's run of `s` in `mode` (`perf scenarios`, and
+/// the Sod claim): full fidelity with the tracer phase on, on a fixed
+/// grid per kernel-size regime — the thin small-kernel Sod tube, the
+/// mid-size Sedov reference blast, the near-cubic Noh implosion, the
+/// large-kernel Taylor–Green vortex.
+pub fn scenario_cfg(s: Scenario, mode: ExecMode) -> RunConfig {
+    let grid = match s {
+        Scenario::Sedov => (40, 36, 32),
+        Scenario::Sod => (128, 8, 8),
+        Scenario::Noh => (48, 44, 40),
+        Scenario::TaylorGreen => (36, 56, 64),
+    };
+    let mut cfg = RunConfig::sweep(grid, mode);
+    cfg.problem = s.problem();
+    cfg.fidelity = Fidelity::Full;
+    cfg.cycles = SCENARIO_CYCLES;
+    cfg.particles = Some(ParticlesConfig {
+        count: SCENARIO_PARTICLES,
+        ..ParticlesConfig::default()
+    });
+    cfg
+}
 
 /// Remove `flag VALUE` from `args` and return the value; a flag with
 /// no value after it ends the process with exit code 2.

@@ -44,12 +44,6 @@ impl Subdomain {
         self.extents().iter().map(|&e| e as u64 + 1).product()
     }
 
-    /// Surface area in zone faces (halo volume per unit ghost width).
-    pub fn surface(&self) -> u64 {
-        let [ex, ey, ez] = self.extents().map(|e| e as u64);
-        2 * (ex * ey + ey * ez + ex * ez)
-    }
-
     /// True if this box shares a face with `other`: they are adjacent
     /// along exactly one axis and overlap in the two transverse axes.
     pub fn is_face_neighbor(&self, other: &Subdomain) -> bool {
@@ -164,12 +158,6 @@ mod tests {
         assert_eq!(d.zones(), 6000);
         assert_eq!(d.nodes(), 11 * 21 * 31);
         assert_eq!(d.extents(), [10, 20, 30]);
-    }
-
-    #[test]
-    fn surface_of_a_cube() {
-        let d = dom([0, 0, 0], [4, 4, 4]);
-        assert_eq!(d.surface(), 6 * 16);
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub mod domain;
 pub mod field;
 pub mod grid;
 pub mod halo;
-pub mod metrics;
 pub mod soa;
 
 pub use decomp::{Decomposition, OwnerKind};

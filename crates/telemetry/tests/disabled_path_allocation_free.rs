@@ -3,30 +3,39 @@
 //! file is its own test binary so it may own the global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use hsim_telemetry as tel;
 use hsim_time::{SimDuration, SimTime};
 
-/// System allocator with an allocation counter, so the test can
-/// assert the disabled telemetry hot path never touches the heap.
+/// System allocator with a per-thread allocation counter, so the test
+/// can assert the disabled telemetry hot path never touches the heap.
+/// Per thread, because the test harness's own threads allocate while
+/// the test runs.
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised: no lazy init, so counting never allocates.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: pure pass-through to the `System` allocator — layout and
-// pointer contracts are forwarded unchanged; the counter is a relaxed
-// atomic with no allocation of its own.
+// pointer contracts are forwarded unchanged; the counter is a
+// thread-local `Cell` with no allocation of its own.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: same contract as the caller's — `layout` is passed
         // through to the system allocator untouched.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: `ptr`/`layout`/`new_size` are forwarded verbatim from
         // the caller, which owns the allocation.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -51,7 +60,7 @@ fn disabled_telemetry_is_allocation_free() {
     // One warm-up round so lazy thread-local init cannot be charged
     // to the measured window.
     tel::count(tel::Counter::KernelLaunches, 1);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     for i in 0..CALLS {
         let t0 = SimTime::ZERO;
         let t1 = SimTime::ZERO + SimDuration::from_nanos(i);
@@ -70,7 +79,7 @@ fn disabled_telemetry_is_allocation_free() {
         );
         tel::kernel_launch("probe", 64, 0, SimDuration::from_nanos(i), false, 1.0);
     }
-    let allocated = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocated = ALLOCS.with(Cell::get) - before;
     assert_eq!(
         allocated, 0,
         "disabled telemetry hot path allocated {allocated} times"

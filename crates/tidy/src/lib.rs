@@ -99,13 +99,10 @@ pub struct Report {
 /// deliberately-bad test inputs out of the live scan.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", "node_modules"];
 
-/// Path fragments marking test/bench/example targets, which are
-/// exempt from the runtime-invariant lints.
+/// Path fragments marking test/example targets, which are exempt from
+/// the runtime-invariant lints.
 fn is_test_path(rel: &str) -> bool {
-    rel.starts_with("tests/")
-        || rel.contains("/tests/")
-        || rel.contains("/benches/")
-        || rel.contains("/examples/")
+    rel.starts_with("tests/") || rel.contains("/tests/") || rel.contains("/examples/")
 }
 
 /// Scan the workspace rooted at `root` and report every violation:

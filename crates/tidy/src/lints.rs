@@ -106,7 +106,7 @@ pub struct FileCtx<'a> {
     pub rel: &'a str,
     pub lexed: &'a Lexed,
     /// Per-token mask: true when the token is inside `#[cfg(test)]` /
-    /// `#[test]` items or the file itself is a test/bench target.
+    /// `#[test]` items or the file itself is a test/example target.
     pub is_test: &'a [bool],
 }
 

@@ -1,183 +1,89 @@
-//! Acceptance tests for the reproduced evaluation figures: the
-//! *shapes* the paper reports (who wins, by what factor, where the
-//! crossovers fall) must hold. See DESIGN.md §5.
+//! Acceptance tests for the reproduced evaluation figures, one per
+//! figure: the *shapes* the paper reports (who wins, by what factor,
+//! where the crossovers fall) must hold. Each test names its rows of
+//! `hsim_bench::claims`, which holds the points and tolerances; see
+//! DESIGN.md §5.
 
-use heterosim::core::{run, run_balanced, ExecMode, RunConfig};
+use heterosim::bench::claims;
 
-fn runtime(grid: (usize, usize, usize), mode: ExecMode) -> f64 {
-    let cfg = RunConfig::sweep(grid, mode);
-    let (r, _) = run_balanced(&cfg).expect("sweep point runs");
-    r.runtime.as_secs_f64()
+/// Measure the named claims; fail listing each one that does not hold.
+fn assert_hold(ids: &[&str]) {
+    let broken: Vec<String> = claims::check(ids)
+        .iter()
+        .filter(|o| o.holds() != Some(true))
+        .map(ToString::to_string)
+        .collect();
+    assert!(broken.is_empty(), "{}", broken.join("\n"));
 }
 
 /// Figure 12: the Default mode's runtime slope kinks at ≈ 37 M zones;
 /// the 16-rank modes stay linear.
 #[test]
 fn fig12_default_kinks_at_37m_zones() {
-    // x = 320, z = 320; y sweeps. Pre-kink slope from 20.5M → 28.7M,
-    // post-kink slope from 36.9M → 41.0M.
-    let t200 = runtime((320, 200, 320), ExecMode::Default);
-    let t280 = runtime((320, 280, 320), ExecMode::Default);
-    let t360 = runtime((320, 360, 320), ExecMode::Default);
-    let t400 = runtime((320, 400, 320), ExecMode::Default);
-    let pre_slope = (t280 - t200) / 80.0;
-    let post_slope = (t400 - t360) / 40.0;
-    assert!(
-        post_slope > pre_slope * 1.3,
-        "Default slope must steepen past the kink: pre {pre_slope:.6}, post {post_slope:.6}"
-    );
-
-    let m360 = runtime((320, 360, 320), ExecMode::mps4());
-    let m400 = runtime((320, 400, 320), ExecMode::mps4());
-    let m200 = runtime((320, 200, 320), ExecMode::mps4());
-    let m280 = runtime((320, 280, 320), ExecMode::mps4());
-    let mps_pre = (m280 - m200) / 80.0;
-    let mps_post = (m400 - m360) / 40.0;
-    assert!(
-        mps_post < mps_pre * 1.15,
-        "MPS must stay linear: pre {mps_pre:.6}, post {mps_post:.6}"
-    );
+    assert_hold(&["fig12_default_kink", "fig12_mps_linear"]);
 }
 
 /// Figure 12: at the smallest y the CPU ranks cannot take a small
-/// enough share (min 15% of zones) and Heterogeneous loses badly.
+/// enough share and Heterogeneous loses badly.
 #[test]
 fn fig12_hetero_loses_at_small_y() {
-    let grid = (320, 40, 320);
-    let d = runtime(grid, ExecMode::Default);
-    let h = runtime(grid, ExecMode::hetero());
-    assert!(
-        h > d * 1.05,
-        "CPU-overloaded Heterogeneous must lose at y=40: hetero {h:.4} vs default {d:.4}"
-    );
+    assert_hold(&["fig12_hetero_small_y"]);
 }
 
-/// Figure 13 (y = 240, z = 320): the y-dimension is too small to carve
-/// small enough CPU slabs — Heterogeneous is slower than Default in
-/// the mid-sweep; MPS overlap wins at small x.
+/// Figure 13 (y = 240, z = 320): Heterogeneous is CPU-bound in the
+/// mid-sweep; MPS overlap wins at small x.
 #[test]
 fn fig13_hetero_cpu_bound_and_mps_wins_small_x() {
-    let mid = (250, 240, 320);
-    let d = runtime(mid, ExecMode::Default);
-    let h = runtime(mid, ExecMode::hetero());
-    assert!(
-        h > d * 1.02,
-        "Heterogeneous must be CPU-bound at y=240: hetero {h:.4} vs default {d:.4}"
-    );
-
-    let small_x = (50, 240, 320);
-    let d2 = runtime(small_x, ExecMode::Default);
-    let m2 = runtime(small_x, ExecMode::mps4());
-    assert!(
-        m2 < d2 * 0.9,
-        "MPS must win clearly at x=50: mps {m2:.4} vs default {d2:.4}"
-    );
+    assert_hold(&["fig13_hetero_cpu_bound", "fig13_mps_small_x"]);
 }
 
 /// Figure 14 (y = 240, z = 160): Heterogeneous still loses; Default
 /// and MPS are similar at large x.
 #[test]
 fn fig14_hetero_still_loses_default_mps_similar() {
-    let grid = (500, 240, 160);
-    let d = runtime(grid, ExecMode::Default);
-    let h = runtime(grid, ExecMode::hetero());
-    let m = runtime(grid, ExecMode::mps4());
-    assert!(h > d, "hetero {h:.4} must exceed default {d:.4}");
-    let ratio = m / d;
-    assert!(
-        (0.9..1.15).contains(&ratio),
-        "Default and MPS similar at large x: ratio {ratio:.3}"
-    );
+    assert_hold(&["fig14_hetero_loses", "fig14_mps_similar"]);
 }
 
 /// Figure 16 (y = 360, z = 160): kernels fill the GPU on their own, so
 /// MPS cannot overlap and only pays its overhead.
 #[test]
 fn fig16_mps_loses_at_large_x() {
-    let grid = (525, 360, 160);
-    let d = runtime(grid, ExecMode::Default);
-    let m = runtime(grid, ExecMode::mps4());
-    assert!(
-        m > d,
-        "MPS must lose for device-filling kernels: mps {m:.4} vs default {d:.4}"
-    );
+    assert_hold(&["fig16_mps_loses"]);
 }
 
 /// Figure 17 (y = 480, z = 320, small x): MPS best, Heterogeneous
 /// close behind, Default worst.
 #[test]
 fn fig17_ordering_mps_hetero_default() {
-    let grid = (120, 480, 320);
-    let d = runtime(grid, ExecMode::Default);
-    let m = runtime(grid, ExecMode::mps4());
-    let h = runtime(grid, ExecMode::hetero());
-    assert!(m < d, "MPS best at small x: {m:.4} vs default {d:.4}");
-    assert!(h < d, "Hetero beats Default at small x: {h:.4} vs {d:.4}");
-    assert!(
-        m <= h * 1.02,
-        "MPS at least matches Hetero: {m:.4} vs {h:.4}"
-    );
+    assert_hold(&[
+        "fig17_mps_beats_default",
+        "fig17_hetero_beats_default",
+        "fig17_mps_matches_hetero",
+    ]);
 }
 
-/// Figure 18 (y = 480, z = 160): the Heterogeneous mode's best case —
-/// it tracks Default before the kink and wins by 10–25% (the paper's
-/// "up to 18%") past it, scaling linearly.
+/// Figure 18 (y = 480, z = 160): Heterogeneous tracks Default before
+/// the kink and wins by 10–25 % (the paper's "up to 18 %") past it.
 #[test]
 fn fig18_hetero_gains_up_to_18_percent_past_the_kink() {
-    // Before the kink: within a few percent of Default.
-    let pre = (300, 480, 160); // 23 M zones
-    let d_pre = runtime(pre, ExecMode::Default);
-    let h_pre = runtime(pre, ExecMode::hetero());
-    let pre_ratio = h_pre / d_pre;
-    assert!(
-        (0.93..1.05).contains(&pre_ratio),
-        "pre-kink Hetero must track Default: ratio {pre_ratio:.3}"
-    );
-
-    // Past the kink: a 10–25% win.
-    let post = (600, 480, 160); // 46 M zones
-    let d_post = runtime(post, ExecMode::Default);
-    let h_post = runtime(post, ExecMode::hetero());
-    let gain = 1.0 - h_post / d_post;
-    assert!(
-        (0.10..0.25).contains(&gain),
-        "post-kink Heterogeneous gain {:.1}% should bracket the paper's 18%",
-        gain * 100.0
-    );
+    assert_hold(&["fig18_hetero_tracks_default", "fig18_gain"]);
 }
 
-/// The Heterogeneous mode's CPU share lands at the paper's 1–2% (the
+/// The Heterogeneous mode's CPU share lands at the paper's 1–2 % (the
 /// compiler bug caps the effective CPU speed).
 #[test]
 fn hetero_cpu_share_is_one_to_two_percent_in_the_best_case() {
-    let cfg = RunConfig::sweep((600, 480, 160), ExecMode::hetero());
-    let (r, _) = run_balanced(&cfg).expect("hetero runs");
-    assert!(
-        (0.008..0.035).contains(&r.cpu_fraction),
-        "CPU share {:.3}% should be 1-2ish%",
-        r.cpu_fraction * 100.0
-    );
+    assert_hold(&["fig18_cpu_share"]);
 }
 
-/// CpuOnly (Figure 1) is far slower than any GPU mode — the reason the
-/// porting effort focuses on the accelerators.
+/// CpuOnly (Figure 1) is far slower than any GPU mode.
 #[test]
 fn cpu_only_mode_is_not_competitive() {
-    let grid = (160, 240, 160);
-    let c = runtime(grid, ExecMode::CpuOnly);
-    let d = runtime(grid, ExecMode::Default);
-    assert!(
-        c > d * 3.0,
-        "16 CPU cores must be several times slower than 4 GPUs: {c:.4} vs {d:.4}"
-    );
+    assert_hold(&["fig1_cpuonly_not_competitive"]);
 }
 
 /// GPU-direct (§5.3 future work) helps, never hurts.
 #[test]
 fn gpu_direct_toggle_is_monotone() {
-    let mut cfg = RunConfig::sweep((320, 240, 160), ExecMode::mps4());
-    let staged = run(&cfg).expect("staged").runtime;
-    cfg.gpu_direct = true;
-    let direct = run(&cfg).expect("direct").runtime;
-    assert!(direct <= staged, "gpu-direct {direct} vs staged {staged}");
+    assert_hold(&["gpu_direct_never_hurts"]);
 }
