@@ -90,7 +90,7 @@ static TILE_BY_THREADS: std::sync::Mutex<Vec<(usize, [usize; 2])>> =
 /// are bitwise-independent of the choice, so the probe can never
 /// change physics or figures — only throughput.
 pub fn auto_tile() -> [usize; 2] {
-    *TILE.get_or_init(|| probe_tile(1))
+    *TILE.get_or_init(|| probe_tile(1).unwrap_or(hsim_hydro::state::DEFAULT_TILE))
 }
 
 /// Worker-count-aware variant of [`auto_tile`]: the best tile shape
@@ -110,13 +110,14 @@ pub fn auto_tile_for(threads: usize) -> [usize; 2] {
     if threads <= 1 {
         return auto_tile();
     }
-    let mut cache = TILE_BY_THREADS.lock().expect("tile cache poisoned");
+    // Plain `(threads, tile)` pairs stay coherent through a poisoning.
+    let mut cache = TILE_BY_THREADS.lock().unwrap_or_else(|p| p.into_inner());
     if let Some(&(_, tile)) = cache.iter().find(|(t, _)| *t == threads) {
         return tile;
     }
     let tile = match TILE.get() {
         Some(&seeded) => seeded,
-        None => probe_tile(threads),
+        None => probe_tile(threads).unwrap_or(hsim_hydro::state::DEFAULT_TILE),
     };
     cache.push((threads, tile));
     tile
@@ -160,7 +161,9 @@ pub fn parse_tile_spec(s: &str) -> Result<[usize; 2], String> {
     Ok([ty, tz])
 }
 
-fn probe_tile(threads: usize) -> [usize; 2] {
+/// A probe that fails costs only throughput (results are
+/// bitwise-independent of the tile): callers fall back to the default.
+fn probe_tile(threads: usize) -> Result<[usize; 2], hsim_gpu::GpuError> {
     use hsim_raja::{CpuModel, Executor, Fidelity, Target, WorkPool};
     let n = TILE_PROBE_N;
     let grid = hsim_mesh::GlobalGrid::new(n, n, n);
@@ -178,18 +181,18 @@ fn probe_tile(threads: usize) -> [usize; 2] {
     };
     let mut exec = Executor::new(target, CpuModel::haswell_fixed(), Fidelity::Full);
     let mut clock = hsim_time::RankClock::new(0);
-    hsim_hydro::fused::primitives(&mut st, &mut exec, &mut clock).expect("probe primitives");
+    hsim_hydro::fused::primitives(&mut st, &mut exec, &mut clock)?;
     let mut best = TILE_CANDIDATES[0];
     let mut best_ns = u128::MAX;
     for tile in TILE_CANDIDATES {
         st.tile = tile;
         // Warm-up rep so first-touch and allocator effects don't bias
         // the first candidate.
-        hsim_hydro::fused::sweep(&mut st, &mut exec, &mut clock, 1e-6).expect("probe sweep");
+        hsim_hydro::fused::sweep(&mut st, &mut exec, &mut clock, 1e-6)?;
         // tidy-allow: wall-clock -- the tile probe measures real cache behavior by design
         let t0 = std::time::Instant::now();
         for _ in 0..2 {
-            hsim_hydro::fused::sweep(&mut st, &mut exec, &mut clock, 1e-6).expect("probe sweep");
+            hsim_hydro::fused::sweep(&mut st, &mut exec, &mut clock, 1e-6)?;
         }
         let ns = t0.elapsed().as_nanos();
         if ns < best_ns {
@@ -197,7 +200,7 @@ fn probe_tile(threads: usize) -> [usize; 2] {
             best = tile;
         }
     }
-    best
+    Ok(best)
 }
 
 /// Load-balancer iteration cap for `run_balanced`.

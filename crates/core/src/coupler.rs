@@ -31,6 +31,15 @@ pub(crate) fn lend_clock<'a>(comm: &'a mut Comm, clock: &'a mut RankClock) -> Le
     LentClock { comm, clock }
 }
 
+/// A transfer fault recovery gave up on (neither transfer site
+/// escalates today; the policy, not this call site, decides that).
+fn fault_error(e: hsim_faults::Escalation) -> CoupleError {
+    CoupleError {
+        op: e.site.spec_name(),
+        detail: e.to_string(),
+    }
+}
+
 impl std::ops::Deref for LentClock<'_> {
     type Target = Comm;
     fn deref(&self) -> &Comm {
@@ -196,19 +205,10 @@ impl Coupler for MpiCoupler<'_> {
         // Injected link delay (hsim-faults): the slow link charges its
         // virtual latency before any staging leg; data is unaffected.
         if let Some(hit) = hsim_faults::check(hsim_faults::Site::XferDelay) {
-            hsim_telemetry::count(hsim_telemetry::Counter::FaultsInjected, 1);
-            let t0 = clock.now();
-            clock.charge(
-                ChargeKind::Comm,
-                hsim_time::SimDuration::from_nanos(hit.param),
-            );
-            hsim_telemetry::count(hsim_telemetry::Counter::FaultsRecovered, 1);
-            hsim_telemetry::rank_span(
-                hsim_telemetry::Category::Transfer,
-                "fault_xfer_delay",
-                t0,
-                clock.now(),
-            );
+            let stall = hsim_time::SimDuration::from_nanos(hit.param);
+            let span = (hsim_telemetry::Category::Transfer, "fault_xfer_delay");
+            hsim_faults::recover(clock, hit, Some((ChargeKind::Comm, stall)), span)
+                .map_err(fault_error)?;
         }
 
         // Outgoing transfer legs. Without GPU-direct every byte of a
@@ -257,7 +257,6 @@ impl Coupler for MpiCoupler<'_> {
         }
 
         // Receive and unpack.
-        let mut in_bytes = 0u64;
         for (idx, ex) in &exchanges {
             let peer = if ex.a == rank { ex.b } else { ex.a };
             let (_, _, r_lo, r_hi) = self.boxes(rank, ex, ghost);
@@ -271,7 +270,6 @@ impl Coupler for MpiCoupler<'_> {
                         op: "halo_recv",
                         detail: format!("rank {rank} <- {peer}: {e}"),
                     })?;
-                in_bytes += msg.wire_bytes;
                 if state.fidelity == Fidelity::Full {
                     let (llo, lhi) = self.to_local(rank, r_lo, r_hi);
                     state.u.unpack_box(var, llo, lhi, &msg.data);
@@ -282,7 +280,6 @@ impl Coupler for MpiCoupler<'_> {
         // delivered GPU-peer faces into device memory (no charge
         // here); CPU-peer faces — and everything without GPU-direct —
         // pay the H2D leg.
-        let _ = in_bytes;
         let t_stage = clock.now();
         let cost = self.staging_cost(staged_out);
         clock.charge(ChargeKind::Memory, cost);
@@ -299,33 +296,18 @@ impl Coupler for MpiCoupler<'_> {
         // their checksum and the whole exchange is re-sent with
         // exponential backoff. The wire data is re-read from the
         // still-correct source fields, so physics is untouched; only
-        // virtual time is lost. Corruption is inherently transient
-        // here — a `perm` marking caps at the full retry budget.
+        // virtual time is lost (`hsim_faults` caps a `perm` marking at
+        // the full retry budget).
         if let Some(hit) = hsim_faults::check(hsim_faults::Site::XferCorrupt) {
-            hsim_telemetry::count(hsim_telemetry::Counter::FaultsInjected, 1);
-            let t0 = clock.now();
-            let retries = match hit.severity {
-                hsim_faults::Severity::Permanent => hsim_faults::MAX_RETRIES,
-                hsim_faults::Severity::Transient { count } => count.min(hsim_faults::MAX_RETRIES),
-            };
             let resend = match &self.gpu_spec {
                 Some(spec) if staged_out > 0 => {
                     xfer::retry_leg_time(spec, staged_out, self.gpu_direct)
                 }
                 _ => hsim_time::SimDuration::ZERO,
             };
-            for attempt in 0..retries {
-                clock.charge(ChargeKind::Memory, resend);
-                clock.charge(ChargeKind::Wait, hsim_faults::backoff_delay(attempt));
-                hsim_telemetry::count(hsim_telemetry::Counter::FaultRetries, 1);
-            }
-            hsim_telemetry::count(hsim_telemetry::Counter::FaultsRecovered, 1);
-            hsim_telemetry::rank_span(
-                hsim_telemetry::Category::Transfer,
-                "fault_xfer_retry",
-                t0,
-                clock.now(),
-            );
+            let span = (hsim_telemetry::Category::Transfer, "fault_xfer_retry");
+            hsim_faults::recover(clock, hit, Some((ChargeKind::Memory, resend)), span)
+                .map_err(fault_error)?;
         }
         Ok(())
     }

@@ -370,7 +370,15 @@ fn run_driven(
         }
     }
     let mut acc = RunAcc::new(cfg, decomp.len());
-    let mut setup_extra = mps_connect_charges(cfg, &fault_plan, decomp.len(), &mut acc)?;
+    // An MPS rejection recovery gives up on is an error before any rank
+    // starts; one it recovers from is paid at set-up (`run_segment`).
+    if matches!(cfg.mode, ExecMode::Mps { .. }) {
+        for ev in fault_plan.of_site(hsim_faults::Site::MpsConnect) {
+            if ev.rank < decomp.len() {
+                ev.attempts().map_err(|e| e.to_string())?;
+            }
+        }
+    }
     // Resolve the tile here, on the calling thread, before any rank
     // installs its collector: the one-shot wall-clock probe's kernel
     // launches belong to no run's telemetry. A run that only prices
@@ -414,12 +422,9 @@ fn run_driven(
                 first_cycle: first,
                 last_cycle: last,
                 restore: std::mem::take(&mut acc.end),
-                setup_extra: &setup_extra,
                 tile,
             },
         )?;
-        // MPS connect retries are paid once, on the first segment.
-        setup_extra.clear();
         first = last;
         acc.fold(&orig_ids, seg);
 
@@ -458,50 +463,6 @@ fn run_driven(
     let stepped = acc.stepped;
     let result = acc.finish(cfg, &decomp, &orig_ids, rb)?;
     Ok((result, stepped))
-}
-
-/// Main-thread MPS client setup faults: a permanent rejection is a
-/// typed error before any rank spawns; a transient one charges its
-/// retry backoff to the rejected rank's setup clock (the MPS server
-/// accepts the reconnect once the glitch clears).
-fn mps_connect_charges(
-    cfg: &RunConfig,
-    plan: &hsim_faults::FaultPlan,
-    n_ranks: usize,
-    acc: &mut RunAcc,
-) -> Result<Vec<SimDuration>, String> {
-    let mut extra = vec![SimDuration::ZERO; n_ranks];
-    if !matches!(cfg.mode, ExecMode::Mps { .. }) {
-        return Ok(extra);
-    }
-    for ev in plan.of_site(hsim_faults::Site::MpsConnect) {
-        if ev.rank >= n_ranks {
-            continue;
-        }
-        match ev.severity {
-            hsim_faults::Severity::Permanent => {
-                return Err(format!(
-                    "injected MPS rejection: the server permanently refused rank {}'s client",
-                    ev.rank
-                ));
-            }
-            hsim_faults::Severity::Transient { count } => {
-                if count > hsim_faults::MAX_RETRIES {
-                    return Err(format!(
-                        "rank {}: injected MPS rejection exceeded the retry budget",
-                        ev.rank
-                    ));
-                }
-                acc.count(Counter::FaultsInjected, 1);
-                acc.count(Counter::FaultsRecovered, 1);
-                acc.count(Counter::FaultRetries, u64::from(count));
-                for attempt in 0..count {
-                    extra[ev.rank] += hsim_faults::backoff_delay(attempt);
-                }
-            }
-        }
-    }
-    Ok(extra)
 }
 
 /// Everything the run loop folds its segments into.
@@ -772,9 +733,6 @@ struct Segment<'a> {
     last_cycle: u64,
     /// What the previous segment left behind: nothing, on a cold start.
     restore: EndState,
-    /// Extra per-rank setup charge (MPS connect retry backoff); empty
-    /// on every segment but the first.
-    setup_extra: &'a [SimDuration],
     /// The resolved fused-kernel tile shape, the same for every
     /// segment of a run.
     tile: [usize; 2],
@@ -1179,32 +1137,9 @@ fn run_segment(
                 // backs off and retries (the pool has drained by
                 // then); a permanent one is a typed error.
                 if let Some(hit) = hsim_faults::check(hsim_faults::Site::GpuOom) {
-                    hsim_telemetry::count(Counter::FaultsInjected, 1);
-                    match hit.severity {
-                        hsim_faults::Severity::Permanent => {
-                            return Err(format!(
-                                "rank {orig}: injected device OOM: mesh allocation permanently refused"
-                            ));
-                        }
-                        hsim_faults::Severity::Transient { count } => {
-                            if count > hsim_faults::MAX_RETRIES {
-                                return Err(format!(
-                                    "rank {orig}: injected device OOM exceeded the retry budget"
-                                ));
-                            }
-                            for attempt in 0..count {
-                                clock.charge(ChargeKind::Wait, hsim_faults::backoff_delay(attempt));
-                                hsim_telemetry::count(Counter::FaultRetries, 1);
-                            }
-                            hsim_telemetry::count(Counter::FaultsRecovered, 1);
-                            hsim_telemetry::rank_span(
-                                Category::Runtime,
-                                "fault_oom_retry",
-                                t_um,
-                                clock.now(),
-                            );
-                        }
-                    }
+                    let span = (Category::Runtime, "fault_oom_retry");
+                    hsim_faults::recover(&mut clock, hit, None, span)
+                        .map_err(|e| format!("rank {orig}: {e}"))?;
                 }
                 let (_region, cost) = shared
                     .um_alloc_and_touch(mesh)
@@ -1249,13 +1184,16 @@ fn run_segment(
                 None => PhaseState::init_owned(pcfg, &grid, &sub),
             });
 
-            // Main-thread MPS connect retries land on the rejected
-            // rank's setup clock.
-            let setup_extra = seg.setup_extra.get(rank).copied().unwrap_or_default();
-            if setup_extra > SimDuration::ZERO {
-                let t_f = clock.now();
-                clock.charge(ChargeKind::Wait, setup_extra);
-                hsim_telemetry::rank_span(Category::Runtime, "fault_mps_retry", t_f, clock.now());
+            // A rejected MPS client reconnects at the set-up of the
+            // first segment, whatever cycle the plan names.
+            if seg.first_cycle == 0 && matches!(cfg.mode, ExecMode::Mps { .. }) {
+                for ev in fault_plan.of_site(hsim_faults::Site::MpsConnect) {
+                    if ev.rank == orig {
+                        let span = (Category::Runtime, "fault_mps_retry");
+                        hsim_faults::recover(&mut clock, *ev, None, span)
+                            .map_err(|e| e.to_string())?;
+                    }
+                }
             }
 
             // Setup complete: synchronize and zero the runtime baseline.

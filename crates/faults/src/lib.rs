@@ -30,23 +30,53 @@
 //! which recovery must surface as a typed error or a degraded
 //! decomposition — never a panic or hang.
 //!
+//! # Recovery policy
+//!
+//! Recovery is written once, here: a site that catches a fault hands
+//! it to [`recover`] with what one failed attempt costs it, and gets
+//! back `Ok` (every cost charged, counted and spanned) or a typed
+//! [`Escalation`]. Failed attempt `k` (0-based) pays the site's cost,
+//! then [`backoff_delay`]`(k)` as `Wait`; a fault fails `count`
+//! attempts, and the budget is [`MAX_RETRIES`]. Every recovery counts
+//! `fault_injected`, `fault_retries` (one per failed attempt) and
+//! `fault_recovered`, and opens one span from the fault to the end of
+//! its recovery.
+//!
+//! | site | a failed attempt costs | `perm`, or `count` > 3 | error text |
+//! |---|---|---|---|
+//! | `gpu.launch` | backoff | escalates | `injected permanent launch fault` / `launch retry budget exhausted` |
+//! | `pool.panic` | the region's `Compute` + backoff | escalates | `injected permanent worker panic` / `worker panic retry budget exhausted` |
+//! | `gpu.oom` | backoff | escalates | `injected device OOM: mesh allocation permanently refused` / `injected device OOM exceeded the retry budget` |
+//! | `mps.connect` | backoff | escalates before any rank starts | `injected MPS rejection: the server permanently refused rank N's client` / `rank N: injected MPS rejection exceeded the retry budget` |
+//! | `xfer.corrupt` | the resend's `Memory` + backoff | caps at 3 retries | — |
+//! | `xfer.delay` | no retry: one `Comm` stall of `ns=` | the same stall | — |
+//! | `rank.loss` | no retry: the run loop folds the rank's box back | — | — |
+//!
+//! Two sites fire at set-up rather than in a cycle: `gpu.oom` at the
+//! set-up of the segment that starts at its cycle, and `mps.connect`
+//! at the set-up of the first segment *whatever cycle it names* — an
+//! MPS client connects once per run.
+//!
 //! # Injection model
 //!
 //! Rank threads install a thread-local injector
 //! ([`install`]/[`uninstall`], mirroring the telemetry collector
 //! pattern) and advance it with [`set_cycle`]; instrumented sites call
-//! [`check`], which consumes at most one matching event per call. Code
-//! running on the coordinating thread (e.g. MPS connect during device
-//! setup) queries the plan directly via [`FaultPlan::of_site`]. When no
-//! injector is installed every check is a branch-and-return: fault-free
-//! runs pay nothing and change no behavior.
+//! [`check`], which consumes at most one matching event per call. MPS
+//! connect, which fires on no cycle, reads the plan directly via
+//! [`FaultPlan::of_site`]. When no injector is installed every check is
+//! a branch-and-return: fault-free runs pay nothing and change no
+//! behavior.
 
 #![forbid(unsafe_code)]
 
 use std::cell::RefCell;
+use std::fmt;
 use std::sync::Arc;
 
-use hsim_time::{rng::SplitMix64, SimDuration};
+use hsim_telemetry::{Category, Counter};
+use hsim_time::clock::ChargeKind;
+use hsim_time::{rng::SplitMix64, RankClock, SimDuration};
 
 /// Named injection sites, one per failure class the stack models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,6 +154,50 @@ pub struct FaultEvent {
     /// Site-specific parameter (`ns=` in specs): the stall for
     /// `xfer.delay`, ignored elsewhere.
     pub param: u64,
+}
+
+impl FaultEvent {
+    /// How many failed attempts recovery pays for, or why it gives up:
+    /// the site's row of the table in the module docs.
+    pub fn attempts(&self) -> Result<u32, Escalation> {
+        let count = match self.severity {
+            Severity::Permanent => u32::MAX,
+            Severity::Transient { count } => count,
+        };
+        let (permanent, exhausted) = match self.site {
+            // A stall and a foldback: nothing is retried.
+            Site::XferDelay | Site::RankLoss => return Ok(0),
+            // Corruption is transient by nature (the resend re-reads
+            // still-correct fields): past the budget, it pays the budget.
+            Site::XferCorrupt => return Ok(count.min(MAX_RETRIES)),
+            Site::GpuLaunch => (
+                "injected permanent launch fault",
+                "launch retry budget exhausted",
+            ),
+            Site::PoolPanic => (
+                "injected permanent worker panic",
+                "worker panic retry budget exhausted",
+            ),
+            Site::GpuOom => (
+                "injected device OOM: mesh allocation permanently refused",
+                "injected device OOM exceeded the retry budget",
+            ),
+            Site::MpsConnect => (
+                "injected MPS rejection: the server permanently refused rank {rank}'s client",
+                "rank {rank}: injected MPS rejection exceeded the retry budget",
+            ),
+        };
+        let text = match self.severity {
+            Severity::Permanent => permanent,
+            Severity::Transient { .. } if count > MAX_RETRIES => exhausted,
+            Severity::Transient { .. } => return Ok(count),
+        };
+        Err(Escalation {
+            site: self.site,
+            rank: self.rank,
+            text,
+        })
+    }
 }
 
 /// Default `xfer.delay` stall when the spec omits `ns=`.
@@ -288,12 +362,59 @@ fn default_param(site: Site) -> u64 {
     }
 }
 
-/// What an instrumented site learns when a planned fault fires.
+/// A fault recovery gave up on: permanent, or past the retry budget at
+/// a site that escalates. `Display` is the error text the site's
+/// caller reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultHit {
+pub struct Escalation {
     pub site: Site,
-    pub severity: Severity,
-    pub param: u64,
+    pub rank: usize,
+    /// The site's text, `{rank}` where it names the rank.
+    text: &'static str,
+}
+
+impl Escalation {
+    /// The text with `{rank}` unfilled, for a caller that names the
+    /// rank itself (only `mps.connect`'s texts name it).
+    pub fn reason(&self) -> &'static str {
+        self.text
+    }
+}
+
+impl fmt::Display for Escalation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.text.replace("{rank}", &self.rank.to_string()))
+    }
+}
+
+/// Pay for `fault` on `clock`, the one place recovery is charged:
+/// failed attempt `k` charges `cost` (what an attempt wastes at the
+/// site, if anything), then [`backoff_delay`]`(k)` as `Wait`;
+/// `xfer.delay` charges `cost` once, as its stall. Counts the three
+/// `fault_*` counters and records `span` from the fault to the end of
+/// recovery.
+pub fn recover(
+    clock: &mut RankClock,
+    fault: FaultEvent,
+    cost: Option<(ChargeKind, SimDuration)>,
+    span: (Category, &'static str),
+) -> Result<(), Escalation> {
+    let t0 = clock.now();
+    hsim_telemetry::count(Counter::FaultsInjected, 1);
+    let attempts = fault.attempts()?;
+    if let (Site::XferDelay, Some((kind, stall))) = (fault.site, cost) {
+        clock.charge(kind, stall);
+    }
+    for attempt in 0..attempts {
+        if let Some((kind, wasted)) = cost {
+            clock.charge(kind, wasted);
+        }
+        clock.charge(ChargeKind::Wait, backoff_delay(attempt));
+        hsim_telemetry::count(Counter::FaultRetries, 1);
+    }
+    hsim_telemetry::count(Counter::FaultsRecovered, 1);
+    hsim_telemetry::rank_span(span.0, span.1, t0, clock.now());
+    Ok(())
 }
 
 /// One rank's armed fault plan: its position in the plan and which
@@ -346,18 +467,14 @@ pub fn set_cycle(cycle: u64) {
 /// Consume and return the first unconsumed event matching `site` on
 /// this thread's rank at the current cycle, if any. No injector → no
 /// fault, no cost.
-pub fn check(site: Site) -> Option<FaultHit> {
+pub fn check(site: Site) -> Option<FaultEvent> {
     INJECTOR.with(|inj| {
         let mut borrow = inj.borrow_mut();
         let inj = borrow.as_mut()?;
         for (i, e) in inj.plan.events.iter().enumerate() {
             if !inj.consumed[i] && e.site == site && e.rank == inj.rank && e.cycle == inj.cycle {
                 inj.consumed[i] = true;
-                return Some(FaultHit {
-                    site,
-                    severity: e.severity,
-                    param: e.param,
-                });
+                return Some(*e);
             }
         }
         None
@@ -494,5 +611,61 @@ mod tests {
             SimDuration::from_nanos(BACKOFF_BASE_NS * 2)
         );
         assert_eq!(backoff_delay(MAX_RETRIES), backoff_delay(MAX_RETRIES + 9));
+    }
+
+    fn attempts(spec: &str) -> Result<u32, String> {
+        let plan = FaultPlan::parse(spec).unwrap();
+        plan.events[0].attempts().map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn the_table_escalates_caps_and_stalls() {
+        assert_eq!(attempts("gpu.launch@rank1.cycle0:count=3"), Ok(3));
+        assert_eq!(
+            attempts("gpu.launch@rank1.cycle0:count=4"),
+            Err("launch retry budget exhausted".into())
+        );
+        assert_eq!(
+            attempts("mps.connect@rank2.cycle5:perm"),
+            Err("injected MPS rejection: the server permanently refused rank 2's client".into())
+        );
+        assert_eq!(
+            attempts("mps.connect@rank2.cycle0:count=9"),
+            Err("rank 2: injected MPS rejection exceeded the retry budget".into())
+        );
+        assert_eq!(attempts("xfer.corrupt@rank0.cycle0:count=9"), Ok(3));
+        assert_eq!(attempts("xfer.corrupt@rank0.cycle0:perm"), Ok(3));
+        assert_eq!(attempts("xfer.delay@rank0.cycle0:perm"), Ok(0));
+    }
+
+    #[test]
+    fn recovery_charges_each_attempt_then_its_backoff() {
+        let us = SimDuration::from_nanos(1_000);
+        let hit = |spec| FaultPlan::parse(spec).unwrap().events[0];
+        let span = (Category::Runtime, "fault_test");
+
+        let mut clock = RankClock::new(0);
+        let corrupt = hit("xfer.corrupt@rank0.cycle0:count=2");
+        recover(&mut clock, corrupt, Some((ChargeKind::Memory, us)), span).unwrap();
+        assert_eq!(clock.bucket(ChargeKind::Memory), us + us);
+        assert_eq!(
+            clock.bucket(ChargeKind::Wait),
+            backoff_delay(0) + backoff_delay(1)
+        );
+
+        let mut clock = RankClock::new(0);
+        let delay = hit("xfer.delay@rank0.cycle0:count=3");
+        recover(&mut clock, delay, Some((ChargeKind::Comm, us)), span).unwrap();
+        assert_eq!(clock.bucket(ChargeKind::Comm), us, "one stall");
+        assert_eq!(clock.bucket(ChargeKind::Wait), SimDuration::ZERO);
+
+        let mut clock = RankClock::new(0);
+        let oom = hit("gpu.oom@rank0.cycle0:perm");
+        assert!(recover(&mut clock, oom, None, span).is_err());
+        assert_eq!(
+            clock.now(),
+            hsim_time::SimTime::ZERO,
+            "an escalation charges nothing"
+        );
     }
 }

@@ -115,7 +115,7 @@ impl SoaBlock {
     pub fn vars_mut<const N: usize>(&mut self) -> [&mut [f64]; N] {
         assert_eq!(N, self.nvar, "vars_mut::<{N}> on a {}-var slab", self.nvar);
         let mut chunks = self.data.chunks_mut(self.var_len);
-        std::array::from_fn(|_| chunks.next().expect("nvar chunks"))
+        std::array::from_fn(|_| chunks.next().unwrap_or_default())
     }
 
     /// The whole slab (all variables, var-major).

@@ -335,8 +335,14 @@ impl Executor {
                 let dur = self
                     .cpu
                     .kernel_time_parallel(desc, shape.elems, pool.parallelism());
+                // An injected worker panic: each wasted attempt re-runs
+                // the region; the pool's poison path is exercised for
+                // real once recovery has paid for it.
                 if let Some(hit) = hsim_faults::check(hsim_faults::Site::PoolPanic) {
-                    absorb_pool_panic(clock, pool, dur, hit, t0)?;
+                    let span = (hsim_telemetry::Category::Runtime, "fault_pool_retry");
+                    hsim_faults::recover(clock, hit, Some((ChargeKind::Compute, dur)), span)
+                        .map_err(launch_failed)?;
+                    pool.inject_worker_panic();
                 }
                 clock.charge(ChargeKind::Compute, dur);
                 hsim_telemetry::kernel_launch(desc.name, shape.elems, 0, dur, false, 1.0);
@@ -362,7 +368,8 @@ impl Executor {
                     );
                 } else {
                     if let Some(hit) = hsim_faults::check(hsim_faults::Site::GpuLaunch) {
-                        absorb_launch_fault(clock, hit, t0)?;
+                        let span = (hsim_telemetry::Category::Launch, "fault_launch_retry");
+                        hsim_faults::recover(clock, hit, None, span).map_err(launch_failed)?;
                     }
                     let overhead = client.launch(desc, shape, clock.now())?;
                     clock.charge(ChargeKind::Launch, overhead);
@@ -390,81 +397,9 @@ impl Executor {
     }
 }
 
-/// Recover from an injected GPU launch failure: each failed attempt
-/// waits out an exponential virtual-time backoff before the executor
-/// re-submits; a permanent fault (or a transient one past the retry
-/// budget) escalates to [`GpuError::LaunchFailed`].
-fn absorb_launch_fault(
-    clock: &mut RankClock,
-    hit: hsim_faults::FaultHit,
-    t0: SimTime,
-) -> Result<(), GpuError> {
-    hsim_telemetry::count(hsim_telemetry::Counter::FaultsInjected, 1);
-    match hit.severity {
-        hsim_faults::Severity::Permanent => Err(GpuError::LaunchFailed {
-            reason: "injected permanent launch fault",
-        }),
-        hsim_faults::Severity::Transient { count } => {
-            if count > hsim_faults::MAX_RETRIES {
-                return Err(GpuError::LaunchFailed {
-                    reason: "launch retry budget exhausted",
-                });
-            }
-            for attempt in 0..count {
-                clock.charge(ChargeKind::Wait, hsim_faults::backoff_delay(attempt));
-                hsim_telemetry::count(hsim_telemetry::Counter::FaultRetries, 1);
-            }
-            hsim_telemetry::count(hsim_telemetry::Counter::FaultsRecovered, 1);
-            hsim_telemetry::rank_span(
-                hsim_telemetry::Category::Launch,
-                "fault_launch_retry",
-                t0,
-                clock.now(),
-            );
-            Ok(())
-        }
-    }
-}
-
-/// Recover from an injected worker panic in a parallel region: the
-/// pool's poison path is exercised for real ([`WorkPool::
-/// inject_worker_panic`]), then each wasted attempt is paid for in
-/// virtual time (the poisoned region's compute plus backoff) before
-/// the real region runs.
-fn absorb_pool_panic(
-    clock: &mut RankClock,
-    pool: &WorkPool,
-    region_cost: hsim_time::SimDuration,
-    hit: hsim_faults::FaultHit,
-    t0: SimTime,
-) -> Result<(), GpuError> {
-    hsim_telemetry::count(hsim_telemetry::Counter::FaultsInjected, 1);
-    match hit.severity {
-        hsim_faults::Severity::Permanent => Err(GpuError::LaunchFailed {
-            reason: "injected permanent worker panic",
-        }),
-        hsim_faults::Severity::Transient { count } => {
-            if count > hsim_faults::MAX_RETRIES {
-                return Err(GpuError::LaunchFailed {
-                    reason: "worker panic retry budget exhausted",
-                });
-            }
-            pool.inject_worker_panic();
-            for attempt in 0..count {
-                clock.charge(ChargeKind::Compute, region_cost);
-                clock.charge(ChargeKind::Wait, hsim_faults::backoff_delay(attempt));
-                hsim_telemetry::count(hsim_telemetry::Counter::FaultRetries, 1);
-            }
-            hsim_telemetry::count(hsim_telemetry::Counter::FaultsRecovered, 1);
-            hsim_telemetry::rank_span(
-                hsim_telemetry::Category::Runtime,
-                "fault_pool_retry",
-                t0,
-                clock.now(),
-            );
-            Ok(())
-        }
-    }
+/// An injected launch or worker fault recovery gave up on.
+fn launch_failed(e: hsim_faults::Escalation) -> GpuError {
+    GpuError::LaunchFailed { reason: e.reason() }
 }
 
 #[cfg(test)]

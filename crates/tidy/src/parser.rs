@@ -217,6 +217,8 @@ pub fn parse_file(
                 };
                 // Signature: skip to the body `{` or a `;` (trait
                 // decl), capturing return-type idents after `->`.
+                // Brackets nest like parens: the `;` of an array type
+                // (`-> [usize; 2]`) ends nothing.
                 let mut j = i + 2;
                 let mut angle = 0isize;
                 let mut paren = 0isize;
@@ -224,8 +226,8 @@ pub fn parse_file(
                 while j < n {
                     let s = toks[j].text.as_str();
                     match s {
-                        "(" => paren += 1,
-                        ")" => paren -= 1,
+                        "(" | "[" => paren += 1,
+                        ")" | "]" => paren -= 1,
                         "<" if paren == 0 => angle += 1,
                         ">" if paren == 0 => {
                             if toks.get(j.wrapping_sub(1)).is_some_and(|p| p.text == "-") {

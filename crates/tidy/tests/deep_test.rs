@@ -48,6 +48,25 @@ fn panic_reach_pins_the_blame_chain() {
     );
 }
 
+/// A fn returning an array is a fn with a body: the `;` of `[usize; 2]`
+/// ends no signature, so the panic inside is found. The same shape
+/// without the panic is in the good fixture.
+#[test]
+fn panic_reach_sees_into_fns_returning_arrays() {
+    expect(
+        "bad/deep_panic_array",
+        &[(
+            "panic-reach",
+            "crates/core/src/runner.rs",
+            12,
+            "`.unwrap()` can panic and is reachable from a no-panic root — return a \
+             typed error instead; blame path:\n\
+             \x20 World::run_fallible (crates/core/src/runner.rs:4)\n\
+             \x20 -> tile_for (called at crates/core/src/runner.rs:5)",
+        )],
+    );
+}
+
 /// `async fn` is a node like any other and `.await` hides no call:
 /// the chain runs root → driver → rank body → (through an `async`
 /// block) → coupler, and a resumable `Comm` primitive is held to

@@ -3,8 +3,14 @@ pub struct World;
 impl World {
     pub fn run_fallible(&self) -> Result<u64, String> {
         stepped();
+        let _ = tile_for(2);
         step_ranks().ok_or_else(|| "empty rank list".to_string())
     }
+}
+
+fn tile_for(threads: usize) -> [usize; 2] {
+    let cache: Vec<[usize; 2]> = vec![[8, 8]];
+    cache.get(threads).copied().unwrap_or([8, 8])
 }
 
 fn stepped() {
