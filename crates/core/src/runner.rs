@@ -16,11 +16,7 @@ use parking_lot::Mutex;
 use hsim_gpu::memory::MemoryPool;
 use hsim_gpu::Device;
 use hsim_hydro::diffusion::{self, DiffusionConfig};
-use hsim_hydro::noh::{self, NohConfig};
-use hsim_hydro::sedov::{self, SedovConfig};
-use hsim_hydro::taylor_green::{self, TaylorGreenConfig};
-use hsim_hydro::workload::{self, PerturbedConfig};
-use hsim_hydro::{sod, step_with, HydroState, Reconstruction};
+use hsim_hydro::{step_with, HydroState, Reconstruction};
 use hsim_mesh::decomp::block::{block_decomp, block_decomp_yz};
 use hsim_mesh::decomp::hierarchical::hierarchical_decomp_yz;
 use hsim_mesh::decomp::weighted::{fold_lost_rank, weighted_hetero_decomp, WeightedConfig};
@@ -43,49 +39,7 @@ use crate::node::NodeConfig;
 use crate::report::{slowest, slowest_cpu_compute, ParticleReport, RankReport, RunResult};
 use crate::scenario::{self, ScenarioDiag};
 
-/// The physics problem a run initializes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Problem {
-    /// The paper's workload: the 3D Sedov blast wave (§7, Fig 11).
-    Sedov(SedovConfig),
-    /// The Sod shock tube (validation problem with an exact solution).
-    Sod(sod::SodConfig),
-    /// The planar Noh implosion: an infinite-strength stagnation shock
-    /// with an exact solution (the hardest shock regime).
-    Noh(NohConfig),
-    /// The Taylor–Green vortex array: smooth shock-free flow whose
-    /// kinetic-energy decay measures pure numerical dissipation.
-    TaylorGreen(TaylorGreenConfig),
-    /// Seeded random multi-mode perturbations (balancer stress test).
-    Perturbed(PerturbedConfig),
-}
-
-impl Default for Problem {
-    fn default() -> Self {
-        Problem::Sedov(SedovConfig::default())
-    }
-}
-
-impl Problem {
-    /// Parse a problem name — a [`scenario::Scenario`] name or
-    /// `perturbed` — at its default configuration.
-    pub fn parse(s: &str) -> Option<Problem> {
-        match s {
-            "perturbed" => Some(Problem::Perturbed(PerturbedConfig::default())),
-            _ => scenario::Scenario::parse(s).ok().map(|sc| sc.problem()),
-        }
-    }
-
-    fn init(&self, state: &mut HydroState) {
-        match self {
-            Problem::Sedov(cfg) => sedov::init(state, cfg),
-            Problem::Sod(cfg) => sod::init(state, cfg),
-            Problem::Noh(cfg) => noh::init(state, cfg),
-            Problem::TaylorGreen(cfg) => taylor_green::init(state, cfg),
-            Problem::Perturbed(cfg) => workload::init(state, cfg),
-        }
-    }
-}
+pub use crate::scenario::Problem;
 
 /// Everything one cooperative run needs.
 #[derive(Debug, Clone)]
@@ -616,7 +570,7 @@ impl RunAcc {
                 migrated: self.migrated,
                 checksum: hsim_particles::checksum(p),
             }),
-            scenario: scenario::outcome(&cfg.problem, &grid, self.end.t, diag.as_ref()),
+            scenario: scenario::outcome(cfg.problem, &grid, self.end.t, diag.as_ref()),
         })
     }
 }
@@ -1129,7 +1083,7 @@ fn run_segment(
             // Figure 8 memory scheme: GPU ranks put mesh data in unified
             // memory (paying the initial fault-in) and temporaries in a
             // device pool; CPU ranks host-allocate everything.
-            let mut _pool: Option<MemoryPool> = None;
+            let mut temp_pool: Option<MemoryPool> = None;
             let target = if let Some((client, shared, _)) = &client {
                 let mesh = memscheme::mesh_bytes(sub.zones());
                 let t_um = clock.now();
@@ -1149,7 +1103,7 @@ fn run_segment(
                 hsim_telemetry::count(Counter::UmBytesMigrated, mesh);
                 hsim_telemetry::time_stat(TimeStat::MigrationTime, cost);
                 hsim_telemetry::rank_span(Category::UmMigration, "um_fault_in", t_um, clock.now());
-                _pool = Some(MemoryPool::new(
+                temp_pool = Some(MemoryPool::new(
                     memscheme::temp_bytes(sub.zones()).max(4096),
                 ));
                 Target::Gpu(client.clone())
@@ -1234,9 +1188,9 @@ fn run_segment(
                 let wait_before = clock.bucket(ChargeKind::Wait);
                 // Pooled temporaries are grabbed per cycle and released at
                 // the cycle boundary (cnmem discipline).
-                if let Some(pool) = _pool.as_mut() {
-                    let a = pool.alloc(memscheme::temp_bytes(sub.zones()).max(256));
-                    debug_assert!(a.is_ok());
+                if let Some(pool) = temp_pool.as_mut() {
+                    pool.alloc(memscheme::temp_bytes(sub.zones()))
+                        .map_err(|e| format!("rank {orig}: {e}"))?;
                     pool.reset();
                 }
                 let stats = step_with(
@@ -1500,6 +1454,7 @@ pub fn run_balanced(cfg: &RunConfig) -> Result<(RunResult, LoadBalancer), String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
 
     fn sweep_cfg(grid: (usize, usize, usize), mode: ExecMode) -> RunConfig {
         let mut cfg = RunConfig::sweep(grid, mode);
@@ -1521,6 +1476,15 @@ mod tests {
             assert_eq!(r.zones, 64 * 48 * 32);
             assert_eq!(r.ranks.len(), mode.total_ranks(&cfg.node));
         }
+    }
+
+    #[test]
+    fn a_gpu_rank_whose_temporaries_are_not_aligned_runs() {
+        // 17³ splits into GPU blocks whose pooled temporaries are no
+        // multiple of the pool's 256 B alignment; each cycle's request
+        // must still fit the slab sized for it.
+        let cfg = sweep_cfg((17, 17, 17), ExecMode::Default);
+        run(&cfg).unwrap();
     }
 
     #[test]
@@ -1664,15 +1628,15 @@ mod tests {
     #[test]
     fn alternate_problems_run_through_the_cooperative_stack() {
         for problem in [
-            Problem::Sod(hsim_hydro::SodConfig::default()),
-            Problem::Perturbed(PerturbedConfig::default()),
-            Problem::Noh(NohConfig::default()),
-            Problem::TaylorGreen(TaylorGreenConfig::default()),
+            Scenario::Sod.problem(),
+            Problem::Perturbed,
+            Scenario::Noh.problem(),
+            Scenario::TaylorGreen.problem(),
         ] {
             let mut cfg = sweep_cfg((16, 16, 16), ExecMode::mps4());
             cfg.fidelity = Fidelity::Full;
             cfg.cycles = 2;
-            cfg.problem = problem.clone();
+            cfg.problem = problem;
             let r = run(&cfg).unwrap_or_else(|e| panic!("{problem:?}: {e}"));
             assert!(r.runtime > SimDuration::ZERO);
         }

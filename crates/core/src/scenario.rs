@@ -1,9 +1,13 @@
-//! First-class problem scenarios: named setups spanning the
-//! kernel-size regimes the evaluation sweeps, each with a
-//! deterministic quality metric against its analytic reference.
+//! The physics problem a run initializes: first-class scenarios,
+//! named setups spanning the kernel-size regimes the evaluation
+//! sweeps, each with a deterministic quality metric against its
+//! analytic reference.
 //!
-//! A [`Scenario`] is a *view* over [`Problem`]: the CLI, the serve
-//! layer, and the CI gates select runs by scenario name, and the
+//! A [`Problem`] is a [`Scenario`] or [`Problem::Perturbed`], the
+//! balancer stress workload, which is deliberately *not* a scenario:
+//! it has no reference solution. Every problem starts from its hydro
+//! configuration's `Default`; no front door sets another. The CLI, the
+//! serve layer, and the CI gates select runs by scenario name, and the
 //! runner derives per-scenario diagnostics (axial density profile,
 //! kinetic energy) from the final state so the result can carry an
 //! analytic-solution error:
@@ -19,24 +23,54 @@
 //! * `taylor-green` — the smooth vortex array; kinetic-energy decay
 //!   `1 − KE/KE₀` measures pure numerical dissipation (no shocks
 //!   anywhere — the regime the other three never touch).
-//!
-//! [`Problem::Perturbed`] (the balancer stress workload) is
-//! deliberately *not* a scenario: it has no reference solution.
 
 use hsim_hydro::noh::{self, NohConfig};
-use hsim_hydro::sedov::SedovConfig;
+use hsim_hydro::sedov::{self, SedovConfig};
 use hsim_hydro::sod::{self, SodConfig};
 use hsim_hydro::state::RHO;
 use hsim_hydro::taylor_green::{self, TaylorGreenConfig};
+use hsim_hydro::workload::{self, PerturbedConfig};
 use hsim_hydro::HydroState;
 use hsim_mesh::GlobalGrid;
-
-use crate::runner::Problem;
 
 /// Density-error window (fraction of the x extent around the
 /// midplane) for the Noh metric: wide enough to cover both shocks at
 /// the standard end time, narrow enough to ignore inflow noise.
 pub const NOH_WINDOW: f64 = 0.2;
+
+/// The physics problem a run initializes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Problem {
+    /// A named scenario; the default is the paper's workload, the 3D
+    /// Sedov blast wave (§7, Fig 11).
+    Scenario(Scenario),
+    /// Seeded random multi-mode perturbations (balancer stress test).
+    Perturbed,
+}
+
+impl Default for Problem {
+    fn default() -> Self {
+        Problem::Scenario(Scenario::Sedov)
+    }
+}
+
+impl Problem {
+    /// Parse a problem name: a [`Scenario`] name or `perturbed`.
+    pub fn parse(s: &str) -> Option<Problem> {
+        match s {
+            "perturbed" => Some(Problem::Perturbed),
+            _ => Scenario::parse(s).ok().map(Problem::Scenario),
+        }
+    }
+
+    /// Write the initial condition into `state`.
+    pub(crate) fn init(self, state: &mut HydroState) {
+        match self {
+            Problem::Scenario(s) => s.init(state),
+            Problem::Perturbed => workload::init(state, &PerturbedConfig::default()),
+        }
+    }
+}
 
 /// The four named problem setups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,25 +112,17 @@ impl Scenario {
         }
     }
 
-    /// The default-configured [`Problem`] this scenario initializes.
+    /// The [`Problem`] this scenario initializes.
     pub fn problem(self) -> Problem {
-        match self {
-            Scenario::Sedov => Problem::Sedov(SedovConfig::default()),
-            Scenario::Sod => Problem::Sod(SodConfig::default()),
-            Scenario::Noh => Problem::Noh(NohConfig::default()),
-            Scenario::TaylorGreen => Problem::TaylorGreen(TaylorGreenConfig::default()),
-        }
+        Problem::Scenario(self)
     }
 
-    /// The scenario a problem belongs to (`None` for the perturbed
-    /// balancer workload, which has no reference solution).
-    pub fn of_problem(problem: &Problem) -> Option<Scenario> {
-        match problem {
-            Problem::Sedov(_) => Some(Scenario::Sedov),
-            Problem::Sod(_) => Some(Scenario::Sod),
-            Problem::Noh(_) => Some(Scenario::Noh),
-            Problem::TaylorGreen(_) => Some(Scenario::TaylorGreen),
-            Problem::Perturbed(_) => None,
+    fn init(self, state: &mut HydroState) {
+        match self {
+            Scenario::Sedov => sedov::init(state, &SedovConfig::default()),
+            Scenario::Sod => sod::init(state, &SodConfig::default()),
+            Scenario::Noh => noh::init(state, &NohConfig::default()),
+            Scenario::TaylorGreen => taylor_green::init(state, &TaylorGreenConfig::default()),
         }
     }
 }
@@ -187,35 +213,34 @@ pub struct ScenarioOutcome {
 /// final-state diagnostics (`None` under cost-only fidelity).
 /// Returns `None` for non-scenario problems (Perturbed).
 pub fn outcome(
-    problem: &Problem,
+    problem: Problem,
     grid: &GlobalGrid,
     t_end: f64,
     diag: Option<&ScenarioDiag>,
 ) -> Option<ScenarioOutcome> {
-    let scenario = Scenario::of_problem(problem)?;
-    let (metric, error) = match (problem, diag) {
-        (Problem::Sod(cfg), Some(d)) => ("sod_l1", Some(sod_l1(cfg, &d.axial_rho(), grid, t_end))),
-        (Problem::Sod(_), None) => ("sod_l1", None),
-        (Problem::Noh(cfg), Some(d)) => (
+    let Problem::Scenario(scenario) = problem else {
+        return None;
+    };
+    let (metric, error) = match scenario {
+        Scenario::Sedov => ("none", None),
+        Scenario::Sod => (
+            "sod_l1",
+            diag.map(|d| sod_l1(&SodConfig::default(), &d.axial_rho(), grid, t_end)),
+        ),
+        Scenario::Noh => (
             "noh_windowed_l1",
-            Some(noh::windowed_l1_error(
-                cfg,
-                &d.axial_rho(),
-                grid.lx,
-                t_end,
-                NOH_WINDOW,
-            )),
+            diag.map(|d| {
+                let cfg = NohConfig::default();
+                noh::windowed_l1_error(&cfg, &d.axial_rho(), grid.lx, t_end, NOH_WINDOW)
+            }),
         ),
-        (Problem::Noh(_), None) => ("noh_windowed_l1", None),
-        (Problem::TaylorGreen(cfg), Some(d)) => (
+        Scenario::TaylorGreen => (
             "tg_ke_decay",
-            Some(taylor_green::ke_decay(
-                cfg, d.kinetic, grid.lx, grid.ly, grid.lz,
-            )),
+            diag.map(|d| {
+                let cfg = TaylorGreenConfig::default();
+                taylor_green::ke_decay(&cfg, d.kinetic, grid.lx, grid.ly, grid.lz)
+            }),
         ),
-        (Problem::TaylorGreen(_), None) => ("tg_ke_decay", None),
-        (Problem::Sedov(_), _) => ("none", None),
-        (Problem::Perturbed(_), _) => return None,
     };
     Some(ScenarioOutcome {
         name: scenario.name(),
@@ -256,17 +281,6 @@ mod tests {
         }
         assert_eq!(Scenario::parse("tg").unwrap(), Scenario::TaylorGreen);
         assert!(Scenario::parse("vortex").is_err());
-    }
-
-    #[test]
-    fn every_scenario_maps_to_its_problem_and_back() {
-        for s in Scenario::ALL {
-            assert_eq!(Scenario::of_problem(&s.problem()), Some(s));
-        }
-        assert_eq!(
-            Scenario::of_problem(&Problem::Perturbed(Default::default())),
-            None
-        );
     }
 
     #[test]
@@ -314,10 +328,10 @@ mod tests {
     #[test]
     fn outcome_labels_match_the_problem() {
         let grid = GlobalGrid::new(8, 8, 8);
-        let o = outcome(&Scenario::Noh.problem(), &grid, 0.1, None).unwrap();
+        let o = outcome(Scenario::Noh.problem(), &grid, 0.1, None).unwrap();
         assert_eq!(o.name, "noh");
         assert_eq!(o.metric, "noh_windowed_l1");
         assert_eq!(o.error, None);
-        assert!(outcome(&Problem::Perturbed(Default::default()), &grid, 0.1, None).is_none());
+        assert!(outcome(Problem::Perturbed, &grid, 0.1, None).is_none());
     }
 }

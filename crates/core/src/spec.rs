@@ -181,6 +181,7 @@ impl RunSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
 
     /// `heterosim`'s starting point.
     fn cli() -> RunSpec {
@@ -243,6 +244,21 @@ mod tests {
         assert_eq!(cli().set_arg("--host_threads", || None), Ok(false));
         assert!(cli().set_arg("--mode", || None).is_err());
         assert!(cli().set("frobnicate", "1").is_err());
+    }
+
+    /// The help string is the one copy of the problem names outside
+    /// `Problem::parse`: it names every problem once.
+    #[test]
+    fn every_problem_name_parses_to_a_distinct_problem() {
+        let named: Vec<Problem> = PROBLEMS
+            .split('|')
+            .map(|name| Problem::parse(name).expect(name))
+            .collect();
+        let every = Scenario::ALL.map(Problem::Scenario);
+        assert_eq!(named.len(), every.len() + 1);
+        for p in every.into_iter().chain([Problem::Perturbed]) {
+            assert_eq!(named.iter().filter(|&&q| q == p).count(), 1, "{p:?}");
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ proptest! {
         cycles in 4u64..7,
     ) {
         let problem = Scenario::ALL[which].problem();
-        let intact = particle_cfg(problem.clone(), count, drag, seed, cycles);
+        let intact = particle_cfg(problem, count, drag, seed, cycles);
 
         let mut resplit = intact.clone();
         resplit.rebalance = Some(RebalanceConfig {

@@ -7,8 +7,10 @@
 //! | mesh data      | host malloc      | unified memory ([`unified`]) |
 //! | temporary data | host malloc      | device pool ([`pool`], cnmem-style) |
 //!
-//! [`device_alloc`] is the underlying capacity-checked device heap that
-//! both unified-memory backing and pools draw from.
+//! Neither draws from [`device_alloc`], a capacity-checked first-fit
+//! device heap that each [`Device`](crate::Device) owns: unified memory
+//! tracks its own page residency against the device's capacity, and a
+//! pool owns its slab. No run allocates from the heap.
 
 pub mod device_alloc;
 pub mod pool;

@@ -18,6 +18,9 @@ pub struct PoolAllocation {
     seq: usize,
 }
 
+/// Every allocation's size is rounded up to this many bytes.
+const ALIGNMENT: u64 = 256;
+
 /// A bump allocator with LIFO free discipline over a fixed slab.
 #[derive(Debug, Clone)]
 pub struct MemoryPool {
@@ -25,30 +28,26 @@ pub struct MemoryPool {
     top: u64,
     high_water: u64,
     live: Vec<PoolAllocation>,
-    alignment: u64,
     /// Count of times a request did not fit (reporting).
     failures: u64,
 }
 
 impl MemoryPool {
+    /// A pool over a slab of at least `slab_bytes`: the slab is rounded
+    /// up like an allocation, so a request of `slab_bytes` fits.
     pub fn new(slab_bytes: u64) -> Self {
         MemoryPool {
-            slab: slab_bytes,
+            slab: align(slab_bytes),
             top: 0,
             high_water: 0,
             live: Vec::new(),
-            alignment: 256,
             failures: 0,
         }
     }
 
-    fn align(&self, size: u64) -> u64 {
-        size.div_ceil(self.alignment).max(1) * self.alignment
-    }
-
     /// Allocate `size` bytes from the top of the stack.
     pub fn alloc(&mut self, size: u64) -> Result<PoolAllocation, GpuError> {
-        let size = self.align(size);
+        let size = align(size);
         if self.top + size > self.slab {
             self.failures += 1;
             return Err(GpuError::OutOfMemory {
@@ -97,6 +96,10 @@ impl MemoryPool {
     pub fn failures(&self) -> u64 {
         self.failures
     }
+}
+
+fn align(size: u64) -> u64 {
+    size.div_ceil(ALIGNMENT).max(1) * ALIGNMENT
 }
 
 #[cfg(test)]
@@ -149,6 +152,13 @@ mod tests {
         let b = p.alloc(100).unwrap();
         assert_eq!(a.offset, 0);
         assert_eq!(b.offset, 256);
+    }
+
+    #[test]
+    fn an_unaligned_slab_holds_a_request_of_its_size() {
+        // 16 B × 1377 zones: not a multiple of the alignment.
+        let mut p = MemoryPool::new(16 * 1377);
+        assert!(p.alloc(16 * 1377).is_ok());
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub struct UnifiedRegionId(pub usize);
 
 #[derive(Debug)]
 struct Region {
-    bytes: u64,
     pages: Vec<Residency>,
     live: bool,
 }
@@ -57,7 +56,6 @@ impl UnifiedMemory {
     pub fn alloc(&mut self, bytes: u64) -> UnifiedRegionId {
         let pages = bytes.div_ceil(self.page_size.max(1)) as usize;
         self.regions.push(Region {
-            bytes,
             pages: vec![Residency::Host; pages],
             live: true,
         });
@@ -129,44 +127,6 @@ impl UnifiedMemory {
         self.device_resident_pages = self.device_resident_pages.saturating_sub(migrated);
         Ok(self.migration_cost * migrated)
     }
-
-    /// Touch a sub-range `[offset, offset + len)` of the region from
-    /// the host (e.g. halo faces staged for MPI). Only the covered
-    /// pages migrate.
-    pub fn touch_host_range(
-        &mut self,
-        id: UnifiedRegionId,
-        offset: u64,
-        len: u64,
-    ) -> Result<SimDuration, GpuError> {
-        let page_size = self.page_size.max(1);
-        let region = self
-            .regions
-            .get_mut(id.0)
-            .filter(|r| r.live)
-            .ok_or(GpuError::InvalidContext)?;
-        if len == 0 || offset >= region.bytes {
-            return Ok(SimDuration::ZERO);
-        }
-        let end = (offset + len).min(region.bytes);
-        let p0 = (offset / page_size) as usize;
-        let p1 = end.div_ceil(page_size) as usize;
-        let mut migrated = 0u64;
-        let p1 = p1.min(region.pages.len());
-        for p in region.pages[p0..p1].iter_mut() {
-            if *p == Residency::Device {
-                *p = Residency::Host;
-                migrated += 1;
-            }
-        }
-        self.device_resident_pages = self.device_resident_pages.saturating_sub(migrated);
-        Ok(self.migration_cost * migrated)
-    }
-
-    /// Bytes currently resident on the device.
-    pub fn device_resident_bytes(&self) -> u64 {
-        self.device_resident_pages * self.page_size
-    }
 }
 
 #[cfg(test)]
@@ -180,12 +140,11 @@ mod tests {
     #[test]
     fn pages_start_host_resident() {
         let mut m = um();
+        let spec = DeviceSpec::tesla_k80();
         let r = m.alloc(1 << 20);
-        assert_eq!(m.device_resident_bytes(), 0);
-        // First device touch migrates everything.
+        // First device touch migrates every page.
         let cost = m.touch_device(r).unwrap();
-        assert!(cost > SimDuration::ZERO);
-        assert_eq!(m.device_resident_bytes(), 1 << 20);
+        assert_eq!(cost, spec.um_page_migration * spec.pages_for(1 << 20));
     }
 
     #[test]
@@ -204,35 +163,8 @@ mod tests {
         m.touch_device(r).unwrap();
         let cost = m.touch_host(r).unwrap();
         assert!(cost > SimDuration::ZERO);
-        assert_eq!(m.device_resident_bytes(), 0);
         // Ping-pong: device touch costs again.
         assert!(m.touch_device(r).unwrap() > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn range_touch_migrates_only_covered_pages() {
-        let mut m = um();
-        let page = DeviceSpec::tesla_k80().um_page_size;
-        let r = m.alloc(page * 10);
-        m.touch_device(r).unwrap();
-        // Touch two pages' worth from the host.
-        let cost = m.touch_host_range(r, 0, page * 2).unwrap();
-        assert_eq!(cost, DeviceSpec::tesla_k80().um_page_migration * 2);
-        assert_eq!(m.device_resident_bytes(), page * 8);
-    }
-
-    #[test]
-    fn range_touch_past_end_is_clamped() {
-        let mut m = um();
-        let page = DeviceSpec::tesla_k80().um_page_size;
-        let r = m.alloc(page);
-        m.touch_device(r).unwrap();
-        let cost = m.touch_host_range(r, 0, page * 100).unwrap();
-        assert_eq!(cost, DeviceSpec::tesla_k80().um_page_migration);
-        assert_eq!(
-            m.touch_host_range(r, page * 5, 1).unwrap(),
-            SimDuration::ZERO
-        );
     }
 
     #[test]
@@ -254,11 +186,16 @@ mod tests {
 
     #[test]
     fn free_returns_device_pages() {
+        let spec = DeviceSpec::tesla_k80();
         let mut m = um();
-        let r = m.alloc(1 << 20);
+        let r = m.alloc(8 * (1 << 30));
         m.touch_device(r).unwrap();
         m.free(r).unwrap();
-        assert_eq!(m.device_resident_bytes(), 0);
+        // The freed 8 GB no longer count: another 8 GB fits without
+        // the thrash penalty.
+        let again = m.alloc(8 * (1 << 30));
+        let cost = m.touch_device(again).unwrap();
+        assert_eq!(cost, spec.um_page_migration * spec.pages_for(8 * (1 << 30)));
         assert!(m.touch_device(r).is_err(), "freed region rejects touches");
         assert!(m.free(r).is_err(), "double free rejected");
     }

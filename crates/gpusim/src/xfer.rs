@@ -9,37 +9,6 @@
 use crate::spec::DeviceSpec;
 use hsim_time::SimDuration;
 
-/// Time for one host→device DMA of `bytes`.
-pub fn h2d_time(spec: &DeviceSpec, bytes: u64) -> SimDuration {
-    spec.xfer_time(bytes)
-}
-
-/// Time for one device→host DMA of `bytes`.
-pub fn d2h_time(spec: &DeviceSpec, bytes: u64) -> SimDuration {
-    spec.xfer_time(bytes)
-}
-
-/// Time for a chunked, pipelined transfer: `bytes` moved in `chunk`-
-/// sized pieces, each paying the DMA latency but with copies of
-/// adjacent chunks overlapped (double buffering hides all but the
-/// first latency when bandwidth-bound).
-pub fn pipelined_time(spec: &DeviceSpec, bytes: u64, chunk: u64) -> SimDuration {
-    if bytes == 0 {
-        return SimDuration::ZERO;
-    }
-    let chunk = chunk.max(1).min(bytes);
-    let n_chunks = bytes.div_ceil(chunk);
-    let bw = SimDuration::from_secs_f64(bytes as f64 / (spec.pcie_bandwidth_gbs * 1e9));
-    // One exposed latency up front; subsequent chunk setups overlap the
-    // previous chunk's copy unless the chunks are tiny.
-    let per_chunk_exposed = if spec.xfer_time(chunk) > spec.pcie_latency * 2 {
-        SimDuration::ZERO
-    } else {
-        spec.pcie_latency
-    };
-    spec.pcie_latency + bw + per_chunk_exposed * n_chunks.saturating_sub(1)
-}
-
 /// Peer-to-peer DMA between two devices on the same interconnect:
 /// one latency plus the payload at the link bandwidth. Cheaper than
 /// staging through the host (which pays two legs) but not free.
@@ -72,36 +41,6 @@ mod tests {
 
     fn k80() -> DeviceSpec {
         DeviceSpec::tesla_k80()
-    }
-
-    #[test]
-    fn h2d_and_d2h_are_symmetric_in_this_model() {
-        let s = k80();
-        assert_eq!(h2d_time(&s, 1 << 20), d2h_time(&s, 1 << 20));
-    }
-
-    #[test]
-    fn pipelined_beats_naive_chunking_for_large_chunks() {
-        let s = k80();
-        let bytes = 256u64 << 20;
-        let chunk = 4u64 << 20;
-        let n = bytes / chunk;
-        let naive: SimDuration = (0..n).map(|_| s.xfer_time(chunk)).sum();
-        let pipe = pipelined_time(&s, bytes, chunk);
-        assert!(pipe < naive, "pipelined {pipe} vs naive {naive}");
-    }
-
-    #[test]
-    fn pipelined_zero_bytes_is_free() {
-        assert_eq!(pipelined_time(&k80(), 0, 1 << 20), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn tiny_chunks_expose_latency() {
-        let s = k80();
-        let small_chunks = pipelined_time(&s, 1 << 20, 1 << 10);
-        let big_chunks = pipelined_time(&s, 1 << 20, 1 << 20);
-        assert!(small_chunks > big_chunks);
     }
 
     #[test]

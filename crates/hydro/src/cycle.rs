@@ -37,10 +37,6 @@ use crate::fused::{combine, primitives, save_state, sweep, sweep_muscl};
 use crate::muscl::Reconstruction;
 use crate::state::HydroState;
 
-/// Approximate kernel launches per cycle for an interior rank (the
-/// Figure 11 caption's "80 kernels").
-pub const LAUNCHES_PER_CYCLE_APPROX: u64 = 85;
-
 /// Typed error from a [`Coupler`] operation: a halo exchange or a
 /// global reduction that could not complete (dead peer, disconnected
 /// channel, transport refusal). Carries the failing operation so the

@@ -2,8 +2,9 @@
 //!
 //! 3D block-structured mesh infrastructure for the hydro mini-app and
 //! the cooperative runner: global grids, rank-local subdomains with
-//! ghost layers, zone/node-centered fields, the paper's three domain
-//! decompositions, and halo-exchange plans.
+//! ghost layers, the structure-of-arrays zone slab every rank's state
+//! lives in, the paper's three domain decompositions, and
+//! halo-exchange plans.
 //!
 //! Decompositions (paper §6.1, Figures 9–10):
 //!
@@ -24,14 +25,12 @@
 
 pub mod decomp;
 pub mod domain;
-pub mod field;
 pub mod grid;
 pub mod halo;
 pub mod soa;
 
 pub use decomp::{Decomposition, OwnerKind};
 pub use domain::Subdomain;
-pub use field::{Centering, Field, Side};
 pub use grid::GlobalGrid;
 pub use halo::{Exchange, HaloPlan};
-pub use soa::SoaBlock;
+pub use soa::{Side, SoaBlock};

@@ -7,13 +7,18 @@
 //! while it is resident in cache, and per-variable views (`var`,
 //! `var_mut`) recover the classic one-field-at-a-time API.
 //!
-//! Per-variable geometry (pack/unpack/reflect/fill/sum) delegates to
-//! the same free functions as [`Field`](crate::field::Field), so halo
-//! messages and boundary mirrors are bit-identical between the two
-//! layouts.
+//! Per-variable geometry (pack/unpack/reflect/fill/sum) is written
+//! once, as free functions over one variable's core+ghost box at the
+//! bottom of this module.
 
 use crate::domain::Subdomain;
-use crate::field::{self, Side};
+
+/// Which side of an axis a face is on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    Low,
+    High,
+}
 
 /// `nvar` zone-centered variables over one subdomain, in one slab.
 #[derive(Debug, Clone)]
@@ -58,7 +63,7 @@ impl SoaBlock {
 
     /// Total allocated extents of one variable's box (core + 2·ghost).
     pub fn dims(&self) -> [usize; 3] {
-        field::dims_of(self.core, self.ghost)
+        dims_of(self.core, self.ghost)
     }
 
     /// Core (owned) extents.
@@ -68,20 +73,20 @@ impl SoaBlock {
 
     /// Strides (x, y, z) within one variable's box, x fastest.
     pub fn strides(&self) -> [usize; 3] {
-        field::strides_of(self.core, self.ghost)
+        strides_of(self.core, self.ghost)
     }
 
     /// Linear index within one variable's box, in allocated
     /// coordinates (ghosts addressable).
     #[inline]
     pub fn idx(&self, i: usize, j: usize, k: usize) -> usize {
-        field::idx_in(self.core, self.ghost, i, j, k)
+        idx_in(self.core, self.ghost, i, j, k)
     }
 
     /// Linear index within one variable's box, in owned coordinates.
     #[inline]
     pub fn idx_owned(&self, i: usize, j: usize, k: usize) -> usize {
-        field::idx_owned_in(self.core, self.ghost, i, j, k)
+        idx_owned_in(self.core, self.ghost, i, j, k)
     }
 
     /// Variable `v`'s box as a read-only slice.
@@ -143,57 +148,247 @@ impl SoaBlock {
     /// Fill owned entries of variable `v` only.
     pub fn fill_owned(&mut self, v: usize, val: f64) {
         let (core, g) = (self.core, self.ghost);
-        field::fill_owned_in(core, g, self.var_mut(v), val);
+        fill_owned_in(core, g, self.var_mut(v), val);
     }
 
     /// Sum of variable `v`'s owned entries (conservation checks).
     pub fn sum_owned(&self, v: usize) -> f64 {
-        field::sum_owned_in(self.core, self.ghost, self.var(v))
-    }
-
-    /// Number of f64 values in one face strip of `width` layers.
-    pub fn face_len(&self, axis: usize, width: usize) -> usize {
-        field::face_len_of(self.core, axis, width)
-    }
-
-    /// Pack variable `v`'s outermost `width` owned layers on `side` of
-    /// `axis` (k, j, i ascending — same wire format as
-    /// [`Field::pack_face`](crate::field::Field::pack_face)).
-    pub fn pack_face(&self, v: usize, axis: usize, side: Side, width: usize) -> Vec<f64> {
-        field::pack_face_in(self.core, self.ghost, self.var(v), axis, side, width)
-    }
-
-    /// Unpack a neighbor's face buffer into variable `v`'s ghost
-    /// layers on `side` of `axis`.
-    pub fn unpack_ghost(&mut self, v: usize, axis: usize, side: Side, width: usize, buf: &[f64]) {
-        let (core, g) = (self.core, self.ghost);
-        field::unpack_ghost_in(core, g, self.var_mut(v), axis, side, width, buf);
+        sum_owned_in(self.core, self.ghost, self.var(v))
     }
 
     /// Pack an arbitrary box `[lo, hi)` of variable `v` in allocated
     /// coordinates.
     pub fn pack_box(&self, v: usize, lo: [usize; 3], hi: [usize; 3]) -> Vec<f64> {
-        field::pack_box_in(self.core, self.ghost, self.var(v), lo, hi)
+        pack_box_in(self.core, self.ghost, self.var(v), lo, hi)
     }
 
     /// Unpack a buffer into the box `[lo, hi)` of variable `v`.
     pub fn unpack_box(&mut self, v: usize, lo: [usize; 3], hi: [usize; 3], buf: &[f64]) {
         let (core, g) = (self.core, self.ghost);
-        field::unpack_box_in(core, g, self.var_mut(v), lo, hi, buf);
+        unpack_box_in(core, g, self.var_mut(v), lo, hi, buf);
     }
 
     /// Mirror variable `v`'s owned boundary layer into its ghost layer
     /// on a physical boundary.
     pub fn reflect_into_ghost(&mut self, v: usize, axis: usize, side: Side, sign: f64) {
         let (core, g) = (self.core, self.ghost);
-        field::reflect_into_ghost_in(core, g, self.var_mut(v), axis, side, sign);
+        reflect_into_ghost_in(core, g, self.var_mut(v), axis, side, sign);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Geometry of one variable's box: a dense core+ghost box, x fastest,
+// parameterized by (core, ghost, data-slice).
+// ---------------------------------------------------------------------------
+
+fn dims_of(core: [usize; 3], ghost: usize) -> [usize; 3] {
+    let g = 2 * ghost;
+    [core[0] + g, core[1] + g, core[2] + g]
+}
+
+fn strides_of(core: [usize; 3], ghost: usize) -> [usize; 3] {
+    let d = dims_of(core, ghost);
+    [1, d[0], d[0] * d[1]]
+}
+
+#[inline]
+fn idx_in(core: [usize; 3], ghost: usize, i: usize, j: usize, k: usize) -> usize {
+    let s = strides_of(core, ghost);
+    i + j * s[1] + k * s[2]
+}
+
+#[inline]
+fn idx_owned_in(core: [usize; 3], ghost: usize, i: usize, j: usize, k: usize) -> usize {
+    debug_assert!(i < core[0] && j < core[1] && k < core[2]);
+    idx_in(core, ghost, i + ghost, j + ghost, k + ghost)
+}
+
+fn fill_owned_in(core: [usize; 3], ghost: usize, data: &mut [f64], v: f64) {
+    let s = strides_of(core, ghost);
+    for k in 0..core[2] {
+        for j in 0..core[1] {
+            let row = (k + ghost) * s[2] + (j + ghost) * s[1] + ghost;
+            data[row..row + core[0]].fill(v);
+        }
+    }
+}
+
+fn sum_owned_in(core: [usize; 3], ghost: usize, data: &[f64]) -> f64 {
+    let s = strides_of(core, ghost);
+    let mut total = 0.0;
+    for k in 0..core[2] {
+        for j in 0..core[1] {
+            let row = (k + ghost) * s[2] + (j + ghost) * s[1] + ghost;
+            total += data[row..row + core[0]].iter().sum::<f64>();
+        }
+    }
+    total
+}
+
+fn pack_face_in(
+    core: [usize; 3],
+    ghost: usize,
+    data: &[f64],
+    axis: usize,
+    side: Side,
+    width: usize,
+) -> Vec<f64> {
+    assert!(width <= core[axis], "face wider than the core");
+    let range = |a: usize| -> (usize, usize) {
+        if a == axis {
+            match side {
+                Side::Low => (0, width),
+                Side::High => (core[a] - width, core[a]),
+            }
+        } else {
+            (0, core[a])
+        }
+    };
+    let (i0, i1) = range(0);
+    let (j0, j1) = range(1);
+    let (k0, k1) = range(2);
+    let mut out = Vec::with_capacity((i1 - i0) * (j1 - j0) * (k1 - k0));
+    for k in k0..k1 {
+        for j in j0..j1 {
+            let base = idx_owned_in(core, ghost, i0, j, k);
+            out.extend_from_slice(&data[base..base + (i1 - i0)]);
+        }
+    }
+    out
+}
+
+fn unpack_ghost_in(
+    core: [usize; 3],
+    ghost: usize,
+    data: &mut [f64],
+    axis: usize,
+    side: Side,
+    width: usize,
+    buf: &[f64],
+) {
+    assert!(width <= ghost, "ghost layer narrower than the message");
+    let g = ghost;
+    // Ghost index range in allocated coordinates along `axis`.
+    let range = |a: usize| -> (usize, usize) {
+        if a == axis {
+            match side {
+                Side::Low => (g - width, g),
+                Side::High => (g + core[a], g + core[a] + width),
+            }
+        } else {
+            (g, g + core[a])
+        }
+    };
+    let (i0, i1) = range(0);
+    let (j0, j1) = range(1);
+    let (k0, k1) = range(2);
+    assert_eq!(buf.len(), (i1 - i0) * (j1 - j0) * (k1 - k0));
+    let s = strides_of(core, ghost);
+    let mut cursor = 0;
+    for k in k0..k1 {
+        for j in j0..j1 {
+            let base = i0 + j * s[1] + k * s[2];
+            let n = i1 - i0;
+            data[base..base + n].copy_from_slice(&buf[cursor..cursor + n]);
+            cursor += n;
+        }
+    }
+}
+
+fn pack_box_in(
+    core: [usize; 3],
+    ghost: usize,
+    data: &[f64],
+    lo: [usize; 3],
+    hi: [usize; 3],
+) -> Vec<f64> {
+    let d = dims_of(core, ghost);
+    assert!(
+        (0..3).all(|a| lo[a] < hi[a] && hi[a] <= d[a]),
+        "box {lo:?}..{hi:?} outside field dims {d:?}"
+    );
+    let s = strides_of(core, ghost);
+    let n = (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]);
+    let mut out = Vec::with_capacity(n);
+    for k in lo[2]..hi[2] {
+        for j in lo[1]..hi[1] {
+            let base = lo[0] + j * s[1] + k * s[2];
+            out.extend_from_slice(&data[base..base + (hi[0] - lo[0])]);
+        }
+    }
+    out
+}
+
+fn unpack_box_in(
+    core: [usize; 3],
+    ghost: usize,
+    data: &mut [f64],
+    lo: [usize; 3],
+    hi: [usize; 3],
+    buf: &[f64],
+) {
+    let d = dims_of(core, ghost);
+    assert!(
+        (0..3).all(|a| lo[a] < hi[a] && hi[a] <= d[a]),
+        "box {lo:?}..{hi:?} outside field dims {d:?}"
+    );
+    let n = (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]);
+    assert_eq!(buf.len(), n, "buffer length mismatch");
+    let s = strides_of(core, ghost);
+    let mut cursor = 0;
+    let run = hi[0] - lo[0];
+    for k in lo[2]..hi[2] {
+        for j in lo[1]..hi[1] {
+            let base = lo[0] + j * s[1] + k * s[2];
+            data[base..base + run].copy_from_slice(&buf[cursor..cursor + run]);
+            cursor += run;
+        }
+    }
+}
+
+fn reflect_into_ghost_in(
+    core: [usize; 3],
+    ghost: usize,
+    data: &mut [f64],
+    axis: usize,
+    side: Side,
+    sign: f64,
+) {
+    let g = ghost;
+    if g == 0 {
+        return;
+    }
+    let face = pack_face_in(core, ghost, data, axis, side, g);
+    // Reverse the layer order along `axis` so the nearest owned
+    // layer lands in the nearest ghost layer.
+    let mut mirrored = vec![0.0; face.len()];
+    let layer = face.len() / g;
+    // pack_face orders k,j,i ascending; along x the layers are
+    // interleaved, so handle the general case index-wise.
+    if axis == 0 {
+        // For axis 0 the "layers" are contiguous runs of length g
+        // within each row; easier to mirror via index arithmetic.
+        let rows = face.len() / g;
+        for r in 0..rows {
+            for w in 0..g {
+                mirrored[r * g + w] = sign * face[r * g + (g - 1 - w)];
+            }
+        }
+    } else {
+        for w in 0..g {
+            let src = &face[w * layer..(w + 1) * layer];
+            let dst = &mut mirrored[(g - 1 - w) * layer..(g - w) * layer];
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d = sign * s;
+            }
+        }
+    }
+    unpack_ghost_in(core, ghost, data, axis, side, g, &mirrored);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::field::{Centering, Field};
 
     fn sub() -> Subdomain {
         Subdomain::new([0, 0, 0], [4, 3, 2], 1)
@@ -224,53 +419,29 @@ mod tests {
     }
 
     #[test]
-    fn geometry_matches_field_exactly() {
-        // Same tagged payload through a Field and a SoaBlock variable:
-        // every shared geometry op must agree bit for bit.
-        let s = sub();
-        let mut f = Field::new(&s, Centering::Zone);
-        let mut b = SoaBlock::new(&s, 3);
-        for k in 0..2 {
+    fn reflect_into_ghost_mirrors_with_sign() {
+        // Two ghost layers: the nearest owned layer lands in the
+        // nearest ghost layer, along x (interleaved in a row) and
+        // along z (whole planes).
+        let mut b = SoaBlock::new(&Subdomain::new([0, 0, 0], [4, 3, 3], 2), 2);
+        for k in 0..3 {
             for j in 0..3 {
                 for i in 0..4 {
-                    let tag = (i as f64) + 10.0 * (j as f64) + 100.0 * (k as f64) + 0.25;
-                    f.set(i, j, k, tag);
-                    b.set(1, i, j, k, tag);
+                    b.set(1, i, j, k, (1 + i + 10 * j + 100 * k) as f64);
                 }
             }
         }
-        assert_eq!(f.sum_owned().to_bits(), b.sum_owned(1).to_bits());
-        for axis in 0..3 {
-            assert_eq!(f.face_len(axis, 1), b.face_len(axis, 1));
-            for side in [Side::Low, Side::High] {
-                assert_eq!(f.pack_face(axis, side, 1), b.pack_face(1, axis, side, 1));
-            }
+        b.reflect_into_ghost(1, 0, Side::Low, -1.0);
+        b.reflect_into_ghost(1, 2, Side::High, 1.0);
+        let at = |i, j, k| b.var(1)[b.idx(i, j, k)];
+        let g = 2;
+        for (w, owned) in [(1, 0), (0, 1)] {
+            assert_eq!(at(w, g, g), -b.get(1, owned, 0, 0), "x ghost {w}");
         }
-        f.reflect_into_ghost(1, Side::High, -1.0);
-        b.reflect_into_ghost(1, 1, Side::High, -1.0);
-        assert_eq!(f.data(), b.var(1));
-        let lo = [0, 1, 1];
-        let hi = [6, 4, 3];
-        assert_eq!(f.pack_box(lo, hi), b.pack_box(1, lo, hi));
-    }
-
-    #[test]
-    fn pack_unpack_ghost_roundtrip() {
-        let mut a = SoaBlock::new(&sub(), 2);
-        let mut c = SoaBlock::new(&Subdomain::new([4, 0, 0], [8, 3, 2], 1), 2);
-        for k in 0..2 {
-            for j in 0..3 {
-                a.set(0, 3, j, k, (10 * j + 100 * k + 3) as f64);
-            }
+        for (w, owned) in [(g + 3, 2), (g + 4, 1)] {
+            assert_eq!(at(g + 3, g + 2, w), b.get(1, 3, 2, owned), "z ghost {w}");
         }
-        let msg = a.pack_face(0, 0, Side::High, 1);
-        c.unpack_ghost(0, 0, Side::Low, 1, &msg);
-        for k in 0..2 {
-            for j in 0..3 {
-                let idx = c.idx(0, j + 1, k + 1);
-                assert_eq!(c.var(0)[idx], a.get(0, 3, j, k));
-            }
-        }
+        assert!(b.var(0).iter().all(|&v| v == 0.0), "var 0 untouched");
     }
 
     #[test]
@@ -303,5 +474,19 @@ mod tests {
         assert_eq!(b.get(0, 0, 0, 0), 2.0);
         assert_eq!(b.var(0)[0], -1.0);
         assert_eq!(b.sum_owned(0), 2.0 * (4 * 3 * 2) as f64);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside field dims")]
+    fn a_box_past_the_ghosts_panics() {
+        let b = SoaBlock::new(&sub(), 1);
+        let _ = b.pack_box(0, [0, 0, 0], [7, 5, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer length mismatch")]
+    fn unpack_checks_buffer_length() {
+        let mut b = SoaBlock::new(&sub(), 1);
+        b.unpack_box(0, [1, 1, 1], [5, 4, 3], &[0.0; 5]);
     }
 }

@@ -327,18 +327,6 @@ impl SharedDevice {
         let cost = inner.device.um_mut().touch_device(region)?;
         Ok((region, cost))
     }
-
-    /// Touch `bytes` of a UM region from the host (halo staging of
-    /// mesh data without GPU-direct). Returns the migration charge.
-    pub fn um_touch_host_range(
-        &self,
-        region: hsim_gpu::memory::UnifiedRegionId,
-        offset: u64,
-        len: u64,
-    ) -> Result<SimDuration, GpuError> {
-        let mut inner = self.inner.lock();
-        inner.device.um_mut().touch_host_range(region, offset, len)
-    }
 }
 
 impl GpuClient {

@@ -93,6 +93,9 @@ pub struct Report {
     /// Configured panic-reach root names that matched no function
     /// (see [`deep::unresolved_panic_roots`]).
     pub unresolved_roots: Vec<&'static str>,
+    /// Configured cost-charge names that matched no function (see
+    /// [`deep::unresolved_cost_names`]).
+    pub unresolved_cost_names: Vec<&'static str>,
 }
 
 /// Directories never descended into. `fixtures` keeps tidy's own
@@ -187,6 +190,7 @@ pub fn check_dir(root: &Path) -> io::Result<Report> {
         files: infos,
     };
     report.unresolved_roots = deep::unresolved_panic_roots(&ws.graph);
+    report.unresolved_cost_names = deep::unresolved_cost_names(&ws.graph);
     let mut deep_raw = Vec::new();
     deep::run_all(&ws, &mut deep_raw);
     for f in deep_raw {

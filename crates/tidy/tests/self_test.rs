@@ -163,6 +163,11 @@ fn live_workspace_scans_clean() {
         report.unresolved_roots
     );
     assert!(
+        report.unresolved_cost_names.is_empty(),
+        "cost-charge table names that no longer name any function: {:?}",
+        report.unresolved_cost_names
+    );
+    assert!(
         report.files_scanned > 100,
         "workspace scan looks truncated: {} files",
         report.files_scanned

@@ -2,8 +2,8 @@
 //! combination must run, and basic monotonicities must hold.
 
 use heterosim::core::runner::Problem;
-use heterosim::core::{run, ExecMode, RunConfig};
-use heterosim::hydro::{DiffusionConfig, PerturbedConfig, SodConfig};
+use heterosim::core::{run, ExecMode, RunConfig, Scenario};
+use heterosim::hydro::DiffusionConfig;
 use heterosim::time::SimDuration;
 
 fn modes() -> Vec<ExecMode> {
@@ -21,12 +21,12 @@ fn every_mode_runs_every_problem_cost_only() {
     for mode in modes() {
         for problem in [
             Problem::default(),
-            Problem::Sod(SodConfig::default()),
-            Problem::Perturbed(PerturbedConfig::default()),
+            Scenario::Sod.problem(),
+            Problem::Perturbed,
         ] {
             let mut cfg = RunConfig::sweep((64, 48, 32), mode);
             cfg.cycles = 2;
-            cfg.problem = problem.clone();
+            cfg.problem = problem;
             let r = run(&cfg).unwrap_or_else(|e| panic!("{mode:?} {problem:?}: {e}"));
             assert!(r.runtime > SimDuration::ZERO);
             assert_eq!(r.cycles, 2);
@@ -46,8 +46,8 @@ fn cost_only_runtime_is_independent_of_the_problem() {
     let mut times = Vec::new();
     for problem in [
         Problem::default(),
-        Problem::Sod(SodConfig::default()),
-        Problem::Perturbed(PerturbedConfig::default()),
+        Scenario::Sod.problem(),
+        Problem::Perturbed,
     ] {
         let mut cfg = RunConfig::sweep((64, 48, 32), ExecMode::Default);
         cfg.cycles = 3;

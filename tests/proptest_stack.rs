@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use heterosim::gpu::{Job, RateSharingTimeline};
 use heterosim::mesh::decomp::weighted::{weighted_hetero_decomp, WeightedConfig};
 use heterosim::mesh::decomp::{block_decomp, block_decomp_yz};
-use heterosim::mesh::{Centering, Field, GlobalGrid, HaloPlan, Side, Subdomain};
+use heterosim::mesh::{GlobalGrid, HaloPlan, SoaBlock, Subdomain};
 use heterosim::time::{SimDuration, SimTime, Welford};
 
 proptest! {
@@ -107,52 +107,49 @@ proptest! {
         }
     }
 
-    /// Field pack/unpack roundtrips: packing a face and unpacking it
-    /// into a matching neighbor's ghost layer preserves every value.
+    /// Zone-slab pack/unpack roundtrips, the halo exchange's path: a
+    /// random box packed out of one variable and unpacked into the
+    /// same box of another slab's variable carries every value, and
+    /// touches nothing outside the box.
     #[test]
     fn field_pack_unpack_roundtrip(
         ex in 2usize..8,
         ey in 2usize..8,
         ez in 2usize..8,
-        axis in 0usize..3,
+        corners in prop::collection::vec((0usize..12, 0usize..12), 3..4),
         seed in 0u64..1000,
     ) {
-        let left = Subdomain::new([0, 0, 0], [ex, ey, ez], 1);
-        let mut f = Field::new(&left, Centering::Zone);
+        let sub = Subdomain::new([0, 0, 0], [ex, ey, ez], 1);
+        let mut src = SoaBlock::new(&sub, 2);
         let mut rng = heterosim::time::SplitMix64::new(seed);
-        for k in 0..ez {
-            for j in 0..ey {
-                for i in 0..ex {
-                    f.set(i, j, k, rng.next_f64());
-                }
-            }
+        for v in src.slab_mut() {
+            *v = rng.next_f64();
         }
-        let packed = f.pack_face(axis, Side::High, 1);
-        prop_assert_eq!(packed.len(), f.face_len(axis, 1));
-        // Unpack into a clone's opposite ghost layer and verify the
-        // values line up with the source face.
-        let mut g = f.clone();
-        g.unpack_ghost(axis, Side::Low, 1, &packed);
-        let repacked = {
-            let mut lo = [0usize; 3];
-            let mut hi = g.dims();
-            hi[axis] = 1;
-            let mut lo2 = lo;
-            let mut hi2 = hi;
-            for a in 0..3 {
-                if a != axis {
-                    lo2[a] = 1;
-                    hi2[a] = g.dims()[a] - 1;
-                }
-            }
-            lo = lo2;
-            hi = hi2;
-            g.pack_box(lo, hi)
+        // A non-empty box anywhere in the allocated extent, ghosts
+        // included.
+        let dims = src.dims();
+        let (mut lo, mut hi) = ([0; 3], [0; 3]);
+        for (a, &(x, y)) in corners.iter().enumerate() {
+            let (x, y) = (x % dims[a], y % dims[a]);
+            (lo[a], hi[a]) = (x.min(y), x.max(y) + 1);
+        }
+        let packed = src.pack_box(1, lo, hi);
+        prop_assert_eq!(packed.len(), (0..3).map(|a| hi[a] - lo[a]).product::<usize>());
+        let mut dst = SoaBlock::new(&sub, 2);
+        dst.unpack_box(0, lo, hi, &packed);
+        let inside = |i: usize, j: usize, k: usize| {
+            (0..3).all(|a| (lo[a]..hi[a]).contains(&[i, j, k][a]))
         };
-        prop_assert_eq!(repacked.len(), packed.len());
-        for (a, b) in repacked.iter().zip(&packed) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+        for k in 0..dims[2] {
+            for j in 0..dims[1] {
+                for i in 0..dims[0] {
+                    let at = src.idx(i, j, k);
+                    let want = if inside(i, j, k) { src.var(1)[at] } else { 0.0 };
+                    prop_assert_eq!(dst.var(0)[at].to_bits(), want.to_bits());
+                }
+            }
         }
+        prop_assert!(dst.var(1).iter().all(|&v| v == 0.0));
     }
 
     /// Rate-sharing timeline conservation: total completed work never
