@@ -7,10 +7,12 @@
 //! `gpu_direct` flag implements that future-work toggle: it removes
 //! the D2H/H2D staging legs from the halo path.
 
+use std::any::TypeId;
+
 use hsim_gpu::{xfer, DeviceSpec};
 use hsim_hydro::{CoupleError, Coupler, HydroState, NCONS};
 use hsim_mesh::{Decomposition, Exchange, HaloPlan};
-use hsim_mpi::{Comm, Payload};
+use hsim_mpi::{Body, Comm, Payload};
 use hsim_raja::Fidelity;
 use hsim_time::clock::ChargeKind;
 use hsim_time::RankClock;
@@ -61,6 +63,7 @@ impl Drop for LentClock<'_> {
 
 /// A halo face message: real data in full fidelity, an empty vector
 /// with the true wire size in cost-only fidelity.
+#[derive(Debug, PartialEq)]
 pub struct FaceMsg {
     pub data: Vec<f64>,
     pub wire_bytes: u64,
@@ -69,6 +72,25 @@ pub struct FaceMsg {
 impl Payload for FaceMsg {
     fn byte_len(&self) -> u64 {
         self.wire_bytes
+    }
+
+    /// A face without data travels as its wire size alone.
+    fn into_body(self) -> Body {
+        if self.data.is_empty() {
+            Body::Empty(TypeId::of::<FaceMsg>())
+        } else {
+            Body::Any(Box::new(self))
+        }
+    }
+
+    fn from_body(body: Body, bytes: u64) -> Option<Self> {
+        match body {
+            Body::Empty(id) if id == TypeId::of::<FaceMsg>() => Some(FaceMsg {
+                data: Vec::new(),
+                wire_bytes: bytes,
+            }),
+            body => body.downcast(),
+        }
     }
 }
 
@@ -382,6 +404,29 @@ mod tests {
             (f.var(0)[idx] - expect).abs() < 1e-12
         });
         assert!(ok.iter().all(|&b| b), "{ok:?}");
+    }
+
+    #[test]
+    fn a_face_message_arrives_as_it_left() {
+        let face = |data: Vec<f64>, wire_bytes| FaceMsg { data, wire_bytes };
+        let out = World::run(2, CommCost::free(), |comm| {
+            if comm.rank() == 0 {
+                for (tag, msg) in [(1, face(Vec::new(), 640)), (2, face(vec![1.0, -2.0], 16))] {
+                    comm.send(1, tag, msg).expect("send to a live peer");
+                }
+                Vec::new()
+            } else {
+                vec![comm.recv::<FaceMsg>(0, 1), comm.recv::<FaceMsg>(0, 2)]
+            }
+        });
+        let sent = vec![Ok(face(Vec::new(), 640)), Ok(face(vec![1.0, -2.0], 16))];
+        assert_eq!(out[1], sent);
+        // An empty face is no other payload, and no other payload one.
+        assert_eq!(
+            <Vec<u8>>::from_body(face(Vec::new(), 8).into_body(), 8),
+            None
+        );
+        assert_eq!(FaceMsg::from_body(Body::Empty(TypeId::of::<()>()), 8), None);
     }
 
     #[test]

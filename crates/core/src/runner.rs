@@ -11,7 +11,7 @@ use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use hsim_gpu::memory::MemoryPool;
 use hsim_gpu::Device;
@@ -27,6 +27,7 @@ use hsim_raja::simgpu::DeviceMark;
 use hsim_raja::{Executor, Fidelity, GpuClient, KernelRegistry, SharedDevice, Target, WorkPool};
 use hsim_telemetry::{Category, Collector, Counter, Gauge, Summary, TimeStat};
 use hsim_time::clock::ChargeKind;
+use hsim_time::task::{self, Waiting};
 use hsim_time::{RankClock, SimDuration, SimTime};
 
 use crate::balance::{LoadBalancer, RebalanceConfig, RebalanceDecision, Rebalancer};
@@ -877,45 +878,111 @@ struct Posted {
 /// plan names it. Then `k` cycles ahead are `k ×` that growth, in
 /// checked integer arithmetic.
 ///
-/// Nobody waits for a verdict. Each rank posts its cycle into a slot
-/// of its own, and judges a cycle one cycle later: its next cycle's
-/// `dt` allreduce cannot complete before every rank has entered it,
-/// hence posted. The verdict is a function of those posts alone, so
-/// every rank reaches the same one; the cost is that one more cycle is
-/// stepped than it takes to see the period.
+/// The verdict is read in the cycle it judges. Each rank posts its
+/// cycle into a slot of its own and waits until every rank has posted
+/// the same cycle — parked under [`Driver::Stepped`], asleep on a
+/// condition variable under [`Driver::Threads`]. The verdict is a
+/// function of those posts alone, so every rank reaches the same one.
+/// A rank that ends without posting, by error or by panic, counts as
+/// not steady, and nobody waits for it: its [`Seat`] leaves the board
+/// as it drops, which is what a device's `Departure` is to its sync
+/// epochs.
 struct PeriodBoard {
-    /// Per rank, its posts of the last even and the last odd cycle: a
-    /// rank cannot complete cycle `c + 2` before every rank has judged
-    /// cycle `c`.
-    slots: Mutex<Vec<[Option<Posted>; 2]>>,
+    posts: Mutex<Posts>,
+    posted: Condvar,
+}
+
+struct Posts {
+    /// Per rank, its posts of the last even and the last odd cycle: no
+    /// rank reads the verdict on `c + 1`, hence posts `c + 2`, before
+    /// every rank has posted `c + 1` and so read the verdict on `c`.
+    slots: Vec<[Option<Posted>; 2]>,
+    /// Per rank: its body has ended.
+    gone: Vec<bool>,
+    /// Rank threads asleep on [`PeriodBoard::posted`].
+    sleeping: usize,
+}
+
+impl Posts {
+    /// The verdict on `cycle`: was the segment periodic when every rank
+    /// had completed it? `None` while a live rank has still to post.
+    fn verdict(&self, cycle: u64) -> Option<bool> {
+        let (mut periodic, mut sent, mut received, mut elapsed) = (true, 0, 0, None);
+        for (slot, &gone) in self.slots.iter().zip(&self.gone) {
+            match slot[(cycle % 2) as usize].filter(|p| p.cycle == cycle) {
+                None if gone => periodic = false,
+                None => return None,
+                Some(post) => {
+                    periodic &= post.steady && *elapsed.get_or_insert(post.elapsed) == post.elapsed;
+                    sent += post.messages.0;
+                    received += post.messages.1;
+                }
+            }
+        }
+        Some(periodic && sent == received)
+    }
 }
 
 impl PeriodBoard {
     fn new(ranks: usize) -> Self {
         PeriodBoard {
-            slots: Mutex::new(vec![[None; 2]; ranks]),
+            posts: Mutex::new(Posts {
+                slots: vec![[None; 2]; ranks],
+                gone: vec![false; ranks],
+                sleeping: 0,
+            }),
+            posted: Condvar::new(),
         }
     }
 
-    /// Post `rank`'s cycle, and judge the cycle before it: was the
-    /// segment periodic when every rank had completed `cycle - 1`?
-    fn post(&self, rank: usize, posted: Posted) -> bool {
-        let mut slots = self.slots.lock();
-        slots[rank][(posted.cycle % 2) as usize] = Some(posted);
-        let judged = posted.cycle - 1;
-        let (mut sent, mut received, mut elapsed) = (0, 0, None);
-        for slot in slots.iter() {
-            let post = slot[(judged % 2) as usize];
-            let Some(post) = post.filter(|p| p.cycle == judged && p.steady) else {
-                return false;
-            };
-            if *elapsed.get_or_insert(post.elapsed) != post.elapsed {
-                return false;
-            }
-            sent += post.messages.0;
-            received += post.messages.1;
+    /// `rank`'s place at the board for as long as its body runs.
+    fn seat(&self, rank: usize) -> Seat<'_> {
+        Seat { board: self, rank }
+    }
+
+    /// Change the posts and wake the rank threads waiting on them.
+    fn update(&self, change: impl FnOnce(&mut Posts)) {
+        let mut posts = self.posts.lock();
+        change(&mut posts);
+        if posts.sleeping > 0 {
+            self.posted.notify_all();
         }
-        sent == received
+    }
+}
+
+/// One rank at a [`PeriodBoard`]; dropping it leaves the board.
+struct Seat<'a> {
+    board: &'a PeriodBoard,
+    rank: usize,
+}
+
+impl Seat<'_> {
+    /// Post this rank's cycle and wait for the verdict on it.
+    async fn post(&self, posted: Posted) -> bool {
+        let (board, cycle) = (self.board, posted.cycle);
+        board.update(|posts| posts.slots[self.rank][(cycle % 2) as usize] = Some(posted));
+        task::wait(
+            Waiting::Verdict { cycle },
+            || board.posts.lock().verdict(cycle),
+            || {
+                let mut posts = board.posts.lock();
+                loop {
+                    if let Some(verdict) = posts.verdict(cycle) {
+                        return verdict;
+                    }
+                    posts.sleeping += 1;
+                    board.posted.wait(&mut posts);
+                    posts.sleeping -= 1;
+                }
+            },
+        )
+        .await
+    }
+}
+
+impl Drop for Seat<'_> {
+    fn drop(&mut self) {
+        self.board.update(|posts| posts.gone[self.rank] = true);
     }
 }
 
@@ -943,8 +1010,9 @@ impl std::fmt::Display for TooManyCycles {
 /// Run one segment and collect per-rank reports, telemetry, device
 /// busy time and the end state. Rank
 /// failures surface as typed errors — never panics or hangs (a dead
-/// rank's mailboxes disconnect its peers, and its device's rendezvous
-/// stops counting it).
+/// rank disconnects its peers' receives from it, its device's
+/// rendezvous stops counting it, and the period board stops waiting for
+/// its posts).
 ///
 /// The ranks step the segment's cycles one by one, except where all a
 /// cycle leaves behind is clocks and counts: in a cost-only segment
@@ -953,7 +1021,7 @@ impl std::fmt::Display for TooManyCycles {
 /// the cycles ahead — up to the segment's end or the next cycle the
 /// fault plan names for any rank, which is stepped — are added, not
 /// stepped. Host time is then that of the few cycles it took to see
-/// the period (two equal cycles and the one after them), whatever
+/// the period (a transient and two equal cycles), whatever
 /// `cfg.cycles` is. Full fidelity, telemetry, `--trace` and particles
 /// step every cycle, as does a segment that never repeats itself.
 fn run_segment(
@@ -1066,6 +1134,9 @@ fn run_segment(
             let orig = seg.orig_ids[rank];
             let sub = decomp.domains[rank];
             let role = roles[rank];
+            // However this body ends, its peers at the board stop
+            // waiting for its posts.
+            let seat = board.as_ref().map(|board| board.seat(rank));
             let client = slots.lock()[rank].take();
             // However this body ends, its device's rendezvous learns
             // that this client joins no further sync epoch.
@@ -1169,16 +1240,16 @@ fn run_segment(
                 gpu_direct: cfg.gpu_direct,
             };
 
-            // Where cycles may be added up: the board, the rank's mark
-            // and its stream's end at the last cycle's end, and the
-            // rank's growth over that cycle.
+            // Where cycles may be added up: the rank's seat at the
+            // board, its mark and its stream's end at the last cycle's
+            // end, and its growth over that cycle.
             let stream_end = |(client, ..): &(GpuClient, _, _)| client.stream_mark().end;
             let led = client
                 .as_ref()
                 .and_then(|(_, shared, leads)| leads.then_some(&**shared));
-            let mut period = board.as_ref().map(|board| {
+            let mut period = seat.as_ref().map(|seat| {
                 let start = RankMark::of(&clock, &exec, coupler.comm, 0.0, led);
-                (board, start, client.as_ref().map(stream_end), None)
+                (seat, start, client.as_ref().map(stream_end), None)
             });
             let mut stepped = 0;
             let mut cycle = seg.first_cycle;
@@ -1251,7 +1322,7 @@ fn run_segment(
                 cycle += 1;
                 stepped += 1;
 
-                let Some((board, mark, stream, grown)) = period.as_mut() else {
+                let Some((seat, mark, stream, grown)) = period.as_mut() else {
                     continue;
                 };
                 let now = RankMark::of(&clock, &exec, coupler.comm, stats.dt, led);
@@ -1262,15 +1333,13 @@ fn run_segment(
                 let mut streams = stream_now.zip(*stream).into_iter();
                 let in_step = streams.all(|(now, was)| now.queued == 0 && now.end - was == elapsed);
                 let repeats = grown.as_ref() == Some(&this);
-                let periodic = board.post(
-                    rank,
-                    Posted {
-                        cycle,
-                        steady: repeats && in_step,
-                        elapsed,
-                        messages: now.messages,
-                    },
-                );
+                let posted = Posted {
+                    cycle,
+                    steady: repeats && in_step,
+                    elapsed,
+                    messages: now.messages,
+                };
+                let periodic = seat.post(posted).await;
                 // A cycle the fault plan names, for any rank, is stepped,
                 // and says nothing about the cycles after it.
                 let named = || fault_plan.events.iter().map(|e| e.cycle);
@@ -1283,8 +1352,6 @@ fn run_segment(
                 *mark = now;
                 *stream = stream_now.map(|s| s.end);
                 if add > 0 {
-                    // The cycle before was the period's; so was this one.
-                    debug_assert!(repeats && in_step, "rank {orig}, cycle {cycle}");
                     // Every checked sum first: a run too long for the
                     // clock is an error before `t` is walked forward.
                     let added = clock
@@ -2227,9 +2294,9 @@ mod tests {
             let (some, all) = assert_added_up_equals_stepped(&cfg, fraction, &case);
             cases += 1;
             added_up += u64::from(some < all);
-            // Left alone, a segment shows its period within four cycles.
+            // Left alone, a segment shows its period within three cycles.
             if plan.is_empty() && cfg.rebalance.is_none() && all > 0 {
-                assert!(some <= 4, "{case}: stepped {some} of {all}");
+                assert!(some <= 3, "{case}: stepped {some} of {all}");
             }
         }
         // The optimisation must not have turned itself off.
@@ -2257,8 +2324,8 @@ mod tests {
         // modes the first cycle is a transient (the ranks leave set-up
         // at different instants, and the devices start idle). Two equal
         // cycles are the evidence, and the verdict on them is read at
-        // the end of the cycle after.
-        for (mode, expect) in paper_modes().into_iter().zip([4, 3, 4, 4]) {
+        // the end of the second.
+        for (mode, expect) in paper_modes().into_iter().zip([3, 2, 3, 3]) {
             let cfg = RunConfig::sweep((320, 240, 160), mode);
             assert_eq!(cfg.cycles, 10);
             let (some, all) = assert_added_up_equals_stepped(&cfg, 0.05, &format!("{mode:?}"));
@@ -2285,7 +2352,7 @@ mod tests {
                 run_driven(&cfg, 0.05, Driver::Stepped).unwrap()
             };
             let ((one, _), (two, _), (many, stepped)) = (at(1), at(2), at(10_000));
-            assert!(stepped <= 4, "{mode:?}: stepped {stepped}");
+            assert!(stepped <= 3, "{mode:?}: stepped {stepped}");
             let affine = |f: &dyn Fn(&RunResult) -> u64| {
                 assert_eq!(f(&many), f(&one) + 9_999 * (f(&two) - f(&one)), "{mode:?}");
             };
@@ -2319,7 +2386,7 @@ mod tests {
             long.cycles = 300;
             long.diffusion = Some(DiffusionConfig::default());
             let (some, all) = assert_added_up_equals_stepped(&long, 0.05, &format!("{mode:?}"));
-            assert!(some <= 4 && all == 300, "{mode:?}: stepped {some} of {all}");
+            assert!(some <= 3 && all == 300, "{mode:?}: stepped {some} of {all}");
         }
     }
 
@@ -2335,12 +2402,12 @@ mod tests {
         cfg.cycles = 7;
         cfg.diffusion = Some(DiffusionConfig::default());
         let (some, all) = assert_added_up_equals_stepped(&cfg, 0.0, "mps2, 7 cycles");
-        assert_eq!((some, all), (4, 7));
+        assert_eq!((some, all), (3, 7));
         let mut cfg = RunConfig::sweep((40, 96, 48), ExecMode::hetero());
         cfg.cycles = 23;
         cfg.diffusion = Some(DiffusionConfig::default());
         let (some, all) = assert_added_up_equals_stepped(&cfg, 0.0625, "hetero, 23 cycles");
-        assert_eq!((some, all), (4, 23));
+        assert_eq!((some, all), (3, 23));
     }
 
     /// The heterogeneous 64×48×32 point the fallback tests share, and
@@ -2360,7 +2427,7 @@ mod tests {
     #[test]
     fn telemetry_steps_every_cycle() {
         let mut cfg = fallback_cfg();
-        assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 4));
+        assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 3));
         cfg.telemetry = true;
         assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 10));
         // A span per rank and cycle is still there.
@@ -2403,7 +2470,7 @@ mod tests {
 
     #[test]
     fn a_cycle_the_fault_plan_names_is_stepped_and_the_ones_before_it_added() {
-        // Cycles 0–2 show the period and cycle 3 reads the verdict, 4–6
+        // Cycles 0–2 show the period and cycle 2 reads the verdict, 3–6
         // are added, cycle 7 — named by the plan, for whichever rank —
         // is stepped with its fault, and 8 and 9 after it, the run
         // having no two equal cycles left to show. The same plan past
@@ -2412,93 +2479,98 @@ mod tests {
         let plan = |spec| Some(hsim_faults::FaultPlan::parse(spec).unwrap());
         cfg.faults = plan("xfer.delay@rank1.cycle7:ns=5000000");
         let row = "2,hetero,64,48,32,98304,10,0.031681,0.1250,18480,27855440";
-        assert_eq!(row_and_stepped(&cfg), (row.to_string(), 4 + 3));
+        assert_eq!(row_and_stepped(&cfg), (row.to_string(), 3 + 3));
         assert_added_up_equals_stepped(&cfg, 0.05, "delay at 7");
         cfg.faults = plan("xfer.delay@rank1.cycle70:ns=5000000");
-        assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 4));
+        assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 3));
         // A fault early enough leaves a period to find after it: the
         // fault's cycle differs from the one before, the next from the
-        // fault's, the one after that equals it, and the one after
-        // reads so.
+        // fault's, and the one after that equals it and reads so.
         cfg.cycles = 40;
         cfg.faults = plan("xfer.delay@rank1.cycle7:ns=5000000");
         let (some, all) = assert_added_up_equals_stepped(&cfg, 0.05, "delay at 7 of 40");
-        assert_eq!((some, all), (4 + 1 + 3, 40));
+        assert_eq!((some, all), (3 + 1 + 2, 40));
         // A fault the run absorbs (the driver waits for its device
         // anyway) leaves every growth what it was, but a named cycle
         // says nothing about the cycles after it: the verdict is read
         // one cycle on.
         cfg.faults = plan("gpu.launch@rank1.cycle7");
         let (some, all) = assert_added_up_equals_stepped(&cfg, 0.05, "launch retry at 7");
-        assert_eq!((some, all), (4 + 1 + 1, 40));
-        // A named cycle that reads a verdict does not act on it.
+        assert_eq!((some, all), (3 + 1 + 1, 40));
+        // A named cycle right after a verdict leaves nothing to add
+        // before it, and its own verdict is not acted on.
         cfg.faults = plan("xfer.delay@rank1.cycle3:ns=5000000");
         let (some, all) = assert_added_up_equals_stepped(&cfg, 0.05, "delay at 3 of 40");
-        assert_eq!((some, all), (4 + 3, 40));
+        assert_eq!((some, all), (3 + 3, 40));
+    }
+
+    /// `f` on a thread of its own, or a failure after 120 s.
+    fn watched<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the run hangs")
     }
 
     #[test]
     fn a_rank_that_ends_early_hangs_nobody_where_cycles_are_added_up() {
         use hsim_mpi::{CommCost, MpiError};
-        // Posting waits for nobody: a rank that errors out or panics
-        // between two posts leaves its peers to find out where they
-        // would have anyway, at the next collective.
-        for panics in [false, true] {
-            let board = &PeriodBoard::new(3);
-            let out = World::run_fallible(
-                Driver::Stepped,
-                3,
-                CommCost::free(),
-                |mut comm| async move {
-                    let rank = comm.rank();
-                    for cycle in 1..=3 {
-                        let summed = comm.iallreduce(1.0, |a, b| a + b).await;
-                        summed.map_err(|e| format!("rank {rank}: cycle {cycle}: {e}"))?;
-                        let posted = Posted {
-                            cycle,
-                            steady: true,
-                            elapsed: SimDuration::from_nanos(5),
-                            messages: comm.messages(),
-                        };
-                        // Judged a cycle late: cycle 1 at the end of 2.
-                        assert_eq!(board.post(rank, posted), cycle == 2, "{cycle}");
-                        if rank == 1 && cycle == 2 {
-                            if panics {
-                                panic!("rank body panicked");
+        // Rank 1 posts cycle 1 and dies in cycle 2 — by error or by
+        // panic — while its peers post cycle 2 and wait for the verdict
+        // on it. Its seat leaves the board as it drops: they read "not
+        // periodic" and find out at the next collective.
+        for driver in [Driver::Stepped, Driver::Threads] {
+            for panics in [false, true] {
+                let out = watched(move || {
+                    let board = &PeriodBoard::new(3);
+                    World::run_fallible(driver, 3, CommCost::free(), |mut comm| async move {
+                        let rank = comm.rank();
+                        let seat = board.seat(rank);
+                        for cycle in 1..=3 {
+                            let summed = comm.iallreduce(1.0, |a, b| a + b).await;
+                            summed.map_err(|e| format!("rank {rank}: cycle {cycle}: {e}"))?;
+                            if rank == 1 && cycle == 2 {
+                                if panics {
+                                    panic!("rank body panicked");
+                                }
+                                return Err("rank 1: typed failure".to_string());
                             }
-                            return Err("rank 1: typed failure".to_string());
+                            let posted = Posted {
+                                cycle,
+                                steady: true,
+                                elapsed: SimDuration::from_nanos(5),
+                                messages: comm.messages(),
+                            };
+                            assert_eq!(seat.post(posted).await, cycle == 1, "{cycle}");
                         }
-                    }
-                    Ok(())
-                },
-            );
-            // Rank 0 loses rank 1, and rank 2 — the tree's leaf — rank 0.
-            for (rank, peer) in [(0, 1), (2, 0)] {
-                let gone = MpiError::Disconnected { peer };
-                assert_eq!(out[rank], Err(format!("rank {rank}: cycle 3: {gone}")));
+                        Ok(())
+                    })
+                });
+                // Rank 0 loses rank 1, and rank 2 — the tree's leaf — rank 0.
+                for (rank, peer) in [(0, 1), (2, 0)] {
+                    let gone = MpiError::Disconnected { peer };
+                    let lost = Err(format!("rank {rank}: cycle 3: {gone}"));
+                    assert_eq!(out[rank], lost, "{driver:?}");
+                }
+                let own = if panics {
+                    "rank body panicked"
+                } else {
+                    "typed failure"
+                };
+                assert_eq!(out[1], Err(format!("rank 1: {own}")), "{driver:?}");
             }
-            let own = if panics {
-                "rank body panicked"
-            } else {
-                "typed failure"
-            };
-            assert_eq!(out[1], Err(format!("rank 1: {own}")));
         }
 
-        // Through a whole run, under a watchdog: cycles 4–6 are added,
-        // rank 1 dies in cycle 7, and the injected error surfaces.
+        // Through a whole run: cycles 3–6 are added, rank 1 dies in
+        // cycle 7, and the injected error surfaces.
         for driver in [Driver::Stepped, Driver::Threads] {
             let mut cfg = sweep_cfg((32, 48, 32), ExecMode::mps4());
             cfg.cycles = 10;
             cfg.faults =
                 Some(hsim_faults::FaultPlan::parse("gpu.launch@rank1.cycle7:perm").unwrap());
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let _ = tx.send(run_driven(&cfg, 0.0, driver).map(|_| ()));
-            });
-            let err = rx
-                .recv_timeout(std::time::Duration::from_secs(120))
-                .expect("the run hangs")
+            let err = watched(move || run_driven(&cfg, 0.0, driver).map(|_| ()))
                 .expect_err("a permanent launch fault is fatal");
             assert!(err.starts_with("rank 1: "), "{driver:?}: {err}");
             assert!(err.contains("injected permanent launch fault"), "{err}");
@@ -2507,19 +2579,30 @@ mod tests {
 
     #[test]
     fn a_verdict_takes_every_rank_steady_in_step_and_nothing_in_flight() {
+        use hsim_time::task::{resume, Resumed};
+        use std::pin::pin;
         let post = |cycle, steady, ns, messages| Posted {
             cycle,
             steady,
             elapsed: SimDuration::from_nanos(ns),
             messages,
         };
-        // Posts of cycle 1 by ranks 0 and 1; the verdict on them as
-        // rank 0 reads it when it posts cycle 2.
-        let verdict = |first: [Posted; 2]| {
+        // Ranks 0 and 1 post cycle 1, and both read the verdict on it
+        // in that cycle: rank 0 waits for rank 1's post.
+        let verdict = |posts: [Posted; 2]| {
             let board = PeriodBoard::new(2);
-            assert!(!board.post(0, first[0]), "nothing to judge yet");
-            assert!(!board.post(1, first[1]));
-            board.post(0, post(2, true, 7, (3, 3)))
+            let seats = [board.seat(0), board.seat(1)];
+            let mut first = pin!(seats[0].post(posts[0]));
+            let waits = resume(first.as_mut());
+            assert!(matches!(
+                waits,
+                Resumed::Parked(Waiting::Verdict { cycle: 1 })
+            ));
+            let Resumed::Done(second) = resume(pin!(seats[1].post(posts[1]))) else {
+                panic!("the last post decides");
+            };
+            assert!(matches!(resume(first), Resumed::Done(v) if v == second));
+            second
         };
         assert!(verdict([
             post(1, true, 7, (2, 1)),
@@ -2531,9 +2614,54 @@ mod tests {
         assert!(!verdict([post(1, true, 7, (2, 1)), out_of_step]));
         let in_flight = post(1, true, 7, (1, 1));
         assert!(!verdict([post(1, true, 7, (2, 1)), in_flight]));
-        // A post of some other cycle — what a jump leaves behind.
-        let stale = post(3, true, 7, (1, 2));
-        assert!(!verdict([post(1, true, 7, (2, 1)), stale]));
+
+        // A post of another cycle — what a jump leaves behind — is no
+        // post of this one; a rank that has left posts nothing more.
+        let board = PeriodBoard::new(3);
+        let seat = board.seat(0);
+        board.update(|posts| posts.slots[1][1] = Some(post(3, true, 7, (1, 1))));
+        let mut first = pin!(seat.post(post(1, true, 7, (1, 1))));
+        assert!(matches!(resume(first.as_mut()), Resumed::Parked(_)));
+        drop(board.seat(2));
+        assert!(matches!(resume(first.as_mut()), Resumed::Stalled));
+        drop(board.seat(1));
+        assert!(matches!(resume(first), Resumed::Done(false)));
+    }
+
+    #[test]
+    fn a_stuck_stepped_world_names_the_verdict_it_waits_for() {
+        use hsim_mpi::{CommCost, MpiError};
+        let board = &PeriodBoard::new(2);
+        let out = World::run_fallible(
+            Driver::Stepped,
+            2,
+            CommCost::free(),
+            |mut comm| async move {
+                let seat = board.seat(comm.rank());
+                if comm.rank() == 0 {
+                    let posted = Posted {
+                        cycle: 4,
+                        steady: true,
+                        elapsed: SimDuration::ZERO,
+                        messages: (0, 0),
+                    };
+                    seat.post(posted).await;
+                } else {
+                    comm.irecv::<f64>(0, 9).await.map_err(|e| e.to_string())?;
+                }
+                Ok(())
+            },
+        );
+        let stuck = MpiError::Deadlock {
+            waiting: vec![
+                (0, Waiting::Verdict { cycle: 4 }),
+                (1, Waiting::Message { src: 0, tag: 9 }),
+            ],
+        };
+        assert_eq!(out, [0, 1].map(|r| Err(format!("rank {r}: {stuck}"))));
+        assert!(stuck
+            .to_string()
+            .contains("rank 0 waits for the period verdict on cycle 4"));
     }
 
     #[test]
@@ -2543,7 +2671,7 @@ mod tests {
         let mut cfg = RunConfig::sweep((16, 24, 16), ExecMode::Default);
         cfg.cycles = MAX_ADDED_CYCLES + 4;
         let err = run_driven(&cfg, 0.0, Driver::Stepped).unwrap_err();
-        let refused = TooManyCycles(MAX_ADDED_CYCLES + 1).to_string();
+        let refused = TooManyCycles(MAX_ADDED_CYCLES + 2).to_string();
         assert!(err.contains(&refused), "{err}");
     }
 
@@ -2653,20 +2781,14 @@ mod tests {
         // device's next sync epoch, where the device's other three
         // clients — rank threads, blocked on a condition variable —
         // already wait. Its departure must complete that epoch; the
-        // survivors then fail at the dead rank's mailboxes and the
+        // survivors then fail at the dead rank's inbox and the
         // injected root cause wins, as for any other loss.
         for _ in 0..3 {
             let mut cfg = sweep_cfg((32, 48, 32), ExecMode::mps4());
             cfg.fidelity = Fidelity::Full;
             cfg.faults =
                 Some(hsim_faults::FaultPlan::parse("gpu.launch@rank1.cycle1:perm").unwrap());
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let _ = tx.send(run_driven(&cfg, 0.0, Driver::Threads).map(|_| ()));
-            });
-            let err = rx
-                .recv_timeout(std::time::Duration::from_secs(120))
-                .expect("the run hangs at the device rendezvous")
+            let err = watched(move || run_driven(&cfg, 0.0, Driver::Threads).map(|_| ()))
                 .expect_err("a permanent launch fault is fatal");
             assert!(err.starts_with("rank 1: "), "{err}");
             assert!(err.contains("injected permanent launch fault"), "{err}");

@@ -13,6 +13,9 @@ pub enum MpiError {
     Disconnected { peer: usize },
     /// A typed receive got a payload of a different type.
     TypeMismatch { tag: u32 },
+    /// A user send or receive named a tag at or above `0x8000_0000`,
+    /// the space collective rounds tag themselves in.
+    ReservedTag { tag: u32 },
     /// Self-send without a buffered message (unsupported pattern).
     SelfMessage,
     /// A collective's internal tree/ring protocol broke its own
@@ -39,6 +42,9 @@ impl fmt::Display for MpiError {
             MpiError::Disconnected { peer } => write!(f, "peer rank {peer} disconnected"),
             MpiError::TypeMismatch { tag } => {
                 write!(f, "receive type does not match sent payload (tag {tag})")
+            }
+            MpiError::ReservedTag { tag } => {
+                write!(f, "tag {tag:#x} is reserved for collectives")
             }
             MpiError::SelfMessage => write!(f, "blocking self-send is a deadlock"),
             MpiError::CollectiveProtocol { what } => {
@@ -67,5 +73,7 @@ mod tests {
         let e = MpiError::RankOutOfRange { rank: 9, size: 4 };
         assert!(e.to_string().contains('9') && e.to_string().contains('4'));
         assert!(MpiError::Disconnected { peer: 3 }.to_string().contains('3'));
+        let reserved = MpiError::ReservedTag { tag: 0x8000_0002 }.to_string();
+        assert!(reserved.contains("0x80000002"), "{reserved}");
     }
 }

@@ -4,8 +4,8 @@
 //! runtime of the paper's testbed. Ranks live inside one process —
 //! one OS thread each, or all of them stepped on the caller's thread
 //! when they have nothing to run in parallel (see [`Driver`]);
-//! point-to-point messages travel over channels and carry the
-//! sender's **virtual timestamp**, so simulated time propagates exactly
+//! point-to-point messages travel through one inbox per rank and carry
+//! the sender's **virtual timestamp**, so simulated time propagates exactly
 //! the way causality does in a real bulk-synchronous MPI code:
 //!
 //! * `send` charges the sender's clock a send overhead and stamps the
@@ -40,5 +40,5 @@ pub mod world;
 pub use comm::Comm;
 pub use cost::CommCost;
 pub use error::MpiError;
-pub use payload::Payload;
+pub use payload::{Body, Payload};
 pub use world::{Driver, World};

@@ -1,4 +1,4 @@
-//! The world launcher: wires mailboxes and drives the ranks.
+//! The world launcher: opens the ranks' inboxes and drives the ranks.
 //!
 //! A rank body is a future over its [`Comm`]. Two drivers run it:
 //! [`Driver::Threads`] gives every rank an OS thread and blocks it in
@@ -9,11 +9,10 @@
 
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::channel;
 
 use hsim_time::task::{self, Resumed};
 
-use crate::comm::{Comm, Packet};
+use crate::comm::{Comm, PostOffice};
 use crate::cost::CommCost;
 use crate::error::MpiError;
 
@@ -79,31 +78,12 @@ impl World {
     }
 }
 
-/// Build each rank's endpoint over a `size`² channel matrix.
+/// Build each rank's endpoint over one shared post office.
 fn endpoints(size: usize, cost: CommCost) -> Vec<Comm> {
     assert!(size > 0, "world needs at least one rank");
-    // Channel matrix: chan[src][dst]. Receivers are built
-    // destination-major so each rank's endpoint owns its column
-    // outright — no placeholder slots to unwrap later.
-    let mut txs: Vec<Vec<_>> = Vec::with_capacity(size);
-    let mut rx_cols: Vec<Vec<_>> = (0..size).map(|_| Vec::with_capacity(size)).collect();
-    for _src in 0..size {
-        let mut row = Vec::with_capacity(size);
-        for rx_col in rx_cols.iter_mut() {
-            let (tx, rx) = channel::<Packet>();
-            row.push(tx);
-            rx_col.push(rx);
-        }
-        txs.push(row);
-    }
-    // senders[dst] = tx[me][dst]; receivers[src] = rx side of
-    // chan[src][me] (column `me`, pushed in ascending src order above).
-    // Each row moves into its rank, so a rank that ends disconnects
-    // exactly its own outgoing channels.
-    txs.into_iter()
-        .zip(rx_cols)
-        .enumerate()
-        .map(|(rank, (senders, receivers))| Comm::new(rank, size, cost.clone(), senders, receivers))
+    let post = PostOffice::new(size);
+    (0..size)
+        .map(|rank| Comm::new(rank, cost.clone(), std::sync::Arc::clone(&post)))
         .collect()
 }
 
@@ -299,9 +279,77 @@ mod tests {
     }
 
     #[test]
+    fn a_word_taken_as_the_other_word_type_is_a_type_mismatch() {
+        let out = on_both(2, CommCost::free(), |mut comm| async move {
+            if comm.rank() == 0 {
+                comm.send(1, 3, 1.5f64).unwrap();
+                comm.send(1, 4, 1.5f64).unwrap();
+                None
+            } else {
+                let wrong = comm.irecv::<u64>(0, 3).await;
+                let right = comm.irecv::<f64>(0, 4).await;
+                Some((wrong, right))
+            }
+        });
+        let wrong = MpiError::TypeMismatch { tag: 3 };
+        assert_eq!(out[1], Some((Err(wrong), Ok(1.5))));
+    }
+
+    #[test]
     fn self_send_is_an_error() {
         let out = World::run(1, CommCost::free(), |comm| comm.send(0, 1, 1.0f64).is_err());
         assert!(out[0]);
+    }
+
+    #[test]
+    fn user_tags_cannot_enter_the_collective_space() {
+        // A send or receive there would be traced as collective traffic
+        // and could take a collective round's packet.
+        let out = on_both(2, CommCost::free(), |mut comm| async move {
+            let peer = 1 - comm.rank();
+            let tag = 0x8000_0000;
+            let sent = comm.send(peer, tag, 1.0f64);
+            let received = comm.irecv::<f64>(peer, tag | 1).await;
+            // The collective that would have met those packets runs.
+            let sum = comm.iallreduce(1.0, |a, b| a + b).await;
+            (sent, received, sum)
+        });
+        for (sent, received, sum) in out {
+            assert_eq!(sent, Err(MpiError::ReservedTag { tag: 0x8000_0000 }));
+            assert_eq!(received, Err(MpiError::ReservedTag { tag: 0x8000_0001 }));
+            assert_eq!(sum, Ok(2.0));
+        }
+    }
+
+    #[test]
+    fn what_a_rank_sent_before_it_ended_is_received_before_disconnected() {
+        let out = on_both(3, CommCost::free(), |mut comm| async move {
+            match comm.rank() {
+                0 => {
+                    comm.send(1, 1, 1.0f64).unwrap();
+                    comm.send(1, 2, vec![2.0f64]).unwrap();
+                    comm.send(1, 3, 3u64).unwrap();
+                    Vec::new()
+                }
+                1 => {
+                    // Out of order, then past what rank 0 sent.
+                    let third = comm.irecv::<u64>(0, 3).await.map(|x| x as f64);
+                    let first = comm.irecv::<f64>(0, 1).await;
+                    let second = comm.irecv::<Vec<f64>>(0, 2).await.map(|v| v[0]);
+                    let after = comm.irecv::<f64>(0, 1).await;
+                    // Rank 2 ends too; so a send to it is refused.
+                    let gone = comm.irecv::<f64>(2, 1).await;
+                    let to_gone = comm.send(2, 1, 0.0f64).map(|()| 0.0);
+                    vec![third, first, second, after, gone, to_gone]
+                }
+                _ => Vec::new(),
+            }
+        });
+        let [zero, two] = [0, 2].map(|peer| Err(MpiError::Disconnected { peer }));
+        assert_eq!(
+            out[1],
+            vec![Ok(3.0), Ok(1.0), Ok(2.0), zero, two.clone(), two]
+        );
     }
 
     #[test]

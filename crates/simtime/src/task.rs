@@ -5,7 +5,7 @@
 //!
 //! * **thread-per-rank** — [`block_on`] polls the future to completion
 //!   on the rank's own thread, and a wait *blocks that thread inside
-//!   the poll* (a channel receive, a condition variable). This is the
+//!   the poll* (on a condition variable). This is the
 //!   driver for runs that execute kernel bodies, where the ranks'
 //!   parallelism is the point.
 //! * **stepped** — one thread [`resume`]s every rank's future in turn,
@@ -16,9 +16,9 @@
 //!
 //! Which of the two is polling is a property of the calling thread for
 //! the duration of a poll, so that is where it is recorded: [`wait`] —
-//! the one shape both wait primitives (mailbox, device epoch) have —
-//! reads it and blocks or parks accordingly. A primitive cannot be
-//! configured for one driver and polled by the other.
+//! the one shape every wait primitive (inbox, device epoch, period
+//! verdict) has — reads it and blocks or parks accordingly. A primitive
+//! cannot be configured for one driver and polled by the other.
 
 use std::cell::Cell;
 use std::fmt;
@@ -34,6 +34,9 @@ pub enum Waiting {
     Message { src: usize, tag: u32 },
     /// The sync epoch of `device`, which not every client has joined.
     DeviceSync { device: usize, epoch: u64 },
+    /// The verdict on whether `cycle` showed a segment's period, which
+    /// not every rank has posted its part of.
+    Verdict { cycle: u64 },
 }
 
 impl fmt::Display for Waiting {
@@ -43,6 +46,7 @@ impl fmt::Display for Waiting {
             Waiting::DeviceSync { device, epoch } => {
                 write!(f, "sync epoch {epoch} of device {device}")
             }
+            Waiting::Verdict { cycle } => write!(f, "the period verdict on cycle {cycle}"),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Chaos property: any single-site fault plan either fully recovers
 //! (the Sedov solution is intact within convergence tolerance) or
 //! fails with a typed error — never a panic, never a hang. The run
-//! returning at all is the no-hang proof: a dead rank's channels drop
+//! returning at all is the no-hang proof: a dead rank's `Comm` drops
 //! and every peer's blocked receive turns into a typed disconnect.
 
 use std::sync::OnceLock;
