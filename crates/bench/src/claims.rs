@@ -10,10 +10,10 @@
 //! Two readers: the root test `tests/claims.rs`, which fails listing
 //! every broken claim by id (`tests/figures_shape.rs` checks the figure
 //! rows again, one test per figure), and `perf claims`, which writes
-//! `claims.<id>` (the value) and `claims.<id>.holds` for
-//! `perf ci-gate --section claims`. A row without a tolerance is a
-//! projection the paper makes without measuring it: its value is
-//! reported and held to nothing.
+//! `claims.<id>` (the value) and `claims.<id>.holds` and exits 1 if any
+//! `holds` is false. A row without a tolerance is a projection the
+//! paper makes without measuring it: its value is reported and held to
+//! nothing. `perf` states its own bounds as [`Tolerance`]s too.
 
 use std::fmt;
 
@@ -32,13 +32,15 @@ pub enum Tolerance {
     Above(f64),
     /// `< x`
     Below(f64),
+    /// `≥ x`
+    AtLeast(f64),
     /// `≤ x`
     AtMost(f64),
     /// `[lo, hi)`
     Within(f64, f64),
 }
 
-use Tolerance::{Above, AtMost, Below, Within};
+use Tolerance::{Above, AtLeast, AtMost, Below, Within};
 
 impl Tolerance {
     /// Does `v` lie in the interval? NaN never does.
@@ -46,6 +48,7 @@ impl Tolerance {
         match self {
             Above(x) => v > x,
             Below(x) => v < x,
+            AtLeast(x) => v >= x,
             AtMost(x) => v <= x,
             Within(lo, hi) => (lo..hi).contains(&v),
         }
@@ -57,6 +60,7 @@ impl fmt::Display for Tolerance {
         match self {
             Above(x) => write!(f, "> {x}"),
             Below(x) => write!(f, "< {x}"),
+            AtLeast(x) => write!(f, "≥ {x}"),
             AtMost(x) => write!(f, "≤ {x}"),
             Within(lo, hi) => write!(f, "[{lo}, {hi})"),
         }
@@ -460,13 +464,21 @@ mod tests {
     fn tolerances_read_as_the_asserts_they_replaced() {
         assert!(Above(1.3).admits(1.31) && !Above(1.3).admits(1.3));
         assert!(AtMost(1.0).admits(1.0) && !Below(1.0).admits(1.0));
+        assert!(AtLeast(1.0).admits(1.0) && !AtLeast(1.0).admits(0.99));
         assert!(Within(0.9, 1.15).admits(0.9) && !Within(0.9, 1.15).admits(1.15));
         assert!(!Above(0.0).admits(f64::NAN) && !AtMost(1.0).admits(f64::NAN));
-        let shown: Vec<String> = [Above(1.3), Below(1.15), AtMost(1.02), Within(0.1, 0.25)]
-            .iter()
-            .map(Tolerance::to_string)
-            .collect();
-        assert_eq!(shown, ["> 1.3", "< 1.15", "≤ 1.02", "[0.1, 0.25)"]);
+        assert!(!AtLeast(f64::NAN).admits(2.0));
+        let shown: Vec<String> = [
+            Above(1.3),
+            Below(1.15),
+            AtLeast(0.5),
+            AtMost(1.02),
+            Within(0.1, 0.25),
+        ]
+        .iter()
+        .map(Tolerance::to_string)
+        .collect();
+        assert_eq!(shown, ["> 1.3", "< 1.15", "≥ 0.5", "≤ 1.02", "[0.1, 0.25)"]);
     }
 
     #[test]

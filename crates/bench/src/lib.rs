@@ -68,12 +68,35 @@ pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
 }
 
 /// [`take_flag`] for a count: `default` when the flag is absent, exit
-/// code 2 when its value is not a number.
+/// code 2 when its value is not a positive integer.
 pub fn take_count(args: &mut Vec<String>, flag: &str, default: usize) -> usize {
     take_flag(args, flag).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("{flag} needs a positive integer, got {v:?}");
+        parse_count(flag, &v).unwrap_or_else(|e| {
+            eprintln!("{e}");
             std::process::exit(2);
         })
     })
+}
+
+/// A count flag's value: a positive integer, or why it is not one.
+pub fn parse_count(flag: &str, v: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{flag} needs a positive integer, got {v:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_count;
+
+    #[test]
+    fn a_count_is_a_positive_integer() {
+        assert_eq!(parse_count("--jobs", "4"), Ok(4));
+        let zero = parse_count("--jobs", "0").unwrap_err();
+        assert_eq!(zero, "--jobs needs a positive integer, got \"0\"");
+        for bad in ["-1", "four", "", "2.5"] {
+            assert!(parse_count("--host-threads", bad).is_err(), "{bad:?}");
+        }
+    }
 }

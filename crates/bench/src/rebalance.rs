@@ -1,7 +1,6 @@
 //! The online-rebalance convergence study: the data source for the
 //! `fig-rebalance` figure and the perf harness's `rebalance.*` result
-//! rows (`perf rebalance`, gated by `perf ci-gate --section
-//! rebalance`).
+//! rows (`perf rebalance`, which gates them before it exits).
 //!
 //! Three parts, all in deterministic virtual time:
 //!

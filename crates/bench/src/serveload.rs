@@ -47,7 +47,7 @@ pub const PROBE_CAPACITY: usize = 4;
 pub const PROBE_OVERFLOW: usize = 3;
 
 /// What the load driver observed; [`ServeLoadReport::rows`] puts it
-/// in the perf results file, where `perf ci-gate` gates it.
+/// in the perf results file, and `perf serve` gates the rows.
 #[derive(Debug, Clone)]
 pub struct ServeLoadReport {
     pub clients: usize,

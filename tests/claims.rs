@@ -1,8 +1,8 @@
 //! The paper's claims hold: every row of `hsim_bench::claims` with a
 //! tolerance measures inside it. The table is the one statement of
 //! what the figures must show (who wins, by what factor, where the
-//! crossovers fall); `perf claims` reads the same rows into the
-//! results file for `perf ci-gate --section claims`.
+//! crossovers fall); `perf claims` writes the same rows into its
+//! results file and exits 1 if one is broken.
 
 use heterosim::bench::claims;
 
