@@ -6,17 +6,20 @@
 //! triad probe (`a[i] = b[i] + s·c[i]`, the bandwidth-bound STREAM
 //! kernel) measures what the host actually streams at the same worker
 //! count the parallel fused bench uses. The per-zone byte and flop
-//! counts come from the hand-counted kernel catalog
-//! ([`hsim_hydro::kernels`]) for the **legacy per-pass** first-order
-//! workload — deliberately so: the fused path exists to beat that
-//! naive traffic by keeping tiles cache-resident, so a fused
-//! `roof_fraction` *above* 1.0 is the signature of fusion working,
-//! and the CI floor on the fraction stays machine-independent.
+//! counts are those of the code the bench runs — fused primitive
+//! recovery plus one fused first-order sweep — counted the way Xue,
+//! Wang & Roy (arXiv 2305.18057) count finite-volume kernels: the
+//! compulsory traffic of each slab the pass touches, with a tile's
+//! scratch (face fluxes, carried planes) staying in cache. Stores
+//! count once, as the triad's `3 × 8` B does (no write-allocate read).
+//! The ghost shell (primitives over allocated zones, ghost-column
+//! faces) is left out: at the bench's 56³ it adds about a tenth, so
+//! the roof reads a little high and the fraction a little low.
 
 use std::time::Instant;
 
 use hsim_hydro::kernels;
-use hsim_hydro::state::NCONS;
+use hsim_hydro::state::{NCONS, NPRIM};
 
 /// What the triad probe measured.
 #[derive(Debug, Clone, Copy)]
@@ -79,43 +82,48 @@ pub fn measure_triad(workers: usize, len: usize, reps: usize) -> TriadProbe {
     }
 }
 
-/// Bytes one zone moves through the legacy per-pass first-order
-/// workload the kernel bench times (primitive recovery + one
-/// three-axis first-order sweep), straight from the kernel catalog:
-/// three primitive passes, then per axis one wavespeed pass and a
-/// flux + update pass per conserved variable.
+/// One f64, in bytes.
+const WORD: f64 = 8.0;
+
+/// Compulsory bytes one zone moves through the fused first-order
+/// workload the kernel bench times: primitive recovery reads the five
+/// conserved variables and writes the five primitives; the sweep (from
+/// the target as it stands) reads the five conserved variables and the
+/// five primitives, and reads and writes the five target variables.
 pub fn first_order_bytes_per_zone() -> f64 {
-    let ncons = NCONS as f64;
-    kernels::VELOCITY.bytes_per_elem
-        + kernels::PRESSURE.bytes_per_elem
-        + kernels::SOUND_SPEED.bytes_per_elem
-        + 3.0
-            * (kernels::WAVESPEED.bytes_per_elem
-                + ncons * (kernels::FLUX.bytes_per_elem + kernels::UPDATE.bytes_per_elem))
+    let (ncons, nprim) = (NCONS as f64, NPRIM as f64);
+    let primitives = (ncons + nprim) * WORD;
+    let sweep = (ncons + nprim + 2.0 * ncons) * WORD;
+    primitives + sweep
 }
 
-/// Flops one zone spends in the same workload.
+/// Flops one zone executes in the same workload, per owned face and
+/// zone. Primitive recovery: a density floor, three divides for the
+/// velocity, seven for the kinetic energy, three for the floored
+/// pressure, three for the sound speed. Per face (three per zone): five
+/// for the wavespeed (two `abs`, two adds, a `max`), one for `½s`,
+/// eighteen for the ten physical fluxes of both sides, and five per
+/// variable for the Rusanov combination. Per zone and variable, three
+/// per axis for the flux-difference update.
 pub fn first_order_flops_per_zone() -> f64 {
     let ncons = NCONS as f64;
-    kernels::VELOCITY.flops_per_elem
-        + kernels::PRESSURE.flops_per_elem
-        + kernels::SOUND_SPEED.flops_per_elem
-        + 3.0
-            * (kernels::WAVESPEED.flops_per_elem
-                + ncons * (kernels::FLUX.flops_per_elem + kernels::UPDATE.flops_per_elem))
+    let primitives = 1.0 + 3.0 + 7.0 + 3.0 + 3.0;
+    let per_face = 5.0 + 1.0 + 18.0 + 5.0 * ncons;
+    let update = 3.0 * 3.0 * ncons;
+    primitives + 3.0 * per_face + update
 }
 
-/// Arithmetic intensity (flop/byte) of the per-pass workload. Far
-/// below 1, so the workload is bandwidth-bound and the triad roof is
-/// the binding one.
+/// Arithmetic intensity (flop/byte) of the fused workload. Under 1,
+/// far below a core's flop:byte balance, so the workload is
+/// bandwidth-bound and the triad roof is the binding one.
 pub fn first_order_intensity() -> f64 {
     first_order_flops_per_zone() / first_order_bytes_per_zone()
 }
 
 /// Bandwidth-predicted throughput roof in million zones per second if
-/// every byte of the per-pass workload had to stream from memory at
-/// the triad rate. The fused path's measured throughput divided by
-/// this is the `roof_fraction` the CI gate floors.
+/// every compulsory byte of the workload streamed from memory at the
+/// triad rate. The fused path's measured throughput divided by this is
+/// the `roof_fraction` the CI gate floors.
 pub fn predicted_mzones_per_s(triad_gbps: f64) -> f64 {
     triad_gbps * 1e9 / first_order_bytes_per_zone() / 1e6
 }
@@ -157,12 +165,12 @@ mod tests {
 
     #[test]
     fn per_zone_traffic_matches_the_hand_count() {
-        // 56+56+24 primitives + 3 axes × (40 wavespeed + 5 × (64 flux
-        // + 40 update)) bytes; 24 + 3 × (8 + 5 × 19) flops.
-        assert_eq!(first_order_bytes_per_zone(), 1816.0);
-        assert_eq!(first_order_flops_per_zone(), 333.0);
+        // (5 + 5) words for the primitives, (5 + 5 + 2 × 5) for the
+        // sweep; 17 + 3 × (5 + 1 + 18 + 5 × 5) + 3 × 3 × 5 flops.
+        assert_eq!(first_order_bytes_per_zone(), 240.0);
+        assert_eq!(first_order_flops_per_zone(), 209.0);
         let ai = first_order_intensity();
-        assert!(ai > 0.1 && ai < 0.3, "intensity {ai}");
+        assert!(ai > 0.5 && ai < 1.0, "intensity {ai}");
     }
 
     #[test]
@@ -170,8 +178,8 @@ mod tests {
         let lo = predicted_mzones_per_s(10.0);
         let hi = predicted_mzones_per_s(20.0);
         assert!((hi / lo - 2.0).abs() < 1e-12);
-        // 10 GB/s over 1816 B/zone ≈ 5.5 Mzones/s.
-        assert!((lo - 10.0 * 1e9 / 1816.0 / 1e6).abs() < 1e-9);
+        // 10 GB/s over 240 B/zone ≈ 41.7 Mzones/s.
+        assert!((lo - 10.0 * 1e9 / 240.0 / 1e6).abs() < 1e-9);
     }
 
     #[test]

@@ -640,4 +640,86 @@ mod tests {
         }
         assert_eq!(checked, 16 * 16 * 16);
     }
+
+    /// Every ghost zone of every variable of `block` set to NaN.
+    fn poison_ghosts(block: &mut hsim_mesh::SoaBlock) {
+        let (d, g, core) = (block.dims(), block.ghost(), block.core());
+        for v in 0..block.nvar() {
+            for k in 0..d[2] {
+                for j in 0..d[1] {
+                    for i in 0..d[0] {
+                        let owned = [i, j, k]
+                            .iter()
+                            .zip(core)
+                            .all(|(&x, c)| x >= g && x < g + c);
+                        if !owned {
+                            let at = block.idx(i, j, k);
+                            block.var_mut(v)[at] = f64::NAN;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The multirank twin of `hsim-hydro`'s `ghosts_are_never_read`:
+    /// the stage sweeps leave their target's ghosts stale, which is
+    /// sound only if a ghost is rewritten — by the boundary fill or the
+    /// halo exchange — before anything reads it. Poisoning every ghost
+    /// of `u`, `u0` and `prim` between cycles must leave owned zones,
+    /// `t` and every rank's clock bit-equal.
+    #[test]
+    fn poisoned_ghosts_leave_a_four_rank_world_bit_equal() {
+        use hsim_hydro::sedov::{self, SedovConfig};
+        use hsim_hydro::step;
+
+        let grid = GlobalGrid::new(16, 16, 16);
+        let decomp = block_decomp(grid, 4, 1);
+        let plan = HaloPlan::build(&decomp);
+        let (decomp, plan) = (&decomp, &plan);
+        let run = |poison: bool| {
+            World::run(4, CommCost::on_node(), |comm| {
+                let rank = comm.rank();
+                let sub = decomp.domains[rank];
+                let mut st = HydroState::new(grid, sub, Fidelity::Full);
+                sedov::init(&mut st, &SedovConfig::default());
+                st.tile = [4, 4];
+                let mut exec =
+                    Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), Fidelity::Full);
+                let mut clock = RankClock::new(rank);
+                let mut coupler = MpiCoupler {
+                    comm,
+                    plan,
+                    decomp,
+                    gpu_spec: None,
+                    gpu_direct: false,
+                };
+                let mut seen = Vec::new();
+                for _ in 0..4 {
+                    if poison {
+                        for block in [&mut st.u, &mut st.u0, &mut st.prim] {
+                            poison_ghosts(block);
+                        }
+                    }
+                    step(&mut st, &mut exec, &mut clock, &mut coupler, 0.3, 1.0).unwrap();
+                    let e = st.ext();
+                    for v in 0..NCONS {
+                        for k in 0..e[2] {
+                            for j in 0..e[1] {
+                                for i in 0..e[0] {
+                                    seen.push(st.u.get(v, i, j, k).to_bits());
+                                }
+                            }
+                        }
+                    }
+                    seen.extend([st.t.to_bits(), clock.now().as_nanos()]);
+                }
+                seen
+            })
+        };
+        let (clean, poisoned) = (run(false), run(true));
+        for (rank, (a, b)) in clean.iter().zip(&poisoned).enumerate() {
+            assert!(a == b, "rank {rank}: a poisoned ghost was read");
+        }
+    }
 }

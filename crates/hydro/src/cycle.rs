@@ -3,14 +3,16 @@
 //! Structure (Heun / two-stage RK, unsplit finite volume):
 //!
 //! ```text
-//! save          u0 ← u                              5 kernels
+//! save          u0 ← u                              5 kernels, charged here,
+//!                                                   executed by the stage-1 sweep
 //! stage 1       bc(u), exchange(u), primitives(u)   ≤5·faces + 3
 //!               dt = CFL min-reduce ⊕ allreduce     1 + collective
-//!               sweep: u0 -= dt·L(u)                33
+//!               sweep: u0 ← u − dt·L(u)             33
 //!               swap(u, u0)                         —
-//! stage 2       combine: u0 ← ½u0 + ½u              5
+//! stage 2       combine: u0 ← ½u0 + ½u              5, charged here,
+//!                                                   executed by the stage-2 sweep
 //!               bc(u), exchange(u), primitives(u)   ≤5·faces + 3
-//!               sweep: u0 -= ½dt·L(u)               33
+//!               sweep: u0 ← ½u0 + ½u − ½dt·L(u)     33
 //!               swap(u, u0)                         —
 //! ```
 //!
@@ -20,9 +22,14 @@
 //!
 //! The launch counts above are *charged* per fine-grained kernel
 //! (virtual time, telemetry, and figures are defined in those terms),
-//! but since the cache-blocking rework the arithmetic itself runs
-//! through the fused tiled kernels in [`crate::fused`], which replay
-//! the same charge sequence and produce bitwise-identical states.
+//! but the arithmetic runs through the fused tiled kernels in
+//! [`crate::fused`], which replay the same charge sequence and produce
+//! bitwise-identical owned zones. The save and combine are charged in
+//! their own phases ([`crate::fused::charge_start`]) and executed by
+//! the stage sweep that follows ([`crate::fused::Start`]), which
+//! writes only owned zones: the target's ghosts go stale, and the
+//! boundary fill and halo exchange rewrite every ghost a kernel reads
+//! before it is read.
 
 use std::future::Future;
 
@@ -33,7 +40,7 @@ use hsim_time::{RankClock, SimTime};
 
 use crate::bc;
 use crate::eos::cfl_dt;
-use crate::fused::{combine, primitives, save_state, sweep, sweep_muscl};
+use crate::fused::{charge_start, primitives, sweep_from, sweep_muscl_from, Start};
 use crate::muscl::Reconstruction;
 use crate::state::HydroState;
 
@@ -202,11 +209,12 @@ pub async fn step_with<C: Coupler>(
     let do_sweep = |st: &mut HydroState,
                     exec: &mut Executor,
                     clock: &mut RankClock,
-                    dt: f64|
+                    dt: f64,
+                    start: Start|
      -> Result<(), GpuError> {
         match recon {
-            Reconstruction::FirstOrder => sweep(st, exec, clock, dt),
-            Reconstruction::Muscl => sweep_muscl(st, exec, clock, dt),
+            Reconstruction::FirstOrder => sweep_from(st, exec, clock, dt, start),
+            Reconstruction::Muscl => sweep_muscl_from(st, exec, clock, dt, start),
         }
     };
     // Phase span: brackets `[t0, now)` on the rank timeline.
@@ -214,9 +222,10 @@ pub async fn step_with<C: Coupler>(
         hsim_telemetry::rank_span(hsim_telemetry::Category::Phase, name, t0, clock.now());
     };
 
-    // Stage 0: snapshot.
+    // Stage 0: snapshot, charged here and executed by the stage-1
+    // sweep.
     let t0 = clock.now();
-    save_state(st, exec, clock)?;
+    charge_start(st, exec, clock, Start::Snapshot)?;
     phase("save", t0, clock);
 
     // Stage 1 inputs: ghosts of u^n.
@@ -240,14 +249,15 @@ pub async fn step_with<C: Coupler>(
 
     // Stage 1: u0 ← u^n − dt·L(u^n) = u*.
     let t0 = clock.now();
-    do_sweep(st, exec, clock, dt)?;
+    do_sweep(st, exec, clock, dt, Start::Snapshot)?;
     std::mem::swap(&mut st.u, &mut st.u0);
     exec.sync(clock).await;
     phase("flux", t0, clock);
 
-    // Stage 2: u0 ← ½u^n + ½u*, then u0 −= ½dt·L(u*).
+    // Stage 2: u0 ← ½u^n + ½u* − ½dt·L(u*); the combine is charged
+    // here and executed by the stage-2 sweep.
     let t0 = clock.now();
-    combine(st, exec, clock)?;
+    charge_start(st, exec, clock, Start::Average)?;
     phase("combine", t0, clock);
     let t0 = clock.now();
     bc::apply(st, exec, clock)?;
@@ -257,7 +267,7 @@ pub async fn step_with<C: Coupler>(
     primitives(st, exec, clock)?;
     phase("eos", t0, clock);
     let t0 = clock.now();
-    do_sweep(st, exec, clock, 0.5 * dt)?;
+    do_sweep(st, exec, clock, 0.5 * dt, Start::Average)?;
     std::mem::swap(&mut st.u, &mut st.u0);
     exec.sync(clock).await;
     phase("flux", t0, clock);

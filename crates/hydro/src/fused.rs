@@ -1,13 +1,16 @@
 //! Fused cache-blocked hydro kernels — the production CPU path.
 //!
 //! The legacy modules ([`crate::eos`], [`crate::flux`],
-//! [`crate::muscl`], and the per-variable save/combine loops) launch
-//! one fine-grained kernel per (pass, variable, axis), so every pass
-//! streams the whole grid through cache again. This module fuses each
-//! multi-kernel stage into a single pass over y–z **tiles**: a tile's
-//! x-rows of every variable are loaded once, all passes for that tile
-//! run while the rows are cache-resident, and the tile writes its
-//! outputs through [`DisjointRowsMut`] row guards.
+//! [`crate::muscl`]) launch one fine-grained kernel per (pass,
+//! variable, axis), so every pass streams the whole grid through cache
+//! again. This module fuses each multi-kernel stage into a single pass over y–z
+//! **tiles**: a tile's x-rows of every variable are loaded once, all
+//! passes for that tile run while the rows are cache-resident, and the
+//! tile writes its outputs through [`DisjointRowsMut`] row guards. The
+//! first-order stage sweep goes furthest: per tile plane it computes
+//! each kind of face once, all five fluxes in one loop, and writes
+//! each target row once, starting from the value the RK step's save or
+//! combine would have left there ([`Start`]).
 //!
 //! Two invariants make the fusion invisible to everything downstream:
 //!
@@ -16,16 +19,29 @@
 //!    kernel descriptors, shapes, and order — so virtual time, launch
 //!    counts, telemetry spans, and therefore every figure and trace
 //!    byte are identical to the per-pass path. [`Executor::run_tiles`]
-//!    itself charges nothing.
-//! 2. **Bitwise identity.** Per zone, the fused arithmetic performs
-//!    the same f64 operations in the same order as the legacy kernels
-//!    (helpers below mirror the legacy loop bodies expression for
-//!    expression), zones are independent within a pass, and per-zone
-//!    accumulation keeps the legacy axis-then-variable order. Faces on
-//!    tile seams are recomputed by both neighboring tiles — pure
-//!    functions of unmodified inputs, so both compute the same bits.
-//!    Tile shape and worker count therefore never change results; the
-//!    property tests in `tests/` check this exhaustively.
+//!    itself charges nothing, and [`charge_start`] charges the save and
+//!    combine launches the stage sweep executes.
+//! 2. **Owned-zone bitwise identity.** Per owned zone, the fused
+//!    arithmetic performs the same f64 operations in the same order as
+//!    the legacy kernels (helpers below mirror the legacy loop bodies
+//!    expression for expression): the save or combine expression, then
+//!    the x, y and z flux differences in that order. Zones are
+//!    independent within a pass, and faces on tile seams are recomputed
+//!    by both neighboring tiles — pure functions of unmodified inputs,
+//!    so both compute the same bits. Tile shape and worker count
+//!    therefore never change results; the property tests in `tests/`
+//!    check this exhaustively. Ghost zones are another matter: a sweep
+//!    from [`Start::Snapshot`] or [`Start::Average`] leaves the target's
+//!    ghosts as they were, where a whole-slab save or combine would
+//!    rewrite them. That is invisible because no result that is kept depends
+//!    on a ghost that `bc::apply` and the halo exchange have not just
+//!    rewritten: the fluxes of owned zones read only face ghosts (the
+//!    rows beside an owned row, at owned coordinates across), which
+//!    those two rewrite every stage, and edge and corner ghosts feed
+//!    only primitive values and ghost-column faces that are computed
+//!    and dropped. `tests/ghosts_are_never_read.rs` and `hsim-core`'s
+//!    multirank twin hold runs with every ghost poisoned to NaN between
+//!    cycles to the bits of runs without.
 //!
 //! Row helpers live at module scope (not inside tile bodies): the
 //! `tile-bounds` tidy lint forbids per-element indexing inside
@@ -34,12 +50,12 @@
 //!
 //! The row helpers themselves are written for autovectorization:
 //! every loop first re-borrows its operands as exact-length subslices
-//! (so the compiler proves all bounds once, outside the loop), the
-//! physical-flux `match` arm is selected once per row instead of per
-//! element (see `rusanov_row_var` — each arm keeps the legacy
-//! per-element arithmetic, including the `+ 0.0` of the
-//! perpendicular-momentum arm), and per-tile scratch is one
-//! contiguous [`ScratchArena`] allocation carved into dense slabs
+//! (so the compiler proves all bounds once, outside the loop), outputs
+//! are parameters of their own (so no store may alias an input), the
+//! physical-flux arm is fixed per loop instead of chosen per element
+//! (each arm keeps the legacy per-element arithmetic, including the
+//! `+ 0.0` of the perpendicular-momentum arm), and per-tile scratch is
+//! one contiguous [`ScratchArena`] allocation carved into dense slabs
 //! instead of a `Vec<Vec<f64>>` per plane.
 
 use hsim_gpu::GpuError;
@@ -166,66 +182,343 @@ pub fn primitives(
 }
 
 // ---------------------------------------------------------------------
-// Save / combine (legacy: cycle-private per-variable loops, 5 kernels).
+// Stage start (charged as 5 SAVE_STATE or 5 COMBINE kernels).
 // ---------------------------------------------------------------------
 
-/// Fused RK snapshot `u0 ← u`: charges the five legacy SAVE_STATE
-/// launches, then copies the whole slab once.
-pub fn save_state(
-    st: &mut HydroState,
+/// The value a stage's update starts from in each owned target zone.
+///
+/// The RK snapshot and the Heun combine are not passes of their own:
+/// the stage sweep computes this value as it writes the zone. Only
+/// owned zones get it: the target's ghost zones
+/// keep whatever they held, which no kept result depends on before
+/// `bc::apply` and the halo exchange rewrite them (see the module
+/// doc).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Start {
+    /// The target `u0` as it stands: the bare [`sweep`].
+    Target,
+    /// `u`: RK stage 1, absorbing the snapshot `u0 ← u`.
+    Snapshot,
+    /// `½u0 + ½u`: RK stage 2, absorbing the Heun combine.
+    Average,
+}
+
+/// Charges the five legacy launches of the whole-slab step `start`
+/// absorbs — SAVE_STATE for [`Start::Snapshot`], COMBINE for
+/// [`Start::Average`], nothing for [`Start::Target`] — and runs no
+/// arithmetic: the stage sweep started from `start` does that work.
+pub fn charge_start(
+    state: &HydroState,
     exec: &mut Executor,
     clock: &mut RankClock,
+    start: Start,
 ) -> Result<(), GpuError> {
-    let ext = st.ext_all();
+    let kernel = match start {
+        Start::Target => return Ok(()),
+        Start::Snapshot => &kernels::SAVE_STATE,
+        Start::Average => &kernels::COMBINE,
+    };
+    let ext = state.ext_all();
     for _ in 0..NCONS {
-        exec.charge3(clock, &kernels::SAVE_STATE, ext)?;
-    }
-    if exec.fidelity == Fidelity::Full {
-        let (u, u0) = (&st.u, &mut st.u0);
-        u0.copy_from(u);
+        exec.charge3(clock, kernel, ext)?;
     }
     Ok(())
 }
 
-/// Fused Heun combine `u0 ← ½u0 + ½u`: charges the five legacy
-/// COMBINE launches, then runs the element-wise average once over the
-/// whole slab (same per-element expression as the legacy kernel).
-pub fn combine(
-    st: &mut HydroState,
-    exec: &mut Executor,
-    clock: &mut RankClock,
-) -> Result<(), GpuError> {
-    let ext = st.ext_all();
-    for _ in 0..NCONS {
-        exec.charge3(clock, &kernels::COMBINE, ext)?;
+/// Flux-difference update of one owned target row from the stage's
+/// start: `t = ((start − s·Δ₁) − s·Δ₂) − …` over the `(lo, hi)` face
+/// pairs in order — the legacy UPDATE arithmetic, axis after axis,
+/// preceded by the save (`u`) or combine (`½t + ½u`) expression. `u`
+/// is the matching owned row of `u`.
+#[inline]
+fn update_row<const N: usize>(
+    t: &mut [f64],
+    u: &[f64],
+    start: Start,
+    scale: f64,
+    faces: [(&[f64], &[f64]); N],
+) {
+    match start {
+        Start::Target => update_row_from(t, u, scale, faces, |t, _| t),
+        Start::Snapshot => update_row_from(t, u, scale, faces, |_, u| u),
+        Start::Average => update_row_from(t, u, scale, faces, |t, u| 0.5 * t + 0.5 * u),
     }
-    if exec.fidelity == Fidelity::Full {
-        let (u, u0) = (&st.u, &mut st.u0);
-        for (dst, src) in u0.slab_mut().iter_mut().zip(u.slab()) {
-            *dst = 0.5 * *dst + 0.5 * *src;
+}
+
+/// [`update_row`] with the start expression monomorphized, so the
+/// element loop is branch-free over exact-length windows.
+#[inline(always)]
+fn update_row_from<const N: usize>(
+    t: &mut [f64],
+    u: &[f64],
+    scale: f64,
+    mut faces: [(&[f64], &[f64]); N],
+    start: impl Fn(f64, f64) -> f64,
+) {
+    let n = t.len();
+    let u = &u[..n];
+    for (lo, hi) in &mut faces {
+        (*lo, *hi) = (&lo[..n], &hi[..n]);
+    }
+    for i in 0..n {
+        let mut x = start(t[i], u[i]);
+        for (lo, hi) in &faces {
+            x -= scale * (hi[i] - lo[i]);
         }
+        t[i] = x;
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
 // First-order sweep (legacy: flux::sweep, 33 kernels).
 // ---------------------------------------------------------------------
 
-/// Per-face max wavespeed for one row of faces, given the zone rows on
-/// either side of the face line (`_l`/`_r`). Along x these are the
-/// `g−1`- and `g`-shifted windows of the same row; transverse they are
-/// the owned-i rows of the two bracketing planes.
-fn wavespeed_row(va_l: &[f64], va_r: &[f64], cs_l: &[f64], cs_r: &[f64], ws: &mut [f64]) {
-    let n = ws.len();
-    let (va_l, va_r) = (&va_l[..n], &va_r[..n]);
-    let (cs_l, cs_r) = (&cs_l[..n], &cs_r[..n]);
-    for i in 0..n {
-        let sl = va_l[i].abs() + cs_l[i];
-        let sr = va_r[i].abs() + cs_r[i];
-        ws[i] = sl.max(sr);
+/// One side of a run of faces: the slab elements from element `i0` of
+/// the allocated x-row `(j, k)` on, running on through the following
+/// rows of the same plane. Along x the two sides are one run and the
+/// same run shifted by one element; across y or z they are the runs
+/// starting one row or one plane apart.
+#[derive(Clone, Copy)]
+struct Side {
+    j: usize,
+    k: usize,
+    i0: usize,
+}
+
+impl Side {
+    /// What a flux across faces normal to `axis` reads on this side,
+    /// `n` faces long. The run's offset is computed once; the eight
+    /// windows sit at whole-variable strides from it.
+    #[inline]
+    fn load<'a>(
+        self,
+        u: &'a [f64],
+        prim: &'a [f64],
+        dims: [usize; 3],
+        axis: usize,
+        n: usize,
+    ) -> FaceSide<'a> {
+        let var_len = dims[0] * dims[1] * dims[2];
+        let at = (self.k * dims[1] + self.j) * dims[0] + self.i0;
+        let window = |slab: &'a [f64], v: usize| &slab[v * var_len + at..][..n];
+        FaceSide {
+            rho: window(u, RHO),
+            mn: window(u, MX + axis),
+            mt: window(u, MX + (axis + 1) % 3),
+            mu: window(u, MX + (axis + 2) % 3),
+            en: window(u, EN),
+            va: window(prim, VX + axis),
+            cs: window(prim, CS),
+            p: window(prim, PR),
+        }
     }
 }
+
+/// The runs one side of a run of faces contributes to its fluxes: the
+/// conserved variables with the momentum normal to the faces first
+/// (`mn`) and the two transverse components after it (`mt`, `mu`),
+/// then the normal velocity, sound speed and pressure.
+struct FaceSide<'a> {
+    rho: &'a [f64],
+    mn: &'a [f64],
+    mt: &'a [f64],
+    mu: &'a [f64],
+    en: &'a [f64],
+    va: &'a [f64],
+    cs: &'a [f64],
+    p: &'a [f64],
+}
+
+impl FaceSide<'_> {
+    /// Every run cut to exactly `n` elements, so the flux loop's
+    /// bounds are proven once, outside it.
+    #[inline]
+    fn cut(&self, n: usize) -> FaceSide<'_> {
+        FaceSide {
+            rho: &self.rho[..n],
+            mn: &self.mn[..n],
+            mt: &self.mt[..n],
+            mu: &self.mu[..n],
+            en: &self.en[..n],
+            va: &self.va[..n],
+            cs: &self.cs[..n],
+            p: &self.p[..n],
+        }
+    }
+}
+
+/// The five rows of a var-major plane of row length `n`, mutably.
+fn cons_rows_mut(q: &mut [f64], n: usize) -> [&mut [f64]; NCONS] {
+    let (rho, rest) = q.split_at_mut(n);
+    let (mx, rest) = rest.split_at_mut(n);
+    let (my, rest) = rest.split_at_mut(n);
+    let (mz, rest) = rest.split_at_mut(n);
+    [rho, mx, my, mz, &mut rest[..n]]
+}
+
+/// The wavespeed and all five Rusanov fluxes across one run of faces
+/// normal to `axis`, between sides `l` and `r`, into the var-major
+/// plane `out` (`NCONS` runs of `out.len() / NCONS` faces).
+fn face_fluxes(
+    u: &[f64],
+    prim: &[f64],
+    dims: [usize; 3],
+    axis: usize,
+    l: Side,
+    r: Side,
+    out: &mut [f64],
+) {
+    let n = out.len() / NCONS;
+    let [f_rho, f_mx, f_my, f_mz, f_en] = cons_rows_mut(out, n);
+    let (f_mn, f_mt, f_mu) = match axis {
+        0 => (f_mx, f_my, f_mz),
+        1 => (f_my, f_mz, f_mx),
+        _ => (f_mz, f_mx, f_my),
+    };
+    let (l, r) = (
+        l.load(u, prim, dims, axis, n),
+        r.load(u, prim, dims, axis, n),
+    );
+    rusanov5(&l, &r, f_rho, f_mn, f_mt, f_mu, f_en);
+}
+
+/// Rusanov fluxes of all five conserved variables across one run of
+/// faces from one load of each side: per face the max wavespeed `s`,
+/// then per variable `½(F_L + F_R) − ½·s·(q_R − q_L)`. Each arm is the
+/// legacy [`crate::flux::phys_flux`] expression, including the
+/// transverse arm's `+ 0.0` (which maps `-0.0` to `+0.0`), so every
+/// flux is bitwise the legacy one. The outputs are parameters of their
+/// own so the compiler knows no store aliases an input.
+#[inline]
+fn rusanov5(
+    l: &FaceSide<'_>,
+    r: &FaceSide<'_>,
+    f_rho: &mut [f64],
+    f_mn: &mut [f64],
+    f_mt: &mut [f64],
+    f_mu: &mut [f64],
+    f_en: &mut [f64],
+) {
+    let n = f_rho.len();
+    let (l, r) = (l.cut(n), r.cut(n));
+    let (f_mn, f_mt, f_mu, f_en) = (
+        &mut f_mn[..n],
+        &mut f_mt[..n],
+        &mut f_mu[..n],
+        &mut f_en[..n],
+    );
+    for i in 0..n {
+        let s = (l.va[i].abs() + l.cs[i]).max(r.va[i].abs() + r.cs[i]);
+        let rusanov = |fl: f64, fr: f64, ql: f64, qr: f64| 0.5 * (fl + fr) - 0.5 * s * (qr - ql);
+        let (vl, vr, pl, pr) = (l.va[i], r.va[i], l.p[i], r.p[i]);
+        let (rho, mn) = ((l.rho[i], r.rho[i]), (l.mn[i], r.mn[i]));
+        let (mt, mu, en) = ((l.mt[i], r.mt[i]), (l.mu[i], r.mu[i]), (l.en[i], r.en[i]));
+        f_rho[i] = rusanov(rho.0 * vl, rho.1 * vr, rho.0, rho.1);
+        f_mn[i] = rusanov(mn.0 * vl + pl, mn.1 * vr + pr, mn.0, mn.1);
+        f_mt[i] = rusanov(mt.0 * vl + 0.0, mt.1 * vr + 0.0, mt.0, mt.1);
+        f_mu[i] = rusanov(mu.0 * vl + 0.0, mu.1 * vr + 0.0, mu.0, mu.1);
+        f_en[i] = rusanov((en.0 + pl) * vl, (en.1 + pr) * vr, en.0, en.1);
+    }
+}
+
+/// Fused first-order sweep from the target as it stands (`u0 −=
+/// dt·L(u)`): [`sweep_from`] with [`Start::Target`].
+pub fn sweep(
+    state: &mut HydroState,
+    exec: &mut Executor,
+    clock: &mut RankClock,
+    dt: f64,
+) -> Result<(), GpuError> {
+    sweep_from(state, exec, clock, dt, Start::Target)
+}
+
+/// Fused first-order stage sweep `u0 ← start − dt·L(u)`: charges the
+/// legacy 33-launch sequence (per axis: WAVESPEED, then per variable
+/// FLUX + UPDATE), then makes one pass per y–z tile. At each k it
+/// computes the tile plane's x, y and high z faces — wavespeed and all
+/// five fluxes in one loop per kind — and the low z faces are carried
+/// from the previous k. Each of a row's five target rows is then
+/// claimed once and written once, `t = ((start − s·Δx) − s·Δy) − s·Δz`.
+pub fn sweep_from(
+    state: &mut HydroState,
+    exec: &mut Executor,
+    clock: &mut RankClock,
+    dt: f64,
+    start: Start,
+) -> Result<(), GpuError> {
+    for axis in 0..3 {
+        exec.charge3(clock, &kernels::WAVESPEED, state.face_dims(axis))?;
+        for _var in 0..NCONS {
+            exec.charge3(clock, &kernels::FLUX, state.face_dims(axis))?;
+            exec.charge3(clock, &kernels::UPDATE, state.ext())?;
+        }
+    }
+    if exec.fidelity != Fidelity::Full {
+        return Ok(());
+    }
+    let ext = state.ext();
+    let dims = state.u.dims();
+    let g = state.sub.ghost;
+    let n0 = ext[0];
+    let scale = dt / state.dx();
+    let tiles = TileSet2::new(ext[1], ext[2], state.tile);
+    let (u, prim, u0) = (&state.u, &state.prim, &mut state.u0);
+    let u_slab = u.slab();
+    let prim_slab = prim.slab();
+    let rows = DisjointRowsMut::new(u0.slab_mut(), dims[0]);
+    let d0 = dims[0];
+    let faces = |axis, l, r, out: &mut [f64]| face_fluxes(u_slab, prim_slab, dims, axis, l, r, out);
+    exec.run_tiles(&tiles, |tile| {
+        // At one k, the tile's x-rows (ghost columns included) are one
+        // contiguous run of each variable. Each kind of face is computed
+        // for the whole run in one loop: x faces between neighbours
+        // along the run, y faces against the run one row lower, z faces
+        // against the run one plane up. Faces at ghost columns come out
+        // too and are never read. Scratch, carved from one allocation:
+        // the run's x and y faces and the low and high z-face planes.
+        let run = (tile.j1 - tile.j0) * d0;
+        let mut arena = ScratchArena::zeroed(NCONS * (4 * run + d0 - 1));
+        let mut carve = arena.carver();
+        let fx = carve.take(NCONS * (run - 1));
+        let fy = carve.take(NCONS * (run + d0));
+        let (mut z_lo, mut z_hi) = (carve.take(NCONS * run), carve.take(NCONS * run));
+        let aj0 = tile.j0 + g;
+        let at = |j, k, i0| Side { j, k, i0 };
+        for ak in tile.k0 + g..tile.k1 + g {
+            if ak == tile.k0 + g {
+                faces(2, at(aj0, ak - 1, 0), at(aj0, ak, 0), z_lo);
+            }
+            faces(0, at(aj0, ak, 0), at(aj0, ak, 1), fx);
+            faces(1, at(aj0 - 1, ak, 0), at(aj0, ak, 0), fy);
+            faces(2, at(aj0, ak, 0), at(aj0, ak + 1, 0), z_hi);
+            for (row, aj) in (aj0..tile.j1 + g).enumerate() {
+                // Owned zone i of this row is run element `o + i`: its x
+                // faces are run faces `o + i − 1` and `o + i`, its y and
+                // z faces sit at `o + i` of the low planes and one row
+                // (y) or one plane (z) further on.
+                let o = row * d0 + g;
+                let xy = fx.chunks_exact(run - 1).zip(fy.chunks_exact(run + d0));
+                let z = z_lo.chunks_exact(run).zip(z_hi.chunks_exact(run));
+                for (var, ((fxv, fyv), (zl, zh))) in xy.zip(z).enumerate() {
+                    let diffs = [
+                        (&fxv[o - 1..o - 1 + n0], &fxv[o..o + n0]),
+                        (&fyv[o..o + n0], &fyv[o + d0..o + d0 + n0]),
+                        (&zl[o..o + n0], &zh[o..o + n0]),
+                    ];
+                    let mut t = rows.claim(row_index(dims, var, aj, ak));
+                    let u_row = owned_row(u_slab, dims, g, var, aj, ak);
+                    update_row(&mut t[g..g + n0], u_row, start, scale, diffs);
+                }
+            }
+            std::mem::swap(&mut z_lo, &mut z_hi);
+        }
+    });
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// MUSCL sweep (legacy: muscl::sweep_muscl, 17 kernels per axis).
+// ---------------------------------------------------------------------
 
 /// Rusanov flux for one row of faces with the physical flux supplied
 /// as a per-element closure, monomorphized per arm by
@@ -288,156 +581,6 @@ fn rusanov_row_var(
         }),
     }
 }
-
-/// Flux-difference update of one owned row: `tgt[g+i] -= scale·(f_hi −
-/// f_lo)` — the legacy UPDATE arithmetic, over exact-length windows.
-fn update_row(tgt: &mut [f64], g: usize, scale: f64, f_lo: &[f64], f_hi: &[f64]) {
-    let n = f_lo.len();
-    let tgt = &mut tgt[g..g + n];
-    let f_hi = &f_hi[..n];
-    for i in 0..n {
-        tgt[i] -= scale * (f_hi[i] - f_lo[i]);
-    }
-}
-
-/// Fused first-order sweep: charges the legacy 33-launch sequence
-/// (per axis: WAVESPEED, then per variable FLUX + UPDATE), then runs
-/// all three axis updates for each y–z tile in one cache-resident
-/// pass, writing the target slab `u0` through row guards.
-pub fn sweep(
-    state: &mut HydroState,
-    exec: &mut Executor,
-    clock: &mut RankClock,
-    dt: f64,
-) -> Result<(), GpuError> {
-    for axis in 0..3 {
-        exec.charge3(clock, &kernels::WAVESPEED, state.face_dims(axis))?;
-        for _var in 0..NCONS {
-            exec.charge3(clock, &kernels::FLUX, state.face_dims(axis))?;
-            exec.charge3(clock, &kernels::UPDATE, state.ext())?;
-        }
-    }
-    if exec.fidelity != Fidelity::Full {
-        return Ok(());
-    }
-    let ext = state.ext();
-    let dims = state.u.dims();
-    let g = state.sub.ghost;
-    let n0 = ext[0];
-    let scale = dt / state.dx();
-    let tiles = TileSet2::new(ext[1], ext[2], state.tile);
-    let (u, prim, u0) = (&state.u, &state.prim, &mut state.u0);
-    let u_slab = u.slab();
-    let prim_slab = prim.slab();
-    let rows = DisjointRowsMut::new(u0.slab_mut(), dims[0]);
-    exec.run_tiles(&tiles, |tile| {
-        // Tile-contiguous scratch: face wavespeed/flux rows plus the
-        // two transverse flux planes, carved from one allocation.
-        let mut arena = ScratchArena::zeroed(2 * (n0 + 1) + (1 + 2 * NCONS) * n0);
-        let mut carve = arena.carver();
-        let ws = carve.take(n0 + 1);
-        let fx = carve.take(n0 + 1);
-        let tws = carve.take(n0);
-        let mut prev = carve.take(NCONS * n0);
-        let mut cur = carve.take(NCONS * n0);
-        // x sweep: faces lie along the row, one pass per (j, k); face i
-        // sits between the g−1- and g-shifted windows of the row.
-        for k in tile.k0..tile.k1 {
-            for j in tile.j0..tile.j1 {
-                let (aj, ak) = (j + g, k + g);
-                let va = row_of(prim_slab, dims, VX, aj, ak);
-                let cs = row_of(prim_slab, dims, CS, aj, ak);
-                let p = row_of(prim_slab, dims, PR, aj, ak);
-                wavespeed_row(&va[g - 1..], &va[g..], &cs[g - 1..], &cs[g..], ws);
-                for var in 0..NCONS {
-                    let q = row_of(u_slab, dims, var, aj, ak);
-                    rusanov_row_var(
-                        var,
-                        0,
-                        &q[g - 1..],
-                        &q[g..],
-                        &va[g - 1..],
-                        &va[g..],
-                        &p[g - 1..],
-                        &p[g..],
-                        ws,
-                        fx,
-                    );
-                    let mut tgt = rows.claim(row_index(dims, var, aj, ak));
-                    update_row(&mut tgt[..], g, scale, &fx[..n0], &fx[1..]);
-                }
-            }
-        }
-        // Transverse sweeps: walk faces along the transverse axis with
-        // a prev/cur flux-plane pair, so each face is computed once per
-        // tile and each zone updates as soon as both its faces exist.
-        // y sweep (axis 1): face jf sits between allocated rows
-        // jf+g−1 and jf+g.
-        for k in tile.k0..tile.k1 {
-            let ak = k + g;
-            for jf in tile.j0..=tile.j1 {
-                let (jl, jr) = (jf + g - 1, jf + g);
-                let va_l = owned_row(prim_slab, dims, g, VX + 1, jl, ak);
-                let va_r = owned_row(prim_slab, dims, g, VX + 1, jr, ak);
-                let cs_l = owned_row(prim_slab, dims, g, CS, jl, ak);
-                let cs_r = owned_row(prim_slab, dims, g, CS, jr, ak);
-                let p_l = owned_row(prim_slab, dims, g, PR, jl, ak);
-                let p_r = owned_row(prim_slab, dims, g, PR, jr, ak);
-                wavespeed_row(va_l, va_r, cs_l, cs_r, tws);
-                for (var, fxr) in cur.chunks_exact_mut(n0).enumerate() {
-                    let q_l = owned_row(u_slab, dims, g, var, jl, ak);
-                    let q_r = owned_row(u_slab, dims, g, var, jr, ak);
-                    rusanov_row_var(var, 1, q_l, q_r, va_l, va_r, p_l, p_r, tws, fxr);
-                }
-                if jf > tile.j0 {
-                    let aj = jf - 1 + g;
-                    for (var, (f_lo, f_hi)) in
-                        prev.chunks_exact(n0).zip(cur.chunks_exact(n0)).enumerate()
-                    {
-                        let mut tgt = rows.claim(row_index(dims, var, aj, ak));
-                        update_row(&mut tgt[..], g, scale, f_lo, f_hi);
-                    }
-                }
-                std::mem::swap(&mut prev, &mut cur);
-            }
-        }
-        // z sweep (axis 2): j outer, kf inner, so prev/cur walk faces
-        // of constant j.
-        for j in tile.j0..tile.j1 {
-            let aj = j + g;
-            for kf in tile.k0..=tile.k1 {
-                let (kl, kr) = (kf + g - 1, kf + g);
-                let va_l = owned_row(prim_slab, dims, g, VX + 2, aj, kl);
-                let va_r = owned_row(prim_slab, dims, g, VX + 2, aj, kr);
-                let cs_l = owned_row(prim_slab, dims, g, CS, aj, kl);
-                let cs_r = owned_row(prim_slab, dims, g, CS, aj, kr);
-                let p_l = owned_row(prim_slab, dims, g, PR, aj, kl);
-                let p_r = owned_row(prim_slab, dims, g, PR, aj, kr);
-                wavespeed_row(va_l, va_r, cs_l, cs_r, tws);
-                for (var, fxr) in cur.chunks_exact_mut(n0).enumerate() {
-                    let q_l = owned_row(u_slab, dims, g, var, aj, kl);
-                    let q_r = owned_row(u_slab, dims, g, var, aj, kr);
-                    rusanov_row_var(var, 2, q_l, q_r, va_l, va_r, p_l, p_r, tws, fxr);
-                }
-                if kf > tile.k0 {
-                    let ak = kf - 1 + g;
-                    for (var, (f_lo, f_hi)) in
-                        prev.chunks_exact(n0).zip(cur.chunks_exact(n0)).enumerate()
-                    {
-                        let mut tgt = rows.claim(row_index(dims, var, aj, ak));
-                        update_row(&mut tgt[..], g, scale, f_lo, f_hi);
-                    }
-                }
-                std::mem::swap(&mut prev, &mut cur);
-            }
-        }
-    });
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// MUSCL sweep (legacy: muscl::sweep_muscl, 17 kernels per axis).
-// ---------------------------------------------------------------------
 
 /// Minmod-limited face reconstruction for one row of faces from the
 /// four bracketing zone rows (along x these are shifted windows of
@@ -519,15 +662,28 @@ fn face_prims_rows(
     }
 }
 
-/// Fused second-order MUSCL sweep: charges the legacy per-axis
-/// sequence (5 MUSCL_RECON, FACE_PRIMS, then per variable FLUX +
-/// UPDATE), then runs all three axes tile by tile. Requires
-/// `state.sub.ghost >= 2`, like the legacy path.
+/// Fused second-order MUSCL sweep from the target as it stands:
+/// [`sweep_muscl_from`] with [`Start::Target`].
 pub fn sweep_muscl(
     state: &mut HydroState,
     exec: &mut Executor,
     clock: &mut RankClock,
     dt: f64,
+) -> Result<(), GpuError> {
+    sweep_muscl_from(state, exec, clock, dt, Start::Target)
+}
+
+/// Fused second-order MUSCL stage sweep `u0 ← start − dt·L(u)`:
+/// charges the legacy per-axis sequence (5 MUSCL_RECON, FACE_PRIMS,
+/// then per variable FLUX + UPDATE), then runs all three axes tile by
+/// tile, the x pass updating from `start`. Requires
+/// `state.sub.ghost >= 2`, like the legacy path.
+pub fn sweep_muscl_from(
+    state: &mut HydroState,
+    exec: &mut Executor,
+    clock: &mut RankClock,
+    dt: f64,
+    start: Start,
 ) -> Result<(), GpuError> {
     assert!(
         state.sub.ghost >= 2,
@@ -596,7 +752,9 @@ pub fn sweep_muscl(
                 for (var, (qlr, qrr)) in ql.chunks_exact(nf).zip(qr.chunks_exact(nf)).enumerate() {
                     rusanov_row_var(var, 0, qlr, qrr, val, var_, pl, pr, smax, fx);
                     let mut tgt = rows.claim(row_index(dims, var, aj, ak));
-                    update_row(&mut tgt[..], g, scale, &fx[..n0], &fx[1..]);
+                    let ur = owned_row(u_slab, dims, g, var, aj, ak);
+                    let faces = [(&fx[..n0], &fx[1..])];
+                    update_row(&mut tgt[g..g + n0], ur, start, scale, faces);
                 }
             }
         }
@@ -632,7 +790,9 @@ pub fn sweep_muscl(
                         prev.chunks_exact(n0).zip(cur.chunks_exact(n0)).enumerate()
                     {
                         let mut tgt = rows.claim(row_index(dims, var, aj, ak));
-                        update_row(&mut tgt[..], g, scale, f_lo, f_hi);
+                        let ur = owned_row(u_slab, dims, g, var, aj, ak);
+                        let faces = [(f_lo, f_hi)];
+                        update_row(&mut tgt[g..g + n0], ur, Start::Target, scale, faces);
                     }
                 }
                 std::mem::swap(&mut prev, &mut cur);
@@ -667,7 +827,9 @@ pub fn sweep_muscl(
                         prev.chunks_exact(n0).zip(cur.chunks_exact(n0)).enumerate()
                     {
                         let mut tgt = rows.claim(row_index(dims, var, aj, ak));
-                        update_row(&mut tgt[..], g, scale, f_lo, f_hi);
+                        let ur = owned_row(u_slab, dims, g, var, aj, ak);
+                        let faces = [(f_lo, f_hi)];
+                        update_row(&mut tgt[g..g + n0], ur, Start::Target, scale, faces);
                     }
                 }
                 std::mem::swap(&mut prev, &mut cur);
@@ -695,8 +857,7 @@ mod tests {
                 st.u.reflect_into_ghost(var, axis, hsim_mesh::Side::High, 1.0);
             }
         }
-        let u = st.u.clone();
-        st.u0.copy_from(&u);
+        st.u0 = st.u.clone();
         st
     }
 
@@ -787,18 +948,17 @@ mod tests {
     }
 
     #[test]
-    fn fused_save_and_combine_match_legacy_semantics() {
-        let mut st = perturbed(8, 1);
-        let (mut exec, mut clock) = exec_seq();
-        st.u0.fill(RHO, 3.25);
-        save_state(&mut st, &mut exec, &mut clock).unwrap();
-        assert_slabs_identical(st.u.slab(), st.u0.slab(), "save");
-        // combine of identical slabs is a fixed point: ½a + ½a = a.
-        let before = st.u0.slab().to_vec();
-        combine(&mut st, &mut exec, &mut clock).unwrap();
-        assert_slabs_identical(&before, st.u0.slab(), "combine fixed point");
-        // 5 SAVE_STATE + 5 COMBINE launches.
-        assert_eq!(exec.registry.total_launches(), 10);
+    fn each_start_charges_the_step_it_absorbs() {
+        let st = perturbed(6, 1);
+        for (start, launches) in [
+            (Start::Target, 0),
+            (Start::Snapshot, 5),
+            (Start::Average, 5),
+        ] {
+            let (mut exec, mut clock) = exec_seq();
+            charge_start(&st, &mut exec, &mut clock, start).unwrap();
+            assert_eq!(exec.registry.total_launches(), launches, "{start:?}");
+        }
     }
 
     #[test]
@@ -824,8 +984,8 @@ mod tests {
         let mut clock = RankClock::new(0);
         primitives(&mut st, &mut exec, &mut clock).unwrap();
         sweep(&mut st, &mut exec, &mut clock, 0.01).unwrap();
-        save_state(&mut st, &mut exec, &mut clock).unwrap();
-        combine(&mut st, &mut exec, &mut clock).unwrap();
+        charge_start(&st, &mut exec, &mut clock, Start::Snapshot).unwrap();
+        charge_start(&st, &mut exec, &mut clock, Start::Average).unwrap();
         assert!(clock.now().as_nanos() > 0);
         assert_eq!(exec.registry.total_launches(), 3 + 33 + 5 + 5);
         assert!(st.u.var(RHO).len() < 64, "no full-size allocation");

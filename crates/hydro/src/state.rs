@@ -96,7 +96,9 @@ pub struct HydroState {
     pub fidelity: Fidelity,
     /// Conserved variables ρ, ρu, ρv, ρw, E (ghost width ≥ 1).
     pub u: SoaBlock,
-    /// RK stage-0 snapshot of `u`.
+    /// RK stage target: each stage sweep writes `start − dt·L(u)` into
+    /// its owned zones (see [`crate::fused::Start`]) and swaps it with
+    /// `u`. Only owned zones are meaningful; ghosts hold stale values.
     pub u0: SoaBlock,
     /// Primitive scratch: vx, vy, vz, pressure, sound speed.
     pub prim: SoaBlock,

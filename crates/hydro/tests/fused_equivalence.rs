@@ -12,13 +12,20 @@
 //! worker-count-invariance guarantee. (Virtual-time charge parity is
 //! pinned by the unit tests in `fused.rs`, which run both paths on
 //! the same target; here the targets differ by design.)
+//!
+//! x extents reach 40 zones, so the vectorized body of every row loop
+//! runs, not only its remainder. The stage test adds the RK step a
+//! sweep absorbs: from each [`Start`], the fused stage sweep must match
+//! the legacy save or combine loop followed by the per-pass sweep on
+//! every owned zone (and on the whole slab from the target as it is).
 
+use hsim_hydro::fused::Start;
 use hsim_hydro::noh::{self, NohConfig};
 use hsim_hydro::sedov::{self, SedovConfig};
 use hsim_hydro::sod::{self, SodConfig};
 use hsim_hydro::state::{EN, GAMMA, MX, MY, MZ, RHO};
 use hsim_hydro::taylor_green::{self, TaylorGreenConfig};
-use hsim_hydro::{eos, flux, fused, muscl, HydroState};
+use hsim_hydro::{eos, flux, fused, muscl, HydroState, NCONS};
 use hsim_mesh::{GlobalGrid, Subdomain};
 use hsim_raja::{CpuModel, Executor, Fidelity, Target};
 use hsim_time::RankClock;
@@ -122,7 +129,109 @@ fn scenario_state(which: usize, n: [usize; 3], ghost: usize) -> HydroState {
     st
 }
 
+/// Owned zones of the two states' targets, bit for bit.
+fn assert_owned_identical(legacy: &HydroState, fused: &HydroState, what: &str) {
+    let e = legacy.ext();
+    for var in 0..NCONS {
+        for k in 0..e[2] {
+            for j in 0..e[1] {
+                for i in 0..e[0] {
+                    let (x, y) = (legacy.u0.get(var, i, j, k), fused.u0.get(var, i, j, k));
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{what}: var {var} at owned ({i},{j},{k}) differs: {x} vs {y}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// One RK stage the legacy way: the whole-slab save or combine loop
+/// the cycle ran before it folded them into the sweep, then the
+/// per-pass primitives and sweep.
+fn legacy_stage(st: &mut HydroState, start: Start, muscl_order: bool) {
+    match start {
+        Start::Target => {}
+        Start::Snapshot => {
+            let u = st.u.clone();
+            st.u0.copy_from(&u);
+        }
+        Start::Average => {
+            let (u, u0) = (&st.u, &mut st.u0);
+            for (t, q) in u0.slab_mut().iter_mut().zip(u.slab()) {
+                *t = 0.5 * *t + 0.5 * *q;
+            }
+        }
+    }
+    let mut exec = Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), Fidelity::Full);
+    let mut clock = RankClock::new(0);
+    eos::primitives(st, &mut exec, &mut clock).unwrap();
+    if muscl_order {
+        muscl::sweep_muscl(st, &mut exec, &mut clock, DT).unwrap();
+    } else {
+        flux::sweep(st, &mut exec, &mut clock, DT).unwrap();
+    }
+}
+
+/// The same stage through the fused kernels on `target`.
+fn fused_stage(st: &mut HydroState, target: Target, start: Start, muscl_order: bool) {
+    let mut exec = Executor::new(target, CpuModel::haswell_fixed(), Fidelity::Full);
+    let mut clock = RankClock::new(0);
+    fused::primitives(st, &mut exec, &mut clock).unwrap();
+    if muscl_order {
+        fused::sweep_muscl_from(st, &mut exec, &mut clock, DT, start).unwrap();
+    } else {
+        fused::sweep_from(st, &mut exec, &mut clock, DT, start).unwrap();
+    }
+}
+
 proptest! {
+    /// Every stage start, both orders, three ways: the legacy save or
+    /// combine loop plus the per-pass sweep, the fused stage sweep
+    /// serial, and the fused stage sweep on 1, 2 and 4 workers. The
+    /// target starts out unlike `u`, so each start reads what it must.
+    #[test]
+    fn fused_stage_sweeps_fold_the_legacy_save_and_combine(
+        n in (4usize..41, 4usize..8, 4usize..8),
+        tile in (1usize..13, 1usize..13),
+        seed in 0u64..1_000_000,
+    ) {
+        let n = [n.0, n.1, n.2];
+        for muscl_order in [false, true] {
+            let ghost = if muscl_order { 2 } else { 1 };
+            let mut rng = TestRng::from_name(&format!("stage-{seed}"));
+            let mut init = random_state(n, ghost, &mut rng);
+            let target = random_state(n, ghost, &mut rng);
+            init.u0.copy_from(&target.u);
+            for start in [Start::Target, Start::Snapshot, Start::Average] {
+                let what = format!("{start:?} muscl={muscl_order}");
+                let mut legacy = twin(&init, n, ghost);
+                legacy_stage(&mut legacy, start, muscl_order);
+
+                let mut serial = twin(&init, n, ghost);
+                serial.tile = [tile.0, tile.1];
+                fused_stage(&mut serial, Target::CpuSeq, start, muscl_order);
+                assert_owned_identical(&legacy, &serial, &format!("{what} fused serial vs legacy"));
+                prop_slabs_identical(legacy.prim.slab(), serial.prim.slab(), &what);
+                prop_slabs_identical(legacy.u.slab(), serial.u.slab(), &what);
+                if start == Start::Target {
+                    prop_slabs_identical(legacy.u0.slab(), serial.u0.slab(), &what);
+                }
+
+                for threads in WORKER_COUNTS {
+                    let mut par = twin(&init, n, ghost);
+                    par.tile = [tile.0, tile.1];
+                    fused_stage(&mut par, Target::cpu_parallel(threads), start, muscl_order);
+                    let what = format!("{what} fused parallel x{threads}");
+                    assert_owned_identical(&legacy, &par, &format!("{what} vs legacy"));
+                    assert_states_identical(&serial, &par, &format!("{what} vs serial fused"));
+                }
+            }
+        }
+    }
+
     /// Every scenario's real initial state runs bitwise-identically
     /// through the legacy, fused-serial, and fused-parallel paths at
     /// every worker count and any (ragged) tile shape — the `--jobs`
@@ -130,7 +239,7 @@ proptest! {
     #[test]
     fn fused_sweep_is_bitwise_equivalent_on_every_scenario(
         which in 0usize..4,
-        n in (4usize..9, 4usize..9, 4usize..9),
+        n in (4usize..41, 4usize..9, 4usize..9),
         tile in (1usize..13, 1usize..13),
     ) {
         let n = [n.0, n.1, n.2];
@@ -160,7 +269,7 @@ proptest! {
 
     #[test]
     fn fused_first_order_sweep_is_bitwise_equivalent(
-        n in (4usize..9, 4usize..9, 4usize..9),
+        n in (4usize..41, 4usize..9, 4usize..9),
         tile in (1usize..13, 1usize..13),
         seed in 0u64..1_000_000,
     ) {
@@ -194,7 +303,7 @@ proptest! {
 
     #[test]
     fn fused_muscl_sweep_is_bitwise_equivalent(
-        n in (4usize..8, 4usize..8, 4usize..8),
+        n in (4usize..41, 4usize..8, 4usize..8),
         tile in (1usize..13, 1usize..13),
         seed in 0u64..1_000_000,
     ) {

@@ -14,12 +14,12 @@ pub fn factor3(n: usize) -> [usize; 3] {
     let mut best = [1, 1, n];
     let mut best_score = usize::MAX;
     for a in 1..=n {
-        if !n.is_multiple_of(a) {
+        if n % a != 0 {
             continue;
         }
         let m = n / a;
         for b in 1..=m {
-            if !m.is_multiple_of(b) {
+            if m % b != 0 {
                 continue;
             }
             let c = m / b;
@@ -105,7 +105,7 @@ pub fn block_decomp_yz(grid: GlobalGrid, n: usize, ghost: usize) -> Decompositio
     let mut fz = n;
     let mut best = usize::MAX;
     for a in 1..=n {
-        if !n.is_multiple_of(a) {
+        if n % a != 0 {
             continue;
         }
         let b = n / a;

@@ -382,7 +382,7 @@ impl Comm {
         let mut offset = 1;
         while offset < self.size {
             let group = 2 * offset;
-            if self.rank.is_multiple_of(group) {
+            if self.rank % group == 0 {
                 let peer = self.rank + offset;
                 if peer < self.size {
                     let other: T = self.recv_internal(peer, tag).await?;
@@ -415,7 +415,7 @@ impl Comm {
         let mut val = x;
         while offset >= 1 {
             let group = 2 * offset;
-            if self.rank.is_multiple_of(group) {
+            if self.rank % group == 0 {
                 let peer = self.rank + offset;
                 if peer < self.size {
                     let Some(v) = val else {

@@ -38,7 +38,7 @@ fn main() {
     while cycles < 120 {
         let stats = step(&mut state, &mut exec, &mut clock, &mut solo, 0.3, 1.0).expect("cycle");
         cycles += 1;
-        if cycles.is_multiple_of(20) {
+        if cycles % 20 == 0 {
             let profile = radial_density_profile(&state, 24);
             let r_num = shock_position(&profile);
             let r_ana = sedov::sedov_shock_radius(cfg.e0, cfg.rho0, state.t);
