@@ -40,7 +40,7 @@ use hsim_time::{RankClock, SimTime};
 
 use crate::bc;
 use crate::eos::cfl_dt;
-use crate::fused::{charge_start, primitives, sweep_from, sweep_muscl_from, Start};
+use crate::fused::{charge_start, primitives, sweep_from, Start};
 use crate::muscl::Reconstruction;
 use crate::state::HydroState;
 
@@ -206,17 +206,6 @@ pub async fn step_with<C: Coupler>(
 ) -> Result<CycleStats, CycleError> {
     let launches_before = exec.registry.total_launches();
     let cycle_start = clock.now();
-    let do_sweep = |st: &mut HydroState,
-                    exec: &mut Executor,
-                    clock: &mut RankClock,
-                    dt: f64,
-                    start: Start|
-     -> Result<(), GpuError> {
-        match recon {
-            Reconstruction::FirstOrder => sweep_from(st, exec, clock, dt, start),
-            Reconstruction::Muscl => sweep_muscl_from(st, exec, clock, dt, start),
-        }
-    };
     // Phase span: brackets `[t0, now)` on the rank timeline.
     let phase = |name: &'static str, t0: SimTime, clock: &RankClock| {
         hsim_telemetry::rank_span(hsim_telemetry::Category::Phase, name, t0, clock.now());
@@ -249,7 +238,7 @@ pub async fn step_with<C: Coupler>(
 
     // Stage 1: u0 ← u^n − dt·L(u^n) = u*.
     let t0 = clock.now();
-    do_sweep(st, exec, clock, dt, Start::Snapshot)?;
+    sweep_from(st, exec, clock, dt, Start::Snapshot, recon)?;
     std::mem::swap(&mut st.u, &mut st.u0);
     exec.sync(clock).await;
     phase("flux", t0, clock);
@@ -267,7 +256,7 @@ pub async fn step_with<C: Coupler>(
     primitives(st, exec, clock)?;
     phase("eos", t0, clock);
     let t0 = clock.now();
-    do_sweep(st, exec, clock, 0.5 * dt, Start::Average)?;
+    sweep_from(st, exec, clock, 0.5 * dt, Start::Average, recon)?;
     std::mem::swap(&mut st.u, &mut st.u0);
     exec.sync(clock).await;
     phase("flux", t0, clock);

@@ -7,10 +7,14 @@
 //! **tiles**: a tile's x-rows of every variable are loaded once, all
 //! passes for that tile run while the rows are cache-resident, and the
 //! tile writes its outputs through [`DisjointRowsMut`] row guards. The
-//! first-order stage sweep goes furthest: per tile plane it computes
-//! each kind of face once, all five fluxes in one loop, and writes
-//! each target row once, starting from the value the RK step's save or
-//! combine would have left there ([`Start`]).
+//! stage sweep ([`sweep_from`]) goes furthest: per tile plane it
+//! computes each kind of face once, all five fluxes in one call of a
+//! face kernel, and writes each target row once, starting from the
+//! value the RK step's save or combine would have left there
+//! ([`Start`]). The two reconstruction orders share that sweep and
+//! differ only in the face kernel: first order reads the zones on
+//! either side of a face, MUSCL forms limited states from the four
+//! zones bracketing it.
 //!
 //! Two invariants make the fusion invisible to everything downstream:
 //!
@@ -51,19 +55,21 @@
 //! The row helpers themselves are written for autovectorization:
 //! every loop first re-borrows its operands as exact-length subslices
 //! (so the compiler proves all bounds once, outside the loop), outputs
-//! are parameters of their own (so no store may alias an input), the
-//! physical-flux arm is fixed per loop instead of chosen per element
-//! (each arm keeps the legacy per-element arithmetic, including the
-//! `+ 0.0` of the perpendicular-momentum arm), and per-tile scratch is
-//! one contiguous [`ScratchArena`] allocation carved into dense slabs
-//! instead of a `Vec<Vec<f64>>` per plane.
+//! are parameters of their own (so no store may alias an input), each
+//! output's physical-flux arm is fixed in the flux loop instead of
+//! chosen per element (each arm keeps the legacy per-element
+//! arithmetic, including the `+ 0.0` of the perpendicular-momentum
+//! arm), the face normal is a const generic where a loop selects by it,
+//! per-tile scratch is one contiguous [`ScratchArena`] allocation
+//! carved into dense slabs, and MUSCL's per-face states sit in a
+//! fixed-size stack chunk.
 
 use hsim_gpu::GpuError;
 use hsim_raja::{DisjointRowsMut, Executor, Fidelity, TileSet2};
 use hsim_time::RankClock;
 
 use crate::kernels;
-use crate::muscl::minmod;
+use crate::muscl::{minmod, Reconstruction};
 use crate::state::{
     HydroState, ScratchArena, CS, EN, GAMMA, MX, MY, MZ, NCONS, PR, P_FLOOR, RHO, RHO_FLOOR, VX,
 };
@@ -270,25 +276,44 @@ fn update_row_from<const N: usize>(
 }
 
 // ---------------------------------------------------------------------
-// First-order sweep (legacy: flux::sweep, 33 kernels).
+// Stage sweep (legacy: flux::sweep, 33 kernels; muscl::sweep_muscl,
+// 48 kernels — 16 per axis).
 // ---------------------------------------------------------------------
 
-/// One side of a run of faces: the slab elements from element `i0` of
-/// the allocated x-row `(j, k)` on, running on through the following
-/// rows of the same plane. Along x the two sides are one run and the
-/// same run shifted by one element; across y or z they are the runs
-/// starting one row or one plane apart.
+/// One side of a run of faces: the slab elements from flat offset `at`
+/// of each variable on, running on through the following rows of the
+/// same plane. Along x the two sides are one run and the same run
+/// shifted by one element; across y or z they are the runs starting
+/// one row or one plane apart. The offset is flat, so MUSCL's outer
+/// windows — the sides shifted one stride (`r − l`) back and forward —
+/// are plain offsets too: along x they start one element before the
+/// run and end one after it, in the neighbouring ghost rows (those
+/// faces are computed and dropped), and every `l` side of
+/// [`sweep_from`] starts at least one stride into the slab, so reaching
+/// back cannot underflow.
 #[derive(Clone, Copy)]
 struct Side {
-    j: usize,
-    k: usize,
-    i0: usize,
+    at: usize,
 }
 
 impl Side {
-    /// What a flux across faces normal to `axis` reads on this side,
-    /// `n` faces long. The run's offset is computed once; the eight
-    /// windows sit at whole-variable strides from it.
+    /// The run starting at element `i0` of the allocated x-row `(j, k)`.
+    #[inline]
+    fn new(dims: [usize; 3], j: usize, k: usize, i0: usize) -> Side {
+        Side {
+            at: (k * dims[1] + j) * dims[0] + i0,
+        }
+    }
+
+    /// Variable `v`'s run of `slab` on this side, `n` long.
+    #[inline]
+    fn window(self, slab: &[f64], dims: [usize; 3], v: usize, n: usize) -> &[f64] {
+        let var_len = dims[0] * dims[1] * dims[2];
+        &slab[v * var_len + self.at..][..n]
+    }
+
+    /// What a first-order flux across faces normal to `axis` reads on
+    /// this side, `n` faces long: the zone values themselves.
     #[inline]
     fn load<'a>(
         self,
@@ -298,19 +323,11 @@ impl Side {
         axis: usize,
         n: usize,
     ) -> FaceSide<'a> {
-        let var_len = dims[0] * dims[1] * dims[2];
-        let at = (self.k * dims[1] + self.j) * dims[0] + self.i0;
-        let window = |slab: &'a [f64], v: usize| &slab[v * var_len + at..][..n];
-        FaceSide {
-            rho: window(u, RHO),
-            mn: window(u, MX + axis),
-            mt: window(u, MX + (axis + 1) % 3),
-            mu: window(u, MX + (axis + 2) % 3),
-            en: window(u, EN),
-            va: window(prim, VX + axis),
-            cs: window(prim, CS),
-            p: window(prim, PR),
-        }
+        let (cons, prim) = (
+            |v| self.window(u, dims, v, n),
+            |v| self.window(prim, dims, v, n),
+        );
+        FaceSide::new(axis, cons, prim(VX + axis), prim(CS), prim(PR))
     }
 }
 
@@ -329,7 +346,28 @@ struct FaceSide<'a> {
     p: &'a [f64],
 }
 
-impl FaceSide<'_> {
+impl<'a> FaceSide<'a> {
+    /// The side whose conserved variable `v` is `cons(v)`.
+    #[inline]
+    fn new(
+        axis: usize,
+        cons: impl Fn(usize) -> &'a [f64],
+        va: &'a [f64],
+        cs: &'a [f64],
+        p: &'a [f64],
+    ) -> Self {
+        FaceSide {
+            rho: cons(RHO),
+            mn: cons(MX + axis),
+            mt: cons(MX + (axis + 1) % 3),
+            mu: cons(MX + (axis + 2) % 3),
+            en: cons(EN),
+            va,
+            cs,
+            p,
+        }
+    }
+
     /// Every run cut to exactly `n` elements, so the flux loop's
     /// bounds are proven once, outside it.
     #[inline]
@@ -347,18 +385,30 @@ impl FaceSide<'_> {
     }
 }
 
-/// The five rows of a var-major plane of row length `n`, mutably.
-fn cons_rows_mut(q: &mut [f64], n: usize) -> [&mut [f64]; NCONS] {
-    let (rho, rest) = q.split_at_mut(n);
+/// The five flux runs of a var-major plane `out` (`NCONS` runs of
+/// `out.len() / NCONS` faces) in [`FaceSide`] order for faces normal
+/// to `axis`: ρ, the normal and the two transverse momenta, E.
+fn flux_rows(out: &mut [f64], axis: usize) -> [&mut [f64]; NCONS] {
+    let n = out.len() / NCONS;
+    let (rho, rest) = out.split_at_mut(n);
     let (mx, rest) = rest.split_at_mut(n);
     let (my, rest) = rest.split_at_mut(n);
     let (mz, rest) = rest.split_at_mut(n);
-    [rho, mx, my, mz, &mut rest[..n]]
+    let en = &mut rest[..n];
+    match axis {
+        0 => [rho, mx, my, mz, en],
+        1 => [rho, my, mz, mx, en],
+        _ => [rho, mz, mx, my, en],
+    }
 }
 
-/// The wavespeed and all five Rusanov fluxes across one run of faces
-/// normal to `axis`, between sides `l` and `r`, into the var-major
-/// plane `out` (`NCONS` runs of `out.len() / NCONS` faces).
+/// A stage sweep's face kernel: all five fluxes across one run of
+/// faces normal to `axis`, between sides `l` and `r` of `u` (with its
+/// primitives `prim`), into the var-major plane `out`.
+type FaceKernel = fn(&[f64], &[f64], [usize; 3], usize, Side, Side, &mut [f64]);
+
+/// The first-order face kernel: the Rusanov fluxes of the zone values
+/// on either side.
 fn face_fluxes(
     u: &[f64],
     prim: &[f64],
@@ -368,37 +418,115 @@ fn face_fluxes(
     r: Side,
     out: &mut [f64],
 ) {
-    let n = out.len() / NCONS;
-    let [f_rho, f_mx, f_my, f_mz, f_en] = cons_rows_mut(out, n);
-    let (f_mn, f_mt, f_mu) = match axis {
-        0 => (f_mx, f_my, f_mz),
-        1 => (f_my, f_mz, f_mx),
-        _ => (f_mz, f_mx, f_my),
-    };
+    let f = flux_rows(out, axis);
+    let n = f[0].len();
     let (l, r) = (
         l.load(u, prim, dims, axis, n),
         r.load(u, prim, dims, axis, n),
     );
-    rusanov5(&l, &r, f_rho, f_mn, f_mt, f_mu, f_en);
+    rusanov5(&l, &r, f);
+}
+
+/// Faces the MUSCL kernel reconstructs at a time: both sides' states
+/// and face primitives, 16 runs of this length (8 KiB), stay on the
+/// stack.
+const MUSCL_CHUNK: usize = 64;
+
+/// One side of a MUSCL chunk of faces: the five reconstructed
+/// conserved variables, and the normal velocity, sound speed and
+/// pressure of those states.
+struct ChunkSide {
+    q: [[f64; MUSCL_CHUNK]; NCONS],
+    va: [f64; MUSCL_CHUNK],
+    cs: [f64; MUSCL_CHUNK],
+    p: [f64; MUSCL_CHUNK],
+}
+
+impl ChunkSide {
+    const ZERO: ChunkSide = ChunkSide {
+        q: [[0.0; MUSCL_CHUNK]; NCONS],
+        va: [0.0; MUSCL_CHUNK],
+        cs: [0.0; MUSCL_CHUNK],
+        p: [0.0; MUSCL_CHUNK],
+    };
+
+    /// The normal velocity, sound speed and pressure of the first `m`
+    /// states, for faces normal to `AXIS` — the legacy FACE_PRIMS
+    /// closure verbatim, the normal component picked at compile time so
+    /// the loop vectorizes.
+    fn face_prims<const AXIS: usize>(&mut self, m: usize) {
+        let [rho, mx, my, mz, en] = [RHO, MX, MY, MZ, EN].map(|v| &self.q[v][..m]);
+        let (va, cs, p) = (&mut self.va[..m], &mut self.cs[..m], &mut self.p[..m]);
+        for i in 0..m {
+            let r = rho[i].max(RHO_FLOOR);
+            let v = [mx[i] / r, my[i] / r, mz[i] / r];
+            let ke = 0.5 * r * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
+            let pv = ((GAMMA - 1.0) * (en[i] - ke)).max(P_FLOOR);
+            va[i] = v[AXIS];
+            cs[i] = (GAMMA * pv / r).sqrt();
+            p[i] = pv;
+        }
+    }
+
+    /// The first `m` faces of this side, as a flux reads them.
+    fn load(&self, axis: usize, m: usize) -> FaceSide<'_> {
+        let q = |v: usize| &self.q[v][..m];
+        FaceSide::new(axis, q, &self.va[..m], &self.cs[..m], &self.p[..m])
+    }
+}
+
+/// The MUSCL face kernel. A face's four bracketing zones are `l`, `r`
+/// and the two shifted one stride (`r − l`) further out; per face it
+/// forms the minmod-limited state of all five conserved variables on
+/// each side (legacy MUSCL_RECON), their primitives (FACE_PRIMS), and
+/// the Rusanov fluxes of those states (FLUX), `MUSCL_CHUNK` faces at a
+/// time. `prim` is not read.
+fn muscl_face_fluxes(
+    u: &[f64],
+    _prim: &[f64],
+    dims: [usize; 3],
+    axis: usize,
+    l: Side,
+    r: Side,
+    out: &mut [f64],
+) {
+    let stride = r.at - l.at;
+    let (lm, rp) = (Side { at: l.at - stride }, Side { at: r.at + stride });
+    let mut f = flux_rows(out, axis);
+    let n = f[0].len();
+    let face_prims = match axis {
+        0 => ChunkSide::face_prims::<0>,
+        1 => ChunkSide::face_prims::<1>,
+        _ => ChunkSide::face_prims::<2>,
+    };
+    let (mut sl, mut sr) = (ChunkSide::ZERO, ChunkSide::ZERO);
+    for c0 in (0..n).step_by(MUSCL_CHUNK) {
+        let m = MUSCL_CHUNK.min(n - c0);
+        for v in 0..NCONS {
+            let w = |s: Side| Side { at: s.at + c0 }.window(u, dims, v, m);
+            let (ql, qr) = (&mut sl.q[v][..m], &mut sr.q[v][..m]);
+            recon_row(w(lm), w(l), w(r), w(rp), ql, qr);
+        }
+        face_prims(&mut sl, m);
+        face_prims(&mut sr, m);
+        let [f_rho, f_mn, f_mt, f_mu, f_en] = &mut f;
+        let runs = [f_rho, f_mn, f_mt, f_mu, f_en].map(|run| &mut run[c0..c0 + m]);
+        rusanov5(&sl.load(axis, m), &sr.load(axis, m), runs);
+    }
 }
 
 /// Rusanov fluxes of all five conserved variables across one run of
-/// faces from one load of each side: per face the max wavespeed `s`,
-/// then per variable `½(F_L + F_R) − ½·s·(q_R − q_L)`. Each arm is the
-/// legacy [`crate::flux::phys_flux`] expression, including the
-/// transverse arm's `+ 0.0` (which maps `-0.0` to `+0.0`), so every
-/// flux is bitwise the legacy one. The outputs are parameters of their
-/// own so the compiler knows no store aliases an input.
+/// faces from one load of each side, into `f` in [`FaceSide`] order:
+/// per face the max wavespeed `s`, then per variable `½(F_L + F_R) −
+/// ½·s·(q_R − q_L)`. Each arm is the legacy [`crate::flux::phys_flux`]
+/// / [`crate::muscl::phys_flux_axis`] expression, including the
+/// transverse arm's `+ 0.0` (which maps `-0.0` to `+0.0`), and `s` is
+/// the legacy WAVESPEED / FACE_PRIMS one, so every flux is bitwise the
+/// legacy one. The outputs are parameters of their own so the compiler
+/// knows no store aliases an input.
 #[inline]
-fn rusanov5(
-    l: &FaceSide<'_>,
-    r: &FaceSide<'_>,
-    f_rho: &mut [f64],
-    f_mn: &mut [f64],
-    f_mt: &mut [f64],
-    f_mu: &mut [f64],
-    f_en: &mut [f64],
-) {
+fn rusanov5(l: &FaceSide<'_>, r: &FaceSide<'_>, f: [&mut [f64]; NCONS]) {
+    let [f_rho, f_mn, f_mt, f_mu, f_en] = f;
     let n = f_rho.len();
     let (l, r) = (l.cut(n), r.cut(n));
     let (f_mn, f_mt, f_mu, f_en) = (
@@ -421,6 +549,23 @@ fn rusanov5(
     }
 }
 
+/// Minmod-limited face states of one variable over a run of faces from
+/// its four bracketing windows (`q_lm`, `q_l` | `q_r`, `q_rp`). The
+/// limiter is the branchless select form of [`minmod`], and all
+/// operands are exact-length subslices.
+fn recon_row(q_lm: &[f64], q_l: &[f64], q_r: &[f64], q_rp: &[f64], ql: &mut [f64], qr: &mut [f64]) {
+    let n = ql.len();
+    let (q_lm, q_l) = (&q_lm[..n], &q_l[..n]);
+    let (q_r, q_rp) = (&q_r[..n], &q_rp[..n]);
+    let qr = &mut qr[..n];
+    for i in 0..n {
+        let slope_l = minmod(q_l[i] - q_lm[i], q_r[i] - q_l[i]);
+        let slope_r = minmod(q_r[i] - q_l[i], q_rp[i] - q_r[i]);
+        ql[i] = q_l[i] + 0.5 * slope_l;
+        qr[i] = q_r[i] - 0.5 * slope_r;
+    }
+}
+
 /// Fused first-order sweep from the target as it stands (`u0 −=
 /// dt·L(u)`): [`sweep_from`] with [`Start::Target`].
 pub fn sweep(
@@ -429,27 +574,69 @@ pub fn sweep(
     clock: &mut RankClock,
     dt: f64,
 ) -> Result<(), GpuError> {
-    sweep_from(state, exec, clock, dt, Start::Target)
+    sweep_from(
+        state,
+        exec,
+        clock,
+        dt,
+        Start::Target,
+        Reconstruction::FirstOrder,
+    )
 }
 
-/// Fused first-order stage sweep `u0 ← start − dt·L(u)`: charges the
-/// legacy 33-launch sequence (per axis: WAVESPEED, then per variable
-/// FLUX + UPDATE), then makes one pass per y–z tile. At each k it
-/// computes the tile plane's x, y and high z faces — wavespeed and all
-/// five fluxes in one loop per kind — and the low z faces are carried
-/// from the previous k. Each of a row's five target rows is then
-/// claimed once and written once, `t = ((start − s·Δx) − s·Δy) − s·Δz`.
+/// Fused second-order MUSCL sweep from the target as it stands:
+/// [`sweep_from`] with [`Start::Target`].
+pub fn sweep_muscl(
+    state: &mut HydroState,
+    exec: &mut Executor,
+    clock: &mut RankClock,
+    dt: f64,
+) -> Result<(), GpuError> {
+    sweep_from(state, exec, clock, dt, Start::Target, Reconstruction::Muscl)
+}
+
+/// Fused stage sweep `u0 ← start − dt·L(u)` at reconstruction order
+/// `recon`. Charges the legacy launch sequence, per axis: first order
+/// WAVESPEED, MUSCL 5 MUSCL_RECON and FACE_PRIMS; then per variable
+/// FLUX + UPDATE (33 launches, or 48). Then makes one pass per y–z
+/// tile. At each k it computes the tile plane's x, y and high z faces
+/// — all five fluxes in one kernel call per kind — and the low z faces
+/// are carried from the previous k. Each of a row's five target rows
+/// is then claimed once and written once, `t = ((start − s·Δx) − s·Δy)
+/// − s·Δz`. MUSCL requires `state.sub.ghost >= 2`, like the legacy
+/// path.
 pub fn sweep_from(
     state: &mut HydroState,
     exec: &mut Executor,
     clock: &mut RankClock,
     dt: f64,
     start: Start,
+    recon: Reconstruction,
 ) -> Result<(), GpuError> {
+    let kernel: FaceKernel = match recon {
+        Reconstruction::FirstOrder => face_fluxes,
+        Reconstruction::Muscl => {
+            assert!(
+                state.sub.ghost >= 2,
+                "MUSCL needs two ghost layers (got {})",
+                state.sub.ghost
+            );
+            muscl_face_fluxes
+        }
+    };
     for axis in 0..3 {
-        exec.charge3(clock, &kernels::WAVESPEED, state.face_dims(axis))?;
+        let fd = state.face_dims(axis);
+        match recon {
+            Reconstruction::FirstOrder => exec.charge3(clock, &kernels::WAVESPEED, fd)?,
+            Reconstruction::Muscl => {
+                for _var in 0..NCONS {
+                    exec.charge3(clock, &kernels::MUSCL_RECON, fd)?;
+                }
+                exec.charge3(clock, &kernels::FACE_PRIMS, fd)?;
+            }
+        }
         for _var in 0..NCONS {
-            exec.charge3(clock, &kernels::FLUX, state.face_dims(axis))?;
+            exec.charge3(clock, &kernels::FLUX, fd)?;
             exec.charge3(clock, &kernels::UPDATE, state.ext())?;
         }
     }
@@ -467,15 +654,17 @@ pub fn sweep_from(
     let prim_slab = prim.slab();
     let rows = DisjointRowsMut::new(u0.slab_mut(), dims[0]);
     let d0 = dims[0];
-    let faces = |axis, l, r, out: &mut [f64]| face_fluxes(u_slab, prim_slab, dims, axis, l, r, out);
+    let faces = |axis, l, r, out: &mut [f64]| kernel(u_slab, prim_slab, dims, axis, l, r, out);
     exec.run_tiles(&tiles, |tile| {
         // At one k, the tile's x-rows (ghost columns included) are one
         // contiguous run of each variable. Each kind of face is computed
-        // for the whole run in one loop: x faces between neighbours
+        // for the whole run in one call: x faces between neighbours
         // along the run, y faces against the run one row lower, z faces
         // against the run one plane up. Faces at ghost columns come out
-        // too and are never read. Scratch, carved from one allocation:
-        // the run's x and y faces and the low and high z-face planes.
+        // too and are never read (MUSCL's first and last x faces reach
+        // into the neighbouring rows). Scratch, carved from one
+        // allocation: the run's x and y faces and the low and high
+        // z-face planes.
         let run = (tile.j1 - tile.j0) * d0;
         let mut arena = ScratchArena::zeroed(NCONS * (4 * run + d0 - 1));
         let mut carve = arena.carver();
@@ -483,7 +672,7 @@ pub fn sweep_from(
         let fy = carve.take(NCONS * (run + d0));
         let (mut z_lo, mut z_hi) = (carve.take(NCONS * run), carve.take(NCONS * run));
         let aj0 = tile.j0 + g;
-        let at = |j, k, i0| Side { j, k, i0 };
+        let at = |j, k, i0| Side::new(dims, j, k, i0);
         for ak in tile.k0 + g..tile.k1 + g {
             if ak == tile.k0 + g {
                 faces(2, at(aj0, ak - 1, 0), at(aj0, ak, 0), z_lo);
@@ -511,329 +700,6 @@ pub fn sweep_from(
                 }
             }
             std::mem::swap(&mut z_lo, &mut z_hi);
-        }
-    });
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// MUSCL sweep (legacy: muscl::sweep_muscl, 17 kernels per axis).
-// ---------------------------------------------------------------------
-
-/// Rusanov flux for one row of faces with the physical flux supplied
-/// as a per-element closure, monomorphized per arm by
-/// [`rusanov_row_var`]: the arm dispatch happens once per row, so the
-/// element loop is branch-free and runs over exact-length subslices.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn rusanov_row(
-    q_l: &[f64],
-    q_r: &[f64],
-    va_l: &[f64],
-    va_r: &[f64],
-    p_l: &[f64],
-    p_r: &[f64],
-    ws: &[f64],
-    fx: &mut [f64],
-    flux: impl Fn(f64, f64, f64) -> f64,
-) {
-    let n = fx.len();
-    let (q_l, q_r) = (&q_l[..n], &q_r[..n]);
-    let (va_l, va_r) = (&va_l[..n], &va_r[..n]);
-    let (p_l, p_r) = (&p_l[..n], &p_r[..n]);
-    let ws = &ws[..n];
-    for i in 0..n {
-        let fl = flux(q_l[i], va_l[i], p_l[i]);
-        let fr = flux(q_r[i], va_r[i], p_r[i]);
-        fx[i] = 0.5 * (fl + fr) - 0.5 * ws[i] * (q_r[i] - q_l[i]);
-    }
-}
-
-/// [`rusanov_row`] with the physical-flux arm of
-/// [`crate::flux::phys_flux`] / [`crate::muscl::phys_flux_axis`]
-/// selected once for (`var`, `axis`). Each arm's per-element
-/// arithmetic is the legacy expression verbatim — note the perpendicular
-/// momentum arm keeps the legacy `+ 0.0` (which maps `-0.0` to `+0.0`)
-/// so outputs stay bitwise identical.
-#[allow(clippy::too_many_arguments)]
-fn rusanov_row_var(
-    var: usize,
-    axis: usize,
-    q_l: &[f64],
-    q_r: &[f64],
-    va_l: &[f64],
-    va_r: &[f64],
-    p_l: &[f64],
-    p_r: &[f64],
-    ws: &[f64],
-    fx: &mut [f64],
-) {
-    match var {
-        RHO => rusanov_row(q_l, q_r, va_l, va_r, p_l, p_r, ws, fx, |q, va, _p| q * va),
-        EN => rusanov_row(q_l, q_r, va_l, va_r, p_l, p_r, ws, fx, |q, va, p| {
-            (q + p) * va
-        }),
-        _ if var - MX == axis => rusanov_row(q_l, q_r, va_l, va_r, p_l, p_r, ws, fx, |q, va, p| {
-            q * va + p
-        }),
-        _ => rusanov_row(q_l, q_r, va_l, va_r, p_l, p_r, ws, fx, |q, va, _p| {
-            q * va + 0.0
-        }),
-    }
-}
-
-/// Minmod-limited face reconstruction for one row of faces from the
-/// four bracketing zone rows (along x these are shifted windows of
-/// one row; transverse they are the four bracketing planes' rows).
-/// The limiter is the branchless select form of [`minmod`], and all
-/// operands are exact-length subslices.
-fn recon_row(q_lm: &[f64], q_l: &[f64], q_r: &[f64], q_rp: &[f64], ql: &mut [f64], qr: &mut [f64]) {
-    let n = ql.len();
-    let (q_lm, q_l) = (&q_lm[..n], &q_l[..n]);
-    let (q_r, q_rp) = (&q_r[..n], &q_rp[..n]);
-    let qr = &mut qr[..n];
-    for i in 0..n {
-        let slope_l = minmod(q_l[i] - q_lm[i], q_r[i] - q_l[i]);
-        let slope_r = minmod(q_r[i] - q_l[i], q_rp[i] - q_r[i]);
-        ql[i] = q_l[i] + 0.5 * slope_l;
-        qr[i] = q_r[i] - 0.5 * slope_r;
-    }
-}
-
-/// Primitives of one reconstructed face state — the legacy FACE_PRIMS
-/// closure verbatim.
-fn face_prim(axis: usize, rho: f64, mx: f64, my: f64, mz: f64, en: f64) -> (f64, f64, f64) {
-    let r = rho.max(RHO_FLOOR);
-    let v = [mx / r, my / r, mz / r];
-    let ke = 0.5 * r * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
-    let p = ((GAMMA - 1.0) * (en - ke)).max(P_FLOOR);
-    let cs = (GAMMA * p / r).sqrt();
-    (v[axis], p, cs)
-}
-
-/// The five conserved-variable rows of a var-major plane, in
-/// `RHO`..=`EN` order.
-type ConsRows<'a> = (&'a [f64], &'a [f64], &'a [f64], &'a [f64], &'a [f64]);
-
-/// The five contiguous variable rows (ρ, ρu, ρv, ρw, E) of a
-/// var-major scratch plane of row length `n` — the conserved-variable
-/// indices are contiguous from `RHO` to `EN`, so the plane splits into
-/// exact-length rows without indexing.
-#[inline]
-fn cons_rows(q: &[f64], n: usize) -> ConsRows<'_> {
-    let (rho, rest) = q.split_at(n);
-    let (mx, rest) = rest.split_at(n);
-    let (my, rest) = rest.split_at(n);
-    let (mz, rest) = rest.split_at(n);
-    (rho, mx, my, mz, &rest[..n])
-}
-
-/// Face primitives + max wavespeed for one row of faces from the
-/// reconstructed left/right conserved planes (var-major contiguous,
-/// `NCONS` rows of `val.len()`).
-#[allow(clippy::too_many_arguments)]
-fn face_prims_rows(
-    axis: usize,
-    ql: &[f64],
-    qr: &[f64],
-    val: &mut [f64],
-    var_: &mut [f64],
-    pl: &mut [f64],
-    pr: &mut [f64],
-    smax: &mut [f64],
-) {
-    let nf = val.len();
-    let (ql_rho, ql_mx, ql_my, ql_mz, ql_en) = cons_rows(ql, nf);
-    let (qr_rho, qr_mx, qr_my, qr_mz, qr_en) = cons_rows(qr, nf);
-    let (var_, pl, pr, smax) = (
-        &mut var_[..nf],
-        &mut pl[..nf],
-        &mut pr[..nf],
-        &mut smax[..nf],
-    );
-    for f in 0..nf {
-        let (vl, p_l, cl) = face_prim(axis, ql_rho[f], ql_mx[f], ql_my[f], ql_mz[f], ql_en[f]);
-        let (vr, p_r, cr) = face_prim(axis, qr_rho[f], qr_mx[f], qr_my[f], qr_mz[f], qr_en[f]);
-        val[f] = vl;
-        var_[f] = vr;
-        pl[f] = p_l;
-        pr[f] = p_r;
-        smax[f] = (vl.abs() + cl).max(vr.abs() + cr);
-    }
-}
-
-/// Fused second-order MUSCL sweep from the target as it stands:
-/// [`sweep_muscl_from`] with [`Start::Target`].
-pub fn sweep_muscl(
-    state: &mut HydroState,
-    exec: &mut Executor,
-    clock: &mut RankClock,
-    dt: f64,
-) -> Result<(), GpuError> {
-    sweep_muscl_from(state, exec, clock, dt, Start::Target)
-}
-
-/// Fused second-order MUSCL stage sweep `u0 ← start − dt·L(u)`:
-/// charges the legacy per-axis sequence (5 MUSCL_RECON, FACE_PRIMS,
-/// then per variable FLUX + UPDATE), then runs all three axes tile by
-/// tile, the x pass updating from `start`. Requires
-/// `state.sub.ghost >= 2`, like the legacy path.
-pub fn sweep_muscl_from(
-    state: &mut HydroState,
-    exec: &mut Executor,
-    clock: &mut RankClock,
-    dt: f64,
-    start: Start,
-) -> Result<(), GpuError> {
-    assert!(
-        state.sub.ghost >= 2,
-        "MUSCL needs two ghost layers (got {})",
-        state.sub.ghost
-    );
-    for axis in 0..3 {
-        let fd = state.face_dims(axis);
-        for _var in 0..NCONS {
-            exec.charge3(clock, &kernels::MUSCL_RECON, fd)?;
-        }
-        exec.charge3(clock, &kernels::FACE_PRIMS, fd)?;
-        for _var in 0..NCONS {
-            exec.charge3(clock, &kernels::FLUX, fd)?;
-            exec.charge3(clock, &kernels::UPDATE, state.ext())?;
-        }
-    }
-    if exec.fidelity != Fidelity::Full {
-        return Ok(());
-    }
-    let ext = state.ext();
-    let dims = state.u.dims();
-    let g = state.sub.ghost;
-    let n0 = ext[0];
-    let scale = dt / state.dx();
-    let tiles = TileSet2::new(ext[1], ext[2], state.tile);
-    let (u, u0) = (&state.u, &mut state.u0);
-    let u_slab = u.slab();
-    let rows = DisjointRowsMut::new(u0.slab_mut(), dims[0]);
-    exec.run_tiles(&tiles, |tile| {
-        let nf = n0 + 1;
-        // Tile-contiguous scratch: x-face reconstruction/primitive/flux
-        // rows plus the transverse planes, carved from one allocation.
-        let mut arena = ScratchArena::zeroed((2 * NCONS + 6) * nf + (4 * NCONS + 5) * n0);
-        let mut carve = arena.carver();
-        let ql = carve.take(NCONS * nf);
-        let qr = carve.take(NCONS * nf);
-        let val = carve.take(nf);
-        let var_ = carve.take(nf);
-        let pl = carve.take(nf);
-        let pr = carve.take(nf);
-        let smax = carve.take(nf);
-        let fx = carve.take(nf);
-        let tql = carve.take(NCONS * n0);
-        let tqr = carve.take(NCONS * n0);
-        let tval = carve.take(n0);
-        let tvar = carve.take(n0);
-        let tpl = carve.take(n0);
-        let tpr = carve.take(n0);
-        let tsmax = carve.take(n0);
-        let mut prev = carve.take(NCONS * n0);
-        let mut cur = carve.take(NCONS * n0);
-        // x sweep: face f reads the windows shifted by g−2 … g+1.
-        for k in tile.k0..tile.k1 {
-            for j in tile.j0..tile.j1 {
-                let (aj, ak) = (j + g, k + g);
-                for (var, (qlr, qrr)) in ql
-                    .chunks_exact_mut(nf)
-                    .zip(qr.chunks_exact_mut(nf))
-                    .enumerate()
-                {
-                    let q = row_of(u_slab, dims, var, aj, ak);
-                    recon_row(&q[g - 2..], &q[g - 1..], &q[g..], &q[g + 1..], qlr, qrr);
-                }
-                face_prims_rows(0, ql, qr, val, var_, pl, pr, smax);
-                for (var, (qlr, qrr)) in ql.chunks_exact(nf).zip(qr.chunks_exact(nf)).enumerate() {
-                    rusanov_row_var(var, 0, qlr, qrr, val, var_, pl, pr, smax, fx);
-                    let mut tgt = rows.claim(row_index(dims, var, aj, ak));
-                    let ur = owned_row(u_slab, dims, g, var, aj, ak);
-                    let faces = [(&fx[..n0], &fx[1..])];
-                    update_row(&mut tgt[g..g + n0], ur, start, scale, faces);
-                }
-            }
-        }
-        // Transverse sweeps share prev/cur flux planes like the
-        // first-order path; reconstruction reads the four bracketing
-        // rows of each face.
-        // y sweep.
-        for k in tile.k0..tile.k1 {
-            let ak = k + g;
-            for jf in tile.j0..=tile.j1 {
-                for (var, (qlr, qrr)) in tql
-                    .chunks_exact_mut(n0)
-                    .zip(tqr.chunks_exact_mut(n0))
-                    .enumerate()
-                {
-                    let q_lm = owned_row(u_slab, dims, g, var, jf + g - 2, ak);
-                    let q_l = owned_row(u_slab, dims, g, var, jf + g - 1, ak);
-                    let q_r = owned_row(u_slab, dims, g, var, jf + g, ak);
-                    let q_rp = owned_row(u_slab, dims, g, var, jf + g + 1, ak);
-                    recon_row(q_lm, q_l, q_r, q_rp, qlr, qrr);
-                }
-                face_prims_rows(1, tql, tqr, tval, tvar, tpl, tpr, tsmax);
-                for (var, (fxr, (qlr, qrr))) in cur
-                    .chunks_exact_mut(n0)
-                    .zip(tql.chunks_exact(n0).zip(tqr.chunks_exact(n0)))
-                    .enumerate()
-                {
-                    rusanov_row_var(var, 1, qlr, qrr, tval, tvar, tpl, tpr, tsmax, fxr);
-                }
-                if jf > tile.j0 {
-                    let aj = jf - 1 + g;
-                    for (var, (f_lo, f_hi)) in
-                        prev.chunks_exact(n0).zip(cur.chunks_exact(n0)).enumerate()
-                    {
-                        let mut tgt = rows.claim(row_index(dims, var, aj, ak));
-                        let ur = owned_row(u_slab, dims, g, var, aj, ak);
-                        let faces = [(f_lo, f_hi)];
-                        update_row(&mut tgt[g..g + n0], ur, Start::Target, scale, faces);
-                    }
-                }
-                std::mem::swap(&mut prev, &mut cur);
-            }
-        }
-        // z sweep.
-        for j in tile.j0..tile.j1 {
-            let aj = j + g;
-            for kf in tile.k0..=tile.k1 {
-                for (var, (qlr, qrr)) in tql
-                    .chunks_exact_mut(n0)
-                    .zip(tqr.chunks_exact_mut(n0))
-                    .enumerate()
-                {
-                    let q_lm = owned_row(u_slab, dims, g, var, aj, kf + g - 2);
-                    let q_l = owned_row(u_slab, dims, g, var, aj, kf + g - 1);
-                    let q_r = owned_row(u_slab, dims, g, var, aj, kf + g);
-                    let q_rp = owned_row(u_slab, dims, g, var, aj, kf + g + 1);
-                    recon_row(q_lm, q_l, q_r, q_rp, qlr, qrr);
-                }
-                face_prims_rows(2, tql, tqr, tval, tvar, tpl, tpr, tsmax);
-                for (var, (fxr, (qlr, qrr))) in cur
-                    .chunks_exact_mut(n0)
-                    .zip(tql.chunks_exact(n0).zip(tqr.chunks_exact(n0)))
-                    .enumerate()
-                {
-                    rusanov_row_var(var, 2, qlr, qrr, tval, tvar, tpl, tpr, tsmax, fxr);
-                }
-                if kf > tile.k0 {
-                    let ak = kf - 1 + g;
-                    for (var, (f_lo, f_hi)) in
-                        prev.chunks_exact(n0).zip(cur.chunks_exact(n0)).enumerate()
-                    {
-                        let mut tgt = rows.claim(row_index(dims, var, aj, ak));
-                        let ur = owned_row(u_slab, dims, g, var, aj, ak);
-                        let faces = [(f_lo, f_hi)];
-                        update_row(&mut tgt[g..g + n0], ur, Start::Target, scale, faces);
-                    }
-                }
-                std::mem::swap(&mut prev, &mut cur);
-            }
         }
     });
     Ok(())
@@ -962,26 +828,35 @@ mod tests {
     }
 
     #[test]
-    fn fused_sweep_charges_33_launches() {
-        let mut st = perturbed(6, 1);
-        let (mut exec, mut clock) = exec_seq();
-        primitives(&mut st, &mut exec, &mut clock).unwrap();
-        exec.registry.clear();
-        sweep(&mut st, &mut exec, &mut clock, 0.01).unwrap();
-        assert_eq!(exec.registry.total_launches(), 33);
+    fn fused_sweep_charges_the_legacy_launch_count_per_order() {
+        for (recon, launches) in [
+            (Reconstruction::FirstOrder, 33),
+            (Reconstruction::Muscl, 48),
+        ] {
+            let mut st = perturbed(6, 2);
+            let (mut exec, mut clock) = exec_seq();
+            primitives(&mut st, &mut exec, &mut clock).unwrap();
+            exec.registry.clear();
+            sweep_from(&mut st, &mut exec, &mut clock, 0.01, Start::Target, recon).unwrap();
+            assert_eq!(exec.registry.total_launches(), launches, "{recon:?}");
+        }
     }
 
-    #[test]
-    fn cost_only_fused_path_charges_without_allocating() {
+    fn cost_only(ghost: usize) -> (HydroState, Executor, RankClock) {
         let grid = GlobalGrid::new(48, 48, 48);
-        let sub = Subdomain::new([0, 0, 0], [48, 48, 48], 1);
-        let mut st = HydroState::new(grid, sub, Fidelity::CostOnly);
-        let mut exec = Executor::new(
+        let sub = Subdomain::new([0, 0, 0], [48, 48, 48], ghost);
+        let st = HydroState::new(grid, sub, Fidelity::CostOnly);
+        let exec = Executor::new(
             Target::CpuSeq,
             CpuModel::haswell_fixed(),
             Fidelity::CostOnly,
         );
-        let mut clock = RankClock::new(0);
+        (st, exec, RankClock::new(0))
+    }
+
+    #[test]
+    fn cost_only_fused_path_charges_without_allocating() {
+        let (mut st, mut exec, mut clock) = cost_only(1);
         primitives(&mut st, &mut exec, &mut clock).unwrap();
         sweep(&mut st, &mut exec, &mut clock, 0.01).unwrap();
         charge_start(&st, &mut exec, &mut clock, Start::Snapshot).unwrap();
@@ -989,5 +864,16 @@ mod tests {
         assert!(clock.now().as_nanos() > 0);
         assert_eq!(exec.registry.total_launches(), 3 + 33 + 5 + 5);
         assert!(st.u.var(RHO).len() < 64, "no full-size allocation");
+    }
+
+    #[test]
+    fn cost_only_fused_muscl_charges_without_allocating() {
+        let (mut st, mut exec, mut clock) = cost_only(2);
+        sweep_muscl(&mut st, &mut exec, &mut clock, 0.01).unwrap();
+        assert!(clock.now().as_nanos() > 0);
+        assert_eq!(exec.registry.total_launches(), 48);
+        for slab in [st.u.slab(), st.u0.slab(), st.prim.slab()] {
+            assert!(slab.len() < 64 * NCONS, "no full-size allocation");
+        }
     }
 }

@@ -20,6 +20,7 @@
 //! every owned zone (and on the whole slab from the target as it is).
 
 use hsim_hydro::fused::Start;
+use hsim_hydro::muscl::Reconstruction;
 use hsim_hydro::noh::{self, NohConfig};
 use hsim_hydro::sedov::{self, SedovConfig};
 use hsim_hydro::sod::{self, SodConfig};
@@ -180,11 +181,12 @@ fn fused_stage(st: &mut HydroState, target: Target, start: Start, muscl_order: b
     let mut exec = Executor::new(target, CpuModel::haswell_fixed(), Fidelity::Full);
     let mut clock = RankClock::new(0);
     fused::primitives(st, &mut exec, &mut clock).unwrap();
-    if muscl_order {
-        fused::sweep_muscl_from(st, &mut exec, &mut clock, DT, start).unwrap();
+    let recon = if muscl_order {
+        Reconstruction::Muscl
     } else {
-        fused::sweep_from(st, &mut exec, &mut clock, DT, start).unwrap();
-    }
+        Reconstruction::FirstOrder
+    };
+    fused::sweep_from(st, &mut exec, &mut clock, DT, start, recon).unwrap();
 }
 
 proptest! {
@@ -234,8 +236,9 @@ proptest! {
 
     /// Every scenario's real initial state runs bitwise-identically
     /// through the legacy, fused-serial, and fused-parallel paths at
-    /// every worker count and any (ragged) tile shape — the `--jobs`
-    /// / `--host-threads` / tile invariance the CI matrix relies on.
+    /// every worker count and any (ragged) tile shape, at both orders
+    /// (MUSCL on two ghost layers) — the `--jobs` / `--host-threads` /
+    /// tile invariance the CI matrix relies on.
     #[test]
     fn fused_sweep_is_bitwise_equivalent_on_every_scenario(
         which in 0usize..4,
@@ -243,27 +246,26 @@ proptest! {
         tile in (1usize..13, 1usize..13),
     ) {
         let n = [n.0, n.1, n.2];
-        let name = SCENARIO_NAMES[which];
-        let mut legacy = scenario_state(which, n, 1);
-        let init = twin(&legacy, n, 1);
+        for muscl_order in [false, true] {
+            let ghost = if muscl_order { 2 } else { 1 };
+            let name = format!("{} muscl={muscl_order}", SCENARIO_NAMES[which]);
+            let mut legacy = scenario_state(which, n, ghost);
+            let init = twin(&legacy, n, ghost);
+            legacy_stage(&mut legacy, Start::Target, muscl_order);
 
-        let mut e1 = Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), Fidelity::Full);
-        let mut c1 = RankClock::new(0);
-        eos::primitives(&mut legacy, &mut e1, &mut c1).unwrap();
-        flux::sweep(&mut legacy, &mut e1, &mut c1, DT).unwrap();
+            let mut serial = twin(&init, n, ghost);
+            serial.tile = [tile.0, tile.1];
+            run_fused(&mut serial, Target::CpuSeq, muscl_order);
+            assert_states_identical(&legacy, &serial, &format!("{name} fused serial vs legacy"));
 
-        let mut serial = twin(&init, n, 1);
-        serial.tile = [tile.0, tile.1];
-        run_fused(&mut serial, Target::CpuSeq, false);
-        assert_states_identical(&legacy, &serial, &format!("{name} fused serial vs legacy"));
-
-        for threads in WORKER_COUNTS {
-            let mut par = twin(&init, n, 1);
-            par.tile = [tile.0, tile.1];
-            run_fused(&mut par, Target::cpu_parallel(threads), false);
-            let what = format!("{name} fused parallel x{threads}");
-            assert_states_identical(&serial, &par, &format!("{what} vs serial fused"));
-            assert_states_identical(&legacy, &par, &format!("{what} vs legacy"));
+            for threads in WORKER_COUNTS {
+                let mut par = twin(&init, n, ghost);
+                par.tile = [tile.0, tile.1];
+                run_fused(&mut par, Target::cpu_parallel(threads), muscl_order);
+                let what = format!("{name} fused parallel x{threads}");
+                assert_states_identical(&serial, &par, &format!("{what} vs serial fused"));
+                assert_states_identical(&legacy, &par, &format!("{what} vs legacy"));
+            }
         }
     }
 
