@@ -68,10 +68,10 @@ const DEFAULT_HOST_THREADS: usize = 4;
 /// spread over 1.20–1.84 across 20 runs, of 15 pairs over 1.34–1.46.
 const PAIRS: usize = 15;
 
-/// Ceiling on `sweeps.costonly_run_over_floor`. Ten runs of the
-/// stepped driver on the 2-core host read 2.8-3.3 (over three cycles,
-/// messages through one inbox per rank), which this clears by 1.5x;
-/// over four cycles and `mpsc` channels they read 3.9-4.1, and the
+/// Ceiling on `sweeps.costonly_run_over_floor`. The stepped driver on
+/// the 2-core host reads 2.6-3.2 over the two cycles a sweep point
+/// steps (messages through one inbox per rank), which this clears by
+/// 1.5x; over four cycles and `mpsc` channels it read 3.9-4.1, and the
 /// thread-per-rank driver before that read 8-55 there (4.8-6.6 pinned
 /// to one vCPU, where hand-offs cross no core).
 const COSTONLY_RUN_OVER_FLOOR_MAX: f64 = 5.0;
@@ -82,10 +82,10 @@ const COSTONLY_REPS: usize = 5;
 
 /// Cycles both sides of `sweeps.costonly_run_over_floor` run. A sweep
 /// point steps this many of its ten and adds the rest up (`CpuOnly`
-/// shows its period in three and reads so at the end of the third),
-/// so at ten the run would be compared with a floor doing over three
-/// times its work.
-const COSTONLY_STEPPED_CYCLES: u64 = 3;
+/// shows its period in its second cycle, judged against the end of
+/// the first, and reads so at the end of the second), so at ten the
+/// run would be compared with a floor doing five times its work.
+const COSTONLY_STEPPED_CYCLES: u64 = 2;
 
 /// Floor on `roofline.roof_fraction`: the quarter the gate held while
 /// the roof priced the legacy per-pass traffic (1816 B/zone), rescaled
@@ -164,7 +164,7 @@ static METRICS: &[Metric] = &[
     ("sweeps.*.parallel_s",       "s",     Info, "median wall time at --jobs N"),
     ("sweeps.*.speedup",          "x",     MinByCores(&[(2.0, 0.9), (0.0, 0.5)]), "median serial:parallel over interleaved pairs: --jobs N must not lose to serial where more than one effective core exists; on one (--jobs 4 there is oversubscription) only fan-out overhead is bounded"),
     ("sweeps.*.identical_output", "bool",  IsTrue, "--jobs N must not change a byte of the figure CSV or markdown"),
-    ("sweeps.costonly_run_over_floor", "x", Bound(AtMost(COSTONLY_RUN_OVER_FLOOR_MAX)), "median over interleaved pairs of a cost-only 16-rank run against its own pricing work done solo on the same thread, both over the 3 cycles such a run steps before it adds its period up: what is left is set-up, message hand-off and the cycle marks, and a thread per rank, which has nothing to run in parallel here, reads 8 and up on two cores"),
+    ("sweeps.costonly_run_over_floor", "x", Bound(AtMost(COSTONLY_RUN_OVER_FLOOR_MAX)), "median over interleaved pairs of a cost-only 16-rank run against its own pricing work done solo on the same thread, both over the 2 cycles such a run steps before it adds its period up: what is left is set-up, message hand-off and the cycle marks, and a thread per rank, which has nothing to run in parallel here, reads 8 and up on two cores"),
     ("sweeps.costonly_cycles_x8", "x", Bound(AtMost(COSTONLY_CYCLES_X8_MAX)), "median over interleaved pairs of one cost-only heterogeneous point at 80 cycles against the same point at 10: a run's host time is that of the cycles it takes to see its period, not proportional to `cycles` (stepping them all reads 7.7)"),
 
     ("kernels.legacy_mzones_per_s",            "Mz/s",  Info, "per-pass reference kernels"),

@@ -228,10 +228,10 @@ enum Boundary {
 /// a fresh world, clocks and devices, as a restart would.
 ///
 /// "Static within an iteration" is also why a segment that only prices
-/// its kernels need not step all its cycles: once two consecutive
-/// cycles grew every clock, counter and device by the same integer
-/// amounts, the rest of the segment is that growth added up (the
-/// `PeriodBoard` of `run_segment`).
+/// its kernels need not step all its cycles: once one cycle moved
+/// every clock and stream by the same integer amount with nothing in
+/// flight, the rest of the segment is that cycle's growth added up
+/// (the `PeriodBoard` of `run_segment`).
 ///
 /// A loss folds the lost CPU rank's slab back (preferring its parent
 /// GPU block, so Heterogeneous degrades toward Default) and *freezes*
@@ -790,7 +790,7 @@ fn rank_task<F: Future>(body: impl Fn(Comm) -> F + Sync) -> impl Fn(Comm) -> Ran
 /// clock, its launch counts, its traffic, the timestep it took, and —
 /// of the one client that leads a device — the device's counters. Two
 /// marks a cycle apart give that cycle's growth, in the same type.
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 struct RankMark {
     clock: RankClock,
     kernels: KernelRegistry,
@@ -843,9 +843,9 @@ impl RankMark {
 struct Posted {
     /// Cycles completed when this was posted.
     cycle: u64,
-    /// The cycle grew the rank's [`RankMark`] exactly as its previous
-    /// cycle did, its stream ended as much later as its clock, and
-    /// none of its launches is queued.
+    /// Since the previous cycle end of the segment, the rank's stream
+    /// ended as much later as its clock, none of its launches is
+    /// queued, and the cycle took the previous cycle's timestep.
     steady: bool,
     /// The rank's clock advance over the cycle.
     elapsed: SimDuration,
@@ -862,21 +862,22 @@ struct Posted {
 /// cycle can see of the one before is only how far the clocks and
 /// streams it waits on are from its own: every charge is an integer
 /// duration, every wait a `max`, and a device resolves an epoch
-/// relative to its first arrival (`Device::run_pending`). So once, at
-/// the end of one cycle,
-///
-/// * every rank has grown its [`RankMark`] exactly as in its previous
-///   cycle (the device counters are in the mark of the client that
-///   leads the device),
-/// * every rank's clock and every client's stream advanced by one
-///   common `D` (all offsets between them are what they were),
-/// * nothing is in flight: over the world as many messages received as
-///   sent, no launch queued,
-///
-/// the next cycle starts from that cycle's state shifted by `D` and
-/// must grow everything by the same amounts again — unless the fault
-/// plan names it. Then `k` cycles ahead are `k ×` that growth, in
-/// checked integer arithmetic.
+/// relative to its first arrival (`Device::run_pending`). So once a
+/// cycle, since the end of the one before it in the segment (never the
+/// set-up barrier, which the ranks leave at different instants), moved
+/// every rank's clock and every client's stream by one common `D` at
+/// an unchanged timestep, with nothing in flight — over the world as
+/// many messages received as sent, no launch queued — its end state is
+/// the previous one shifted by `D`. The next cycle starts from it, so
+/// it repeats this one `D` later, unless the fault plan names it: `k`
+/// cycles ahead are `k ×` this cycle's growth, in checked integer
+/// arithmetic. Nothing else a cycle leaves feeds timing: the device's
+/// `pending` queue is empty, its `next_job` ids and counters are read
+/// by no charge, its unified memory is faulted in at set-up;
+/// `SharedDevice`'s `epoch` only wakes waiters and its `stream_end` is
+/// the streams; the `PostOffice` inboxes are empty and the collective
+/// counters only tag packets; the temp `MemoryPool` is reset every
+/// cycle; the fault injector fires only on the cycles it names.
 ///
 /// The verdict is read in the cycle it judges. Each rank posts its
 /// cycle into a slot of its own and waits until every rank has posted
@@ -1020,8 +1021,8 @@ impl std::fmt::Display for TooManyCycles {
 /// cycle on a [`PeriodBoard`], and once the segment has gone periodic
 /// the cycles ahead — up to the segment's end or the next cycle the
 /// fault plan names for any rank, which is stepped — are added, not
-/// stepped. Host time is then that of the few cycles it took to see
-/// the period (a transient and two equal cycles), whatever
+/// stepped. Host time is then that of the two cycles it takes to see
+/// the period (a transient and one common advance), whatever
 /// `cfg.cycles` is. Full fidelity, telemetry, `--trace` and particles
 /// step every cycle, as does a segment that never repeats itself.
 fn run_segment(
@@ -1241,16 +1242,12 @@ fn run_segment(
             };
 
             // Where cycles may be added up: the rank's seat at the
-            // board, its mark and its stream's end at the last cycle's
-            // end, and its growth over that cycle.
-            let stream_end = |(client, ..): &(GpuClient, _, _)| client.stream_mark().end;
+            // board, and its mark and its stream's end at the last
+            // cycle end of this segment (none before the first).
             let led = client
                 .as_ref()
                 .and_then(|(_, shared, leads)| leads.then_some(&**shared));
-            let mut period = seat.as_ref().map(|seat| {
-                let start = RankMark::of(&clock, &exec, coupler.comm, 0.0, led);
-                (seat, start, client.as_ref().map(stream_end), None)
-            });
+            let mut period = seat.as_ref().map(|seat| (seat, None));
             let mut stepped = 0;
             let mut cycle = seg.first_cycle;
             while cycle < seg.last_cycle {
@@ -1322,20 +1319,25 @@ fn run_segment(
                 cycle += 1;
                 stepped += 1;
 
-                let Some((seat, mark, stream, grown)) = period.as_mut() else {
+                let Some((seat, last)) = period.as_mut() else {
                     continue;
                 };
                 let now = RankMark::of(&clock, &exec, coupler.comm, stats.dt, led);
-                let this = now.since(mark);
+                let stream_now = client.as_ref().map(|(client, ..)| client.stream_mark());
+                // A cycle is judged against the end of the one before,
+                // never against the set-up barrier.
+                let end = (now.clone(), stream_now.map(|s| s.end));
+                let Some((mark, stream)) = last.replace(end) else {
+                    continue;
+                };
+                let this = now.since(&mark);
                 let elapsed = this.clock.now() - SimTime::ZERO;
                 // The stream kept pace with the clock, nothing queued.
-                let stream_now = client.as_ref().map(|(client, ..)| client.stream_mark());
-                let mut streams = stream_now.zip(*stream).into_iter();
+                let mut streams = stream_now.zip(stream).into_iter();
                 let in_step = streams.all(|(now, was)| now.queued == 0 && now.end - was == elapsed);
-                let repeats = grown.as_ref() == Some(&this);
                 let posted = Posted {
                     cycle,
-                    steady: repeats && in_step,
+                    steady: in_step && now.dt == mark.dt,
                     elapsed,
                     messages: now.messages,
                 };
@@ -1349,8 +1351,6 @@ fn run_segment(
                 } else {
                     0
                 };
-                *mark = now;
-                *stream = stream_now.map(|s| s.end);
                 if add > 0 {
                     // Every checked sum first: a run too long for the
                     // clock is an error before `t` is walked forward.
@@ -1363,7 +1363,7 @@ fn run_segment(
                             None => Ok(()),
                         })
                         .and_then(|()| match (led, &this.device) {
-                            (Some(device), Some(grown)) => device.advance(grown, add),
+                            (Some(device), Some(period)) => device.advance(period, add),
                             _ => Ok(()),
                         });
                     added.map_err(|e| format!("rank {orig}: {e}"))?;
@@ -1376,10 +1376,10 @@ fn run_segment(
                     cycle += add;
                     // The injector reads the last cycle gone through.
                     hsim_faults::set_cycle(cycle - 1);
-                    *mark = RankMark::of(&clock, &exec, coupler.comm, stats.dt, led);
-                    *stream = client.as_ref().map(stream_end);
+                    let mark = RankMark::of(&clock, &exec, coupler.comm, stats.dt, led);
+                    let stream = client.as_ref().map(|(client, ..)| client.stream_mark().end);
+                    *last = Some((mark, stream));
                 }
-                *grown = Some(this);
             }
 
             // The cycle loop's account: each bucket's growth since
@@ -2294,9 +2294,9 @@ mod tests {
             let (some, all) = assert_added_up_equals_stepped(&cfg, fraction, &case);
             cases += 1;
             added_up += u64::from(some < all);
-            // Left alone, a segment shows its period within three cycles.
+            // Left alone, a segment shows its period within two cycles.
             if plan.is_empty() && cfg.rebalance.is_none() && all > 0 {
-                assert!(some <= 3, "{case}: stepped {some} of {all}");
+                assert!(some <= 2, "{case}: stepped {some} of {all}");
             }
         }
         // The optimisation must not have turned itself off.
@@ -2320,12 +2320,11 @@ mod tests {
 
     #[test]
     fn a_sweep_point_steps_a_few_of_its_ten_cycles() {
-        // Default repeats itself from its first cycle; in the other
-        // modes the first cycle is a transient (the ranks leave set-up
-        // at different instants, and the devices start idle). Two equal
-        // cycles are the evidence, and the verdict on them is read at
-        // the end of the second.
-        for (mode, expect) in paper_modes().into_iter().zip([3, 2, 3, 3]) {
+        // The first cycle is judged by nothing: the ranks leave set-up
+        // at different instants, and the devices start idle. The second
+        // moves every clock and stream by one common step from the
+        // first's end, and the verdict on it is read at its own end.
+        for (mode, expect) in paper_modes().into_iter().zip([2, 2, 2, 2]) {
             let cfg = RunConfig::sweep((320, 240, 160), mode);
             assert_eq!(cfg.cycles, 10);
             let (some, all) = assert_added_up_equals_stepped(&cfg, 0.05, &format!("{mode:?}"));
@@ -2352,7 +2351,7 @@ mod tests {
                 run_driven(&cfg, 0.05, Driver::Stepped).unwrap()
             };
             let ((one, _), (two, _), (many, stepped)) = (at(1), at(2), at(10_000));
-            assert!(stepped <= 3, "{mode:?}: stepped {stepped}");
+            assert!(stepped <= 2, "{mode:?}: stepped {stepped}");
             let affine = |f: &dyn Fn(&RunResult) -> u64| {
                 assert_eq!(f(&many), f(&one) + 9_999 * (f(&two) - f(&one)), "{mode:?}");
             };
@@ -2386,7 +2385,7 @@ mod tests {
             long.cycles = 300;
             long.diffusion = Some(DiffusionConfig::default());
             let (some, all) = assert_added_up_equals_stepped(&long, 0.05, &format!("{mode:?}"));
-            assert!(some <= 3 && all == 300, "{mode:?}: stepped {some} of {all}");
+            assert!(some <= 2 && all == 300, "{mode:?}: stepped {some} of {all}");
         }
     }
 
@@ -2402,12 +2401,12 @@ mod tests {
         cfg.cycles = 7;
         cfg.diffusion = Some(DiffusionConfig::default());
         let (some, all) = assert_added_up_equals_stepped(&cfg, 0.0, "mps2, 7 cycles");
-        assert_eq!((some, all), (3, 7));
+        assert_eq!((some, all), (2, 7));
         let mut cfg = RunConfig::sweep((40, 96, 48), ExecMode::hetero());
         cfg.cycles = 23;
         cfg.diffusion = Some(DiffusionConfig::default());
         let (some, all) = assert_added_up_equals_stepped(&cfg, 0.0625, "hetero, 23 cycles");
-        assert_eq!((some, all), (3, 23));
+        assert_eq!((some, all), (2, 23));
     }
 
     /// The heterogeneous 64×48×32 point the fallback tests share, and
@@ -2427,7 +2426,7 @@ mod tests {
     #[test]
     fn telemetry_steps_every_cycle() {
         let mut cfg = fallback_cfg();
-        assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 3));
+        assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 2));
         cfg.telemetry = true;
         assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 10));
         // A span per rank and cycle is still there.
@@ -2470,38 +2469,39 @@ mod tests {
 
     #[test]
     fn a_cycle_the_fault_plan_names_is_stepped_and_the_ones_before_it_added() {
-        // Cycles 0–2 show the period and cycle 2 reads the verdict, 3–6
-        // are added, cycle 7 — named by the plan, for whichever rank —
-        // is stepped with its fault, and 8 and 9 after it, the run
-        // having no two equal cycles left to show. The same plan past
-        // the run's end changes nothing.
+        // Cycle 0 is judged by nothing, cycle 1 against cycle 0's end
+        // and found periodic, 2–6 are added, cycle 7 — named by the
+        // plan, for whichever rank — is stepped with its fault, and
+        // cycle 8, judged against 7's end, is periodic again: 9 is
+        // added. The same plan past the run's end changes nothing.
         let mut cfg = fallback_cfg();
         let plan = |spec| Some(hsim_faults::FaultPlan::parse(spec).unwrap());
         cfg.faults = plan("xfer.delay@rank1.cycle7:ns=5000000");
         let row = "2,hetero,64,48,32,98304,10,0.031681,0.1250,18480,27855440";
-        assert_eq!(row_and_stepped(&cfg), (row.to_string(), 3 + 3));
+        assert_eq!(row_and_stepped(&cfg), (row.to_string(), 4));
         assert_added_up_equals_stepped(&cfg, 0.05, "delay at 7");
         cfg.faults = plan("xfer.delay@rank1.cycle70:ns=5000000");
-        assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 3));
-        // A fault early enough leaves a period to find after it: the
-        // fault's cycle differs from the one before, the next from the
-        // fault's, and the one after that equals it and reads so.
+        assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 2));
+        // Over 40 cycles the same: 0 and 1 show the period, the named
+        // cycle is stepped, and the one after it reads a verdict on
+        // its own advance and adds the rest — 2 + 1 + 1.
         cfg.cycles = 40;
         cfg.faults = plan("xfer.delay@rank1.cycle7:ns=5000000");
         let (some, all) = assert_added_up_equals_stepped(&cfg, 0.05, "delay at 7 of 40");
-        assert_eq!((some, all), (3 + 1 + 2, 40));
+        assert_eq!((some, all), (4, 40));
         // A fault the run absorbs (the driver waits for its device
-        // anyway) leaves every growth what it was, but a named cycle
+        // anyway) leaves every advance what it was, but a named cycle
         // says nothing about the cycles after it: the verdict is read
         // one cycle on.
         cfg.faults = plan("gpu.launch@rank1.cycle7");
         let (some, all) = assert_added_up_equals_stepped(&cfg, 0.05, "launch retry at 7");
-        assert_eq!((some, all), (3 + 1 + 1, 40));
-        // A named cycle right after a verdict leaves nothing to add
-        // before it, and its own verdict is not acted on.
+        assert_eq!((some, all), (4, 40));
+        // A named cycle right after a verdict leaves one cycle to add
+        // before it (cycle 2), and its own verdict is not acted on:
+        // 0, 1, 3 and 4 are stepped.
         cfg.faults = plan("xfer.delay@rank1.cycle3:ns=5000000");
         let (some, all) = assert_added_up_equals_stepped(&cfg, 0.05, "delay at 3 of 40");
-        assert_eq!((some, all), (3 + 3, 40));
+        assert_eq!((some, all), (4, 40));
     }
 
     /// `f` on a thread of its own, or a failure after 120 s.

@@ -31,8 +31,6 @@ struct Inner {
     epoch: u64,
     /// Streams a [`Departure`] has been issued for — one each, ever.
     guarded: HashSet<u64>,
-    /// job id → stream key for the in-flight epoch.
-    job_streams: HashMap<u64, u64>,
     /// stream key → completion time of the last kernel in the resolved
     /// epoch (cumulative across epochs).
     stream_end: BTreeMap<u64, SimTime>,
@@ -51,49 +49,36 @@ impl Inner {
     /// Run the device over every launch of the epoch its last client
     /// has just joined, and open the next epoch.
     fn resolve_epoch(&mut self) {
-        // Snapshot the queued jobs' work/occupancy caps first — the
-        // profiler needs them and `run_pending` clears the queue.
-        let job_caps: HashMap<u64, (f64, f64)> = if self.job_meta.is_empty() {
-            HashMap::new()
-        } else {
-            self.device
-                .pending_jobs()
-                .iter()
-                .map(|j| (j.id, (j.work, j.max_rate)))
-                .collect()
-        };
+        // The queued jobs first — their streams, and the work/occupancy
+        // caps the profiler needs — as `run_pending` clears the queue
+        // and returns the outcomes in the same order.
+        let jobs = self.device.pending_jobs().to_vec();
         let outcomes = self.device.run_pending();
-        for o in &outcomes {
-            if let Some(&stream) = self.job_streams.get(&o.id) {
-                let e = self.stream_end.entry(stream).or_insert(SimTime::ZERO);
-                *e = e.merge(o.end);
-            }
+        for (job, o) in jobs.iter().zip(&outcomes) {
+            let e = self.stream_end.entry(job.stream).or_insert(SimTime::ZERO);
+            *e = e.merge(o.end);
             // Stash the kernel for its own client to drain: which
             // thread led the sync must not change the telemetry.
             if let Some(&(name, elems)) = self.job_meta.get(&o.id) {
-                let (work, max_rate) = job_caps.get(&o.id).copied().unwrap_or((0.0, 1.0));
                 let elapsed = (o.end - o.start).as_secs_f64();
                 let occupancy = if elapsed > 0.0 {
-                    (work / elapsed).clamp(0.0, 1.0)
+                    (job.work / elapsed).clamp(0.0, 1.0)
                 } else {
-                    max_rate
+                    job.max_rate
                 };
-                if let Some(&stream) = self.job_streams.get(&o.id) {
-                    self.resolved_kernels
-                        .entry(stream)
-                        .or_default()
-                        .push(ResolvedKernel {
-                            name,
-                            elems,
-                            start: o.start,
-                            end: o.end,
-                            occupancy,
-                        });
-                }
+                self.resolved_kernels
+                    .entry(job.stream)
+                    .or_default()
+                    .push(ResolvedKernel {
+                        name,
+                        elems,
+                        start: o.start,
+                        end: o.end,
+                        occupancy,
+                    });
             }
         }
         self.job_meta.clear();
-        self.job_streams.clear();
         self.syncers = 0;
         self.epoch += 1;
     }
@@ -207,7 +192,6 @@ impl SharedDevice {
                 syncers: 0,
                 epoch: 0,
                 guarded: HashSet::new(),
-                job_streams: HashMap::new(),
                 stream_end: BTreeMap::new(),
                 job_meta: HashMap::new(),
                 resolved_kernels: HashMap::new(),
@@ -247,7 +231,6 @@ impl SharedDevice {
                 syncers: 0,
                 epoch: 0,
                 guarded: HashSet::new(),
-                job_streams: HashMap::new(),
                 stream_end: BTreeMap::new(),
                 job_meta: HashMap::new(),
                 resolved_kernels: HashMap::new(),
@@ -384,7 +367,6 @@ impl GpuClient {
                 .submit(self.ctx, self.stream, desc, shape, at, false)?,
             _ => return Err(GpuError::InvalidContext),
         };
-        inner.job_streams.insert(ticket.job, self.stream.0);
         if hsim_telemetry::is_enabled() {
             inner.job_meta.insert(ticket.job, (desc.name, shape.elems));
         }
