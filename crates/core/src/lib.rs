@@ -33,7 +33,14 @@
 //!   degradation toward the Default mode); a run with neither is one
 //!   segment. Every boundary that moves zones is charged the same
 //!   α–β redistribution cost, controller or not. Transient
-//!   device/transfer faults are retried inside a segment.
+//!   device/transfer faults are retried inside a segment. Each
+//!   segment's ranks run one rank body, `runner::rank_body` (set up,
+//!   step a cycle, report), under either rank driver, and the run loop
+//!   merges their outputs once (`RunAcc::fold`).
+//! * `period` — the period board of a segment that only prices its
+//!   kernels: each rank marks and posts its cycle (`PeriodBoard`,
+//!   `Seat`), and once every rank has seen one common advance the
+//!   cycles ahead are added up, not stepped (`Seat::add_up`).
 //! * [`figures`] — sweep configurations for every evaluation figure
 //!   (12–18) and the one sweep engine that runs them
 //!   ([`figures::run_figure_with`]).
@@ -55,6 +62,7 @@ pub mod figures;
 pub mod memscheme;
 pub mod mode;
 pub mod node;
+mod period;
 pub mod report;
 pub mod runner;
 pub mod scenario;

@@ -61,10 +61,12 @@ pub(crate) fn slowest(times: impl Iterator<Item = SimDuration>) -> SimDuration {
 
 /// Largest compute-bucket time among CPU-worker ranks: the CPU side
 /// of both balancers' measured input.
-pub(crate) fn slowest_cpu_compute(ranks: &[RankReport]) -> SimDuration {
+pub(crate) fn slowest_cpu_compute<'a>(
+    ranks: impl IntoIterator<Item = &'a RankReport>,
+) -> SimDuration {
     slowest(
         ranks
-            .iter()
+            .into_iter()
             .filter(|r| !r.role.is_gpu_driver())
             .map(|r| r.compute),
     )

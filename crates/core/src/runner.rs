@@ -6,12 +6,13 @@
 //! fixed number of cycles, applies the node-level host-bandwidth
 //! model, and reports per-rank virtual-time breakdowns.
 
+use std::error::Error;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use hsim_gpu::memory::MemoryPool;
 use hsim_gpu::Device;
@@ -23,22 +24,21 @@ use hsim_mesh::decomp::weighted::{fold_lost_rank, weighted_hetero_decomp, Weight
 use hsim_mesh::{Decomposition, GlobalGrid, HaloPlan, OwnerKind, SoaBlock, Subdomain};
 use hsim_mpi::{Comm, Driver, World};
 use hsim_particles::{Particle, ParticlesConfig, PhaseState};
-use hsim_raja::simgpu::DeviceMark;
-use hsim_raja::{Executor, Fidelity, GpuClient, KernelRegistry, SharedDevice, Target, WorkPool};
+use hsim_raja::simgpu::Departure;
+use hsim_raja::{Executor, Fidelity, GpuClient, SharedDevice, Target, WorkPool};
 use hsim_telemetry::{Category, Collector, Counter, Gauge, Summary, TimeStat};
 use hsim_time::clock::ChargeKind;
-use hsim_time::task::{self, Waiting};
 use hsim_time::{RankClock, SimDuration, SimTime};
 
 use crate::balance::{LoadBalancer, RebalanceConfig, RebalanceDecision, Rebalancer};
 use crate::binding::{build_bindings, validate_bindings, RankRole};
-use crate::calib;
 use crate::coupler::{lend_clock, MpiCoupler};
-use crate::memscheme;
 use crate::mode::ExecMode;
 use crate::node::NodeConfig;
+use crate::period::PeriodBoard;
 use crate::report::{slowest, slowest_cpu_compute, ParticleReport, RankReport, RunResult};
 use crate::scenario::{self, ScenarioDiag};
+use crate::{calib, memscheme};
 
 pub use crate::scenario::Problem;
 
@@ -53,9 +53,11 @@ pub struct RunConfig {
     /// host time is proportional to the count only where cycles are
     /// stepped one by one — under [`Fidelity::Full`], with telemetry
     /// or a trace, with particles — while a run that only prices its
-    /// kernels steps until two cycles are equal in every clock and
-    /// counter and adds up the rest (a count the clock cannot hold, or
-    /// more than 2³⁰ cycles to add up at once, is an error).
+    /// kernels steps until one cycle has moved every clock and stream
+    /// by one common advance `D` since the previous cycle end of the
+    /// segment, with nothing in flight, and adds up the rest (a count
+    /// the clock cannot hold, or more than 2³⁰ cycles to add up at
+    /// once, is an error).
     pub cycles: u64,
     pub fidelity: Fidelity,
     /// §5.3 future work: GPUs exchange halos without host staging.
@@ -231,7 +233,7 @@ enum Boundary {
 /// its kernels need not step all its cycles: once one cycle moved
 /// every clock and stream by the same integer amount with nothing in
 /// flight, the rest of the segment is that cycle's growth added up
-/// (the `PeriodBoard` of `run_segment`).
+/// (`period::PeriodBoard`).
 ///
 /// A loss folds the lost CPU rank's slab back (preferring its parent
 /// GPU block, so Heterogeneous degrades toward Default) and *freezes*
@@ -256,9 +258,9 @@ pub fn run_with_fraction(cfg: &RunConfig, cpu_fraction: f64) -> Result<RunResult
 /// the same under either — which the tests of this module assert,
 /// and the only reason the choice is an argument. Beside the result
 /// comes the number of cycles the ranks stepped, the rest having been
-/// added up (see [`PeriodBoard`]): the tests' view of that choice,
-/// which no output shows.
-fn run_driven(
+/// added up (see [`PeriodBoard`]): the
+/// tests' view of that choice, which no output shows.
+pub(crate) fn run_driven(
     cfg: &RunConfig,
     cpu_fraction: f64,
     driver: Driver,
@@ -285,6 +287,9 @@ fn run_driven(
                  decomposition; mode {:?} has no CPU fraction to adjust",
                 cfg.mode
             ));
+        }
+        Some(rcfg) if rcfg.every == 0 => {
+            return Err("rebalance: every must be positive".to_string());
         }
         Some(rcfg) => {
             let mut rb = Rebalancer::new(cpu_fraction, rcfg);
@@ -326,7 +331,7 @@ fn run_driven(
     }
     let mut acc = RunAcc::new(cfg, decomp.len());
     // An MPS rejection recovery gives up on is an error before any rank
-    // starts; one it recovers from is paid at set-up (`run_segment`).
+    // starts; one it recovers from is paid at the rank's set-up.
     if matches!(cfg.mode, ExecMode::Mps { .. }) {
         for ev in fault_plan.of_site(hsim_faults::Site::MpsConnect) {
             if ev.rank < decomp.len() {
@@ -366,22 +371,20 @@ fn run_driven(
     let mut orig_ids: Vec<usize> = (0..decomp.len()).collect();
     let mut first = 0u64;
     for (last, action) in boundaries {
-        let seg = run_segment(
+        let seg = Segment {
             cfg,
-            &fault_plan,
-            driver,
-            Segment {
-                decomp: &decomp,
-                roles: &roles,
-                orig_ids: &orig_ids,
-                first_cycle: first,
-                last_cycle: last,
-                restore: std::mem::take(&mut acc.end),
-                tile,
-            },
-        )?;
+            fault_plan: &fault_plan,
+            decomp: &decomp,
+            roles: &roles,
+            orig_ids: &orig_ids,
+            first_cycle: first,
+            last_cycle: last,
+            cold: acc.end.left.is_empty(),
+            tile,
+        };
+        let (outs, device_busy) = run_segment(seg, driver, std::mem::take(&mut acc.end))?;
         first = last;
-        acc.fold(&orig_ids, seg);
+        acc.fold(&orig_ids, outs, device_busy);
 
         match (action, rb.as_mut()) {
             (Boundary::Tick, Some(rb)) => {
@@ -461,27 +464,38 @@ impl RunAcc {
         }
     }
 
-    /// Fold one segment in; `orig_ids` maps its ranks to their
-    /// accumulators. A lost rank's partial work is dropped with it.
-    fn fold(&mut self, orig_ids: &[usize], seg: SegmentOut) {
-        self.runtime += slowest(seg.reports.iter().map(|r| r.total));
-        self.window_cpu = slowest_cpu_compute(&seg.reports);
-        self.window_gpu = slowest(seg.device_busy.iter().copied());
-        for (rep, &orig) in seg.reports.into_iter().zip(orig_ids) {
+    /// Fold one segment's rank outputs and device busy times in;
+    /// `orig_ids` maps its ranks to their accumulators. A lost rank's
+    /// partial work is dropped with it.
+    fn fold(&mut self, orig_ids: &[usize], outs: Vec<RankOut>, device_busy: Vec<SimDuration>) {
+        self.runtime += slowest(outs.iter().map(|out| out.report.total));
+        self.window_cpu = slowest_cpu_compute(outs.iter().map(|out| &out.report));
+        self.window_gpu = slowest(device_busy.iter().copied());
+        // `t` is identical on every rank: dt is an exact collective.
+        let t = outs.last().map_or(0.0, |out| out.t);
+        self.stepped += outs.first().map_or(0, |out| out.stepped);
+        let (mut left, mut particles) = (Vec::with_capacity(outs.len()), None);
+        for (out, &orig) in outs.into_iter().zip(orig_ids) {
             match &mut self.ranks[orig] {
-                Some(acc) => acc.absorb(rep),
-                slot => *slot = Some(rep),
+                Some(acc) => acc.absorb(out.report),
+                slot => *slot = Some(out.report),
+            }
+            self.collectors.extend(out.collector);
+            left.push(out.left);
+            if let Some(phase) = out.phase {
+                self.migrated += phase.migrated;
+                particles.get_or_insert_with(Vec::new).extend(phase.parts);
             }
         }
+        if let Some(all) = particles.as_mut() {
+            all.sort_unstable_by_key(|p: &Particle| p.id);
+        }
         self.device_busy
-            .resize(seg.device_busy.len(), SimDuration::ZERO);
-        for (acc, busy) in self.device_busy.iter_mut().zip(seg.device_busy) {
+            .resize(device_busy.len(), SimDuration::ZERO);
+        for (acc, busy) in self.device_busy.iter_mut().zip(device_busy) {
             *acc += busy;
         }
-        self.collectors.extend(seg.collectors);
-        self.migrated += seg.migrated;
-        self.stepped += seg.stepped;
-        self.end = seg.end;
+        self.end = EndState { left, particles, t };
     }
 
     /// Charge the redistribution from `old` to `new` at a boundary:
@@ -626,19 +640,22 @@ fn particles_moved(old: &Decomposition, new: &Decomposition, parts: &[Particle])
         .count() as u64
 }
 
+/// Makes the state of a box no old state is moved to: zeroed, at the
+/// boundary's time and cycle, on the run's tile.
+type Fresh<'a> = &'a dyn Fn(&Subdomain) -> HydroState;
+
 /// Carry the ranks' states across a boundary onto the boxes of `new`.
 /// A box that did not change — found by its [`Subdomain`], not by
 /// rank, so the survivors a foldback renumbers are found too — keeps
 /// its state, *moved*: no allocation, no copy. A box that did change
-/// gets a fresh state whose owned zones are copied, row by row, out of
-/// the old boxes it overlaps (the boxes partition the grid before and
-/// after, so each is written once). Only owned zones cross: a moved
-/// state keeps last cycle's ghosts and scratch, a rebuilt one has
+/// gets a `fresh` state whose owned zones are copied, row by row, out
+/// of the old boxes it overlaps (the boxes partition the grid before
+/// and after, so each is written once). Only owned zones cross: a
+/// moved state keeps last cycle's ghosts and scratch, a rebuilt one has
 /// zeros, and neither is read before it is rewritten
-/// (`tests::segmentation_is_invisible_to_the_physics`).
-fn hand_over(mut old: Vec<HydroState>, new: &Decomposition) -> Vec<Option<HydroState>> {
-    // On a cold start there is no state to go on from: all `None`.
-    let like = old.first().map(|s| (s.fidelity, s.tile, s.t, s.cycle));
+/// (`tests::segmentation_is_invisible_to_the_physics`). On a cold
+/// start there is nothing to go on from: every box gets `fresh`.
+fn hand_over(mut old: Vec<HydroState>, new: &Decomposition, fresh: Fresh) -> Vec<HydroState> {
     let kept: Vec<Option<HydroState>> = new
         .domains
         .iter()
@@ -646,11 +663,10 @@ fn hand_over(mut old: Vec<HydroState>, new: &Decomposition) -> Vec<Option<HydroS
         .collect();
     // Of a box that is gone only the conserved block is still read.
     let gone: Vec<(Subdomain, SoaBlock)> = old.into_iter().map(|s| (s.sub, s.u)).collect();
-    let rebuild = |sub: &Subdomain, (fidelity, tile, t, cycle)| {
-        let mut state = HydroState::new(new.grid, *sub, fidelity);
-        (state.tile, state.t, state.cycle) = (tile, t, cycle);
+    let rebuild = |sub: &Subdomain| {
+        let mut state = fresh(sub);
         // Cost-only states hold no zone values.
-        if fidelity == Fidelity::CostOnly {
+        if state.fidelity == Fidelity::CostOnly {
             return state;
         }
         for (from, u) in &gone {
@@ -671,14 +687,17 @@ fn hand_over(mut old: Vec<HydroState>, new: &Decomposition) -> Vec<Option<HydroS
     };
     kept.into_iter()
         .zip(&new.domains)
-        .map(|(kept, sub)| kept.or_else(|| Some(rebuild(sub, like?))))
+        .map(|(kept, sub)| kept.unwrap_or_else(|| rebuild(sub)))
         .collect()
 }
 
 /// One contiguous span of cycles over a fixed decomposition: the
 /// whole run when nothing interrupts it, else the span between two
 /// boundaries.
+#[derive(Clone, Copy)]
 struct Segment<'a> {
+    cfg: &'a RunConfig,
+    fault_plan: &'a Arc<hsim_faults::FaultPlan>,
     decomp: &'a Decomposition,
     roles: &'a [RankRole],
     /// Pre-loss rank ids, keying fault-plan lookups and report merges.
@@ -686,22 +705,12 @@ struct Segment<'a> {
     /// Global cycle numbers `[first, last)`.
     first_cycle: u64,
     last_cycle: u64,
-    /// What the previous segment left behind: nothing, on a cold start.
-    restore: EndState,
+    /// No segment came before: every state is fresh, and each rank
+    /// writes the problem's initial condition into its own.
+    cold: bool,
     /// The resolved fused-kernel tile shape, the same for every
     /// segment of a run.
     tile: [usize; 2],
-}
-
-struct SegmentOut {
-    reports: Vec<RankReport>,
-    collectors: Vec<Collector>,
-    device_busy: Vec<SimDuration>,
-    /// Cross-rank particle migrations during this segment.
-    migrated: u64,
-    /// Cycles of the segment the ranks stepped (the same on each).
-    stepped: u64,
-    end: EndState,
 }
 
 /// What a segment leaves behind (before the first: nothing) for the
@@ -718,6 +727,168 @@ struct EndState {
     t: f64,
 }
 
+/// Run one segment on a fresh world: every rank's output, in rank
+/// order, and each device's busy time. Rank failures surface as typed
+/// errors — never panics or hangs (a dead rank disconnects its peers'
+/// receives from it, its device's rendezvous stops counting it, and
+/// the period board stops waiting for its posts).
+///
+/// The ranks step the segment's cycles one by one, except where all a
+/// cycle leaves behind is clocks and counts: in a cost-only segment
+/// with no collector and no particles every rank posts each stepped
+/// cycle on a [`PeriodBoard`], and once the
+/// segment has gone periodic the cycles ahead — up to the segment's end
+/// or the next cycle the fault plan names for any rank, which is
+/// stepped — are added, not stepped. Host time is then that of the two
+/// cycles it takes to see the period (a transient and one common
+/// advance), whatever `cfg.cycles` is. Full fidelity, telemetry,
+/// `--trace` and particles step every cycle, as does a segment that
+/// never repeats itself.
+fn run_segment(
+    seg: Segment<'_>,
+    driver: Driver,
+    restore: EndState,
+) -> Result<(Vec<RankOut>, Vec<SimDuration>), String> {
+    // Across the boundary come every rank's state, moved onto this
+    // segment's boxes, and the merged particle set. Every state is
+    // allocated here, on the calling thread, a cold start's too: then
+    // all of a run's states live in this thread's malloc arena, and the
+    // next run's go where they were freed. Allocated on the rank
+    // threads, which glibc deals arenas anew in every segment, a run's
+    // states could land beside the previous run's freed ones, and a
+    // process that ran back to back kept a second set resident.
+    let states = restore.left.into_iter().filter_map(|left| match left {
+        Left::State(state) => Some(state),
+        Left::Tally(_) => None,
+    });
+    let fresh = |sub: &Subdomain| HydroState {
+        tile: seg.tile,
+        t: restore.t,
+        cycle: seg.first_cycle,
+        ..HydroState::new(seg.decomp.grid, *sub, seg.cfg.fidelity)
+    };
+    let states = hand_over(states.collect(), seg.decomp, &fresh);
+    let ranks = Ranks::new(seg, states, restore.particles.as_deref())?;
+    let outputs = World::run_fallible(
+        driver,
+        seg.roles.len(),
+        seg.cfg.node.comm.clone(),
+        rank_task(|comm| rank_body(&ranks, comm)),
+    );
+    // Prefer the root cause (the injected fault's typed message) over
+    // collateral peer-disconnect failures.
+    let mut errors = outputs.iter().filter_map(|res| res.as_ref().err());
+    let root = (errors.clone().find(|e| e.contains("injected")))
+        .or_else(|| (errors.clone()).find(|e| !e.to_lowercase().contains("disconnected")))
+        .or_else(|| errors.next());
+    if let Some(root) = root {
+        return Err(root.clone());
+    }
+    let mut outs = Vec::with_capacity(outputs.len());
+    outs.extend(outputs.into_iter().flatten());
+    Ok((outs, ranks.devices.iter().map(|d| d.busy()).collect()))
+}
+
+/// How a rank body fails: with whatever typed error stopped it. The
+/// rank's name is added once, by [`rank_body`].
+type Failed = Box<dyn Error>;
+
+/// A GPU rank's client, its device, and whether it is the one client
+/// that accounts for the device where cycles are added up.
+type Gpu = (GpuClient, Arc<SharedDevice>, bool);
+
+/// What the ranks of a segment share, by reference.
+struct Ranks<'a> {
+    seg: Segment<'a>,
+    /// The mode's devices, in device order.
+    devices: Vec<Arc<SharedDevice>>,
+    /// Per rank, what it starts from — its GPU client if it drives one,
+    /// and its state — taken once, by that rank.
+    handouts: Mutex<Vec<(Option<Gpu>, Option<HydroState>)>>,
+    /// The merged particle set the previous segment left (`None` on a
+    /// cold start or with the particle phase off).
+    particles: Option<&'a [Particle]>,
+    plan: HaloPlan,
+    host_pool: Option<Arc<WorkPool>>,
+    /// One collector per rank serves both consumers: the telemetry
+    /// exports and the `--trace` Gantt read the same span store.
+    collect: bool,
+    /// Where cycles may be added up (see [`PeriodBoard`]).
+    board: Option<PeriodBoard>,
+}
+
+impl<'a> Ranks<'a> {
+    /// Set up a segment's world: the mode's devices and clients, the
+    /// states and the particles the previous segment left.
+    fn new(
+        seg: Segment<'a>,
+        states: Vec<HydroState>,
+        particles: Option<&'a [Particle]>,
+    ) -> Result<Self, String> {
+        let (cfg, node) = (seg.cfg, &seg.cfg.node);
+        let mut devices: Vec<Arc<SharedDevice>> = Vec::new();
+        let mut gpus: Vec<Option<Gpu>> = (0..seg.roles.len()).map(|_| None).collect();
+        match cfg.mode {
+            ExecMode::CpuOnly => {}
+            ExecMode::Default | ExecMode::Heterogeneous { .. } => {
+                for g in 0..node.gpus {
+                    let device = Device::new(g, node.gpu_spec.clone());
+                    let (shared, client) =
+                        SharedDevice::new_exclusive(device, g).map_err(|e| e.to_string())?;
+                    gpus[g] = Some((client, Arc::clone(&shared), true));
+                    devices.push(shared);
+                }
+            }
+            ExecMode::Mps { per_gpu } => {
+                for g in 0..node.gpus {
+                    let device = Device::new(g, node.gpu_spec.clone());
+                    let pids: Vec<usize> = (0..per_gpu).map(|i| g * per_gpu + i).collect();
+                    let (shared, clients) =
+                        SharedDevice::new_mps(device, &pids).map_err(|e| e.to_string())?;
+                    for (i, client) in clients.into_iter().enumerate() {
+                        gpus[g * per_gpu + i] = Some((client, Arc::clone(&shared), i == 0));
+                    }
+                    devices.push(shared);
+                }
+            }
+        }
+        let collect = cfg.telemetry || cfg.trace;
+        // Spans are per cycle and particle positions are real even where
+        // kernels are priced: such runs have more to a cycle than a mark.
+        let priced_only = cfg.fidelity == Fidelity::CostOnly && !collect && cfg.particles.is_none();
+        Ok(Ranks {
+            seg,
+            devices,
+            handouts: Mutex::new(gpus.into_iter().zip(states.into_iter().map(Some)).collect()),
+            particles,
+            plan: HaloPlan::build(seg.decomp),
+            // One host work pool for the whole *process* (never per
+            // region, never per rank, and since the serve layer shares
+            // runs it is not even per run): CPU ranks share its
+            // persistent workers for parallel kernels and reductions.
+            // None = the paper's sequential CPU ranks. `WorkPool::shared`
+            // serializes concurrent regions via its region lock, so
+            // simultaneous served runs are safe.
+            host_pool: (cfg.host_threads > 1).then(|| WorkPool::shared(cfg.host_threads - 1)),
+            collect,
+            board: priced_only.then(|| PeriodBoard::new(seg.roles.len())),
+        })
+    }
+}
+
+/// What one rank of a segment returns.
+struct RankOut {
+    report: RankReport,
+    collector: Option<Collector>,
+    left: Left,
+    t: f64,
+    /// The rank's particle phase at segment end: its live particles,
+    /// and how many it shipped to peers during the segment.
+    phase: Option<PhaseState>,
+    /// Cycles this rank stepped.
+    stepped: u64,
+}
+
 /// What one rank leaves behind at the end of a segment.
 #[allow(clippy::large_enum_variant)] // one per rank per segment, moved twice
 enum Left {
@@ -726,9 +897,8 @@ enum Left {
     /// The run is over: the rank's total owned mass and scenario
     /// diagnostics, its terms of the result's sums (`None` under
     /// cost-only fidelity, whose states hold no physics). The rank
-    /// body sums and frees its state itself: freed by the coordinator
-    /// once the rank threads are gone, glibc trims their arenas and the
-    /// process's next run faults every page in again.
+    /// body sums and frees its state itself, in parallel with its
+    /// peers.
     Tally(Option<(f64, ScenarioDiag)>),
 }
 
@@ -785,691 +955,283 @@ fn rank_task<F: Future>(body: impl Fn(Comm) -> F + Sync) -> impl Fn(Comm) -> Ran
     }
 }
 
-/// What a rank carries from one cycle into the next that a run
-/// reports or a later cycle can read, read at a cycle's end: its
-/// clock, its launch counts, its traffic, the timestep it took, and —
-/// of the one client that leads a device — the device's counters. Two
-/// marks a cycle apart give that cycle's growth, in the same type.
-#[derive(Clone)]
-struct RankMark {
-    clock: RankClock,
-    kernels: KernelRegistry,
-    bytes_sent: u64,
-    /// Messages sent and messages received ([`Comm::messages`]).
-    messages: (u64, u64),
-    /// The cycle's timestep, as bits (of a growth: the later cycle's).
-    dt: u64,
-    device: Option<DeviceMark>,
+/// The rank body both drivers run, resumable at every wait on a peer,
+/// a device or the period board; the driver decides whether a wait
+/// blocks the rank's thread or parks the rank. Every error it returns
+/// names the rank by its original id, which the fault plan keys on.
+async fn rank_body(ranks: &Ranks<'_>, mut comm: Comm) -> Result<RankOut, String> {
+    let orig = ranks.seg.orig_ids[comm.rank()];
+    let out = run_rank(ranks, &mut comm).await;
+    out.map_err(|e| format!("rank {orig}: {e}"))
 }
 
-impl RankMark {
-    fn of(
-        clock: &RankClock,
-        exec: &Executor,
-        comm: &Comm,
-        dt: f64,
-        led: Option<&SharedDevice>,
-    ) -> Self {
-        RankMark {
-            clock: clock.clone(),
-            kernels: exec.registry.clone(),
-            bytes_sent: comm.bytes_sent(),
-            messages: comm.messages(),
-            dt: dt.to_bits(),
-            device: led.map(SharedDevice::mark),
+async fn run_rank(ranks: &Ranks<'_>, comm: &mut Comm) -> Result<RankOut, Failed> {
+    let seg = &ranks.seg;
+    // However this body ends, its peers at the board stop waiting for
+    // its posts.
+    let mut seat = ranks.board.as_ref().map(|board| board.seat(comm.rank()));
+    let mut me = set_up(ranks, comm).await?;
+    let (mut cycle, mut stepped) = (seg.first_cycle, 0);
+    while cycle < seg.last_cycle {
+        let dt = me.step(cycle).await?;
+        cycle += 1;
+        stepped += 1;
+        let Some(seat) = seat.as_mut() else {
+            continue;
+        };
+        let added = seat
+            .add_up(&mut me, dt, cycle..seg.last_cycle, seg.fault_plan)
+            .await?;
+        if added > 0 {
+            // `t` is reported, so it is summed as stepping sums it.
+            (0..added).for_each(|_| me.state.t += dt);
+            me.state.cycle += added;
+            cycle += added;
+            // The injector reads the last cycle gone through.
+            hsim_faults::set_cycle(cycle - 1);
         }
     }
+    Ok(me.report(stepped))
+}
 
-    fn since(&self, earlier: &RankMark) -> RankMark {
-        RankMark {
-            clock: self.clock.since(&earlier.clock),
-            kernels: self.kernels.since(&earlier.kernels),
-            bytes_sent: self.bytes_sent - earlier.bytes_sent,
-            messages: (
-                self.messages.0 - earlier.messages.0,
-                self.messages.1 - earlier.messages.1,
-            ),
-            dt: self.dt,
-            device: self
-                .device
-                .zip(earlier.device)
-                .map(|(d, was)| d.since(&was)),
+/// One rank of a segment, set up: what its cycles read and advance.
+pub(crate) struct Rank<'a> {
+    ranks: &'a Ranks<'a>,
+    pub(crate) coupler: MpiCoupler<'a>,
+    pub(crate) clock: RankClock,
+    /// The clock at the set-up barrier, where the cycle loop's account
+    /// starts.
+    at_t0: RankClock,
+    pub(crate) exec: Executor,
+    state: HydroState,
+    phase: Option<PhaseState>,
+    /// Pooled device temporaries (GPU ranks).
+    temp_pool: Option<MemoryPool>,
+    /// The rank's share of the node-level host-bandwidth penalty that
+    /// every cycle pays.
+    penalty: SimDuration,
+    /// However this body ends, its device's rendezvous learns that this
+    /// client joins no further sync epoch.
+    _departure: Option<Departure>,
+    pub(crate) gpu: Option<Gpu>,
+}
+
+/// Set a rank up: its clock, collector and injector, its memory
+/// (Figure 8), its executor, its state and particles — then meet the
+/// other ranks at the set-up barrier.
+async fn set_up<'a>(ranks: &'a Ranks<'a>, comm: &'a mut Comm) -> Result<Rank<'a>, Failed> {
+    let (seg, cfg) = (&ranks.seg, ranks.seg.cfg);
+    let rank = comm.rank();
+    let orig = seg.orig_ids[rank];
+    let sub = seg.decomp.domains[rank];
+    let (gpu, state) = std::mem::take(&mut ranks.handouts.lock()[rank]);
+    let mut state = state.ok_or("set up twice")?;
+    let departure = gpu
+        .as_ref()
+        .map(|(client, ..)| client.departure())
+        .transpose()?;
+    let mut clock = RankClock::new(rank);
+    if ranks.collect {
+        hsim_telemetry::install(Collector::new(rank));
+    }
+    // Arm the injector under this rank's *original* id, so the plan
+    // keeps naming the same rank across the foldback.
+    hsim_faults::install(orig, Arc::clone(seg.fault_plan));
+    hsim_faults::set_cycle(seg.first_cycle);
+
+    // Figure 8 memory scheme: GPU ranks put mesh data in unified memory
+    // (paying the initial fault-in) and temporaries in a device pool;
+    // CPU ranks host-allocate everything.
+    let (target, temp_pool) = match (&gpu, &ranks.host_pool) {
+        (Some((client, device, _)), _) => {
+            let temps = fault_in(&mut clock, device, sub.zones())?;
+            (Target::Gpu(client.clone()), Some(temps))
         }
+        (None, Some(pool)) => (Target::CpuParallel { pool: pool.clone() }, None),
+        (None, None) => (Target::CpuSeq, None),
+    };
+    let exec = Executor::new(target, cfg.node.cpu.clone(), cfg.fidelity).with_multipolicy(
+        hsim_raja::MultiPolicy::with_threshold(cfg.multipolicy_threshold),
+    );
+    // The state the boundary handed over, or on a cold start the
+    // problem's initial condition, written here so that the ranks share
+    // the work.
+    if seg.cold {
+        cfg.problem.init(&mut state);
     }
-}
-
-/// What a rank posts of a cycle for every rank to judge it by.
-#[derive(Clone, Copy)]
-struct Posted {
-    /// Cycles completed when this was posted.
-    cycle: u64,
-    /// Since the previous cycle end of the segment, the rank's stream
-    /// ended as much later as its clock, none of its launches is
-    /// queued, and the cycle took the previous cycle's timestep.
-    steady: bool,
-    /// The rank's clock advance over the cycle.
-    elapsed: SimDuration,
-    /// Messages sent and received so far ([`Comm::messages`]).
-    messages: (u64, u64),
-}
-
-/// Where the ranks of a segment that only prices its kernels find out
-/// whether the segment has gone *periodic* — and if it has, add the
-/// cycles ahead instead of stepping them.
-///
-/// Between two boundaries such a run launches the same kernels on the
-/// same boxes and exchanges the same faces every cycle, and what a
-/// cycle can see of the one before is only how far the clocks and
-/// streams it waits on are from its own: every charge is an integer
-/// duration, every wait a `max`, and a device resolves an epoch
-/// relative to its first arrival (`Device::run_pending`). So once a
-/// cycle, since the end of the one before it in the segment (never the
-/// set-up barrier, which the ranks leave at different instants), moved
-/// every rank's clock and every client's stream by one common `D` at
-/// an unchanged timestep, with nothing in flight — over the world as
-/// many messages received as sent, no launch queued — its end state is
-/// the previous one shifted by `D`. The next cycle starts from it, so
-/// it repeats this one `D` later, unless the fault plan names it: `k`
-/// cycles ahead are `k ×` this cycle's growth, in checked integer
-/// arithmetic. Nothing else a cycle leaves feeds timing: the device's
-/// `pending` queue is empty, its `next_job` ids and counters are read
-/// by no charge, its unified memory is faulted in at set-up;
-/// `SharedDevice`'s `epoch` only wakes waiters and its `stream_end` is
-/// the streams; the `PostOffice` inboxes are empty and the collective
-/// counters only tag packets; the temp `MemoryPool` is reset every
-/// cycle; the fault injector fires only on the cycles it names.
-///
-/// The verdict is read in the cycle it judges. Each rank posts its
-/// cycle into a slot of its own and waits until every rank has posted
-/// the same cycle — parked under [`Driver::Stepped`], asleep on a
-/// condition variable under [`Driver::Threads`]. The verdict is a
-/// function of those posts alone, so every rank reaches the same one.
-/// A rank that ends without posting, by error or by panic, counts as
-/// not steady, and nobody waits for it: its [`Seat`] leaves the board
-/// as it drops, which is what a device's `Departure` is to its sync
-/// epochs.
-struct PeriodBoard {
-    posts: Mutex<Posts>,
-    posted: Condvar,
-}
-
-struct Posts {
-    /// Per rank, its posts of the last even and the last odd cycle: no
-    /// rank reads the verdict on `c + 1`, hence posts `c + 2`, before
-    /// every rank has posted `c + 1` and so read the verdict on `c`.
-    slots: Vec<[Option<Posted>; 2]>,
-    /// Per rank: its body has ended.
-    gone: Vec<bool>,
-    /// Rank threads asleep on [`PeriodBoard::posted`].
-    sleeping: usize,
-}
-
-impl Posts {
-    /// The verdict on `cycle`: was the segment periodic when every rank
-    /// had completed it? `None` while a live rank has still to post.
-    fn verdict(&self, cycle: u64) -> Option<bool> {
-        let (mut periodic, mut sent, mut received, mut elapsed) = (true, 0, 0, None);
-        for (slot, &gone) in self.slots.iter().zip(&self.gone) {
-            match slot[(cycle % 2) as usize].filter(|p| p.cycle == cycle) {
-                None if gone => periodic = false,
-                None => return None,
-                Some(post) => {
-                    periodic &= post.steady && *elapsed.get_or_insert(post.elapsed) == post.elapsed;
-                    sent += post.messages.0;
-                    received += post.messages.1;
-                }
-            }
-        }
-        Some(periodic && sent == received)
-    }
-}
-
-impl PeriodBoard {
-    fn new(ranks: usize) -> Self {
-        PeriodBoard {
-            posts: Mutex::new(Posts {
-                slots: vec![[None; 2]; ranks],
-                gone: vec![false; ranks],
-                sleeping: 0,
-            }),
-            posted: Condvar::new(),
-        }
-    }
-
-    /// `rank`'s place at the board for as long as its body runs.
-    fn seat(&self, rank: usize) -> Seat<'_> {
-        Seat { board: self, rank }
-    }
-
-    /// Change the posts and wake the rank threads waiting on them.
-    fn update(&self, change: impl FnOnce(&mut Posts)) {
-        let mut posts = self.posts.lock();
-        change(&mut posts);
-        if posts.sleeping > 0 {
-            self.posted.notify_all();
-        }
-    }
-}
-
-/// One rank at a [`PeriodBoard`]; dropping it leaves the board.
-struct Seat<'a> {
-    board: &'a PeriodBoard,
-    rank: usize,
-}
-
-impl Seat<'_> {
-    /// Post this rank's cycle and wait for the verdict on it.
-    async fn post(&self, posted: Posted) -> bool {
-        let (board, cycle) = (self.board, posted.cycle);
-        board.update(|posts| posts.slots[self.rank][(cycle % 2) as usize] = Some(posted));
-        task::wait(
-            Waiting::Verdict { cycle },
-            || board.posts.lock().verdict(cycle),
-            || {
-                let mut posts = board.posts.lock();
-                loop {
-                    if let Some(verdict) = posts.verdict(cycle) {
-                        return verdict;
-                    }
-                    posts.sleeping += 1;
-                    board.posted.wait(&mut posts);
-                    posts.sleeping -= 1;
-                }
-            },
-        )
-        .await
-    }
-}
-
-impl Drop for Seat<'_> {
-    fn drop(&mut self) {
-        self.board.update(|posts| posts.gone[self.rank] = true);
-    }
-}
-
-/// The most cycles a segment adds up at once. Every clock and counter
-/// is advanced by one checked multiplication, but `t` — reported, so
-/// summed as stepping sums it — is walked forward one `dt` at a time:
-/// 2³⁰ additions are about a second of host time, and a `cycles` beyond
-/// that is refused rather than left spinning for hours.
-const MAX_ADDED_CYCLES: u64 = 1 << 30;
-
-/// A run asked to add up more than [`MAX_ADDED_CYCLES`] cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TooManyCycles(u64);
-
-impl std::fmt::Display for TooManyCycles {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} cycles to add up at once; at most {MAX_ADDED_CYCLES} are",
-            self.0
-        )
-    }
-}
-
-/// Run one segment and collect per-rank reports, telemetry, device
-/// busy time and the end state. Rank
-/// failures surface as typed errors — never panics or hangs (a dead
-/// rank disconnects its peers' receives from it, its device's
-/// rendezvous stops counting it, and the period board stops waiting for
-/// its posts).
-///
-/// The ranks step the segment's cycles one by one, except where all a
-/// cycle leaves behind is clocks and counts: in a cost-only segment
-/// with no collector and no particles every rank posts each stepped
-/// cycle on a [`PeriodBoard`], and once the segment has gone periodic
-/// the cycles ahead — up to the segment's end or the next cycle the
-/// fault plan names for any rank, which is stepped — are added, not
-/// stepped. Host time is then that of the two cycles it takes to see
-/// the period (a transient and one common advance), whatever
-/// `cfg.cycles` is. Full fidelity, telemetry, `--trace` and particles
-/// step every cycle, as does a segment that never repeats itself.
-fn run_segment(
-    cfg: &RunConfig,
-    fault_plan: &Arc<hsim_faults::FaultPlan>,
-    driver: Driver,
-    seg: Segment<'_>,
-) -> Result<SegmentOut, String> {
-    let grid = cfg.global_grid();
-    let node = &cfg.node;
-    let decomp = seg.decomp;
-    let roles = seg.roles;
-    let plan = HaloPlan::build(decomp);
-    let n_ranks = roles.len();
-
-    // Devices and clients per mode.
-    let mut devices: Vec<Arc<SharedDevice>> = Vec::new();
-    // Per GPU rank: its client, its device, and whether it is the one
-    // client that accounts for the device where cycles are added up.
-    let mut slots: Vec<Option<(GpuClient, Arc<SharedDevice>, bool)>> =
-        (0..n_ranks).map(|_| None).collect();
-    match cfg.mode {
-        ExecMode::CpuOnly => {}
-        ExecMode::Default | ExecMode::Heterogeneous { .. } => {
-            for (g, slot) in slots.iter_mut().take(node.gpus).enumerate() {
-                let device = Device::new(g, node.gpu_spec.clone());
-                let (shared, client) =
-                    SharedDevice::new_exclusive(device, g).map_err(|e| e.to_string())?;
-                *slot = Some((client, Arc::clone(&shared), true));
-                devices.push(shared);
-            }
-        }
-        ExecMode::Mps { per_gpu } => {
-            for g in 0..node.gpus {
-                let device = Device::new(g, node.gpu_spec.clone());
-                let pids: Vec<usize> = (0..per_gpu).map(|i| g * per_gpu + i).collect();
-                let (shared, clients) =
-                    SharedDevice::new_mps(device, &pids).map_err(|e| e.to_string())?;
-                for (i, client) in clients.into_iter().enumerate() {
-                    slots[g * per_gpu + i] = Some((client, Arc::clone(&shared), i == 0));
-                }
-                devices.push(shared);
-            }
-        }
-    }
-    let slots = Mutex::new(slots);
-
-    // One collector per rank serves both consumers: the telemetry
-    // exports and the `--trace` Gantt read the same span store.
-    let collect = cfg.telemetry || cfg.trace;
-    // Spans are per cycle and particle positions are real even where
-    // kernels are priced: such runs have more to a cycle than a mark.
-    let priced_only = cfg.fidelity == Fidelity::CostOnly && !collect && cfg.particles.is_none();
-    let board = priced_only.then(|| PeriodBoard::new(n_ranks));
-
-    // Across the boundary come every rank's state, moved onto this
-    // segment's boxes, and the merged particle set.
-    let states = seg.restore.left.into_iter().filter_map(|left| match left {
-        Left::State(state) => Some(state),
-        Left::Tally(_) => None,
+    // The particle phase: fresh deterministic placement on a cold
+    // start, ownership re-filter of the global snapshot after a boundary
+    // (re-splits and foldbacks re-home particles through exactly this
+    // path).
+    let phase = cfg.particles.map(|pcfg| match ranks.particles {
+        Some(all) => PhaseState::from_global(pcfg, all, &seg.decomp.grid, &sub),
+        None => PhaseState::init_owned(pcfg, &seg.decomp.grid, &sub),
     });
-    let carried = &Mutex::new(hand_over(states.collect(), decomp));
-    let snapshot = seg.restore.particles.as_deref();
-
-    // One host work pool for the whole *process* (never per region,
-    // never per rank, and since the serve layer shares runs it is not
-    // even per run): CPU ranks share its persistent workers for
-    // parallel kernels and reductions. None = the paper's sequential
-    // CPU ranks. `WorkPool::shared` serializes concurrent regions via
-    // its region lock, so simultaneous served runs are safe.
-    let host_pool = (cfg.host_threads > 1).then(|| WorkPool::shared(cfg.host_threads - 1));
-
     // Node-level host-bandwidth model (the Figure 12 kink): aggregate
     // host traffic beyond the active cores' capacity costs extra,
     // distributed over ranks in proportion to their zones.
-    let total_zones = grid.zones() as f64;
-    let capacity = n_ranks as f64 * calib::HOST_ZONES_PER_CORE;
+    let total_zones = seg.decomp.grid.zones() as f64;
+    let capacity = seg.roles.len() as f64 * calib::HOST_ZONES_PER_CORE;
     let excess = (total_zones - capacity).max(0.0);
-    let penalty_per_cycle: Vec<SimDuration> = (0..n_ranks)
-        .map(|r| {
-            let share = decomp.domains[r].zones() as f64 / total_zones;
-            SimDuration::from_nanos_f64(excess * calib::HOST_PENALTY_NS_PER_ZONE * share)
-        })
-        .collect();
+    let share = sub.zones() as f64 / total_zones;
+    let penalty = SimDuration::from_nanos_f64(excess * calib::HOST_PENALTY_NS_PER_ZONE * share);
 
-    struct RankOut {
-        report: RankReport,
-        collector: Option<Collector>,
-        left: Left,
-        t: f64,
-        /// This rank's live particles at segment end.
-        particles: Option<Vec<Particle>>,
-        /// Particles this rank shipped to peers during the segment.
-        migrated: u64,
-        /// Cycles this rank stepped.
-        stepped: u64,
-    }
-    // One rank body, resumable at every wait on a peer or a device;
-    // `driver` decides whether a wait blocks the rank's thread or
-    // parks the rank. Shared state goes in by reference so each rank's
-    // future can copy the references.
-    let (slots, host_pool, plan, penalty_per_cycle, board) =
-        (&slots, &host_pool, &plan, &penalty_per_cycle, &board);
-    let outputs: Vec<Result<RankOut, String>> = World::run_fallible(
-        driver,
-        n_ranks,
-        node.comm.clone(),
-        rank_task(|mut comm| async move {
-            let rank = comm.rank();
-            let orig = seg.orig_ids[rank];
-            let sub = decomp.domains[rank];
-            let role = roles[rank];
-            // However this body ends, its peers at the board stop
-            // waiting for its posts.
-            let seat = board.as_ref().map(|board| board.seat(rank));
-            let client = slots.lock()[rank].take();
-            // However this body ends, its device's rendezvous learns
-            // that this client joins no further sync epoch.
-            let departure = client.as_ref().map(|(client, ..)| client.departure());
-            let _departure = departure.transpose().map_err(|e| e.to_string())?;
-            let mut clock = RankClock::new(rank);
-            if collect {
-                hsim_telemetry::install(Collector::new(rank));
-            }
-            // Arm the injector under this rank's *original* id, so the
-            // plan keeps naming the same rank across the foldback.
-            hsim_faults::install(orig, Arc::clone(fault_plan));
-            hsim_faults::set_cycle(seg.first_cycle);
-
-            // Figure 8 memory scheme: GPU ranks put mesh data in unified
-            // memory (paying the initial fault-in) and temporaries in a
-            // device pool; CPU ranks host-allocate everything.
-            let mut temp_pool: Option<MemoryPool> = None;
-            let target = if let Some((client, shared, _)) = &client {
-                let mesh = memscheme::mesh_bytes(sub.zones());
-                let t_um = clock.now();
-                // Injected device OOM: a transient allocation failure
-                // backs off and retries (the pool has drained by
-                // then); a permanent one is a typed error.
-                if let Some(hit) = hsim_faults::check(hsim_faults::Site::GpuOom) {
-                    let span = (Category::Runtime, "fault_oom_retry");
-                    hsim_faults::recover(&mut clock, hit, None, span)
-                        .map_err(|e| format!("rank {orig}: {e}"))?;
-                }
-                let (_region, cost) = shared
-                    .um_alloc_and_touch(mesh)
-                    .map_err(|e| format!("rank {orig}: {e}"))?;
-                clock.charge(ChargeKind::Memory, cost);
-                hsim_telemetry::count(Counter::UmMigrations, 1);
-                hsim_telemetry::count(Counter::UmBytesMigrated, mesh);
-                hsim_telemetry::time_stat(TimeStat::MigrationTime, cost);
-                hsim_telemetry::rank_span(Category::UmMigration, "um_fault_in", t_um, clock.now());
-                temp_pool = Some(MemoryPool::new(
-                    memscheme::temp_bytes(sub.zones()).max(4096),
-                ));
-                Target::Gpu(client.clone())
-            } else {
-                match host_pool {
-                    Some(pool) => Target::CpuParallel {
-                        pool: Arc::clone(pool),
-                    },
-                    None => Target::CpuSeq,
-                }
-            };
-
-            let mut exec = Executor::new(target, cfg.node.cpu.clone(), cfg.fidelity)
-                .with_multipolicy(hsim_raja::MultiPolicy::with_threshold(
-                    cfg.multipolicy_threshold,
-                ));
-            // The state the boundary handed over, or on a cold start
-            // the problem's initial condition.
-            let carried = carried.lock().get_mut(rank).and_then(Option::take);
-            let mut state = carried.unwrap_or_else(|| {
-                let mut state = HydroState::new(grid, sub, cfg.fidelity);
-                state.tile = seg.tile;
-                cfg.problem.init(&mut state);
-                state
-            });
-            // The particle phase: fresh deterministic placement on a
-            // cold start, ownership re-filter of the global snapshot
-            // after a boundary (re-splits and foldbacks re-home
-            // particles through exactly this path).
-            let mut phase = cfg.particles.map(|pcfg| match snapshot {
-                Some(all) => PhaseState::from_global(pcfg, all, &grid, &sub),
-                None => PhaseState::init_owned(pcfg, &grid, &sub),
-            });
-
-            // A rejected MPS client reconnects at the set-up of the
-            // first segment, whatever cycle the plan names.
-            if seg.first_cycle == 0 && matches!(cfg.mode, ExecMode::Mps { .. }) {
-                for ev in fault_plan.of_site(hsim_faults::Site::MpsConnect) {
-                    if ev.rank == orig {
-                        let span = (Category::Runtime, "fault_mps_retry");
-                        hsim_faults::recover(&mut clock, *ev, None, span)
-                            .map_err(|e| e.to_string())?;
-                    }
-                }
-            }
-
-            // Setup complete: synchronize and zero the runtime baseline.
-            // The figures report cycle-loop time (setup — UM fault-in,
-            // allocation — amortizes to noise over a real run's length).
-            lend_clock(&mut comm, &mut clock)
-                .ibarrier()
-                .await
-                .map_err(|e| format!("rank {orig}: {e}"))?;
-            let at_t0 = clock.clone();
-            let t0 = at_t0.now();
-            hsim_telemetry::rank_span(Category::Runtime, "setup", SimTime::ZERO, t0);
-
-            let mut coupler = MpiCoupler {
-                comm: &mut comm,
-                plan,
-                decomp,
-                gpu_spec: client.as_ref().map(|_| cfg.node.gpu_spec.clone()),
-                gpu_direct: cfg.gpu_direct,
-            };
-
-            // Where cycles may be added up: the rank's seat at the
-            // board, and its mark and its stream's end at the last
-            // cycle end of this segment (none before the first).
-            let led = client
-                .as_ref()
-                .and_then(|(_, shared, leads)| leads.then_some(&**shared));
-            let mut period = seat.as_ref().map(|seat| (seat, None));
-            let mut stepped = 0;
-            let mut cycle = seg.first_cycle;
-            while cycle < seg.last_cycle {
-                hsim_faults::set_cycle(cycle);
-                let cycle_start = clock.now();
-                let wait_before = clock.bucket(ChargeKind::Wait);
-                // Pooled temporaries are grabbed per cycle and released at
-                // the cycle boundary (cnmem discipline).
-                if let Some(pool) = temp_pool.as_mut() {
-                    pool.alloc(memscheme::temp_bytes(sub.zones()))
-                        .map_err(|e| format!("rank {orig}: {e}"))?;
-                    pool.reset();
-                }
-                let stats = step_with(
-                    &mut state,
-                    &mut exec,
-                    &mut clock,
-                    &mut coupler,
-                    calib::CFL,
-                    calib::COST_ONLY_DT,
-                    Reconstruction::FirstOrder,
-                )
-                .await
-                .map_err(|e| format!("rank {orig}: {e}"))?;
-                if let Some(diff) = &cfg.diffusion {
-                    diffusion::advance(
-                        &mut state,
-                        &mut exec,
-                        &mut clock,
-                        &mut coupler,
-                        diff,
-                        stats.dt,
-                    )
-                    .await
-                    .map_err(|e| format!("rank {orig}: {e}"))?;
-                }
-                if let Some(phase) = phase.as_mut() {
-                    hsim_particles::advect(phase, &state, &mut exec, &mut clock, stats.dt, cycle)
-                        .map_err(|e| format!("rank {orig}: {e}"))?;
-                    hsim_particles::migrate(phase, decomp, rank, &mut coupler, &mut clock)
-                        .await
-                        .map_err(|e| format!("rank {orig}: {e}"))?;
-                }
-                // Serial host control code between kernels.
-                clock.charge(
-                    ChargeKind::Control,
-                    SimDuration::from_nanos_f64(
-                        stats.launches as f64 * calib::CONTROL_NS_PER_LAUNCH,
-                    ),
-                );
-                // Host-bandwidth saturation penalty.
-                clock.charge(ChargeKind::Memory, penalty_per_cycle[rank]);
-                if collect {
-                    // One busy span + one idle span per cycle: the idle
-                    // share is the Wait-bucket growth (GPU sync + peers).
-                    let wait_delta = clock.bucket(ChargeKind::Wait) - wait_before;
-                    let cycle_end = clock.now();
-                    let busy_end = SimTime::from_nanos(
-                        cycle_end.as_nanos().saturating_sub(wait_delta.as_nanos()),
-                    );
-                    let cat = if role.is_gpu_driver() {
-                        Category::GpuKernel
-                    } else {
-                        Category::CpuKernel
-                    };
-                    hsim_telemetry::rank_span(cat, "cycle", cycle_start, busy_end);
-                    hsim_telemetry::rank_span(Category::Idle, "wait", busy_end, cycle_end);
-                }
-                cycle += 1;
-                stepped += 1;
-
-                let Some((seat, last)) = period.as_mut() else {
-                    continue;
-                };
-                let now = RankMark::of(&clock, &exec, coupler.comm, stats.dt, led);
-                let stream_now = client.as_ref().map(|(client, ..)| client.stream_mark());
-                // A cycle is judged against the end of the one before,
-                // never against the set-up barrier.
-                let end = (now.clone(), stream_now.map(|s| s.end));
-                let Some((mark, stream)) = last.replace(end) else {
-                    continue;
-                };
-                let this = now.since(&mark);
-                let elapsed = this.clock.now() - SimTime::ZERO;
-                // The stream kept pace with the clock, nothing queued.
-                let mut streams = stream_now.zip(stream).into_iter();
-                let in_step = streams.all(|(now, was)| now.queued == 0 && now.end - was == elapsed);
-                let posted = Posted {
-                    cycle,
-                    steady: in_step && now.dt == mark.dt,
-                    elapsed,
-                    messages: now.messages,
-                };
-                let periodic = seat.post(posted).await;
-                // A cycle the fault plan names, for any rank, is stepped,
-                // and says nothing about the cycles after it.
-                let named = || fault_plan.events.iter().map(|e| e.cycle);
-                let until = named().filter(|&c| c >= cycle).min();
-                let add = if periodic && named().all(|c| c != cycle - 1) {
-                    until.map_or(seg.last_cycle, |c| c.min(seg.last_cycle)) - cycle
-                } else {
-                    0
-                };
-                if add > 0 {
-                    // Every checked sum first: a run too long for the
-                    // clock is an error before `t` is walked forward.
-                    let added = clock
-                        .advance(&this.clock, add)
-                        .and_then(|()| exec.registry.advance(&this.kernels, add))
-                        .and_then(|()| coupler.comm.advance(this.bytes_sent, add))
-                        .and_then(|()| match &client {
-                            Some((client, ..)) => client.advance_stream(elapsed, add),
-                            None => Ok(()),
-                        })
-                        .and_then(|()| match (led, &this.device) {
-                            (Some(device), Some(period)) => device.advance(period, add),
-                            _ => Ok(()),
-                        });
-                    added.map_err(|e| format!("rank {orig}: {e}"))?;
-                    if add > MAX_ADDED_CYCLES {
-                        return Err(format!("rank {orig}: {}", TooManyCycles(add)));
-                    }
-                    // `t` is reported, so it is summed as stepping sums it.
-                    (0..add).for_each(|_| state.t += stats.dt);
-                    state.cycle += add;
-                    cycle += add;
-                    // The injector reads the last cycle gone through.
-                    hsim_faults::set_cycle(cycle - 1);
-                    let mark = RankMark::of(&clock, &exec, coupler.comm, stats.dt, led);
-                    let stream = client.as_ref().map(|(client, ..)| client.stream_mark().end);
-                    *last = Some((mark, stream));
-                }
-            }
-
-            // The cycle loop's account: each bucket's growth since
-            // `t0` on the rank's one clock, so the six partition `total`.
-            let cycles = clock.since(&at_t0);
-            let report = RankReport {
-                rank,
-                role,
-                zones: sub.zones(),
-                setup: t0 - SimTime::ZERO,
-                total: cycles.now() - SimTime::ZERO,
-                compute: cycles.bucket(ChargeKind::Compute),
-                launch: cycles.bucket(ChargeKind::Launch),
-                memory: cycles.bucket(ChargeKind::Memory),
-                comm: cycles.bucket(ChargeKind::Comm),
-                control: cycles.bucket(ChargeKind::Control),
-                wait: cycles.bucket(ChargeKind::Wait),
-                launches: exec.registry.total_launches(),
-                bytes_sent: coupler.comm.bytes_sent(),
-            };
-            debug_assert_eq!(report.account_residual(), SimDuration::ZERO);
-            hsim_faults::uninstall();
-            let t = state.t;
-            let left = if seg.last_cycle < cfg.cycles {
-                Left::State(state)
-            } else {
-                let full = cfg.fidelity == Fidelity::Full;
-                Left::Tally(full.then(|| (state.total_mass(), ScenarioDiag::of_rank(&state))))
-            };
-            Ok(RankOut {
-                report,
-                collector: hsim_telemetry::uninstall(),
-                left,
-                t,
-                migrated: phase.as_ref().map_or(0, |ph| ph.migrated),
-                particles: phase.map(|ph| ph.parts),
-                stepped,
-            })
-        }),
-    );
-
-    let mut ranks = Vec::with_capacity(n_ranks);
-    let mut errors: Vec<String> = Vec::new();
-    for res in outputs {
-        match res {
-            Ok(out) => ranks.push(out),
-            Err(e) => errors.push(e),
+    // A rejected MPS client reconnects at the set-up of the first
+    // segment, whatever cycle the plan names.
+    if seg.first_cycle == 0 && matches!(cfg.mode, ExecMode::Mps { .. }) {
+        let rejected = seg.fault_plan.of_site(hsim_faults::Site::MpsConnect);
+        for ev in rejected.filter(|ev| ev.rank == orig) {
+            let span = (Category::Runtime, "fault_mps_retry");
+            hsim_faults::recover(&mut clock, *ev, None, span)?;
         }
     }
-    if !errors.is_empty() {
-        // Prefer the root cause (the injected fault's typed message)
-        // over collateral peer-disconnect failures.
-        let root = errors
-            .iter()
-            .find(|e| e.contains("injected"))
-            .or_else(|| {
-                errors
-                    .iter()
-                    .find(|e| !e.to_lowercase().contains("disconnected"))
-            })
-            .unwrap_or(&errors[0])
-            .clone();
-        return Err(root);
+
+    // Setup complete: synchronize and zero the runtime baseline. The
+    // figures report cycle-loop time (setup — UM fault-in, allocation —
+    // amortizes to noise over a real run's length).
+    lend_clock(comm, &mut clock).ibarrier().await?;
+    let at_t0 = clock.clone();
+    hsim_telemetry::rank_span(Category::Runtime, "setup", SimTime::ZERO, at_t0.now());
+    Ok(Rank {
+        ranks,
+        coupler: MpiCoupler {
+            comm,
+            plan: &ranks.plan,
+            decomp: seg.decomp,
+            gpu_spec: gpu.as_ref().map(|_| cfg.node.gpu_spec.clone()),
+            gpu_direct: cfg.gpu_direct,
+        },
+        clock,
+        at_t0,
+        exec,
+        state,
+        phase,
+        temp_pool,
+        penalty,
+        _departure: departure,
+        gpu,
+    })
+}
+
+/// Fault a GPU rank's mesh into unified memory, charged to its clock,
+/// and make its pool of device temporaries.
+fn fault_in(clock: &mut RankClock, dev: &SharedDevice, zones: u64) -> Result<MemoryPool, Failed> {
+    let mesh = memscheme::mesh_bytes(zones);
+    let t_um = clock.now();
+    // Injected device OOM: a transient allocation failure backs off and
+    // retries (the pool has drained by then); a permanent one is a
+    // typed error.
+    if let Some(hit) = hsim_faults::check(hsim_faults::Site::GpuOom) {
+        let span = (Category::Runtime, "fault_oom_retry");
+        hsim_faults::recover(clock, hit, None, span)?;
+    }
+    let (_region, cost) = dev.um_alloc_and_touch(mesh)?;
+    clock.charge(ChargeKind::Memory, cost);
+    hsim_telemetry::count(Counter::UmMigrations, 1);
+    hsim_telemetry::count(Counter::UmBytesMigrated, mesh);
+    hsim_telemetry::time_stat(TimeStat::MigrationTime, cost);
+    hsim_telemetry::rank_span(Category::UmMigration, "um_fault_in", t_um, clock.now());
+    Ok(MemoryPool::new(memscheme::temp_bytes(zones).max(4096)))
+}
+
+impl Rank<'_> {
+    /// Step cycle `cycle`: hydro, diffusion and particles, then the
+    /// host's share of it. Returns the cycle's timestep.
+    async fn step(&mut self, cycle: u64) -> Result<f64, Failed> {
+        let cfg = self.ranks.seg.cfg;
+        hsim_faults::set_cycle(cycle);
+        let cycle_start = self.clock.now();
+        let wait_before = self.clock.bucket(ChargeKind::Wait);
+        // Pooled temporaries are grabbed per cycle and released at the
+        // cycle boundary (cnmem discipline).
+        if let Some(pool) = self.temp_pool.as_mut() {
+            pool.alloc(memscheme::temp_bytes(self.state.sub.zones()))?;
+            pool.reset();
+        }
+        let (state, exec, clock) = (&mut self.state, &mut self.exec, &mut self.clock);
+        let coupler = &mut self.coupler;
+        let (cfl, fallback, recon) = (calib::CFL, calib::COST_ONLY_DT, Reconstruction::FirstOrder);
+        let stats = step_with(state, exec, clock, coupler, cfl, fallback, recon).await?;
+        if let Some(diff) = &cfg.diffusion {
+            diffusion::advance(state, exec, clock, coupler, diff, stats.dt).await?;
+        }
+        if let Some(phase) = self.phase.as_mut() {
+            hsim_particles::advect(phase, state, exec, clock, stats.dt, cycle)?;
+            let (decomp, rank) = (self.ranks.seg.decomp, coupler.comm.rank());
+            hsim_particles::migrate(phase, decomp, rank, coupler, clock).await?;
+        }
+        // Serial host control code between kernels.
+        let control = stats.launches as f64 * calib::CONTROL_NS_PER_LAUNCH;
+        clock.charge(ChargeKind::Control, SimDuration::from_nanos_f64(control));
+        // Host-bandwidth saturation penalty.
+        clock.charge(ChargeKind::Memory, self.penalty);
+        if self.ranks.collect {
+            // One busy span + one idle span per cycle: the idle share is
+            // the Wait-bucket growth (GPU sync + peers).
+            let wait_delta = clock.bucket(ChargeKind::Wait) - wait_before;
+            let cycle_end = clock.now();
+            let busy_end =
+                SimTime::from_nanos(cycle_end.as_nanos().saturating_sub(wait_delta.as_nanos()));
+            let cat = if self.ranks.seg.roles[coupler.comm.rank()].is_gpu_driver() {
+                Category::GpuKernel
+            } else {
+                Category::CpuKernel
+            };
+            hsim_telemetry::rank_span(cat, "cycle", cycle_start, busy_end);
+            hsim_telemetry::rank_span(Category::Idle, "wait", busy_end, cycle_end);
+        }
+        Ok(stats.dt)
     }
 
-    let particles = cfg.particles.map(|_| {
-        let mut all: Vec<Particle> = ranks
-            .iter_mut()
-            .flat_map(|out| out.particles.take().unwrap_or_default())
-            .collect();
-        all.sort_unstable_by_key(|p| p.id);
-        all
-    });
-    // `t` is identical on every rank: dt is an exact collective.
-    let t = ranks.last().map_or(0.0, |out| out.t);
-    let migrated = ranks.iter().map(|out| out.migrated).sum();
-    let stepped = ranks.first().map_or(0, |out| out.stepped);
-    let collectors = ranks
-        .iter_mut()
-        .filter_map(|out| out.collector.take())
-        .collect();
-    let (reports, left) = ranks.into_iter().map(|out| (out.report, out.left)).unzip();
-    Ok(SegmentOut {
-        reports,
-        collectors,
-        device_busy: devices.iter().map(|d| d.busy()).collect(),
-        migrated,
-        stepped,
-        end: EndState { left, particles, t },
-    })
+    /// The device this rank accounts for where cycles are added up: its
+    /// own, if it is the one client that leads it.
+    pub(crate) fn led(&self) -> Option<&SharedDevice> {
+        let (_, device, leads) = self.gpu.as_ref()?;
+        leads.then_some(&**device)
+    }
+
+    /// The rank's account of the segment, and what it leaves behind.
+    fn report(self, stepped: u64) -> RankOut {
+        let seg = &self.ranks.seg;
+        // The cycle loop's account: each bucket's growth since the
+        // set-up barrier on the rank's one clock, so the six partition
+        // `total`.
+        let cycles = self.clock.since(&self.at_t0);
+        let rank = self.coupler.comm.rank();
+        let report = RankReport {
+            rank,
+            role: seg.roles[rank],
+            zones: self.state.sub.zones(),
+            setup: self.at_t0.now() - SimTime::ZERO,
+            total: cycles.now() - SimTime::ZERO,
+            compute: cycles.bucket(ChargeKind::Compute),
+            launch: cycles.bucket(ChargeKind::Launch),
+            memory: cycles.bucket(ChargeKind::Memory),
+            comm: cycles.bucket(ChargeKind::Comm),
+            control: cycles.bucket(ChargeKind::Control),
+            wait: cycles.bucket(ChargeKind::Wait),
+            launches: self.exec.registry.total_launches(),
+            bytes_sent: self.coupler.comm.bytes_sent(),
+        };
+        debug_assert_eq!(report.account_residual(), SimDuration::ZERO);
+        hsim_faults::uninstall();
+        let t = self.state.t;
+        let left = if seg.last_cycle < seg.cfg.cycles {
+            Left::State(self.state)
+        } else {
+            let full = seg.cfg.fidelity == Fidelity::Full;
+            let state = &self.state;
+            Left::Tally(full.then(|| (state.total_mass(), ScenarioDiag::of_rank(state))))
+        };
+        RankOut {
+            report,
+            collector: hsim_telemetry::uninstall(),
+            left,
+            t,
+            phase: self.phase,
+            stepped,
+        }
+    }
 }
 
 /// The §6.2 loop: run, measure CPU vs GPU busy time, adjust the split,
@@ -1521,7 +1283,10 @@ pub fn run_balanced(cfg: &RunConfig) -> Result<(RunResult, LoadBalancer), String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::period::{PeriodBoard, Posted};
     use crate::scenario::Scenario;
+    use hsim_gpu::Device;
+    use hsim_raja::SharedDevice;
 
     fn sweep_cfg(grid: (usize, usize, usize), mode: ExecMode) -> RunConfig {
         let mut cfg = RunConfig::sweep(grid, mode);
@@ -2003,6 +1768,16 @@ mod tests {
     }
 
     #[test]
+    fn a_controller_that_ticks_every_zero_cycles_is_an_error_not_a_hang() {
+        // `RebalanceConfig::parse` refuses `every=0`; the public struct
+        // must not hand the run loop a boundary at every cycle 0.
+        let cfg = online_cfg((64, 48, 32), 4, 0);
+        let err = watched(move || run_driven(&cfg, 0.30, Driver::Stepped).map(|_| ()))
+            .expect_err("a controller that never advances is refused");
+        assert!(err.contains("every must be positive"), "{err}");
+    }
+
+    #[test]
     fn online_rebalance_survives_a_rank_loss_frozen_and_deterministic() {
         // Boundaries: rebalance@2, loss@3 (freeze), frozen@4 — the
         // controller adjusts, recovery folds back, and the rest of the
@@ -2394,9 +2169,13 @@ mod tests {
         // The two runs that showed the fence while the device resolved
         // its epochs in absolute time: `boundary_fill` over 1800 zones
         // is 119 ns at occupancy 2/53 = 3153.5 ns, and which way such an
-        // end rounded depended on when it ran. The first never showed
-        // two equal cycles; the second did, and a later cycle differed
-        // in `device_busy`.
+        // end rounded depended on when it ran. Under the rule then (two
+        // equal cycles) the first never went periodic, and the second
+        // did while a later cycle differed in `device_busy`. Under the
+        // current rule — one cycle's common advance `D` since the
+        // previous cycle end of the segment, nothing in flight — each
+        // steps two cycles, reads periodic on the second and adds the
+        // rest up exactly.
         let mut cfg = RunConfig::sweep((64, 48, 32), ExecMode::Mps { per_gpu: 2 });
         cfg.cycles = 7;
         cfg.diffusion = Some(DiffusionConfig::default());
@@ -2578,104 +2357,6 @@ mod tests {
     }
 
     #[test]
-    fn a_verdict_takes_every_rank_steady_in_step_and_nothing_in_flight() {
-        use hsim_time::task::{resume, Resumed};
-        use std::pin::pin;
-        let post = |cycle, steady, ns, messages| Posted {
-            cycle,
-            steady,
-            elapsed: SimDuration::from_nanos(ns),
-            messages,
-        };
-        // Ranks 0 and 1 post cycle 1, and both read the verdict on it
-        // in that cycle: rank 0 waits for rank 1's post.
-        let verdict = |posts: [Posted; 2]| {
-            let board = PeriodBoard::new(2);
-            let seats = [board.seat(0), board.seat(1)];
-            let mut first = pin!(seats[0].post(posts[0]));
-            let waits = resume(first.as_mut());
-            assert!(matches!(
-                waits,
-                Resumed::Parked(Waiting::Verdict { cycle: 1 })
-            ));
-            let Resumed::Done(second) = resume(pin!(seats[1].post(posts[1]))) else {
-                panic!("the last post decides");
-            };
-            assert!(matches!(resume(first), Resumed::Done(v) if v == second));
-            second
-        };
-        assert!(verdict([
-            post(1, true, 7, (2, 1)),
-            post(1, true, 7, (1, 2))
-        ]));
-        let unsteady = post(1, false, 7, (1, 2));
-        assert!(!verdict([post(1, true, 7, (2, 1)), unsteady]));
-        let out_of_step = post(1, true, 8, (1, 2));
-        assert!(!verdict([post(1, true, 7, (2, 1)), out_of_step]));
-        let in_flight = post(1, true, 7, (1, 1));
-        assert!(!verdict([post(1, true, 7, (2, 1)), in_flight]));
-
-        // A post of another cycle — what a jump leaves behind — is no
-        // post of this one; a rank that has left posts nothing more.
-        let board = PeriodBoard::new(3);
-        let seat = board.seat(0);
-        board.update(|posts| posts.slots[1][1] = Some(post(3, true, 7, (1, 1))));
-        let mut first = pin!(seat.post(post(1, true, 7, (1, 1))));
-        assert!(matches!(resume(first.as_mut()), Resumed::Parked(_)));
-        drop(board.seat(2));
-        assert!(matches!(resume(first.as_mut()), Resumed::Stalled));
-        drop(board.seat(1));
-        assert!(matches!(resume(first), Resumed::Done(false)));
-    }
-
-    #[test]
-    fn a_stuck_stepped_world_names_the_verdict_it_waits_for() {
-        use hsim_mpi::{CommCost, MpiError};
-        let board = &PeriodBoard::new(2);
-        let out = World::run_fallible(
-            Driver::Stepped,
-            2,
-            CommCost::free(),
-            |mut comm| async move {
-                let seat = board.seat(comm.rank());
-                if comm.rank() == 0 {
-                    let posted = Posted {
-                        cycle: 4,
-                        steady: true,
-                        elapsed: SimDuration::ZERO,
-                        messages: (0, 0),
-                    };
-                    seat.post(posted).await;
-                } else {
-                    comm.irecv::<f64>(0, 9).await.map_err(|e| e.to_string())?;
-                }
-                Ok(())
-            },
-        );
-        let stuck = MpiError::Deadlock {
-            waiting: vec![
-                (0, Waiting::Verdict { cycle: 4 }),
-                (1, Waiting::Message { src: 0, tag: 9 }),
-            ],
-        };
-        assert_eq!(out, [0, 1].map(|r| Err(format!("rank {r}: {stuck}"))));
-        assert!(stuck
-            .to_string()
-            .contains("rank 0 waits for the period verdict on cycle 4"));
-    }
-
-    #[test]
-    fn more_cycles_than_are_added_up_at_once_are_a_typed_error() {
-        // The clocks hold 2³⁰ cycles of this grid with room to spare;
-        // walking `t` that far is what the run declines.
-        let mut cfg = RunConfig::sweep((16, 24, 16), ExecMode::Default);
-        cfg.cycles = MAX_ADDED_CYCLES + 4;
-        let err = run_driven(&cfg, 0.0, Driver::Stepped).unwrap_err();
-        let refused = TooManyCycles(MAX_ADDED_CYCLES + 2).to_string();
-        assert!(err.contains(&refused), "{err}");
-    }
-
-    #[test]
     fn more_cycles_than_the_clock_holds_are_a_typed_error() {
         for mode in paper_modes() {
             let mut cfg = RunConfig::sweep((16, 24, 16), mode);
@@ -2795,6 +2476,24 @@ mod tests {
         }
     }
 
+    #[test]
+    fn an_error_after_a_foldback_names_the_rank_by_its_original_id() {
+        // Rank 4 is lost at cycle 1; rank 9 is rank 8 of the folded
+        // world when a permanent worker panic at cycle 3 ends it. The
+        // plan names it 9, and so does the error.
+        for driver in [Driver::Stepped, Driver::Threads] {
+            let mut cfg = sweep_cfg((64, 48, 32), ExecMode::hetero());
+            cfg.cycles = 4;
+            cfg.host_threads = 2;
+            let plan = "rank.loss@rank4.cycle1;pool.panic@rank9.cycle3:perm";
+            cfg.faults = Some(hsim_faults::FaultPlan::parse(plan).unwrap());
+            let err = watched(move || run_driven(&cfg, 0.05, driver).map(|_| ()))
+                .expect_err("a permanent worker panic is fatal");
+            assert!(err.starts_with("rank 9: "), "{driver:?}: {err}");
+            assert!(err.contains("injected permanent worker panic"), "{err}");
+        }
+    }
+
     /// Every owned zone of `state`, tagged by variable and global
     /// index — or checked against its tag.
     fn tags(state: &mut HydroState, check: bool) {
@@ -2868,10 +2567,17 @@ mod tests {
                 })
                 .collect();
 
-            let after = hand_over(states, &new);
+            // What the run loop hands a box it has no state for: zeros
+            // at the boundary's time and cycle, on the run's tile.
+            let fresh = |sub: &Subdomain| HydroState {
+                tile: [4, 2],
+                t: 0.75,
+                cycle: 9,
+                ..HydroState::new(new.grid, *sub, Fidelity::Full)
+            };
+            let after = hand_over(states, &new, &fresh);
             proptest::prop_assert_eq!(after.len(), new.len());
-            for (state, sub) in after.into_iter().zip(&new.domains) {
-                let mut state = state.expect("every box is handed a state");
+            for (mut state, sub) in after.into_iter().zip(&new.domains) {
                 proptest::prop_assert_eq!(state.sub, *sub);
                 proptest::prop_assert_eq!((state.tile, state.t, state.cycle), ([4, 2], 0.75, 9));
                 tags(&mut state, true);
@@ -2879,8 +2585,13 @@ mod tests {
                     proptest::prop_assert_eq!(slabs(&state), *was, "an unchanged box is moved");
                 }
             }
-            // A cold start has nothing to hand over.
-            proptest::prop_assert!(hand_over(Vec::new(), &new).iter().all(Option::is_none));
+            // A cold start has nothing to hand over: every box is fresh.
+            let cold = hand_over(Vec::new(), &new, &fresh);
+            proptest::prop_assert_eq!(cold.len(), new.len());
+            for (state, sub) in cold.iter().zip(&new.domains) {
+                proptest::prop_assert_eq!(state.sub, *sub);
+                proptest::prop_assert_eq!((state.tile, state.t, state.cycle), ([4, 2], 0.75, 9));
+            }
         }
     }
 

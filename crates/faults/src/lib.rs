@@ -387,6 +387,8 @@ impl fmt::Display for Escalation {
     }
 }
 
+impl std::error::Error for Escalation {}
+
 /// Pay for `fault` on `clock`, the one place recovery is charged:
 /// failed attempt `k` charges `cost` (what an attempt wastes at the
 /// site, if anything), then [`backoff_delay`]`(k)` as `Wait`;

@@ -102,6 +102,29 @@ fn async_fns_are_followed_through_await() {
     );
 }
 
+/// The runner's shape: the rank body is an `async fn` called from a
+/// closure that a generic wrapper (`rank_task`, whose signature takes
+/// and returns `impl Fn(..) -> ..`) hands to the driver. The call in
+/// the closure is an edge of the function the closure is written in,
+/// so the chain runs root → segment → rank body → set-up.
+#[test]
+fn async_fns_called_from_a_closure_passed_to_a_generic_wrapper_are_followed() {
+    expect(
+        "bad/deep_async_wrapper",
+        &[(
+            "panic-reach",
+            "crates/core/src/runner.rs",
+            22,
+            "`.unwrap()` can panic and is reachable from a no-panic root — return a \
+             typed error instead; blame path:\n\
+             \x20 run_with_fraction (crates/core/src/runner.rs:1)\n\
+             \x20 -> run_segment (called at crates/core/src/runner.rs:2)\n\
+             \x20 -> rank_body (called at crates/core/src/runner.rs:7)\n\
+             \x20 -> set_up (called at crates/core/src/runner.rs:17)",
+        )],
+    );
+}
+
 #[test]
 fn nondet_taint_crosses_crates_via_use_imports() {
     let stats = "crates/raja/src/stats.rs";
