@@ -343,7 +343,7 @@ pub static CLAIMS: &[Claim] = &[
         statement: "on one node, halo neighbours grow quickly from 4 to 16 'square' domains: max halo neighbours, square 16 / square 4, at 320×480×160",
         measure: || {
             let grid = GlobalGrid::new(320, 480, 160);
-            let (square4, square16) = (block_decomp_yz(grid, 4, 1), block_decomp(grid, 16, 1));
+            let (square4, square16) = (block_decomp_yz(grid, 4, 1)?, block_decomp(grid, 16, 1));
             Ok(max_neighbours(square16) / max_neighbours(square4))
         },
         tolerance: Some(Above(1.0)),

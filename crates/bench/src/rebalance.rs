@@ -198,7 +198,7 @@ pub fn run_convergence_point(
         ));
     }
     let (r_cpu, r_gpu) = (f_real / t_cpu, (1.0 - f_real) / t_gpu);
-    let guard = hetero_min_fraction(&probe_cfg);
+    let guard = hetero_min_fraction(&probe_cfg)?;
     let optimum = Rebalancer::analytic_optimum(r_cpu, r_gpu, 1.0, guard);
     let optimum_realized = build_decomposition(&probe_cfg, optimum)?.cpu_zone_fraction();
     let rel_err = ((final_fraction - optimum_realized) / optimum_realized.max(1e-12)).abs();

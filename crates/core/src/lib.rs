@@ -14,8 +14,6 @@
 //! * [`binding`] — rank → core/GPU bindings and roles (GPU driver vs
 //!   CPU worker); "the CPU core/GPU binding needs to be carefully set
 //!   up to avoid performance degradation" (§5).
-//! * [`memscheme`] — the Figure 8 allocation table (control / mesh /
-//!   temporary × CPU / GPU process).
 //! * [`balance`] — the §6.2 load balancer: FLOPS-based initial split,
 //!   measured per-role times, granularity-constrained adjustment
 //!   between iterations.
@@ -24,7 +22,9 @@
 //!   §5.3's future work).
 //! * [`runner`] — the cooperative runner: decompose per mode, bind,
 //!   spawn ranks, run hydro cycles, apply the host-bandwidth model,
-//!   report per-rank time breakdowns. One loop over *segments*
+//!   report per-rank time breakdowns. Rank set-up applies the Figure 8
+//!   memory scheme and charges a GPU rank its mesh's unified-memory
+//!   fault-in. One loop over *segments*
 //!   ([`runner::run_with_fraction`]): the decomposition is static
 //!   within a segment and may change at the boundary between two. A
 //!   boundary is a controller tick (the online [`Rebalancer`] may
@@ -59,7 +59,6 @@ pub mod calib;
 pub mod confhash;
 pub mod coupler;
 pub mod figures;
-pub mod memscheme;
 pub mod mode;
 pub mod node;
 mod period;

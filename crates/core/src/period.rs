@@ -86,8 +86,8 @@ pub(crate) struct Posted {
 /// by no charge, its unified memory is faulted in at set-up;
 /// `SharedDevice`'s `epoch` only wakes waiters and its `stream_end` is
 /// the streams; the `PostOffice` inboxes are empty and the collective
-/// counters only tag packets; the temp `MemoryPool` is reset every
-/// cycle; the fault injector fires only on the cycles it names.
+/// counters only tag packets; the fault injector fires only on the
+/// cycles it names.
 ///
 /// The verdict is read in the cycle it judges. Each rank posts its
 /// cycle into a slot of its own and waits until every rank has posted

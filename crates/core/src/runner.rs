@@ -14,11 +14,10 @@ use std::task::{Context, Poll};
 
 use parking_lot::Mutex;
 
-use hsim_gpu::memory::MemoryPool;
 use hsim_gpu::Device;
 use hsim_hydro::diffusion::{self, DiffusionConfig};
 use hsim_hydro::{step_with, HydroState, Reconstruction};
-use hsim_mesh::decomp::block::{block_decomp, block_decomp_yz};
+use hsim_mesh::decomp::block::{block_decomp_yz, try_block_decomp};
 use hsim_mesh::decomp::hierarchical::hierarchical_decomp_yz;
 use hsim_mesh::decomp::weighted::{fold_lost_rank, weighted_hetero_decomp, WeightedConfig};
 use hsim_mesh::{Decomposition, GlobalGrid, HaloPlan, OwnerKind, SoaBlock, Subdomain};
@@ -32,13 +31,13 @@ use hsim_time::{RankClock, SimDuration, SimTime};
 
 use crate::balance::{LoadBalancer, RebalanceConfig, RebalanceDecision, Rebalancer};
 use crate::binding::{build_bindings, validate_bindings, RankRole};
+use crate::calib;
 use crate::coupler::{lend_clock, MpiCoupler};
 use crate::mode::ExecMode;
 use crate::node::NodeConfig;
 use crate::period::PeriodBoard;
 use crate::report::{slowest, slowest_cpu_compute, ParticleReport, RankReport, RunResult};
 use crate::scenario::{self, ScenarioDiag};
-use crate::{calib, memscheme};
 
 pub use crate::scenario::Problem;
 
@@ -150,6 +149,34 @@ impl RunConfig {
     fn global_grid(&self) -> GlobalGrid {
         GlobalGrid::new(self.grid.0, self.grid.1, self.grid.2)
     }
+
+    /// Why no run of this configuration can start, checked before any
+    /// decomposition is built: a grid with a zero dimension, one the
+    /// mode's top-level split cannot carve, or a diffusivity that is
+    /// not a finite κ ≥ 0 (a NaN would poison every zone's energy, an
+    /// infinite one ask for unboundedly many substeps).
+    fn check(&self) -> Result<(), String> {
+        let (nx, ny, nz) = self.grid;
+        if nx == 0 || ny == 0 || nz == 0 {
+            return Err(format!("grid {nx},{ny},{nz}: grid dims must be positive"));
+        }
+        // Every mode's decomposition starts from one of two top-level
+        // splits: CPU-only cuts its cores' blocks, the others x-pinned
+        // GPU blocks.
+        let grid = self.global_grid();
+        let top = match self.mode {
+            ExecMode::CpuOnly => try_block_decomp(grid, self.node.cores, 1),
+            _ => block_decomp_yz(grid, self.node.gpus, 1),
+        };
+        top.map_err(|e| format!("{}: grid {nx},{ny},{nz}: {e}", self.mode.key()))?;
+        match &self.diffusion {
+            Some(d) if !(d.kappa.is_finite() && d.kappa >= 0.0) => Err(format!(
+                "diffusion: kappa must be finite and non-negative, got {}",
+                d.kappa
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Build the mode's decomposition (paper §6.1).
@@ -158,13 +185,13 @@ pub fn build_decomposition(cfg: &RunConfig, cpu_fraction: f64) -> Result<Decompo
     let node = &cfg.node;
     match cfg.mode {
         ExecMode::CpuOnly => {
-            let mut d = block_decomp(grid, node.cores, 1);
+            let mut d = try_block_decomp(grid, node.cores, 1)?;
             for o in &mut d.owners {
                 *o = OwnerKind::Cpu;
             }
             Ok(d)
         }
-        ExecMode::Default => Ok(block_decomp_yz(grid, node.gpus, 1)),
+        ExecMode::Default => block_decomp_yz(grid, node.gpus, 1),
         ExecMode::Mps { per_gpu } => hierarchical_decomp_yz(grid, node.gpus, per_gpu, 2, 1),
         ExecMode::Heterogeneous { .. } => {
             let wc = WeightedConfig {
@@ -182,12 +209,12 @@ pub fn build_decomposition(cfg: &RunConfig, cpu_fraction: f64) -> Result<Decompo
 
 /// The minimum realizable CPU fraction of the heterogeneous
 /// decomposition (one carve-axis plane per CPU rank).
-pub fn hetero_min_fraction(cfg: &RunConfig) -> f64 {
+pub fn hetero_min_fraction(cfg: &RunConfig) -> Result<f64, String> {
     let grid = cfg.global_grid();
     let node = &cfg.node;
-    let top = block_decomp_yz(grid, node.gpus, 1);
+    let top = block_decomp_yz(grid, node.gpus, 1)?;
     let ext = top.domains[0].extent(1).max(1);
-    node.workers_per_gpu() as f64 / ext as f64
+    Ok(node.workers_per_gpu() as f64 / ext as f64)
 }
 
 /// Execute one cooperative run.
@@ -265,6 +292,7 @@ pub(crate) fn run_driven(
     cpu_fraction: f64,
     driver: Driver,
 ) -> Result<(RunResult, u64), String> {
+    cfg.check()?;
     let fault_plan = Arc::new(cfg.faults.clone().unwrap_or_default());
     let mut losses: Vec<(usize, u64)> = fault_plan
         .rank_losses()
@@ -293,7 +321,7 @@ pub(crate) fn run_driven(
         }
         Some(rcfg) => {
             let mut rb = Rebalancer::new(cpu_fraction, rcfg);
-            rb.set_min_fraction(hetero_min_fraction(cfg));
+            rb.set_min_fraction(hetero_min_fraction(cfg)?);
             Some(rb)
         }
         None => None,
@@ -1005,8 +1033,6 @@ pub(crate) struct Rank<'a> {
     pub(crate) exec: Executor,
     state: HydroState,
     phase: Option<PhaseState>,
-    /// Pooled device temporaries (GPU ranks).
-    temp_pool: Option<MemoryPool>,
     /// The rank's share of the node-level host-bandwidth penalty that
     /// every cycle pays.
     penalty: SimDuration,
@@ -1039,16 +1065,19 @@ async fn set_up<'a>(ranks: &'a Ranks<'a>, comm: &'a mut Comm) -> Result<Rank<'a>
     hsim_faults::install(orig, Arc::clone(seg.fault_plan));
     hsim_faults::set_cycle(seg.first_cycle);
 
-    // Figure 8 memory scheme: GPU ranks put mesh data in unified memory
-    // (paying the initial fault-in) and temporaries in a device pool;
-    // CPU ranks host-allocate everything.
-    let (target, temp_pool) = match (&gpu, &ranks.host_pool) {
+    // The Figure 8 memory scheme. A GPU-driving rank keeps its control
+    // data in host memory, its mesh in unified memory (paying the
+    // fault-in below) and its temporaries in a cnmem-style device pool;
+    // a CPU rank host-allocates all three, never touching device memory
+    // (§5.2). Only the fault-in is priced: a pool that hands out the
+    // same temporaries every cycle costs nothing.
+    let target = match (&gpu, &ranks.host_pool) {
         (Some((client, device, _)), _) => {
-            let temps = fault_in(&mut clock, device, sub.zones())?;
-            (Target::Gpu(client.clone()), Some(temps))
+            fault_in(&mut clock, device, sub.zones())?;
+            Target::Gpu(client.clone())
         }
-        (None, Some(pool)) => (Target::CpuParallel { pool: pool.clone() }, None),
-        (None, None) => (Target::CpuSeq, None),
+        (None, Some(pool)) => Target::CpuParallel { pool: pool.clone() },
+        (None, None) => Target::CpuSeq,
     };
     let exec = Executor::new(target, cfg.node.cpu.clone(), cfg.fidelity).with_multipolicy(
         hsim_raja::MultiPolicy::with_threshold(cfg.multipolicy_threshold),
@@ -1106,32 +1135,30 @@ async fn set_up<'a>(ranks: &'a Ranks<'a>, comm: &'a mut Comm) -> Result<Rank<'a>
         exec,
         state,
         phase,
-        temp_pool,
         penalty,
         _departure: departure,
         gpu,
     })
 }
 
-/// Fault a GPU rank's mesh into unified memory, charged to its clock,
-/// and make its pool of device temporaries.
-fn fault_in(clock: &mut RankClock, dev: &SharedDevice, zones: u64) -> Result<MemoryPool, Failed> {
-    let mesh = memscheme::mesh_bytes(zones);
+/// Fault a GPU rank's mesh into unified memory, charged to its clock.
+fn fault_in(clock: &mut RankClock, dev: &SharedDevice, zones: u64) -> Result<(), Failed> {
+    // Ghost-padded fields sized at owned extent: sizing, not bookkeeping.
+    let mesh = zones * 8 * calib::MESH_FIELDS;
     let t_um = clock.now();
     // Injected device OOM: a transient allocation failure backs off and
-    // retries (the pool has drained by then); a permanent one is a
-    // typed error.
+    // retries; a permanent one is a typed error.
     if let Some(hit) = hsim_faults::check(hsim_faults::Site::GpuOom) {
         let span = (Category::Runtime, "fault_oom_retry");
         hsim_faults::recover(clock, hit, None, span)?;
     }
-    let (_region, cost) = dev.um_alloc_and_touch(mesh)?;
+    let cost = dev.um_alloc_and_touch(mesh);
     clock.charge(ChargeKind::Memory, cost);
     hsim_telemetry::count(Counter::UmMigrations, 1);
     hsim_telemetry::count(Counter::UmBytesMigrated, mesh);
     hsim_telemetry::time_stat(TimeStat::MigrationTime, cost);
     hsim_telemetry::rank_span(Category::UmMigration, "um_fault_in", t_um, clock.now());
-    Ok(MemoryPool::new(memscheme::temp_bytes(zones).max(4096)))
+    Ok(())
 }
 
 impl Rank<'_> {
@@ -1142,12 +1169,6 @@ impl Rank<'_> {
         hsim_faults::set_cycle(cycle);
         let cycle_start = self.clock.now();
         let wait_before = self.clock.bucket(ChargeKind::Wait);
-        // Pooled temporaries are grabbed per cycle and released at the
-        // cycle boundary (cnmem discipline).
-        if let Some(pool) = self.temp_pool.as_mut() {
-            pool.alloc(memscheme::temp_bytes(self.state.sub.zones()))?;
-            pool.reset();
-        }
         let (state, exec, clock) = (&mut self.state, &mut self.exec, &mut self.clock);
         let coupler = &mut self.coupler;
         let (cfl, fallback, recon) = (calib::CFL, calib::COST_ONLY_DT, Reconstruction::FirstOrder);
@@ -1244,6 +1265,7 @@ impl Rank<'_> {
 /// online controller ([`RunConfig::rebalance`]) is a single in-run
 /// loop: each of those is one static [`run`] and an empty history.
 pub fn run_balanced(cfg: &RunConfig) -> Result<(RunResult, LoadBalancer), String> {
+    cfg.check()?;
     let hetero = matches!(cfg.mode, ExecMode::Heterogeneous { .. });
     if !hetero || cfg.faults.is_some() || cfg.rebalance.is_some() {
         let result = run(cfg)?;
@@ -1257,7 +1279,7 @@ pub fn run_balanced(cfg: &RunConfig) -> Result<(RunResult, LoadBalancer), String
         } => LoadBalancer::with_fraction(f),
         _ => LoadBalancer::new(&cfg.node),
     };
-    lb.set_min_fraction(hetero_min_fraction(cfg));
+    lb.set_min_fraction(hetero_min_fraction(cfg)?);
     let mut result = run_with_fraction(cfg, lb.fraction)?;
     let mut rebalances = 0u64;
     for _ in 0..calib::BALANCE_MAX_ITERS {
@@ -1311,12 +1333,53 @@ mod tests {
     }
 
     #[test]
-    fn a_gpu_rank_whose_temporaries_are_not_aligned_runs() {
-        // 17³ splits into GPU blocks whose pooled temporaries are no
-        // multiple of the pool's 256 B alignment; each cycle's request
-        // must still fit the slab sized for it.
-        let cfg = sweep_cfg((17, 17, 17), ExecMode::Default);
-        run(&cfg).unwrap();
+    fn an_uncarvable_grid_is_the_run_error_not_a_panic() {
+        let modes = [
+            ExecMode::CpuOnly,
+            ExecMode::Default,
+            ExecMode::mps4(),
+            ExecMode::hetero(),
+        ];
+        for mode in modes {
+            for grid in [(32, 1, 32), (0, 48, 32)] {
+                let cfg = sweep_cfg(grid, mode);
+                let why = run(&cfg).expect_err("an uncarvable grid runs");
+                assert_eq!(run_balanced(&cfg).expect_err("balanced"), why);
+                assert!(
+                    why.contains(&format!("grid {},{},{}", grid.0, grid.1, grid.2)),
+                    "{why}"
+                );
+            }
+        }
+        let cpu = run(&sweep_cfg((32, 1, 32), ExecMode::CpuOnly)).unwrap_err();
+        assert!(
+            cpu.starts_with("cpuonly: ") && cpu.contains("more ranks than zones"),
+            "{cpu}"
+        );
+        for mode in &modes[1..] {
+            let why = run(&sweep_cfg((32, 1, 32), *mode)).unwrap_err();
+            assert!(why.starts_with(&format!("{}: ", mode.key())), "{why}");
+            assert!(why.contains("cannot split 4 ranks over y=1, z=32"), "{why}");
+        }
+    }
+
+    #[test]
+    fn a_diffusivity_other_than_a_finite_non_negative_kappa_starts_no_rank() {
+        // A rank that started with κ = ∞ would ask for u32::MAX
+        // substeps; one with NaN would write NaN into every zone and
+        // return.
+        for kappa in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-3] {
+            let out = watched(move || {
+                let mut cfg = sweep_cfg((8, 8, 8), ExecMode::hetero());
+                cfg.fidelity = Fidelity::Full;
+                cfg.cycles = 1;
+                cfg.diffusion = Some(DiffusionConfig { kappa });
+                (run(&cfg), run_balanced(&cfg).map(drop))
+            });
+            let why = out.0.expect_err("a bad kappa runs");
+            assert!(why.starts_with("diffusion: kappa"), "{kappa}: {why}");
+            assert_eq!(out.1, Err(why));
+        }
     }
 
     #[test]
@@ -1750,7 +1813,7 @@ mod tests {
         // the Figs 13–14 bottleneck. The GPU-hungry optimum sits far
         // below it, so every boundary must clamp.
         let cfg = online_cfg((64, 24, 16), 8, 2);
-        let guard = hetero_min_fraction(&cfg);
+        let guard = hetero_min_fraction(&cfg).unwrap();
         assert!((guard - 0.25).abs() < 1e-12, "{guard}");
         let r = run_with_fraction(&cfg, 0.45).unwrap();
         for (i, f) in r.balance_history.iter().enumerate() {

@@ -140,3 +140,49 @@ fn telemetry_does_not_change_virtual_time() {
     );
     assert_eq!(r0.total_launches(), r1.total_launches());
 }
+
+#[test]
+fn each_gpu_rank_faults_its_mesh_in_once_at_the_unified_memory_charge() {
+    use hsim_telemetry::Counter;
+    let spec = NodeConfig::rzhasgpu().gpu_spec;
+    for mode in [ExecMode::Default, ExecMode::mps4(), ExecMode::hetero()] {
+        let cfg = RunConfig {
+            mode,
+            ..telemetry_cfg()
+        };
+        let result = runner::run(&cfg).expect("traced run");
+        let summary = result.telemetry.as_ref().expect("telemetry requested");
+        let fault_ins: Vec<_> = summary
+            .spans
+            .iter()
+            .filter(|s| s.name == "um_fault_in")
+            .collect();
+        let gpu_ranks = result.ranks.iter().filter(|r| r.role.is_gpu_driver());
+        let gpu_ranks = gpu_ranks.count() as u64;
+        assert_eq!(fault_ins.len() as u64, gpu_ranks, "{mode:?}");
+        assert_eq!(
+            summary.metrics.counter(Counter::UmMigrations),
+            gpu_ranks,
+            "{mode:?}"
+        );
+        for r in &result.ranks {
+            let mine: Vec<_> = fault_ins
+                .iter()
+                .filter(|s| s.pid as usize == r.rank)
+                .collect();
+            if r.role.is_gpu_driver() {
+                let mesh = r.zones * 8 * hsim_core::calib::MESH_FIELDS;
+                let pages = mesh.div_ceil(spec.um_page_size);
+                assert_eq!(mine.len(), 1, "{mode:?} rank {}", r.rank);
+                assert_eq!(
+                    mine[0].dur,
+                    spec.um_page_migration * pages,
+                    "{mode:?} rank {}",
+                    r.rank
+                );
+            } else {
+                assert!(mine.is_empty(), "{mode:?}: CPU rank {} faulted in", r.rank);
+            }
+        }
+    }
+}

@@ -9,7 +9,7 @@
 use crate::context::{Context, ContextId, ContextOwner, ContextTable};
 use crate::error::GpuError;
 use crate::kernel::{occupancy, KernelDesc, KernelShape};
-use crate::memory::{DeviceHeap, UnifiedMemory};
+use crate::memory::UnifiedMemory;
 use crate::spec::DeviceSpec;
 use crate::stream::{Stream, StreamId, StreamTable};
 use crate::timeline::{Job, JobOutcome, RateSharingTimeline};
@@ -31,7 +31,6 @@ pub struct Device {
     spec: DeviceSpec,
     contexts: ContextTable,
     streams: StreamTable,
-    heap: DeviceHeap,
     um: UnifiedMemory,
     pending: Vec<Job>,
     next_job: u64,
@@ -41,14 +40,12 @@ pub struct Device {
 
 impl Device {
     pub fn new(id: usize, spec: DeviceSpec) -> Self {
-        let heap = DeviceHeap::new(spec.mem_capacity);
         let um = UnifiedMemory::new(&spec);
         Device {
             id,
             spec,
             contexts: ContextTable::new(),
             streams: StreamTable::new(),
-            heap,
             um,
             pending: Vec::new(),
             next_job: 0,
@@ -190,18 +187,6 @@ impl Device {
     /// this is an activity metric, not a utilization bound).
     pub fn busy(&self) -> SimDuration {
         self.busy
-    }
-
-    pub fn heap(&self) -> &DeviceHeap {
-        &self.heap
-    }
-
-    pub fn heap_mut(&mut self) -> &mut DeviceHeap {
-        &mut self.heap
-    }
-
-    pub fn um(&self) -> &UnifiedMemory {
-        &self.um
     }
 
     pub fn um_mut(&mut self) -> &mut UnifiedMemory {

@@ -23,10 +23,9 @@
 //! * [`mps`] — the Multi-Process Service: clients funnel through one
 //!   shared context, paying a higher launch overhead (paper §2) in
 //!   exchange for overlap.
-//! * [`memory`] — the three data classes of the paper's Figure 8:
-//!   device allocations (first-fit, capacity-checked), **unified
-//!   memory** (page residency + migration charges), and a cnmem-style
-//!   **pool** for temporaries.
+//! * [`memory`] — **unified memory**, where the paper's Figure 8 puts a
+//!   GPU rank's mesh: the page-migration charge of faulting it onto
+//!   the device, with a thrash term past the device's capacity.
 //! * [`xfer`] — PCIe staging-cost model for host↔device copies.
 
 #![forbid(unsafe_code)]

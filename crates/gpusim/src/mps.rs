@@ -287,13 +287,9 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_heap_available_through_device() {
+    fn unified_memory_available_through_device() {
         let mut d = device();
-        let a = d.heap_mut().alloc(1 << 20).unwrap();
-        assert!(d.heap().used() >= 1 << 20);
-        d.heap_mut().free(a).unwrap();
-        let r = d.um_mut().alloc(1 << 20);
-        let cost = d.um_mut().touch_device(r).unwrap();
+        let cost = d.um_mut().alloc_and_touch(1 << 20);
         assert!(cost > SimDuration::ZERO);
     }
 }

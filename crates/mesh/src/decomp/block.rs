@@ -39,7 +39,16 @@ pub fn factor3(n: usize) -> [usize; 3] {
 /// larger factors to the longer grid axes (keeps subdomains square-ish
 /// even on elongated grids). All domains are GPU-owned by convention;
 /// callers relabel owners for other schemes.
+///
+/// Panics where the grid cannot be carved so; [`try_block_decomp`]
+/// says why instead.
 pub fn block_decomp(grid: GlobalGrid, n: usize, ghost: usize) -> Decomposition {
+    try_block_decomp(grid, n, ghost).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`block_decomp`], or why `n` ranks cannot be carved from the grid
+/// that way.
+pub fn try_block_decomp(grid: GlobalGrid, n: usize, ghost: usize) -> Result<Decomposition, String> {
     let factors = factor3(n); // ascending
                               // Pair ascending factors with ascending grid extents.
     let extents = [grid.nx, grid.ny, grid.nz];
@@ -49,13 +58,11 @@ pub fn block_decomp(grid: GlobalGrid, n: usize, ghost: usize) -> Decomposition {
     for (slot, &axis) in axes.iter().enumerate() {
         parts[axis] = factors[slot];
     }
-    for a in 0..3 {
-        assert!(
-            parts[a] <= extents[a],
+    if let Some(a) = (0..3).find(|&a| parts[a] > extents[a]) {
+        return Err(format!(
             "more ranks than zones along axis {a}: {} > {}",
-            parts[a],
-            extents[a]
-        );
+            parts[a], extents[a]
+        ));
     }
 
     // Cut points with remainder spread over leading pieces.
@@ -85,12 +92,12 @@ pub fn block_decomp(grid: GlobalGrid, n: usize, ghost: usize) -> Decomposition {
         }
     }
     let owners = (0..n).map(OwnerKind::Gpu).collect();
-    Decomposition {
+    Ok(Decomposition {
         grid,
         domains,
         owners,
         scheme: "block",
-    }
+    })
 }
 
 /// Split `n` ranks over the grid keeping the x-dimension whole: `n`
@@ -98,8 +105,8 @@ pub fn block_decomp(grid: GlobalGrid, n: usize, ghost: usize) -> Decomposition {
 /// larger factor to the longer axis). This is the paper's arrangement
 /// (Figure 10: "keeping the size of the x-dimension the same for all
 /// approaches") — x is the innermost, vectorized dimension and is
-/// never cut.
-pub fn block_decomp_yz(grid: GlobalGrid, n: usize, ghost: usize) -> Decomposition {
+/// never cut. Fails where `n` ranks cannot be carved from the grid that way.
+pub fn block_decomp_yz(grid: GlobalGrid, n: usize, ghost: usize) -> Result<Decomposition, String> {
     // Best 2-factorization of n.
     let mut fy = 1;
     let mut fz = n;
@@ -122,12 +129,12 @@ pub fn block_decomp_yz(grid: GlobalGrid, n: usize, ghost: usize) -> Decompositio
     } else {
         (fy, fz)
     };
-    assert!(
-        py <= grid.ny && pz <= grid.nz,
-        "cannot split {n} ranks over y={}, z={}",
-        grid.ny,
-        grid.nz
-    );
+    if py > grid.ny || pz > grid.nz {
+        return Err(format!(
+            "cannot split {n} ranks over y={}, z={}",
+            grid.ny, grid.nz
+        ));
+    }
     let cuts = |n_zones: usize, n_parts: usize| -> Vec<(usize, usize)> {
         let base = n_zones / n_parts;
         let extra = n_zones % n_parts;
@@ -149,12 +156,12 @@ pub fn block_decomp_yz(grid: GlobalGrid, n: usize, ghost: usize) -> Decompositio
         }
     }
     let owners = (0..n).map(OwnerKind::Gpu).collect();
-    Decomposition {
+    Ok(Decomposition {
         grid,
         domains,
         owners,
         scheme: "block-yz",
-    }
+    })
 }
 
 #[cfg(test)]
@@ -209,7 +216,7 @@ mod tests {
     #[test]
     fn yz_decomp_keeps_x_whole() {
         let grid = GlobalGrid::new(320, 240, 160);
-        let d = block_decomp_yz(grid, 4, 1);
+        let d = block_decomp_yz(grid, 4, 1).unwrap();
         d.validate().unwrap();
         assert_eq!(d.len(), 4);
         for s in &d.domains {
@@ -222,7 +229,7 @@ mod tests {
     #[test]
     fn yz_decomp_puts_larger_factor_on_longer_axis() {
         let grid = GlobalGrid::new(64, 400, 100);
-        let d = block_decomp_yz(grid, 8, 1);
+        let d = block_decomp_yz(grid, 8, 1).unwrap();
         d.validate().unwrap();
         // 8 = 2x4: y (longer) gets 4.
         let y_cuts: std::collections::BTreeSet<usize> = d.domains.iter().map(|s| s.lo[1]).collect();

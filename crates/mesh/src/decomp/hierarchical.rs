@@ -7,7 +7,7 @@
 //! subdivision in a single dimension kept the number of neighbors
 //! communicating in the halo exchange minimal." (§6.1.)
 
-use crate::decomp::block::{block_decomp, block_decomp_yz};
+use crate::decomp::block::{block_decomp_yz, try_block_decomp};
 use crate::decomp::{Decomposition, OwnerKind};
 use crate::grid::GlobalGrid;
 
@@ -27,7 +27,7 @@ pub fn hierarchical_decomp(
 ) -> Result<Decomposition, String> {
     hierarchical_with_top(
         grid,
-        block_decomp(grid, n_gpus, ghost),
+        try_block_decomp(grid, n_gpus, ghost)?,
         n_gpus,
         per_gpu,
         split_axis,
@@ -45,7 +45,7 @@ pub fn hierarchical_decomp_yz(
 ) -> Result<Decomposition, String> {
     hierarchical_with_top(
         grid,
-        block_decomp_yz(grid, n_gpus, ghost),
+        block_decomp_yz(grid, n_gpus, ghost)?,
         n_gpus,
         per_gpu,
         split_axis,
@@ -88,6 +88,7 @@ fn hierarchical_with_top(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decomp::block::block_decomp;
     use crate::halo::HaloPlan;
 
     #[test]

@@ -13,7 +13,7 @@
 //! regime where the paper's Figures 13/14 show the Heterogeneous mode
 //! losing (the CPU ranks cannot be given a small enough share).
 
-use crate::decomp::block::{block_decomp, block_decomp_yz};
+use crate::decomp::block::{block_decomp_yz, try_block_decomp};
 use crate::decomp::{Decomposition, OwnerKind};
 use crate::grid::GlobalGrid;
 
@@ -73,9 +73,9 @@ pub fn weighted_hetero_decomp(
         return Err(format!("cpu_fraction {} out of [0,1)", cfg.cpu_fraction));
     }
     let top = if cfg.pin_x {
-        block_decomp_yz(grid, cfg.n_gpus, cfg.ghost)
+        block_decomp_yz(grid, cfg.n_gpus, cfg.ghost)?
     } else {
-        block_decomp(grid, cfg.n_gpus, cfg.ghost)
+        try_block_decomp(grid, cfg.n_gpus, cfg.ghost)?
     };
     if cfg.cpu_per_gpu == 0 {
         // Pure GPU decomposition: identical to Default mode's blocks.

@@ -299,16 +299,10 @@ impl SharedDevice {
     }
 
     /// Allocate a unified-memory region of `bytes` and fault it onto
-    /// the device (ARES mesh data, Figure 8). Returns the region and
-    /// the migration charge the caller must add to its clock.
-    pub fn um_alloc_and_touch(
-        &self,
-        bytes: u64,
-    ) -> Result<(hsim_gpu::memory::UnifiedRegionId, SimDuration), GpuError> {
-        let mut inner = self.inner.lock();
-        let region = inner.device.um_mut().alloc(bytes);
-        let cost = inner.device.um_mut().touch_device(region)?;
-        Ok((region, cost))
+    /// the device (ARES mesh data, Figure 8). Returns the migration
+    /// charge the caller must add to its clock.
+    pub fn um_alloc_and_touch(&self, bytes: u64) -> SimDuration {
+        self.inner.lock().device.um_mut().alloc_and_touch(bytes)
     }
 }
 

@@ -36,8 +36,7 @@ proptest! {
         n in 1usize..9,
     ) {
         let grid = GlobalGrid::new(nx, ny, nz);
-        let d = std::panic::catch_unwind(|| block_decomp_yz(grid, n, 1));
-        if let Ok(d) = d {
+        if let Ok(d) = block_decomp_yz(grid, n, 1) {
             prop_assert!(d.validate().is_ok());
             for s in &d.domains {
                 prop_assert_eq!(s.extent(0), nx);
@@ -231,74 +230,6 @@ proptest! {
 }
 
 proptest! {
-    /// The device heap never loses bytes: random alloc/free sequences
-    /// keep `used + free == capacity`, frees restore contiguity, and
-    /// double frees are always rejected.
-    #[test]
-    fn device_heap_invariants(ops in prop::collection::vec((0u8..4, 1u64..64), 1..200)) {
-        use heterosim::gpu::memory::DeviceHeap;
-        let capacity = 1u64 << 20;
-        let mut heap = DeviceHeap::new(capacity);
-        let mut live = Vec::new();
-        for (op, size_kb) in ops {
-            match op {
-                // Allocate.
-                0 | 1 => {
-                    if let Ok(a) = heap.alloc(size_kb * 1024) {
-                        live.push(a);
-                    }
-                }
-                // Free the most recent.
-                2 => {
-                    if let Some(a) = live.pop() {
-                        heap.free(a).expect("live allocation frees");
-                    }
-                }
-                // Free the oldest (exercises coalescing paths).
-                _ => {
-                    if !live.is_empty() {
-                        let a = live.remove(0);
-                        heap.free(a).expect("live allocation frees");
-                    }
-                }
-            }
-            let used: u64 = live.iter().map(|a| a.size).sum();
-            prop_assert_eq!(heap.used(), used);
-            prop_assert_eq!(heap.free_bytes(), capacity - used);
-            prop_assert!(heap.largest_free_block() <= heap.free_bytes());
-        }
-        // Drain: full capacity must come back in one block.
-        for a in live.drain(..) {
-            heap.free(a).expect("drain");
-        }
-        prop_assert_eq!(heap.largest_free_block(), capacity);
-    }
-
-    /// The pool enforces LIFO and reset always restores the full slab.
-    #[test]
-    fn memory_pool_discipline(sizes in prop::collection::vec(1u64..1024, 1..50)) {
-        use heterosim::gpu::memory::MemoryPool;
-        let mut pool = MemoryPool::new(1 << 20);
-        let mut live = Vec::new();
-        for s in &sizes {
-            if let Ok(a) = pool.alloc(s * 256) {
-                live.push(a);
-            }
-        }
-        // Out-of-order free must fail while ≥2 allocations live.
-        if live.len() >= 2 {
-            let first = live[0];
-            prop_assert!(pool.free(first).is_err());
-        }
-        // LIFO drain succeeds.
-        while let Some(a) = live.pop() {
-            pool.free(a).expect("LIFO free");
-        }
-        prop_assert_eq!(pool.in_use(), 0);
-        pool.reset();
-        prop_assert!(pool.alloc(1 << 20).is_ok());
-    }
-
     /// WorkPool parallel sum equals the serial sum for arbitrary
     /// inputs, chunk sizes, and worker counts.
     #[test]
