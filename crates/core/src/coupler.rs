@@ -667,11 +667,12 @@ mod tests {
     /// sound only if a ghost is rewritten — by the boundary fill or the
     /// halo exchange — before anything reads it. Poisoning every ghost
     /// of `u`, `u0` and `prim` between cycles must leave owned zones,
-    /// `t` and every rank's clock bit-equal.
+    /// `t` and every rank's clock bit-equal; each cycle is followed by
+    /// a diffusion step.
     #[test]
     fn poisoned_ghosts_leave_a_four_rank_world_bit_equal() {
         use hsim_hydro::sedov::{self, SedovConfig};
-        use hsim_hydro::step;
+        use hsim_hydro::{diffusion, step, DiffusionConfig};
 
         let grid = GlobalGrid::new(16, 16, 16);
         let decomp = block_decomp(grid, 4, 1);
@@ -701,7 +702,18 @@ mod tests {
                             poison_ghosts(block);
                         }
                     }
-                    step(&mut st, &mut exec, &mut clock, &mut coupler, 0.3, 1.0).unwrap();
+                    let dt = step(&mut st, &mut exec, &mut clock, &mut coupler, 0.3, 1.0)
+                        .unwrap()
+                        .dt;
+                    let heat = diffusion::advance(
+                        &mut st,
+                        &mut exec,
+                        &mut clock,
+                        &mut coupler,
+                        &DiffusionConfig { kappa: 2e-3 },
+                        dt,
+                    );
+                    block_on(heat).unwrap();
                     let e = st.ext();
                     for v in 0..NCONS {
                         for k in 0..e[2] {

@@ -2357,6 +2357,29 @@ mod tests {
     }
 
     #[test]
+    fn a_kernel_longer_than_the_clock_can_resolve_ends() {
+        // At these sizes one device job's rounding residue falls below
+        // one ulp of the device clock; the timeline stepped by zero for
+        // ever before it retired such a residue.
+        let lines = [
+            (ExecMode::Default, 30_000),
+            (ExecMode::Default, 40_000),
+            (ExecMode::hetero(), 20_000),
+            (ExecMode::hetero(), 30_000),
+            (ExecMode::hetero(), 80_000),
+        ];
+        for (mode, nx) in lines {
+            let r = watched(move || {
+                let mut cfg = RunConfig::sweep((nx, 20_000, 20_000), mode);
+                cfg.cycles = 1;
+                run(&cfg)
+            });
+            let r = r.unwrap_or_else(|e| panic!("{mode:?} at {nx}: {e}"));
+            assert!(r.runtime > SimDuration::ZERO, "{mode:?} at {nx}");
+        }
+    }
+
+    #[test]
     fn a_rank_that_ends_early_hangs_nobody_where_cycles_are_added_up() {
         use hsim_mpi::{CommCost, MpiError};
         // Rank 1 posts cycle 1 and dies in cycle 2 — by error or by

@@ -221,10 +221,14 @@ impl RateSharingTimeline {
             }
             now = horizon;
 
-            // Retire completed jobs and release their streams.
+            // Retire completed jobs and release their streams. A job
+            // is complete when its residue is spent or can no longer
+            // move the clock: `dt` cannot be smaller than one ulp of
+            // `now`, so a residue below that would never be advanced.
             let mut i = 0;
             while i < active.len() {
-                if active[i].remaining <= 1e-12 {
+                let a = &active[i];
+                if a.remaining <= 1e-12 || now + a.remaining / a.rate <= now {
                     let a = active.swap_remove(i);
                     outcomes[a.idx].end = SimTime::from_nanos((now * 1e9).round() as u64);
                     if let Some(s) = streams.iter().position(|(st, _)| *st == jobs[a.idx].stream) {
@@ -386,6 +390,22 @@ mod tests {
         let out = tl.simulate(&jobs);
         assert_eq!(out[0].start, out[0].end);
         assert!((secs(out[1].end) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_residue_below_one_ulp_of_the_clock_retires() {
+        // At t = 50 000 s one ulp of `now` is 7.3 ps: a 0.1 s job's
+        // rounding residue can no longer advance the clock, so it must
+        // retire instead of stepping by zero for ever.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let tl = RateSharingTimeline::new();
+            let _ = tx.send(tl.simulate(&[job(1, 0, 50_000_000_000_000, 0.1, 1.0)]));
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the timeline spins");
+        assert!((secs(out[0].end) - 50_000.1).abs() < 1e-6);
     }
 
     #[test]

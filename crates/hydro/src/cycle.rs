@@ -6,7 +6,9 @@
 //! save          u0 ← u                              5 kernels, charged here,
 //!                                                   executed by the stage-1 sweep
 //! stage 1       bc(u), exchange(u), primitives(u)   ≤5·faces + 3
-//!               dt = CFL min-reduce ⊕ allreduce     1 + collective
+//!               dt = CFL min-reduce ⊕ allreduce     1 + collective,
+//!                                                   the min taken by
+//!                                                   the primitive pass
 //!               sweep: u0 ← u − dt·L(u)             33
 //!               swap(u, u0)                         —
 //! stage 2       combine: u0 ← ½u0 + ½u              5, charged here,
@@ -39,8 +41,7 @@ use hsim_time::task::block_on;
 use hsim_time::{RankClock, SimTime};
 
 use crate::bc;
-use crate::eos::cfl_dt;
-use crate::fused::{charge_start, primitives, sweep_from, Start};
+use crate::fused::{cfl_dt, charge_start, primitives, primitives_bound, sweep_from, Start};
 use crate::muscl::Reconstruction;
 use crate::state::HydroState;
 
@@ -223,12 +224,13 @@ pub async fn step_with<C: Coupler>(
     coupler.exchange(st, clock).await?;
     phase("halo", t0, clock);
     let t0 = clock.now();
-    primitives(st, exec, clock)?;
+    let bound = primitives_bound(st, exec, clock)?;
     phase("eos", t0, clock);
 
-    // Timestep: local CFL bound, device sync, global min.
+    // Timestep: local CFL bound (taken by the primitive recovery,
+    // charged here), device sync, global min.
     let t0 = clock.now();
-    let local_dt = cfl_dt(st, exec, clock, cfl, fallback_dt)?;
+    let local_dt = cfl_dt(st, exec, clock, bound, cfl, fallback_dt)?;
     exec.sync(clock).await;
     let dt = coupler
         .allreduce_min(local_dt, clock)

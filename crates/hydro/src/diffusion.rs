@@ -9,18 +9,19 @@
 //! ```
 //!
 //! discretized with the same fine-grained kernel structure as the
-//! hydro package (per-axis face fluxes + updates), sharing the mesh,
-//! the halo exchange, and the portability layer. Explicit stability
+//! hydro package (per-axis face fluxes + updates, charged launch by
+//! launch and executed as two tiled passes, [`substep`]), sharing the
+//! mesh, the halo exchange, and the portability layer. Explicit stability
 //! requires `dt ≤ dx²/(6κ)` in 3D; [`diffusion_dt`] reports the bound
 //! and [`advance`] substeps internally when asked to go further.
 
 use hsim_gpu::GpuError;
-use hsim_raja::{Executor, Fidelity};
+use hsim_raja::{Executor, Fidelity, TileSet2, TiledSlabMut};
 use hsim_time::task::block_on;
 use hsim_time::RankClock;
 
 use crate::cycle::{Coupler, CycleError};
-use crate::eos::indexer;
+use crate::fused::row_of;
 use crate::kernels;
 use crate::state::{HydroState, EN, MX, MY, MZ, PR, RHO, RHO_FLOOR};
 
@@ -47,92 +48,101 @@ pub fn diffusion_dt(state: &HydroState, kappa: f64) -> f64 {
     h * h / (6.0 * kappa)
 }
 
-/// Extract internal energy density `e = E − ½ρ|v|²` into the pressure
-/// scratch field (overwritten by the next hydro stage anyway), over
-/// the allocated region so face fluxes can reach the ghosts.
-fn internal_energy(
-    st: &mut HydroState,
-    exec: &mut Executor,
-    clock: &mut RankClock,
-) -> Result<(), GpuError> {
-    let ext = st.ext_all();
-    let dims = st.u.dims();
-    let at = indexer(dims);
-    let (u, prim) = (&st.u, &mut st.prim);
-    let rho = u.var(RHO);
-    let mx = u.var(MX);
-    let my = u.var(MY);
-    let mz = u.var(MZ);
-    let en = u.var(EN);
-    let eint = prim.var_mut(PR);
-    let at = &at;
-    exec.forall3(clock, &kernels::DIFF_EINT, ext, |i, j, k| {
-        let idx = at(i, j, k);
-        let r = rho[idx].max(RHO_FLOOR);
-        let ke = 0.5 * (mx[idx] * mx[idx] + my[idx] * my[idx] + mz[idx] * mz[idx]) / r;
-        eint[idx] = en[idx] - ke;
-    })
+/// Internal energy density of one allocated row, `e = E − ½(m_x² + m_y²
+/// + m_z²) / max(ρ, ρ_floor)`: the legacy DIFF_EINT expression.
+fn eint_row(rho: &[f64], mx: &[f64], my: &[f64], mz: &[f64], en: &[f64], e: &mut [f64]) {
+    let n = e.len();
+    let (rho, mx, my, mz, en) = (&rho[..n], &mx[..n], &my[..n], &mz[..n], &en[..n]);
+    for i in 0..n {
+        let r = rho[i].max(RHO_FLOOR);
+        let ke = 0.5 * (mx[i] * mx[i] + my[i] * my[i] + mz[i] * mz[i]) / r;
+        e[i] = en[i] - ke;
+    }
 }
 
-/// One explicit diffusion substep of size `dt` (assumed stable).
-fn substep(
+/// One owned `EN` row's diffusion update. `x` is the internal-energy
+/// row at the zones' own `(j, k)` from one zone before the first to one
+/// after the last (`t.len() + 2` long); `y` and `z` are the owned runs
+/// one row below and above, one plane below and above. Every face flux
+/// is `F = −c·(e_R − e_L)` and the update is the legacy per-axis one,
+/// `((E − s·ΔF_x) − s·ΔF_y) − s·ΔF_z`.
+fn diffuse_row(t: &mut [f64], x: &[f64], y: (&[f64], &[f64]), z: (&[f64], &[f64]), c: f64, s: f64) {
+    let n = t.len();
+    let (xl, e, xr) = (&x[..n], &x[1..n + 1], &x[2..n + 2]);
+    let (yl, yr, zl, zr) = (&y.0[..n], &y.1[..n], &z.0[..n], &z.1[..n]);
+    for i in 0..n {
+        let face = |l: f64, r: f64| -c * (r - l);
+        let dx = face(e[i], xr[i]) - face(xl[i], e[i]);
+        let dy = face(e[i], yr[i]) - face(yl[i], e[i]);
+        let dz = face(e[i], zr[i]) - face(zl[i], e[i]);
+        t[i] = ((t[i] - s * dx) - s * dy) - s * dz;
+    }
+}
+
+/// One explicit diffusion substep of size `dt` (assumed stable), with
+/// ghosts already filled.
+///
+/// Charges the legacy launches in their order — DIFF_EINT over the
+/// allocated box, then per axis DIFF_FLUX over the faces and
+/// DIFF_UPDATE over the owned zones — then makes two tiled passes: the
+/// internal energy into `prim[PR]` over the allocated plane, and one
+/// write per owned `EN` row from the seven internal energies around
+/// each zone (its own and its face neighbours at allocated `a ± 1`, for
+/// any ghost width). Per owned zone this is the legacy seven-pass
+/// substep's arithmetic, operation for operation, so on one ghost layer
+/// the owned `EN` and the whole `prim[PR]` are its bits.
+pub fn substep(
     st: &mut HydroState,
     exec: &mut Executor,
     clock: &mut RankClock,
     kappa: f64,
     dt: f64,
 ) -> Result<(), GpuError> {
-    internal_energy(st, exec, clock)?;
-    let h = st.dx();
-    let g = st.sub.ghost;
-    let dims = st.u.dims();
-    let at = indexer(dims);
+    exec.charge3(clock, &kernels::DIFF_EINT, st.ext_all())?;
     for axis in 0..3 {
-        let fd = st.face_dims(axis);
-        let fat = indexer(fd);
-        // Face flux: F = −κ (e_R − e_L)/h.
-        {
-            let (prim, fx) = (&st.prim, &mut st.flux);
-            let eint = prim.var(PR);
-            let fx = &mut fx[..];
-            let at = &at;
-            let fat = &fat;
-            let scale = kappa / h;
-            exec.forall3(clock, &kernels::DIFF_FLUX, fd, move |i, j, k| {
-                let mut l = [i, j, k];
-                let mut r = [i, j, k];
-                for (a, (lv, rv)) in l.iter_mut().zip(r.iter_mut()).enumerate() {
-                    if a != axis {
-                        *lv += g;
-                        *rv += g;
-                    } else {
-                        *rv += 1;
-                    }
-                }
-                let el = eint[at(l[0], l[1], l[2])];
-                let er = eint[at(r[0], r[1], r[2])];
-                fx[fat(i, j, k)] = -scale * (er - el);
-            })?;
-        }
-        // Update: E -= dt/h (F_hi − F_lo), applied directly to the
-        // conserved energy (diffusion only moves internal energy).
-        {
-            let ext = st.ext();
-            let (u, fx) = (&mut st.u, &st.flux);
-            let en = u.var_mut(EN);
-            let fx = &fx[..];
-            let at = &at;
-            let fat = &fat;
-            let scale = dt / h;
-            exec.forall3(clock, &kernels::DIFF_UPDATE, ext, move |i, j, k| {
-                let mut hi = [i, j, k];
-                hi[axis] += 1;
-                let f_lo = fx[fat(i, j, k)];
-                let f_hi = fx[fat(hi[0], hi[1], hi[2])];
-                en[at(i + g, j + g, k + g)] -= scale * (f_hi - f_lo);
-            })?;
-        }
+        exec.charge3(clock, &kernels::DIFF_FLUX, st.face_dims(axis))?;
+        exec.charge3(clock, &kernels::DIFF_UPDATE, st.ext())?;
     }
+    if exec.fidelity != Fidelity::Full {
+        return Ok(());
+    }
+    let h = st.dx();
+    let (c, s) = (kappa / h, dt / h);
+    let g = st.sub.ghost;
+    let ext = st.ext();
+    let dims = st.u.dims();
+    {
+        let tiles = TileSet2::new(dims[1], dims[2], st.tile);
+        let (u, prim) = (st.u.slab(), &mut st.prim);
+        let eint = TiledSlabMut::new(prim.slab_mut(), dims, tiles, 0);
+        exec.run_tiles(&tiles, |tile| {
+            let mut rows = eint.claim(tile);
+            for k in tile.k0..tile.k1 {
+                for j in tile.j0..tile.j1 {
+                    let cons = |v| row_of(u, dims, v, j, k);
+                    let e = rows.row(PR, j, k);
+                    eint_row(cons(RHO), cons(MX), cons(MY), cons(MZ), cons(EN), e);
+                }
+            }
+        });
+    }
+    let tiles = TileSet2::new(ext[1], ext[2], st.tile);
+    let (prim, u) = (st.prim.slab(), &mut st.u);
+    let en = TiledSlabMut::new(u.slab_mut(), dims, tiles, g);
+    exec.run_tiles(&tiles, |tile| {
+        let mut rows = en.claim(tile);
+        for ak in tile.k0 + g..tile.k1 + g {
+            for aj in tile.j0 + g..tile.j1 + g {
+                // The owned run of the internal-energy row at (j, k),
+                // widened by `w` zones at each end.
+                let e = |j, k, w: usize| &row_of(prim, dims, PR, j, k)[g - w..g + ext[0] + w];
+                let y = (e(aj - 1, ak, 0), e(aj + 1, ak, 0));
+                let z = (e(aj, ak - 1, 0), e(aj, ak + 1, 0));
+                let t = &mut rows.row(EN, aj, ak)[g..g + ext[0]];
+                diffuse_row(t, e(aj, ak, 1), y, z, c, s);
+            }
+        }
+    });
     Ok(())
 }
 
@@ -192,8 +202,12 @@ mod tests {
     use hsim_raja::{CpuModel, Target};
 
     fn setup(n: usize) -> (HydroState, Executor, RankClock) {
+        setup_with_ghosts(n, 1)
+    }
+
+    fn setup_with_ghosts(n: usize, ghost: usize) -> (HydroState, Executor, RankClock) {
         let grid = GlobalGrid::new(n, n, n);
-        let sub = Subdomain::new([0, 0, 0], [n, n, n], 1);
+        let sub = Subdomain::new([0, 0, 0], [n, n, n], ghost);
         let mut st = HydroState::new(grid, sub, Fidelity::Full);
         st.init_ambient(1.0, 0.4);
         let exec = Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), Fidelity::Full);
@@ -274,6 +288,38 @@ mod tests {
         assert!(st.u.get(EN, 7, 8, 8) > background + 1e-6);
         // Total energy conserved (zero-flux walls).
         assert!(((st.total_energy() - e0) / e0).abs() < 1e-10);
+    }
+
+    /// One `diffuse_step` of a hot zone at the centre of a 12³ box,
+    /// returning the owned `EN` bits.
+    fn hot_zone_step(ghost: usize) -> Vec<u64> {
+        let (mut st, mut exec, mut clock) = setup_with_ghosts(12, ghost);
+        let background = 0.4 / (GAMMA - 1.0);
+        st.u.set(EN, 6, 6, 6, background + 10.0);
+        let cfg = DiffusionConfig { kappa: 2e-3 };
+        let dt = 0.9 * diffusion_dt(&st, cfg.kappa);
+        diffuse_step(&mut st, &mut exec, &mut clock, &mut SoloCoupler, &cfg, dt).unwrap();
+        let peak = st.u.get(EN, 6, 6, 6);
+        assert!(
+            peak < background + 10.0,
+            "{ghost} ghost layers: the peak rose to {peak}"
+        );
+        let mut bits = Vec::new();
+        for k in 0..12 {
+            for j in 0..12 {
+                for i in 0..12 {
+                    bits.push(st.u.get(EN, i, j, k).to_bits());
+                }
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn the_stencil_reads_the_nearest_layer_at_any_ghost_width() {
+        // Each zone's faces are its own at `a ± 1`: two ghost layers
+        // give the one-layer bits, and a hot zone cools on both.
+        assert!(hot_zone_step(1) == hot_zone_step(2));
     }
 
     #[test]

@@ -84,6 +84,8 @@ pub fn primitives(
 
 /// The CFL-limited timestep bound over this rank's owned zones
 /// (one min-reduction kernel). Returns `default` in cost-only mode.
+/// The cycle takes the same bound inside its stage-1 primitive pass
+/// ([`crate::fused::primitives_bound`]); this reduction is its oracle.
 pub fn cfl_dt(
     state: &mut HydroState,
     exec: &mut Executor,

@@ -16,29 +16,30 @@
 //! which is bitwise-identical.
 
 use hsim_gpu::GpuError;
-use hsim_raja::Executor;
+use hsim_raja::{Executor, Fidelity};
 use hsim_time::RankClock;
 
 use crate::eos::indexer;
 use crate::kernels;
 use crate::state::{HydroState, CS, EN, MX, PR, RHO, VX};
 
-/// Compute per-face max wavespeeds along `axis` into `state.wavespeed`.
+/// Compute per-face max wavespeeds along `axis` into `ws`, face scratch
+/// of at least [`HydroState::face_count`] elements.
 pub fn wavespeeds(
-    state: &mut HydroState,
+    state: &HydroState,
     exec: &mut Executor,
     clock: &mut RankClock,
     axis: usize,
+    ws: &mut [f64],
 ) -> Result<(), GpuError> {
     let fd = state.face_dims(axis);
     let dims = state.u.dims();
     let at = indexer(dims);
     let fat = indexer(fd);
     let g = state.sub.ghost;
-    let (prim, ws) = (&state.prim, &mut state.wavespeed);
+    let prim = &state.prim;
     let va = prim.var(VX + axis);
     let cs = prim.var(CS);
-    let ws = &mut ws[..];
     // Allocated coordinates of the L zone for face (i,j,k): along the
     // flux axis, face f sits between allocated zones f+g-1 and f+g;
     // transverse axes shift by g.
@@ -79,25 +80,25 @@ pub(crate) fn phys_flux(var: usize, axis: usize, q: f64, va: f64, p: f64) -> f64
     }
 }
 
-/// Compute the Rusanov flux of `var` along `axis` into `state.flux`.
+/// Compute the Rusanov flux of `var` along `axis` into `fx`, from the
+/// wavespeeds `ws` of [`wavespeeds`].
 pub fn face_flux(
-    state: &mut HydroState,
+    state: &HydroState,
     exec: &mut Executor,
     clock: &mut RankClock,
-    axis: usize,
-    var: usize,
+    (axis, var): (usize, usize),
+    ws: &[f64],
+    fx: &mut [f64],
 ) -> Result<(), GpuError> {
     let fd = state.face_dims(axis);
     let dims = state.u.dims();
     let at = indexer(dims);
     let fat = indexer(fd);
     let g = state.sub.ghost;
-    let (u, prim, ws, fx) = (&state.u, &state.prim, &state.wavespeed, &mut state.flux);
+    let (u, prim) = (&state.u, &state.prim);
     let q = u.var(var);
     let va = prim.var(VX + axis);
     let p = prim.var(PR);
-    let ws = &ws[..];
-    let fx = &mut fx[..];
     let shift = move |i: usize, j: usize, k: usize, along: usize| -> [usize; 3] {
         let mut c = [i, j, k];
         for (a, v) in c.iter_mut().enumerate() {
@@ -121,15 +122,16 @@ pub fn face_flux(
     })
 }
 
-/// Apply the flux-difference update of `var` along `axis` to the
-/// TARGET field set (`state.u0`): `tgt -= dt/dx · (F_hi − F_lo)`.
+/// Apply the flux-difference update of `var` along `axis` from the
+/// face fluxes `fx` to the TARGET field set (`state.u0`): `tgt -= dt/dx
+/// · (F_hi − F_lo)`.
 pub fn apply_update(
     state: &mut HydroState,
     exec: &mut Executor,
     clock: &mut RankClock,
-    axis: usize,
-    var: usize,
+    (axis, var): (usize, usize),
     dt: f64,
+    fx: &[f64],
 ) -> Result<(), GpuError> {
     let ext = state.ext();
     let fd = state.face_dims(axis);
@@ -138,9 +140,7 @@ pub fn apply_update(
     let fat = indexer(fd);
     let g = state.sub.ghost;
     let scale = dt / state.dx();
-    let (u0, fx) = (&mut state.u0, &state.flux);
-    let tgt = u0.var_mut(var);
-    let fx = &fx[..];
+    let tgt = state.u0.var_mut(var);
     exec.forall3(clock, &kernels::UPDATE, ext, |i, j, k| {
         let mut lo = [i, j, k];
         let mut hi = [i, j, k];
@@ -153,21 +153,37 @@ pub fn apply_update(
 }
 
 /// One full spatial sweep: for each axis, wavespeeds then per-variable
-/// flux + update (the 33 kernels per stage).
+/// flux + update (the 33 kernels per stage), through face scratch of
+/// its own.
 pub fn sweep(
     state: &mut HydroState,
     exec: &mut Executor,
     clock: &mut RankClock,
     dt: f64,
 ) -> Result<(), GpuError> {
+    let mut ws = face_scratch(state, exec);
+    let mut fx = face_scratch(state, exec);
     for axis in 0..3 {
-        wavespeeds(state, exec, clock, axis)?;
+        wavespeeds(state, exec, clock, axis, &mut ws)?;
         for var in 0..crate::state::NCONS {
-            face_flux(state, exec, clock, axis, var)?;
-            apply_update(state, exec, clock, axis, var, dt)?;
+            face_flux(state, exec, clock, (axis, var), &ws, &mut fx)?;
+            apply_update(state, exec, clock, (axis, var), dt, &fx)?;
         }
     }
     Ok(())
+}
+
+/// Zeroed scratch for one face-centered value per face of the largest
+/// axis, or nothing when no kernel body runs.
+pub(crate) fn face_scratch(state: &HydroState, exec: &Executor) -> Vec<f64> {
+    let len = match exec.fidelity {
+        Fidelity::Full => (0..3)
+            .map(|a| HydroState::face_count(state.ext(), a))
+            .max()
+            .unwrap_or(0),
+        Fidelity::CostOnly => 0,
+    };
+    vec![0.0; len]
 }
 
 #[cfg(test)]
@@ -176,7 +192,7 @@ mod tests {
     use crate::eos::primitives;
     use crate::state::{GAMMA, MY, MZ, NCONS};
     use hsim_mesh::{GlobalGrid, Subdomain};
-    use hsim_raja::{CpuModel, Fidelity, Target};
+    use hsim_raja::{CpuModel, Target};
 
     fn setup(n: usize) -> (HydroState, Executor, RankClock) {
         let grid = GlobalGrid::new(n, n, n);
@@ -273,10 +289,11 @@ mod tests {
         let en = 0.4 / (GAMMA - 1.0);
         fill_ghosts_uniform(&mut state, 1.0, [0.0; 3], en);
         primitives(&mut state, &mut exec, &mut clock).unwrap();
-        wavespeeds(&mut state, &mut exec, &mut clock, 0).unwrap();
+        let mut ws = face_scratch(&state, &exec);
+        wavespeeds(&state, &mut exec, &mut clock, 0, &mut ws).unwrap();
         let cs = (GAMMA * 0.4f64).sqrt();
         let idx = state.face_idx(0, 2, 2, 2);
-        assert!((state.wavespeed[idx] - cs).abs() < 1e-12);
+        assert!((ws[idx] - cs).abs() < 1e-12);
     }
 
     #[test]

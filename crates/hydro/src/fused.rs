@@ -6,8 +6,8 @@
 //! again. This module fuses each multi-kernel stage into a single pass over y–z
 //! **tiles**: a tile's x-rows of every variable are loaded once, all
 //! passes for that tile run while the rows are cache-resident, and the
-//! tile writes its outputs through [`DisjointRowsMut`] row guards. The
-//! stage sweep ([`sweep_from`]) goes furthest: per tile plane it
+//! tile writes its outputs through the rows of its one [`TiledSlabMut`]
+//! claim. The stage sweep ([`sweep_from`]) goes furthest: per tile plane it
 //! computes each kind of face once, all five fluxes in one call of a
 //! face kernel, and writes each target row once, starting from the
 //! value the RK step's save or combine would have left there
@@ -23,8 +23,9 @@
 //!    kernel descriptors, shapes, and order — so virtual time, launch
 //!    counts, telemetry spans, and therefore every figure and trace
 //!    byte are identical to the per-pass path. [`Executor::run_tiles`]
-//!    itself charges nothing, and [`charge_start`] charges the save and
-//!    combine launches the stage sweep executes.
+//!    itself charges nothing, [`charge_start`] charges the save and
+//!    combine launches the stage sweep executes, and [`cfl_dt`] charges
+//!    the CFL reduction whose min [`primitives_bound`] took.
 //! 2. **Owned-zone bitwise identity.** Per owned zone, the fused
 //!    arithmetic performs the same f64 operations in the same order as
 //!    the legacy kernels (helpers below mirror the legacy loop bodies
@@ -65,7 +66,7 @@
 //! fixed-size stack chunk.
 
 use hsim_gpu::GpuError;
-use hsim_raja::{DisjointRowsMut, Executor, Fidelity, TileSet2};
+use hsim_raja::{Executor, Fidelity, TileSet2, TiledSlabMut};
 use hsim_time::RankClock;
 
 use crate::kernels;
@@ -77,7 +78,7 @@ use crate::state::{
 /// One variable's allocated x-row of a var-major slab at allocated
 /// transverse coordinates `(j, k)`.
 #[inline]
-fn row_of(slab: &[f64], dims: [usize; 3], v: usize, j: usize, k: usize) -> &[f64] {
+pub(crate) fn row_of(slab: &[f64], dims: [usize; 3], v: usize, j: usize, k: usize) -> &[f64] {
     let start = (v * dims[1] * dims[2] + k * dims[1] + j) * dims[0];
     &slab[start..start + dims[0]]
 }
@@ -87,13 +88,6 @@ fn row_of(slab: &[f64], dims: [usize; 3], v: usize, j: usize, k: usize) -> &[f64
 fn owned_row(slab: &[f64], dims: [usize; 3], g: usize, v: usize, j: usize, k: usize) -> &[f64] {
     let row = row_of(slab, dims, v, j, k);
     &row[g..row.len() - g]
-}
-
-/// Global row index of variable `v`'s x-row at allocated `(j, k)` in a
-/// [`DisjointRowsMut`] over the slab with `row_len = dims[0]`.
-#[inline]
-fn row_index(dims: [usize; 3], v: usize, j: usize, k: usize) -> usize {
-    v * dims[1] * dims[2] + k * dims[1] + j
 }
 
 // ---------------------------------------------------------------------
@@ -136,6 +130,20 @@ fn prim_row(
     }
 }
 
+/// The CFL bound of one owned row, `min h / (vmax + cs).max(1e-30)`
+/// over its zones — the legacy CFL closure per element, from the
+/// primitives [`prim_row`] just wrote.
+fn cfl_row(vx: &[f64], vy: &[f64], vz: &[f64], cs: &[f64], h: f64) -> f64 {
+    let n = cs.len();
+    let (vx, vy, vz) = (&vx[..n], &vy[..n], &vz[..n]);
+    let mut bound = f64::INFINITY;
+    for i in 0..n {
+        let vmax = vx[i].abs().max(vy[i].abs()).max(vz[i].abs());
+        bound = bound.min(h / (vmax + cs[i]).max(1e-30));
+    }
+    bound
+}
+
 /// Fused primitive recovery: charges the legacy VELOCITY, PRESSURE,
 /// SOUND_SPEED launches, then fills all five primitive variables in
 /// one tiled pass over the allocated y–z plane.
@@ -144,47 +152,100 @@ pub fn primitives(
     exec: &mut Executor,
     clock: &mut RankClock,
 ) -> Result<(), GpuError> {
+    recover(state, exec, clock, false).map(|_| ())
+}
+
+/// [`primitives`], also returning the owned zones' CFL bound `min h /
+/// (vmax + cs).max(1e-30)`, which the same tiled pass takes as it
+/// writes them: each tile's min, reduced over tiles with `min`. `min`
+/// is exact and order-free, so the bound is bitwise the legacy CFL
+/// reduction's ([`crate::eos::cfl_dt`]). Charges nothing for the
+/// bound: [`cfl_dt`] charges the CFL launch in its own phase. Returns
+/// `f64::INFINITY` under [`Fidelity::CostOnly`].
+pub fn primitives_bound(
+    state: &mut HydroState,
+    exec: &mut Executor,
+    clock: &mut RankClock,
+) -> Result<f64, GpuError> {
+    recover(state, exec, clock, true)
+}
+
+/// The CFL-limited timestep from a bound [`primitives_bound`] took:
+/// charges the legacy CFL reduction (its launch and, on a GPU, its
+/// 8-byte readback) and returns `cfl × bound`, or `cfl × (default /
+/// cfl)` under [`Fidelity::CostOnly`] — bitwise [`crate::eos::cfl_dt`].
+pub fn cfl_dt(
+    state: &HydroState,
+    exec: &mut Executor,
+    clock: &mut RankClock,
+    bound: f64,
+    cfl: f64,
+    default: f64,
+) -> Result<f64, GpuError> {
+    exec.charge3_min(clock, &kernels::CFL, state.ext())?;
+    let bound = match exec.fidelity {
+        Fidelity::Full => bound,
+        Fidelity::CostOnly => default / cfl,
+    };
+    Ok(cfl * bound)
+}
+
+/// The one primitive-recovery pass, taking the owned zones' CFL bound
+/// as it goes if `bound` (`f64::INFINITY` otherwise).
+fn recover(
+    state: &mut HydroState,
+    exec: &mut Executor,
+    clock: &mut RankClock,
+    bound: bool,
+) -> Result<f64, GpuError> {
     let ext = state.ext_all();
     exec.charge3(clock, &kernels::VELOCITY, ext)?;
     exec.charge3(clock, &kernels::PRESSURE, ext)?;
     exec.charge3(clock, &kernels::SOUND_SPEED, ext)?;
     if exec.fidelity != Fidelity::Full {
-        return Ok(());
+        return Ok(f64::INFINITY);
     }
     let dims = state.u.dims();
+    let g = state.sub.ghost;
+    let owned = state.ext();
+    let h = state.dx();
     let tiles = TileSet2::new(dims[1], dims[2], state.tile);
     let (u, prim) = (&state.u, &mut state.prim);
     let u_slab = u.slab();
-    let rows = DisjointRowsMut::new(prim.slab_mut(), dims[0]);
-    exec.run_tiles(&tiles, |tile| {
+    let slab = TiledSlabMut::new(prim.slab_mut(), dims, tiles, 0);
+    // Allocated rows whose zones are owned: the bound reads those.
+    let n0 = owned[0];
+    let in_owned = |j: usize, k: usize| {
+        bound && (g..g + owned[1]).contains(&j) && (g..g + owned[2]).contains(&k)
+    };
+    Ok(exec.run_tiles_min(&tiles, |tile| {
+        let mut rows = slab.claim(tile);
+        let mut tile_bound = f64::INFINITY;
         for k in tile.k0..tile.k1 {
             for j in tile.j0..tile.j1 {
-                let rho = row_of(u_slab, dims, RHO, j, k);
-                let mx = row_of(u_slab, dims, MX, j, k);
-                let my = row_of(u_slab, dims, MY, j, k);
-                let mz = row_of(u_slab, dims, MZ, j, k);
-                let en = row_of(u_slab, dims, EN, j, k);
-                let mut vx = rows.claim(row_index(dims, VX, j, k));
-                let mut vy = rows.claim(row_index(dims, VX + 1, j, k));
-                let mut vz = rows.claim(row_index(dims, VX + 2, j, k));
-                let mut p = rows.claim(row_index(dims, PR, j, k));
-                let mut cs = rows.claim(row_index(dims, CS, j, k));
+                let cons = |v| row_of(u_slab, dims, v, j, k);
+                let [vx, vy, vz, p, cs] = rows.rows(j, k);
                 prim_row(
-                    rho,
-                    mx,
-                    my,
-                    mz,
-                    en,
-                    &mut vx[..],
-                    &mut vy[..],
-                    &mut vz[..],
-                    &mut p[..],
-                    &mut cs[..],
+                    cons(RHO),
+                    cons(MX),
+                    cons(MY),
+                    cons(MZ),
+                    cons(EN),
+                    vx,
+                    vy,
+                    vz,
+                    p,
+                    cs,
                 );
+                if in_owned(j, k) {
+                    let (i0, i1) = (g, g + n0);
+                    let (vx, vy, vz) = (&vx[i0..i1], &vy[i0..i1], &vz[i0..i1]);
+                    tile_bound = tile_bound.min(cfl_row(vx, vy, vz, &cs[i0..i1], h));
+                }
             }
         }
-    });
-    Ok(())
+        tile_bound
+    }))
 }
 
 // ---------------------------------------------------------------------
@@ -652,7 +713,7 @@ pub fn sweep_from(
     let (u, prim, u0) = (&state.u, &state.prim, &mut state.u0);
     let u_slab = u.slab();
     let prim_slab = prim.slab();
-    let rows = DisjointRowsMut::new(u0.slab_mut(), dims[0]);
+    let slab = TiledSlabMut::new(u0.slab_mut(), dims, tiles, g);
     let d0 = dims[0];
     let faces = |axis, l, r, out: &mut [f64]| kernel(u_slab, prim_slab, dims, axis, l, r, out);
     exec.run_tiles(&tiles, |tile| {
@@ -665,6 +726,7 @@ pub fn sweep_from(
         // into the neighbouring rows). Scratch, carved from one
         // allocation: the run's x and y faces and the low and high
         // z-face planes.
+        let mut rows = slab.claim(tile);
         let run = (tile.j1 - tile.j0) * d0;
         let mut arena = ScratchArena::zeroed(NCONS * (4 * run + d0 - 1));
         let mut carve = arena.carver();
@@ -694,9 +756,9 @@ pub fn sweep_from(
                         (&fyv[o..o + n0], &fyv[o + d0..o + d0 + n0]),
                         (&zl[o..o + n0], &zh[o..o + n0]),
                     ];
-                    let mut t = rows.claim(row_index(dims, var, aj, ak));
+                    let t = &mut rows.row(var, aj, ak)[g..g + n0];
                     let u_row = owned_row(u_slab, dims, g, var, aj, ak);
-                    update_row(&mut t[g..g + n0], u_row, start, scale, diffs);
+                    update_row(t, u_row, start, scale, diffs);
                 }
             }
             std::mem::swap(&mut z_lo, &mut z_hi);

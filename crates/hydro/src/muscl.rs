@@ -93,6 +93,7 @@ pub fn sweep_muscl(
     let at = indexer(dims);
     let g = st.sub.ghost;
     let full = exec.fidelity == Fidelity::Full;
+    let mut fx = crate::flux::face_scratch(st, exec);
 
     for axis in 0..3 {
         let fd = st.face_dims(axis);
@@ -172,7 +173,7 @@ pub fn sweep_muscl(
             {
                 let (ql, qr) = (&fs.ql[var], &fs.qr[var]);
                 let (val, var_, pl, pr, smax) = (&fs.val, &fs.var_, &fs.pl, &fs.pr, &fs.smax);
-                let fx = &mut st.flux[..];
+                let fx = &mut fx[..];
                 let fat = &fat;
                 exec.forall3(clock, &kernels::FLUX, fd, |i, j, k| {
                     let f = fat(i, j, k);
@@ -181,7 +182,7 @@ pub fn sweep_muscl(
                     fx[f] = 0.5 * (fl + fr) - 0.5 * smax[f] * (qr[f] - ql[f]);
                 })?;
             }
-            crate::flux::apply_update(st, exec, clock, axis, var, dt)?;
+            crate::flux::apply_update(st, exec, clock, (axis, var), dt, &fx)?;
         }
     }
     Ok(())

@@ -79,8 +79,8 @@ impl<'a> Carver<'a> {
     }
 }
 
-/// The per-rank hydro state: conserved fields, primitive scratch, RK
-/// stage copy, and face-flux scratch.
+/// The per-rank hydro state: conserved fields, primitive scratch and
+/// the RK stage copy — three slabs.
 ///
 /// Conserved and primitive storage are structure-of-arrays slabs
 /// ([`SoaBlock`]): all five variables of a zone row are contiguous
@@ -102,10 +102,6 @@ pub struct HydroState {
     pub u0: SoaBlock,
     /// Primitive scratch: vx, vy, vz, pressure, sound speed.
     pub prim: SoaBlock,
-    /// Face-centered scratch: wavespeed and one variable's flux,
-    /// sized for the largest axis.
-    pub wavespeed: Vec<f64>,
-    pub flux: Vec<f64>,
     /// y–z tile shape used by the fused cache-blocked sweep path.
     pub tile: [usize; 2],
     /// Simulated physical time.
@@ -118,36 +114,22 @@ impl HydroState {
     /// Allocate the state for `sub` of `grid`.
     pub fn new(grid: GlobalGrid, sub: Subdomain, fidelity: Fidelity) -> Self {
         assert!(sub.ghost >= 1, "hydro needs at least one ghost layer");
-        let (alloc_sub, alloc_fidelity) = match fidelity {
-            Fidelity::Full => (sub, fidelity),
+        let alloc_sub = match fidelity {
+            Fidelity::Full => sub,
             // Cost-only states allocate a token 1³ subdomain so slab
             // construction stays cheap while extents for cost purposes
             // come from `sub` itself.
-            Fidelity::CostOnly => (
-                Subdomain::new(sub.lo, [sub.lo[0] + 1, sub.lo[1] + 1, sub.lo[2] + 1], 1),
-                fidelity,
-            ),
-        };
-        let u = SoaBlock::new(&alloc_sub, NCONS);
-        let u0 = SoaBlock::new(&alloc_sub, NCONS);
-        let prim = SoaBlock::new(&alloc_sub, NPRIM);
-        // Face scratch sized for the largest face grid among axes.
-        let face_len = match alloc_fidelity {
-            Fidelity::Full => (0..3)
-                .map(|a| Self::face_count(sub.extents(), a))
-                .max()
-                .unwrap_or(0),
-            Fidelity::CostOnly => 1,
+            Fidelity::CostOnly => {
+                Subdomain::new(sub.lo, [sub.lo[0] + 1, sub.lo[1] + 1, sub.lo[2] + 1], 1)
+            }
         };
         HydroState {
             grid,
             sub,
             fidelity,
-            u,
-            u0,
-            prim,
-            wavespeed: vec![0.0; face_len],
-            flux: vec![0.0; face_len],
+            u: SoaBlock::new(&alloc_sub, NCONS),
+            u0: SoaBlock::new(&alloc_sub, NCONS),
+            prim: SoaBlock::new(&alloc_sub, NPRIM),
             tile: DEFAULT_TILE,
             t: 0.0,
             cycle: 0,
@@ -236,9 +218,9 @@ mod tests {
         assert_eq!(s.u.var(RHO).len(), 1000);
         // The conserved slab is one contiguous allocation of all vars.
         assert_eq!(s.u.slab().len(), NCONS * 1000);
+        assert_eq!(s.u0.slab().len(), NCONS * 1000);
         assert_eq!(s.prim.nvar(), NPRIM);
-        // Face scratch must fit any axis: (8+1)*8*8.
-        assert!(s.wavespeed.len() >= 9 * 64);
+        assert_eq!(s.prim.slab().len(), NPRIM * 1000);
         assert_eq!(s.tile, DEFAULT_TILE);
     }
 
@@ -250,8 +232,9 @@ mod tests {
         // Logical extents are the real ones…
         assert_eq!(s.ext(), [320, 480, 160]);
         // …but allocation is token-sized.
-        assert!(s.u.var(RHO).len() < 64);
-        assert_eq!(s.wavespeed.len(), 1);
+        for slab in [s.u.slab(), s.u0.slab(), s.prim.slab()] {
+            assert_eq!(slab.len(), 5 * 27, "one token 1³ box per variable");
+        }
     }
 
     #[test]

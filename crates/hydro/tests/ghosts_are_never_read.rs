@@ -6,7 +6,8 @@
 //! fill and the halo exchange rewrite it. Here every ghost of all
 //! three slabs is set to NaN between cycles: owned zones, physical
 //! time and the rank clock must stay bit-equal to the same run left
-//! alone. (A multirank twin under the MPI coupler lives in
+//! alone. Each cycle is followed by a diffusion step, whose tiled
+//! passes read ghosts too. (A multirank twin under the MPI coupler lives in
 //! `hsim-core`'s coupler tests.)
 
 use hsim_hydro::muscl::Reconstruction;
@@ -14,7 +15,7 @@ use hsim_hydro::noh::{self, NohConfig};
 use hsim_hydro::sedov::{self, SedovConfig};
 use hsim_hydro::sod::{self, SodConfig};
 use hsim_hydro::taylor_green::{self, TaylorGreenConfig};
-use hsim_hydro::{step_with, HydroState, SoloCoupler, NCONS};
+use hsim_hydro::{diffusion, step_with, DiffusionConfig, HydroState, SoloCoupler, NCONS};
 use hsim_mesh::{GlobalGrid, SoaBlock, Subdomain};
 use hsim_raja::{CpuModel, Executor, Fidelity, Target};
 use hsim_time::task::block_on;
@@ -97,16 +98,12 @@ fn run(
                     poison_ghosts(block);
                 }
             }
-            block_on(step_with(
-                &mut st,
-                &mut exec,
-                &mut clock,
-                &mut SoloCoupler,
-                0.3,
-                1.0,
-                recon,
-            ))
-            .expect("a solo cycle");
+            let solo = &mut SoloCoupler;
+            let cycle = step_with(&mut st, &mut exec, &mut clock, solo, 0.3, 1.0, recon);
+            let dt = block_on(cycle).expect("a solo cycle").dt;
+            let cfg = DiffusionConfig { kappa: 2e-3 };
+            let heat = diffusion::advance(&mut st, &mut exec, &mut clock, solo, &cfg, dt);
+            block_on(heat).expect("a solo diffusion step");
             (owned_bits(&st), st.t.to_bits(), clock.now().as_nanos())
         })
         .collect()

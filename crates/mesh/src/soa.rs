@@ -225,76 +225,6 @@ fn sum_owned_in(core: [usize; 3], ghost: usize, data: &[f64]) -> f64 {
     total
 }
 
-fn pack_face_in(
-    core: [usize; 3],
-    ghost: usize,
-    data: &[f64],
-    axis: usize,
-    side: Side,
-    width: usize,
-) -> Vec<f64> {
-    assert!(width <= core[axis], "face wider than the core");
-    let range = |a: usize| -> (usize, usize) {
-        if a == axis {
-            match side {
-                Side::Low => (0, width),
-                Side::High => (core[a] - width, core[a]),
-            }
-        } else {
-            (0, core[a])
-        }
-    };
-    let (i0, i1) = range(0);
-    let (j0, j1) = range(1);
-    let (k0, k1) = range(2);
-    let mut out = Vec::with_capacity((i1 - i0) * (j1 - j0) * (k1 - k0));
-    for k in k0..k1 {
-        for j in j0..j1 {
-            let base = idx_owned_in(core, ghost, i0, j, k);
-            out.extend_from_slice(&data[base..base + (i1 - i0)]);
-        }
-    }
-    out
-}
-
-fn unpack_ghost_in(
-    core: [usize; 3],
-    ghost: usize,
-    data: &mut [f64],
-    axis: usize,
-    side: Side,
-    width: usize,
-    buf: &[f64],
-) {
-    assert!(width <= ghost, "ghost layer narrower than the message");
-    let g = ghost;
-    // Ghost index range in allocated coordinates along `axis`.
-    let range = |a: usize| -> (usize, usize) {
-        if a == axis {
-            match side {
-                Side::Low => (g - width, g),
-                Side::High => (g + core[a], g + core[a] + width),
-            }
-        } else {
-            (g, g + core[a])
-        }
-    };
-    let (i0, i1) = range(0);
-    let (j0, j1) = range(1);
-    let (k0, k1) = range(2);
-    assert_eq!(buf.len(), (i1 - i0) * (j1 - j0) * (k1 - k0));
-    let s = strides_of(core, ghost);
-    let mut cursor = 0;
-    for k in k0..k1 {
-        for j in j0..j1 {
-            let base = i0 + j * s[1] + k * s[2];
-            let n = i1 - i0;
-            data[base..base + n].copy_from_slice(&buf[cursor..cursor + n]);
-            cursor += n;
-        }
-    }
-}
-
 fn pack_box_in(
     core: [usize; 3],
     ghost: usize,
@@ -346,6 +276,9 @@ fn unpack_box_in(
     }
 }
 
+/// Write `sign ×` each owned layer next to the `side` face of `axis`
+/// into its mirror ghost layer — the nearest owned layer into the
+/// nearest ghost layer — over the owned transverse extent.
 fn reflect_into_ghost_in(
     core: [usize; 3],
     ghost: usize,
@@ -355,35 +288,47 @@ fn reflect_into_ghost_in(
     sign: f64,
 ) {
     let g = ghost;
-    if g == 0 {
+    let s = strides_of(core, ghost);
+    let c = core[axis];
+    // Allocated coordinates along `axis` of ghost layer `w` and of the
+    // owned layer it mirrors.
+    let layer = |w: usize| match side {
+        Side::Low => (g - 1 - w, g + w),
+        Side::High => (g + c + w, g + c - 1 - w),
+    };
+    if axis == 0 {
+        // Along x both layers sit in every owned row.
+        for k in g..g + core[2] {
+            for j in g..g + core[1] {
+                let row = &mut data[j * s[1] + k * s[2]..][..s[1]];
+                for w in 0..g {
+                    let (dst, src) = layer(w);
+                    row[dst] = sign * row[src];
+                }
+            }
+        }
         return;
     }
-    let face = pack_face_in(core, ghost, data, axis, side, g);
-    // Reverse the layer order along `axis` so the nearest owned
-    // layer lands in the nearest ghost layer.
-    let mut mirrored = vec![0.0; face.len()];
-    let layer = face.len() / g;
-    // pack_face orders k,j,i ascending; along x the layers are
-    // interleaved, so handle the general case index-wise.
-    if axis == 0 {
-        // For axis 0 the "layers" are contiguous runs of length g
-        // within each row; easier to mirror via index arithmetic.
-        let rows = face.len() / g;
-        for r in 0..rows {
-            for w in 0..g {
-                mirrored[r * g + w] = sign * face[r * g + (g - 1 - w)];
-            }
-        }
-    } else {
-        for w in 0..g {
-            let src = &face[w * layer..(w + 1) * layer];
-            let dst = &mut mirrored[(g - 1 - w) * layer..(g - w) * layer];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = sign * s;
+    // Across y or z each layer is a set of owned x-runs, one per owned
+    // row along the other transverse axis.
+    let other = 3 - axis;
+    for w in 0..g {
+        let (dst, src) = layer(w);
+        for y in g..g + core[other] {
+            let run = |at: usize| at * s[axis] + y * s[other] + g;
+            let (src, dst) = (run(src), run(dst));
+            let (from, to) = if src < dst {
+                let (lo, hi) = data.split_at_mut(dst);
+                (&lo[src..src + core[0]], &mut hi[..core[0]])
+            } else {
+                let (lo, hi) = data.split_at_mut(src);
+                (&hi[..core[0]], &mut lo[dst..dst + core[0]])
+            };
+            for (t, f) in to.iter_mut().zip(from) {
+                *t = sign * f;
             }
         }
     }
-    unpack_ghost_in(core, ghost, data, axis, side, g, &mirrored);
 }
 
 #[cfg(test)]
@@ -442,6 +387,50 @@ mod tests {
             assert_eq!(at(g + 3, g + 2, w), b.get(1, 3, 2, owned), "z ghost {w}");
         }
         assert!(b.var(0).iter().all(|&v| v == 0.0), "var 0 untouched");
+    }
+
+    #[test]
+    fn every_face_mirrors_its_owned_layers_and_touches_nothing_else() {
+        for g in [1, 2] {
+            for axis in 0..3 {
+                for (side, sign) in [(Side::Low, -1.0), (Side::High, 0.5)] {
+                    let mut b = SoaBlock::new(&Subdomain::new([0, 0, 0], [5, 4, 3], g), 1);
+                    let d = b.dims();
+                    for (n, v) in b.var_mut(0).iter_mut().enumerate() {
+                        *v = n as f64;
+                    }
+                    let before = b.clone();
+                    b.reflect_into_ghost(0, axis, side, sign);
+                    let c = b.core()[axis];
+                    for k in 0..d[2] {
+                        for j in 0..d[1] {
+                            for i in 0..d[0] {
+                                let at = [i, j, k];
+                                let owned_across = (0..3)
+                                    .filter(|&a| a != axis)
+                                    .all(|a| at[a] >= g && at[a] < g + b.core()[a]);
+                                let x = at[axis];
+                                let mirror = match side {
+                                    Side::Low if x < g => Some(2 * g - 1 - x),
+                                    Side::High if x >= g + c => Some(2 * (g + c) - 1 - x),
+                                    _ => None,
+                                };
+                                let got = b.var(0)[b.idx(i, j, k)];
+                                let expect = match mirror {
+                                    Some(m) if owned_across => {
+                                        let mut src = at;
+                                        src[axis] = m;
+                                        sign * before.var(0)[b.idx(src[0], src[1], src[2])]
+                                    }
+                                    _ => before.var(0)[b.idx(i, j, k)],
+                                };
+                                assert_eq!(got, expect, "g {g} axis {axis} {side:?} at {at:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

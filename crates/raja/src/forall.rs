@@ -221,9 +221,7 @@ impl Executor {
     where
         F: Fn(usize, usize, usize) -> f64 + Send + Sync,
     {
-        let elems = (ext[0] * ext[1] * ext[2]) as u64;
-        let shape = KernelShape::new(elems, ext[0].min(u32::MAX as usize) as u32);
-        self.charge_launch(clock, desc, shape)?;
+        self.charge3_min(clock, desc, ext)?;
         let mut acc = f64::INFINITY;
         if self.fidelity == Fidelity::Full {
             match &self.target {
@@ -246,12 +244,28 @@ impl Executor {
         } else {
             acc = default;
         }
-        self.registry.record_launch(desc.name, elems);
+        Ok(acc)
+    }
+
+    /// Charge the virtual cost and registry record of a 3D
+    /// min-reduction without running a body — the accounting half of
+    /// [`Executor::forall3_min`]: the launch, then on a GPU target the
+    /// 8-byte readback of the scalar result.
+    ///
+    /// A reduction folded into a fused tiled pass
+    /// ([`Executor::run_tiles_min`]) charges its legacy launch here.
+    pub fn charge3_min(
+        &mut self,
+        clock: &mut RankClock,
+        desc: &KernelDesc,
+        ext: [usize; 3],
+    ) -> Result<(), GpuError> {
+        self.charge3(clock, desc, ext)?;
         // Reductions on the GPU also stage the scalar result back.
         if let Target::Gpu(client) = &self.target {
             clock.charge(ChargeKind::Memory, client.spec().xfer_time(8));
         }
-        Ok(acc)
+        Ok(())
     }
 
     /// Charge the virtual cost and registry record of a 3D launch
@@ -291,18 +305,30 @@ impl Executor {
     where
         F: Fn(Tile2) + Send + Sync,
     {
+        self.run_tiles_min(tiles, |tile| {
+            body(tile);
+            f64::INFINITY
+        });
+    }
+
+    /// [`Executor::run_tiles`] with a per-tile value: each tile body
+    /// returns one `f64`, and the result is the `min` over all tiles
+    /// (`f64::INFINITY` for no tiles, and under [`Fidelity::CostOnly`],
+    /// where bodies are skipped). `min` is exact and order-free, so the
+    /// result does not depend on the tiling or the worker count.
+    /// Charges nothing, like `run_tiles`.
+    pub fn run_tiles_min<F>(&mut self, tiles: &TileSet2, body: F) -> f64
+    where
+        F: Fn(Tile2) -> f64 + Send + Sync,
+    {
         if self.fidelity != Fidelity::Full {
-            return;
+            return f64::INFINITY;
         }
         match &self.target {
-            Target::CpuParallel { pool } => {
-                pool.for_each(0, tiles.len(), 1, |t| body(tiles.tile(t)));
-            }
-            _ => {
-                for t in tiles.iter() {
-                    body(t);
-                }
-            }
+            // One tile per chunk: each tile's rows are written by
+            // exactly one worker.
+            Target::CpuParallel { pool } => pool.min(0, tiles.len(), 1, |t| body(tiles.tile(t))),
+            _ => tiles.iter().map(body).fold(f64::INFINITY, f64::min),
         }
     }
 
@@ -698,6 +724,55 @@ mod tests {
             // No virtual time moved and no launches were recorded.
             assert_eq!(clock.now(), SimTime::ZERO);
             assert_eq!(exec.registry.total_launches(), 0);
+        }
+    }
+
+    #[test]
+    fn run_tiles_min_is_the_min_over_tiles_on_any_pool() {
+        let tiles = crate::indexset::TileSet2::new(13, 7, [4, 3]);
+        let value = |t: Tile2| ((t.j0 * 31 + t.k0 * 7) as f64 * 0.01).sin();
+        let expect = tiles.iter().map(value).fold(f64::INFINITY, f64::min);
+        for threads in [1usize, 2, 4] {
+            let target = match threads {
+                1 => Target::CpuSeq,
+                n => Target::cpu_parallel(n),
+            };
+            let mut exec = Executor::new(target, CpuModel::haswell_fixed(), Fidelity::Full);
+            let m = exec.run_tiles_min(&tiles, value);
+            assert_eq!(m.to_bits(), expect.to_bits(), "{threads} threads");
+            assert_eq!(exec.registry.total_launches(), 0);
+        }
+        let mut cost_only = Executor::new(
+            Target::CpuSeq,
+            CpuModel::haswell_fixed(),
+            Fidelity::CostOnly,
+        );
+        let m = cost_only.run_tiles_min(&tiles, |_| panic!("body must not run under CostOnly"));
+        assert_eq!(m, f64::INFINITY);
+    }
+
+    #[test]
+    fn charge3_min_matches_forall3_min_accounting_exactly() {
+        let ext = [24usize, 16, 8];
+        let gpu = || {
+            let device = Device::new(0, DeviceSpec::tesla_k80());
+            let (_dev, client) = SharedDevice::new_exclusive(device, 0).unwrap();
+            Target::Gpu(client)
+        };
+        for (a, b) in [(Target::CpuSeq, Target::CpuSeq), (gpu(), gpu())] {
+            let mut a = Executor::new(a, CpuModel::haswell_fixed(), Fidelity::Full);
+            let mut ca = RankClock::new(0);
+            a.forall3_min(&mut ca, &desc(), ext, 1.0, |_, _, _| 0.5)
+                .unwrap();
+            let mut b = Executor::new(b, CpuModel::haswell_fixed(), Fidelity::Full);
+            let mut cb = RankClock::new(0);
+            b.charge3_min(&mut cb, &desc(), ext).unwrap();
+            assert_eq!(ca.now(), cb.now());
+            for kind in [ChargeKind::Compute, ChargeKind::Launch, ChargeKind::Memory] {
+                assert_eq!(ca.bucket(kind), cb.bucket(kind), "{kind:?}");
+            }
+            assert_eq!(a.registry.report()[0].elems, b.registry.report()[0].elems);
+            assert_eq!(a.registry.total_launches(), b.registry.total_launches());
         }
     }
 

@@ -74,6 +74,22 @@ impl TileSet2 {
     pub fn iter(&self) -> impl Iterator<Item = Tile2> + '_ {
         (0..self.len()).map(|i| self.tile(i))
     }
+
+    /// The tiled plane's extents `[ny, nz]`.
+    pub fn plane(&self) -> [usize; 2] {
+        [self.ny, self.nz]
+    }
+
+    /// The handout index of `tile`. Panics if `tile` is not one of
+    /// this set's tiles.
+    pub fn index_of(&self, tile: Tile2) -> usize {
+        let idx = (tile.k0 / self.tz) * self.tiles_y + tile.j0 / self.ty;
+        assert!(
+            tile.j0 < self.ny && tile.k0 < self.nz && self.tile(idx) == tile,
+            "{tile:?} is not a tile of this set"
+        );
+        idx
+    }
 }
 
 #[cfg(test)]
@@ -112,6 +128,15 @@ mod tests {
         assert_eq!(tiles.len(), 4);
         let order: Vec<(usize, usize)> = tiles.iter().map(|t| (t.j0, t.k0)).collect();
         assert_eq!(order, vec![(0, 0), (2, 0), (0, 2), (2, 2)]);
+    }
+
+    #[test]
+    fn every_tile_knows_its_handout_index() {
+        let tiles = TileSet2::new(7, 5, [3, 2]);
+        assert_eq!(tiles.plane(), [7, 5]);
+        for (idx, t) in tiles.iter().enumerate() {
+            assert_eq!(tiles.index_of(t), idx);
+        }
     }
 
     #[test]

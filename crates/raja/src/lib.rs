@@ -57,5 +57,5 @@ pub use indexset::{Tile2, TileSet2};
 pub use multipolicy::{MultiPolicy, PolicyChoice};
 pub use pool::{RegionSlots, WorkPool};
 pub use registry::KernelRegistry;
-pub use rows::{DisjointRowsMut, RowGuard};
+pub use rows::{TileRows, TiledSlabMut};
 pub use simgpu::{GpuClient, SharedDevice};

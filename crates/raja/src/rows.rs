@@ -1,119 +1,149 @@
-//! Disjoint mutable row views over one contiguous slab.
+//! Tile-claimed mutable rows of one contiguous slab.
 //!
-//! Fused tile kernels run on the work pool with each tile writing its
-//! own set of x-rows of the output slab. Rust cannot express "many
-//! `&mut` rows of one slice, each owned by a different worker" without
-//! interior mutability, so [`DisjointRowsMut`] provides exactly that:
-//! a shared view over an exclusively borrowed slab that hands out
-//! per-row `&mut [f64]` guards, with an atomic claim flag per row that
-//! turns any aliasing bug into a deterministic panic instead of UB.
+//! Fused tile kernels run on the work pool with each y–z tile writing
+//! the x-rows of its own (j, k) range of an output slab. Rust cannot
+//! express "many `&mut` rows of one slice, each owned by a different
+//! worker" without interior mutability, so [`TiledSlabMut`] provides
+//! exactly that: a shared view over an exclusively borrowed slab whose
+//! tiles are each claimed once, with one atomic flag per tile. A
+//! claimed tile ([`TileRows`]) hands out the rows of its own range
+//! through `&mut self`, bounds-checked, so a second claim of a tile or
+//! a row outside it is a deterministic panic instead of UB.
 //!
-//! This is the only `unsafe` the tentpole adds, and it is confined to
-//! this module — `hsim-hydro` itself stays `#![forbid(unsafe_code)]`
-//! and consumes rows through the safe guard API.
+//! This is the only `unsafe` the fused kernels need, and it is confined
+//! to this module — `hsim-hydro` itself stays `#![forbid(unsafe_code)]`
+//! and consumes rows through the safe claim API.
 
 use std::marker::PhantomData;
-use std::ops::{Deref, DerefMut};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// A shared view of a mutable slab, divided into fixed-length rows
-/// that can each be claimed (exclusively) from any thread.
-pub struct DisjointRowsMut<'a> {
+use crate::indexset::{Tile2, TileSet2};
+
+/// A shared view of a mutable var-major slab of boxes shaped `dims`
+/// (x fastest), whose x-rows are claimed a tile at a time.
+///
+/// Tile coordinates are shifted by `offset`: a tile row `(j, k)` is the
+/// slab's row at `(j + offset, k + offset)`, so tiles of the owned plane
+/// address the allocated rows of a box with `offset` ghost layers.
+pub struct TiledSlabMut<'a> {
     ptr: *mut f64,
-    row_len: usize,
+    dims: [usize; 3],
+    nvar: usize,
+    tiles: TileSet2,
+    offset: usize,
     claimed: Box<[AtomicBool]>,
     _slab: PhantomData<&'a mut [f64]>,
 }
 
 // SAFETY: the view is constructed from an exclusive `&mut [f64]`
-// borrow held for 'a, so no other alias of the slab exists. Row
-// access goes through `claim`, whose per-row atomic swap guarantees at
-// most one live guard per row; distinct rows are disjoint memory.
-unsafe impl Send for DisjointRowsMut<'_> {}
+// borrow held for 'a, so no other alias of the slab exists. Rows are
+// reached only through `claim`, whose per-tile atomic swap makes at
+// most one `TileRows` per tile, and a `TileRows` hands out only rows of
+// its tile's (j, k) range; the tiles of a `TileSet2` partition the
+// plane, so rows of different claims are disjoint memory.
+unsafe impl Send for TiledSlabMut<'_> {}
 // SAFETY: see the `Send` impl — concurrent `claim` calls are
-// serialized per row by the atomic flag, and disjoint rows never
-// overlap.
-unsafe impl Sync for DisjointRowsMut<'_> {}
+// serialized per tile by the atomic flag, and disjoint tiles never
+// share a row.
+unsafe impl Sync for TiledSlabMut<'_> {}
 
-impl<'a> DisjointRowsMut<'a> {
-    /// Split `slab` into `slab.len() / row_len` claimable rows. The
-    /// slab length must be a whole number of rows.
-    pub fn new(slab: &'a mut [f64], row_len: usize) -> Self {
-        assert!(row_len > 0, "rows must be non-empty");
+impl<'a> TiledSlabMut<'a> {
+    /// View `slab`, a whole number of boxes shaped `dims`, tiled by
+    /// `tiles` shifted by `offset`. Panics if the slab is ragged or the
+    /// shifted tiles overrun a box's y–z plane.
+    pub fn new(slab: &'a mut [f64], dims: [usize; 3], tiles: TileSet2, offset: usize) -> Self {
+        let var_len = dims[0] * dims[1] * dims[2];
+        assert!(var_len > 0, "boxes must be non-empty");
         assert_eq!(
-            slab.len() % row_len,
+            slab.len() % var_len,
             0,
-            "slab length {} is not a whole number of {row_len}-element rows",
+            "slab length {} is not a whole number of {dims:?} boxes",
             slab.len()
         );
-        let rows = slab.len() / row_len;
-        DisjointRowsMut {
+        let [ny, nz] = tiles.plane();
+        assert!(
+            offset + ny <= dims[1] && offset + nz <= dims[2],
+            "a {ny}×{nz} tiling shifted by {offset} overruns {dims:?} boxes"
+        );
+        TiledSlabMut {
             ptr: slab.as_mut_ptr(),
-            row_len,
-            claimed: (0..rows).map(|_| AtomicBool::new(false)).collect(),
+            dims,
+            nvar: slab.len() / var_len,
+            tiles,
+            offset,
+            claimed: (0..tiles.len()).map(|_| AtomicBool::new(false)).collect(),
             _slab: PhantomData,
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.claimed.len()
-    }
-
-    /// Elements per row.
-    pub fn row_len(&self) -> usize {
-        self.row_len
-    }
-
-    /// Claim exclusive access to row `r` until the guard drops.
-    ///
-    /// Panics if `r` is out of range or the row is already claimed —
-    /// disjoint-tile schedules never claim a row twice concurrently,
-    /// so a panic here means the tiling (not this view) is wrong.
-    pub fn claim(&self, r: usize) -> RowGuard<'_> {
-        let flag = &self.claimed[r];
+    /// Claim `tile`'s rows for the life of the view. Panics if `tile`
+    /// is not a tile of the view's set or was claimed before —
+    /// disjoint-tile schedules claim each tile once, so a panic here
+    /// means the tiling (not this view) is wrong.
+    pub fn claim(&self, tile: Tile2) -> TileRows<'_> {
+        let flag = &self.claimed[self.tiles.index_of(tile)];
         assert!(
-            !flag.swap(true, Ordering::Acquire),
-            "row {r} claimed twice concurrently (overlapping tiles?)"
+            !flag.swap(true, Ordering::AcqRel),
+            "tile {tile:?} claimed twice (overlapping tiles?)"
         );
-        let start = r * self.row_len;
-        // SAFETY: the slab outlives `self` (PhantomData borrow), `r`
-        // is in range (checked by the indexing above), rows are
-        // disjoint `row_len`-sized windows, and the Acquire swap just
-        // made this thread the row's unique owner until the guard's
-        // Release store in `Drop`.
-        let slice = unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), self.row_len) };
-        RowGuard { slice, flag }
+        let shift = |r: Range<usize>| r.start + self.offset..r.end + self.offset;
+        TileRows {
+            ptr: self.ptr,
+            dims: self.dims,
+            nvar: self.nvar,
+            j: shift(tile.j0..tile.j1),
+            k: shift(tile.k0..tile.k1),
+            _rows: PhantomData,
+        }
     }
 }
 
-/// Exclusive access to one row; releases the claim on drop so
-/// sequential phases can re-claim the same rows.
-pub struct RowGuard<'a> {
-    slice: &'a mut [f64],
-    flag: &'a AtomicBool,
+/// One claimed tile: exclusive access to the x-rows of every variable
+/// at the slab's `(j, k)` in the tile's (shifted) range.
+pub struct TileRows<'s> {
+    ptr: *mut f64,
+    dims: [usize; 3],
+    nvar: usize,
+    j: Range<usize>,
+    k: Range<usize>,
+    _rows: PhantomData<&'s mut [f64]>,
 }
 
-impl Deref for RowGuard<'_> {
-    type Target = [f64];
-
-    fn deref(&self) -> &[f64] {
-        self.slice
+impl TileRows<'_> {
+    /// Slab offset of variable `v`'s row at `(j, k)`. Panics unless the
+    /// row belongs to this tile.
+    fn start(&self, v: usize, j: usize, k: usize) -> usize {
+        assert!(
+            v < self.nvar && self.j.contains(&j) && self.k.contains(&k),
+            "row (var {v}, j {j}, k {k}) is outside the tile (j {:?}, k {:?}, {} vars)",
+            self.j,
+            self.k,
+            self.nvar
+        );
+        ((v * self.dims[2] + k) * self.dims[1] + j) * self.dims[0]
     }
-}
 
-impl DerefMut for RowGuard<'_> {
-    fn deref_mut(&mut self) -> &mut [f64] {
-        self.slice
+    /// Variable `v`'s x-row at the slab's `(j, k)`.
+    pub fn row(&mut self, v: usize, j: usize, k: usize) -> &mut [f64] {
+        let start = self.start(v, j, k);
+        // SAFETY: `start` is a row of this tile (checked above), so it
+        // lies inside the slab the view borrows for its lifetime, and
+        // no other claim reaches it (tiles are disjoint and claimed
+        // once). The `&mut self` borrow keeps this the only live row
+        // of the claim.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), self.dims[0]) }
     }
-}
 
-impl Drop for RowGuard<'_> {
-    fn drop(&mut self) {
-        // Release pairs with the Acquire swap in `claim`: a later
-        // claimant (possibly on another thread) sees every write made
-        // through this guard.
-        self.flag.store(false, Ordering::Release);
+    /// Every variable's x-row at `(j, k)`, in variable order. `N` must
+    /// be the slab's variable count.
+    pub fn rows<const N: usize>(&mut self, j: usize, k: usize) -> [&mut [f64]; N] {
+        assert_eq!(N, self.nvar, "rows::<{N}> of a {}-var slab", self.nvar);
+        let starts: [usize; N] = std::array::from_fn(|v| self.start(v, j, k));
+        // SAFETY: as in `row` — each start is a row of this tile; the
+        // rows of distinct variables are disjoint windows, and the
+        // `&mut self` borrow keeps them the claim's only live rows.
+        starts.map(|s| unsafe { std::slice::from_raw_parts_mut(self.ptr.add(s), self.dims[0]) })
     }
 }
 
@@ -122,59 +152,112 @@ mod tests {
     use super::*;
     use crate::pool::WorkPool;
 
-    #[test]
-    fn rows_partition_the_slab() {
-        let mut slab = vec![0.0f64; 12];
-        let view = DisjointRowsMut::new(&mut slab, 4);
-        assert_eq!(view.rows(), 3);
-        assert_eq!(view.row_len(), 4);
-        for r in 0..3 {
-            let mut row = view.claim(r);
-            row.fill(r as f64 + 1.0);
-        }
-        drop(view);
-        assert_eq!(slab[..4], [1.0; 4]);
-        assert_eq!(slab[4..8], [2.0; 4]);
-        assert_eq!(slab[8..], [3.0; 4]);
+    /// Two variables of 4×3×2 boxes tiled by 1×1 over the 3×2 plane.
+    fn small() -> (Vec<f64>, [usize; 3], TileSet2) {
+        (vec![0.0; 2 * 24], [4, 3, 2], TileSet2::new(3, 2, [1, 1]))
     }
 
     #[test]
-    fn rows_are_reclaimable_after_release() {
-        let mut slab = vec![0.0f64; 8];
-        let view = DisjointRowsMut::new(&mut slab, 4);
-        {
-            let mut row = view.claim(1);
-            row[0] = 5.0;
+    fn tiles_partition_the_slab() {
+        let (mut slab, dims, tiles) = small();
+        let view = TiledSlabMut::new(&mut slab, dims, tiles, 0);
+        for tile in tiles.iter() {
+            let mut rows = view.claim(tile);
+            let [a, b] = rows.rows(tile.j0, tile.k0);
+            a.fill((tile.j0 + 10 * tile.k0) as f64);
+            b.fill(-1.0);
         }
-        let row = view.claim(1);
-        assert_eq!(row[0], 5.0);
+        drop(view);
+        for (r, row) in slab[..24].chunks(4).enumerate() {
+            assert_eq!(row, [(r % 3 + 10 * (r / 3)) as f64; 4]);
+        }
+        assert!(slab[24..].iter().all(|&v| v == -1.0));
+    }
+
+    #[test]
+    fn an_offset_tile_reaches_the_shifted_rows() {
+        // The owned 1×1 plane of boxes with one ghost layer.
+        let mut slab = vec![0.0; 3 * 3 * 3];
+        let tiles = TileSet2::new(1, 1, [4, 4]);
+        let view = TiledSlabMut::new(&mut slab, [3, 3, 3], tiles, 1);
+        let mut rows = view.claim(tiles.tile(0));
+        rows.row(0, 1, 1).fill(7.0);
+        drop(view);
+        assert_eq!(slab[12..15], [7.0; 3]);
+        assert_eq!(slab.iter().filter(|&&v| v != 0.0).count(), 3);
     }
 
     #[test]
     #[should_panic(expected = "claimed twice")]
-    fn double_claim_panics() {
-        let mut slab = vec![0.0f64; 8];
-        let view = DisjointRowsMut::new(&mut slab, 4);
-        let _a = view.claim(0);
-        let _b = view.claim(0);
+    fn claiming_a_tile_twice_panics() {
+        let (mut slab, dims, tiles) = small();
+        let view = TiledSlabMut::new(&mut slab, dims, tiles, 0);
+        // A claim lasts as long as the view, not as long as its rows.
+        view.claim(tiles.tile(1)).row(0, 1, 0).fill(1.0);
+        let _again = view.claim(tiles.tile(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the tile")]
+    fn a_row_outside_the_tile_panics() {
+        let (mut slab, dims, tiles) = small();
+        let view = TiledSlabMut::new(&mut slab, dims, tiles, 0);
+        let mut rows = view.claim(tiles.tile(0));
+        let _ = rows.row(0, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the tile")]
+    fn a_variable_past_the_slab_panics() {
+        let (mut slab, dims, tiles) = small();
+        let view = TiledSlabMut::new(&mut slab, dims, tiles, 0);
+        let mut rows = view.claim(tiles.tile(0));
+        let _ = rows.row(2, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a tile of this set")]
+    fn a_foreign_tile_cannot_be_claimed() {
+        let (mut slab, dims, tiles) = small();
+        let view = TiledSlabMut::new(&mut slab, dims, tiles, 0);
+        let _ = view.claim(Tile2 {
+            j0: 0,
+            j1: 2,
+            k0: 0,
+            k1: 1,
+        });
     }
 
     #[test]
     #[should_panic(expected = "whole number")]
     fn ragged_slab_is_rejected() {
-        let mut slab = vec![0.0f64; 10];
-        let _ = DisjointRowsMut::new(&mut slab, 4);
+        let mut slab = vec![0.0f64; 25];
+        let _ = TiledSlabMut::new(&mut slab, [4, 3, 2], TileSet2::new(3, 2, [1, 1]), 0);
     }
 
     #[test]
-    fn parallel_disjoint_writes_land_exactly_once() {
+    #[should_panic(expected = "overruns")]
+    fn a_shifted_tiling_past_the_box_is_rejected() {
+        let (mut slab, dims, tiles) = small();
+        let _ = TiledSlabMut::new(&mut slab, dims, tiles, 1);
+    }
+
+    #[test]
+    fn parallel_disjoint_tiles_each_land_once() {
         let pool = WorkPool::new(3);
-        let mut slab = vec![0.0f64; 64 * 16];
-        let view = DisjointRowsMut::new(&mut slab, 16);
-        pool.for_each(0, 64, 1, |r| {
-            let mut row = view.claim(r);
-            for (i, v) in row.iter_mut().enumerate() {
-                *v = (r * 16 + i) as f64;
+        let dims = [16, 12, 10];
+        let tiles = TileSet2::new(12, 10, [5, 3]);
+        let mut slab = vec![0.0f64; 16 * 12 * 10];
+        let view = TiledSlabMut::new(&mut slab, dims, tiles, 0);
+        pool.for_each(0, tiles.len(), 1, |t| {
+            let tile = tiles.tile(t);
+            let mut rows = view.claim(tile);
+            for k in tile.k0..tile.k1 {
+                for j in tile.j0..tile.j1 {
+                    for (i, v) in rows.row(0, j, k).iter_mut().enumerate() {
+                        *v += ((k * 12 + j) * 16 + i) as f64;
+                    }
+                }
             }
         });
         drop(view);

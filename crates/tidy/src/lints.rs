@@ -46,7 +46,7 @@ pub const LINTS: &[(&str, &str)] = &[
     ),
     (
         "tile-bounds",
-        "indexed `[i]` element access inside run_tiles kernel bodies (require slice re-borrows)",
+        "indexed `[i]` element access inside run_tiles/run_tiles_min kernel bodies (require slice re-borrows)",
     ),
     (
         "bad-allow",
@@ -371,8 +371,16 @@ fn telemetry_naming(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// Lint: no per-element `[i]` indexing inside `run_tiles` kernel
-/// bodies in the fused hydro kernels.
+/// Keywords the lexer reads as identifiers that a `[` can follow
+/// without indexing anything: a slice pattern or an array literal.
+const NOT_VALUES: &[&str] = &["let", "mut", "ref", "in", "return", "break", "else"];
+
+/// The executor entry points that run a tile body per tile:
+/// `run_tiles`, and `run_tiles_min`, whose bodies also return a value.
+const TILE_ENTRY_POINTS: &[&str] = &["run_tiles", "run_tiles_min"];
+
+/// Lint: no per-element `[i]` indexing inside `run_tiles` (or
+/// `run_tiles_min`) kernel bodies in the fused hydro kernels.
 /// Element access there must go through slice re-borrows (`&row[..]`,
 /// `&buf[a..b]`) or iterators, which keep tile bounds explicit and
 /// let bounds checks hoist out of the hot x-loops; a stray `x[i]`
@@ -387,14 +395,14 @@ fn tile_bounds(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     let mut i = 0;
     while i < toks.len() {
         let call = toks[i].kind == TokKind::Ident
-            && toks[i].text == "run_tiles"
+            && TILE_ENTRY_POINTS.contains(&toks[i].text.as_str())
             && !ctx.is_test[i]
             && toks.get(i + 1).is_some_and(|t| t.text == "(");
         if !call {
             i += 1;
             continue;
         }
-        // Walk the run_tiles(...) argument list to its closing paren.
+        // Walk the call's argument list to its closing paren.
         let mut depth = 0usize;
         let mut j = i + 1;
         while j < toks.len() {
@@ -410,8 +418,12 @@ fn tile_bounds(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                     let prev = &toks[j - 1];
                     // `expr[...]` indexing: the bracket follows a value
                     // (identifier, `]`, or `)`). Anything else — `&[`,
-                    // `vec![`, attribute brackets — is not an index.
-                    if prev.kind == TokKind::Ident || prev.text == "]" || prev.text == ")" {
+                    // `vec![`, attribute brackets, a keyword's slice
+                    // pattern or array (`let [a, b] =`, `in [..]`) — is
+                    // not an index.
+                    let value =
+                        prev.kind == TokKind::Ident && !NOT_VALUES.contains(&prev.text.as_str());
+                    if value || prev.text == "]" || prev.text == ")" {
                         let (end, reborrow) = bracket_is_reborrow(toks, j);
                         if !reborrow {
                             out.push(finding(
@@ -419,11 +431,11 @@ fn tile_bounds(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                                 "tile-bounds",
                                 toks[j].line,
                                 format!(
-                                    "indexed element access `{}[...]` inside a `run_tiles` kernel \
+                                    "indexed element access `{}[...]` inside a `{}` kernel \
                                      body: re-borrow the row as a slice (`&row[..]`, `&buf[a..b]`) \
                                      or iterate, so tile bounds stay explicit and bounds checks \
                                      hoist out of the x-loop",
-                                    prev.text
+                                    prev.text, toks[i].text
                                 ),
                             ));
                         }

@@ -26,3 +26,14 @@ pub fn masses(exec: &mut Exec, tiles: &TileSet2, rho: &[f64]) -> Vec<f64> {
         acc
     })
 }
+
+pub fn bound(exec: &mut Exec, tiles: &TileSet2, cs: &[f64]) -> f64 {
+    let n = 8;
+    exec.run_tiles_min(tiles, |tile| {
+        let mut acc = f64::INFINITY;
+        for j in tile.j0..tile.j1 {
+            acc = acc.min(cs[j * n]);
+        }
+        acc
+    })
+}

@@ -95,9 +95,10 @@ fn telemetry_naming_fixture_is_flagged() {
 #[test]
 fn tile_bounds_fixture_is_flagged() {
     // Only the per-element `tgt[i]`/`row[i]` accesses inside the first
-    // run_tiles body and the `rho[...]` accesses inside the second (one
-    // smuggled through a captured closure) are findings; the range
-    // re-borrows and the indexing outside the kernel calls are fine.
+    // run_tiles body, the `rho[...]` accesses inside the second (one
+    // smuggled through a captured closure) and the `cs[...]` access
+    // inside the run_tiles_min body are findings; the range re-borrows
+    // and the indexing outside the kernel calls are fine.
     expect(
         "bad/tile_bounds",
         &[
@@ -105,6 +106,7 @@ fn tile_bounds_fixture_is_flagged() {
             ("tile-bounds", "crates/hydro/src/fused.rs", 8),
             ("tile-bounds", "crates/hydro/src/fused.rs", 21),
             ("tile-bounds", "crates/hydro/src/fused.rs", 24),
+            ("tile-bounds", "crates/hydro/src/fused.rs", 35),
         ],
     );
 }
