@@ -14,7 +14,6 @@ use std::task::{Context, Poll};
 
 use parking_lot::Mutex;
 
-use hsim_gpu::Device;
 use hsim_hydro::diffusion::{self, DiffusionConfig};
 use hsim_hydro::{step_with, HydroState, Reconstruction};
 use hsim_mesh::decomp::block::{block_decomp_yz, try_block_decomp};
@@ -151,14 +150,19 @@ impl RunConfig {
     }
 
     /// Why no run of this configuration can start, checked before any
-    /// decomposition is built: a grid with a zero dimension, one the
-    /// mode's top-level split cannot carve, or a diffusivity that is
-    /// not a finite κ ≥ 0 (a NaN would poison every zone's energy, an
-    /// infinite one ask for unboundedly many substeps).
+    /// decomposition is built: a grid with a zero dimension, one whose
+    /// zone count does not fit in `u64`, one the mode's top-level split
+    /// cannot carve, or a diffusivity that is not a finite κ ≥ 0 (a NaN
+    /// would poison every zone's energy, an infinite one ask for
+    /// unboundedly many substeps).
     fn check(&self) -> Result<(), String> {
         let (nx, ny, nz) = self.grid;
         if nx == 0 || ny == 0 || nz == 0 {
             return Err(format!("grid {nx},{ny},{nz}: grid dims must be positive"));
+        }
+        let zones = (nx as u64).checked_mul(ny as u64);
+        if zones.and_then(|z| z.checked_mul(nz as u64)).is_none() {
+            return Err(format!("grid {nx},{ny},{nz}: the zone count overflows u64"));
         }
         // Every mode's decomposition starts from one of two top-level
         // splits: CPU-only cuts its cores' blocks, the others x-pinned
@@ -856,28 +860,20 @@ impl<'a> Ranks<'a> {
         let (cfg, node) = (seg.cfg, &seg.cfg.node);
         let mut devices: Vec<Arc<SharedDevice>> = Vec::new();
         let mut gpus: Vec<Option<Gpu>> = (0..seg.roles.len()).map(|_| None).collect();
-        match cfg.mode {
-            ExecMode::CpuOnly => {}
-            ExecMode::Default | ExecMode::Heterogeneous { .. } => {
-                for g in 0..node.gpus {
-                    let device = Device::new(g, node.gpu_spec.clone());
-                    let (shared, client) =
-                        SharedDevice::new_exclusive(device, g).map_err(|e| e.to_string())?;
-                    gpus[g] = Some((client, Arc::clone(&shared), true));
-                    devices.push(shared);
+        // Rank `g·per_gpu + i` is client `i` of GPU `g`.
+        let sharing = match cfg.mode {
+            ExecMode::CpuOnly => None,
+            ExecMode::Default | ExecMode::Heterogeneous { .. } => Some((1, false)),
+            ExecMode::Mps { per_gpu } => Some((per_gpu, true)),
+        };
+        if let Some((per_gpu, mps)) = sharing {
+            for g in 0..node.gpus {
+                let (shared, clients) = SharedDevice::new(g, node.gpu_spec.clone(), per_gpu, mps)
+                    .map_err(|e| e.to_string())?;
+                for (i, client) in clients.into_iter().enumerate() {
+                    gpus[g * per_gpu + i] = Some((client, Arc::clone(&shared), i == 0));
                 }
-            }
-            ExecMode::Mps { per_gpu } => {
-                for g in 0..node.gpus {
-                    let device = Device::new(g, node.gpu_spec.clone());
-                    let pids: Vec<usize> = (0..per_gpu).map(|i| g * per_gpu + i).collect();
-                    let (shared, clients) =
-                        SharedDevice::new_mps(device, &pids).map_err(|e| e.to_string())?;
-                    for (i, client) in clients.into_iter().enumerate() {
-                        gpus[g * per_gpu + i] = Some((client, Arc::clone(&shared), i == 0));
-                    }
-                    devices.push(shared);
-                }
+                devices.push(shared);
             }
         }
         let collect = cfg.telemetry || cfg.trace;
@@ -1307,7 +1303,6 @@ mod tests {
     use super::*;
     use crate::period::{PeriodBoard, Posted};
     use crate::scenario::Scenario;
-    use hsim_gpu::Device;
     use hsim_raja::SharedDevice;
 
     fn sweep_cfg(grid: (usize, usize, usize), mode: ExecMode) -> RunConfig {
@@ -1341,7 +1336,8 @@ mod tests {
             ExecMode::hetero(),
         ];
         for mode in modes {
-            for grid in [(32, 1, 32), (0, 48, 32)] {
+            let huge = 4_000_000_000;
+            for grid in [(32, 1, 32), (0, 48, 32), (huge, huge, huge)] {
                 let cfg = sweep_cfg(grid, mode);
                 let why = run(&cfg).expect_err("an uncarvable grid runs");
                 assert_eq!(run_balanced(&cfg).expect_err("balanced"), why);
@@ -2685,8 +2681,8 @@ mod tests {
     fn an_mps_client_that_syncs_twice_in_an_epoch_is_a_deadlock_error() {
         use hsim_mpi::{CommCost, MpiError};
         use hsim_time::task::Waiting;
-        let device = Device::new(3, NodeConfig::rzhasgpu().gpu_spec);
-        let (_shared, clients) = SharedDevice::new_mps(device, &[0, 1]).unwrap();
+        let spec = NodeConfig::rzhasgpu().gpu_spec;
+        let (_shared, clients) = SharedDevice::new(3, spec, 2, true).unwrap();
         let clients = &clients;
         let out = World::run_fallible(Driver::Stepped, 2, CommCost::free(), |comm| async move {
             let client = &clients[comm.rank()];

@@ -186,3 +186,47 @@ fn each_gpu_rank_faults_its_mesh_in_once_at_the_unified_memory_charge() {
         }
     }
 }
+
+#[test]
+fn each_gpu_kernel_span_sits_on_its_device_and_its_client_stream() {
+    use hsim_telemetry::{Category, DEVICE_PID_BASE};
+    use std::collections::BTreeMap;
+    let gpus = NodeConfig::rzhasgpu().gpus as u32;
+    for (mode, streams) in [
+        (ExecMode::mps4(), 4),
+        (ExecMode::Default, 1),
+        (ExecMode::hetero(), 1),
+    ] {
+        let cfg = RunConfig {
+            mode,
+            ..telemetry_cfg()
+        };
+        let (_, summary) = run_summary(&cfg);
+        // (pid, tid) → spans of a category on that track.
+        let tracks = |cat: Category| {
+            let mut n: BTreeMap<(u32, u32), usize> = BTreeMap::new();
+            for s in summary.spans.iter().filter(|s| s.cat == cat) {
+                *n.entry((s.pid, s.tid)).or_default() += 1;
+            }
+            n
+        };
+        // A GPU rank's own timeline marks its busy share of each cycle
+        // as a `gpu_kernel` span too, on the rank's pid below the base.
+        let mut kernels = tracks(Category::GpuKernel);
+        kernels.retain(|&(pid, _), _| pid >= DEVICE_PID_BASE);
+        let launches = tracks(Category::Launch);
+        // Client `i` of GPU `g` is rank `g·streams + i` (track `(rank,
+        // 0)`): each of its launches runs on stream `i` of the device's
+        // track `DEVICE_PID_BASE + g`. Ranks at a physical boundary
+        // launch more boundary fills, so the counts tell clients apart.
+        let mut want = BTreeMap::new();
+        for g in 0..gpus {
+            for i in 0..streams {
+                let rank = g * streams + i;
+                want.insert((DEVICE_PID_BASE + g, i), launches[&(rank, 0)]);
+            }
+        }
+        assert_eq!(kernels, want, "{mode:?}");
+        assert!(want.values().all(|&n| n > 0), "{mode:?}: {want:?}");
+    }
+}

@@ -1,17 +1,18 @@
-//! The device facade: contexts, streams, memory, and a launch queue
-//! feeding the rate-sharing timeline.
+//! The device: its capability sheet, a launch queue feeding the
+//! rate-sharing timeline, its counters and its unified memory.
 //!
 //! A `Device` is used bulk-synchronously by the runner: ranks submit
 //! kernel launches during a phase (each submit returns the host-side
 //! launch overhead to charge), then `run_pending` simulates the
 //! device's execution of the whole batch and reports per-job outcomes.
+//!
+//! A launch names its stream by its client's index on the device: 0 on
+//! a device one rank owns, `0..n` for the `n` ranks sharing it through
+//! MPS, whose launches pay the elevated MPS overhead (paper §2).
 
-use crate::context::{Context, ContextId, ContextOwner, ContextTable};
-use crate::error::GpuError;
 use crate::kernel::{occupancy, KernelDesc, KernelShape};
 use crate::memory::UnifiedMemory;
 use crate::spec::DeviceSpec;
-use crate::stream::{Stream, StreamId, StreamTable};
 use crate::timeline::{Job, JobOutcome, RateSharingTimeline};
 use hsim_time::{advanced, Overflow, SimDuration, SimTime};
 
@@ -27,87 +28,43 @@ pub struct LaunchTicket {
 /// One simulated GPU.
 #[derive(Debug)]
 pub struct Device {
-    id: usize,
     spec: DeviceSpec,
-    contexts: ContextTable,
-    streams: StreamTable,
-    um: UnifiedMemory,
     pending: Vec<Job>,
     next_job: u64,
     total_launches: u64,
     busy: SimDuration,
+    um: UnifiedMemory,
 }
 
 impl Device {
-    pub fn new(id: usize, spec: DeviceSpec) -> Self {
+    pub fn new(spec: DeviceSpec) -> Self {
         let um = UnifiedMemory::new(&spec);
         Device {
-            id,
             spec,
-            contexts: ContextTable::new(),
-            streams: StreamTable::new(),
-            um,
             pending: Vec::new(),
             next_job: 0,
             total_launches: 0,
             busy: SimDuration::ZERO,
+            um,
         }
-    }
-
-    pub fn id(&self) -> usize {
-        self.id
     }
 
     pub fn spec(&self) -> &DeviceSpec {
         &self.spec
     }
 
-    /// Create an exclusive context for `process` (the Default mode's
-    /// one-rank-per-GPU arrangement).
-    pub fn create_context(&mut self, process: usize) -> Result<Context, GpuError> {
-        self.contexts.create_exclusive(self.id, process)
-    }
-
-    /// Create the MPS server's shared context (used by [`crate::mps`]).
-    pub fn create_mps_context(&mut self) -> Result<Context, GpuError> {
-        self.contexts.create_mps(self.id)
-    }
-
-    pub fn destroy_context(&mut self, id: ContextId) -> Result<(), GpuError> {
-        self.contexts.destroy(id)?;
-        self.streams.destroy_for_context(id);
-        Ok(())
-    }
-
-    pub fn active_context(&self) -> Option<Context> {
-        self.contexts.active()
-    }
-
-    pub fn create_stream(&mut self, ctx: ContextId) -> Result<Stream, GpuError> {
-        self.contexts.check(ctx)?;
-        Ok(self.streams.create(ctx))
-    }
-
-    /// Submit one kernel launch at simulated instant `at`.
-    ///
-    /// `via_mps` applies the MPS launch-overhead factor; it is set by
-    /// the MPS server's launch path and must agree with the context
-    /// owner.
+    /// Submit one kernel launch on `stream` at simulated instant `at`.
+    /// `mps` — the device is shared through MPS — applies the MPS
+    /// launch-overhead factor.
     pub fn submit(
         &mut self,
-        ctx: ContextId,
-        stream: StreamId,
+        stream: usize,
         desc: &KernelDesc,
         shape: KernelShape,
         at: SimTime,
-        via_mps: bool,
-    ) -> Result<LaunchTicket, GpuError> {
-        let context = self.contexts.check(ctx)?;
-        self.streams.check(stream, ctx)?;
-        if via_mps != matches!(context.owner, ContextOwner::MpsServer) {
-            return Err(GpuError::InvalidContext);
-        }
-        let overhead = if via_mps {
+        mps: bool,
+    ) -> LaunchTicket {
+        let overhead = if mps {
             self.spec
                 .launch_overhead
                 .mul_f64(self.spec.mps_launch_factor)
@@ -119,14 +76,14 @@ impl Device {
         self.total_launches += 1;
         self.pending.push(Job {
             id: job,
-            stream: stream.0,
+            stream: stream as u64,
             // The kernel cannot start before the host finishes the
             // submit path.
             arrival: at + overhead,
             work: desc.roofline_time(&self.spec, shape.elems).as_secs_f64(),
             max_rate: occupancy(&self.spec, shape),
         });
-        Ok(LaunchTicket { job, overhead })
+        LaunchTicket { job, overhead }
     }
 
     /// The queued launches themselves (profilers read `work` and
@@ -199,56 +156,24 @@ mod tests {
     use super::*;
 
     fn device() -> Device {
-        Device::new(0, DeviceSpec::tesla_k80())
+        Device::new(DeviceSpec::tesla_k80())
     }
 
-    #[test]
-    fn submit_requires_valid_context_and_stream() {
-        let mut d = device();
-        let ctx = d.create_context(7).unwrap();
-        let s = d.create_stream(ctx.id).unwrap();
-        let k = KernelDesc::new("k", 10.0, 8.0);
-        let shape = KernelShape::new(1_000_000, 320);
-        assert!(d
-            .submit(ctx.id, s.id, &k, shape, SimTime::ZERO, false)
-            .is_ok());
-        assert_eq!(
-            d.submit(ContextId(99), s.id, &k, shape, SimTime::ZERO, false)
-                .unwrap_err(),
-            GpuError::InvalidContext
-        );
-        assert_eq!(
-            d.submit(ctx.id, StreamId(99), &k, shape, SimTime::ZERO, false)
-                .unwrap_err(),
-            GpuError::InvalidStream
-        );
-    }
-
-    #[test]
-    fn mps_flag_must_match_context_owner() {
-        let mut d = device();
-        let ctx = d.create_context(7).unwrap();
-        let s = d.create_stream(ctx.id).unwrap();
-        let k = KernelDesc::new("k", 10.0, 8.0);
-        let shape = KernelShape::new(1_000, 32);
-        assert!(d
-            .submit(ctx.id, s.id, &k, shape, SimTime::ZERO, true)
-            .is_err());
+    /// When the last of a batch's kernels ends.
+    fn last_end(d: &mut Device) -> SimTime {
+        d.run_pending()
+            .iter()
+            .map(|o| o.end)
+            .fold(SimTime::ZERO, SimTime::merge)
     }
 
     #[test]
     fn run_pending_executes_in_stream_order() {
         let mut d = device();
-        let ctx = d.create_context(0).unwrap();
-        let s = d.create_stream(ctx.id).unwrap();
         let k = KernelDesc::new("k", 50.0, 8.0);
         let shape = KernelShape::new(5_000_000, 320);
-        let t1 = d
-            .submit(ctx.id, s.id, &k, shape, SimTime::ZERO, false)
-            .unwrap();
-        let t2 = d
-            .submit(ctx.id, s.id, &k, shape, SimTime::ZERO, false)
-            .unwrap();
+        let t1 = d.submit(0, &k, shape, SimTime::ZERO, false);
+        let t2 = d.submit(0, &k, shape, SimTime::ZERO, false);
         let out = d.run_pending();
         assert_eq!(out.len(), 2);
         let o1 = out.iter().find(|o| o.id == t1.job).unwrap();
@@ -261,67 +186,116 @@ mod tests {
     #[test]
     fn launch_overhead_delays_arrival() {
         let mut d = device();
-        let ctx = d.create_context(0).unwrap();
-        let s = d.create_stream(ctx.id).unwrap();
         let k = KernelDesc::new("k", 50.0, 8.0);
         let shape = KernelShape::new(1_000_000, 320);
-        let ticket = d
-            .submit(ctx.id, s.id, &k, shape, SimTime::from_nanos(1000), false)
-            .unwrap();
+        let ticket = d.submit(0, &k, shape, SimTime::from_nanos(1000), false);
         assert_eq!(ticket.overhead, DeviceSpec::tesla_k80().launch_overhead);
         let out = d.run_pending();
         assert!(out[0].start >= SimTime::from_nanos(1000) + ticket.overhead);
     }
 
     #[test]
-    fn destroying_context_removes_streams() {
+    fn mps_launch_pays_elevated_overhead() {
         let mut d = device();
-        let ctx = d.create_context(0).unwrap();
-        let s = d.create_stream(ctx.id).unwrap();
-        d.destroy_context(ctx.id).unwrap();
-        let ctx2 = d.create_context(1).unwrap();
-        assert_eq!(
-            d.submit(
-                ctx2.id,
-                s.id,
-                &KernelDesc::new("k", 1.0, 1.0),
-                KernelShape::new(1, 1),
-                SimTime::ZERO,
-                false
-            )
-            .unwrap_err(),
-            GpuError::InvalidStream
+        let k = KernelDesc::new("k", 10.0, 8.0);
+        let ticket = d.submit(0, &k, KernelShape::new(1_000_000, 64), SimTime::ZERO, true);
+        let spec = DeviceSpec::tesla_k80();
+        let base = spec.launch_overhead;
+        assert!(ticket.overhead > base);
+        let expect = base.mul_f64(spec.mps_launch_factor);
+        assert_eq!(ticket.overhead, expect);
+    }
+
+    #[test]
+    fn small_kernels_from_many_clients_overlap() {
+        // The core MPS effect: four clients launching small-x kernels
+        // finish sooner than one rank doing all the work serially.
+        let k = KernelDesc::new("k", 60.0, 16.0);
+        let zones_total: u64 = 8_000_000;
+        let inner = 40; // small innermost dimension: low occupancy
+
+        // Serial reference: one exclusive rank, all zones, one stream.
+        let mut d1 = device();
+        d1.submit(
+            0,
+            &k,
+            KernelShape::new(zones_total, inner),
+            SimTime::ZERO,
+            false,
+        );
+        let serial_end = last_end(&mut d1);
+
+        // MPS: four clients each with a quarter of the zones.
+        let mut d2 = device();
+        for c in 0..4 {
+            let shape = KernelShape::new(zones_total / 4, inner);
+            d2.submit(c, &k, shape, SimTime::ZERO, true);
+        }
+        let mps_end = last_end(&mut d2);
+
+        assert!(
+            mps_end < serial_end,
+            "MPS {mps_end} should beat serial {serial_end} for small-x kernels"
+        );
+    }
+
+    #[test]
+    fn large_kernels_gain_nothing_from_mps() {
+        // With a large innermost dimension the solo kernel nearly fills
+        // the device; MPS splitting adds launch overhead and slightly
+        // lower per-kernel occupancy, so it must NOT win.
+        let k = KernelDesc::new("k", 60.0, 16.0);
+        let zones_total: u64 = 32_000_000;
+        let inner = 600;
+
+        let mut d1 = device();
+        d1.submit(
+            0,
+            &k,
+            KernelShape::new(zones_total, inner),
+            SimTime::ZERO,
+            false,
+        );
+        let serial_end = last_end(&mut d1);
+
+        let mut d2 = device();
+        for c in 0..4 {
+            let shape = KernelShape::new(zones_total / 4, inner);
+            d2.submit(c, &k, shape, SimTime::ZERO, true);
+        }
+        let mps_end = last_end(&mut d2);
+
+        // Allow a small tolerance: they should be within a few percent,
+        // with MPS not meaningfully ahead.
+        let ratio = (mps_end - SimTime::ZERO).ratio(serial_end - SimTime::ZERO);
+        assert!(
+            ratio > 0.97,
+            "MPS should not win for large kernels: {ratio}"
         );
     }
 
     #[test]
     fn advancing_by_a_period_is_running_it_again() {
         let k = KernelDesc::new("k", 50.0, 8.0);
-        let open = || {
-            let mut d = device();
-            let ctx = d.create_context(0).unwrap();
-            let s = d.create_stream(ctx.id).unwrap();
-            (d, ctx.id, s.id)
-        };
-        let period = |(d, ctx, s): &mut (Device, ContextId, StreamId), at: SimTime| {
+        let period = |d: &mut Device, at: SimTime| {
             let shape = KernelShape::new(1_000_000, 320);
-            d.submit(*ctx, *s, &k, shape, at, false).unwrap();
-            d.submit(*ctx, *s, &k, shape, at, false).unwrap();
+            d.submit(0, &k, shape, at, false);
+            d.submit(0, &k, shape, at, false);
             let ends = d.run_pending();
             ends.iter().map(|o| o.end).fold(at, SimTime::merge)
         };
-        let mut once = open();
+        let mut once = device();
         period(&mut once, SimTime::ZERO);
-        let (busy, launches) = (once.0.busy(), once.0.total_launches());
-        let mut stepped = open();
+        let (busy, launches) = (once.busy(), once.total_launches());
+        let mut stepped = device();
         let mut at = SimTime::ZERO;
         for _ in 0..4 {
             at = period(&mut stepped, at);
         }
-        once.0.advance(busy, launches, 3).unwrap();
+        once.advance(busy, launches, 3).unwrap();
         let read = |d: &Device| (d.busy(), d.total_launches());
-        assert_eq!(read(&once.0), (stepped.0.busy(), 8));
-        assert_eq!(once.0.advance(busy, launches, u64::MAX / 2), Err(Overflow));
+        assert_eq!(read(&once), (stepped.busy(), 8));
+        assert_eq!(once.advance(busy, launches, u64::MAX / 2), Err(Overflow));
     }
 
     #[test]
@@ -338,12 +312,10 @@ mod tests {
                 k.roofline_time(d.spec(), 1800),
                 SimDuration::from_nanos(119)
             );
-            let ctx = d.create_context(0).unwrap();
-            for i in 0..3 {
-                let s = d.create_stream(ctx.id).unwrap().id;
-                let later = at + SimDuration::from_nanos(700 * i);
-                d.submit(ctx.id, s, &k, shape, later, false).unwrap();
-                d.submit(ctx.id, s, &k, shape, later, false).unwrap();
+            for s in 0..3 {
+                let later = at + SimDuration::from_nanos(700 * s as u64);
+                d.submit(s, &k, shape, later, false);
+                d.submit(s, &k, shape, later, false);
             }
             let spans = d.run_pending();
             let offsets: Vec<_> = spans.iter().map(|o| (o.start - at, o.end - at)).collect();
@@ -358,21 +330,18 @@ mod tests {
     #[test]
     fn launch_counter_accumulates() {
         let mut d = device();
-        let ctx = d.create_context(0).unwrap();
-        let s = d.create_stream(ctx.id).unwrap();
         let k = KernelDesc::new("k", 1.0, 1.0);
         for _ in 0..5 {
-            d.submit(
-                ctx.id,
-                s.id,
-                &k,
-                KernelShape::new(100, 10),
-                SimTime::ZERO,
-                false,
-            )
-            .unwrap();
+            d.submit(0, &k, KernelShape::new(100, 10), SimTime::ZERO, false);
         }
         d.run_pending();
         assert_eq!(d.total_launches(), 5);
+    }
+
+    #[test]
+    fn unified_memory_available_through_device() {
+        let mut d = device();
+        let cost = d.um_mut().alloc_and_touch(1 << 20);
+        assert!(cost > SimDuration::ZERO);
     }
 }

@@ -5,12 +5,6 @@ use std::fmt;
 /// Everything that can go wrong in the simulated driver stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GpuError {
-    /// A second process tried to create a direct (non-MPS) context on a
-    /// device that already has one — only a single context can be
-    /// active on a device at a time (paper §2).
-    ContextBusy { device: usize },
-    /// A handle referred to a context that no longer exists.
-    InvalidContext,
     /// A handle referred to a stream that does not exist.
     InvalidStream,
     /// The MPS server rejected a client (e.g. over its client limit).
@@ -22,10 +16,6 @@ pub enum GpuError {
 impl fmt::Display for GpuError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GpuError::ContextBusy { device } => {
-                write!(f, "device {device} already has an active context (use MPS)")
-            }
-            GpuError::InvalidContext => write!(f, "invalid context handle"),
             GpuError::InvalidStream => write!(f, "invalid stream handle"),
             GpuError::MpsRejected { reason } => write!(f, "MPS rejected client: {reason}"),
             GpuError::LaunchFailed { reason } => write!(f, "kernel launch failed: {reason}"),
@@ -41,9 +31,11 @@ mod tests {
 
     #[test]
     fn display_messages_are_informative() {
-        assert!(GpuError::ContextBusy { device: 2 }
-            .to_string()
-            .contains("MPS"));
+        assert!(GpuError::MpsRejected {
+            reason: "client limit reached"
+        }
+        .to_string()
+        .contains("MPS"));
         assert!(GpuError::LaunchFailed {
             reason: "injected fault"
         }
@@ -53,10 +45,10 @@ mod tests {
 
     #[test]
     fn errors_are_comparable() {
-        assert_eq!(GpuError::InvalidContext, GpuError::InvalidContext);
+        assert_eq!(GpuError::InvalidStream, GpuError::InvalidStream);
         assert_ne!(
-            GpuError::ContextBusy { device: 1 },
-            GpuError::ContextBusy { device: 2 }
+            GpuError::MpsRejected { reason: "a" },
+            GpuError::MpsRejected { reason: "b" }
         );
     }
 }

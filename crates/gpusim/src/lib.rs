@@ -15,14 +15,12 @@
 //!   curve drives the paper's Figures 13–17 (when MPS overlap pays off).
 //! * [`timeline`] — a rate-sharing device timeline: concurrent kernels
 //!   are malleable jobs whose rates water-fill the device's capacity,
-//!   each capped by its occupancy. One resident context ⇒ kernels
+//!   each capped by its occupancy. One client's stream ⇒ its kernels
 //!   serialize; MPS ⇒ kernels from co-resident clients overlap exactly
 //!   when single kernels underfill the device.
-//! * [`context`] / [`stream`] — CUDA's "one active context per device"
-//!   rule (the reason MPS exists, paper §2) and in-order streams.
-//! * [`mps`] — the Multi-Process Service: clients funnel through one
-//!   shared context, paying a higher launch overhead (paper §2) in
-//!   exchange for overlap.
+//! * [`device`] — one GPU as a run drives it: a launch queue with a
+//!   stream per client (an MPS launch pays the higher overhead of
+//!   paper §2), its counters and its unified memory.
 //! * [`memory`] — **unified memory**, where the paper's Figure 8 puts a
 //!   GPU rank's mesh: the page-migration charge of faulting it onto
 //!   the device, with a thrash term past the device's capacity.
@@ -30,21 +28,16 @@
 
 #![forbid(unsafe_code)]
 
-pub mod context;
 pub mod device;
 pub mod error;
 pub mod kernel;
 pub mod memory;
-pub mod mps;
 pub mod spec;
-pub mod stream;
 pub mod timeline;
 pub mod xfer;
 
-pub use context::{Context, ContextId};
 pub use device::Device;
 pub use error::GpuError;
 pub use kernel::{occupancy, KernelDesc, KernelShape};
 pub use spec::DeviceSpec;
-pub use stream::{Stream, StreamId};
 pub use timeline::{Job, JobOutcome, RateSharingTimeline};

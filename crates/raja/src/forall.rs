@@ -397,7 +397,7 @@ impl Executor {
                         let span = (hsim_telemetry::Category::Launch, "fault_launch_retry");
                         hsim_faults::recover(clock, hit, None, span).map_err(launch_failed)?;
                     }
-                    let overhead = client.launch(desc, shape, clock.now())?;
+                    let overhead = client.launch(desc, shape, clock.now());
                     clock.charge(ChargeKind::Launch, overhead);
                     hsim_telemetry::time_stat(hsim_telemetry::TimeStat::LaunchTime, overhead);
                     hsim_telemetry::rank_span(
@@ -432,8 +432,14 @@ fn launch_failed(e: hsim_faults::Escalation) -> GpuError {
 mod tests {
     use super::*;
     use crate::simgpu::SharedDevice;
-    use hsim_gpu::{Device, DeviceSpec};
+    use hsim_gpu::DeviceSpec;
     use hsim_time::task::block_on;
+
+    /// The one client of an exclusive K80.
+    fn k80_client() -> GpuClient {
+        let (_dev, mut clients) = SharedDevice::new(0, DeviceSpec::tesla_k80(), 1, false).unwrap();
+        clients.remove(0)
+    }
 
     fn desc() -> KernelDesc {
         KernelDesc::new("axpy", 2.0, 24.0)
@@ -525,8 +531,7 @@ mod tests {
 
     #[test]
     fn gpu_target_charges_launch_and_sync_waits() {
-        let device = Device::new(0, DeviceSpec::tesla_k80());
-        let (_dev, client) = SharedDevice::new_exclusive(device, 0).unwrap();
+        let client = k80_client();
         let mut exec = Executor::new(
             Target::Gpu(client),
             CpuModel::haswell_e5_2667v3(),
@@ -569,8 +574,7 @@ mod tests {
 
     #[test]
     fn multipolicy_routes_tiny_kernels_to_the_host() {
-        let device = Device::new(0, DeviceSpec::tesla_k80());
-        let (_dev, client) = SharedDevice::new_exclusive(device, 0).unwrap();
+        let client = k80_client();
         let mut exec = Executor::new(
             Target::Gpu(client),
             CpuModel::haswell_fixed(),
@@ -596,8 +600,7 @@ mod tests {
     fn multipolicy_beats_naive_offload_for_many_tiny_kernels() {
         let cpu = CpuModel::haswell_fixed();
         let run = |threshold: u64| -> u64 {
-            let device = Device::new(0, DeviceSpec::tesla_k80());
-            let (_dev, client) = SharedDevice::new_exclusive(device, 0).unwrap();
+            let client = k80_client();
             let mut exec = Executor::new(Target::Gpu(client), cpu.clone(), Fidelity::CostOnly)
                 .with_multipolicy(crate::MultiPolicy::with_threshold(threshold));
             let mut clock = RankClock::new(0);
@@ -618,8 +621,7 @@ mod tests {
     #[test]
     fn injected_launch_fault_retries_then_recovers_or_escalates() {
         let run = |spec: &str| -> (Result<(), GpuError>, hsim_time::SimDuration) {
-            let device = Device::new(0, DeviceSpec::tesla_k80());
-            let (_dev, client) = SharedDevice::new_exclusive(device, 0).unwrap();
+            let client = k80_client();
             let mut exec = Executor::new(
                 Target::Gpu(client),
                 CpuModel::haswell_e5_2667v3(),
@@ -755,8 +757,7 @@ mod tests {
     fn charge3_min_matches_forall3_min_accounting_exactly() {
         let ext = [24usize, 16, 8];
         let gpu = || {
-            let device = Device::new(0, DeviceSpec::tesla_k80());
-            let (_dev, client) = SharedDevice::new_exclusive(device, 0).unwrap();
+            let client = k80_client();
             Target::Gpu(client)
         };
         for (a, b) in [(Target::CpuSeq, Target::CpuSeq), (gpu(), gpu())] {

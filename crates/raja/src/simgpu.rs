@@ -11,38 +11,40 @@
 //! bulk-synchronous structure of the application (every rank
 //! synchronizes with its device at least once per cycle).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use hsim_gpu::mps::{MpsClient, MpsServer};
-use hsim_gpu::{ContextId, Device, DeviceSpec, GpuError, KernelDesc, KernelShape, StreamId};
+use hsim_gpu::{Device, DeviceSpec, GpuError, KernelDesc, KernelShape};
 use hsim_time::task::{self, Waiting};
 use hsim_time::{advanced, Overflow, SimDuration, SimTime};
 
+/// The pre-Volta MPS server admits 16 clients per device.
+const MPS_MAX_CLIENTS: usize = 16;
+
 struct Inner {
     device: Device,
-    mps: Option<MpsServer>,
     /// Clients that may still join an epoch: every stream of the
     /// device until its [`Departure`] drops.
     clients: usize,
     syncers: usize,
     epoch: u64,
-    /// Streams a [`Departure`] has been issued for — one each, ever.
-    guarded: HashSet<u64>,
-    /// stream key → completion time of the last kernel in the resolved
-    /// epoch (cumulative across epochs).
-    stream_end: BTreeMap<u64, SimTime>,
+    /// Per stream, whether a [`Departure`] has been issued for it — one
+    /// each, ever.
+    guarded: Vec<bool>,
+    /// Per stream, the completion time of its last kernel in the
+    /// resolved epochs.
+    stream_end: Vec<SimTime>,
     /// job id → (kernel name, elements) for the in-flight epoch.
     /// Populated only when the submitting thread records telemetry, so
     /// the disabled path never allocates here.
     job_meta: HashMap<u64, (&'static str, u64)>,
-    /// Kernels resolved at the last sync, keyed by stream, awaiting
-    /// drain by each stream's owning client thread. Per-client drain
-    /// keeps span/profile attribution independent of which thread
-    /// happened to be the sync leader.
-    resolved_kernels: HashMap<u64, Vec<ResolvedKernel>>,
+    /// Per stream, the kernels resolved at the last sync, awaiting
+    /// drain by the stream's own client thread. Per-client drain keeps
+    /// span/profile attribution independent of which thread happened
+    /// to be the sync leader.
+    resolved_kernels: Vec<Vec<ResolvedKernel>>,
 }
 
 impl Inner {
@@ -55,8 +57,8 @@ impl Inner {
         let jobs = self.device.pending_jobs().to_vec();
         let outcomes = self.device.run_pending();
         for (job, o) in jobs.iter().zip(&outcomes) {
-            let e = self.stream_end.entry(job.stream).or_insert(SimTime::ZERO);
-            *e = e.merge(o.end);
+            let stream = job.stream as usize;
+            self.stream_end[stream] = self.stream_end[stream].merge(o.end);
             // Stash the kernel for its own client to drain: which
             // thread led the sync must not change the telemetry.
             if let Some(&(name, elems)) = self.job_meta.get(&o.id) {
@@ -66,16 +68,13 @@ impl Inner {
                 } else {
                     job.max_rate
                 };
-                self.resolved_kernels
-                    .entry(job.stream)
-                    .or_default()
-                    .push(ResolvedKernel {
-                        name,
-                        elems,
-                        start: o.start,
-                        end: o.end,
-                        occupancy,
-                    });
+                self.resolved_kernels[stream].push(ResolvedKernel {
+                    name,
+                    elems,
+                    start: o.start,
+                    end: o.end,
+                    occupancy,
+                });
             }
         }
         self.job_meta.clear();
@@ -131,15 +130,17 @@ pub struct SharedDevice {
     resolved: Condvar,
     spec: DeviceSpec,
     id: usize,
+    /// Whether the clients share the device through MPS, whose launches
+    /// pay the elevated overhead.
+    mps: bool,
 }
 
-/// A rank's connection to a [`SharedDevice`].
+/// A rank's connection to a [`SharedDevice`]: the device and the
+/// client's stream on it, its index among the device's clients.
 #[derive(Clone)]
 pub struct GpuClient {
     dev: Arc<SharedDevice>,
-    ctx: ContextId,
-    stream: StreamId,
-    mps_client: Option<MpsClient>,
+    stream: usize,
 }
 
 /// A client's promise to tell its device when it leaves, held by the
@@ -174,78 +175,43 @@ impl Drop for Departure {
 }
 
 impl SharedDevice {
-    /// Exclusive arrangement: one rank owns the device directly (the
-    /// Default mode). Returns the shared handle and the single client.
-    pub fn new_exclusive(
-        mut device: Device,
-        pid: usize,
-    ) -> Result<(Arc<Self>, GpuClient), GpuError> {
-        let spec = device.spec().clone();
-        let id = device.id();
-        let ctx = device.create_context(pid)?;
-        let stream = device.create_stream(ctx.id)?;
-        let dev = Arc::new(SharedDevice {
-            inner: Mutex::new(Inner {
-                device,
-                mps: None,
-                clients: 1,
-                syncers: 0,
-                epoch: 0,
-                guarded: HashSet::new(),
-                stream_end: BTreeMap::new(),
-                job_meta: HashMap::new(),
-                resolved_kernels: HashMap::new(),
-            }),
-            resolved: Condvar::new(),
-            spec,
-            id,
-        });
-        let client = GpuClient {
-            dev: Arc::clone(&dev),
-            ctx: ctx.id,
-            stream: stream.id,
-            mps_client: None,
-        };
-        Ok((dev, client))
-    }
-
-    /// MPS arrangement: `pids` ranks share the device through the MPS
-    /// server (the paper's "n MPI/GPU" mode).
-    pub fn new_mps(
-        mut device: Device,
-        pids: &[usize],
+    /// Device `id` of sheet `spec` and its `clients` clients, in stream
+    /// order: one rank owning the device (the Default and Hetero
+    /// modes), or with `mps` the ranks sharing it through the MPS
+    /// server (the paper's "n MPI/GPU" mode). A device has one active
+    /// context, so only MPS gives it more than one client, and the
+    /// pre-Volta server at most 16.
+    pub fn new(
+        id: usize,
+        spec: DeviceSpec,
+        clients: usize,
+        mps: bool,
     ) -> Result<(Arc<Self>, Vec<GpuClient>), GpuError> {
-        let spec = device.spec().clone();
-        let id = device.id();
-        let mut server = MpsServer::start(&mut device, MpsServer::DEFAULT_MAX_CLIENTS)?;
-        let mut mps_clients = Vec::with_capacity(pids.len());
-        for &pid in pids {
-            mps_clients.push(server.connect(&mut device, pid)?);
+        if clients > if mps { MPS_MAX_CLIENTS } else { 1 } {
+            return Err(GpuError::MpsRejected {
+                reason: "client limit reached",
+            });
         }
-        let ctx = device.active_context().ok_or(GpuError::InvalidContext)?.id;
         let dev = Arc::new(SharedDevice {
             inner: Mutex::new(Inner {
-                device,
-                mps: Some(server),
-                clients: pids.len(),
+                device: Device::new(spec.clone()),
+                clients,
                 syncers: 0,
                 epoch: 0,
-                guarded: HashSet::new(),
-                stream_end: BTreeMap::new(),
+                guarded: vec![false; clients],
+                stream_end: vec![SimTime::ZERO; clients],
                 job_meta: HashMap::new(),
-                resolved_kernels: HashMap::new(),
+                resolved_kernels: vec![Vec::new(); clients],
             }),
             resolved: Condvar::new(),
             spec,
             id,
+            mps,
         });
-        let clients = mps_clients
-            .into_iter()
-            .map(|mc| GpuClient {
+        let clients = (0..clients)
+            .map(|stream| GpuClient {
                 dev: Arc::clone(&dev),
-                ctx,
-                stream: mc.stream.id,
-                mps_client: Some(mc),
+                stream,
             })
             .collect();
         Ok((dev, clients))
@@ -316,7 +282,7 @@ impl GpuClient {
     /// once: asking twice for the same stream is
     /// [`GpuError::InvalidStream`].
     pub fn departure(&self) -> Result<Departure, GpuError> {
-        if !self.dev.inner.lock().guarded.insert(self.stream.0) {
+        if std::mem::replace(&mut self.dev.inner.lock().guarded[self.stream], true) {
             return Err(GpuError::InvalidStream);
         }
         Ok(Departure {
@@ -327,10 +293,9 @@ impl GpuClient {
     /// Read this client's stream.
     pub fn stream_mark(&self) -> StreamMark {
         let inner = self.dev.inner.lock();
-        let end = inner.stream_end.get(&self.stream.0).copied();
-        let mine = |job: &&hsim_gpu::timeline::Job| job.stream == self.stream.0;
+        let mine = |job: &&hsim_gpu::Job| job.stream == self.stream as u64;
         StreamMark {
-            end: end.unwrap_or(SimTime::ZERO),
+            end: inner.stream_end[self.stream],
             queued: inner.device.pending_jobs().iter().filter(mine).count(),
         }
     }
@@ -338,33 +303,22 @@ impl GpuClient {
     /// Move this client's stream `times` more repetitions of a period
     /// that took it `step` further.
     pub fn advance_stream(&self, step: SimDuration, times: u64) -> Result<(), Overflow> {
-        let mut inner = self.dev.inner.lock();
-        let end = inner.stream_end.entry(self.stream.0).or_default();
+        let end = &mut self.dev.inner.lock().stream_end[self.stream];
         *end = SimTime(advanced(end.0, step.0, times)?);
         Ok(())
     }
 
     /// Submit one kernel launch at virtual instant `at`. Returns the
     /// host-side launch overhead the caller must charge to its clock.
-    pub fn launch(
-        &self,
-        desc: &KernelDesc,
-        shape: KernelShape,
-        at: SimTime,
-    ) -> Result<SimDuration, GpuError> {
+    pub fn launch(&self, desc: &KernelDesc, shape: KernelShape, at: SimTime) -> SimDuration {
         let mut inner = self.dev.inner.lock();
-        let inner = &mut *inner;
-        let ticket = match (&self.mps_client, &inner.mps) {
-            (Some(mc), Some(server)) => server.launch(&mut inner.device, mc, desc, shape, at)?,
-            (None, None) => inner
-                .device
-                .submit(self.ctx, self.stream, desc, shape, at, false)?,
-            _ => return Err(GpuError::InvalidContext),
-        };
+        let ticket = inner
+            .device
+            .submit(self.stream, desc, shape, at, self.dev.mps);
         if hsim_telemetry::is_enabled() {
             inner.job_meta.insert(ticket.job, (desc.name, shape.elems));
         }
-        Ok(ticket.overhead)
+        ticket.overhead
     }
 
     /// Rendezvous with the device's other clients; resolves all pending
@@ -416,38 +370,32 @@ impl GpuClient {
         // thread's collector (device-timeline spans + the per-kernel
         // profile — GPU kernels feed the profiler here, not at launch).
         hsim_telemetry::count(hsim_telemetry::Counter::DeviceSyncs, 1);
-        if let Some(kernels) = inner.resolved_kernels.remove(&self.stream.0) {
-            if hsim_telemetry::is_enabled() {
-                let pid = hsim_telemetry::DEVICE_PID_BASE + self.dev.id as u32;
-                let tid = self.stream.0 as u32;
-                for k in kernels {
-                    hsim_telemetry::span_args(
-                        pid,
-                        tid,
-                        hsim_telemetry::Category::GpuKernel,
-                        k.name,
-                        k.start,
-                        k.end,
-                        &[("elems", k.elems)],
-                    );
-                    hsim_telemetry::kernel_launch(
-                        k.name,
-                        k.elems,
-                        0,
-                        k.end - k.start,
-                        true,
-                        k.occupancy,
-                    );
-                    hsim_telemetry::gauge_max(hsim_telemetry::Gauge::DeviceOccupancy, k.occupancy);
-                }
+        let kernels = std::mem::take(&mut inner.resolved_kernels[self.stream]);
+        if hsim_telemetry::is_enabled() {
+            let pid = hsim_telemetry::DEVICE_PID_BASE + self.dev.id as u32;
+            let tid = self.stream as u32;
+            for k in kernels {
+                hsim_telemetry::span_args(
+                    pid,
+                    tid,
+                    hsim_telemetry::Category::GpuKernel,
+                    k.name,
+                    k.start,
+                    k.end,
+                    &[("elems", k.elems)],
+                );
+                hsim_telemetry::kernel_launch(
+                    k.name,
+                    k.elems,
+                    0,
+                    k.end - k.start,
+                    true,
+                    k.occupancy,
+                );
+                hsim_telemetry::gauge_max(hsim_telemetry::Gauge::DeviceOccupancy, k.occupancy);
             }
         }
-        inner
-            .stream_end
-            .get(&self.stream.0)
-            .copied()
-            .unwrap_or(at)
-            .merge(at)
+        inner.stream_end[self.stream].merge(at)
     }
 }
 
@@ -456,8 +404,15 @@ mod tests {
     use super::*;
     use hsim_time::task::block_on;
 
-    fn k80() -> Device {
-        Device::new(0, DeviceSpec::tesla_k80())
+    /// Device 0, a K80, shared by `n` clients through MPS.
+    fn mps(n: usize) -> (Arc<SharedDevice>, Vec<GpuClient>) {
+        SharedDevice::new(0, DeviceSpec::tesla_k80(), n, true).unwrap()
+    }
+
+    /// Device 0, a K80, and the one client that owns it.
+    fn exclusive() -> (Arc<SharedDevice>, GpuClient) {
+        let (dev, mut clients) = SharedDevice::new(0, DeviceSpec::tesla_k80(), 1, false).unwrap();
+        (dev, clients.remove(0))
     }
 
     fn desc() -> KernelDesc {
@@ -466,10 +421,8 @@ mod tests {
 
     #[test]
     fn exclusive_client_launch_and_sync() {
-        let (_dev, client) = SharedDevice::new_exclusive(k80(), 0).unwrap();
-        let overhead = client
-            .launch(&desc(), KernelShape::new(1_000_000, 320), SimTime::ZERO)
-            .unwrap();
+        let (_dev, client) = exclusive();
+        let overhead = client.launch(&desc(), KernelShape::new(1_000_000, 320), SimTime::ZERO);
         assert_eq!(overhead, DeviceSpec::tesla_k80().launch_overhead);
         let end = block_on(client.sync(SimTime::ZERO));
         assert!(end > SimTime::ZERO);
@@ -477,14 +430,14 @@ mod tests {
 
     #[test]
     fn sync_without_launches_returns_at() {
-        let (_dev, client) = SharedDevice::new_exclusive(k80(), 0).unwrap();
+        let (_dev, client) = exclusive();
         let at = SimTime::from_nanos(123);
         assert_eq!(block_on(client.sync(at)), at);
     }
 
     #[test]
     fn epochs_advance_per_sync_round() {
-        let (dev, client) = SharedDevice::new_exclusive(k80(), 0).unwrap();
+        let (dev, client) = exclusive();
         assert_eq!(dev.epoch(), 0);
         block_on(client.sync(SimTime::ZERO));
         block_on(client.sync(SimTime::ZERO));
@@ -493,15 +446,14 @@ mod tests {
 
     #[test]
     fn mps_clients_rendezvous_across_threads() {
-        let (dev, clients) = SharedDevice::new_mps(k80(), &[0, 1, 2, 3]).unwrap();
+        let (dev, clients) = mps(4);
         let zones = 2_000_000u64;
         let ends: Vec<SimTime> = std::thread::scope(|s| {
             let handles: Vec<_> = clients
                 .iter()
                 .map(|c| {
                     s.spawn(move || {
-                        c.launch(&desc(), KernelShape::new(zones, 40), SimTime::ZERO)
-                            .unwrap();
+                        c.launch(&desc(), KernelShape::new(zones, 40), SimTime::ZERO);
                         block_on(c.sync(SimTime::ZERO))
                     })
                 })
@@ -516,7 +468,7 @@ mod tests {
 
     #[test]
     fn a_departed_client_no_longer_holds_up_the_epoch() {
-        let (dev, clients) = SharedDevice::new_mps(k80(), &[0, 1, 2]).unwrap();
+        let (dev, clients) = mps(3);
         let mut guards: Vec<Departure> = clients.iter().map(|c| c.departure().unwrap()).collect();
         // A client leaves once.
         assert_eq!(
@@ -531,9 +483,7 @@ mod tests {
         // its departure completes the epoch and wakes the waiter.
         let end = std::thread::scope(|s| {
             let waiter = s.spawn(|| {
-                clients[1]
-                    .launch(&desc(), KernelShape::new(1_000_000, 40), SimTime::ZERO)
-                    .unwrap();
+                clients[1].launch(&desc(), KernelShape::new(1_000_000, 40), SimTime::ZERO);
                 block_on(clients[1].sync(SimTime::ZERO))
             });
             while dev.inner.lock().syncers == 0 {
@@ -556,8 +506,7 @@ mod tests {
         let period = |dev: &SharedDevice, clients: &[GpuClient], at: SimTime| {
             let executed = dev.mark().launches;
             for c in clients {
-                c.launch(&desc(), KernelShape::new(500_000, 40), at)
-                    .unwrap();
+                c.launch(&desc(), KernelShape::new(500_000, 40), at);
                 assert_eq!(c.stream_mark().queued, 1);
             }
             assert_eq!(dev.mark().launches, executed, "queued, not executed");
@@ -575,7 +524,7 @@ mod tests {
             let streams: Vec<StreamMark> = clients.iter().map(|c| c.stream_mark()).collect();
             (dev.mark(), streams)
         };
-        let (dev, clients) = SharedDevice::new_mps(k80(), &[0, 1]).unwrap();
+        let (dev, clients) = mps(2);
         let t1 = period(&dev, &clients, SimTime::ZERO);
         let first = dev.mark();
         let t2 = period(&dev, &clients, t1);
@@ -589,7 +538,7 @@ mod tests {
         for c in &clients {
             c.advance_stream(t2 - t1, 3).unwrap();
         }
-        let (run, runners) = SharedDevice::new_mps(k80(), &[0, 1]).unwrap();
+        let (run, runners) = mps(2);
         let end = (0..5).fold(SimTime::ZERO, |at, _| period(&run, &runners, at));
         assert_eq!(read(&dev, &clients), read(&run, &runners));
         assert_eq!(clients[0].stream_mark().end, end);
@@ -607,17 +556,15 @@ mod tests {
         let zones_total = 8_000_000u64;
         let inner_dim = 40;
 
-        let (_d1, solo) = SharedDevice::new_exclusive(k80(), 0).unwrap();
+        let (_d1, solo) = exclusive();
         solo.launch(
             &desc(),
             KernelShape::new(zones_total, inner_dim),
             SimTime::ZERO,
-        )
-        .unwrap();
+        );
         let solo_end = block_on(solo.sync(SimTime::ZERO));
 
-        let (_d2, clients) =
-            SharedDevice::new_mps(Device::new(1, DeviceSpec::tesla_k80()), &[0, 1, 2, 3]).unwrap();
+        let (_d2, clients) = mps(4);
         let ends: Vec<SimTime> = std::thread::scope(|s| {
             clients
                 .iter()
@@ -627,8 +574,7 @@ mod tests {
                             &desc(),
                             KernelShape::new(zones_total / 4, inner_dim),
                             SimTime::ZERO,
-                        )
-                        .unwrap();
+                        );
                         block_on(c.sync(SimTime::ZERO))
                     })
                 })
@@ -645,28 +591,33 @@ mod tests {
     }
 
     #[test]
+    fn clients_connect_up_to_limit() {
+        let connect = |n, mps| SharedDevice::new(0, DeviceSpec::tesla_k80(), n, mps).map(|d| d.1);
+        assert_eq!(connect(MPS_MAX_CLIENTS, true).unwrap().len(), 16);
+        let rejected = Some(GpuError::MpsRejected {
+            reason: "client limit reached",
+        });
+        assert_eq!(connect(17, true).err(), rejected);
+        // Without MPS a device's one context takes one client.
+        assert_eq!(connect(1, false).unwrap().len(), 1);
+        assert_eq!(connect(2, false).err(), rejected);
+    }
+
+    #[test]
     fn mps_launch_overhead_is_elevated() {
-        let (_dev, clients) = SharedDevice::new_mps(k80(), &[0, 1]).unwrap();
-        let overhead = clients[0]
-            .launch(&desc(), KernelShape::new(1000, 10), SimTime::ZERO)
-            .unwrap();
+        let (_dev, clients) = mps(2);
+        let overhead = clients[0].launch(&desc(), KernelShape::new(1000, 10), SimTime::ZERO);
         assert!(overhead > DeviceSpec::tesla_k80().launch_overhead);
     }
 
     #[test]
     fn streams_keep_clients_ordered_within_themselves() {
-        let (_dev, client) = SharedDevice::new_exclusive(k80(), 0).unwrap();
+        let (_dev, client) = exclusive();
         // Two launches on the same client serialize: total ≈ 2x one.
-        client
-            .launch(&desc(), KernelShape::new(4_000_000, 320), SimTime::ZERO)
-            .unwrap();
+        client.launch(&desc(), KernelShape::new(4_000_000, 320), SimTime::ZERO);
         let one = block_on(client.sync(SimTime::ZERO));
-        client
-            .launch(&desc(), KernelShape::new(4_000_000, 320), SimTime::ZERO)
-            .unwrap();
-        client
-            .launch(&desc(), KernelShape::new(4_000_000, 320), SimTime::ZERO)
-            .unwrap();
+        client.launch(&desc(), KernelShape::new(4_000_000, 320), SimTime::ZERO);
+        client.launch(&desc(), KernelShape::new(4_000_000, 320), SimTime::ZERO);
         let two = block_on(client.sync(SimTime::ZERO));
         let d_one = one - SimTime::ZERO;
         let d_two = two - SimTime::ZERO;
