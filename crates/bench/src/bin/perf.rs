@@ -68,8 +68,8 @@ const DEFAULT_HOST_THREADS: usize = 4;
 /// spread over 1.20–1.84 across 20 runs, of 15 pairs over 1.34–1.46.
 const PAIRS: usize = 15;
 
-/// Ceiling on `sweeps.costonly_run_over_floor`. The stepped driver on
-/// the 2-core host reads 2.6-3.2 over the two cycles a sweep point
+/// Ceiling on `sweeps.costonly_run_over_floor`. One rank worker (the
+/// calling thread) on the 2-core host reads 2.6-3.2 over the two cycles a sweep point
 /// steps (messages through one inbox per rank), which this clears by
 /// 1.5x; over four cycles and `mpsc` channels it read 3.9-4.1, and the
 /// thread-per-rank driver before that read 8-55 there (4.8-6.6 pinned

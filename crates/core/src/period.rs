@@ -6,7 +6,7 @@
 use std::error::Error;
 use std::ops::Range;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use hsim_faults::FaultPlan;
 use hsim_raja::simgpu::{DeviceMark, StreamMark};
@@ -90,17 +90,14 @@ pub(crate) struct Posted {
 /// cycles it names.
 ///
 /// The verdict is read in the cycle it judges. Each rank posts its
-/// cycle into a slot of its own and waits until every rank has posted
-/// the same cycle — parked under [`hsim_mpi::Driver::Stepped`], asleep
-/// on a condition variable under [`hsim_mpi::Driver::Threads`]. The
-/// verdict is a function of those posts alone, so every rank reaches
+/// cycle into a slot of its own and parks until every rank has posted
+/// the same cycle. The verdict is a function of those posts alone, so every rank reaches
 /// the same one. A rank that ends without posting, by error or by
 /// panic, counts as not steady, and nobody waits for it: its [`Seat`]
 /// leaves the board as it drops, which is what a device's `Departure`
 /// is to its sync epochs.
 pub(crate) struct PeriodBoard {
     posts: Mutex<Posts>,
-    posted: Condvar,
 }
 
 struct Posts {
@@ -110,8 +107,6 @@ struct Posts {
     slots: Vec<[Option<Posted>; 2]>,
     /// Per rank: its body has ended.
     gone: Vec<bool>,
-    /// Rank threads asleep on [`PeriodBoard::posted`].
-    sleeping: usize,
 }
 
 impl Posts {
@@ -140,9 +135,7 @@ impl PeriodBoard {
             posts: Mutex::new(Posts {
                 slots: vec![[None; 2]; ranks],
                 gone: vec![false; ranks],
-                sleeping: 0,
             }),
-            posted: Condvar::new(),
         }
     }
 
@@ -152,15 +145,6 @@ impl PeriodBoard {
             board: self,
             rank,
             last: None,
-        }
-    }
-
-    /// Change the posts and wake the rank threads waiting on them.
-    fn update(&self, change: impl FnOnce(&mut Posts)) {
-        let mut posts = self.posts.lock();
-        change(&mut posts);
-        if posts.sleeping > 0 {
-            self.posted.notify_all();
         }
     }
 }
@@ -178,22 +162,10 @@ impl Seat<'_> {
     /// Post this rank's cycle and wait for the verdict on it.
     pub(crate) async fn post(&self, posted: Posted) -> bool {
         let (board, cycle) = (self.board, posted.cycle);
-        board.update(|posts| posts.slots[self.rank][(cycle % 2) as usize] = Some(posted));
-        task::wait(
-            Waiting::Verdict { cycle },
-            || board.posts.lock().verdict(cycle),
-            || {
-                let mut posts = board.posts.lock();
-                loop {
-                    if let Some(verdict) = posts.verdict(cycle) {
-                        return verdict;
-                    }
-                    posts.sleeping += 1;
-                    board.posted.wait(&mut posts);
-                    posts.sleeping -= 1;
-                }
-            },
-        )
+        board.posts.lock().slots[self.rank][(cycle % 2) as usize] = Some(posted);
+        task::park(Waiting::Verdict { cycle }, || {
+            board.posts.lock().verdict(cycle)
+        })
         .await
     }
 
@@ -261,7 +233,7 @@ impl Seat<'_> {
 
 impl Drop for Seat<'_> {
     fn drop(&mut self) {
-        self.board.update(|posts| posts.gone[self.rank] = true);
+        self.board.posts.lock().gone[self.rank] = true;
     }
 }
 
@@ -293,7 +265,7 @@ mod tests {
     use super::*;
     use crate::mode::ExecMode;
     use crate::runner::{run_driven, RunConfig};
-    use hsim_mpi::{Driver, World};
+    use hsim_mpi::World;
 
     #[test]
     fn a_verdict_takes_every_rank_steady_in_step_and_nothing_in_flight() {
@@ -337,7 +309,7 @@ mod tests {
         // post of this one; a rank that has left posts nothing more.
         let board = PeriodBoard::new(3);
         let seat = board.seat(0);
-        board.update(|posts| posts.slots[1][1] = Some(post(3, true, 7, (1, 1))));
+        board.posts.lock().slots[1][1] = Some(post(3, true, 7, (1, 1)));
         let mut first = pin!(seat.post(post(1, true, 7, (1, 1))));
         assert!(matches!(resume(first.as_mut()), Resumed::Parked(_)));
         drop(board.seat(2));
@@ -347,14 +319,17 @@ mod tests {
     }
 
     #[test]
-    fn a_stuck_stepped_world_names_the_verdict_it_waits_for() {
+    fn a_stuck_world_names_the_verdict_it_waits_for() {
         use hsim_mpi::{CommCost, MpiError};
-        let board = &PeriodBoard::new(2);
-        let out = World::run_fallible(
-            Driver::Stepped,
-            2,
-            CommCost::free(),
-            |mut comm| async move {
+        let stuck = MpiError::Deadlock {
+            waiting: vec![
+                (0, Waiting::Verdict { cycle: 4 }),
+                (1, Waiting::Message { src: 0, tag: 9 }),
+            ],
+        };
+        for workers in [1, 2] {
+            let board = &PeriodBoard::new(2);
+            let out = World::run_fallible(workers, 2, CommCost::free(), |mut comm| async move {
                 let seat = board.seat(comm.rank());
                 if comm.rank() == 0 {
                     let posted = Posted {
@@ -368,15 +343,10 @@ mod tests {
                     comm.irecv::<f64>(0, 9).await.map_err(|e| e.to_string())?;
                 }
                 Ok(())
-            },
-        );
-        let stuck = MpiError::Deadlock {
-            waiting: vec![
-                (0, Waiting::Verdict { cycle: 4 }),
-                (1, Waiting::Message { src: 0, tag: 9 }),
-            ],
-        };
-        assert_eq!(out, [0, 1].map(|r| Err(format!("rank {r}: {stuck}"))));
+            });
+            let expect = [0, 1].map(|r| Err(format!("rank {r}: {stuck}")));
+            assert_eq!(out, expect, "{workers} workers");
+        }
         assert!(stuck
             .to_string()
             .contains("rank 0 waits for the period verdict on cycle 4"));
@@ -388,7 +358,7 @@ mod tests {
         // walking `t` that far is what the run declines.
         let mut cfg = RunConfig::sweep((16, 24, 16), ExecMode::Default);
         cfg.cycles = MAX_ADDED_CYCLES + 4;
-        let err = run_driven(&cfg, 0.0, Driver::Stepped).unwrap_err();
+        let err = run_driven(&cfg, 0.0, 1).unwrap_err();
         let refused = TooManyCycles(MAX_ADDED_CYCLES + 2).to_string();
         assert!(err.contains(&refused), "{err}");
     }

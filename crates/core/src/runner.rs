@@ -20,7 +20,7 @@ use hsim_mesh::decomp::block::{block_decomp_yz, try_block_decomp};
 use hsim_mesh::decomp::hierarchical::hierarchical_decomp_yz;
 use hsim_mesh::decomp::weighted::{fold_lost_rank, weighted_hetero_decomp, WeightedConfig};
 use hsim_mesh::{Decomposition, GlobalGrid, HaloPlan, OwnerKind, SoaBlock, Subdomain};
-use hsim_mpi::{Comm, Driver, World};
+use hsim_mpi::{Comm, World};
 use hsim_particles::{Particle, ParticlesConfig, PhaseState};
 use hsim_raja::simgpu::Departure;
 use hsim_raja::{Executor, Fidelity, GpuClient, SharedDevice, Target, WorkPool};
@@ -172,7 +172,13 @@ impl RunConfig {
             ExecMode::CpuOnly => try_block_decomp(grid, self.node.cores, 1),
             _ => block_decomp_yz(grid, self.node.gpus, 1),
         };
-        top.map_err(|e| format!("{}: grid {nx},{ny},{nz}: {e}", self.mode.key()))?;
+        let top = top.map_err(|e| format!("{}: grid {nx},{ny},{nz}: {e}", self.mode.key()))?;
+        // Every rank's box lies inside one of the top-level boxes.
+        if top.domains.iter().any(|d| mesh_bytes(d.zones()).is_none()) {
+            return Err(format!(
+                "grid {nx},{ny},{nz}: a rank's mesh bytes overflow u64"
+            ));
+        }
         match &self.diffusion {
             Some(d) if !(d.kappa.is_finite() && d.kappa >= 0.0) => Err(format!(
                 "diffusion: kappa must be finite and non-negative, got {}",
@@ -274,27 +280,28 @@ enum Boundary {
 /// virtual-time measurement, so two same-seed runs re-split
 /// identically, byte for byte — the property the chaos gate asserts.
 pub fn run_with_fraction(cfg: &RunConfig, cpu_fraction: f64) -> Result<RunResult, String> {
-    // Ranks that execute kernel bodies get a thread each and run in
-    // parallel; ranks that only price them exchange nothing but
-    // virtual timestamps, so they are stepped on this thread and the
-    // run spawns nothing.
-    let driver = match cfg.fidelity {
-        Fidelity::Full => Driver::Threads,
-        Fidelity::CostOnly => Driver::Stepped,
+    // Ranks that execute kernel bodies are resumed by a worker per
+    // host core, so their kernels run in parallel and no core runs two
+    // while another idles (§5: one rank per core). Ranks that only
+    // price them exchange nothing but virtual timestamps, so this
+    // thread resumes them all and the run spawns nothing.
+    let workers = match cfg.fidelity {
+        Fidelity::Full => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        Fidelity::CostOnly => 1,
     };
-    run_driven(cfg, cpu_fraction, driver).map(|(result, _)| result)
+    run_driven(cfg, cpu_fraction, workers).map(|(result, _)| result)
 }
 
-/// [`run_with_fraction`] under an explicit rank driver. The result is
-/// the same under either — which the tests of this module assert,
-/// and the only reason the choice is an argument. Beside the result
-/// comes the number of cycles the ranks stepped, the rest having been
-/// added up (see [`PeriodBoard`]): the
-/// tests' view of that choice, which no output shows.
+/// [`run_with_fraction`] with an explicit number of rank workers. The
+/// result is the same at any count — which the tests of this module
+/// assert, and the only reason the count is an argument. Beside the
+/// result comes the number of cycles the ranks stepped, the rest having
+/// been added up (see [`PeriodBoard`]): the tests' view of that choice,
+/// which no output shows.
 pub(crate) fn run_driven(
     cfg: &RunConfig,
     cpu_fraction: f64,
-    driver: Driver,
+    workers: usize,
 ) -> Result<(RunResult, u64), String> {
     cfg.check()?;
     let fault_plan = Arc::new(cfg.faults.clone().unwrap_or_default());
@@ -414,7 +421,7 @@ pub(crate) fn run_driven(
             cold: acc.end.left.is_empty(),
             tile,
         };
-        let (outs, device_busy) = run_segment(seg, driver, std::mem::take(&mut acc.end))?;
+        let (outs, device_busy) = run_segment(seg, workers, std::mem::take(&mut acc.end))?;
         first = last;
         acc.fold(&orig_ids, outs, device_busy);
 
@@ -778,7 +785,7 @@ struct EndState {
 /// never repeats itself.
 fn run_segment(
     seg: Segment<'_>,
-    driver: Driver,
+    workers: usize,
     restore: EndState,
 ) -> Result<(Vec<RankOut>, Vec<SimDuration>), String> {
     // Across the boundary come every rank's state, moved onto this
@@ -802,7 +809,7 @@ fn run_segment(
     let states = hand_over(states.collect(), seg.decomp, &fresh);
     let ranks = Ranks::new(seg, states, restore.particles.as_deref())?;
     let outputs = World::run_fallible(
-        driver,
+        workers,
         seg.roles.len(),
         seg.cfg.node.comm.clone(),
         rank_task(|comm| rank_body(&ranks, comm)),
@@ -928,9 +935,10 @@ enum Left {
 
 /// What a rank body installs in thread-local storage: its telemetry
 /// collector and its fault injector. They belong to the rank, not to
-/// the thread — stepped ranks share the caller's thread, which may
-/// have a collector or an injector of its own — so they are installed
-/// for exactly as long as the rank is being polled.
+/// the thread — ranks share the driver's workers, one of which is the
+/// caller's thread and may have a collector or an injector of its own
+/// — so they are installed for exactly as long as the rank is being
+/// polled.
 #[derive(Default)]
 struct RankLocals {
     collector: Option<Collector>,
@@ -972,17 +980,17 @@ impl<F: Future> Future for RankTask<F> {
 }
 
 /// Make every rank that `body` starts a [`RankTask`].
-fn rank_task<F: Future>(body: impl Fn(Comm) -> F + Sync) -> impl Fn(Comm) -> RankTask<F> + Sync {
+fn rank_task<F: Future>(body: impl Fn(Comm) -> F) -> impl Fn(Comm) -> RankTask<F> {
     move |comm| RankTask {
         locals: RankLocals::default(),
         body: Box::pin(body(comm)),
     }
 }
 
-/// The rank body both drivers run, resumable at every wait on a peer,
-/// a device or the period board; the driver decides whether a wait
-/// blocks the rank's thread or parks the rank. Every error it returns
-/// names the rank by its original id, which the fault plan keys on.
+/// The rank body, resumable at every wait on a peer, a device or the
+/// period board: a wait parks the rank, and a worker of the driver
+/// resumes it later, on whichever thread. Every error it returns names
+/// the rank by its original id, which the fault plan keys on.
 async fn rank_body(ranks: &Ranks<'_>, mut comm: Comm) -> Result<RankOut, String> {
     let orig = ranks.seg.orig_ids[comm.rank()];
     let out = run_rank(ranks, &mut comm).await;
@@ -1137,10 +1145,16 @@ async fn set_up<'a>(ranks: &'a Ranks<'a>, comm: &'a mut Comm) -> Result<Rank<'a>
     })
 }
 
+/// The bytes of the mesh of a box of `zones` zones: ghost-padded
+/// fields sized at owned extent (sizing, not bookkeeping). `None` if
+/// that overflows `u64`, which [`RunConfig::check`] refuses.
+fn mesh_bytes(zones: u64) -> Option<u64> {
+    zones.checked_mul(8 * calib::MESH_FIELDS)
+}
+
 /// Fault a GPU rank's mesh into unified memory, charged to its clock.
 fn fault_in(clock: &mut RankClock, dev: &SharedDevice, zones: u64) -> Result<(), Failed> {
-    // Ghost-padded fields sized at owned extent: sizing, not bookkeeping.
-    let mesh = zones * 8 * calib::MESH_FIELDS;
+    let mesh = mesh_bytes(zones).ok_or("the rank's mesh bytes overflow u64")?;
     let t_um = clock.now();
     // Injected device OOM: a transient allocation failure backs off and
     // retries; a permanent one is a typed error.
@@ -1337,7 +1351,14 @@ mod tests {
         ];
         for mode in modes {
             let huge = 4_000_000_000;
-            for grid in [(32, 1, 32), (0, 48, 32), (huge, huge, huge)] {
+            // The last: 8·10¹⁸ zones fit u64, a rank's mesh bytes do not.
+            let big = 2_000_000;
+            for grid in [
+                (32, 1, 32),
+                (0, 48, 32),
+                (huge, huge, huge),
+                (big, big, big),
+            ] {
                 let cfg = sweep_cfg(grid, mode);
                 let why = run(&cfg).expect_err("an uncarvable grid runs");
                 assert_eq!(run_balanced(&cfg).expect_err("balanced"), why);
@@ -1831,7 +1852,7 @@ mod tests {
         // `RebalanceConfig::parse` refuses `every=0`; the public struct
         // must not hand the run loop a boundary at every cycle 0.
         let cfg = online_cfg((64, 48, 32), 4, 0);
-        let err = watched(move || run_driven(&cfg, 0.30, Driver::Stepped).map(|_| ()))
+        let err = watched(move || run_driven(&cfg, 0.30, 1).map(|_| ()))
             .expect_err("a controller that never advances is refused");
         assert!(err.contains("every must be positive"), "{err}");
     }
@@ -1919,8 +1940,8 @@ mod tests {
     /// line, the breakdown table), every rank report and the rest of
     /// the result, then the trace and the metrics documents. An error
     /// is its message.
-    fn emitted(cfg: &RunConfig, fraction: f64, driver: Driver) -> String {
-        let r = match run_driven(cfg, fraction, driver) {
+    fn emitted(cfg: &RunConfig, fraction: f64, workers: usize) -> String {
+        let r = match run_driven(cfg, fraction, workers) {
             Ok((r, _)) => r,
             Err(e) => return format!("error: {e}"),
         };
@@ -1942,7 +1963,7 @@ mod tests {
     }
 
     #[test]
-    fn stepped_and_threaded_ranks_emit_the_same_bytes() {
+    fn every_worker_count_emits_the_same_bytes() {
         let controller = Some(RebalanceConfig {
             every: 2,
             hysteresis: calib::REBALANCE_DEFAULT_HYSTERESIS,
@@ -1996,33 +2017,36 @@ mod tests {
             }
             for (label, cfg) in cases {
                 let fraction = if cfg.rebalance.is_some() { 0.30 } else { 0.05 };
-                let stepped = emitted(&cfg, fraction, Driver::Stepped);
+                let one = emitted(&cfg, fraction, 1);
                 checked += 1;
-                let threaded = emitted(&cfg, fraction, Driver::Threads);
-                assert!(
-                    threaded == stepped,
-                    "{mode:?}, {label}: the drivers disagree"
-                );
+                for workers in 2..=4 {
+                    assert!(
+                        emitted(&cfg, fraction, workers) == one,
+                        "{mode:?}, {label}: {workers} workers disagree with one"
+                    );
+                }
             }
         }
         assert_eq!(checked, 4 * 11 + 2);
 
-        // Kernel bodies do not care which driver resumes them either.
+        // Kernel bodies do not care how many workers resume them either.
         let mut full = sweep_cfg((16, 24, 16), ExecMode::hetero());
         full.fidelity = Fidelity::Full;
         full.cycles = 2;
         full.telemetry = true;
         full.tile = Some([8, 8]);
         full.particles = Some(ParticlesConfig::default());
-        let threaded = emitted(&full, 0.25, Driver::Threads);
-        assert!(!threaded.starts_with("error"), "{threaded}");
-        assert!(threaded == emitted(&full, 0.25, Driver::Stepped));
+        let one = emitted(&full, 0.25, 1);
+        assert!(!one.starts_with("error"), "{one}");
+        for workers in 2..=4 {
+            assert!(emitted(&full, 0.25, workers) == one, "{workers} workers");
+        }
     }
 
     /// Everything a cost-only run reports, and the cycles it stepped.
     /// An error is its message.
     fn reported(cfg: &RunConfig, fraction: f64) -> (String, u64) {
-        match run_driven(cfg, fraction, Driver::Stepped) {
+        match run_driven(cfg, fraction, 1) {
             Err(e) => (format!("error: {e}"), 0),
             Ok((r, stepped)) => {
                 let text = format!(
@@ -2163,14 +2187,11 @@ mod tests {
             assert_eq!(cfg.cycles, 10);
             let (some, all) = assert_added_up_equals_stepped(&cfg, 0.05, &format!("{mode:?}"));
             assert_eq!((some, all), (expect, 10), "{mode:?}");
-            // Under rank threads too.
-            let threads = run_driven(&cfg, 0.05, Driver::Threads).unwrap();
-            let stepped = run_driven(&cfg, 0.05, Driver::Stepped).unwrap();
-            assert_eq!(threads.1, expect, "{mode:?}");
-            assert_eq!(
-                format!("{:?}", threads.0.ranks),
-                format!("{:?}", stepped.0.ranks)
-            );
+            // At four workers too.
+            let four = run_driven(&cfg, 0.05, 4).unwrap();
+            let one = run_driven(&cfg, 0.05, 1).unwrap();
+            assert_eq!(four.1, expect, "{mode:?}");
+            assert_eq!(format!("{:?}", four.0.ranks), format!("{:?}", one.0.ranks));
         }
     }
 
@@ -2182,7 +2203,7 @@ mod tests {
             let at = |cycles| {
                 let mut cfg = RunConfig::sweep((320, 240, 160), mode);
                 cfg.cycles = cycles;
-                run_driven(&cfg, 0.05, Driver::Stepped).unwrap()
+                run_driven(&cfg, 0.05, 1).unwrap()
             };
             let ((one, _), (two, _), (many, stepped)) = (at(1), at(2), at(10_000));
             assert!(stepped <= 2, "{mode:?}: stepped {stepped}");
@@ -2257,7 +2278,7 @@ mod tests {
     const FALLBACK_ROW: &str = "2,hetero,64,48,32,98304,10,0.027271,0.1250,18480,27855440";
 
     fn row_and_stepped(cfg: &RunConfig) -> (String, u64) {
-        let (r, stepped) = run_driven(cfg, 0.05, Driver::Stepped).unwrap();
+        let (r, stepped) = run_driven(cfg, 0.05, 1).unwrap();
         (r.csv_row(), stepped)
     }
 
@@ -2268,7 +2289,7 @@ mod tests {
         cfg.telemetry = true;
         assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 10));
         // A span per rank and cycle is still there.
-        let (r, _) = run_driven(&cfg, 0.05, Driver::Stepped).unwrap();
+        let (r, _) = run_driven(&cfg, 0.05, 1).unwrap();
         let s = r.telemetry.unwrap();
         assert_eq!(s.metrics.counter(Counter::Cycles), 10 * 16);
     }
@@ -2278,7 +2299,7 @@ mod tests {
         let mut cfg = fallback_cfg();
         cfg.trace = true;
         assert_eq!(row_and_stepped(&cfg), (FALLBACK_ROW.to_string(), 10));
-        let (r, _) = run_driven(&cfg, 0.05, Driver::Stepped).unwrap();
+        let (r, _) = run_driven(&cfg, 0.05, 1).unwrap();
         assert_eq!(per_cycle_spans(&r), 2 * 10 * 16);
     }
 
@@ -2299,9 +2320,9 @@ mod tests {
         cfg.grid = (32, 48, 32);
         cfg.fidelity = Fidelity::Full;
         let row = "2,hetero,32,48,32,49152,10,0.017352,0.1250,18480,13929040";
-        for driver in [Driver::Threads, Driver::Stepped] {
-            let (r, stepped) = run_driven(&cfg, 0.05, driver).unwrap();
-            assert_eq!((r.csv_row(), stepped), (row.to_string(), 10), "{driver:?}");
+        for workers in [1, 4] {
+            let (r, stepped) = run_driven(&cfg, 0.05, workers).unwrap();
+            assert_eq!((r.csv_row(), stepped), (row.to_string(), 10), "{workers}");
         }
     }
 
@@ -2382,11 +2403,11 @@ mod tests {
         // panic — while its peers post cycle 2 and wait for the verdict
         // on it. Its seat leaves the board as it drops: they read "not
         // periodic" and find out at the next collective.
-        for driver in [Driver::Stepped, Driver::Threads] {
+        for workers in [1, 2, 4] {
             for panics in [false, true] {
                 let out = watched(move || {
                     let board = &PeriodBoard::new(3);
-                    World::run_fallible(driver, 3, CommCost::free(), |mut comm| async move {
+                    World::run_fallible(workers, 3, CommCost::free(), |mut comm| async move {
                         let rank = comm.rank();
                         let seat = board.seat(rank);
                         for cycle in 1..=3 {
@@ -2413,27 +2434,27 @@ mod tests {
                 for (rank, peer) in [(0, 1), (2, 0)] {
                     let gone = MpiError::Disconnected { peer };
                     let lost = Err(format!("rank {rank}: cycle 3: {gone}"));
-                    assert_eq!(out[rank], lost, "{driver:?}");
+                    assert_eq!(out[rank], lost, "{workers} workers");
                 }
                 let own = if panics {
                     "rank body panicked"
                 } else {
                     "typed failure"
                 };
-                assert_eq!(out[1], Err(format!("rank 1: {own}")), "{driver:?}");
+                assert_eq!(out[1], Err(format!("rank 1: {own}")), "{workers} workers");
             }
         }
 
         // Through a whole run: cycles 3–6 are added, rank 1 dies in
         // cycle 7, and the injected error surfaces.
-        for driver in [Driver::Stepped, Driver::Threads] {
+        for workers in [1, 2, 4] {
             let mut cfg = sweep_cfg((32, 48, 32), ExecMode::mps4());
             cfg.cycles = 10;
             cfg.faults =
                 Some(hsim_faults::FaultPlan::parse("gpu.launch@rank1.cycle7:perm").unwrap());
-            let err = watched(move || run_driven(&cfg, 0.0, driver).map(|_| ()))
+            let err = watched(move || run_driven(&cfg, 0.0, workers).map(|_| ()))
                 .expect_err("a permanent launch fault is fatal");
-            assert!(err.starts_with("rank 1: "), "{driver:?}: {err}");
+            assert!(err.starts_with("rank 1: "), "{workers} workers: {err}");
             assert!(err.contains("injected permanent launch fault"), "{err}");
         }
     }
@@ -2443,7 +2464,7 @@ mod tests {
         for mode in paper_modes() {
             let mut cfg = RunConfig::sweep((16, 24, 16), mode);
             cfg.cycles = u64::MAX / 2;
-            let err = run_driven(&cfg, 0.25, Driver::Stepped).unwrap_err();
+            let err = run_driven(&cfg, 0.25, 1).unwrap_err();
             assert!(
                 err.contains(&hsim_time::Overflow.to_string()),
                 "{mode:?}: {err}"
@@ -2453,8 +2474,8 @@ mod tests {
 
     /// The physics a run leaves behind, to the bit: mass, scenario
     /// error, final time and the particle phase.
-    fn physics_bits(cfg: &RunConfig, fraction: f64, driver: Driver) -> (String, RunResult) {
-        let (r, _) = run_driven(cfg, fraction, driver).unwrap_or_else(|e| panic!("{e}"));
+    fn physics_bits(cfg: &RunConfig, fraction: f64, workers: usize) -> (String, RunResult) {
+        let (r, _) = run_driven(cfg, fraction, workers).unwrap_or_else(|e| panic!("{e}"));
         let p = r.particles.as_ref().expect("the particle phase is on");
         let s = r.scenario.as_ref().expect("a first-class scenario");
         let bits = format!(
@@ -2509,20 +2530,20 @@ mod tests {
                 });
                 cfg
             };
-            for driver in [Driver::Threads, Driver::Stepped] {
-                let case = format!("{scenario:?}, {driver:?}");
+            for workers in [4, 1] {
+                let case = format!("{scenario:?}, {workers} workers");
                 // (a) Three ticks that all hold.
-                let (uncut, _) = physics_bits(&base, 0.125, driver);
-                let (held, r) = physics_bits(&ticking(0.9), 0.125, driver);
+                let (uncut, _) = physics_bits(&base, 0.125, workers);
+                let (held, r) = physics_bits(&ticking(0.9), 0.125, workers);
                 assert_eq!(r.balance_history.len(), 4, "{case}");
                 assert!(r.balance_history.iter().all(|&f| f == 0.125), "{case}");
                 assert_eq!(held, uncut, "{case}: held ticks");
 
                 // (b) One forced re-split, against the uncut run at
                 // the split it converges to.
-                let (resplit, r) = physics_bits(&ticking(0.02), 0.30, driver);
+                let (resplit, r) = physics_bits(&ticking(0.02), 0.30, workers);
                 assert!(r.balance_history[0] > r.cpu_fraction, "{case}");
-                let (uncut, u) = physics_bits(&base, r.cpu_fraction, driver);
+                let (uncut, u) = physics_bits(&base, r.cpu_fraction, workers);
                 let zones = |r: &RunResult| r.ranks.iter().map(|x| x.zones).collect::<Vec<_>>();
                 assert_eq!(zones(&r), zones(&u), "{case}: same final decomposition");
                 assert_eq!(resplit, uncut, "{case}: forced re-split");
@@ -2531,7 +2552,7 @@ mod tests {
                 let mut lossy = ticking(0.02);
                 lossy.faults =
                     Some(hsim_faults::FaultPlan::parse("rank.loss@rank5.cycle5").unwrap());
-                let (folded, r) = physics_bits(&lossy, 0.30, driver);
+                let (folded, r) = physics_bits(&lossy, 0.30, workers);
                 assert_eq!(r.ranks.len(), 15, "{case}");
                 assert_eq!(folded, recorded, "{case}: re-split + rank loss");
             }
@@ -2542,16 +2563,15 @@ mod tests {
     fn a_rank_that_dies_mid_cycle_does_not_hang_its_mps_peers() {
         // Rank 1 dies of a permanent launch fault and never joins its
         // device's next sync epoch, where the device's other three
-        // clients — rank threads, blocked on a condition variable —
-        // already wait. Its departure must complete that epoch; the
-        // survivors then fail at the dead rank's inbox and the
-        // injected root cause wins, as for any other loss.
-        for _ in 0..3 {
+        // clients already wait, parked. Its departure must complete
+        // that epoch; the survivors then fail at the dead rank's inbox
+        // and the injected root cause wins, as for any other loss.
+        for workers in [1, 2, 2, 4, 4] {
             let mut cfg = sweep_cfg((32, 48, 32), ExecMode::mps4());
             cfg.fidelity = Fidelity::Full;
             cfg.faults =
                 Some(hsim_faults::FaultPlan::parse("gpu.launch@rank1.cycle1:perm").unwrap());
-            let err = watched(move || run_driven(&cfg, 0.0, Driver::Threads).map(|_| ()))
+            let err = watched(move || run_driven(&cfg, 0.0, workers).map(|_| ()))
                 .expect_err("a permanent launch fault is fatal");
             assert!(err.starts_with("rank 1: "), "{err}");
             assert!(err.contains("injected permanent launch fault"), "{err}");
@@ -2563,15 +2583,15 @@ mod tests {
         // Rank 4 is lost at cycle 1; rank 9 is rank 8 of the folded
         // world when a permanent worker panic at cycle 3 ends it. The
         // plan names it 9, and so does the error.
-        for driver in [Driver::Stepped, Driver::Threads] {
+        for workers in [1, 4] {
             let mut cfg = sweep_cfg((64, 48, 32), ExecMode::hetero());
             cfg.cycles = 4;
             cfg.host_threads = 2;
             let plan = "rank.loss@rank4.cycle1;pool.panic@rank9.cycle3:perm";
             cfg.faults = Some(hsim_faults::FaultPlan::parse(plan).unwrap());
-            let err = watched(move || run_driven(&cfg, 0.05, driver).map(|_| ()))
+            let err = watched(move || run_driven(&cfg, 0.05, workers).map(|_| ()))
                 .expect_err("a permanent worker panic is fatal");
-            assert!(err.starts_with("rank 9: "), "{driver:?}: {err}");
+            assert!(err.starts_with("rank 9: "), "{workers} workers: {err}");
             assert!(err.contains("injected permanent worker panic"), "{err}");
         }
     }
@@ -2681,18 +2701,6 @@ mod tests {
     fn an_mps_client_that_syncs_twice_in_an_epoch_is_a_deadlock_error() {
         use hsim_mpi::{CommCost, MpiError};
         use hsim_time::task::Waiting;
-        let spec = NodeConfig::rzhasgpu().gpu_spec;
-        let (_shared, clients) = SharedDevice::new(3, spec, 2, true).unwrap();
-        let clients = &clients;
-        let out = World::run_fallible(Driver::Stepped, 2, CommCost::free(), |comm| async move {
-            let client = &clients[comm.rank()];
-            client.sync(SimTime::ZERO).await;
-            if comm.rank() == 0 {
-                // Epoch 1 needs both clients; rank 1 never comes.
-                client.sync(SimTime::ZERO).await;
-            }
-            Ok(comm.rank())
-        });
         let stuck = MpiError::Deadlock {
             waiting: vec![(
                 0,
@@ -2702,8 +2710,24 @@ mod tests {
                 },
             )],
         };
-        assert_eq!(out[0], Err(format!("rank 0: {stuck}")));
-        assert_eq!(out[1], Ok(1));
+        for workers in [1, 2, 4] {
+            let out = watched(move || {
+                let spec = NodeConfig::rzhasgpu().gpu_spec;
+                let (_shared, clients) = SharedDevice::new(3, spec, 2, true).unwrap();
+                let clients = &clients;
+                World::run_fallible(workers, 2, CommCost::free(), |comm| async move {
+                    let client = &clients[comm.rank()];
+                    client.sync(SimTime::ZERO).await;
+                    if comm.rank() == 0 {
+                        // Epoch 1 needs both clients; rank 1 never comes.
+                        client.sync(SimTime::ZERO).await;
+                    }
+                    Ok(comm.rank())
+                })
+            });
+            assert_eq!(out[0], Err(format!("rank 0: {stuck}")), "{workers} workers");
+            assert_eq!(out[1], Ok(1));
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! A cost-only run steps its ranks on the thread that called it, and
-//! a rank body keeps its telemetry collector and its fault injector
+//! A run resumes its ranks on the thread that called it (a cost-only
+//! run on that thread alone, a full-fidelity one on it and a worker
+//! per further core), and a rank body keeps its telemetry collector and its fault injector
 //! in thread-local storage. Whatever the *caller* has installed there
 //! must come through untouched: not recorded into, not consumed, not
 //! replaced — and a rank's own must never be left behind.
@@ -67,12 +68,15 @@ fn a_telemetry_on_run_keeps_rank_and_caller_collectors_apart() {
     assert_eq!(beside.to_chrome_json(), alone.to_chrome_json());
     assert!(alone.metrics.counter(Counter::MpiSends) > 0);
 
-    // And they are what one rank per thread reports: full fidelity
-    // keeps thread-per-rank and charges the same virtual costs, so the
-    // two account for the same sends, launches and syncs, rank by rank.
+    // And they are what full fidelity reports, which spreads the ranks
+    // over more workers and charges the same virtual costs, so the two
+    // account for the same sends, launches and syncs, rank by rank —
+    // with the caller's collector and injector beside them again.
     let mut full = cfg(true);
     full.fidelity = Fidelity::Full;
+    install_callers();
     let threaded = summary(&full);
+    assert_callers_untouched();
     for counter in [
         Counter::MpiSends,
         Counter::MpiRecvs,

@@ -46,7 +46,8 @@ struct Packet {
     departure: SimTime,
 }
 
-/// How often a rank thread whose packet has not arrived yields its core
+/// How often a blocking receive (a closure under [`crate::World::run`],
+/// on a thread of its own) whose packet has not arrived yields its core
 /// before it sleeps: the sender is usually runnable and about to send,
 /// and a sleep costs two system calls and a wake-up. Measured on a
 /// 16-rank world on two vCPUs, a ring hand-off took 30 µs this way,
@@ -59,8 +60,8 @@ struct Mail {
     /// Per source rank, the packets it sent here that no receive has
     /// taken yet, in send order.
     from: Vec<VecDeque<Packet>>,
-    /// The owner sleeps on [`Inbox::arrived`] (rank threads only: a
-    /// stepped rank parks instead).
+    /// The owner sleeps on [`Inbox::arrived`] (a blocking receive only:
+    /// a driven rank parks instead).
     sleeping: bool,
 }
 
@@ -69,8 +70,8 @@ struct Inbox {
     arrived: Condvar,
 }
 
-/// The world's one transport, shared by every rank's [`Comm`] under
-/// either driver: an inbox per destination rank, and per rank a flag
+/// The world's one transport, shared by every rank's [`Comm`], driven
+/// or blocking: an inbox per destination rank, and per rank a flag
 /// that its `Comm` is still alive.
 pub(crate) struct PostOffice {
     inboxes: Vec<Inbox>,
@@ -171,8 +172,8 @@ impl PostOffice {
 /// peer — a receive, and the collectives built from receives — is
 /// named the way MPI names its non-blocking calls (`irecv`,
 /// `iallreduce`, `ibarrier`, …) and returns a future in place of a
-/// request handle, so a rank body is resumable and either driver of
-/// [`crate::World`] can run it. [`Comm::recv`], [`Comm::barrier`] and
+/// request handle, so a rank body is resumable and the workers of
+/// [`crate::World::run_fallible`] can park it. [`Comm::recv`], [`Comm::barrier`] and
 /// the named reductions are those futures blocked on, for stand-alone
 /// closures under [`crate::World::run`].
 ///
@@ -326,8 +327,8 @@ impl Comm {
 
     async fn recv_internal<T: Payload>(&mut self, src: usize, tag: u32) -> Result<T, MpiError> {
         // The inbox wait: the earliest packet from `src` with `tag`,
-        // whatever arrived before it. A rank thread sleeps in its inbox;
-        // a stepped rank parks and is resumed once a peer has run.
+        // whatever arrived before it. A blocking receive sleeps in its
+        // inbox; a driven rank parks and is resumed once a peer has run.
         let (post, me) = (&self.post, self.rank);
         let pkt = task::wait(
             Waiting::Message { src, tag },

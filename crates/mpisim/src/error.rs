@@ -23,7 +23,7 @@ pub enum MpiError {
     /// Surfacing this as an error keeps collectives panic-free on the
     /// fallible rank paths.
     CollectiveProtocol { what: &'static str },
-    /// The stepped driver resumed every live rank and none could move:
+    /// The rank driver resumed every live rank and none could move:
     /// each is parked on something no peer will ever provide (a
     /// mis-tagged receive, a device client that synced twice in one
     /// epoch). `waiting` lists each live rank with what it waits for.

@@ -1,9 +1,10 @@
 //! # hsim-mpi
 //!
 //! An in-process MPI: the substrate standing in for the message-passing
-//! runtime of the paper's testbed. Ranks live inside one process —
-//! one OS thread each, or all of them stepped on the caller's thread
-//! when they have nothing to run in parallel (see [`Driver`]);
+//! runtime of the paper's testbed. Ranks live inside one process,
+//! resumed by a worker per host core when they run kernels and by the
+//! caller's thread alone when they have nothing to run in parallel
+//! (see [`World::run_fallible`]);
 //! point-to-point messages travel through one inbox per rank and carry
 //! the sender's **virtual timestamp**, so simulated time propagates exactly
 //! the way causality does in a real bulk-synchronous MPI code:
@@ -33,6 +34,8 @@
 
 pub mod comm;
 pub mod cost;
+#[cfg(test)]
+mod driver_model;
 pub mod error;
 pub mod payload;
 pub mod world;
@@ -41,4 +44,4 @@ pub use comm::Comm;
 pub use cost::CommCost;
 pub use error::MpiError;
 pub use payload::{Body, Payload};
-pub use world::{Driver, World};
+pub use world::World;

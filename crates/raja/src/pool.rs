@@ -92,7 +92,7 @@ pub struct WorkPool {
     workers: Vec<std::thread::JoinHandle<()>>,
     threads: usize,
     /// Serializes whole regions: the pool has one job slot, so
-    /// concurrent submitters (e.g. rank threads sharing one run-wide
+    /// concurrent submitters (e.g. rank workers sharing one run-wide
     /// pool) take turns rather than corrupting the slot.
     region_lock: Mutex<()>,
 }

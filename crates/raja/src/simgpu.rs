@@ -4,17 +4,17 @@
 //! device resolves it at a **sync rendezvous**: every client (rank)
 //! submits its kernel launches with virtual arrival times, then all
 //! clients of the device meet in [`GpuClient::sync`]. The last arrival
-//! runs the rate-sharing timeline over the whole batch, publishes each
-//! stream's completion time, and wakes the others — rank threads
-//! sleeping on a condition variable, or stepped ranks parked until
-//! their next resume (see [`hsim_time::task`]). This mirrors the
+//! runs the rate-sharing timeline over the whole batch and publishes
+//! each stream's completion time; the others are parked until their
+//! next resume finds the epoch resolved (see [`hsim_time::task`]).
+//! This mirrors the
 //! bulk-synchronous structure of the application (every rank
 //! synchronizes with its device at least once per cycle).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use hsim_gpu::{Device, DeviceSpec, GpuError, KernelDesc, KernelShape};
 use hsim_time::task::{self, Waiting};
@@ -127,7 +127,6 @@ pub struct StreamMark {
 /// One simulated GPU shared by one or more ranks.
 pub struct SharedDevice {
     inner: Mutex<Inner>,
-    resolved: Condvar,
     spec: DeviceSpec,
     id: usize,
     /// Whether the clients share the device through MPS, whose launches
@@ -169,7 +168,6 @@ impl Drop for Departure {
         inner.clients = clients;
         if inner.syncers > 0 && inner.syncers == inner.clients {
             inner.resolve_epoch();
-            self.dev.resolved.notify_all();
         }
     }
 }
@@ -203,7 +201,6 @@ impl SharedDevice {
                 job_meta: HashMap::new(),
                 resolved_kernels: vec![Vec::new(); clients],
             }),
-            resolved: Condvar::new(),
             spec,
             id,
             mps,
@@ -329,41 +326,28 @@ impl GpuClient {
     /// (bulk-synchronous discipline) until its [`Departure`] drops; an
     /// epoch resolves without the clients that have left. A client
     /// calling twice before the others once waits for an epoch that
-    /// cannot resolve,
-    /// matching a real stream-sync against peers that never launch:
-    /// rank threads deadlock, stepped ranks are reported as
-    /// deadlocked by their driver.
+    /// cannot resolve, matching a real stream-sync against peers that
+    /// never launch: the rank driver reports the world deadlocked.
     pub async fn sync(&self, at: SimTime) -> SimTime {
         let unresolved = {
             let mut inner = self.dev.inner.lock();
             inner.syncers += 1;
             if inner.syncers == inner.clients {
                 inner.resolve_epoch();
-                self.dev.resolved.notify_all();
                 None
             } else {
                 Some(inner.epoch)
             }
         };
         if let Some(my_epoch) = unresolved {
-            // The device-epoch wait: a rank thread sleeps on the
-            // condition variable; a stepped rank parks until the last
-            // client of the epoch has been resumed.
+            // The device-epoch wait: the rank parks until the last
+            // client of the epoch has been resumed (or has left).
             let dev = &*self.dev;
-            task::wait(
-                Waiting::DeviceSync {
-                    device: dev.id,
-                    epoch: my_epoch,
-                },
-                || (dev.inner.lock().epoch != my_epoch).then_some(()),
-                || {
-                    let mut inner = dev.inner.lock();
-                    while inner.epoch == my_epoch {
-                        dev.resolved.wait(&mut inner);
-                    }
-                },
-            )
-            .await;
+            let what = Waiting::DeviceSync {
+                device: dev.id,
+                epoch: my_epoch,
+            };
+            task::park(what, || (dev.inner.lock().epoch != my_epoch).then_some(())).await;
         }
         let mut inner = self.dev.inner.lock();
         // Drain this stream's resolved kernels into the calling
@@ -402,7 +386,9 @@ impl GpuClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsim_time::task::block_on;
+    use hsim_mpi::{CommCost, World};
+    use hsim_time::task::{block_on, resume, Resumed};
+    use std::pin::pin;
 
     /// Device 0, a K80, shared by `n` clients through MPS.
     fn mps(n: usize) -> (Arc<SharedDevice>, Vec<GpuClient>) {
@@ -417,6 +403,26 @@ mod tests {
 
     fn desc() -> KernelDesc {
         KernelDesc::new("k", 60.0, 16.0)
+    }
+
+    /// Each client of `clients` as a rank of its own, resumed by
+    /// `workers` workers: it calls `launch` on its client, then syncs
+    /// at `at`. The stream ends the syncs return, in client order.
+    fn synced(
+        workers: usize,
+        clients: &[GpuClient],
+        launch: impl Fn(&GpuClient) + Sync,
+        at: SimTime,
+    ) -> Vec<SimTime> {
+        let launch = &launch;
+        let out = World::run_fallible(workers, clients.len(), CommCost::free(), |comm| {
+            let client = &clients[comm.rank()];
+            async move {
+                launch(client);
+                Ok(client.sync(at).await)
+            }
+        });
+        out.into_iter().map(Result::unwrap).collect()
     }
 
     #[test]
@@ -445,25 +451,25 @@ mod tests {
     }
 
     #[test]
-    fn mps_clients_rendezvous_across_threads() {
-        let (dev, clients) = mps(4);
+    fn mps_clients_rendezvous_at_every_worker_count() {
         let zones = 2_000_000u64;
-        let ends: Vec<SimTime> = std::thread::scope(|s| {
-            let handles: Vec<_> = clients
-                .iter()
-                .map(|c| {
-                    s.spawn(move || {
-                        c.launch(&desc(), KernelShape::new(zones, 40), SimTime::ZERO);
-                        block_on(c.sync(SimTime::ZERO))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(ends.len(), 4);
-        assert!(ends.iter().all(|&e| e > SimTime::ZERO));
-        assert_eq!(dev.epoch(), 1);
-        assert_eq!(dev.total_launches(), 4);
+        let launch = |c: &GpuClient| {
+            c.launch(&desc(), KernelShape::new(zones, 40), SimTime::ZERO);
+        };
+        let mut at_one = None;
+        for workers in [1, 2, 4] {
+            let (dev, clients) = mps(4);
+            let ends = synced(workers, &clients, launch, SimTime::ZERO);
+            assert_eq!(ends.len(), 4);
+            assert!(ends.iter().all(|&e| e > SimTime::ZERO));
+            assert_eq!(dev.epoch(), 1);
+            assert_eq!(dev.total_launches(), 4);
+            assert_eq!(
+                *at_one.get_or_insert(ends.clone()),
+                ends,
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]
@@ -480,19 +486,23 @@ mod tests {
         drop(guards.remove(0));
         assert_eq!(dev.epoch(), 0);
         // Client 1 waits for client 2, which leaves instead of syncing:
-        // its departure completes the epoch and wakes the waiter.
-        let end = std::thread::scope(|s| {
-            let waiter = s.spawn(|| {
-                clients[1].launch(&desc(), KernelShape::new(1_000_000, 40), SimTime::ZERO);
-                block_on(clients[1].sync(SimTime::ZERO))
-            });
-            while dev.inner.lock().syncers == 0 {
-                std::thread::yield_now();
-            }
-            assert_eq!(dev.epoch(), 0, "two clients, one has synced");
-            drop(guards.pop());
-            waiter.join().unwrap()
+        // its departure completes the epoch, and the waiter's next
+        // resume finds it resolved.
+        let mut waiter = pin!(async {
+            clients[1].launch(&desc(), KernelShape::new(1_000_000, 40), SimTime::ZERO);
+            clients[1].sync(SimTime::ZERO).await
         });
+        let epoch_0 = Waiting::DeviceSync {
+            device: 0,
+            epoch: 0,
+        };
+        assert!(matches!(resume(waiter.as_mut()), Resumed::Parked(w) if w == epoch_0));
+        assert!(matches!(resume(waiter.as_mut()), Resumed::Stalled));
+        assert_eq!(dev.epoch(), 0, "two clients, one has synced");
+        drop(guards.pop());
+        let Resumed::Done(end) = resume(waiter) else {
+            panic!("the departure resolves the epoch");
+        };
         assert!(end > SimTime::ZERO);
         assert_eq!(dev.epoch(), 1);
         // The last client alone is a whole epoch.
@@ -510,15 +520,9 @@ mod tests {
                 assert_eq!(c.stream_mark().queued, 1);
             }
             assert_eq!(dev.mark().launches, executed, "queued, not executed");
-            let ends = std::thread::scope(|s| {
-                let syncs: Vec<_> = clients
-                    .iter()
-                    .map(|c| s.spawn(move || block_on(c.sync(at))))
-                    .collect();
-                syncs.into_iter().map(|h| h.join().unwrap()).max()
-            });
+            let end = synced(2, clients, |_| {}, at).into_iter().max();
             assert_eq!(dev.mark().launches, executed + 2);
-            ends.unwrap()
+            end.unwrap()
         };
         let read = |dev: &SharedDevice, clients: &[GpuClient]| {
             let streams: Vec<StreamMark> = clients.iter().map(|c| c.stream_mark()).collect();
@@ -565,24 +569,11 @@ mod tests {
         let solo_end = block_on(solo.sync(SimTime::ZERO));
 
         let (_d2, clients) = mps(4);
-        let ends: Vec<SimTime> = std::thread::scope(|s| {
-            clients
-                .iter()
-                .map(|c| {
-                    s.spawn(move || {
-                        c.launch(
-                            &desc(),
-                            KernelShape::new(zones_total / 4, inner_dim),
-                            SimTime::ZERO,
-                        );
-                        block_on(c.sync(SimTime::ZERO))
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
+        let quarter = |c: &GpuClient| {
+            let shape = KernelShape::new(zones_total / 4, inner_dim);
+            c.launch(&desc(), shape, SimTime::ZERO);
+        };
+        let ends = synced(2, &clients, quarter, SimTime::ZERO);
         let mps_end = ends.into_iter().fold(SimTime::ZERO, SimTime::merge);
         assert!(
             mps_end < solo_end,

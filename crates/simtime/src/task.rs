@@ -1,24 +1,20 @@
-//! Resumable rank tasks and the two ways they are driven.
+//! Resumable rank tasks and how they are driven.
 //!
 //! A rank body, and everything under it that can wait on a peer, is a
-//! future. There is one body and two drivers:
+//! future. One driver runs rank bodies (`hsim_mpi::World::run_fallible`):
+//! a few worker threads [`resume`] the ranks' futures in turn, and a
+//! wait that cannot be satisfied yet *parks* — the poll returns
+//! `Pending` and the worker moves on to another rank. Nothing blocks a
+//! worker but the kernel work of the rank it runs.
 //!
-//! * **thread-per-rank** — [`block_on`] polls the future to completion
-//!   on the rank's own thread, and a wait *blocks that thread inside
-//!   the poll* (on a condition variable). This is the
-//!   driver for runs that execute kernel bodies, where the ranks'
-//!   parallelism is the point.
-//! * **stepped** — one thread [`resume`]s every rank's future in turn,
-//!   and a wait that cannot be satisfied yet *parks*: the poll returns
-//!   `Pending` and the next rank runs. Nothing is spawned and nothing
-//!   blocks. This is the driver for cost-only runs, whose ranks only
-//!   hand virtual timestamps to each other.
-//!
-//! Which of the two is polling is a property of the calling thread for
-//! the duration of a poll, so that is where it is recorded: [`wait`] —
-//! the one shape every wait primitive (inbox, device epoch, period
-//! verdict) has — reads it and blocks or parks accordingly. A primitive
-//! cannot be configured for one driver and polled by the other.
+//! The one other way to poll is [`block_on`], for code that is a thread
+//! of its own: a stand-alone SPMD closure (`hsim_mpi::World::run`) or a
+//! solo caller. There a [`wait`] — the inbox's — blocks the thread
+//! inside the poll. Which of the two is polling is a property of the
+//! calling thread for the duration of a poll, so that is where it is
+//! recorded, and a primitive cannot be configured for one and polled
+//! by the other. The device epoch and the period verdict only [`park`]:
+//! only rank bodies await them with a peer to wait for.
 
 use std::cell::Cell;
 use std::fmt;
@@ -64,14 +60,18 @@ impl Wake for Noop {
     fn wake(self: Arc<Self>) {}
 }
 
-/// Neither driver sleeps between polls, so neither needs waking.
+/// Neither [`resume`] nor [`block_on`] sleeps between polls, so
+/// nothing needs waking.
 fn noop_waker() -> &'static Waker {
     static WAKER: OnceLock<Waker> = OnceLock::new();
     WAKER.get_or_init(|| Waker::from(Arc::new(Noop)))
 }
 
-/// Drive `fut` to completion on the calling thread. Under this driver
-/// every [`wait`] blocks inside the poll, so the first poll completes.
+/// Drive `fut` to completion on the calling thread. Every [`wait`]
+/// blocks inside the poll; a [`park`] that is not satisfied yet returns
+/// `Pending`, and the poll is repeated. No caller parks here with a
+/// peer to wait for: device epochs and period verdicts are awaited by
+/// rank bodies, which [`resume`] drives.
 pub fn block_on<F: Future>(fut: F) -> F::Output {
     let mut fut = pin!(fut);
     let mut cx = Context::from_waker(noop_waker());
@@ -94,10 +94,11 @@ pub enum Resumed<T> {
     Stalled,
 }
 
-/// Poll `fut` once as a stepped rank: every [`wait`] it reaches parks
-/// instead of blocking. A pass over all ranks in which every resume
-/// comes back [`Resumed::Stalled`] is a deadlock — no rank ran any
-/// code, so nothing any of them waits for can still happen.
+/// Poll `fut` once as a driven rank: every [`wait`] it reaches parks
+/// instead of blocking. A resume that comes back [`Resumed::Stalled`]
+/// ran no code of the rank's, so it changed nothing any peer waits for:
+/// once every live rank has stalled since the last resume that did
+/// move, and none is being resumed, the world is deadlocked.
 pub fn resume<F: Future>(fut: Pin<&mut F>) -> Resumed<F::Output> {
     // Restores the flag on unwind too: the driver catches a rank's
     // panic and keeps resuming its peers on this thread.
@@ -115,19 +116,24 @@ pub fn resume<F: Future>(fut: Pin<&mut F>) -> Resumed<F::Output> {
     }
 }
 
-/// Wait for `try_now` to yield a value. On a rank thread that means
-/// calling `block`, which blocks until the value exists; under
-/// [`resume`] it means parking — returning to the driver — and trying
-/// again on each later resume. `what` names the wait in a deadlock
-/// report.
+/// Wait for `try_now` to yield a value. Under [`block_on`] that means
+/// calling `block`, which blocks the thread until the value exists;
+/// under [`resume`] it means [`park`]ing.
 pub async fn wait<T>(
     what: Waiting,
-    mut try_now: impl FnMut() -> Option<T>,
+    try_now: impl FnMut() -> Option<T>,
     block: impl FnOnce() -> T,
 ) -> T {
     if !STEPPING.get() {
         return block();
     }
+    park(what, try_now).await
+}
+
+/// Wait for `try_now` to yield a value by parking: returning to the
+/// driver, and trying again on each later resume. `what` names the
+/// wait in a deadlock report.
+pub async fn park<T>(what: Waiting, mut try_now: impl FnMut() -> Option<T>) -> T {
     let mut parked = false;
     std::future::poll_fn(|_| match try_now() {
         Some(value) => Poll::Ready(value),
@@ -176,6 +182,16 @@ mod tests {
         assert!(matches!(resume(fut.as_mut()), Resumed::Parked(MAIL)));
         queue.set(VecDeque::from([2]));
         assert!(matches!(resume(fut.as_mut()), Resumed::Done(3)));
+    }
+
+    #[test]
+    fn block_on_polls_a_park_again_until_it_is_satisfied() {
+        let mut tries = 0;
+        let got = block_on(park(MAIL, || {
+            tries += 1;
+            (tries == 3).then_some(tries)
+        }));
+        assert_eq!(got, 3);
     }
 
     #[test]

@@ -26,7 +26,7 @@ impl Summary {
     /// Merge rank collectors. The input order does not matter: spans
     /// are re-sorted into a canonical order and metric merges are
     /// commutative in every exported field, so the exports are
-    /// byte-identical however the rank threads finished.
+    /// byte-identical however the ranks' resumes interleaved.
     pub fn from_collectors(collectors: impl IntoIterator<Item = Collector>) -> Summary {
         let mut s = Summary::default();
         let mut parts: Vec<Collector> = collectors.into_iter().collect();

@@ -47,9 +47,9 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 const INDEX_PANIC_PATH: &str = "serve/src/";
 
 /// No-panic root names matched anywhere in the workspace: the
-/// fallible rank runner, its stepped driver (which resumes every rank
-/// body on the caller's thread) and the segmented run loop.
-const PANIC_ROOTS: &[&str] = &["run_fallible", "stepped", "run_with_fraction"];
+/// fallible rank runner, its driver (whose workers resume every rank
+/// body) and the segmented run loop.
+const PANIC_ROOTS: &[&str] = &["run_fallible", "drive_ranks", "run_with_fraction"];
 
 /// Root names that count only on the serve request path: a panic in
 /// `handler_loop` (outside the per-connection body it guards) ends

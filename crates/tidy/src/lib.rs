@@ -28,7 +28,7 @@
 //! paths (root → … → site with file:line per hop):
 //!
 //! - **panic-reach** — no `unwrap`/`expect`/`panic!`/unguarded serve
-//!   index reachable from `World::run_fallible` and its stepped
+//!   index reachable from `World::run_fallible` and its rank
 //!   driver, the run loop `run_with_fraction`, any `Coupler` impl, or
 //!   the serve request path. Calls are followed through `.await`: an
 //!   `async fn` is a node like any other.

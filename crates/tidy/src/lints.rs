@@ -84,7 +84,8 @@ const EMISSION_FILE_FRAGMENTS: &[&str] = &[
 /// (`thread::scope`, `spawn_scoped`): the raja pool, the long-lived
 /// serve workers (whose lifetime is the server's, not a region's, so
 /// scoped threads cannot express them), the HTTP front end's
-/// connection handlers, thread-per-rank `mpisim` worlds, the sweep
+/// connection handlers, `mpisim` worlds (rank workers, and a thread
+/// per rank for blocking closures), the sweep
 /// engine's `--jobs` fan-out, and the host-perf harness.
 const THREAD_SPAWN_ALLOWED: &[&str] = &[
     "crates/raja/src/pool.rs",

@@ -1,6 +1,7 @@
-//! A cost-only run executes no kernel body, so its ranks are stepped
-//! on the calling thread and it spawns none; a full-fidelity run keeps
-//! one thread per rank. One test in a binary of its own: thread ids
+//! A cost-only run executes no kernel body, so its ranks are resumed
+//! on the calling thread and it spawns none; a full-fidelity run has a
+//! worker per host core resume its ranks, the calling thread one of
+//! them. One test in a binary of its own: thread ids
 //! are handed out by a process-wide counter, so the ids of two probe
 //! threads bracket the number of threads started between them, as
 //! long as nothing else in the process starts any.
@@ -27,7 +28,7 @@ fn threads_started_by(f: impl FnOnce()) -> u64 {
 }
 
 #[test]
-fn cost_only_runs_spawn_no_thread_and_full_runs_one_per_rank() {
+fn cost_only_runs_spawn_no_thread_and_full_runs_one_per_core() {
     let mut cfg = RunConfig::sweep((64, 48, 32), ExecMode::hetero());
     cfg.cycles = 3;
     cfg.tile = Some([8, 8]);
@@ -49,9 +50,15 @@ fn cost_only_runs_spawn_no_thread_and_full_runs_one_per_rank() {
     };
     assert_eq!(threads_started_by(miss), 0);
 
-    // Kernel bodies run in parallel: sixteen ranks, sixteen threads.
+    // Kernel bodies run in parallel, one rank per core at a time:
+    // sixteen ranks, a worker per core, the caller one of them.
     cfg.fidelity = Fidelity::Full;
     cfg.cycles = 1;
-    let ranks = run(&cfg).expect("full run").ranks.len() as u64;
-    assert_eq!(threads_started_by(|| drop(run(&cfg).expect("run"))), ranks);
+    let ranks = run(&cfg).expect("full run").ranks.len();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let spawned = ranks.min(cores) as u64 - 1;
+    assert_eq!(
+        threads_started_by(|| drop(run(&cfg).expect("run"))),
+        spawned
+    );
 }
