@@ -36,7 +36,7 @@ fn reference_run(trace_json: Option<&str>, metrics_json: Option<&str>) {
         eprintln!("wrote Chrome trace to {path}");
     }
     if let Some(path) = metrics_json {
-        fs::write(path, summary.to_metrics_json()).expect("write metrics json");
+        fs::write(path, summary.to_metrics_json(&result.kernels)).expect("write metrics json");
         eprintln!("wrote metrics to {path}");
     }
 }

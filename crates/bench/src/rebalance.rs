@@ -246,8 +246,8 @@ pub fn run_recovery_check() -> Result<RecoveryCheck, String> {
         .telemetry
         .as_ref()
         .ok_or("recovery run b dropped its telemetry summary")?;
-    let identical =
-        a.balance_history == b.balance_history && sa.to_metrics_json() == sb.to_metrics_json();
+    let identical = a.balance_history == b.balance_history
+        && sa.to_metrics_json(&a.kernels) == sb.to_metrics_json(&b.kernels);
     Ok(RecoveryCheck {
         identical,
         frozen: sa.metrics.counter(Counter::BalanceFrozen),

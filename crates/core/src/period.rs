@@ -10,7 +10,8 @@ use parking_lot::Mutex;
 
 use hsim_faults::FaultPlan;
 use hsim_raja::simgpu::{DeviceMark, StreamMark};
-use hsim_raja::{KernelRegistry, SharedDevice};
+use hsim_raja::SharedDevice;
+use hsim_telemetry::KernelTable;
 use hsim_time::task::{self, Waiting};
 use hsim_time::{RankClock, SimDuration};
 
@@ -18,12 +19,12 @@ use crate::runner::Rank;
 
 /// What a rank carries from one cycle into the next that a run
 /// reports or a later cycle can read, read at a cycle's end: its
-/// clock, its launch counts, its traffic, the timestep it took, its
+/// clock, its kernel table, its traffic, the timestep it took, its
 /// stream and — of the one client that leads a device — the device's
 /// counters.
 struct RankMark {
     clock: RankClock,
-    kernels: KernelRegistry,
+    kernels: KernelTable,
     bytes_sent: u64,
     /// Messages sent and messages received ([`hsim_mpi::Comm::messages`]).
     messages: (u64, u64),
@@ -38,7 +39,7 @@ impl RankMark {
         let comm = &rank.coupler.comm;
         RankMark {
             clock: rank.clock.clone(),
-            kernels: rank.exec.registry.clone(),
+            kernels: rank.exec.kernels.clone(),
             bytes_sent: comm.bytes_sent(),
             messages: comm.messages(),
             dt: dt.to_bits(),
@@ -215,7 +216,7 @@ impl Seat<'_> {
         // Every checked sum first: a run too long for the clock is an
         // error before `t` is walked forward.
         rank.clock.advance(&now.clock.since(&mark.clock), add)?;
-        (rank.exec.registry).advance(&now.kernels.since(&mark.kernels), add)?;
+        (rank.exec.kernels).advance(&now.kernels.since(&mark.kernels), add)?;
         (rank.coupler.comm).advance(now.bytes_sent - mark.bytes_sent, add)?;
         if let Some((client, ..)) = &rank.gpu {
             client.advance_stream(elapsed, add)?;

@@ -109,9 +109,17 @@ pub struct RunResult {
     pub ranks: Vec<RankReport>,
     /// Per-device kernel busy time (GPU modes).
     pub device_busy: Vec<SimDuration>,
-    /// The run's one span store, with metrics and kernel profiles,
-    /// when [`crate::RunConfig::telemetry`] or
-    /// [`crate::RunConfig::trace`] was set.
+    /// The run's kernel table: every rank's launches, elements, time
+    /// and occupancy per kernel name, kept on every run; the metrics
+    /// JSON renders it. A rank lost to a fault keeps what it launched
+    /// before the loss here, while [`RunResult::ranks`] holds only the
+    /// survivors: the table's launches are then
+    /// [`RunResult::total_launches`] plus the lost rank's pre-loss
+    /// launches.
+    pub kernels: hsim_telemetry::KernelTable,
+    /// The run's one span store, with metrics, when
+    /// [`crate::RunConfig::telemetry`] or [`crate::RunConfig::trace`]
+    /// was set.
     pub telemetry: Option<hsim_telemetry::Summary>,
     /// Total mass Σ ρ·V over the final state (full fidelity only;
     /// None in cost-only runs, whose zone values carry no physics).
@@ -147,7 +155,7 @@ impl RunResult {
         slowest(self.ranks.iter().map(RankReport::account_residual))
     }
 
-    /// Total kernel launches across ranks.
+    /// Total kernel launches across the ranks that finished the run.
     pub fn total_launches(&self) -> u64 {
         self.ranks.iter().map(|r| r.launches).sum()
     }
@@ -302,6 +310,7 @@ mod tests {
                 report(2, false, 9),
             ],
             device_busy: vec![SimDuration::from_micros(18)],
+            kernels: hsim_telemetry::KernelTable::new(),
             telemetry: None,
             mass: None,
             balance_history: Vec::new(),

@@ -24,9 +24,9 @@ use hsim_mpi::{Comm, World};
 use hsim_particles::{Particle, ParticlesConfig, PhaseState};
 use hsim_raja::simgpu::Departure;
 use hsim_raja::{Executor, Fidelity, GpuClient, SharedDevice, Target, WorkPool};
-use hsim_telemetry::{Category, Collector, Counter, Gauge, Summary, TimeStat};
+use hsim_telemetry::{Category, Collector, Counter, Gauge, KernelTable, Summary, TimeStat};
 use hsim_time::clock::ChargeKind;
-use hsim_time::{RankClock, SimDuration, SimTime};
+use hsim_time::{Overflow, RankClock, SimDuration, SimTime};
 
 use crate::balance::{LoadBalancer, RebalanceConfig, RebalanceDecision, Rebalancer};
 use crate::binding::{build_bindings, validate_bindings, RankRole};
@@ -70,8 +70,9 @@ pub struct RunConfig {
     /// Ask for the Gantt ([`RunResult::timeline`]) of the per-cycle
     /// busy/wait spans. Collects what `telemetry` collects.
     pub trace: bool,
-    /// Collect full telemetry (metrics, kernel profiles, structured
-    /// spans) into [`RunResult::telemetry`]. Off by default: the
+    /// Collect full telemetry (metrics and structured spans) into
+    /// [`RunResult::telemetry`]; the kernel table is kept either way
+    /// ([`RunResult::kernels`]). Off by default: the
     /// per-launch hot path then stays allocation-free.
     pub telemetry: bool,
     /// The physics problem to initialize (default: Sedov).
@@ -423,7 +424,8 @@ pub(crate) fn run_driven(
         };
         let (outs, device_busy) = run_segment(seg, workers, std::mem::take(&mut acc.end))?;
         first = last;
-        acc.fold(&orig_ids, outs, device_busy);
+        acc.fold(&orig_ids, outs, device_busy)
+            .map_err(|e| e.to_string())?;
 
         match (action, rb.as_mut()) {
             (Boundary::Tick, Some(rb)) => {
@@ -468,6 +470,8 @@ struct RunAcc {
     /// Per-original-rank report buckets, summed across segments.
     ranks: Vec<Option<RankReport>>,
     device_busy: Vec<SimDuration>,
+    /// Every rank's kernel table, over all segments.
+    kernels: KernelTable,
     collectors: Vec<Collector>,
     /// What happens on the coordinating thread — boundary spans,
     /// main-thread fault and balance counters — lands on its own
@@ -505,8 +509,14 @@ impl RunAcc {
 
     /// Fold one segment's rank outputs and device busy times in;
     /// `orig_ids` maps its ranks to their accumulators. A lost rank's
-    /// partial work is dropped with it.
-    fn fold(&mut self, orig_ids: &[usize], outs: Vec<RankOut>, device_busy: Vec<SimDuration>) {
+    /// report is dropped with it; its kernel table and collector, what
+    /// it launched before the loss, are kept.
+    fn fold(
+        &mut self,
+        orig_ids: &[usize],
+        outs: Vec<RankOut>,
+        device_busy: Vec<SimDuration>,
+    ) -> Result<(), Overflow> {
         self.runtime += slowest(outs.iter().map(|out| out.report.total));
         self.window_cpu = slowest_cpu_compute(outs.iter().map(|out| &out.report));
         self.window_gpu = slowest(device_busy.iter().copied());
@@ -519,6 +529,7 @@ impl RunAcc {
                 Some(acc) => acc.absorb(out.report),
                 slot => *slot = Some(out.report),
             }
+            self.kernels.merge(&out.kernels)?;
             self.collectors.extend(out.collector);
             left.push(out.left);
             if let Some(phase) = out.phase {
@@ -535,6 +546,7 @@ impl RunAcc {
             *acc += busy;
         }
         self.end = EndState { left, particles, t };
+        Ok(())
     }
 
     /// Charge the redistribution from `old` to `new` at a boundary:
@@ -581,7 +593,7 @@ impl RunAcc {
             ranks.push(rep);
         }
 
-        let summary = self.coordinator.take().map(|coordinator| {
+        let mut summary = self.coordinator.take().map(|coordinator| {
             self.collectors.push(coordinator);
             let mut s = Summary::from_collectors(self.collectors);
             // The gauge reports the final (re-split or folded) world.
@@ -595,6 +607,9 @@ impl RunAcc {
             }
             s
         });
+        if let Some(s) = summary.as_mut() {
+            s.count_kernels(&self.kernels).map_err(|e| e.to_string())?;
+        }
         let grid = cfg.global_grid();
         // The final sums run over the ranks' tallies in rank order.
         let tallies = || {
@@ -615,6 +630,7 @@ impl RunAcc {
             cycles: cfg.cycles,
             ranks,
             device_busy: self.device_busy,
+            kernels: self.kernels,
             telemetry: summary,
             mass: full.then(|| tallies().map(|(mass, _)| mass).sum()),
             balance_history: rb.map(|rb| rb.history).unwrap_or_default(),
@@ -910,6 +926,7 @@ impl<'a> Ranks<'a> {
 /// What one rank of a segment returns.
 struct RankOut {
     report: RankReport,
+    kernels: KernelTable,
     collector: Option<Collector>,
     left: Left,
     t: f64,
@@ -1241,7 +1258,7 @@ impl Rank<'_> {
             comm: cycles.bucket(ChargeKind::Comm),
             control: cycles.bucket(ChargeKind::Control),
             wait: cycles.bucket(ChargeKind::Wait),
-            launches: self.exec.registry.total_launches(),
+            launches: self.exec.kernels.total_launches(),
             bytes_sent: self.coupler.comm.bytes_sent(),
         };
         debug_assert_eq!(report.account_residual(), SimDuration::ZERO);
@@ -1256,6 +1273,7 @@ impl Rank<'_> {
         };
         RankOut {
             report,
+            kernels: self.exec.kernels,
             collector: hsim_telemetry::uninstall(),
             left,
             t,
@@ -1704,8 +1722,8 @@ mod tests {
         let b = run(&cfg).unwrap();
         let (sa, sb) = (a.telemetry.unwrap(), b.telemetry.unwrap());
         assert_eq!(
-            sa.to_metrics_json(),
-            sb.to_metrics_json(),
+            sa.to_metrics_json(&a.kernels),
+            sb.to_metrics_json(&b.kernels),
             "same seed and plan must replay the same recovery"
         );
         assert_eq!(sa.metrics.counter(Counter::FaultRankLosses), 1);
@@ -1874,8 +1892,8 @@ mod tests {
         assert_eq!(a.balance_history, b.balance_history);
         let (sa, sb) = (a.telemetry.clone().unwrap(), b.telemetry.clone().unwrap());
         assert_eq!(
-            sa.to_metrics_json(),
-            sb.to_metrics_json(),
+            sa.to_metrics_json(&a.kernels),
+            sb.to_metrics_json(&b.kernels),
             "same seed and plan must replay the same controlled recovery"
         );
         assert_eq!(a.ranks.len(), 15, "lost rank folded away");
@@ -1958,7 +1976,7 @@ mod tests {
             r.balance_history,
             r.scenario,
             s.to_chrome_json(),
-            s.to_metrics_json(),
+            s.to_metrics_json(&r.kernels),
         )
     }
 
@@ -2043,17 +2061,19 @@ mod tests {
         }
     }
 
-    /// Everything a cost-only run reports, and the cycles it stepped.
-    /// An error is its message.
+    /// Everything a cost-only run reports — its kernel table's exact
+    /// sums among it — and the cycles it stepped. An error is its
+    /// message.
     fn reported(cfg: &RunConfig, fraction: f64) -> (String, u64) {
         match run_driven(cfg, fraction, 1) {
             Err(e) => (format!("error: {e}"), 0),
             Ok((r, stepped)) => {
                 let text = format!(
-                    "{}\n{:?}\n{:?}\n{:?} {:?} {:?} {:?}",
+                    "{}\n{:?}\n{:?}\n{:?}\n{:?} {:?} {:?} {:?}",
                     r.csv_row(),
                     r.runtime,
                     r.ranks,
+                    r.kernels,
                     r.device_busy,
                     r.cpu_fraction,
                     r.balance_history,
@@ -2717,10 +2737,11 @@ mod tests {
                 let clients = &clients;
                 World::run_fallible(workers, 2, CommCost::free(), |comm| async move {
                     let client = &clients[comm.rank()];
-                    client.sync(SimTime::ZERO).await;
+                    let kernels = &mut KernelTable::new();
+                    client.sync(SimTime::ZERO, kernels).await.unwrap();
                     if comm.rank() == 0 {
                         // Epoch 1 needs both clients; rank 1 never comes.
-                        client.sync(SimTime::ZERO).await;
+                        client.sync(SimTime::ZERO, kernels).await.unwrap();
                     }
                     Ok(comm.rank())
                 })

@@ -54,17 +54,20 @@ fn a_telemetry_off_run_records_nothing_into_the_callers_collector() {
 
 #[test]
 fn a_telemetry_on_run_keeps_rank_and_caller_collectors_apart() {
-    let summary = |cfg: &RunConfig| {
-        let (result, _) = run_balanced(cfg).expect("run");
-        result.telemetry.expect("telemetry requested")
-    };
-    let alone = summary(&cfg(true));
+    let run = |cfg: &RunConfig| run_balanced(cfg).expect("run").0;
+    let summary = |cfg: &RunConfig| run(cfg).telemetry.expect("telemetry requested");
+    let alone = run(&cfg(true));
     install_callers();
-    let beside = summary(&cfg(true));
+    let beside = run(&cfg(true));
     assert_callers_untouched();
-    // Every rank's spans, counters and kernel profiles, with and
-    // without a collector of the caller's on the same thread.
-    assert_eq!(beside.to_metrics_json(), alone.to_metrics_json());
+    // Every rank's spans, counters and kernel table, with and without
+    // a collector of the caller's on the same thread.
+    let metrics = |r: &hsim_core::RunResult| {
+        let summary = r.telemetry.as_ref().expect("telemetry requested");
+        summary.to_metrics_json(&r.kernels)
+    };
+    assert_eq!(metrics(&beside), metrics(&alone));
+    let (alone, beside) = (alone.telemetry.unwrap(), beside.telemetry.unwrap());
     assert_eq!(beside.to_chrome_json(), alone.to_chrome_json());
     assert!(alone.metrics.counter(Counter::MpiSends) > 0);
 

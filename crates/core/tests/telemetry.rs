@@ -1,5 +1,5 @@
 //! End-to-end telemetry contracts on a small Sedov run: output
-//! determinism, Chrome trace shape, and profiler/report agreement.
+//! determinism, Chrome trace shape, and kernel-table/report agreement.
 
 use hsim_core::{run_balanced, runner, ExecMode, NodeConfig, RunConfig, RunResult};
 use hsim_raja::Fidelity;
@@ -35,11 +35,11 @@ fn run_summary(cfg: &RunConfig) -> (RunResult, hsim_telemetry::Summary) {
 #[test]
 fn same_config_produces_byte_identical_telemetry() {
     let cfg = telemetry_cfg();
-    let (_, a) = run_summary(&cfg);
-    let (_, b) = run_summary(&cfg);
+    let (ra, a) = run_summary(&cfg);
+    let (rb, b) = run_summary(&cfg);
     assert_eq!(
-        a.to_metrics_json(),
-        b.to_metrics_json(),
+        a.to_metrics_json(&ra.kernels),
+        b.to_metrics_json(&rb.kernels),
         "metrics JSON must be deterministic"
     );
     assert_eq!(
@@ -47,7 +47,6 @@ fn same_config_produces_byte_identical_telemetry() {
         b.to_chrome_json(),
         "span stream must be deterministic"
     );
-    assert_eq!(a.to_kernel_csv(), b.to_kernel_csv());
 }
 
 #[test]
@@ -85,17 +84,28 @@ fn chrome_trace_has_required_fields_and_categories() {
 
 #[test]
 fn kernel_profiles_match_report_totals() {
+    use hsim_telemetry::Counter;
     let (result, summary) = run_summary(&telemetry_cfg());
-    // Every dispatch is profiled exactly once (host paths at launch,
-    // device paths at sync drain), so the profiler, the metrics
-    // counters, and the RankReport accounting must all agree.
-    assert_eq!(summary.kernels.total_launches(), result.total_launches());
+    // Every dispatch is counted once, at launch, and timed once (host
+    // kernels at launch, device kernels at the sync that drains them),
+    // so the kernel table, the counters written from it and the
+    // RankReport accounting must all agree.
+    let all = result.kernels.totals().unwrap();
+    assert_eq!(all.launches, result.total_launches());
+    let counter = |c| summary.metrics.counter(c);
+    assert_eq!(counter(Counter::KernelLaunches), all.launches);
+    assert_eq!(counter(Counter::GpuKernelLaunches), all.gpu_launches);
     assert_eq!(
-        summary
-            .metrics
-            .counter(hsim_telemetry::Counter::KernelLaunches),
-        result.total_launches()
+        counter(Counter::CpuKernelLaunches),
+        all.launches - all.gpu_launches
     );
+    assert_eq!(counter(Counter::KernelElements), all.elems);
+    // The kernel-time distribution holds each kernel's time once.
+    let times = summary
+        .metrics
+        .time_stats(hsim_telemetry::TimeStat::KernelTime);
+    assert_eq!(times.count(), all.launches);
+    assert!(all.gpu_launches > 0 && all.total_ns > 0);
     assert_eq!(
         summary
             .metrics
@@ -113,7 +123,40 @@ fn kernel_profiles_match_report_totals() {
         result.cycles * result.ranks.len() as u64
     );
     // The metrics JSON carries its schema version for archives.
-    assert!(summary.to_metrics_json().contains("\"schema_version\": 1"));
+    let json = summary.to_metrics_json(&result.kernels);
+    assert!(json.contains("\"schema_version\": 2"));
+    assert!(!json.contains("\"bytes_moved\""));
+}
+
+/// `heterosim --mode hetero --grid 64,48,32 --cycles 4 --no-balance
+/// --faults rank.loss@rank5.cycle2`: rank 5 is lost after two cycles.
+#[test]
+fn the_kernel_table_keeps_a_lost_ranks_launches_before_the_loss() {
+    let lossy = |cycles, faults: Option<&str>| {
+        let mut cfg = RunConfig::sweep((64, 48, 32), ExecMode::hetero());
+        cfg.cycles = cycles;
+        cfg.telemetry = true;
+        cfg.faults = faults.map(|f| hsim_core::faults::FaultPlan::parse(f).unwrap());
+        runner::run(&cfg).expect("a CPU rank's loss is recovered")
+    };
+    let result = lossy(4, Some("rank.loss@rank5.cycle2"));
+    // Rank 5's report up to the loss: the same run stopped there.
+    let pre_loss = lossy(2, None).ranks[5].launches;
+    // The CLI's "kernel launches" line sums the survivors' reports; the
+    // table, and the metrics JSON it renders, also hold rank 5's
+    // launches before the loss.
+    assert_eq!(result.ranks.len(), 15);
+    assert_eq!(result.total_launches(), 6940);
+    assert_eq!(result.kernels.total_launches(), 7166);
+    assert_eq!(
+        result.kernels.total_launches(),
+        result.total_launches() + pre_loss
+    );
+    let summary = result.telemetry.as_ref().expect("telemetry requested");
+    let counter = summary
+        .metrics
+        .counter(hsim_telemetry::Counter::KernelLaunches);
+    assert_eq!(counter, 7166);
 }
 
 #[test]

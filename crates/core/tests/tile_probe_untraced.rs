@@ -15,15 +15,19 @@ fn first_unpinned_run_reports_the_same_metrics_as_the_second() {
     cfg.cycles = 2;
     cfg.telemetry = true;
     assert!(cfg.tile.is_none(), "the run must resolve its own tile");
-    let summary = |cfg: &RunConfig| {
-        let result = runner::run(cfg).expect("unpinned run");
-        result.telemetry.expect("telemetry requested")
+    let run = |cfg: &RunConfig| runner::run(cfg).expect("unpinned run");
+    let (first, second) = (run(&cfg), run(&cfg));
+    let metrics = |r: &hsim_core::RunResult| {
+        let summary = r.telemetry.as_ref().expect("telemetry requested");
+        (
+            summary.metrics.counter(Counter::KernelLaunches),
+            summary.to_metrics_json(&r.kernels),
+        )
     };
-    let (first, second) = (summary(&cfg), summary(&cfg));
+    let (first, second) = (metrics(&first), metrics(&second));
     assert_eq!(
-        first.metrics.counter(Counter::KernelLaunches),
-        second.metrics.counter(Counter::KernelLaunches),
+        first.0, second.0,
         "the tile probe booked its launches into the first run"
     );
-    assert_eq!(first.to_metrics_json(), second.to_metrics_json());
+    assert_eq!(first.1, second.1);
 }

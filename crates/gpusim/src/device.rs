@@ -4,7 +4,8 @@
 //! A `Device` is used bulk-synchronously by the runner: ranks submit
 //! kernel launches during a phase (each submit returns the host-side
 //! launch overhead to charge), then `run_pending` simulates the
-//! device's execution of the whole batch and reports per-job outcomes.
+//! device's execution of the whole batch and reports each launch it
+//! ran: its kernel, stream, interval and occupancy.
 //!
 //! A launch names its stream by its client's index on the device: 0 on
 //! a device one rank owns, `0..n` for the `n` ranks sharing it through
@@ -13,23 +14,47 @@
 use crate::kernel::{occupancy, KernelDesc, KernelShape};
 use crate::memory::UnifiedMemory;
 use crate::spec::DeviceSpec;
-use crate::timeline::{Job, JobOutcome, RateSharingTimeline};
+use crate::timeline::{Job, RateSharingTimeline};
 use hsim_time::{advanced, Overflow, SimDuration, SimTime};
 
 /// Receipt for one kernel submission.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaunchTicket {
-    /// Identifier echoed in the corresponding [`JobOutcome`].
+    /// Identifier echoed in the corresponding [`Executed`].
     pub job: u64,
     /// Host-side launch overhead the submitting rank must charge.
     pub overhead: SimDuration,
+}
+
+/// One launch in a device's queue: the timeline's job, and the kernel
+/// it runs over how many elements.
+#[derive(Debug, Clone)]
+pub struct Queued {
+    pub job: Job,
+    pub kernel: &'static str,
+    pub elems: u64,
+}
+
+/// One launch a device has run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Executed {
+    pub id: u64,
+    pub stream: u64,
+    pub kernel: &'static str,
+    pub elems: u64,
+    pub start: SimTime,
+    pub end: SimTime,
+    /// The share of the device rate it ran at on average — its work
+    /// over its elapsed time, capped at 1 — or its occupancy cap when
+    /// it took no time.
+    pub occupancy: f64,
 }
 
 /// One simulated GPU.
 #[derive(Debug)]
 pub struct Device {
     spec: DeviceSpec,
-    pending: Vec<Job>,
+    pending: Vec<Queued>,
     next_job: u64,
     total_launches: u64,
     busy: SimDuration,
@@ -74,26 +99,29 @@ impl Device {
         let job = self.next_job;
         self.next_job += 1;
         self.total_launches += 1;
-        self.pending.push(Job {
-            id: job,
-            stream: stream as u64,
-            // The kernel cannot start before the host finishes the
-            // submit path.
-            arrival: at + overhead,
-            work: desc.roofline_time(&self.spec, shape.elems).as_secs_f64(),
-            max_rate: occupancy(&self.spec, shape),
+        self.pending.push(Queued {
+            job: Job {
+                id: job,
+                stream: stream as u64,
+                // The kernel cannot start before the host finishes the
+                // submit path.
+                arrival: at + overhead,
+                work: desc.roofline_time(&self.spec, shape.elems).as_secs_f64(),
+                max_rate: occupancy(&self.spec, shape),
+            },
+            kernel: desc.name,
+            elems: shape.elems,
         });
         LaunchTicket { job, overhead }
     }
 
-    /// The queued launches themselves (profilers read `work` and
-    /// `max_rate` before [`Device::run_pending`] clears the queue).
-    pub fn pending_jobs(&self) -> &[Job] {
+    /// The launches queued for the next [`Device::run_pending`].
+    pub fn pending(&self) -> &[Queued] {
         &self.pending
     }
 
     /// Execute every pending launch on the rate-sharing timeline.
-    /// Returns per-job outcomes (in submission order) and clears the
+    /// Returns what each ran (in submission order) and clears the
     /// queue. The device's cumulative busy time is updated.
     ///
     /// The batch is resolved relative to its earliest arrival: the
@@ -103,21 +131,37 @@ impl Device {
     /// launches at the same offsets take the same time whenever they
     /// run — what lets a run add a repeated cycle up instead of
     /// stepping it.
-    pub fn run_pending(&mut self) -> Vec<JobOutcome> {
+    pub fn run_pending(&mut self) -> Vec<Executed> {
         let tl = RateSharingTimeline::with_contention(1.0, self.spec.sharing_penalty);
-        let first = self.pending.iter().map(|j| j.arrival).min();
+        let first = self.pending.iter().map(|q| q.job.arrival).min();
         let first = first.unwrap_or(SimTime::ZERO);
         let since = first - SimTime::ZERO;
-        for job in &mut self.pending {
-            job.arrival = SimTime::ZERO + (job.arrival - first);
-        }
-        let mut outcomes = tl.simulate(&self.pending);
-        for o in &mut outcomes {
-            (o.start, o.end) = (o.start + since, o.end + since);
-            self.busy += o.end - o.start;
-        }
-        self.pending.clear();
-        outcomes
+        let rebased = |q: &Queued| Job {
+            arrival: SimTime::ZERO + (q.job.arrival - first),
+            ..q.job.clone()
+        };
+        let jobs: Vec<Job> = self.pending.iter().map(rebased).collect();
+        let outcomes = tl.simulate(&jobs);
+        let ran = self.pending.drain(..).zip(outcomes).map(|(q, o)| {
+            let (start, end) = (o.start + since, o.end + since);
+            self.busy += end - start;
+            let elapsed = (end - start).as_secs_f64();
+            let occupancy = if elapsed > 0.0 {
+                (q.job.work / elapsed).clamp(0.0, 1.0)
+            } else {
+                q.job.max_rate
+            };
+            Executed {
+                id: o.id,
+                stream: q.job.stream,
+                kernel: q.kernel,
+                elems: q.elems,
+                start,
+                end,
+                occupancy,
+            }
+        });
+        ran.collect()
     }
 
     /// Account `times` more repetitions of a period in which the device
@@ -179,7 +223,7 @@ mod tests {
         let o1 = out.iter().find(|o| o.id == t1.job).unwrap();
         let o2 = out.iter().find(|o| o.id == t2.job).unwrap();
         assert!(o2.start >= o1.end, "same-stream kernels serialize");
-        assert!(d.pending_jobs().is_empty());
+        assert!(d.pending().is_empty());
         assert!(d.busy() > SimDuration::ZERO);
     }
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use hsim_time::Overflow;
+
 /// Everything that can go wrong in the simulated driver stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GpuError {
@@ -11,6 +13,14 @@ pub enum GpuError {
     MpsRejected { reason: &'static str },
     /// A kernel launch failed and the retry budget was exhausted.
     LaunchFailed { reason: &'static str },
+    /// A kernel's sums no longer fit their integers.
+    Overflow(Overflow),
+}
+
+impl From<Overflow> for GpuError {
+    fn from(e: Overflow) -> Self {
+        GpuError::Overflow(e)
+    }
 }
 
 impl fmt::Display for GpuError {
@@ -19,6 +29,7 @@ impl fmt::Display for GpuError {
             GpuError::InvalidStream => write!(f, "invalid stream handle"),
             GpuError::MpsRejected { reason } => write!(f, "MPS rejected client: {reason}"),
             GpuError::LaunchFailed { reason } => write!(f, "kernel launch failed: {reason}"),
+            GpuError::Overflow(e) => e.fmt(f),
         }
     }
 }

@@ -36,7 +36,7 @@ pub mod spec;
 pub mod timeline;
 pub mod xfer;
 
-pub use device::Device;
+pub use device::{Device, Executed, Queued};
 pub use error::GpuError;
 pub use kernel::{occupancy, KernelDesc, KernelShape};
 pub use spec::DeviceSpec;

@@ -89,7 +89,7 @@ mod tests {
         let mut exec = Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), Fidelity::Full);
         let mut clock = RankClock::new(0);
         apply(&mut state, &mut exec, &mut clock).unwrap();
-        assert_eq!(exec.registry.total_launches(), 0);
+        assert_eq!(exec.kernels.total_launches(), 0);
     }
 
     #[test]
@@ -101,13 +101,13 @@ mod tests {
         let mut clock = RankClock::new(0);
         apply(&mut state, &mut exec, &mut clock).unwrap();
         // 3 physical faces × 5 fields.
-        assert_eq!(exec.registry.total_launches(), 15);
+        assert_eq!(exec.kernels.total_launches(), 15);
     }
 
     #[test]
     fn full_box_fills_all_six_faces() {
         let (mut state, mut exec, mut clock) = setup();
         apply(&mut state, &mut exec, &mut clock).unwrap();
-        assert_eq!(exec.registry.total_launches(), 30);
+        assert_eq!(exec.kernels.total_launches(), 30);
     }
 }

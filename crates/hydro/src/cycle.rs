@@ -205,7 +205,7 @@ pub async fn step_with<C: Coupler>(
     fallback_dt: f64,
     recon: Reconstruction,
 ) -> Result<CycleStats, CycleError> {
-    let launches_before = exec.registry.total_launches();
+    let launches_before = exec.kernels.total_launches();
     let cycle_start = clock.now();
     // Phase span: brackets `[t0, now)` on the rank timeline.
     let phase = |name: &'static str, t0: SimTime, clock: &RankClock| {
@@ -231,7 +231,7 @@ pub async fn step_with<C: Coupler>(
     // charged here), device sync, global min.
     let t0 = clock.now();
     let local_dt = cfl_dt(st, exec, clock, bound, cfl, fallback_dt)?;
-    exec.sync(clock).await;
+    exec.sync(clock).await?;
     let dt = coupler
         .allreduce_min(local_dt, clock)
         .await?
@@ -242,7 +242,7 @@ pub async fn step_with<C: Coupler>(
     let t0 = clock.now();
     sweep_from(st, exec, clock, dt, Start::Snapshot, recon)?;
     std::mem::swap(&mut st.u, &mut st.u0);
-    exec.sync(clock).await;
+    exec.sync(clock).await?;
     phase("flux", t0, clock);
 
     // Stage 2: u0 ← ½u^n + ½u* − ½dt·L(u*); the combine is charged
@@ -260,7 +260,7 @@ pub async fn step_with<C: Coupler>(
     let t0 = clock.now();
     sweep_from(st, exec, clock, 0.5 * dt, Start::Average, recon)?;
     std::mem::swap(&mut st.u, &mut st.u0);
-    exec.sync(clock).await;
+    exec.sync(clock).await?;
     phase("flux", t0, clock);
 
     st.t += dt;
@@ -273,7 +273,7 @@ pub async fn step_with<C: Coupler>(
     Ok(CycleStats {
         dt,
         t: st.t,
-        launches: exec.registry.total_launches() - launches_before,
+        launches: exec.kernels.total_launches() - launches_before,
     })
 }
 

@@ -177,7 +177,7 @@ pub async fn advance<C: Coupler>(
         coupler.exchange(st, clock).await?;
         substep(st, exec, clock, cfg.kappa, dt)?;
     }
-    exec.sync(clock).await;
+    exec.sync(clock).await?;
     Ok(n)
 }
 
@@ -356,7 +356,7 @@ mod tests {
     fn diffusion_launch_count_is_small_and_fixed() {
         let (mut st, mut exec, mut clock) = setup(8);
         let mut solo = SoloCoupler;
-        exec.registry.clear();
+        exec.kernels.clear();
         let dt_stable = diffusion_dt(&st, 1e-3);
         diffuse_step(
             &mut st,
@@ -368,7 +368,7 @@ mod tests {
         )
         .unwrap();
         // One substep: 30 bc + 1 e_int + 3×(flux + update) = 37.
-        assert_eq!(exec.registry.total_launches(), 37);
+        assert_eq!(exec.kernels.total_launches(), 37);
     }
 
     #[test]

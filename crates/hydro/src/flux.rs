@@ -302,9 +302,9 @@ mod tests {
         let en = 0.4 / (GAMMA - 1.0);
         fill_ghosts_uniform(&mut state, 1.0, [0.0; 3], en);
         primitives(&mut state, &mut exec, &mut clock).unwrap();
-        exec.registry.clear();
+        exec.kernels.clear();
         sweep(&mut state, &mut exec, &mut clock, 0.01).unwrap();
         // 3 axes × (1 wavespeed + 5 flux + 5 update) = 33 launches.
-        assert_eq!(exec.registry.total_launches(), 33);
+        assert_eq!(exec.kernels.total_launches(), 33);
     }
 }

@@ -817,7 +817,7 @@ mod tests {
         primitives(&mut fused, &mut e2, &mut c2).unwrap();
         assert_slabs_identical(legacy.prim.slab(), fused.prim.slab(), "primitives");
         assert_eq!(c1.now(), c2.now(), "charge parity");
-        assert_eq!(e1.registry.total_launches(), e2.registry.total_launches());
+        assert_eq!(e1.kernels.total_launches(), e2.kernels.total_launches());
     }
 
     #[test]
@@ -832,7 +832,7 @@ mod tests {
         sweep(&mut fused, &mut e2, &mut c2, 0.004).unwrap();
         assert_slabs_identical(legacy.u0.slab(), fused.u0.slab(), "sweep u0");
         assert_eq!(c1.now(), c2.now(), "charge parity");
-        assert_eq!(e1.registry.total_launches(), e2.registry.total_launches());
+        assert_eq!(e1.kernels.total_launches(), e2.kernels.total_launches());
     }
 
     #[test]
@@ -872,7 +872,7 @@ mod tests {
         sweep_muscl(&mut fused, &mut e2, &mut c2, 0.003).unwrap();
         assert_slabs_identical(legacy.u0.slab(), fused.u0.slab(), "muscl u0");
         assert_eq!(c1.now(), c2.now(), "charge parity");
-        assert_eq!(e1.registry.total_launches(), e2.registry.total_launches());
+        assert_eq!(e1.kernels.total_launches(), e2.kernels.total_launches());
     }
 
     #[test]
@@ -885,7 +885,7 @@ mod tests {
         ] {
             let (mut exec, mut clock) = exec_seq();
             charge_start(&st, &mut exec, &mut clock, start).unwrap();
-            assert_eq!(exec.registry.total_launches(), launches, "{start:?}");
+            assert_eq!(exec.kernels.total_launches(), launches, "{start:?}");
         }
     }
 
@@ -898,9 +898,9 @@ mod tests {
             let mut st = perturbed(6, 2);
             let (mut exec, mut clock) = exec_seq();
             primitives(&mut st, &mut exec, &mut clock).unwrap();
-            exec.registry.clear();
+            exec.kernels.clear();
             sweep_from(&mut st, &mut exec, &mut clock, 0.01, Start::Target, recon).unwrap();
-            assert_eq!(exec.registry.total_launches(), launches, "{recon:?}");
+            assert_eq!(exec.kernels.total_launches(), launches, "{recon:?}");
         }
     }
 
@@ -924,7 +924,7 @@ mod tests {
         charge_start(&st, &mut exec, &mut clock, Start::Snapshot).unwrap();
         charge_start(&st, &mut exec, &mut clock, Start::Average).unwrap();
         assert!(clock.now().as_nanos() > 0);
-        assert_eq!(exec.registry.total_launches(), 3 + 33 + 5 + 5);
+        assert_eq!(exec.kernels.total_launches(), 3 + 33 + 5 + 5);
         assert!(st.u.var(RHO).len() < 64, "no full-size allocation");
     }
 
@@ -933,7 +933,7 @@ mod tests {
         let (mut st, mut exec, mut clock) = cost_only(2);
         sweep_muscl(&mut st, &mut exec, &mut clock, 0.01).unwrap();
         assert!(clock.now().as_nanos() > 0);
-        assert_eq!(exec.registry.total_launches(), 48);
+        assert_eq!(exec.kernels.total_launches(), 48);
         for slab in [st.u.slab(), st.u0.slab(), st.prim.slab()] {
             assert!(slab.len() < 64 * NCONS, "no full-size allocation");
         }

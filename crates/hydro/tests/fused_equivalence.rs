@@ -289,7 +289,7 @@ fn substep_on(
     } else {
         diffusion::substep(st, &mut exec, &mut clock, kappa, dt).unwrap();
     }
-    (clock.now().as_nanos(), exec.registry.total_launches())
+    (clock.now().as_nanos(), exec.kernels.total_launches())
 }
 
 /// Primitive recovery and the CFL timestep on `target`, the legacy way
@@ -312,7 +312,7 @@ fn cfl_on(
         let bound = fused::primitives_bound(st, &mut exec, &mut clock).unwrap();
         fused::cfl_dt(st, &mut exec, &mut clock, bound, cfl, default).unwrap()
     };
-    let launches = exec.registry.total_launches();
+    let launches = exec.kernels.total_launches();
     (dt.to_bits(), clock.now().as_nanos(), launches)
 }
 

@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use hsim_gpu::{GpuError, KernelDesc, KernelShape};
+use hsim_telemetry::KernelTable;
 use hsim_time::clock::ChargeKind;
 use hsim_time::{RankClock, SimTime};
 
@@ -19,7 +20,6 @@ use crate::cpu::CpuModel;
 use crate::indexset::{Tile2, TileSet2};
 use crate::multipolicy::{MultiPolicy, PolicyChoice};
 use crate::pool::WorkPool;
-use crate::registry::KernelRegistry;
 use crate::simgpu::GpuClient;
 
 /// Fixed chunk size for pool-executed kernels and reductions. A pure
@@ -83,7 +83,8 @@ pub struct Executor {
     pub target: Target,
     pub cpu: CpuModel,
     pub fidelity: Fidelity,
-    pub registry: KernelRegistry,
+    /// Every launch this executor made, per kernel name.
+    pub kernels: KernelTable,
     /// Runtime policy selection (paper §5.1 future work): when
     /// enabled, kernels below the threshold run on the host core even
     /// on GPU-driving ranks, avoiding launch overhead.
@@ -96,7 +97,7 @@ impl Executor {
             target,
             cpu,
             fidelity,
-            registry: KernelRegistry::new(),
+            kernels: KernelTable::new(),
             multipolicy: MultiPolicy::disabled(),
         }
     }
@@ -136,7 +137,6 @@ impl Executor {
                 body(i);
             }
         }
-        self.registry.record_launch(desc.name, n as u64);
         Ok(())
     }
 
@@ -172,7 +172,6 @@ impl Executor {
                 }
             }
         }
-        self.registry.record_launch(desc.name, n as u64);
         Ok(())
     }
 
@@ -199,7 +198,6 @@ impl Executor {
                 }
             }
         }
-        self.registry.record_launch(desc.name, elems);
         Ok(())
     }
 
@@ -247,7 +245,7 @@ impl Executor {
         Ok(acc)
     }
 
-    /// Charge the virtual cost and registry record of a 3D
+    /// Charge the virtual cost and kernel-table record of a 3D
     /// min-reduction without running a body — the accounting half of
     /// [`Executor::forall3_min`]: the launch, then on a GPU target the
     /// 8-byte readback of the scalar result.
@@ -268,7 +266,7 @@ impl Executor {
         Ok(())
     }
 
-    /// Charge the virtual cost and registry record of a 3D launch
+    /// Charge the virtual cost and kernel-table record of a 3D launch
     /// without running a body — byte-for-byte the accounting half of
     /// [`Executor::forall3`].
     ///
@@ -286,7 +284,6 @@ impl Executor {
         let elems = (ext[0] * ext[1] * ext[2]) as u64;
         let shape = KernelShape::new(elems, ext[0].min(u32::MAX as usize) as u32);
         self.charge_launch(clock, desc, shape)?;
-        self.registry.record_launch(desc.name, elems);
         Ok(())
     }
 
@@ -332,12 +329,13 @@ impl Executor {
         }
     }
 
-    /// Charge the virtual cost of one launch according to the target.
+    /// Charge the virtual cost of one launch according to the target,
+    /// and record it in the kernel table.
     ///
-    /// Host-executed kernels feed the telemetry profiler here;
-    /// device-executed kernels feed it at the sync that resolves them
-    /// (see [`GpuClient::sync`]), so every dispatch is profiled exactly
-    /// once.
+    /// A host-executed kernel is counted and timed here; a
+    /// device-executed one is counted here and timed at the sync that
+    /// resolves it (see [`GpuClient::sync`]), so every dispatch is
+    /// counted and timed exactly once.
     fn charge_launch(
         &mut self,
         clock: &mut RankClock,
@@ -345,18 +343,8 @@ impl Executor {
         shape: KernelShape,
     ) -> Result<(), GpuError> {
         let t0 = clock.now();
-        match &self.target {
-            Target::CpuSeq => {
-                let dur = self.cpu.kernel_time(desc, shape.elems);
-                clock.charge(ChargeKind::Compute, dur);
-                hsim_telemetry::kernel_launch(desc.name, shape.elems, 0, dur, false, 1.0);
-                hsim_telemetry::rank_span(
-                    hsim_telemetry::Category::CpuKernel,
-                    desc.name,
-                    t0,
-                    clock.now(),
-                );
-            }
+        let dur = match &self.target {
+            Target::CpuSeq => self.cpu.kernel_time(desc, shape.elems),
             Target::CpuParallel { pool } => {
                 let dur = self
                     .cpu
@@ -370,56 +358,52 @@ impl Executor {
                         .map_err(launch_failed)?;
                     pool.inject_worker_panic();
                 }
-                clock.charge(ChargeKind::Compute, dur);
-                hsim_telemetry::kernel_launch(desc.name, shape.elems, 0, dur, false, 1.0);
+                dur
+            }
+            // MultiPolicy: tiny kernel — cheaper on the host core than
+            // paying the launch path.
+            Target::Gpu(_) if self.multipolicy.recommend(shape) == PolicyChoice::Host => {
+                self.cpu.kernel_time(desc, shape.elems)
+            }
+            Target::Gpu(client) => {
+                if let Some(hit) = hsim_faults::check(hsim_faults::Site::GpuLaunch) {
+                    let span = (hsim_telemetry::Category::Launch, "fault_launch_retry");
+                    hsim_faults::recover(clock, hit, None, span).map_err(launch_failed)?;
+                }
+                let overhead = client.launch(desc, shape, clock.now());
+                clock.charge(ChargeKind::Launch, overhead);
+                self.kernels.record_gpu_launch(desc.name, shape.elems)?;
+                hsim_telemetry::time_stat(hsim_telemetry::TimeStat::LaunchTime, overhead);
                 hsim_telemetry::rank_span(
-                    hsim_telemetry::Category::CpuKernel,
+                    hsim_telemetry::Category::Launch,
                     desc.name,
                     t0,
                     clock.now(),
                 );
+                return Ok(());
             }
-            Target::Gpu(client) => {
-                if self.multipolicy.recommend(shape) == PolicyChoice::Host {
-                    // MultiPolicy: tiny kernel — cheaper on the host
-                    // core than paying the launch path.
-                    let dur = self.cpu.kernel_time(desc, shape.elems);
-                    clock.charge(ChargeKind::Compute, dur);
-                    hsim_telemetry::kernel_launch(desc.name, shape.elems, 0, dur, false, 1.0);
-                    hsim_telemetry::rank_span(
-                        hsim_telemetry::Category::CpuKernel,
-                        desc.name,
-                        t0,
-                        clock.now(),
-                    );
-                } else {
-                    if let Some(hit) = hsim_faults::check(hsim_faults::Site::GpuLaunch) {
-                        let span = (hsim_telemetry::Category::Launch, "fault_launch_retry");
-                        hsim_faults::recover(clock, hit, None, span).map_err(launch_failed)?;
-                    }
-                    let overhead = client.launch(desc, shape, clock.now());
-                    clock.charge(ChargeKind::Launch, overhead);
-                    hsim_telemetry::time_stat(hsim_telemetry::TimeStat::LaunchTime, overhead);
-                    hsim_telemetry::rank_span(
-                        hsim_telemetry::Category::Launch,
-                        desc.name,
-                        t0,
-                        clock.now(),
-                    );
-                }
-            }
-        }
+        };
+        clock.charge(ChargeKind::Compute, dur);
+        self.kernels.record_host(desc.name, shape.elems, dur)?;
+        hsim_telemetry::kernel_launch(dur, None);
+        hsim_telemetry::rank_span(
+            hsim_telemetry::Category::CpuKernel,
+            desc.name,
+            t0,
+            clock.now(),
+        );
         Ok(())
     }
 
     /// Synchronize with the GPU (no-op for CPU targets): the rank's
-    /// clock advances to its stream's completion time.
-    pub async fn sync(&mut self, clock: &mut RankClock) -> SimTime {
+    /// clock advances to its stream's completion time, and the kernels
+    /// the sync resolved are timed in the kernel table.
+    pub async fn sync(&mut self, clock: &mut RankClock) -> Result<SimTime, GpuError> {
         if let Target::Gpu(client) = &self.target {
-            let end = client.sync(clock.now()).await;
+            let end = client.sync(clock.now(), &mut self.kernels).await?;
             clock.wait_until(end);
         }
-        clock.now()
+        Ok(clock.now())
     }
 }
 
@@ -550,13 +534,13 @@ mod tests {
             hsim_time::SimDuration::ZERO
         );
         let before = clock.now();
-        block_on(exec.sync(&mut clock));
+        block_on(exec.sync(&mut clock)).unwrap();
         assert!(clock.now() >= before);
         assert!(clock.bucket(ChargeKind::Wait) > hsim_time::SimDuration::ZERO);
     }
 
     #[test]
-    fn registry_counts_launches() {
+    fn kernel_table_counts_at_launch_and_times_host_kernels_at_once() {
         let mut exec = Executor::new(
             Target::CpuSeq,
             CpuModel::haswell_fixed(),
@@ -566,10 +550,32 @@ mod tests {
         for _ in 0..3 {
             exec.forall(&mut clock, &desc(), 10, 10, |_| {}).unwrap();
         }
-        let report = exec.registry.report();
-        assert_eq!(report.len(), 1);
-        assert_eq!(report[0].launches, 3);
-        assert_eq!(report[0].elems, 30);
+        let axpy = exec.kernels.get("axpy").unwrap();
+        assert_eq!((axpy.launches, axpy.gpu_launches, axpy.elems), (3, 0, 30));
+        assert_eq!(axpy.total_ns, clock.bucket(ChargeKind::Compute).as_nanos());
+        assert_eq!(axpy.occupancy_mean(), 1.0);
+    }
+
+    #[test]
+    fn kernel_table_times_device_kernels_at_the_sync() {
+        let mut exec = Executor::new(
+            Target::Gpu(k80_client()),
+            CpuModel::haswell_fixed(),
+            Fidelity::CostOnly,
+        );
+        let mut clock = RankClock::new(0);
+        exec.forall(&mut clock, &desc(), 100_000, 100, |_| {})
+            .unwrap();
+        let launched = *exec.kernels.get("axpy").unwrap();
+        assert_eq!((launched.launches, launched.gpu_launches), (1, 1));
+        assert_eq!((launched.total_ns, launched.occupancy), (0, 0));
+        let issued = clock.now();
+        let end = block_on(exec.sync(&mut clock)).unwrap();
+        let ran = exec.kernels.get("axpy").unwrap();
+        assert_eq!(ran.launches, 1);
+        // The one kernel ran from its arrival to the stream's end.
+        assert_eq!(ran.total_ns, (end - issued).as_nanos());
+        assert!(ran.occupancy_mean() > 0.0 && ran.occupancy_mean() <= 1.0);
     }
 
     #[test]
@@ -593,7 +599,7 @@ mod tests {
         exec.forall(&mut clock, &desc(), 100_000, 100, |_| {})
             .unwrap();
         assert!(clock.bucket(ChargeKind::Launch) > hsim_time::SimDuration::ZERO);
-        block_on(exec.sync(&mut clock));
+        block_on(exec.sync(&mut clock)).unwrap();
     }
 
     #[test]
@@ -607,7 +613,7 @@ mod tests {
             for _ in 0..200 {
                 exec.forall(&mut clock, &desc(), 64, 8, |_| {}).unwrap();
             }
-            block_on(exec.sync(&mut clock));
+            block_on(exec.sync(&mut clock)).unwrap();
             clock.now().as_nanos()
         };
         let naive = run(0);
@@ -632,7 +638,7 @@ mod tests {
             let r = exec.forall(&mut clock, &desc(), 1000, 10, |_| {});
             hsim_faults::uninstall();
             if r.is_ok() {
-                block_on(exec.sync(&mut clock));
+                block_on(exec.sync(&mut clock)).unwrap();
             }
             (r, clock.bucket(ChargeKind::Wait))
         };
@@ -697,8 +703,7 @@ mod tests {
         let mut cb = RankClock::new(0);
         b.charge3(&mut cb, &desc(), ext).unwrap();
         assert_eq!(ca.now(), cb.now());
-        assert_eq!(a.registry.report()[0].elems, b.registry.report()[0].elems);
-        assert_eq!(a.registry.total_launches(), b.registry.total_launches());
+        assert_eq!(a.kernels, b.kernels);
     }
 
     #[test]
@@ -725,7 +730,7 @@ mod tests {
             assert!(cells.iter().all(|c| c.load(Ordering::Relaxed) == 1));
             // No virtual time moved and no launches were recorded.
             assert_eq!(clock.now(), SimTime::ZERO);
-            assert_eq!(exec.registry.total_launches(), 0);
+            assert_eq!(exec.kernels.total_launches(), 0);
         }
     }
 
@@ -742,7 +747,7 @@ mod tests {
             let mut exec = Executor::new(target, CpuModel::haswell_fixed(), Fidelity::Full);
             let m = exec.run_tiles_min(&tiles, value);
             assert_eq!(m.to_bits(), expect.to_bits(), "{threads} threads");
-            assert_eq!(exec.registry.total_launches(), 0);
+            assert_eq!(exec.kernels.total_launches(), 0);
         }
         let mut cost_only = Executor::new(
             Target::CpuSeq,
@@ -772,8 +777,7 @@ mod tests {
             for kind in [ChargeKind::Compute, ChargeKind::Launch, ChargeKind::Memory] {
                 assert_eq!(ca.bucket(kind), cb.bucket(kind), "{kind:?}");
             }
-            assert_eq!(a.registry.report()[0].elems, b.registry.report()[0].elems);
-            assert_eq!(a.registry.total_launches(), b.registry.total_launches());
+            assert_eq!(a.kernels, b.kernels);
         }
     }
 

@@ -14,7 +14,10 @@
 //!   changes is **where the virtual time is charged**: a CPU policy
 //!   charges the rank's clock by the CPU cost model, the `SimGpu`
 //!   policy charges launch overhead and enqueues the kernel on the
-//!   shared device timeline.
+//!   shared device timeline. Each executor keeps its launches in a
+//!   [`hsim_telemetry::KernelTable`]: host kernels are counted and
+//!   timed at launch, device kernels counted at launch and timed at
+//!   the sync that resolves them.
 //! * [`cpu::CpuModel`] — per-core roofline cost (Haswell preset) plus
 //!   the §5.1 **decorated-lambda dispatch penalty**: the nvcc bug that
 //!   wraps `__host__ __device__` lambdas in `std::function` on the
@@ -35,7 +38,6 @@
 //! * [`dispatch`] — the runtime policy selection of the paper's
 //!   Figure 7: ARES-level execution-policy intents mapped to an
 //!   architecture-appropriate backend at runtime.
-//! * [`registry`] — per-kernel launch statistics.
 //! * [`sched_model`] — exhaustive schedule model-checking of the
 //!   pool's handoff protocol (a mini-loom over a small-step model).
 
@@ -45,7 +47,6 @@ pub mod forall;
 pub mod indexset;
 pub mod multipolicy;
 pub mod pool;
-pub mod registry;
 pub mod rows;
 pub mod sched_model;
 pub mod simgpu;
@@ -56,6 +57,5 @@ pub use forall::{Executor, Fidelity, Target};
 pub use indexset::{Tile2, TileSet2};
 pub use multipolicy::{MultiPolicy, PolicyChoice};
 pub use pool::{RegionSlots, WorkPool};
-pub use registry::KernelRegistry;
 pub use rows::{TileRows, TiledSlabMut};
 pub use simgpu::{GpuClient, SharedDevice};

@@ -11,12 +11,12 @@
 //! bulk-synchronous structure of the application (every rank
 //! synchronizes with its device at least once per cycle).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use hsim_gpu::{Device, DeviceSpec, GpuError, KernelDesc, KernelShape};
+use hsim_gpu::{Device, DeviceSpec, Executed, GpuError, KernelDesc, KernelShape};
+use hsim_telemetry::KernelTable;
 use hsim_time::task::{self, Waiting};
 use hsim_time::{advanced, Overflow, SimDuration, SimTime};
 
@@ -36,62 +36,25 @@ struct Inner {
     /// Per stream, the completion time of its last kernel in the
     /// resolved epochs.
     stream_end: Vec<SimTime>,
-    /// job id → (kernel name, elements) for the in-flight epoch.
-    /// Populated only when the submitting thread records telemetry, so
-    /// the disabled path never allocates here.
-    job_meta: HashMap<u64, (&'static str, u64)>,
     /// Per stream, the kernels resolved at the last sync, awaiting
-    /// drain by the stream's own client thread. Per-client drain keeps
-    /// span/profile attribution independent of which thread happened
-    /// to be the sync leader.
-    resolved_kernels: Vec<Vec<ResolvedKernel>>,
+    /// drain by the stream's own client. Per-client drain keeps the
+    /// kernel table and span attribution independent of which client
+    /// happened to lead the sync.
+    resolved_kernels: Vec<Vec<Executed>>,
 }
 
 impl Inner {
     /// Run the device over every launch of the epoch its last client
     /// has just joined, and open the next epoch.
     fn resolve_epoch(&mut self) {
-        // The queued jobs first — their streams, and the work/occupancy
-        // caps the profiler needs — as `run_pending` clears the queue
-        // and returns the outcomes in the same order.
-        let jobs = self.device.pending_jobs().to_vec();
-        let outcomes = self.device.run_pending();
-        for (job, o) in jobs.iter().zip(&outcomes) {
-            let stream = job.stream as usize;
-            self.stream_end[stream] = self.stream_end[stream].merge(o.end);
-            // Stash the kernel for its own client to drain: which
-            // thread led the sync must not change the telemetry.
-            if let Some(&(name, elems)) = self.job_meta.get(&o.id) {
-                let elapsed = (o.end - o.start).as_secs_f64();
-                let occupancy = if elapsed > 0.0 {
-                    (job.work / elapsed).clamp(0.0, 1.0)
-                } else {
-                    job.max_rate
-                };
-                self.resolved_kernels[stream].push(ResolvedKernel {
-                    name,
-                    elems,
-                    start: o.start,
-                    end: o.end,
-                    occupancy,
-                });
-            }
+        for ran in self.device.run_pending() {
+            let stream = ran.stream as usize;
+            self.stream_end[stream] = self.stream_end[stream].merge(ran.end);
+            self.resolved_kernels[stream].push(ran);
         }
-        self.job_meta.clear();
         self.syncers = 0;
         self.epoch += 1;
     }
-}
-
-/// One device-side kernel execution resolved at a sync, pending
-/// telemetry drain by its stream's client.
-#[derive(Debug, Clone)]
-struct ResolvedKernel {
-    name: &'static str,
-    elems: u64,
-    start: SimTime,
-    end: SimTime,
-    occupancy: f64,
 }
 
 /// A device's counters, read between two epochs. They move only when
@@ -198,7 +161,6 @@ impl SharedDevice {
                 epoch: 0,
                 guarded: vec![false; clients],
                 stream_end: vec![SimTime::ZERO; clients],
-                job_meta: HashMap::new(),
                 resolved_kernels: vec![Vec::new(); clients],
             }),
             spec,
@@ -243,7 +205,7 @@ impl SharedDevice {
     /// Read the device's counters.
     pub fn mark(&self) -> DeviceMark {
         let inner = self.inner.lock();
-        let queued = inner.device.pending_jobs().len() as u64;
+        let queued = inner.device.pending().len() as u64;
         DeviceMark {
             busy: inner.device.busy(),
             launches: inner.device.total_launches() - queued,
@@ -290,10 +252,10 @@ impl GpuClient {
     /// Read this client's stream.
     pub fn stream_mark(&self) -> StreamMark {
         let inner = self.dev.inner.lock();
-        let mine = |job: &&hsim_gpu::Job| job.stream == self.stream as u64;
+        let mine = |q: &&hsim_gpu::Queued| q.job.stream == self.stream as u64;
         StreamMark {
             end: inner.stream_end[self.stream],
-            queued: inner.device.pending_jobs().iter().filter(mine).count(),
+            queued: inner.device.pending().iter().filter(mine).count(),
         }
     }
 
@@ -309,18 +271,14 @@ impl GpuClient {
     /// host-side launch overhead the caller must charge to its clock.
     pub fn launch(&self, desc: &KernelDesc, shape: KernelShape, at: SimTime) -> SimDuration {
         let mut inner = self.dev.inner.lock();
-        let ticket = inner
-            .device
-            .submit(self.stream, desc, shape, at, self.dev.mps);
-        if hsim_telemetry::is_enabled() {
-            inner.job_meta.insert(ticket.job, (desc.name, shape.elems));
-        }
+        let ticket = (inner.device).submit(self.stream, desc, shape, at, self.dev.mps);
         ticket.overhead
     }
 
     /// Rendezvous with the device's other clients; resolves all pending
-    /// launches and returns the completion time of this client's
-    /// stream (or `at` when the stream had no pending work).
+    /// launches, adds the time and occupancy of this client's resolved
+    /// kernels to `kernels`, and returns the completion time of this
+    /// client's stream (or `at` when the stream had no pending work).
     ///
     /// Every client of the device must call `sync` once per epoch
     /// (bulk-synchronous discipline) until its [`Departure`] drops; an
@@ -328,7 +286,7 @@ impl GpuClient {
     /// calling twice before the others once waits for an epoch that
     /// cannot resolve, matching a real stream-sync against peers that
     /// never launch: the rank driver reports the world deadlocked.
-    pub async fn sync(&self, at: SimTime) -> SimTime {
+    pub async fn sync(&self, at: SimTime, kernels: &mut KernelTable) -> Result<SimTime, Overflow> {
         let unresolved = {
             let mut inner = self.dev.inner.lock();
             inner.syncers += 1;
@@ -350,36 +308,30 @@ impl GpuClient {
             task::park(what, || (dev.inner.lock().epoch != my_epoch).then_some(())).await;
         }
         let mut inner = self.dev.inner.lock();
-        // Drain this stream's resolved kernels into the calling
-        // thread's collector (device-timeline spans + the per-kernel
-        // profile — GPU kernels feed the profiler here, not at launch).
+        // Drain this stream's resolved kernels into the kernel table
+        // and the calling thread's collector (device-timeline spans):
+        // a device kernel is timed here, not at launch.
         hsim_telemetry::count(hsim_telemetry::Counter::DeviceSyncs, 1);
-        let kernels = std::mem::take(&mut inner.resolved_kernels[self.stream]);
-        if hsim_telemetry::is_enabled() {
-            let pid = hsim_telemetry::DEVICE_PID_BASE + self.dev.id as u32;
-            let tid = self.stream as u32;
-            for k in kernels {
+        let pid = hsim_telemetry::DEVICE_PID_BASE + self.dev.id as u32;
+        let tid = self.stream as u32;
+        let traced = hsim_telemetry::is_enabled();
+        for k in inner.resolved_kernels[self.stream].drain(..) {
+            let dur = k.end - k.start;
+            kernels.record_gpu_run(k.kernel, dur, k.occupancy)?;
+            if traced {
                 hsim_telemetry::span_args(
                     pid,
                     tid,
                     hsim_telemetry::Category::GpuKernel,
-                    k.name,
+                    k.kernel,
                     k.start,
                     k.end,
                     &[("elems", k.elems)],
                 );
-                hsim_telemetry::kernel_launch(
-                    k.name,
-                    k.elems,
-                    0,
-                    k.end - k.start,
-                    true,
-                    k.occupancy,
-                );
-                hsim_telemetry::gauge_max(hsim_telemetry::Gauge::DeviceOccupancy, k.occupancy);
+                hsim_telemetry::kernel_launch(dur, Some(k.occupancy));
             }
         }
-        inner.stream_end[self.stream].merge(at)
+        Ok(inner.stream_end[self.stream].merge(at))
     }
 }
 
@@ -405,6 +357,12 @@ mod tests {
         KernelDesc::new("k", 60.0, 16.0)
     }
 
+    /// `client`'s sync at `at`, its kernels drained into a table of
+    /// their own.
+    async fn sync(client: &GpuClient, at: SimTime) -> SimTime {
+        client.sync(at, &mut KernelTable::new()).await.unwrap()
+    }
+
     /// Each client of `clients` as a rank of its own, resumed by
     /// `workers` workers: it calls `launch` on its client, then syncs
     /// at `at`. The stream ends the syncs return, in client order.
@@ -419,7 +377,7 @@ mod tests {
             let client = &clients[comm.rank()];
             async move {
                 launch(client);
-                Ok(client.sync(at).await)
+                Ok(sync(client, at).await)
             }
         });
         out.into_iter().map(Result::unwrap).collect()
@@ -430,23 +388,32 @@ mod tests {
         let (_dev, client) = exclusive();
         let overhead = client.launch(&desc(), KernelShape::new(1_000_000, 320), SimTime::ZERO);
         assert_eq!(overhead, DeviceSpec::tesla_k80().launch_overhead);
-        let end = block_on(client.sync(SimTime::ZERO));
+        let mut kernels = KernelTable::new();
+        let end = block_on(client.sync(SimTime::ZERO, &mut kernels)).unwrap();
         assert!(end > SimTime::ZERO);
+        // The sync times the kernel; its launch is the executor's to count.
+        let k = *kernels.get("k").unwrap();
+        assert_eq!((k.launches, k.elems), (0, 0));
+        assert_eq!(k.total_ns, (end - SimTime::ZERO - overhead).as_nanos());
+        assert!(k.occupancy > 0);
+        // Drained: the next sync times nothing more.
+        block_on(client.sync(end, &mut kernels)).unwrap();
+        assert_eq!(kernels.get("k").unwrap().total_ns, k.total_ns);
     }
 
     #[test]
     fn sync_without_launches_returns_at() {
         let (_dev, client) = exclusive();
         let at = SimTime::from_nanos(123);
-        assert_eq!(block_on(client.sync(at)), at);
+        assert_eq!(block_on(sync(&client, at)), at);
     }
 
     #[test]
     fn epochs_advance_per_sync_round() {
         let (dev, client) = exclusive();
         assert_eq!(dev.epoch(), 0);
-        block_on(client.sync(SimTime::ZERO));
-        block_on(client.sync(SimTime::ZERO));
+        block_on(sync(&client, SimTime::ZERO));
+        block_on(sync(&client, SimTime::ZERO));
         assert_eq!(dev.epoch(), 2);
     }
 
@@ -490,7 +457,7 @@ mod tests {
         // resume finds it resolved.
         let mut waiter = pin!(async {
             clients[1].launch(&desc(), KernelShape::new(1_000_000, 40), SimTime::ZERO);
-            clients[1].sync(SimTime::ZERO).await
+            sync(&clients[1], SimTime::ZERO).await
         });
         let epoch_0 = Waiting::DeviceSync {
             device: 0,
@@ -506,7 +473,7 @@ mod tests {
         assert!(end > SimTime::ZERO);
         assert_eq!(dev.epoch(), 1);
         // The last client alone is a whole epoch.
-        block_on(clients[1].sync(SimTime::ZERO));
+        block_on(sync(&clients[1], SimTime::ZERO));
         assert_eq!(dev.epoch(), 2);
     }
 
@@ -566,7 +533,7 @@ mod tests {
             KernelShape::new(zones_total, inner_dim),
             SimTime::ZERO,
         );
-        let solo_end = block_on(solo.sync(SimTime::ZERO));
+        let solo_end = block_on(sync(&solo, SimTime::ZERO));
 
         let (_d2, clients) = mps(4);
         let quarter = |c: &GpuClient| {
@@ -606,10 +573,10 @@ mod tests {
         let (_dev, client) = exclusive();
         // Two launches on the same client serialize: total ≈ 2x one.
         client.launch(&desc(), KernelShape::new(4_000_000, 320), SimTime::ZERO);
-        let one = block_on(client.sync(SimTime::ZERO));
+        let one = block_on(sync(&client, SimTime::ZERO));
         client.launch(&desc(), KernelShape::new(4_000_000, 320), SimTime::ZERO);
         client.launch(&desc(), KernelShape::new(4_000_000, 320), SimTime::ZERO);
-        let two = block_on(client.sync(SimTime::ZERO));
+        let two = block_on(sync(&client, SimTime::ZERO));
         let d_one = one - SimTime::ZERO;
         let d_two = two - SimTime::ZERO;
         let ratio = d_two.ratio(d_one);

@@ -13,7 +13,6 @@ use std::cell::RefCell;
 use hsim_time::{SimDuration, SimTime};
 
 use crate::metrics::{Counter, Gauge, Metrics, TimeStat};
-use crate::profile::KernelProfiles;
 use crate::span::{Category, SpanEvent};
 
 /// Everything one rank records.
@@ -26,7 +25,6 @@ pub struct Collector {
     pub spans_on: bool,
     pub spans: Vec<SpanEvent>,
     pub metrics: Metrics,
-    pub kernels: KernelProfiles,
 }
 
 impl Collector {
@@ -36,7 +34,6 @@ impl Collector {
             spans_on: true,
             spans: Vec::new(),
             metrics: Metrics::new(),
-            kernels: KernelProfiles::new(),
         }
     }
 
@@ -168,31 +165,17 @@ pub fn rank_span(cat: Category, name: &'static str, start: SimTime, end: SimTime
     with(|col| col.rank_span(cat, name, start, end));
 }
 
-/// Feed the per-kernel profiler and the kernel-wide counters in one
-/// call — the single hook the dispatch layer uses.
+/// One kernel's run: its virtual duration into the kernel-time
+/// distribution and, for a kernel that ran on a device, its occupancy
+/// into the high-water gauge. Launch and element counts are the
+/// executor's [`crate::KernelTable`], not recorded here.
 #[inline]
-pub fn kernel_launch(
-    name: &'static str,
-    elems: u64,
-    bytes: u64,
-    dur: SimDuration,
-    on_gpu: bool,
-    occupancy: f64,
-) {
+pub fn kernel_launch(dur: SimDuration, device_occupancy: Option<f64>) {
     with(|col| {
-        col.kernels
-            .record_launch(name, elems, bytes, dur, on_gpu, occupancy);
-        col.metrics.count(Counter::KernelLaunches, 1);
-        col.metrics.count(
-            if on_gpu {
-                Counter::GpuKernelLaunches
-            } else {
-                Counter::CpuKernelLaunches
-            },
-            1,
-        );
-        col.metrics.count(Counter::KernelElements, elems);
         col.metrics.time_stat(TimeStat::KernelTime, dur);
+        if let Some(occupancy) = device_occupancy {
+            col.metrics.gauge_max(Gauge::DeviceOccupancy, occupancy);
+        }
     });
 }
 
@@ -209,7 +192,7 @@ mod tests {
         assert!(!is_enabled());
         count(Counter::MpiSends, 1);
         span(0, 0, Category::CpuKernel, "k", t(0), t(10));
-        kernel_launch("k", 1, 0, SimDuration::from_nanos(1), false, 1.0);
+        kernel_launch(SimDuration::from_nanos(1), None);
         assert!(uninstall().is_none());
     }
 
@@ -229,15 +212,15 @@ mod tests {
             t(7),
             &[("elems", 64)],
         );
-        kernel_launch("flux", 64, 0, SimDuration::from_nanos(7), true, 0.5);
+        kernel_launch(SimDuration::from_nanos(7), Some(0.5));
         let c = uninstall().unwrap();
         assert!(!is_enabled());
         assert_eq!(c.metrics.counter(Counter::MpiSends), 2);
-        assert_eq!(c.metrics.counter(Counter::GpuKernelLaunches), 1);
         assert_eq!(c.spans.len(), 2);
         assert_eq!(c.spans[0].pid, 3);
         assert_eq!(c.spans[1].args, vec![("elems", 64)]);
-        assert_eq!(c.kernels.get("flux").unwrap().total_ns(), 7);
+        assert_eq!(c.metrics.gauge(Gauge::DeviceOccupancy), 0.5);
+        assert_eq!(c.metrics.time_stats(TimeStat::KernelTime).count(), 1);
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!   attributes) exporting Chrome trace-event JSON loadable in
 //!   Perfetto or `chrome://tracing`; [`gantt`] renders the same store
 //!   as an ASCII Gantt, one row per rank.
-//! * [`profile`] — a per-kernel profiler (launch count, total/mean
-//!   virtual duration, occupancy, bytes moved) keyed by the kernel
-//!   names the `hsim-raja` registry uses.
+//! * [`profile`] — the per-kernel table: launches (host and device),
+//!   elements, total virtual duration and occupancy per kernel name,
+//!   as exact integer sums. Every `hsim-raja` executor keeps one, with
+//!   or without a collector; the run's merged table is the metrics
+//!   JSON's `kernels` array.
 //!
 //! Producers call the free functions in [`collector`]
 //! (`telemetry::count`, `telemetry::span`, `telemetry::kernel_launch`,
@@ -42,7 +44,7 @@ pub use collector::{
     swap, time_stat, uninstall, Collector,
 };
 pub use metrics::{Counter, Gauge, Metrics, TimeStat};
-pub use profile::{KernelProfile, KernelProfiles};
+pub use profile::{KernelSums, KernelTable};
 pub use span::{Category, SpanEvent};
 pub use summary::Summary;
 

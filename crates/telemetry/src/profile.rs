@@ -1,180 +1,234 @@
-//! Per-kernel profiler keyed by the `hsim-raja` kernel-registry names.
+//! The per-kernel table: exact integer sums per kernel name.
+//!
+//! Every executor keeps one, telemetry or not; the runner merges them
+//! into the run's table, which the metrics JSON renders and the four
+//! kernel counters are written from. The runner uses it to report the
+//! Figure 11 caption's claim ("a hydrodynamics calculation with 80
+//! kernels"). Its sums are integers, so a period of cycles adds up
+//! into it exactly ([`KernelTable::since`], [`KernelTable::advance`]),
+//! and every addition is checked.
 
-use std::collections::BTreeMap;
-
-use hsim_time::{SimDuration, Welford};
+use hsim_time::{Overflow, SimDuration};
 
 use crate::metrics::fmt_f64;
 
-/// Aggregated statistics for one named kernel.
-#[derive(Debug, Clone)]
-pub struct KernelProfile {
-    pub name: &'static str,
-    /// Total dispatches (host + device).
+/// Occupancy 1.0 in the fixed point of [`KernelSums::occupancy`].
+pub const OCCUPANCY_ONE: u128 = 1 << 52;
+
+/// The sums kept for one kernel name.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelSums {
+    /// Dispatches, host and device, counted at launch.
     pub launches: u64,
-    /// Dispatches that ran on a device timeline.
+    /// Dispatches onto a device timeline, counted at launch.
     pub gpu_launches: u64,
-    /// Total elements swept.
+    /// Elements swept.
     pub elems: u64,
-    /// Bytes moved on behalf of this kernel (staging + migration).
-    pub bytes_moved: u64,
-    /// Exact total virtual duration in nanoseconds.
+    /// Virtual duration: a host launch's at launch, a device launch's
+    /// at the sync that resolves it.
     pub total_ns: u64,
-    /// Per-launch virtual duration distribution (samples in seconds,
-    /// as [`Welford::push_duration`] stores them).
-    pub time_ns: Welford,
-    /// Effective occupancy (share of device rate) when on-device;
-    /// 1.0 recorded for host launches.
-    pub occupancy: Welford,
+    /// Effective occupancy (share of device rate), in units of
+    /// [`OCCUPANCY_ONE`]; a host launch counts 1.0.
+    pub occupancy: u128,
 }
 
-impl KernelProfile {
-    fn new(name: &'static str) -> Self {
-        KernelProfile {
-            name,
-            launches: 0,
-            gpu_launches: 0,
-            elems: 0,
-            bytes_moved: 0,
-            total_ns: 0,
-            time_ns: Welford::new(),
-            occupancy: Welford::new(),
-        }
+impl KernelSums {
+    fn checked_add(self, other: KernelSums) -> Option<KernelSums> {
+        Some(KernelSums {
+            launches: self.launches.checked_add(other.launches)?,
+            gpu_launches: self.gpu_launches.checked_add(other.gpu_launches)?,
+            elems: self.elems.checked_add(other.elems)?,
+            total_ns: self.total_ns.checked_add(other.total_ns)?,
+            occupancy: self.occupancy.checked_add(other.occupancy)?,
+        })
     }
 
-    pub fn total_ns(&self) -> u64 {
-        self.total_ns
+    fn checked_mul(self, times: u64) -> Option<KernelSums> {
+        Some(KernelSums {
+            launches: self.launches.checked_mul(times)?,
+            gpu_launches: self.gpu_launches.checked_mul(times)?,
+            elems: self.elems.checked_mul(times)?,
+            total_ns: self.total_ns.checked_mul(times)?,
+            occupancy: self.occupancy.checked_mul(times.into())?,
+        })
     }
 
+    /// Mean virtual duration per launch, in ns.
     pub fn mean_ns(&self) -> f64 {
-        if self.time_ns.count() == 0 {
-            0.0
-        } else {
-            // Welford samples are seconds; export in nanoseconds to
-            // match `total_ns`.
-            self.time_ns.mean() * 1e9
+        ratio(self.total_ns as f64, self.launches)
+    }
+
+    /// Mean occupancy per launch.
+    pub fn occupancy_mean(&self) -> f64 {
+        ratio(self.occupancy as f64 / OCCUPANCY_ONE as f64, self.launches)
+    }
+}
+
+fn ratio(sum: f64, launches: u64) -> f64 {
+    if launches == 0 {
+        0.0
+    } else {
+        sum / launches as f64
+    }
+}
+
+/// One [`KernelSums`] per kernel name, in name order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct KernelTable {
+    /// Sorted by name, each name once.
+    rows: Vec<(&'static str, KernelSums)>,
+}
+
+impl KernelTable {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Where the row of `name` is, or would be inserted.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        // A name is a kernel descriptor's `&'static str`, and a launch
+        // and its sync pass the same one: match the address first, the
+        // text only for a name not seen at that address.
+        let same = |(row, _): &(&'static str, KernelSums)| std::ptr::eq(*row, name);
+        match self.rows.iter().position(same) {
+            Some(at) => Ok(at),
+            None => self.rows.binary_search_by(|(row, _)| (*row).cmp(name)),
         }
     }
 
-    fn merge(&mut self, other: &KernelProfile) {
-        self.launches += other.launches;
-        self.gpu_launches += other.gpu_launches;
-        self.elems += other.elems;
-        self.bytes_moved += other.bytes_moved;
-        self.total_ns = self.total_ns.saturating_add(other.total_ns);
-        self.time_ns.merge(&other.time_ns);
-        self.occupancy.merge(&other.occupancy);
-    }
-}
-
-/// The profiler: one [`KernelProfile`] per kernel name.
-#[derive(Debug, Clone, Default)]
-pub struct KernelProfiles {
-    map: BTreeMap<&'static str, KernelProfile>,
-}
-
-impl KernelProfiles {
-    pub fn new() -> Self {
-        KernelProfiles::default()
+    /// Add `sums` to the row of `name`.
+    fn add(&mut self, name: &'static str, sums: KernelSums) -> Result<(), Overflow> {
+        let at = self.find(name).unwrap_or_else(|at| {
+            self.rows.insert(at, (name, KernelSums::default()));
+            at
+        });
+        let row = &mut self.rows[at].1;
+        *row = row.checked_add(sums).ok_or(Overflow)?;
+        Ok(())
     }
 
-    #[inline]
-    pub fn record_launch(
+    /// One launch run on the host: counted, timed, at occupancy 1.0.
+    pub fn record_host(
         &mut self,
         name: &'static str,
         elems: u64,
-        bytes: u64,
         dur: SimDuration,
-        on_gpu: bool,
+    ) -> Result<(), Overflow> {
+        let sums = KernelSums {
+            launches: 1,
+            elems,
+            total_ns: dur.as_nanos(),
+            occupancy: OCCUPANCY_ONE,
+            ..KernelSums::default()
+        };
+        self.add(name, sums)
+    }
+
+    /// One launch onto a device, counted when it is queued; its time
+    /// comes with [`KernelTable::record_gpu_run`].
+    pub fn record_gpu_launch(&mut self, name: &'static str, elems: u64) -> Result<(), Overflow> {
+        let sums = KernelSums {
+            launches: 1,
+            gpu_launches: 1,
+            elems,
+            ..KernelSums::default()
+        };
+        self.add(name, sums)
+    }
+
+    /// A device launch's run, resolved at a sync.
+    pub fn record_gpu_run(
+        &mut self,
+        name: &'static str,
+        dur: SimDuration,
         occupancy: f64,
-    ) {
-        let p = self
-            .map
-            .entry(name)
-            .or_insert_with(|| KernelProfile::new(name));
-        p.launches += 1;
-        if on_gpu {
-            p.gpu_launches += 1;
-        }
-        p.elems += elems;
-        p.bytes_moved += bytes;
-        p.total_ns = p.total_ns.saturating_add(dur.as_nanos());
-        p.time_ns.push_duration(dur);
-        p.occupancy.push(occupancy);
+    ) -> Result<(), Overflow> {
+        let sums = KernelSums {
+            total_ns: dur.as_nanos(),
+            // At most 1.0, so the truncated fixed point fits a `u64`.
+            occupancy: u128::from((occupancy * OCCUPANCY_ONE as f64) as u64),
+            ..KernelSums::default()
+        };
+        self.add(name, sums)
     }
 
-    pub fn get(&self, name: &str) -> Option<&KernelProfile> {
-        self.map.get(name)
+    /// The row of `name`.
+    pub fn get(&self, name: &str) -> Option<&KernelSums> {
+        self.find(name).ok().map(|at| &self.rows[at].1)
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
+    /// Total launches across kernels.
     pub fn total_launches(&self) -> u64 {
-        self.map.values().map(|p| p.launches).sum()
+        self.rows.iter().map(|(_, s)| s.launches).sum()
     }
 
-    pub fn merge(&mut self, other: &KernelProfiles) {
-        for (name, p) in &other.map {
-            self.map
-                .entry(name)
-                .or_insert_with(|| KernelProfile::new(name))
-                .merge(p);
+    /// Every row added up.
+    pub fn totals(&self) -> Result<KernelSums, Overflow> {
+        let mut all = KernelSums::default();
+        for (_, sums) in &self.rows {
+            all = all.checked_add(*sums).ok_or(Overflow)?;
+        }
+        Ok(all)
+    }
+
+    /// What was recorded since the reading `earlier` of this table, as
+    /// a table of its own.
+    pub fn since(&self, earlier: &KernelTable) -> KernelTable {
+        let rows = self.rows.iter().map(|&(name, now)| {
+            let was = earlier.get(name).copied().unwrap_or_default();
+            let grown = KernelSums {
+                launches: now.launches - was.launches,
+                gpu_launches: now.gpu_launches - was.gpu_launches,
+                elems: now.elems - was.elems,
+                total_ns: now.total_ns - was.total_ns,
+                occupancy: now.occupancy - was.occupancy,
+            };
+            (name, grown)
+        });
+        KernelTable {
+            rows: rows.collect(),
         }
     }
 
-    /// Profiles sorted by name — the deterministic export order
-    /// (free: the backing map is a `BTreeMap` keyed by name).
-    pub fn sorted(&self) -> Vec<&KernelProfile> {
-        self.map.values().collect()
+    /// Record `times` more repetitions of `period` (a growth taken with
+    /// [`KernelTable::since`]).
+    pub fn advance(&mut self, period: &KernelTable, times: u64) -> Result<(), Overflow> {
+        for &(name, step) in &period.rows {
+            self.add(name, step.checked_mul(times).ok_or(Overflow)?)?;
+        }
+        Ok(())
     }
 
-    /// Deterministic JSON array fragment.
+    /// Add another table's rows to this one's.
+    pub fn merge(&mut self, other: &KernelTable) -> Result<(), Overflow> {
+        self.advance(other, 1)
+    }
+
+    /// Reset every row.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+    }
+
+    /// Deterministic JSON array fragment, one object per kernel in
+    /// name order.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
-        for (i, p) in self.sorted().into_iter().enumerate() {
+        for (i, (name, p)) in self.rows.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"launches\": {}, \"gpu_launches\": {}, \
-                 \"elems\": {}, \"bytes_moved\": {}, \"total_ns\": {}, \"mean_ns\": {}, \
-                 \"occupancy_mean\": {}}}",
-                p.name,
+                "\n    {{\"name\": \"{name}\", \"launches\": {}, \"gpu_launches\": {}, \
+                 \"elems\": {}, \"total_ns\": {}, \"mean_ns\": {}, \"occupancy_mean\": {}}}",
                 p.launches,
                 p.gpu_launches,
                 p.elems,
-                p.bytes_moved,
-                p.total_ns(),
+                p.total_ns,
                 fmt_f64(p.mean_ns()),
-                fmt_f64(if p.occupancy.count() == 0 {
-                    0.0
-                } else {
-                    p.occupancy.mean()
-                }),
+                fmt_f64(p.occupancy_mean()),
             ));
         }
         out.push_str("\n  ]");
-        out
-    }
-
-    /// CSV export, one row per kernel.
-    pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("kernel,launches,gpu_launches,elems,bytes_moved,total_ns,mean_ns\n");
-        for p in self.sorted() {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
-                p.name,
-                p.launches,
-                p.gpu_launches,
-                p.elems,
-                p.bytes_moved,
-                p.total_ns(),
-                fmt_f64(p.mean_ns()),
-            ));
-        }
         out
     }
 }
@@ -183,32 +237,94 @@ impl KernelProfiles {
 mod tests {
     use super::*;
 
+    fn ns(n: u64) -> SimDuration {
+        SimDuration::from_nanos(n)
+    }
+
     #[test]
-    fn record_and_merge_accumulate() {
-        let mut a = KernelProfiles::new();
-        let mut b = KernelProfiles::new();
-        a.record_launch("flux_x", 100, 800, SimDuration::from_nanos(500), true, 0.9);
-        b.record_launch("flux_x", 100, 800, SimDuration::from_nanos(700), false, 1.0);
-        b.record_launch("eos", 50, 0, SimDuration::from_nanos(100), false, 1.0);
-        a.merge(&b);
-        let p = a.get("flux_x").unwrap();
-        assert_eq!(p.launches, 2);
-        assert_eq!(p.gpu_launches, 1);
-        assert_eq!(p.elems, 200);
-        assert_eq!(p.total_ns(), 1200);
-        assert_eq!(a.total_launches(), 3);
+    fn host_and_device_launches_accumulate_per_kernel() {
+        let mut t = KernelTable::new();
+        t.record_host("eos", 100, ns(500)).unwrap();
+        t.record_gpu_launch("eos", 100).unwrap();
+        t.record_host("force", 50, ns(100)).unwrap();
+        t.record_gpu_run("eos", ns(700), 0.5).unwrap();
+        assert_eq!(t.total_launches(), 3);
+        let eos = t.get("eos").unwrap();
+        assert_eq!((eos.launches, eos.gpu_launches, eos.elems), (2, 1, 200));
+        assert_eq!(eos.total_ns, 1200);
+        assert_eq!(eos.mean_ns(), 600.0);
+        assert_eq!(eos.occupancy, OCCUPANCY_ONE + OCCUPANCY_ONE / 2);
+        assert_eq!(eos.occupancy_mean(), 0.75);
+        let all = t.totals().unwrap();
+        assert_eq!((all.launches, all.elems, all.total_ns), (3, 250, 1300));
     }
 
     #[test]
     fn export_is_sorted_by_name() {
-        let mut k = KernelProfiles::new();
-        k.record_launch("zeta", 1, 0, SimDuration::from_nanos(1), false, 1.0);
-        k.record_launch("alpha", 1, 0, SimDuration::from_nanos(1), false, 1.0);
-        let csv = k.to_csv();
-        let alpha = csv.find("alpha").unwrap();
-        let zeta = csv.find("zeta").unwrap();
-        assert!(alpha < zeta);
-        let json = k.to_json();
+        let mut t = KernelTable::new();
+        t.record_host("zeta", 1, ns(1)).unwrap();
+        t.record_host("alpha", 1, ns(1)).unwrap();
+        let json = t.to_json();
         assert!(json.find("alpha").unwrap() < json.find("zeta").unwrap());
+        assert!(json.contains("\"mean_ns\": 1, \"occupancy_mean\": 1}"));
+    }
+
+    #[test]
+    fn advancing_by_a_period_is_recording_it_again() {
+        let mut t = KernelTable::new();
+        t.record_host("setup", 7, ns(3)).unwrap();
+        let before = t.clone();
+        let cycle = |t: &mut KernelTable| {
+            t.record_host("eos", 100, ns(40)).unwrap();
+            t.record_gpu_launch("flux", 50).unwrap();
+            t.record_gpu_launch("flux", 50).unwrap();
+            t.record_gpu_run("flux", ns(9), 0.3).unwrap();
+            t.record_gpu_run("flux", ns(11), 0.7).unwrap();
+        };
+        cycle(&mut t);
+        let period = t.since(&before);
+        assert_eq!(period.total_launches(), 3);
+        assert_eq!(period.get("flux").unwrap().total_ns, 20);
+        let mut stepped = t.clone();
+        (0..4).for_each(|_| cycle(&mut stepped));
+        t.advance(&period, 4).unwrap();
+        assert_eq!(t, stepped);
+
+        // Each sum is checked: the launch count, the ns and the
+        // occupancy each overflow on their own, and a failed advance
+        // is an error, not a saturated sum.
+        assert_eq!(t.advance(&period, u64::MAX / 2), Err(Overflow));
+        let mut long = KernelTable::new();
+        long.record_gpu_run("k", ns(u64::MAX), 0.0).unwrap();
+        assert_eq!(long.record_gpu_run("k", ns(1), 0.0), Err(Overflow));
+        let mut busy = KernelTable::new();
+        busy.record_gpu_run("k", ns(0), 1.0).unwrap();
+        assert_eq!(busy.advance(&busy.clone(), u64::MAX), Ok(()));
+        let full = busy.get("k").unwrap().occupancy;
+        assert_eq!(full, OCCUPANCY_ONE << 64);
+        let mut merged = busy.clone();
+        for _ in 0..11 {
+            merged.merge(&merged.clone()).unwrap();
+        }
+        assert_eq!(merged.merge(&merged.clone()), Err(Overflow));
+    }
+
+    #[test]
+    fn merge_adds_rows_and_clear_resets() {
+        let mut a = KernelTable::new();
+        let mut b = KernelTable::new();
+        a.record_host("flux_x", 100, ns(500)).unwrap();
+        b.record_gpu_launch("flux_x", 100).unwrap();
+        b.record_gpu_run("flux_x", ns(700), 0.9).unwrap();
+        b.record_host("eos", 50, ns(100)).unwrap();
+        a.merge(&b).unwrap();
+        let p = a.get("flux_x").unwrap();
+        assert_eq!(
+            (p.launches, p.gpu_launches, p.elems, p.total_ns),
+            (2, 1, 200, 1200)
+        );
+        assert_eq!(a.total_launches(), 3);
+        a.clear();
+        assert_eq!(a.total_launches(), 0);
     }
 }

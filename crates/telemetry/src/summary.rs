@@ -1,17 +1,19 @@
 //! End-of-run merge of per-rank collectors into one deterministic
-//! [`Summary`], plus its exports (Chrome JSON, metrics JSON, kernel
-//! CSV); [`crate::gantt`] draws its spans.
+//! [`Summary`], plus its exports (Chrome JSON, and metrics JSON with
+//! the run's kernel table); [`crate::gantt`] draws its spans.
 
 use std::collections::BTreeSet;
 
+use hsim_time::Overflow;
+
 use crate::chrome::to_chrome_json;
 use crate::collector::Collector;
-use crate::metrics::Metrics;
-use crate::profile::KernelProfiles;
+use crate::metrics::{Counter, Metrics};
+use crate::profile::KernelTable;
 use crate::span::{sort_spans, SpanEvent};
 
 /// Schema version stamped into the metrics JSON export.
-pub const METRICS_SCHEMA_VERSION: u32 = 1;
+pub const METRICS_SCHEMA_VERSION: u32 = 2;
 
 /// Merged telemetry for a whole run.
 #[derive(Debug, Clone, Default)]
@@ -19,7 +21,6 @@ pub struct Summary {
     /// All spans, in canonical deterministic order.
     pub spans: Vec<SpanEvent>,
     pub metrics: Metrics,
-    pub kernels: KernelProfiles,
 }
 
 impl Summary {
@@ -36,7 +37,6 @@ impl Summary {
         for c in parts {
             s.spans.extend(c.spans);
             s.metrics.merge(&c.metrics);
-            s.kernels.merge(&c.kernels);
         }
         sort_spans(&mut s.spans);
         s
@@ -47,21 +47,29 @@ impl Summary {
         to_chrome_json(&self.spans)
     }
 
-    /// Metrics + per-kernel profile as one JSON document.
-    pub fn to_metrics_json(&self) -> String {
+    /// Write the four kernel counters from the run's kernel table:
+    /// launches (host and device), elements.
+    pub fn count_kernels(&mut self, kernels: &KernelTable) -> Result<(), Overflow> {
+        let all = kernels.totals()?;
+        self.metrics.count(Counter::KernelLaunches, all.launches);
+        self.metrics
+            .count(Counter::GpuKernelLaunches, all.gpu_launches);
+        let host = all.launches - all.gpu_launches;
+        self.metrics.count(Counter::CpuKernelLaunches, host);
+        self.metrics.count(Counter::KernelElements, all.elems);
+        Ok(())
+    }
+
+    /// Metrics and the run's kernel table as one JSON document.
+    pub fn to_metrics_json(&self, kernels: &KernelTable) -> String {
         let metrics = self.metrics.to_json();
         // Splice the kernels array into the metrics object: drop the
         // object's closing brace and append the extra fields.
         let body = metrics.trim_end().trim_end_matches('}');
         format!(
             "{body},\n  \"schema_version\": {METRICS_SCHEMA_VERSION},\n  \"kernels\": {}\n}}\n",
-            self.kernels.to_json()
+            kernels.to_json()
         )
-    }
-
-    /// Per-kernel CSV export.
-    pub fn to_kernel_csv(&self) -> String {
-        self.kernels.to_csv()
     }
 
     /// The distinct Chrome category names present in the span stream.
@@ -73,7 +81,6 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Counter;
     use crate::span::Category;
     use hsim_time::{SimDuration, SimTime};
 
@@ -107,16 +114,26 @@ mod tests {
         let s1 = Summary::from_collectors(vec![a(), b()]);
         let s2 = Summary::from_collectors(vec![b(), a()]);
         assert_eq!(s1.to_chrome_json(), s2.to_chrome_json());
-        assert_eq!(s1.to_metrics_json(), s2.to_metrics_json());
+        let none = KernelTable::new();
+        assert_eq!(s1.to_metrics_json(&none), s2.to_metrics_json(&none));
         assert_eq!(s1.metrics.counter(Counter::Cycles), 2);
     }
 
     #[test]
     fn metrics_json_contains_schema_and_kernels() {
-        let s = Summary::from_collectors(vec![collector_with(0, vec![])]);
-        let json = s.to_metrics_json();
-        assert!(json.contains("\"schema_version\": 1"));
-        assert!(json.contains("\"kernels\": ["));
+        let mut s = Summary::from_collectors(vec![collector_with(0, vec![])]);
+        let mut kernels = KernelTable::new();
+        kernels
+            .record_host("eos", 8, SimDuration::from_nanos(5))
+            .unwrap();
+        kernels.record_gpu_launch("flux", 4).unwrap();
+        s.count_kernels(&kernels).unwrap();
+        assert_eq!(s.metrics.counter(Counter::KernelLaunches), 2);
+        assert_eq!(s.metrics.counter(Counter::CpuKernelLaunches), 1);
+        assert_eq!(s.metrics.counter(Counter::KernelElements), 12);
+        let json = s.to_metrics_json(&kernels);
+        assert!(json.contains("\"schema_version\": 2"));
+        assert!(json.contains("\"kernels\": [\n    {\"name\": \"eos\""));
     }
 
     #[test]

@@ -77,7 +77,7 @@ fn disabled_telemetry_is_allocation_free() {
             t1,
             &[("elems", i)],
         );
-        tel::kernel_launch("probe", 64, 0, SimDuration::from_nanos(i), false, 1.0);
+        tel::kernel_launch(SimDuration::from_nanos(i), Some(0.5));
     }
     let allocated = ALLOCS.with(Cell::get) - before;
     assert_eq!(

@@ -142,7 +142,6 @@ fn panic_reach(ws: &Workspace, out: &mut Vec<Finding>) {
 const DETERMINISM_SINKS: &[&str] = &[
     "to_chrome_json",
     "to_metrics_json",
-    "to_kernel_csv",
     "to_csv",
     "to_json",
     "to_markdown",

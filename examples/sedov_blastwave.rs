@@ -78,6 +78,6 @@ fn main() {
     );
     println!(
         "{} kernel launches issued over {cycles} cycles",
-        exec.registry.total_launches()
+        exec.kernels.total_launches()
     );
 }

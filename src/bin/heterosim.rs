@@ -157,7 +157,7 @@ fn main() {
             eprintln!("wrote Chrome trace to {path} (load in ui.perfetto.dev)");
         }
         if let Some(path) = &metrics_json {
-            if let Err(e) = std::fs::write(path, summary.to_metrics_json()) {
+            if let Err(e) = std::fs::write(path, summary.to_metrics_json(&result.kernels)) {
                 eprintln!("failed to write {path}: {e}");
                 std::process::exit(1);
             }
