@@ -21,6 +21,9 @@
 //! benchmark package's job (`crates/bench/e2e`), which runs parent and
 //! change on one host.
 
+// The host-perf harness times the host and spawns its baselines.
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::hint::black_box;
 use std::process::exit;
 use std::time::Instant;

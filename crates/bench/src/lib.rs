@@ -3,8 +3,6 @@
 //! plotting, the paper's claims table ([`claims`]), the virtual-time
 //! studies and argument helpers.
 
-#![forbid(unsafe_code)]
-
 pub mod claims;
 pub mod plot;
 pub mod rebalance;

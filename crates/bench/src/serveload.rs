@@ -23,6 +23,9 @@
 //! by two closed-loop clients, the two sides of
 //! `serve.http.two_client_speedup`.
 
+// The host-perf harness times the host and drives the server from threads.
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};

@@ -14,6 +14,7 @@ use hsim_telemetry::Counter;
 /// with up to `jobs` simulations in flight. Heterogeneous points run
 /// through the load balancer, exactly as the paper adjusted the split
 /// per problem size. Output is byte-identical for every `jobs` value.
+#[allow(clippy::disallowed_types)] // the `host_sweep_*` counters time the host
 pub fn run_figure_jobs(spec: &FigureSpec, modes: &[ExecMode], jobs: usize) -> FigureData {
     let host_t0 = hsim_telemetry::is_enabled().then(std::time::Instant::now);
     let data = run_figure_with(spec, modes, jobs, |cfg| {

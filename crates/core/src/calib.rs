@@ -104,8 +104,7 @@ pub fn auto_tile_for(threads: usize) -> [usize; 2] {
     if threads <= 1 {
         return auto_tile();
     }
-    // Plain `(threads, tile)` pairs stay coherent through a poisoning.
-    let mut cache = TILE_BY_THREADS.lock().unwrap_or_else(|p| p.into_inner());
+    let mut cache = hsim_time::sync::lock(&TILE_BY_THREADS);
     if let Some(&(_, tile)) = cache.iter().find(|(t, _)| *t == threads) {
         return tile;
     }
@@ -157,6 +156,7 @@ pub fn parse_tile_spec(s: &str) -> Result<[usize; 2], String> {
 
 /// A probe that fails costs only throughput (results are
 /// bitwise-independent of the tile): callers fall back to the default.
+#[allow(clippy::disallowed_types)] // the tile probe measures real cache behavior by design
 fn probe_tile(threads: usize) -> Result<[usize; 2], hsim_gpu::GpuError> {
     use hsim_raja::{CpuModel, Executor, Fidelity, Target, WorkPool};
     let n = TILE_PROBE_N;
@@ -183,7 +183,6 @@ fn probe_tile(threads: usize) -> Result<[usize; 2], hsim_gpu::GpuError> {
         // Warm-up rep so first-touch and allocator effects don't bias
         // the first candidate.
         hsim_hydro::fused::sweep(&mut st, &mut exec, &mut clock, 1e-6)?;
-        // tidy-allow: wall-clock -- the tile probe measures real cache behavior by design
         let t0 = std::time::Instant::now();
         for _ in 0..2 {
             hsim_hydro::fused::sweep(&mut st, &mut exec, &mut clock, 1e-6)?;

@@ -335,6 +335,7 @@ pub type PointResult = Result<(u64, f64, f64), String>;
 /// `jobs` is clamped to at least 1; the calling thread always acts as
 /// one of the workers, so `jobs = 1` spawns nothing and degenerates to
 /// the serial loop. Output is byte-identical for every `jobs` value.
+#[allow(clippy::disallowed_methods)] // the sweep's `--jobs` fan-out owns its threads
 pub fn run_figure_with<E>(spec: &FigureSpec, modes: &[ExecMode], jobs: usize, exec: E) -> FigureData
 where
     E: Fn(&RunConfig) -> PointResult + Sync,

@@ -51,8 +51,6 @@
 //! * [`confhash`] — canonical byte encoding + FNV-1a content hash of
 //!   a [`runner::RunConfig`], the exact cache key for served results.
 
-#![forbid(unsafe_code)]
-
 pub mod balance;
 pub mod binding;
 pub mod calib;

@@ -5,13 +5,13 @@
 
 use std::error::Error;
 use std::ops::Range;
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use hsim_faults::FaultPlan;
 use hsim_raja::simgpu::{DeviceMark, StreamMark};
 use hsim_raja::SharedDevice;
 use hsim_telemetry::KernelTable;
+use hsim_time::sync::lock;
 use hsim_time::task::{self, Waiting};
 use hsim_time::{RankClock, SimDuration};
 
@@ -163,9 +163,9 @@ impl Seat<'_> {
     /// Post this rank's cycle and wait for the verdict on it.
     pub(crate) async fn post(&self, posted: Posted) -> bool {
         let (board, cycle) = (self.board, posted.cycle);
-        board.posts.lock().slots[self.rank][(cycle % 2) as usize] = Some(posted);
+        lock(&board.posts).slots[self.rank][(cycle % 2) as usize] = Some(posted);
         task::park(Waiting::Verdict { cycle }, || {
-            board.posts.lock().verdict(cycle)
+            lock(&board.posts).verdict(cycle)
         })
         .await
     }
@@ -234,7 +234,7 @@ impl Seat<'_> {
 
 impl Drop for Seat<'_> {
     fn drop(&mut self) {
-        self.board.posts.lock().gone[self.rank] = true;
+        lock(&self.board.posts).gone[self.rank] = true;
     }
 }
 
@@ -310,7 +310,7 @@ mod tests {
         // post of this one; a rank that has left posts nothing more.
         let board = PeriodBoard::new(3);
         let seat = board.seat(0);
-        board.posts.lock().slots[1][1] = Some(post(3, true, 7, (1, 1)));
+        lock(&board.posts).slots[1][1] = Some(post(3, true, 7, (1, 1)));
         let mut first = pin!(seat.post(post(1, true, 7, (1, 1))));
         assert!(matches!(resume(first.as_mut()), Resumed::Parked(_)));
         drop(board.seat(2));

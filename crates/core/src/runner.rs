@@ -9,10 +9,8 @@
 use std::error::Error;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll};
-
-use parking_lot::Mutex;
 
 use hsim_hydro::diffusion::{self, DiffusionConfig};
 use hsim_hydro::{step_with, HydroState, Reconstruction};
@@ -26,6 +24,7 @@ use hsim_raja::simgpu::Departure;
 use hsim_raja::{Executor, Fidelity, GpuClient, SharedDevice, Target, WorkPool};
 use hsim_telemetry::{Category, Collector, Counter, Gauge, KernelTable, Summary, TimeStat};
 use hsim_time::clock::ChargeKind;
+use hsim_time::sync::lock;
 use hsim_time::{Overflow, RankClock, SimDuration, SimTime};
 
 use crate::balance::{LoadBalancer, RebalanceConfig, RebalanceDecision, Rebalancer};
@@ -1071,7 +1070,7 @@ async fn set_up<'a>(ranks: &'a Ranks<'a>, comm: &'a mut Comm) -> Result<Rank<'a>
     let rank = comm.rank();
     let orig = seg.orig_ids[rank];
     let sub = seg.decomp.domains[rank];
-    let (gpu, state) = std::mem::take(&mut ranks.handouts.lock()[rank]);
+    let (gpu, state) = std::mem::take(&mut lock(&ranks.handouts)[rank]);
     let mut state = state.ok_or("set up twice")?;
     let departure = gpu
         .as_ref()

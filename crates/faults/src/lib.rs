@@ -68,8 +68,6 @@
 //! a branch-and-return: fault-free runs pay nothing and change no
 //! behavior.
 
-#![forbid(unsafe_code)]
-
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;

@@ -26,8 +26,6 @@
 //!   the device, with a thrash term past the device's capacity.
 //! * [`xfer`] — PCIe staging-cost model for host↔device copies.
 
-#![forbid(unsafe_code)]
-
 pub mod device;
 pub mod error;
 pub mod kernel;

@@ -24,8 +24,6 @@
 //! and are skipped under `CostOnly` (large sweeps) — virtual time is
 //! identical because kernel cost depends only on sizes and shapes.
 
-#![forbid(unsafe_code)]
-
 pub mod bc;
 pub mod cycle;
 pub mod diffusion;

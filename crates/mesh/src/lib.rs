@@ -21,8 +21,6 @@
 //!   thickness set by the load balancer subject to a one-plane minimum
 //!   granularity.
 
-#![forbid(unsafe_code)]
-
 pub mod decomp;
 pub mod domain;
 pub mod grid;

@@ -3,11 +3,10 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use hsim_time::clock::ChargeKind;
+use hsim_time::sync::{lock, wait};
 use hsim_time::task::{self, Waiting};
 use hsim_time::{advanced, Overflow, RankClock, SimTime};
 
@@ -102,7 +101,7 @@ impl PostOffice {
             return Err(MpiError::Disconnected { peer: dst });
         }
         let inbox = &self.inboxes[dst];
-        let mut mail = inbox.mail.lock();
+        let mut mail = lock(&inbox.mail);
         mail.from[src].push_back(pkt);
         if mail.sleeping {
             inbox.arrived.notify_one();
@@ -130,7 +129,7 @@ impl PostOffice {
 
     /// [`PostOffice::pick`] in `dst`'s inbox, now.
     fn take(&self, dst: usize, src: usize, tag: u32) -> Option<Result<Packet, MpiError>> {
-        self.pick(&mut self.inboxes[dst].mail.lock(), src, tag)
+        self.pick(&mut lock(&self.inboxes[dst].mail), src, tag)
     }
 
     /// [`PostOffice::take`], waiting until it has an answer: yielding
@@ -143,13 +142,13 @@ impl PostOffice {
             std::thread::yield_now();
         }
         let inbox = &self.inboxes[dst];
-        let mut mail = inbox.mail.lock();
+        let mut mail = lock(&inbox.mail);
         loop {
             if let Some(got) = self.pick(&mut mail, src, tag) {
                 return got;
             }
             mail.sleeping = true;
-            inbox.arrived.wait(&mut mail);
+            mail = wait(&inbox.arrived, mail);
             mail.sleeping = false;
         }
     }
@@ -159,7 +158,7 @@ impl PostOffice {
     fn leave(&self, rank: usize) {
         self.live[rank].store(false, Ordering::Release);
         for inbox in &self.inboxes {
-            if inbox.mail.lock().sleeping {
+            if lock(&inbox.mail).sleeping {
                 inbox.arrived.notify_one();
             }
         }

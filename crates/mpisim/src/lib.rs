@@ -30,8 +30,6 @@
 //! assert!(totals.iter().all(|&t| t == 6.0));
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod comm;
 pub mod cost;
 #[cfg(test)]

@@ -16,9 +16,9 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
+use std::sync::{Condvar, Mutex};
 
-use parking_lot::{Condvar, Mutex};
-
+use hsim_time::sync::{into_inner, lock, wait};
 use hsim_time::task::{self, Resumed, Waiting};
 
 use crate::comm::{Comm, PostOffice};
@@ -35,6 +35,7 @@ impl World {
     ///
     /// `f` receives the rank's [`Comm`], which carries a virtual clock
     /// starting at the epoch.
+    #[allow(clippy::disallowed_methods)] // a thread per rank: worlds own their threads
     pub fn run<R, F>(size: usize, cost: CommCost, f: F) -> Vec<R>
     where
         R: Send,
@@ -192,6 +193,7 @@ struct Pool<R, Fut> {
 /// resume that began after the last progress: since then nothing ran
 /// but waits that found nothing, so nothing any rank waits for can
 /// still happen.
+#[allow(clippy::disallowed_methods)] // the driver's workers: worlds own their threads
 fn drive_ranks<R, Fut>(workers: usize, ranks: Vec<Fut>) -> Vec<Result<R, String>>
 where
     R: Send,
@@ -219,7 +221,7 @@ where
         }
         work(&pool);
     });
-    let queue = pool.queue.into_inner();
+    let queue = into_inner(pool.queue);
     let stuck = MpiError::Deadlock {
         waiting: (0..size)
             .filter(|&r| queue.out[r].is_none())
@@ -236,11 +238,11 @@ fn work<R, Fut>(pool: &Pool<R, Fut>)
 where
     Fut: Future<Output = Result<R, String>>,
 {
-    let mut queue = pool.queue.lock();
+    let mut queue = lock(&pool.queue);
     while queue.live > 0 && !queue.deadlock {
         let Some(((rank, mut fut), began)) = queue.take() else {
             queue.asleep += 1;
-            pool.moved.wait(&mut queue);
+            queue = wait(&pool.moved, queue);
             queue.asleep -= 1;
             continue;
         };
@@ -251,7 +253,7 @@ where
         // progress: its `Comm` leaves first, so a peer resumed after
         // that progress finds it gone.
         let fut = (!matches!(resumed, Resumed::Done(_))).then_some(fut);
-        queue = pool.queue.lock();
+        queue = lock(&pool.queue);
         if queue.put(rank, began, resumed, fut) {
             pool.moved.notify_all();
         }
@@ -348,7 +350,7 @@ mod tests {
             let seen = &Mutex::new(BTreeSet::new());
             let note = || {
                 let id = format!("{:?}", std::thread::current().id());
-                seen.lock().insert(id);
+                lock(seen).insert(id);
             };
             let out =
                 World::run_fallible(workers, 16, CommCost::on_node(), |mut comm| async move {
@@ -366,7 +368,7 @@ mod tests {
                     Ok(())
                 });
             assert!(out.iter().all(Result::is_ok), "{out:?}");
-            let seen = seen.lock();
+            let seen = lock(seen);
             assert!(seen.len() <= workers, "{workers} workers, threads {seen:?}");
             if workers == 1 {
                 assert_eq!(*seen, BTreeSet::from([format!("{caller:?}")]));

@@ -31,8 +31,6 @@
 //! `alltoallv` on the simulated communicator, so wire time, eager
 //! overheads, and the collectives counter all see it.
 
-#![forbid(unsafe_code)]
-
 use hsim_gpu::KernelDesc;
 use hsim_hydro::cycle::{CoupleError, Coupler, CycleError};
 use hsim_hydro::state::{HydroState, MX, MY, MZ, RHO};

@@ -23,13 +23,16 @@
 //! region to any pool) deadlock by construction on a single job slot
 //! and are rejected with a panic instead.
 
+// The lifetime-erased job slot and the reduction slots.
+#![allow(unsafe_code)]
+
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
-use parking_lot::{Condvar, Mutex};
+use hsim_time::sync::{lock, wait};
 
 thread_local! {
     /// Set while this thread is executing a parallel-region body (as a
@@ -100,6 +103,7 @@ pub struct WorkPool {
 impl WorkPool {
     /// Spawn a pool with `threads` workers (the caller's thread also
     /// participates in loops, so total parallelism is `threads + 1`).
+    #[allow(clippy::disallowed_methods)] // the pool owns its persistent workers
     pub fn new(threads: usize) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State::Idle),
@@ -140,7 +144,7 @@ impl WorkPool {
         type PoolCache = Mutex<Vec<(usize, Arc<WorkPool>)>>;
         static POOLS: std::sync::OnceLock<PoolCache> = std::sync::OnceLock::new();
         let pools = POOLS.get_or_init(|| Mutex::new(Vec::new()));
-        let mut pools = pools.lock();
+        let mut pools = lock(pools);
         if let Some((_, pool)) = pools.iter().find(|(w, _)| *w == threads) {
             return Arc::clone(pool);
         }
@@ -181,6 +185,7 @@ impl WorkPool {
     /// absorb a planned worker panic. `count_host` gates the wall-clock
     /// `Host*` telemetry (chaos regions skip it to keep metrics output
     /// deterministic).
+    #[allow(clippy::disallowed_types)] // the region timer feeds the `host_*` counters
     fn try_for_chunks<F>(
         &self,
         begin: usize,
@@ -223,9 +228,9 @@ impl WorkPool {
         });
 
         // One region at a time: concurrent submitters queue here.
-        let region = self.region_lock.lock();
+        let region = lock(&self.region_lock);
         {
-            let mut st = self.shared.state.lock();
+            let mut st = lock(&self.shared.state);
             *st = State::Running(Arc::clone(&job));
             self.shared.work_ready.notify_all();
         }
@@ -234,9 +239,9 @@ impl WorkPool {
         // Wait for the workers to drain the job. The Acquire pairs
         // with each worker's Release decrement, making every body
         // effect (and reduction-slot write) visible to the caller.
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         while job.remaining.load(Ordering::Acquire) != 0 {
-            self.shared.work_done.wait(&mut st);
+            st = wait(&self.shared.work_done, st);
         }
         *st = State::Idle;
         // Wake workers parked on the job-swap wait so they return to
@@ -253,7 +258,7 @@ impl WorkPool {
             );
         }
         if job.poisoned.load(Ordering::Acquire) {
-            let payload = job.panic_payload.lock().take();
+            let payload = lock(&job.panic_payload).take();
             return Some(payload.unwrap_or_else(|| {
                 Box::new("WorkPool parallel region body panicked".to_string())
             }));
@@ -404,7 +409,7 @@ impl<T> RegionSlots<T> {
 impl Drop for WorkPool {
     fn drop(&mut self) {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = lock(&self.shared.state);
             *st = State::Shutdown;
             self.shared.work_ready.notify_all();
         }
@@ -434,7 +439,7 @@ fn run_job(job: &Job) {
         }));
         if let Err(payload) = r {
             job.cursor.store(job.end, Ordering::Relaxed);
-            let mut slot = job.panic_payload.lock();
+            let mut slot = lock(&job.panic_payload);
             if slot.is_none() {
                 *slot = Some(payload);
             }
@@ -449,26 +454,26 @@ fn run_job(job: &Job) {
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
-            let mut st = shared.state.lock();
+            let mut st = lock(&shared.state);
             loop {
                 match &*st {
                     State::Shutdown => return,
                     State::Running(job) => break Arc::clone(job),
-                    State::Idle => shared.work_ready.wait(&mut st),
+                    State::Idle => st = wait(&shared.work_ready, st),
                 }
             }
         };
         run_job(&job);
         // Release pairs with the Acquire in `for_chunks`'s wait.
         if job.remaining.fetch_sub(1, Ordering::Release) == 1 {
-            let _guard = shared.state.lock();
+            let _guard = lock(&shared.state);
             shared.work_done.notify_all();
         }
         // Wait until the coordinator swaps the job out, so we don't
         // double-count ourselves on the same job.
-        let mut st = shared.state.lock();
+        let mut st = lock(&shared.state);
         while matches!(&*st, State::Running(j) if Arc::ptr_eq(j, &job)) {
-            shared.work_done.wait(&mut st);
+            st = wait(&shared.work_done, st);
         }
         drop(st);
     }

@@ -11,12 +11,11 @@
 //! bulk-synchronous structure of the application (every rank
 //! synchronizes with its device at least once per cycle).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use hsim_gpu::{Device, DeviceSpec, Executed, GpuError, KernelDesc, KernelShape};
 use hsim_telemetry::KernelTable;
+use hsim_time::sync::lock;
 use hsim_time::task::{self, Waiting};
 use hsim_time::{advanced, Overflow, SimDuration, SimTime};
 
@@ -120,7 +119,7 @@ pub struct Departure {
 
 impl Drop for Departure {
     fn drop(&mut self) {
-        let mut inner = self.dev.inner.lock();
+        let mut inner = lock(&self.dev.inner);
         // A second departure of one stream would let an epoch resolve
         // without a live client's launches: silently wrong virtual
         // times. `GpuClient::departure` refuses to issue one, so the
@@ -188,23 +187,23 @@ impl SharedDevice {
 
     /// Number of resolved sync epochs so far.
     pub fn epoch(&self) -> u64 {
-        self.inner.lock().epoch
+        lock(&self.inner).epoch
     }
 
     /// Lifetime launch count.
     pub fn total_launches(&self) -> u64 {
-        self.inner.lock().device.total_launches()
+        lock(&self.inner).device.total_launches()
     }
 
     /// Cumulative per-job device busy time (the load balancer's view
     /// of how hard the GPU worked).
     pub fn busy(&self) -> SimDuration {
-        self.inner.lock().device.busy()
+        lock(&self.inner).device.busy()
     }
 
     /// Read the device's counters.
     pub fn mark(&self) -> DeviceMark {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let queued = inner.device.pending().len() as u64;
         DeviceMark {
             busy: inner.device.busy(),
@@ -219,7 +218,7 @@ impl SharedDevice {
     /// The epoch count just continues: it only tells a waiter that its
     /// epoch has resolved.
     pub fn advance(&self, period: &DeviceMark, times: u64) -> Result<(), Overflow> {
-        let device = &mut self.inner.lock().device;
+        let device = &mut lock(&self.inner).device;
         device.advance(period.busy, period.launches, times)
     }
 
@@ -227,7 +226,7 @@ impl SharedDevice {
     /// the device (ARES mesh data, Figure 8). Returns the migration
     /// charge the caller must add to its clock.
     pub fn um_alloc_and_touch(&self, bytes: u64) -> SimDuration {
-        self.inner.lock().device.um_mut().alloc_and_touch(bytes)
+        lock(&self.inner).device.um_mut().alloc_and_touch(bytes)
     }
 }
 
@@ -241,7 +240,7 @@ impl GpuClient {
     /// once: asking twice for the same stream is
     /// [`GpuError::InvalidStream`].
     pub fn departure(&self) -> Result<Departure, GpuError> {
-        if std::mem::replace(&mut self.dev.inner.lock().guarded[self.stream], true) {
+        if std::mem::replace(&mut lock(&self.dev.inner).guarded[self.stream], true) {
             return Err(GpuError::InvalidStream);
         }
         Ok(Departure {
@@ -251,7 +250,7 @@ impl GpuClient {
 
     /// Read this client's stream.
     pub fn stream_mark(&self) -> StreamMark {
-        let inner = self.dev.inner.lock();
+        let inner = lock(&self.dev.inner);
         let mine = |q: &&hsim_gpu::Queued| q.job.stream == self.stream as u64;
         StreamMark {
             end: inner.stream_end[self.stream],
@@ -262,7 +261,7 @@ impl GpuClient {
     /// Move this client's stream `times` more repetitions of a period
     /// that took it `step` further.
     pub fn advance_stream(&self, step: SimDuration, times: u64) -> Result<(), Overflow> {
-        let end = &mut self.dev.inner.lock().stream_end[self.stream];
+        let end = &mut lock(&self.dev.inner).stream_end[self.stream];
         *end = SimTime(advanced(end.0, step.0, times)?);
         Ok(())
     }
@@ -270,7 +269,7 @@ impl GpuClient {
     /// Submit one kernel launch at virtual instant `at`. Returns the
     /// host-side launch overhead the caller must charge to its clock.
     pub fn launch(&self, desc: &KernelDesc, shape: KernelShape, at: SimTime) -> SimDuration {
-        let mut inner = self.dev.inner.lock();
+        let mut inner = lock(&self.dev.inner);
         let ticket = (inner.device).submit(self.stream, desc, shape, at, self.dev.mps);
         ticket.overhead
     }
@@ -288,7 +287,7 @@ impl GpuClient {
     /// never launch: the rank driver reports the world deadlocked.
     pub async fn sync(&self, at: SimTime, kernels: &mut KernelTable) -> Result<SimTime, Overflow> {
         let unresolved = {
-            let mut inner = self.dev.inner.lock();
+            let mut inner = lock(&self.dev.inner);
             inner.syncers += 1;
             if inner.syncers == inner.clients {
                 inner.resolve_epoch();
@@ -305,9 +304,9 @@ impl GpuClient {
                 device: dev.id,
                 epoch: my_epoch,
             };
-            task::park(what, || (dev.inner.lock().epoch != my_epoch).then_some(())).await;
+            task::park(what, || (lock(&dev.inner).epoch != my_epoch).then_some(())).await;
         }
-        let mut inner = self.dev.inner.lock();
+        let mut inner = lock(&self.dev.inner);
         // Drain this stream's resolved kernels into the kernel table
         // and the calling thread's collector (device-timeline spans):
         // a device kernel is timed here, not at launch.

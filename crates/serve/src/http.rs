@@ -40,6 +40,9 @@
 //! listen backlog, for no longer than those deadlines plus the runs in
 //! flight. A failed `accept()` loses that connection, not the server.
 
+// Connection deadlines are real elapsed time by design.
+#![allow(clippy::disallowed_types)]
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -136,6 +139,7 @@ struct Front<'a, H> {
 
 /// [`serve`] over any per-connection body; returns how many handler
 /// threads ran (at least 1: the caller's).
+#[allow(clippy::disallowed_methods)] // the front end owns its connection handlers
 fn serve_with(
     listener: &TcpListener,
     max_requests: Option<usize>,
@@ -191,6 +195,7 @@ impl<H: Fn(&TcpStream) + Sync> Front<'_, H> {
     /// still to come and fewer than [`MAX_HANDLERS`] run. Called by the
     /// thread that took the last idle one's place; if the thread cannot
     /// be started, connections wait for a handler to finish.
+    #[allow(clippy::disallowed_methods)] // the front end owns its connection handlers
     fn start_helper<'scope, 'env>(&'env self, scope: &'scope Scope<'scope, 'env>) {
         let to_come = match &self.tickets {
             Some(tickets) => tickets.load(Ordering::SeqCst) > 0,

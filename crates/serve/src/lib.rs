@@ -32,8 +32,6 @@
 //! Everything the server does is visible in its `serve_*` telemetry
 //! counters, exported live at `/metrics`.
 
-#![forbid(unsafe_code)]
-
 pub mod http;
 pub mod server;
 

@@ -31,23 +31,20 @@
 //! time a worker picks it up, the task is dropped without running
 //! (`serve_deadline_drops`) — graceful cancellation, not a hang.
 
+// Request latencies and deadlines are real elapsed time by design.
+#![allow(clippy::disallowed_types)]
+
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hsim_core::confhash::ContentHasher;
 use hsim_core::runner::RunConfig;
 use hsim_core::{calib, figures, ExecMode, RunResult};
 use hsim_telemetry::{Counter, Gauge, Metrics};
-
-/// Lock a mutex, recovering the data from a poisoned lock: server
-/// state is plain data (maps, vectors, counters) that stays coherent
-/// even if a panicking thread held the guard.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
+use hsim_time::sync::{lock, wait, wait_timeout};
 
 /// Server construction knobs.
 #[derive(Debug, Clone)]
@@ -264,7 +261,7 @@ impl Pending {
                 return r.clone();
             }
             match deadline {
-                None => s = self.cv.wait(s).unwrap_or_else(|p| p.into_inner()),
+                None => s = wait(&self.cv, s),
                 Some(d) => {
                     let elapsed = start.elapsed();
                     if elapsed >= d {
@@ -273,11 +270,7 @@ impl Pending {
                             waited_ms: elapsed.as_millis() as u64,
                         });
                     }
-                    s = self
-                        .cv
-                        .wait_timeout(s, d - elapsed)
-                        .unwrap_or_else(|p| p.into_inner())
-                        .0;
+                    s = wait_timeout(&self.cv, s, d - elapsed);
                 }
             }
         }
@@ -398,6 +391,7 @@ pub struct Server {
 
 impl Server {
     /// Calibrate (tile probe or seed) and spawn the worker threads.
+    #[allow(clippy::disallowed_methods)] // long-lived workers: the server owns its threads
     pub fn new(cfg: ServerConfig) -> Server {
         let tile = match cfg.tile {
             Some(t) => calib::seed_tile(t),
@@ -684,7 +678,7 @@ fn worker_loop(inner: &Arc<Inner>) {
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                q = inner.queue_cv.wait(q).unwrap_or_else(|p| p.into_inner());
+                q = wait(&inner.queue_cv, q);
             }
         };
         // Graceful cancellation: every waiter's deadline has passed,

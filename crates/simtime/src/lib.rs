@@ -18,13 +18,14 @@
 //! * [`rng`] — a SplitMix64 generator for deterministic workload
 //!   perturbations without external dependencies,
 //! * [`task`] — resumable rank tasks: the blocking and the stepped
-//!   driver, and the wait primitive that serves both.
-
-#![forbid(unsafe_code)]
+//!   driver, and the wait primitive that serves both,
+//! * [`sync`] — the poison-recovering `lock`/`wait` every crate locks
+//!   through.
 
 pub mod clock;
 pub mod rng;
 pub mod stats;
+pub mod sync;
 pub mod task;
 pub mod time;
 

@@ -29,8 +29,6 @@
 //! the end of the run, and merges them into a [`Summary`] whose JSON
 //! exports are byte-deterministic for a given seed.
 
-#![forbid(unsafe_code)]
-
 pub mod chrome;
 pub mod collector;
 pub mod gantt;

@@ -2,6 +2,9 @@
 //! per-launch recording calls perform zero heap allocations. This
 //! file is its own test binary so it may own the global allocator.
 
+// A counting global allocator is an `unsafe impl`.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -16,10 +16,10 @@ use crate::Finding;
 pub struct FileInfo {
     /// Identifiers declared with `HashMap`/`HashSet` types.
     pub unordered_names: Vec<String>,
-    /// Lines carrying a `tidy-allow: wall-clock` directive — those
-    /// reads are sanctioned host-perf measurements, not taint sources
-    /// (same policy the token-level lint applies).
-    pub sanctioned_wall_clock: Vec<usize>,
+    /// Line ranges under an `allow(clippy::disallowed_types)`
+    /// attribute: their wall-clock reads are sanctioned host timing,
+    /// not taint sources.
+    pub wall_clock_allowed: Vec<(usize, usize)>,
 }
 
 pub struct Workspace {
@@ -189,11 +189,6 @@ fn nondet_taint(ws: &Workspace, out: &mut Vec<Finding>) {
             continue;
         }
         let info = ws.files.get(&f.file).unwrap_or(&empty);
-        // Shared with the token-level wall-clock lint: those files
-        // measure host time by design.
-        let wall_clock_ok = crate::lints::WALL_CLOCK_ALLOWED
-            .iter()
-            .any(|p| f.file.starts_with(p));
         for ev in &f.events {
             let site: Option<(usize, String)> = match ev {
                 Event::Call {
@@ -219,11 +214,10 @@ fn nondet_taint(ws: &Workspace, out: &mut Vec<Finding>) {
                     .map(|id| (*line, format!("for-loop over unordered `{id}`"))),
                 Event::Call { path, line, .. }
                     if path.iter().any(|s| s == "Instant" || s == "SystemTime")
-                        && !wall_clock_ok
                         && !info
-                            .sanctioned_wall_clock
+                            .wall_clock_allowed
                             .iter()
-                            .any(|&l| l == *line || l + 1 == *line) =>
+                            .any(|&(a, b)| (a..=b).contains(line)) =>
                 {
                     Some((*line, "a wall-clock read".to_string()))
                 }

@@ -4,7 +4,7 @@
 //! Produces identifier / string / char / number / punctuation tokens
 //! with line numbers, plus a per-line comment table (line and block
 //! comments, including doc comments) so lints can resolve
-//! `// tidy-allow:` directives and `// SAFETY:` requirements. String
+//! `// tidy-allow:` directives. String
 //! and comment *contents* never become code tokens, so a lint pattern
 //! such as `unwrap` cannot be tripped by prose.
 
@@ -43,22 +43,6 @@ pub struct Comment {
 pub struct Lexed {
     pub toks: Vec<Tok>,
     pub comments: Vec<Comment>,
-}
-
-impl Lexed {
-    /// All comment text on `line`, concatenated.
-    pub fn comment_on(&self, line: usize) -> Option<String> {
-        let mut out = String::new();
-        for c in self.comments.iter().filter(|c| c.line == line) {
-            out.push_str(&c.text);
-            out.push(' ');
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(out)
-        }
-    }
 }
 
 /// Lex `src` into tokens and comments. Never fails: unterminated

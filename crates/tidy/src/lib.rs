@@ -2,25 +2,21 @@
 //!
 //! A rustc-tidy-style checker built on a tiny pure-`std` lexer — no
 //! external dependencies, fully offline. It enforces the invariants
-//! the simulator's correctness story rests on but the compiler cannot
-//! see:
+//! the simulator's correctness story rests on that neither rustc nor
+//! clippy can state. The rules they can state live with them:
+//! `clippy.toml` keeps wall clocks out of ranks, threads in the files
+//! that own them and every lock on `hsim_time::sync`, and the
+//! workspace lint table denies `unsafe_code` and undocumented `unsafe`
+//! blocks. The token lints:
 //!
-//! - **wall-clock** — virtual-time purity: `Instant`/`SystemTime`
-//!   only in the host-perf allowlist (`crates/bench/`, the pool's
-//!   region timer, the serve latency recorder and connection
-//!   deadlines).
 //! - **unordered-iter** — no `HashMap`/`HashSet` in trace/metrics/
 //!   report/CSV emission paths (byte-identical output).
-//! - **safety-comment** — every `unsafe` carries an adjacent
-//!   `// SAFETY:` comment.
-//! - **unsafe-crate** — crates without `unsafe` must
-//!   `#![forbid(unsafe_code)]`; crates with it must opt into the
-//!   workspace `unsafe_op_in_unsafe_fn = "deny"` table.
-//! - **stray-thread** — threads, free or scoped, start only in the
-//!   files that own them (`raja::pool`, the serve workers and
-//!   connection handlers, `mpisim` worlds, the sweep fan-out).
+//! - **workspace-lints** — every member manifest opts into that lint
+//!   table (`[lints] workspace = true`), which cargo cannot require.
 //! - **telemetry-naming** — counter labels and span names follow the
 //!   `fault_*`/`host_*`/snake_case conventions.
+//! - **tile-bounds** — no per-element `[i]` indexing inside the fused
+//!   hydro kernels' `run_tiles` bodies.
 //!
 //! On top of the token lints, a recursive-descent parser
 //! ([`parser`]) and a workspace call graph ([`callgraph`]) drive
@@ -33,7 +29,8 @@
 //!   the serve request path. Calls are followed through `.await`: an
 //!   `async fn` is a node like any other.
 //! - **nondet-taint** — no nondeterminism source (unordered-container
-//!   iteration, unsanctioned wall-clock reads, thread identity,
+//!   iteration, wall-clock reads outside an
+//!   `allow(clippy::disallowed_types)` item or file, thread identity,
 //!   pointer-as-integer casts) reachable from a deterministic
 //!   emission sink (trace/metrics/CSV/Prometheus writers,
 //!   `content_hash`, `RunResult` construction).
@@ -48,8 +45,6 @@
 //! or unknown directive is itself a violation (**bad-allow**), and a
 //! directive that suppresses nothing is flagged (**unused-allow**),
 //! so allowlist entries cannot rot silently.
-
-#![forbid(unsafe_code)]
 
 pub mod callgraph;
 pub mod deep;
@@ -110,7 +105,8 @@ fn is_test_path(rel: &str) -> bool {
 
 /// Scan the workspace rooted at `root` and report every violation:
 /// the per-file token lints, the call-graph deep analyses
-/// (panic-reach / nondet-taint / cost-charge), and crate hygiene.
+/// (panic-reach / nondet-taint / cost-charge), and the manifests'
+/// lint-table opt-in.
 pub fn check_dir(root: &Path) -> io::Result<Report> {
     let mut rs_files = Vec::new();
     let mut tomls = Vec::new();
@@ -157,22 +153,11 @@ pub fn check_dir(root: &Path) -> io::Result<Report> {
         if !is_test_path(&rel) {
             let (crate_ident, module) = crate_ctx(&rel, &crates);
             let pf = parser::parse_file(&rel, &crate_ident, &module, &lexed, &mask);
-            let sanctioned_wall_clock = lexed
-                .comments
-                .iter()
-                .filter(|c| {
-                    c.text
-                        .trim()
-                        .strip_prefix("tidy-allow:")
-                        .is_some_and(|r| r.trim_start().starts_with("wall-clock"))
-                })
-                .map(|c| c.line)
-                .collect();
             infos.insert(
                 rel.clone(),
                 deep::FileInfo {
                     unordered_names: pf.unordered_names.clone(),
-                    sanctioned_wall_clock,
+                    wall_clock_allowed: wall_clock_allowed(&lexed.toks),
                 },
             );
             parsed.push((rel.clone(), pf));
@@ -209,7 +194,7 @@ pub fn check_dir(root: &Path) -> io::Result<Report> {
         );
     }
 
-    check_crate_hygiene(root, &tomls, &lexed_files, &mut report.violations);
+    check_lints_optin(root, &tomls, &mut report.violations);
 
     report
         .violations
@@ -386,96 +371,84 @@ fn apply_allows(rel: &str, lexed: &lexer::Lexed, raw: Vec<Finding>, out: &mut Ve
 }
 
 // ---------------------------------------------------------------------------
-// crate-level unsafe hygiene
+// what the compiler's lints already settle
 // ---------------------------------------------------------------------------
 
-/// Enforce the crate-level contract:
-/// - every member `Cargo.toml` opts into `[lints] workspace = true`;
-/// - a crate whose `src/` has no `unsafe` must `#![forbid(unsafe_code)]`;
-/// - a crate that does use `unsafe` must be covered by the workspace
-///   `unsafe_op_in_unsafe_fn = "deny"` table (or carry the attr itself).
-fn check_crate_hygiene(
-    root: &Path,
-    tomls: &[PathBuf],
-    lexed_files: &[(String, lexer::Lexed)],
-    out: &mut Vec<Finding>,
-) {
-    let workspace_denies_unsafe_op = fs::read_to_string(root.join("Cargo.toml"))
-        .map(|t| {
-            t.lines()
-                .any(|l| l.contains("unsafe_op_in_unsafe_fn") && l.contains("deny"))
-        })
-        .unwrap_or(false);
+/// Line ranges whose wall-clock reads clippy already sanctions: an
+/// `allow(clippy::disallowed_types)` attribute covers the rest of its
+/// file when inner (`#![allow(..)]`) and the item it precedes when
+/// outer.
+fn wall_clock_allowed(toks: &[lexer::Tok]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        let inner = toks.get(i + 1).is_some_and(|t| t.text == "!");
+        let open = i + 1 + usize::from(inner);
+        if t.text != "#" || !toks.get(open).is_some_and(|t| t.text == "[") {
+            continue;
+        }
+        let end = lints::bracket_is_reborrow(toks, open).0;
+        let attr = toks.get(open + 1..end - 1).unwrap_or_default();
+        let sanctions = attr.first().is_some_and(|t| t.text == "allow")
+            && attr.windows(4).any(|w| {
+                w.iter()
+                    .map(|t| t.text.as_str())
+                    .eq(["clippy", ":", ":", "disallowed_types"])
+            });
+        if sanctions {
+            out.push((
+                t.line,
+                if inner {
+                    usize::MAX
+                } else {
+                    item_end_line(toks, end)
+                },
+            ));
+        }
+    }
+    out
+}
 
+/// Line of the end of the item starting at `from`: its closing brace,
+/// or its `;`.
+fn item_end_line(toks: &[lexer::Tok], from: usize) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(from) {
+        match t.text.as_str() {
+            "{" if depth == 0 => {
+                let close = lints::bracket_is_reborrow(toks, j).0 - 1;
+                return toks.get(close).map_or(usize::MAX, |t| t.line);
+            }
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth = depth.saturating_sub(1),
+            ";" if depth == 0 => return t.line,
+            _ => {}
+        }
+    }
+    usize::MAX
+}
+
+/// Every member manifest opts into the workspace lint table with
+/// `[lints] workspace = true`: the table denies `unsafe_code` and
+/// undocumented `unsafe` blocks, and cargo cannot require the opt-in
+/// itself. Manifests of crates without a `src/lib.rs` or `src/main.rs`
+/// (fixture trees) are skipped.
+fn check_lints_optin(root: &Path, tomls: &[PathBuf], out: &mut Vec<Finding>) {
     for toml_path in tomls {
         let Ok(text) = fs::read_to_string(toml_path) else {
             continue;
         };
-        if !text.contains("[package]") {
-            continue; // virtual manifest
-        }
-        let toml_rel = rel_path(root, toml_path);
-        let crate_dir = toml_path.parent().unwrap_or(root);
-        let src_prefix = format!(
-            "{}src/",
-            match rel_path(root, crate_dir).as_str() {
-                "" => String::new(),
-                d => format!("{d}/"),
-            }
-        );
-
-        // The crate's lexed sources (lib/bin targets only — benches
-        // and tests are separate targets not covered by inner attrs).
-        let srcs: Vec<&(String, lexer::Lexed)> = lexed_files
-            .iter()
-            .filter(|(rel, _)| rel.starts_with(&src_prefix))
-            .collect();
-        let uses_unsafe = srcs.iter().any(|(_, lx)| {
-            lx.toks
+        let dir = toml_path.parent().unwrap_or(root);
+        let is_crate = text.contains("[package]")
+            && ["src/lib.rs", "src/main.rs"]
                 .iter()
-                .any(|t| t.kind == lexer::TokKind::Ident && t.text == "unsafe")
-        });
-
-        let root_rel = ["lib.rs", "main.rs"]
-            .iter()
-            .map(|f| format!("{src_prefix}{f}"))
-            .find(|r| srcs.iter().any(|(rel, _)| rel == r));
-        let Some(root_rel) = root_rel else {
-            continue; // no lib/bin root discovered (e.g. bench-only crate)
-        };
-        let root_lexed = &srcs.iter().find(|(rel, _)| *rel == root_rel).unwrap().1;
-
-        if !has_workspace_lints_optin(&text) {
+                .any(|f| dir.join(f).is_file());
+        if is_crate && !has_workspace_lints_optin(&text) {
             out.push(Finding {
-                lint: "unsafe-crate",
-                path: toml_rel.clone(),
+                lint: "workspace-lints",
+                path: rel_path(root, toml_path),
                 line: 1,
                 msg: "member manifest lacks `[lints] workspace = true` — crate escapes the \
-                      workspace deny table"
-                    .to_string(),
-            });
-        }
-
-        if uses_unsafe {
-            let covered = (workspace_denies_unsafe_op && has_workspace_lints_optin(&text))
-                || has_inner_attr(root_lexed, "deny", "unsafe_op_in_unsafe_fn");
-            if !covered {
-                out.push(Finding {
-                    lint: "unsafe-crate",
-                    path: root_rel.clone(),
-                    line: 1,
-                    msg: "crate uses `unsafe` but is not covered by \
-                          `unsafe_op_in_unsafe_fn = \"deny\"` (workspace table or crate attr)"
-                        .to_string(),
-                });
-            }
-        } else if !has_inner_attr(root_lexed, "forbid", "unsafe_code") {
-            out.push(Finding {
-                lint: "unsafe-crate",
-                path: root_rel.clone(),
-                line: 1,
-                msg: "crate has no `unsafe` in src/ — add `#![forbid(unsafe_code)]` to keep \
-                      it that way"
+                      workspace lint table"
                     .to_string(),
             });
         }
@@ -493,23 +466,6 @@ fn has_workspace_lints_optin(toml: &str) -> bool {
             continue;
         }
         if in_lints && line.replace(' ', "") == "workspace=true" {
-            return true;
-        }
-    }
-    false
-}
-
-/// Does the file carry an inner attribute `#![<outer>(<inner>)]`
-/// (matched loosely over tokens: `outer` followed by `(` then `inner`)?
-fn has_inner_attr(lexed: &lexer::Lexed, outer: &str, inner: &str) -> bool {
-    let toks = &lexed.toks;
-    for i in 0..toks.len() {
-        if toks[i].kind == lexer::TokKind::Ident
-            && toks[i].text == outer
-            && i + 2 < toks.len()
-            && toks[i + 1].text == "("
-            && toks[i + 2].text == inner
-        {
             return true;
         }
     }

@@ -9,10 +9,6 @@ use crate::Finding;
 /// by allow-directive validation.
 pub const LINTS: &[(&str, &str)] = &[
     (
-        "wall-clock",
-        "Instant/SystemTime outside the host-perf allowlist (virtual-time purity)",
-    ),
-    (
         "panic-reach",
         "unwrap/expect/panic!/unguarded index reachable from a no-panic root (call-graph)",
     ),
@@ -29,16 +25,8 @@ pub const LINTS: &[(&str, &str)] = &[
         "HashMap/HashSet in trace/metrics/report/CSV emission paths (byte-identical output)",
     ),
     (
-        "safety-comment",
-        "`unsafe` without an adjacent `// SAFETY:` comment",
-    ),
-    (
-        "unsafe-crate",
-        "crate-level unsafe hygiene: forbid(unsafe_code) on pure crates, workspace lint opt-in on unsafe crates",
-    ),
-    (
-        "stray-thread",
-        "thread::spawn, thread::scope or spawn_scoped outside the files that own threads",
+        "workspace-lints",
+        "member manifest without `[lints] workspace = true` (escapes the workspace lint table)",
     ),
     (
         "telemetry-naming",
@@ -58,42 +46,12 @@ pub const LINTS: &[(&str, &str)] = &[
     ),
 ];
 
-/// Files (by workspace-relative path prefix) where wall-clock reads
-/// are legitimate: the host-perf harness, the worker-pool region
-/// timer (both feed the `host_*` telemetry counters by design), the
-/// serve request-latency recorder behind the `serve_*` p50/p99
-/// export, and the HTTP front end's per-connection request and reply
-/// deadlines — all measure real elapsed time, never a rank's virtual
-/// clock.
-pub(crate) const WALL_CLOCK_ALLOWED: &[&str] = &[
-    "crates/bench/",
-    "crates/raja/src/pool.rs",
-    "crates/serve/src/server.rs",
-    "crates/serve/src/http.rs",
-];
-
 /// File-name fragments marking trace/metrics/report/CSV emission
 /// paths, where unordered-map iteration silently breaks the
 /// byte-identical CI diffs.
 const EMISSION_FILE_FRAGMENTS: &[&str] = &[
     "trace", "metrics", "report", "chrome", "summary", "figures", "profile", "csv", "plot",
     "registry",
-];
-
-/// Where threads may be started, free (`thread::spawn`) or scoped
-/// (`thread::scope`, `spawn_scoped`): the raja pool, the long-lived
-/// serve workers (whose lifetime is the server's, not a region's, so
-/// scoped threads cannot express them), the HTTP front end's
-/// connection handlers, `mpisim` worlds (rank workers, and a thread
-/// per rank for blocking closures), the sweep
-/// engine's `--jobs` fan-out, and the host-perf harness.
-const THREAD_SPAWN_ALLOWED: &[&str] = &[
-    "crates/raja/src/pool.rs",
-    "crates/serve/src/server.rs",
-    "crates/serve/src/http.rs",
-    "crates/mpisim/src/world.rs",
-    "crates/core/src/figures.rs",
-    "crates/bench/",
 ];
 
 /// Where the tile-bounds lint applies: the fused cache-blocked hydro
@@ -119,10 +77,7 @@ impl FileCtx<'_> {
 
 /// Run every per-file pass.
 pub fn run_all(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    wall_clock(ctx, out);
     unordered_iter(ctx, out);
-    safety_comment(ctx, out);
-    stray_thread(ctx, out);
     telemetry_naming(ctx, out);
     tile_bounds(ctx, out);
 }
@@ -133,32 +88,6 @@ fn finding(ctx: &FileCtx<'_>, lint: &'static str, line: usize, msg: String) -> F
         path: ctx.rel.to_string(),
         line,
         msg,
-    }
-}
-
-/// Lint: virtual-time purity. Wall clocks must never leak into
-/// simulated time; `Instant`/`SystemTime` are confined to the
-/// allowlisted host-perf modules.
-fn wall_clock(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if WALL_CLOCK_ALLOWED.iter().any(|p| ctx.rel.starts_with(p)) {
-        return;
-    }
-    for (i, t) in ctx.toks().iter().enumerate() {
-        if ctx.is_test[i] {
-            continue;
-        }
-        if t.kind == TokKind::Ident && (t.text == "Instant" || t.text == "SystemTime") {
-            out.push(finding(
-                ctx,
-                "wall-clock",
-                t.line,
-                format!(
-                    "`{}` outside the host-perf allowlist: wall clocks must not leak into \
-                     simulated time (use SimTime/SimDuration, or move timing into crates/bench)",
-                    t.text
-                ),
-            ));
-        }
     }
 }
 
@@ -186,97 +115,6 @@ fn unordered_iter(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 ),
             ));
         }
-    }
-}
-
-/// Lint: every `unsafe` needs an adjacent `// SAFETY:` comment (same
-/// line, or in the contiguous comment block directly above; `# Safety`
-/// doc sections also satisfy it).
-fn safety_comment(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let toks = ctx.toks();
-    let mut last_line = 0;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != "unsafe" || t.line == last_line {
-            continue;
-        }
-        // `unsafe fn` declarations are exempt: with
-        // `unsafe_op_in_unsafe_fn = "deny"` the obligations sit on the
-        // inner blocks, which this lint still covers.
-        if toks.get(i + 1).is_some_and(|n| n.text == "fn") {
-            continue;
-        }
-        last_line = t.line; // one report per line, however many keywords
-        let mut ok = false;
-        // Same line, then walk up through the contiguous comment block.
-        let mut l = t.line;
-        loop {
-            if let Some(c) = ctx.lexed.comment_on(l) {
-                if c.contains("SAFETY:") || c.contains("# Safety") {
-                    ok = true;
-                    break;
-                }
-            } else if l != t.line {
-                break; // gap above: comment block ended
-            }
-            if l == 0 {
-                break;
-            }
-            l -= 1;
-        }
-        if !ok {
-            out.push(finding(
-                ctx,
-                "safety-comment",
-                t.line,
-                "`unsafe` without an adjacent `// SAFETY:` comment stating the invariant \
-                 that makes it sound"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// Lint: no stray threads. Starting one — `thread::spawn`, or a scoped
-/// one through `thread::scope` / `Builder::spawn_scoped` — is confined
-/// to [`THREAD_SPAWN_ALLOWED`]; everything else must submit regions to
-/// a pool. A scoped `scope.spawn(..)` is found by the `thread::scope`
-/// call that made its scope (the receiver's name is free, the call is
-/// not), so a function handed a `&Scope` by another file is only as
-/// covered as that file.
-fn stray_thread(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if THREAD_SPAWN_ALLOWED.iter().any(|p| ctx.rel.starts_with(p)) {
-        return;
-    }
-    let toks = ctx.toks();
-    for i in 0..toks.len() {
-        if ctx.is_test[i] || toks[i].kind != TokKind::Ident {
-            continue;
-        }
-        let path_call = |name: &str| {
-            toks[i].text == "thread"
-                && i + 3 < toks.len()
-                && toks[i + 1].text == ":"
-                && toks[i + 2].text == ":"
-                && toks[i + 3].text == name
-        };
-        let what = if path_call("spawn") {
-            "thread::spawn"
-        } else if path_call("scope") {
-            "thread::scope"
-        } else if toks[i].text == "spawn_scoped" {
-            "spawn_scoped"
-        } else {
-            continue;
-        };
-        out.push(finding(
-            ctx,
-            "stray-thread",
-            toks[i].line,
-            format!(
-                "`{what}` outside the files that own threads: submit work to the persistent \
-                 WorkPool instead of starting ad-hoc threads"
-            ),
-        ));
     }
 }
 

@@ -170,6 +170,34 @@ fn nondet_taint_crosses_crates_via_use_imports() {
     );
 }
 
+/// A wall-clock read is sanctioned by the attribute clippy reads: an
+/// outer `allow(clippy::disallowed_types)` covers its item, an inner
+/// one its file. The reads around them stay taint sources.
+#[test]
+fn nondet_taint_spares_wall_clock_reads_clippy_allows() {
+    let sink = "crates/telemetry/src/sink.rs";
+    let finding = |line: usize, callee: &str, at: usize| {
+        (
+            "nondet-taint",
+            sink,
+            line,
+            format!(
+                "a wall-clock read is reachable from a deterministic emission sink — \
+                 outputs must be byte-identical run to run (sort, use BTree \
+                 collections, or route through RegionSlots); blame path:\n\
+                 \x20 to_metrics_json ({sink}:1)\n\
+                 \x20 -> {callee} (called at {sink}:{at})"
+            ),
+        )
+    };
+    let want = [finding(6, "stamp", 2), finding(15, "stamp_after", 2)];
+    let want: Vec<(&str, &str, usize, &str)> = want
+        .iter()
+        .map(|(l, p, n, m)| (*l, *p, *n, m.as_str()))
+        .collect();
+    expect("bad/deep_wall_clock", &want);
+}
+
 #[test]
 fn cost_charge_flags_free_primitives_and_dropped_costs() {
     expect(

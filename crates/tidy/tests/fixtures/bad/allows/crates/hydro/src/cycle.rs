@@ -1,5 +1,5 @@
-// tidy-allow: wall-clock
-// tidy-allow: no-such-lint -- misspelled lint name
-// tidy-allow: stray-thread -- nothing on this line needs it
+// tidy-allow: unordered-iter
+// tidy-allow: wall-clock -- a lint that moved to clippy.toml
+// tidy-allow: tile-bounds -- nothing on this line needs it
 
 pub fn noop() {}

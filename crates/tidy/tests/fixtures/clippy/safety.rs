@@ -1,3 +1,7 @@
+// expect: clippy::undocumented_unsafe_blocks
+// A module that may use `unsafe`, with a block that says nothing of why.
+#![allow(unsafe_code)]
+
 use std::cell::UnsafeCell;
 
 pub struct Slot(UnsafeCell<u64>);

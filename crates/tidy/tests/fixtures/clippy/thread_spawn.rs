@@ -1,3 +1,4 @@
+// expect: clippy::disallowed_methods
 use std::thread;
 
 pub fn run() -> i32 {

@@ -1,3 +1,4 @@
+// expect: clippy::disallowed_types
 use std::time::Instant;
 
 pub fn now_ms() -> u128 {

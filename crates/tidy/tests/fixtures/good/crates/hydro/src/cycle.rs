@@ -1,9 +1,9 @@
-use std::time::Instant; // tidy-allow: wall-clock -- fixture: sanctioned wall-clock import
+use std::time::Instant;
 
 pub struct Probe;
 
 impl Probe {
-    // tidy-allow: wall-clock -- fixture: reads the host clock by design
+    #[allow(clippy::disallowed_types)] // fixture: reads the host clock by design
     pub fn stamp() -> Instant { Instant::now() }
 }
 

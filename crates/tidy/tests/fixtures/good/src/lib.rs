@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 pub fn id(x: u32) -> u32 {
     x
 }

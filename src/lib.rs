@@ -34,8 +34,6 @@
 //! println!("{}", result.breakdown_table());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use hsim_bench as bench;
 pub use hsim_core as core;
 pub use hsim_gpu as gpu;
