@@ -17,9 +17,12 @@
 //! machine, so their constants are recorded values. *Wall* rows time
 //! the host, so they are held to loose constants or to a row measured
 //! beside them — serial against parallel, fused against legacy, pool
-//! against spawn. Comparing wall-clock numbers across commits is the
-//! benchmark package's job (`crates/bench/e2e`), which runs parent and
-//! change on one host.
+//! against spawn. Each wall row is timed here, around the call it
+//! measures (a figure sweep, a pool region, a kernel sweep), or read
+//! from the server's own request latencies; a run's metrics registry
+//! holds simulated quantities only. Comparing wall-clock numbers
+//! across commits is the benchmark package's job (`crates/bench/e2e`),
+//! which runs parent and change on one host.
 
 // The host-perf harness times the host and spawns its baselines.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
@@ -41,7 +44,6 @@ use hsim_core::{ExecMode, RunResult, Scenario};
 use hsim_gpu::GpuError;
 use hsim_hydro::{eos, flux, fused, HydroState, SoloCoupler};
 use hsim_raja::{CpuModel, Executor, Fidelity, Target, WorkPool};
-use hsim_telemetry::{Collector, Counter};
 use hsim_time::RankClock;
 
 /// Kernel bench grid edge and timed iterations per sample, `--quick`
@@ -258,11 +260,6 @@ static METRICS: &[Metric] = &[
 
     ("claims.*",       "value", Info,   "a claim's measured ratio, gain or share; hsim_bench::claims has what each row runs and its tolerance"),
     ("claims.*.holds", "bool",  IsTrue, "the paper's statement, checked on the virtual clock: the claim's value must lie in its tolerance"),
-
-    ("telemetry.host_sweep_points", "count", Info, "sweep points the host counters saw"),
-    ("telemetry.host_sweep_nanos",  "ns",    Info, "host time inside sweep points"),
-    ("telemetry.host_pool_regions", "count", Info, "pool regions the host counters saw"),
-    ("telemetry.host_pool_nanos",   "ns",    Info, "host time inside pool regions"),
 ];
 
 /// The sections the studies `want` selects write, and so gate: each
@@ -411,15 +408,11 @@ fn measure_sweeps(quick: bool, jobs: usize, host_cores: usize) -> Vec<Row> {
         ));
     }
     out.push(row("sweeps.jobs", jobs));
-    // The run's ranks record nothing (`cfg.telemetry` is off), so the
-    // solo floor must not record into the harness's collector either.
-    let harness = hsim_telemetry::swap(None);
     out.push(row(
         "sweeps.costonly_run_over_floor",
         costonly_run_over_floor(),
     ));
     out.push(row("sweeps.costonly_cycles_x8", costonly_cycles_x8()));
-    hsim_telemetry::swap(harness);
     out
 }
 
@@ -745,36 +738,22 @@ fn main() {
         outcomes.iter().for_each(|o| eprintln!("{o}"));
         results.extend(claims::rows(&outcomes));
     }
-    if WALL_STUDIES.iter().any(|s| want(s)) {
-        // Collect the host-time counters the measured code records;
-        // spans stay off so the collector costs nothing measurable.
-        hsim_telemetry::install(Collector::new(0).without_spans());
-        if want("sweeps") {
-            results.extend(measure_sweeps(quick, jobs, host_cores));
-        }
-        if want("kernels") {
-            results.extend(measure_kernels(quick, host_threads, host_cores));
-        }
-        if want("pool") {
-            results.extend(measure_pool(quick, jobs));
-        }
-        if want("serve") {
-            let (clients, each) = (serveload::CLIENTS, serveload::PER_CLIENT);
-            eprintln!("serve load: {clients} clients x {each} requests, then overflow probe...");
-            // Seeding the server with the process's probed tile keeps
-            // the driver from paying (or racing on) the probe.
-            results.extend(hsim_bench::run_load(calib::auto_tile()).rows());
-            results.extend(measure_serve_http(host_cores));
-        }
-        let metrics = hsim_telemetry::uninstall()
-            .expect("collector installed above")
-            .metrics;
-        results.extend(rows!("telemetry";
-            "host_sweep_points" => metrics.counter(Counter::HostSweepPoints),
-            "host_sweep_nanos" => metrics.counter(Counter::HostSweepNanos),
-            "host_pool_regions" => metrics.counter(Counter::HostPoolRegions),
-            "host_pool_nanos" => metrics.counter(Counter::HostPoolNanos),
-        ));
+    if want("sweeps") {
+        results.extend(measure_sweeps(quick, jobs, host_cores));
+    }
+    if want("kernels") {
+        results.extend(measure_kernels(quick, host_threads, host_cores));
+    }
+    if want("pool") {
+        results.extend(measure_pool(quick, jobs));
+    }
+    if want("serve") {
+        let (clients, each) = (serveload::CLIENTS, serveload::PER_CLIENT);
+        eprintln!("serve load: {clients} clients x {each} requests, then overflow probe...");
+        // Seeding the server with the process's probed tile keeps
+        // the driver from paying (or racing on) the probe.
+        results.extend(hsim_bench::run_load(calib::auto_tile()).rows());
+        results.extend(measure_serve_http(host_cores));
     }
 
     for key in results.metrics.keys() {

@@ -2,30 +2,20 @@
 //!
 //! The sweep engine itself is [`hsim_core::figures::run_figure_with`];
 //! [`run_figure_jobs`] is the caller that executes each point through
-//! the load balancer and owns the wall-clock `host_sweep_*` counters
-//! (which is why it lives here and not in `hsim-core`).
+//! the load balancer.
 
 pub use hsim_core::figures::{paper_modes, FigureData, Series, SkippedPoint};
 use hsim_core::figures::{run_figure_with, FigureSpec};
 use hsim_core::{run_balanced, ExecMode};
-use hsim_telemetry::Counter;
 
 /// Run one figure's sweep for `modes` (cost-only fidelity, RZHasGPU)
 /// with up to `jobs` simulations in flight. Heterogeneous points run
 /// through the load balancer, exactly as the paper adjusted the split
 /// per problem size. Output is byte-identical for every `jobs` value.
-#[allow(clippy::disallowed_types)] // the `host_sweep_*` counters time the host
 pub fn run_figure_jobs(spec: &FigureSpec, modes: &[ExecMode], jobs: usize) -> FigureData {
-    let host_t0 = hsim_telemetry::is_enabled().then(std::time::Instant::now);
-    let data = run_figure_with(spec, modes, jobs, |cfg| {
+    run_figure_with(spec, modes, jobs, |cfg| {
         run_balanced(cfg).map(|(r, _lb)| (r.zones, r.runtime.as_secs_f64(), r.cpu_fraction))
-    });
-    if let Some(t0) = host_t0 {
-        let points = (modes.len() * spec.values.len()) as u64;
-        hsim_telemetry::count(Counter::HostSweepPoints, points);
-        hsim_telemetry::count(Counter::HostSweepNanos, t0.elapsed().as_nanos() as u64);
-    }
-    data
+    })
 }
 
 #[cfg(test)]

@@ -152,9 +152,10 @@ impl RunConfig {
     /// Why no run of this configuration can start, checked before any
     /// decomposition is built: a grid with a zero dimension, one whose
     /// zone count does not fit in `u64`, one the mode's top-level split
-    /// cannot carve, or a diffusivity that is not a finite κ ≥ 0 (a NaN
-    /// would poison every zone's energy, an infinite one ask for
-    /// unboundedly many substeps).
+    /// cannot carve, a particle set whose bytes overflow `isize` (every
+    /// rank builds the global set), or a diffusivity that is not a
+    /// finite κ ≥ 0 (a NaN would poison every zone's energy, an
+    /// infinite one ask for unboundedly many substeps).
     fn check(&self) -> Result<(), String> {
         let (nx, ny, nz) = self.grid;
         if nx == 0 || ny == 0 || nz == 0 {
@@ -178,6 +179,16 @@ impl RunConfig {
             return Err(format!(
                 "grid {nx},{ny},{nz}: a rank's mesh bytes overflow u64"
             ));
+        }
+        if let Some(p) = &self.particles {
+            let each = std::mem::size_of::<Particle>() as u64;
+            let bytes = p.count.checked_mul(each);
+            if bytes.map_or(true, |b| b > isize::MAX as u64) {
+                return Err(format!(
+                    "particles: {} particles of {each} bytes overflow the address space",
+                    p.count
+                ));
+            }
         }
         match &self.diffusion {
             Some(d) if !(d.kappa.is_finite() && d.kappa >= 0.0) => Err(format!(
@@ -600,7 +611,6 @@ impl RunAcc {
                 .gauge_set(Gauge::CpuFraction, decomp.cpu_zone_fraction());
             if let Some(rb) = &rb {
                 s.metrics.gauge_set(Gauge::BalanceFraction, rb.fraction);
-                s.metrics.count(Counter::Rebalances, rb.resplits());
                 s.metrics.count(Counter::BalanceResplits, rb.resplits());
                 s.metrics.count(Counter::BalanceHolds, rb.holds());
             }
@@ -1417,6 +1427,46 @@ mod tests {
     }
 
     #[test]
+    fn a_particle_set_larger_than_the_address_space_starts_no_rank() {
+        // Every rank would build the global set and panic in
+        // `Vec::with_capacity`.
+        let each = std::mem::size_of::<Particle>() as u64;
+        for count in [u64::MAX, 1 << 62, isize::MAX as u64 / each + 1] {
+            let out = watched(move || {
+                let mut cfg = sweep_cfg((8, 8, 8), ExecMode::hetero());
+                cfg.cycles = 1;
+                cfg.particles = Some(ParticlesConfig {
+                    count,
+                    ..ParticlesConfig::default()
+                });
+                (run(&cfg), run_balanced(&cfg).map(drop))
+            });
+            let why = out.0.expect_err("an unallocatable particle set runs");
+            assert!(why.starts_with(&format!("particles: {count} ")), "{why}");
+            assert_eq!(out.1, Err(why));
+        }
+    }
+
+    #[test]
+    fn a_kappa_needing_more_substeps_than_a_cycle_counts_is_an_error() {
+        // Each of u32::MAX substeps would have run for real; the run
+        // did not end.
+        let out = watched(|| {
+            let mut cfg = sweep_cfg((16, 16, 16), ExecMode::CpuOnly);
+            cfg.fidelity = Fidelity::Full;
+            cfg.cycles = 1;
+            cfg.diffusion = Some(DiffusionConfig { kappa: 1e300 });
+            (run(&cfg), run_balanced(&cfg).map(drop))
+        });
+        let why = out.0.expect_err("a kappa of 1e300 runs");
+        assert!(
+            why.contains("diffusion: kappa 1e300 needs") && why.contains("more than 4294967295"),
+            "{why}"
+        );
+        assert_eq!(out.1, Err(why));
+    }
+
+    #[test]
     fn decompositions_match_modes() {
         let node = NodeConfig::rzhasgpu();
         let cfg = sweep_cfg((64, 48, 32), ExecMode::hetero());
@@ -1832,12 +1882,15 @@ mod tests {
         let (balanced, lb) = run_balanced(&cfg).unwrap();
         assert_eq!(balanced.csv_row(), direct.csv_row());
         assert_eq!(balanced.breakdown_table(), direct.breakdown_table());
-        let rebalances = |r: &RunResult| {
+        let count = |r: &RunResult, c| {
             let s = r.telemetry.as_ref().expect("telemetry is on");
-            s.metrics.counter(Counter::Rebalances)
+            s.metrics.counter(c)
         };
-        assert!(rebalances(&direct) >= 1);
-        assert_eq!(rebalances(&balanced), rebalances(&direct));
+        let resplits = |r: &RunResult| count(r, Counter::BalanceResplits);
+        assert!(resplits(&direct) >= 1);
+        assert_eq!(resplits(&balanced), resplits(&direct));
+        // `rebalances` counts restart-loop re-runs, and there were none.
+        assert_eq!(count(&balanced, Counter::Rebalances), 0);
         assert!(lb.history.is_empty(), "the balancer tried nothing");
     }
 
@@ -2046,17 +2099,24 @@ mod tests {
         }
         assert_eq!(checked, 4 * 11 + 2);
 
-        // Kernel bodies do not care how many workers resume them either.
+        // Kernel bodies do not care how many workers resume them
+        // either, nor whether the CPU ranks' bodies run on the host
+        // work pool: the metrics hold no host time.
         let mut full = sweep_cfg((16, 24, 16), ExecMode::hetero());
         full.fidelity = Fidelity::Full;
         full.cycles = 2;
         full.telemetry = true;
         full.tile = Some([8, 8]);
         full.particles = Some(ParticlesConfig::default());
-        let one = emitted(&full, 0.25, 1);
-        assert!(!one.starts_with("error"), "{one}");
-        for workers in 2..=4 {
-            assert!(emitted(&full, 0.25, workers) == one, "{workers} workers");
+        let mut pooled = full.clone();
+        pooled.host_threads = 2;
+        for (label, cfg) in [("one host thread", full), ("host_threads 2", pooled)] {
+            let one = emitted(&cfg, 0.25, 1);
+            assert!(!one.starts_with("error"), "{label}: {one}");
+            for workers in 2..=4 {
+                let again = emitted(&cfg, 0.25, workers);
+                assert!(again == one, "{label}: {workers} workers");
+            }
         }
     }
 

@@ -124,7 +124,7 @@ fn kernel_profiles_match_report_totals() {
     );
     // The metrics JSON carries its schema version for archives.
     let json = summary.to_metrics_json(&result.kernels);
-    assert!(json.contains("\"schema_version\": 2"));
+    assert!(json.contains("\"schema_version\": 3"));
     assert!(!json.contains("\"bytes_moved\""));
 }
 

@@ -66,15 +66,19 @@ impl std::fmt::Display for CoupleError {
 
 impl std::error::Error for CoupleError {}
 
-/// Error from one hydro cycle: the portability/device layer or the
-/// rank coupler. Both are recoverable by the fallible runner — neither
-/// is ever surfaced as a panic.
+/// Error from one hydro cycle: the portability/device layer, the
+/// rank coupler, or a diffusion step the cycle cannot take. Each is
+/// recoverable by the fallible runner — none is ever surfaced as a
+/// panic.
 #[derive(Debug)]
 pub enum CycleError {
     /// Kernel dispatch / device-simulator failure.
     Gpu(GpuError),
     /// Halo-exchange or reduction failure.
     Couple(CoupleError),
+    /// Diffusivity `kappa` needs `needed` substeps of its stability
+    /// bound in one cycle, more than a `u32` counts.
+    Substeps { kappa: f64, needed: f64 },
 }
 
 impl From<GpuError> for CycleError {
@@ -94,6 +98,11 @@ impl std::fmt::Display for CycleError {
         match self {
             CycleError::Gpu(e) => write!(f, "{e}"),
             CycleError::Couple(e) => write!(f, "{e}"),
+            CycleError::Substeps { kappa, needed } => write!(
+                f,
+                "diffusion: kappa {kappa:e} needs {needed:e} substeps in one cycle, more than {}",
+                u32::MAX
+            ),
         }
     }
 }

@@ -162,14 +162,17 @@ pub async fn advance<C: Coupler>(
     if cfg.kappa <= 0.0 || dt_total <= 0.0 {
         return Ok(0);
     }
-    let dt_max = diffusion_dt(st, cfg.kappa);
-    let n = (dt_total / dt_max).ceil().max(1.0) as u32;
     // Cost-only sweeps cap substeps: the per-cycle package cost is
     // what matters, not resolving a fictitious fallback dt.
     let n = if st.fidelity == Fidelity::CostOnly {
         1
     } else {
-        n
+        let needed = (dt_total / diffusion_dt(st, cfg.kappa)).ceil().max(1.0);
+        if needed > f64::from(u32::MAX) {
+            let kappa = cfg.kappa;
+            return Err(CycleError::Substeps { kappa, needed });
+        }
+        needed as u32
     };
     let dt = dt_total / n as f64;
     for _ in 0..n {

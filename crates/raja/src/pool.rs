@@ -175,24 +175,20 @@ impl WorkPool {
     where
         F: Fn(usize, usize) + Send + Sync,
     {
-        if let Some(payload) = self.try_for_chunks(begin, end, chunk, body, true) {
+        if let Some(payload) = self.try_for_chunks(begin, end, chunk, body) {
             panic::resume_unwind(payload);
         }
     }
 
     /// [`WorkPool::for_chunks`] that hands a poisoned region's panic
     /// payload back instead of re-raising it, so chaos callers can
-    /// absorb a planned worker panic. `count_host` gates the wall-clock
-    /// `Host*` telemetry (chaos regions skip it to keep metrics output
-    /// deterministic).
-    #[allow(clippy::disallowed_types)] // the region timer feeds the `host_*` counters
+    /// absorb a planned worker panic.
     fn try_for_chunks<F>(
         &self,
         begin: usize,
         end: usize,
         chunk: usize,
         body: F,
-        count_host: bool,
     ) -> Option<Box<dyn Any + Send>>
     where
         F: Fn(usize, usize) + Send + Sync,
@@ -205,7 +201,6 @@ impl WorkPool {
             panic!("nested WorkPool parallel regions are not supported (the pool has one job slot; restructure the outer region to do the inner work inline)");
         }
         let chunk = chunk.max(1);
-        let host_t0 = (count_host && hsim_telemetry::is_enabled()).then(std::time::Instant::now);
 
         /// SAFETY: `data` must point to a live `F`.
         unsafe fn call_thunk<F: Fn(usize, usize)>(data: *const (), b: usize, e: usize) {
@@ -250,13 +245,6 @@ impl WorkPool {
         drop(st);
         drop(region);
 
-        if let Some(t0) = host_t0 {
-            hsim_telemetry::count(hsim_telemetry::Counter::HostPoolRegions, 1);
-            hsim_telemetry::count(
-                hsim_telemetry::Counter::HostPoolNanos,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
         if job.poisoned.load(Ordering::Acquire) {
             let payload = lock(&job.panic_payload).take();
             return Some(payload.unwrap_or_else(|| {
@@ -274,13 +262,9 @@ impl WorkPool {
     /// propagates unchanged. Returns `true` when the marker made the
     /// round trip through the poison path.
     pub fn inject_worker_panic(&self) -> bool {
-        let payload = self.try_for_chunks(
-            0,
-            self.parallelism(),
-            1,
-            |_b, _e| panic::panic_any(hsim_faults::InjectedWorkerPanic),
-            false,
-        );
+        let payload = self.try_for_chunks(0, self.parallelism(), 1, |_b, _e| {
+            panic::panic_any(hsim_faults::InjectedWorkerPanic)
+        });
         match payload {
             Some(p) if p.is::<hsim_faults::InjectedWorkerPanic>() => true,
             Some(p) => panic::resume_unwind(p),

@@ -12,9 +12,9 @@
 //! Endpoints:
 //!
 //! * `GET /healthz` — liveness, `200 ok`.
-//! * `GET /metrics` — the telemetry registry in Prometheus text
-//!   format, including the `serve_*` counters, the latency quantiles
-//!   and the latency histogram.
+//! * `GET /metrics` — the server's own metrics in Prometheus text
+//!   format: the `serve_*` request counters, the queue's high-water
+//!   depth, the latency quantiles and the latency histogram.
 //! * `POST /run` — body is `key=value` pairs (`&`- or
 //!   newline-separated). The keys that describe the run — `mode`,
 //!   `grid`, `cycles`, `problem`, `scenario`, `particles` — are

@@ -19,7 +19,8 @@
 //!   [`Server::figure_csv`]) — what the bench load driver and tests
 //!   drive;
 //! * a thin HTTP/1.1 interface over pure-std TCP ([`http`]) —
-//!   `GET /healthz`, `GET /metrics` (Prometheus text),
+//!   `GET /healthz`, `GET /metrics` (the server's counters in
+//!   Prometheus text),
 //!   `POST /run`, `GET /figure/<id>` — behind `heterosim serve`,
 //!   answering connections concurrently so that the workers behind
 //!   [`Server::submit`] are kept busy by as many clients as there are.
@@ -29,8 +30,9 @@
 //! processing time first) ordering of queued work generalizing the
 //! sweep engine's batching, and per-request deadlines with graceful
 //! cancellation ([`ServeError::DeadlineExpired`], HTTP 504).
-//! Everything the server does is visible in its `serve_*` telemetry
-//! counters, exported live at `/metrics`.
+//! Everything the server does is visible in its `serve_*` request
+//! counters and latency histogram — relaxed atomics, counted under no
+//! lock — exported live at `/metrics`.
 
 pub mod http;
 pub mod server;

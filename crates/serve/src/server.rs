@@ -1,6 +1,6 @@
 //! The long-lived simulation server: content-hash result cache,
 //! single-flight execution, bounded LPT admission queue, deadlines,
-//! and `serve_*` telemetry.
+//! and the `serve_*` request counters.
 //!
 //! ## Why sharing is sound
 //!
@@ -43,7 +43,6 @@ use std::time::{Duration, Instant};
 use hsim_core::confhash::ContentHasher;
 use hsim_core::runner::RunConfig;
 use hsim_core::{calib, figures, ExecMode, RunResult};
-use hsim_telemetry::{Counter, Gauge, Metrics};
 use hsim_time::sync::{lock, wait, wait_timeout};
 
 /// Server construction knobs.
@@ -366,6 +365,37 @@ impl LatencyHistogram {
     }
 }
 
+/// The request counts behind [`ServeStats`] and `/metrics`, kept like
+/// [`LatencyHistogram`]: relaxed atomics that publish no other memory,
+/// so counting a request takes no lock.
+#[derive(Default)]
+struct Counts {
+    /// Requests answered from the cache or an in-flight execution.
+    hits: AtomicU64,
+    /// Requests that executed a run (the first flight of a key).
+    misses: AtomicU64,
+    /// Requests admitted: every hit and every miss.
+    admitted: AtomicU64,
+    /// First flights turned away by a full queue.
+    rejected: AtomicU64,
+    /// Queued tasks dropped because every waiter's deadline passed.
+    deadline_drops: AtomicU64,
+    /// High-water length of the admission queue.
+    queue_depth: AtomicU64,
+}
+
+impl Counts {
+    fn bump(counter: &AtomicU64) {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// An admitted request: a hit, or the miss that runs its key.
+    fn admit(&self, hit: bool) {
+        Self::bump(&self.admitted);
+        Self::bump(if hit { &self.hits } else { &self.misses });
+    }
+}
+
 struct Inner {
     capacity: usize,
     tile: [usize; 2],
@@ -376,7 +406,7 @@ struct Inner {
     seq: AtomicU64,
     cache: Mutex<BTreeMap<u64, Arc<RunOutcome>>>,
     inflight: Mutex<BTreeMap<u64, Arc<Pending>>>,
-    metrics: Mutex<Metrics>,
+    counts: Counts,
     latency: LatencyHistogram,
 }
 
@@ -407,7 +437,7 @@ impl Server {
             seq: AtomicU64::new(0),
             cache: Mutex::new(BTreeMap::new()),
             inflight: Mutex::new(BTreeMap::new()),
-            metrics: Mutex::new(Metrics::new()),
+            counts: Counts::default(),
             latency: LatencyHistogram::new(),
         });
         let workers = (0..cfg.workers)
@@ -444,10 +474,7 @@ impl Server {
 
         // Fast path: an exact cached result.
         if let Some(out) = lock(&inner.cache).get(&key).cloned() {
-            let mut m = lock(&inner.metrics);
-            m.count(Counter::ServeAdmitted, 1);
-            m.count(Counter::ServeHits, 1);
-            drop(m);
+            inner.counts.admit(true);
             self.record_latency(t0);
             return Ok(Response {
                 key,
@@ -469,10 +496,7 @@ impl Server {
                 // The execution may have completed between the cache
                 // probe above and taking the inflight lock.
                 if let Some(out) = lock(&inner.cache).get(&key).cloned() {
-                    let mut m = lock(&inner.metrics);
-                    m.count(Counter::ServeAdmitted, 1);
-                    m.count(Counter::ServeHits, 1);
-                    drop(m);
+                    inner.counts.admit(true);
                     self.record_latency(t0);
                     return Ok(Response {
                         key,
@@ -488,7 +512,7 @@ impl Server {
                     return Err(ServeError::ShuttingDown);
                 }
                 if q.len() >= inner.capacity {
-                    lock(&inner.metrics).count(Counter::ServeRejected, 1);
+                    Counts::bump(&inner.counts.rejected);
                     return Err(ServeError::QueueFull {
                         capacity: inner.capacity,
                     });
@@ -503,25 +527,14 @@ impl Server {
                     balanced: req.balanced,
                     pending: Arc::clone(&p),
                 }));
-                let depth = q.len() as f64;
+                let depth = q.len() as u64;
                 drop(q);
-                lock(&inner.metrics).gauge_max(Gauge::ServeQueueDepth, depth);
+                inner.counts.queue_depth.fetch_max(depth, Ordering::Relaxed);
                 inner.queue_cv.notify_one();
                 (p, true)
             }
         };
-        {
-            let mut m = lock(&inner.metrics);
-            m.count(Counter::ServeAdmitted, 1);
-            m.count(
-                if first {
-                    Counter::ServeMisses
-                } else {
-                    Counter::ServeHits
-                },
-                1,
-            );
-        }
+        inner.counts.admit(!first);
 
         let result = pending.wait(deadline);
         self.record_latency(t0);
@@ -589,33 +602,54 @@ impl Server {
 
     /// Counter snapshot + latency quantiles.
     pub fn stats(&self) -> ServeStats {
-        let latency = self.inner.latency.counts();
-        let m = lock(&self.inner.metrics);
+        self.stats_with(&self.inner.latency.counts())
+    }
+
+    /// The counters now, with the quantiles of `latency`.
+    fn stats_with(&self, latency: &[u64; LATENCY_BUCKETS]) -> ServeStats {
+        let c = &self.inner.counts;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         ServeStats {
-            hits: m.counter(Counter::ServeHits),
-            misses: m.counter(Counter::ServeMisses),
-            admitted: m.counter(Counter::ServeAdmitted),
-            rejected: m.counter(Counter::ServeRejected),
-            deadline_drops: m.counter(Counter::ServeDeadlineDrops),
-            queue_depth_high_water: m.gauge(Gauge::ServeQueueDepth),
-            p50_us: LatencyHistogram::quantile_us(&latency, 0.50),
-            p99_us: LatencyHistogram::quantile_us(&latency, 0.99),
+            hits: load(&c.hits),
+            misses: load(&c.misses),
+            admitted: load(&c.admitted),
+            rejected: load(&c.rejected),
+            deadline_drops: load(&c.deadline_drops),
+            queue_depth_high_water: load(&c.queue_depth) as f64,
+            p50_us: LatencyHistogram::quantile_us(latency, 0.50),
+            p99_us: LatencyHistogram::quantile_us(latency, 0.99),
         }
     }
 
-    /// The live `/metrics` payload: the telemetry registry in
-    /// Prometheus text format plus the request latencies, as two
-    /// quantiles and as a cumulative histogram (bounds in microseconds
-    /// at every other power of two of nanoseconds, 1 µs to 17 s) that
-    /// can be aggregated across servers.
+    /// The live `/metrics` payload in Prometheus text format: the
+    /// request counters, the queue's high-water depth and the request
+    /// latencies, as two quantiles and as a cumulative histogram
+    /// (bounds in microseconds at every other power of two of
+    /// nanoseconds, 1 µs to 17 s) that can be aggregated across
+    /// servers.
     pub fn metrics_text(&self) -> String {
-        let mut out = lock(&self.inner.metrics).to_prometheus_text();
         let latency = self.inner.latency.counts();
-        out.push_str("# TYPE hsim_serve_latency_us summary\n");
-        for (q, tag) in [(0.50, "0.5"), (0.99, "0.99")] {
+        let s = self.stats_with(&latency);
+        let mut out = String::new();
+        for (name, n) in [
+            ("hits", s.hits),
+            ("misses", s.misses),
+            ("admitted", s.admitted),
+            ("rejected", s.rejected),
+            ("deadline_drops", s.deadline_drops),
+        ] {
             out.push_str(&format!(
-                "hsim_serve_latency_us{{quantile=\"{tag}\"}} {}\n",
-                LatencyHistogram::quantile_us(&latency, q)
+                "# TYPE hsim_serve_{name} counter\nhsim_serve_{name} {n}\n"
+            ));
+        }
+        out.push_str(&format!(
+            "# TYPE hsim_serve_queue_depth gauge\nhsim_serve_queue_depth {}\n\
+             # TYPE hsim_serve_latency_us summary\n",
+            s.queue_depth_high_water
+        ));
+        for (tag, q) in [("0.5", s.p50_us), ("0.99", s.p99_us)] {
+            out.push_str(&format!(
+                "hsim_serve_latency_us{{quantile=\"{tag}\"}} {q}\n"
             ));
         }
         out.push_str("# TYPE hsim_serve_latency_hist_us histogram\n");
@@ -687,7 +721,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             lock(&inner.inflight).remove(&task.key);
             task.pending
                 .complete(Err(ServeError::DeadlineExpired { waited_ms: 0 }));
-            lock(&inner.metrics).count(Counter::ServeDeadlineDrops, 1);
+            Counts::bump(&inner.counts.deadline_drops);
             continue;
         }
         match execute(inner, &task) {

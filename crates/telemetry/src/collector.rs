@@ -21,8 +21,6 @@ pub struct Collector {
     /// The rank this collector was installed for; used as the default
     /// `pid` for rank-timeline spans.
     pub rank: usize,
-    /// When false, span recording is skipped (metrics still collected).
-    pub spans_on: bool,
     pub spans: Vec<SpanEvent>,
     pub metrics: Metrics,
 }
@@ -31,24 +29,15 @@ impl Collector {
     pub fn new(rank: usize) -> Self {
         Collector {
             rank,
-            spans_on: true,
             spans: Vec::new(),
             metrics: Metrics::new(),
         }
-    }
-
-    pub fn without_spans(mut self) -> Self {
-        self.spans_on = false;
-        self
     }
 
     /// Record a span on this collector's own rank timeline
     /// (`pid = rank`, `tid = 0`). Inverted intervals clamp to zero
     /// length.
     pub fn rank_span(&mut self, cat: Category, name: &'static str, start: SimTime, end: SimTime) {
-        if !self.spans_on {
-            return;
-        }
         self.spans.push(SpanEvent {
             pid: self.rank as u32,
             tid: 0,
@@ -142,9 +131,6 @@ pub fn span_args(
     args: &[(&'static str, u64)],
 ) {
     with(|col| {
-        if !col.spans_on {
-            return;
-        }
         let end = end.merge(start);
         col.spans.push(SpanEvent {
             pid,
@@ -221,16 +207,6 @@ mod tests {
         assert_eq!(c.spans[1].args, vec![("elems", 64)]);
         assert_eq!(c.metrics.gauge(Gauge::DeviceOccupancy), 0.5);
         assert_eq!(c.metrics.time_stats(TimeStat::KernelTime).count(), 1);
-    }
-
-    #[test]
-    fn spans_can_be_disabled_independently() {
-        install(Collector::new(0).without_spans());
-        rank_span(Category::Idle, "idle", t(0), t(5));
-        count(Counter::Cycles, 1);
-        let c = uninstall().unwrap();
-        assert!(c.spans.is_empty());
-        assert_eq!(c.metrics.counter(Counter::Cycles), 1);
     }
 
     #[test]

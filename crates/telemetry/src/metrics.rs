@@ -5,6 +5,11 @@
 //! an array store — no string hashing, no allocation, no locks. The
 //! registry is per-rank (it lives inside a thread-local
 //! [`crate::Collector`]) and merged once at end of run.
+//!
+//! Every entry is a quantity of the simulated run: an event count, a
+//! virtual duration or a split. Host wall-clock time and a server's
+//! request counts are kept by whoever measures them, so two runs of
+//! one configuration write the same registry.
 
 use hsim_time::{Histogram, SimDuration, Welford};
 
@@ -41,19 +46,6 @@ pub enum Counter {
     Cycles,
     /// Rebalance decisions taken by the runner.
     Rebalances,
-    /// Parallel regions executed on the persistent host work pool.
-    ///
-    /// This and the other `Host*` counters measure **wall-clock host
-    /// time**, not simulated time: they let the perf harness account
-    /// for real execution cost without ever touching a rank's virtual
-    /// clock.
-    HostPoolRegions,
-    /// Wall-clock nanoseconds spent inside host pool regions.
-    HostPoolNanos,
-    /// Sweep points executed by the parallel sweep engine.
-    HostSweepPoints,
-    /// Wall-clock nanoseconds spent running sweep points.
-    HostSweepNanos,
     /// Planned faults that actually fired at an instrumented site.
     FaultsInjected,
     /// Retry attempts taken while recovering from transient faults.
@@ -62,17 +54,6 @@ pub enum Counter {
     FaultsRecovered,
     /// Permanent rank losses absorbed by decomposition foldback.
     FaultRankLosses,
-    /// Serve requests answered from the content-hash result cache.
-    ServeHits,
-    /// Serve requests that executed a run (cold cache / first flight).
-    ServeMisses,
-    /// Serve requests admitted into the bounded queue.
-    ServeAdmitted,
-    /// Serve requests rejected because the queue was full (429-style).
-    ServeRejected,
-    /// Queued serve requests dropped because their deadline expired
-    /// before a worker picked them up.
-    ServeDeadlineDrops,
     /// Online-rebalancer boundaries that re-split the decomposition.
     BalanceResplits,
     /// Online-rebalancer boundaries where hysteresis (or degenerate
@@ -90,7 +71,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 32] = [
+    pub const ALL: [Counter; 23] = [
         Counter::KernelLaunches,
         Counter::GpuKernelLaunches,
         Counter::CpuKernelLaunches,
@@ -105,19 +86,10 @@ impl Counter {
         Counter::DeviceSyncs,
         Counter::Cycles,
         Counter::Rebalances,
-        Counter::HostPoolRegions,
-        Counter::HostPoolNanos,
-        Counter::HostSweepPoints,
-        Counter::HostSweepNanos,
         Counter::FaultsInjected,
         Counter::FaultRetries,
         Counter::FaultsRecovered,
         Counter::FaultRankLosses,
-        Counter::ServeHits,
-        Counter::ServeMisses,
-        Counter::ServeAdmitted,
-        Counter::ServeRejected,
-        Counter::ServeDeadlineDrops,
         Counter::BalanceResplits,
         Counter::BalanceHolds,
         Counter::BalanceFrozen,
@@ -141,19 +113,10 @@ impl Counter {
             Counter::DeviceSyncs => "device_syncs",
             Counter::Cycles => "cycles",
             Counter::Rebalances => "rebalances",
-            Counter::HostPoolRegions => "host_pool_regions",
-            Counter::HostPoolNanos => "host_pool_nanos",
-            Counter::HostSweepPoints => "host_sweep_points",
-            Counter::HostSweepNanos => "host_sweep_nanos",
             Counter::FaultsInjected => "fault_injected",
             Counter::FaultRetries => "fault_retries",
             Counter::FaultsRecovered => "fault_recovered",
             Counter::FaultRankLosses => "fault_rank_losses",
-            Counter::ServeHits => "serve_hits",
-            Counter::ServeMisses => "serve_misses",
-            Counter::ServeAdmitted => "serve_admitted",
-            Counter::ServeRejected => "serve_rejected",
-            Counter::ServeDeadlineDrops => "serve_deadline_drops",
             Counter::BalanceResplits => "balance_resplits",
             Counter::BalanceHolds => "balance_holds",
             Counter::BalanceFrozen => "balance_frozen",
@@ -171,17 +134,14 @@ pub enum Gauge {
     CpuFraction,
     /// Peak effective occupancy observed on any device timeline.
     DeviceOccupancy,
-    /// High-water depth of the serve admission queue.
-    ServeQueueDepth,
     /// The online rebalancer's final CPU work fraction.
     BalanceFraction,
 }
 
 impl Gauge {
-    pub const ALL: [Gauge; 4] = [
+    pub const ALL: [Gauge; 3] = [
         Gauge::CpuFraction,
         Gauge::DeviceOccupancy,
-        Gauge::ServeQueueDepth,
         Gauge::BalanceFraction,
     ];
 
@@ -189,7 +149,6 @@ impl Gauge {
         match self {
             Gauge::CpuFraction => "cpu_fraction",
             Gauge::DeviceOccupancy => "device_occupancy",
-            Gauge::ServeQueueDepth => "serve_queue_depth",
             Gauge::BalanceFraction => "balance_fraction",
         }
     }
@@ -393,41 +352,6 @@ impl Metrics {
         ));
         out
     }
-
-    /// Prometheus text-exposition rendering of the registry: one
-    /// `hsim_<label> <value>` sample per counter and gauge plus kernel
-    /// latency quantiles, in fixed registration order (deterministic
-    /// for a given state, exact-diffable in tests). Served live at the
-    /// `/metrics` endpoint of `hsim-serve`.
-    pub fn to_prometheus_text(&self) -> String {
-        let mut out = String::new();
-        for c in Counter::ALL {
-            out.push_str("# TYPE hsim_");
-            out.push_str(c.label());
-            out.push_str(" counter\nhsim_");
-            out.push_str(c.label());
-            out.push(' ');
-            out.push_str(&self.counter(c).to_string());
-            out.push('\n');
-        }
-        for g in Gauge::ALL {
-            out.push_str("# TYPE hsim_");
-            out.push_str(g.label());
-            out.push_str(" gauge\nhsim_");
-            out.push_str(g.label());
-            out.push(' ');
-            out.push_str(&fmt_f64(self.gauge(g)));
-            out.push('\n');
-        }
-        out.push_str("# TYPE hsim_kernel_time_us summary\n");
-        for (q, tag) in [(0.50, "0.5"), (0.90, "0.9"), (0.99, "0.99")] {
-            out.push_str(&format!(
-                "hsim_kernel_time_us{{quantile=\"{tag}\"}} {}\n",
-                fmt_f64(self.kernel_time_quantile_us(q))
-            ));
-        }
-        out
-    }
 }
 
 fn guard(count: u64, v: f64) -> f64 {
@@ -512,27 +436,5 @@ mod tests {
         let m = Metrics::new();
         let json = m.to_json();
         assert!(!json.contains("NaN") && !json.contains("inf"));
-    }
-
-    #[test]
-    fn prometheus_text_is_deterministic_and_complete() {
-        let mut m = Metrics::new();
-        m.count(Counter::ServeHits, 9);
-        m.count(Counter::ServeMisses, 3);
-        m.gauge_max(Gauge::ServeQueueDepth, 4.0);
-        let a = m.to_prometheus_text();
-        assert_eq!(a, m.clone().to_prometheus_text());
-        for c in Counter::ALL {
-            assert!(a.contains(&format!("\nhsim_{} ", c.label())) || a.starts_with("# TYPE"));
-            assert!(a.contains(&format!("hsim_{} ", c.label())));
-        }
-        for g in Gauge::ALL {
-            assert!(a.contains(&format!("hsim_{} ", g.label())));
-        }
-        assert!(a.contains("hsim_serve_hits 9\n"));
-        assert!(a.contains("hsim_serve_misses 3\n"));
-        assert!(a.contains("hsim_serve_queue_depth 4\n"));
-        assert!(a.contains("hsim_kernel_time_us{quantile=\"0.99\"}"));
-        assert!(!a.contains("NaN") && !a.contains("inf"));
     }
 }

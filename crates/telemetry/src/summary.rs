@@ -13,7 +13,7 @@ use crate::profile::KernelTable;
 use crate::span::{sort_spans, SpanEvent};
 
 /// Schema version stamped into the metrics JSON export.
-pub const METRICS_SCHEMA_VERSION: u32 = 2;
+pub const METRICS_SCHEMA_VERSION: u32 = 3;
 
 /// Merged telemetry for a whole run.
 #[derive(Debug, Clone, Default)]
@@ -132,7 +132,7 @@ mod tests {
         assert_eq!(s.metrics.counter(Counter::CpuKernelLaunches), 1);
         assert_eq!(s.metrics.counter(Counter::KernelElements), 12);
         let json = s.to_metrics_json(&kernels);
-        assert!(json.contains("\"schema_version\": 2"));
+        assert!(json.contains("\"schema_version\": 3"));
         assert!(json.contains("\"kernels\": [\n    {\"name\": \"eos\""));
     }
 

@@ -145,7 +145,6 @@ const DETERMINISM_SINKS: &[&str] = &[
     "to_csv",
     "to_json",
     "to_markdown",
-    "to_prometheus_text",
     "csv_row",
     "csv_header",
     "breakdown_table",
