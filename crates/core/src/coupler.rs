@@ -94,76 +94,83 @@ impl Payload for FaceMsg {
     }
 }
 
+/// One face a rank exchanges: what its halo exchange sends and
+/// receives there, worked out once per segment.
+#[derive(Debug, Clone, PartialEq)]
+struct Face {
+    peer: usize,
+    /// The five per-variable messages' tags, this rank's direction and
+    /// the peer's.
+    send_tags: [u32; NCONS],
+    recv_tags: [u32; NCONS],
+    /// The owned strip sent and the ghost strip received, in
+    /// allocated-local coordinates.
+    send: ([usize; 3], [usize; 3]),
+    recv: ([usize; 3], [usize; 3]),
+    /// Wire bytes of one variable's strip.
+    bytes: u64,
+}
+
 /// The cooperative runner's [`Coupler`]: ghost exchange + reductions.
 pub struct MpiCoupler<'a> {
     pub comm: &'a mut Comm,
-    pub plan: &'a HaloPlan,
-    pub decomp: &'a Decomposition,
+    /// This rank's faces, in halo-plan order.
+    faces: Vec<Face>,
+    /// Halo bytes a cycle's exchange moves to and from GPU-rank peers,
+    /// and to and from everyone else.
+    gpu_peer_bytes: u64,
+    other_bytes: u64,
     /// `Some(spec)` when this rank's mesh data is GPU-resident (its
     /// halo faces must be staged through the host).
-    pub gpu_spec: Option<DeviceSpec>,
+    gpu_spec: Option<DeviceSpec>,
     /// §5.3 future work: GPUs exchange halos directly.
-    pub gpu_direct: bool,
+    gpu_direct: bool,
 }
 
-impl MpiCoupler<'_> {
-    /// The global box this rank sends for exchange `ex` (the owned
-    /// strip adjacent to the shared plane) and the ghost box it
-    /// receives into, as `(send_lo, send_hi, recv_lo, recv_hi)`.
-    fn boxes(
-        &self,
-        rank: usize,
-        ex: &Exchange,
-        ghost: usize,
-    ) -> ([i64; 3], [i64; 3], [i64; 3], [i64; 3]) {
-        let axis = ex.axis;
-        let g = ghost as i64;
-        let plane = ex.plane as i64;
-        let mut s_lo = [0i64; 3];
-        let mut s_hi = [0i64; 3];
-        let mut r_lo = [0i64; 3];
-        let mut r_hi = [0i64; 3];
-        for a in 0..3 {
-            if a == axis {
-                continue;
+impl<'a> MpiCoupler<'a> {
+    /// The coupler of `comm`'s rank in `decomp`, whose faces `plan`
+    /// lists; `gpu_spec` is `Some` when the rank's mesh is GPU-resident.
+    pub fn new(
+        comm: &'a mut Comm,
+        plan: &HaloPlan,
+        decomp: &Decomposition,
+        gpu_spec: Option<DeviceSpec>,
+        gpu_direct: bool,
+    ) -> Self {
+        let rank = comm.rank();
+        let ghost = decomp.domains[rank].ghost;
+        let (mut gpu_peer_bytes, mut other_bytes) = (0, 0);
+        let faces = plan.exchanges_for_indexed(rank).map(|(idx, ex)| {
+            let peer = if ex.a == rank { ex.b } else { ex.a };
+            let bytes = ex.bytes(ghost);
+            if decomp.owners[peer].is_gpu() {
+                gpu_peer_bytes += bytes * NCONS as u64;
+            } else {
+                other_bytes += bytes * NCONS as u64;
             }
-            s_lo[a] = ex.lo[a] as i64;
-            s_hi[a] = ex.hi[a] as i64;
-            r_lo[a] = ex.lo[a] as i64;
-            r_hi[a] = ex.hi[a] as i64;
+            // The peer's direction bit is the complement of ours.
+            let tags = |dir: bool| {
+                std::array::from_fn(|var| idx as u32 * 16 + var as u32 * 2 + u32::from(dir))
+            };
+            let (s_lo, s_hi, r_lo, r_hi) = boxes(rank, ex, ghost);
+            Face {
+                peer,
+                send_tags: tags(ex.a == rank),
+                recv_tags: tags(ex.a == peer),
+                send: to_local(decomp, rank, s_lo, s_hi),
+                recv: to_local(decomp, rank, r_lo, r_hi),
+                bytes,
+            }
+        });
+        let faces = faces.collect();
+        MpiCoupler {
+            comm,
+            faces,
+            gpu_peer_bytes,
+            other_bytes,
+            gpu_spec,
+            gpu_direct,
         }
-        if rank == ex.a {
-            // Low side: own zones just below the plane; ghosts above.
-            s_lo[axis] = plane - g;
-            s_hi[axis] = plane;
-            r_lo[axis] = plane;
-            r_hi[axis] = plane + g;
-        } else {
-            s_lo[axis] = plane;
-            s_hi[axis] = plane + g;
-            r_lo[axis] = plane - g;
-            r_hi[axis] = plane;
-        }
-        (s_lo, s_hi, r_lo, r_hi)
-    }
-
-    /// Convert a global zone box to allocated-local coordinates for
-    /// this rank (`local = global − sub.lo + ghost`; ghost cells land
-    /// at indices `< ghost` or `≥ ghost + extent`).
-    fn to_local(&self, rank: usize, lo: [i64; 3], hi: [i64; 3]) -> ([usize; 3], [usize; 3]) {
-        let sub = &self.decomp.domains[rank];
-        let g = sub.ghost as i64;
-        let mut llo = [0usize; 3];
-        let mut lhi = [0usize; 3];
-        for a in 0..3 {
-            let base = sub.lo[a] as i64;
-            let l = lo[a] - base + g;
-            let h = hi[a] - base + g;
-            debug_assert!(l >= 0, "box {lo:?} below rank {rank} domain");
-            llo[a] = l as usize;
-            lhi[a] = h as usize;
-        }
-        (llo, lhi)
     }
 
     /// The cost of one staging leg (device↔host) for `bytes` of halo
@@ -184,28 +191,65 @@ impl MpiCoupler<'_> {
             _ => hsim_time::SimDuration::ZERO,
         }
     }
+}
 
-    /// Split this rank's halo bytes into (to/from GPU-rank peers,
-    /// everything else).
-    fn classify_bytes(
-        &self,
-        rank: usize,
-        exchanges: &[(usize, Exchange)],
-        ghost: usize,
-    ) -> (u64, u64) {
-        let mut gpu_peer = 0;
-        let mut other = 0;
-        for (_, ex) in exchanges {
-            let peer = if ex.a == rank { ex.b } else { ex.a };
-            let bytes = ex.bytes(ghost) * NCONS as u64;
-            if self.decomp.owners[peer].is_gpu() {
-                gpu_peer += bytes;
-            } else {
-                other += bytes;
-            }
+/// The global box `rank` sends for exchange `ex` (the owned strip
+/// adjacent to the shared plane) and the ghost box it receives into, as
+/// `(send_lo, send_hi, recv_lo, recv_hi)`.
+fn boxes(rank: usize, ex: &Exchange, ghost: usize) -> ([i64; 3], [i64; 3], [i64; 3], [i64; 3]) {
+    let axis = ex.axis;
+    let g = ghost as i64;
+    let plane = ex.plane as i64;
+    let mut s_lo = [0i64; 3];
+    let mut s_hi = [0i64; 3];
+    let mut r_lo = [0i64; 3];
+    let mut r_hi = [0i64; 3];
+    for a in 0..3 {
+        if a == axis {
+            continue;
         }
-        (gpu_peer, other)
+        s_lo[a] = ex.lo[a] as i64;
+        s_hi[a] = ex.hi[a] as i64;
+        r_lo[a] = ex.lo[a] as i64;
+        r_hi[a] = ex.hi[a] as i64;
     }
+    if rank == ex.a {
+        // Low side: own zones just below the plane; ghosts above.
+        s_lo[axis] = plane - g;
+        s_hi[axis] = plane;
+        r_lo[axis] = plane;
+        r_hi[axis] = plane + g;
+    } else {
+        s_lo[axis] = plane;
+        s_hi[axis] = plane + g;
+        r_lo[axis] = plane - g;
+        r_hi[axis] = plane;
+    }
+    (s_lo, s_hi, r_lo, r_hi)
+}
+
+/// Convert a global zone box to allocated-local coordinates for `rank`
+/// (`local = global − sub.lo + ghost`; ghost cells land at indices
+/// `< ghost` or `≥ ghost + extent`).
+fn to_local(
+    decomp: &Decomposition,
+    rank: usize,
+    lo: [i64; 3],
+    hi: [i64; 3],
+) -> ([usize; 3], [usize; 3]) {
+    let sub = &decomp.domains[rank];
+    let g = sub.ghost as i64;
+    let mut llo = [0usize; 3];
+    let mut lhi = [0usize; 3];
+    for a in 0..3 {
+        let base = sub.lo[a] as i64;
+        let l = lo[a] - base + g;
+        let h = hi[a] - base + g;
+        debug_assert!(l >= 0, "box {lo:?} below rank {rank} domain");
+        llo[a] = l as usize;
+        lhi[a] = h as usize;
+    }
+    (llo, lhi)
 }
 
 impl Coupler for MpiCoupler<'_> {
@@ -214,16 +258,10 @@ impl Coupler for MpiCoupler<'_> {
         state: &mut HydroState,
         clock: &mut RankClock,
     ) -> Result<(), CoupleError> {
-        let rank = self.comm.rank();
-        let ghost = self.decomp.domains[rank].ghost;
-        let exchanges: Vec<(usize, Exchange)> = self
-            .plan
-            .exchanges_for_indexed(rank)
-            .map(|(i, e)| (i, e.clone()))
-            .collect();
-        if exchanges.is_empty() {
+        if self.faces.is_empty() {
             return Ok(());
         }
+        let rank = self.comm.rank();
         // Injected link delay (hsim-faults): the slow link charges its
         // virtual latency before any staging leg; data is unaffected.
         if let Some(hit) = hsim_faults::check(hsim_faults::Site::XferDelay) {
@@ -238,7 +276,7 @@ impl Coupler for MpiCoupler<'_> {
         // GPU ranks go peer-to-peer in a single DMA charged on the
         // sender (§5.3), while faces for CPU ranks still cross the
         // host both ways.
-        let (gpu_peer_bytes, other_bytes) = self.classify_bytes(rank, &exchanges, ghost);
+        let (gpu_peer_bytes, other_bytes) = (self.gpu_peer_bytes, self.other_bytes);
         let staged_out = other_bytes + if self.gpu_direct { 0 } else { gpu_peer_bytes };
         let p2p_out = if self.gpu_direct { gpu_peer_bytes } else { 0 };
         let t_stage = clock.now();
@@ -253,48 +291,43 @@ impl Coupler for MpiCoupler<'_> {
             );
         }
 
-        // Post all sends first (buffered transport: no deadlock).
-        for (idx, ex) in &exchanges {
-            let peer = if ex.a == rank { ex.b } else { ex.a };
-            let (s_lo, s_hi, _, _) = self.boxes(rank, ex, ghost);
-            for var in 0..NCONS {
-                let tag = (*idx as u32) * 16 + var as u32 * 2 + u32::from(ex.a == rank);
-                let data = if state.fidelity == Fidelity::Full {
-                    let (llo, lhi) = self.to_local(rank, s_lo, s_hi);
-                    state.u.pack_box(var, llo, lhi)
-                } else {
-                    Vec::new()
-                };
-                let msg = FaceMsg {
-                    data,
-                    wire_bytes: ex.bytes(ghost),
-                };
-                lend_clock(self.comm, clock)
-                    .send(peer, tag, msg)
-                    .map_err(|e| CoupleError {
-                        op: "halo_send",
-                        detail: format!("rank {rank} -> {peer}: {e}"),
-                    })?;
+        // Post all sends first (buffered transport: no deadlock): one
+        // packet per face, carrying its five per-variable messages.
+        let full = state.fidelity == Fidelity::Full;
+        for face in &self.faces {
+            let mut data = Vec::new();
+            if full {
+                let (lo, hi) = face.send;
+                for var in 0..NCONS {
+                    state.u.pack_box_into(var, lo, hi, &mut data);
+                }
             }
+            let msg = FaceMsg {
+                data,
+                wire_bytes: face.bytes * NCONS as u64,
+            };
+            lend_clock(self.comm, clock)
+                .send_parts(face.peer, face.send_tags, msg)
+                .map_err(|e| CoupleError {
+                    op: "halo_send",
+                    detail: format!("rank {rank} -> {}: {e}", face.peer),
+                })?;
         }
 
         // Receive and unpack.
-        for (idx, ex) in &exchanges {
-            let peer = if ex.a == rank { ex.b } else { ex.a };
-            let (_, _, r_lo, r_hi) = self.boxes(rank, ex, ghost);
-            for var in 0..NCONS {
-                // The peer's direction bit is the complement of ours.
-                let tag = (*idx as u32) * 16 + var as u32 * 2 + u32::from(ex.a == peer);
-                let msg: FaceMsg = lend_clock(self.comm, clock)
-                    .irecv(peer, tag)
-                    .await
-                    .map_err(|e| CoupleError {
-                        op: "halo_recv",
-                        detail: format!("rank {rank} <- {peer}: {e}"),
-                    })?;
-                if state.fidelity == Fidelity::Full {
-                    let (llo, lhi) = self.to_local(rank, r_lo, r_hi);
-                    state.u.unpack_box(var, llo, lhi, &msg.data);
+        for face in &self.faces {
+            let msg: FaceMsg = lend_clock(self.comm, clock)
+                .irecv_parts(face.peer, face.recv_tags)
+                .await
+                .map_err(|e| CoupleError {
+                    op: "halo_recv",
+                    detail: format!("rank {rank} <- {}: {e}", face.peer),
+                })?;
+            if full {
+                let (lo, hi) = face.recv;
+                let rows = msg.data.chunks_exact(msg.data.len() / NCONS);
+                for (var, row) in rows.enumerate() {
+                    state.u.unpack_box(var, lo, hi, row);
                 }
             }
         }
@@ -387,13 +420,7 @@ mod tests {
                 state.u.fill_owned(var, (rank * 1000 + var) as f64);
             }
             let mut clock = RankClock::new(rank);
-            let mut coupler = MpiCoupler {
-                comm,
-                plan,
-                decomp,
-                gpu_spec: None,
-                gpu_direct: false,
-            };
+            let mut coupler = MpiCoupler::new(comm, plan, decomp, None, false);
             block_on(coupler.exchange(&mut state, &mut clock)).expect("exchange on a live world");
             // Rank 0 owns x ∈ [0,4): its high-x ghosts (allocated x =
             // 5) must now hold rank 1's values; mirrored for rank 1.
@@ -440,13 +467,7 @@ mod tests {
             let sub = decomp.domains[rank];
             let mut state = HydroState::new(grid, sub, Fidelity::CostOnly);
             let mut clock = RankClock::new(rank);
-            let mut coupler = MpiCoupler {
-                comm,
-                plan,
-                decomp,
-                gpu_spec: None,
-                gpu_direct: false,
-            };
+            let mut coupler = MpiCoupler::new(comm, plan, decomp, None, false);
             block_on(coupler.exchange(&mut state, &mut clock)).expect("exchange on a live world");
             clock.now().as_nanos()
         });
@@ -473,13 +494,7 @@ mod tests {
                 let sub = decomp.domains[rank];
                 let mut state = HydroState::new(grid, sub, Fidelity::CostOnly);
                 let mut clock = RankClock::new(rank);
-                let mut coupler = MpiCoupler {
-                    comm,
-                    plan,
-                    decomp,
-                    gpu_spec: None,
-                    gpu_direct: false,
-                };
+                let mut coupler = MpiCoupler::new(comm, plan, decomp, None, false);
                 block_on(coupler.exchange(&mut state, &mut clock))
                     .expect("exchange on a live world");
                 hsim_faults::uninstall();
@@ -518,13 +533,13 @@ mod tests {
                 let sub = decomp.domains[rank];
                 let mut state = HydroState::new(grid, sub, Fidelity::CostOnly);
                 let mut clock = RankClock::new(rank);
-                let mut coupler = MpiCoupler {
+                let mut coupler = MpiCoupler::new(
                     comm,
                     plan,
                     decomp,
-                    gpu_spec: Some(DeviceSpec::tesla_k80()),
+                    Some(DeviceSpec::tesla_k80()),
                     gpu_direct,
-                };
+                );
                 block_on(coupler.exchange(&mut state, &mut clock))
                     .expect("exchange on a live world");
                 clock.bucket(ChargeKind::Memory).as_nanos()
@@ -551,13 +566,7 @@ mod tests {
             let rank = comm.rank();
             let mut clock = RankClock::new(rank);
             clock.charge(ChargeKind::Compute, SimDuration::from_micros(rank as u64));
-            let mut coupler = MpiCoupler {
-                comm,
-                plan,
-                decomp,
-                gpu_spec: None,
-                gpu_direct: false,
-            };
+            let mut coupler = MpiCoupler::new(comm, plan, decomp, None, false);
             let m = block_on(coupler.allreduce_min(1.0 + rank as f64, &mut clock))
                 .expect("allreduce on a live world");
             (m, clock.now().as_nanos())
@@ -602,13 +611,7 @@ mod tests {
             sedov::init(&mut st, &SedovConfig::default());
             let mut exec = Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), Fidelity::Full);
             let mut clock = RankClock::new(rank);
-            let mut coupler = MpiCoupler {
-                comm,
-                plan,
-                decomp,
-                gpu_spec: None,
-                gpu_direct: false,
-            };
+            let mut coupler = MpiCoupler::new(comm, plan, decomp, None, false);
             for _ in 0..4 {
                 step(&mut st, &mut exec, &mut clock, &mut coupler, 0.3, 1.0).unwrap();
             }
@@ -688,13 +691,7 @@ mod tests {
                 let mut exec =
                     Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), Fidelity::Full);
                 let mut clock = RankClock::new(rank);
-                let mut coupler = MpiCoupler {
-                    comm,
-                    plan,
-                    decomp,
-                    gpu_spec: None,
-                    gpu_direct: false,
-                };
+                let mut coupler = MpiCoupler::new(comm, plan, decomp, None, false);
                 let mut seen = Vec::new();
                 for _ in 0..4 {
                     if poison {

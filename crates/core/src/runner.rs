@@ -974,7 +974,11 @@ struct RankLocals {
 impl RankLocals {
     /// Trade places with whatever the calling thread has installed.
     fn swap(&mut self) {
-        self.collector = hsim_telemetry::swap(self.collector.take());
+        // Two absent collectors trade nothing: a run without telemetry
+        // does not move one in and out on every poll.
+        if self.collector.is_some() || hsim_telemetry::is_enabled() {
+            self.collector = hsim_telemetry::swap(self.collector.take());
+        }
         self.injector = hsim_faults::swap(self.injector.take());
     }
 }
@@ -1121,11 +1125,16 @@ async fn set_up<'a>(ranks: &'a Ranks<'a>, comm: &'a mut Comm) -> Result<Rank<'a>
     // The particle phase: fresh deterministic placement on a cold
     // start, ownership re-filter of the global snapshot after a boundary
     // (re-splits and foldbacks re-home particles through exactly this
-    // path).
-    let phase = cfg.particles.map(|pcfg| match ranks.particles {
-        Some(all) => PhaseState::from_global(pcfg, all, &seg.decomp.grid, &sub),
-        None => PhaseState::init_owned(pcfg, &seg.decomp.grid, &sub),
-    });
+    // path). A global set the allocator refuses is the run's error.
+    let grid = &seg.decomp.grid;
+    let phase = match (cfg.particles, ranks.particles) {
+        (None, _) => None,
+        (Some(pcfg), Some(all)) => Some(PhaseState::from_global(pcfg, all, grid, &sub)),
+        (Some(pcfg), None) => {
+            let all = hsim_particles::init_global(&pcfg, grid)?;
+            Some(PhaseState::from_global(pcfg, &all, grid, &sub))
+        }
+    };
     // Node-level host-bandwidth model (the Figure 12 kink): aggregate
     // host traffic beyond the active cores' capacity costs extra,
     // distributed over ranks in proportion to their zones.
@@ -1153,13 +1162,13 @@ async fn set_up<'a>(ranks: &'a Ranks<'a>, comm: &'a mut Comm) -> Result<Rank<'a>
     hsim_telemetry::rank_span(Category::Runtime, "setup", SimTime::ZERO, at_t0.now());
     Ok(Rank {
         ranks,
-        coupler: MpiCoupler {
+        coupler: MpiCoupler::new(
             comm,
-            plan: &ranks.plan,
-            decomp: seg.decomp,
-            gpu_spec: gpu.as_ref().map(|_| cfg.node.gpu_spec.clone()),
-            gpu_direct: cfg.gpu_direct,
-        },
+            &ranks.plan,
+            seg.decomp,
+            gpu.as_ref().map(|_| cfg.node.gpu_spec.clone()),
+            cfg.gpu_direct,
+        ),
         clock,
         at_t0,
         exec,
@@ -1445,6 +1454,22 @@ mod tests {
             assert!(why.starts_with(&format!("particles: {count} ")), "{why}");
             assert_eq!(out.1, Err(why));
         }
+    }
+
+    #[test]
+    fn a_particle_set_the_allocator_refuses_is_the_run_error_not_an_abort() {
+        // 10^15 particles fit `isize` bytes, so `check` passes them;
+        // every rank's global set aborted the process in its allocation.
+        let mut cfg = sweep_cfg((16, 16, 16), ExecMode::CpuOnly);
+        cfg.cycles = 1;
+        let count = 1_000_000_000_000_000;
+        cfg.particles = Some(ParticlesConfig {
+            count,
+            ..ParticlesConfig::default()
+        });
+        let why = run(&cfg).expect_err("an unallocatable particle set runs");
+        let reason = hsim_particles::Unallocatable { count }.to_string();
+        assert!(why.ends_with(&format!(": {reason}")), "{why}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::kernel::{occupancy, KernelDesc, KernelShape};
 use crate::memory::UnifiedMemory;
 use crate::spec::DeviceSpec;
-use crate::timeline::{Job, RateSharingTimeline};
+use crate::timeline::{Epoch, Job, RateSharingTimeline};
 use hsim_time::{advanced, Overflow, SimDuration, SimTime};
 
 /// Receipt for one kernel submission.
@@ -50,11 +50,22 @@ pub struct Executed {
     pub occupancy: f64,
 }
 
+impl AsRef<Job> for Queued {
+    fn as_ref(&self) -> &Job {
+        &self.job
+    }
+}
+
 /// One simulated GPU.
 #[derive(Debug)]
 pub struct Device {
     spec: DeviceSpec,
+    timeline: RateSharingTimeline,
     pending: Vec<Queued>,
+    /// What resolving the queue works in, reused epoch after epoch.
+    epoch: Epoch,
+    /// The launch overhead of an MPS client: the sheet's, scaled.
+    mps_overhead: SimDuration,
     next_job: u64,
     total_launches: u64,
     busy: SimDuration,
@@ -65,8 +76,11 @@ impl Device {
     pub fn new(spec: DeviceSpec) -> Self {
         let um = UnifiedMemory::new(&spec);
         Device {
+            timeline: RateSharingTimeline::with_contention(1.0, spec.sharing_penalty),
+            mps_overhead: spec.launch_overhead.mul_f64(spec.mps_launch_factor),
             spec,
             pending: Vec::new(),
+            epoch: Epoch::default(),
             next_job: 0,
             total_launches: 0,
             busy: SimDuration::ZERO,
@@ -90,9 +104,7 @@ impl Device {
         mps: bool,
     ) -> LaunchTicket {
         let overhead = if mps {
-            self.spec
-                .launch_overhead
-                .mul_f64(self.spec.mps_launch_factor)
+            self.mps_overhead
         } else {
             self.spec.launch_overhead
         };
@@ -120,9 +132,9 @@ impl Device {
         &self.pending
     }
 
-    /// Execute every pending launch on the rate-sharing timeline.
-    /// Returns what each ran (in submission order) and clears the
-    /// queue. The device's cumulative busy time is updated.
+    /// Execute every pending launch on the rate-sharing timeline, in
+    /// place: hand what each ran to `ran`, in submission order, and
+    /// clear the queue. The device's cumulative busy time is updated.
     ///
     /// The batch is resolved relative to its earliest arrival: the
     /// timeline works in `f64` seconds and rounds to a nanosecond, so
@@ -131,19 +143,14 @@ impl Device {
     /// launches at the same offsets take the same time whenever they
     /// run — what lets a run add a repeated cycle up instead of
     /// stepping it.
-    pub fn run_pending(&mut self) -> Vec<Executed> {
-        let tl = RateSharingTimeline::with_contention(1.0, self.spec.sharing_penalty);
-        let first = self.pending.iter().map(|q| q.job.arrival).min();
-        let first = first.unwrap_or(SimTime::ZERO);
-        let since = first - SimTime::ZERO;
-        let rebased = |q: &Queued| Job {
-            arrival: SimTime::ZERO + (q.job.arrival - first),
-            ..q.job.clone()
+    pub fn run_pending(&mut self, mut ran: impl FnMut(Executed)) {
+        let Some(first) = self.pending.iter().map(|q| q.job.arrival).min() else {
+            return;
         };
-        let jobs: Vec<Job> = self.pending.iter().map(rebased).collect();
-        let outcomes = tl.simulate(&jobs);
-        let ran = self.pending.drain(..).zip(outcomes).map(|(q, o)| {
-            let (start, end) = (o.start + since, o.end + since);
+        let since = first - SimTime::ZERO;
+        self.timeline.resolve(&self.pending, first, &mut self.epoch);
+        for (q, &(start, end)) in self.pending.iter().zip(self.epoch.spans()) {
+            let (start, end) = (start + since, end + since);
             self.busy += end - start;
             let elapsed = (end - start).as_secs_f64();
             let occupancy = if elapsed > 0.0 {
@@ -151,17 +158,17 @@ impl Device {
             } else {
                 q.job.max_rate
             };
-            Executed {
-                id: o.id,
+            ran(Executed {
+                id: q.job.id,
                 stream: q.job.stream,
                 kernel: q.kernel,
                 elems: q.elems,
                 start,
                 end,
                 occupancy,
-            }
-        });
-        ran.collect()
+            });
+        }
+        self.pending.clear();
     }
 
     /// Account `times` more repetitions of a period in which the device
@@ -203,9 +210,16 @@ mod tests {
         Device::new(DeviceSpec::tesla_k80())
     }
 
+    /// What a batch ran, in submission order.
+    fn ran(d: &mut Device) -> Vec<Executed> {
+        let mut out = Vec::new();
+        d.run_pending(|k| out.push(k));
+        out
+    }
+
     /// When the last of a batch's kernels ends.
     fn last_end(d: &mut Device) -> SimTime {
-        d.run_pending()
+        ran(d)
             .iter()
             .map(|o| o.end)
             .fold(SimTime::ZERO, SimTime::merge)
@@ -218,7 +232,7 @@ mod tests {
         let shape = KernelShape::new(5_000_000, 320);
         let t1 = d.submit(0, &k, shape, SimTime::ZERO, false);
         let t2 = d.submit(0, &k, shape, SimTime::ZERO, false);
-        let out = d.run_pending();
+        let out = ran(&mut d);
         assert_eq!(out.len(), 2);
         let o1 = out.iter().find(|o| o.id == t1.job).unwrap();
         let o2 = out.iter().find(|o| o.id == t2.job).unwrap();
@@ -234,7 +248,7 @@ mod tests {
         let shape = KernelShape::new(1_000_000, 320);
         let ticket = d.submit(0, &k, shape, SimTime::from_nanos(1000), false);
         assert_eq!(ticket.overhead, DeviceSpec::tesla_k80().launch_overhead);
-        let out = d.run_pending();
+        let out = ran(&mut d);
         assert!(out[0].start >= SimTime::from_nanos(1000) + ticket.overhead);
     }
 
@@ -325,7 +339,7 @@ mod tests {
             let shape = KernelShape::new(1_000_000, 320);
             d.submit(0, &k, shape, at, false);
             d.submit(0, &k, shape, at, false);
-            let ends = d.run_pending();
+            let ends = ran(d);
             ends.iter().map(|o| o.end).fold(at, SimTime::merge)
         };
         let mut once = device();
@@ -361,7 +375,7 @@ mod tests {
                 d.submit(s, &k, shape, later, false);
                 d.submit(s, &k, shape, later, false);
             }
-            let spans = d.run_pending();
+            let spans = ran(&mut d);
             let offsets: Vec<_> = spans.iter().map(|o| (o.start - at, o.end - at)).collect();
             (offsets, d.busy())
         };
@@ -378,7 +392,7 @@ mod tests {
         for _ in 0..5 {
             d.submit(0, &k, KernelShape::new(100, 10), SimTime::ZERO, false);
         }
-        d.run_pending();
+        assert_eq!(ran(&mut d).len(), 5);
         assert_eq!(d.total_launches(), 5);
     }
 

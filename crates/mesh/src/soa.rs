@@ -159,7 +159,14 @@ impl SoaBlock {
     /// Pack an arbitrary box `[lo, hi)` of variable `v` in allocated
     /// coordinates.
     pub fn pack_box(&self, v: usize, lo: [usize; 3], hi: [usize; 3]) -> Vec<f64> {
-        pack_box_in(self.core, self.ghost, self.var(v), lo, hi)
+        let mut out = Vec::new();
+        self.pack_box_into(v, lo, hi, &mut out);
+        out
+    }
+
+    /// [`SoaBlock::pack_box`], appended to `out`.
+    pub fn pack_box_into(&self, v: usize, lo: [usize; 3], hi: [usize; 3], out: &mut Vec<f64>) {
+        pack_box_in(self.core, self.ghost, self.var(v), lo, hi, out);
     }
 
     /// Unpack a buffer into the box `[lo, hi)` of variable `v`.
@@ -231,7 +238,8 @@ fn pack_box_in(
     data: &[f64],
     lo: [usize; 3],
     hi: [usize; 3],
-) -> Vec<f64> {
+    out: &mut Vec<f64>,
+) {
     let d = dims_of(core, ghost);
     assert!(
         (0..3).all(|a| lo[a] < hi[a] && hi[a] <= d[a]),
@@ -239,14 +247,13 @@ fn pack_box_in(
     );
     let s = strides_of(core, ghost);
     let n = (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]);
-    let mut out = Vec::with_capacity(n);
+    out.reserve(n);
     for k in lo[2]..hi[2] {
         for j in lo[1]..hi[1] {
             let base = lo[0] + j * s[1] + k * s[2];
             out.extend_from_slice(&data[base..base + (hi[0] - lo[0])]);
         }
     }
-    out
 }
 
 fn unpack_box_in(

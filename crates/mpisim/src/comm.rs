@@ -38,11 +38,30 @@ fn user_tag(tag: u32) -> Result<u32, MpiError> {
     }
 }
 
+/// Most messages one packet carries ([`Comm::send_parts`]).
+pub const MAX_PARTS: usize = 8;
+
+/// `N` messages in one packet, checked when a caller names `N`.
+struct Parts<const N: usize>;
+
+impl<const N: usize> Parts<N> {
+    const FIT: () = assert!(
+        N >= 1 && N <= MAX_PARTS,
+        "a packet carries 1..=MAX_PARTS messages"
+    );
+}
+
+/// What a send puts in an inbox: one message, or several to the same
+/// rank that travel together.
 struct Packet {
+    /// The first message's tag, which a receive matches.
     tag: u32,
     body: Body,
+    /// Wire bytes of each message.
     bytes: u64,
-    departure: SimTime,
+    /// Per message, when it left its sender.
+    departures: [SimTime; MAX_PARTS],
+    parts: usize,
 }
 
 /// How often a blocking receive (a closure under [`crate::World::run`],
@@ -272,38 +291,66 @@ impl Comm {
     /// below `0x8000_0000`: the space above is the collectives'
     /// ([`MpiError::ReservedTag`]).
     pub fn send<T: Payload>(&mut self, dst: usize, tag: u32, data: T) -> Result<(), MpiError> {
+        self.send_parts(dst, [tag], data)
+    }
+
+    /// `N` messages to `dst` in one packet, tagged `tags` in order and
+    /// each carrying an equal share of `data`'s wire bytes. Each is
+    /// charged, counted and traced as if sent alone, one after the
+    /// other; [`Comm::irecv_parts`] with the same tags receives them
+    /// the same way.
+    pub fn send_parts<T: Payload, const N: usize>(
+        &mut self,
+        dst: usize,
+        tags: [u32; N],
+        data: T,
+    ) -> Result<(), MpiError> {
+        let () = Parts::<N>::FIT;
         self.check_rank(dst)?;
         if dst == self.rank {
             return Err(MpiError::SelfMessage);
         }
-        self.send_internal(dst, user_tag(tag)?, data)
+        for tag in tags {
+            user_tag(tag)?;
+        }
+        self.send_internal(dst, &tags, data)
     }
 
-    fn send_internal<T: Payload>(&mut self, dst: usize, tag: u32, data: T) -> Result<(), MpiError> {
-        let bytes = data.byte_len();
-        let t0 = self.clock.now();
-        self.clock.charge(ChargeKind::Comm, self.cost.send_overhead);
-        let departure = self.clock.now();
-        self.bytes_sent += bytes;
-        self.sent += 1;
-        if hsim_telemetry::is_enabled() {
-            hsim_telemetry::count(hsim_telemetry::Counter::MpiSends, 1);
-            hsim_telemetry::count(hsim_telemetry::Counter::MpiBytesSent, bytes);
-            hsim_telemetry::span_args(
-                self.rank as u32,
-                0,
-                tag_category(tag),
-                "mpi_send",
-                t0,
-                departure,
-                &[("bytes", bytes), ("dst", dst as u64), ("tag", tag as u64)],
-            );
+    fn send_internal<T: Payload>(
+        &mut self,
+        dst: usize,
+        tags: &[u32],
+        data: T,
+    ) -> Result<(), MpiError> {
+        let parts = tags.len();
+        let bytes = data.byte_len() / parts as u64;
+        let mut departures = [SimTime::ZERO; MAX_PARTS];
+        for (departure, &tag) in departures.iter_mut().zip(tags) {
+            let t0 = self.clock.now();
+            self.clock.charge(ChargeKind::Comm, self.cost.send_overhead);
+            *departure = self.clock.now();
+            self.bytes_sent += bytes;
+            self.sent += 1;
+            if hsim_telemetry::is_enabled() {
+                hsim_telemetry::count(hsim_telemetry::Counter::MpiSends, 1);
+                hsim_telemetry::count(hsim_telemetry::Counter::MpiBytesSent, bytes);
+                hsim_telemetry::span_args(
+                    self.rank as u32,
+                    0,
+                    tag_category(tag),
+                    "mpi_send",
+                    t0,
+                    *departure,
+                    &[("bytes", bytes), ("dst", dst as u64), ("tag", tag as u64)],
+                );
+            }
         }
         let pkt = Packet {
-            tag,
+            tag: tags[0],
             body: data.into_body(),
             bytes,
-            departure,
+            departures,
+            parts,
         };
         self.post.deliver(self.rank, dst, pkt)
     }
@@ -311,11 +358,7 @@ impl Comm {
     /// Typed receive from `src` with exact `tag` match; a user tag, as
     /// for [`Comm::send`].
     pub async fn irecv<T: Payload>(&mut self, src: usize, tag: u32) -> Result<T, MpiError> {
-        self.check_rank(src)?;
-        if src == self.rank {
-            return Err(MpiError::SelfMessage);
-        }
-        self.recv_internal(src, user_tag(tag)?).await
+        self.irecv_parts(src, [tag]).await
     }
 
     /// [`Comm::irecv`], blocking the rank's thread until the message
@@ -324,45 +367,72 @@ impl Comm {
         task::block_on(self.irecv(src, tag))
     }
 
-    async fn recv_internal<T: Payload>(&mut self, src: usize, tag: u32) -> Result<T, MpiError> {
-        // The inbox wait: the earliest packet from `src` with `tag`,
-        // whatever arrived before it. A blocking receive sleeps in its
-        // inbox; a driven rank parks and is resumed once a peer has run.
-        let (post, me) = (&self.post, self.rank);
+    /// Receive the `N` messages a [`Comm::send_parts`] with these `tags`
+    /// sent from `src`, each waited for and charged in tag order as if
+    /// received alone; their payload whole.
+    pub async fn irecv_parts<T: Payload, const N: usize>(
+        &mut self,
+        src: usize,
+        tags: [u32; N],
+    ) -> Result<T, MpiError> {
+        let () = Parts::<N>::FIT;
+        self.check_rank(src)?;
+        if src == self.rank {
+            return Err(MpiError::SelfMessage);
+        }
+        for tag in tags {
+            user_tag(tag)?;
+        }
+        self.recv_internal(src, &tags).await
+    }
+
+    async fn recv_internal<T: Payload>(&mut self, src: usize, tags: &[u32]) -> Result<T, MpiError> {
+        // The inbox wait: the earliest packet from `src` with the first
+        // tag, whatever arrived before it. A blocking receive sleeps in
+        // its inbox; a driven rank parks and is resumed once a peer has
+        // run.
+        let (post, me, tag) = (&self.post, self.rank, tags[0]);
         let pkt = task::wait(
             Waiting::Message { src, tag },
             || post.take(me, src, tag),
             || post.wait_for(me, src, tag),
         )
         .await?;
-        // Virtual arrival: departure + wire time. Wait for it, then pay
-        // the receive-path overhead.
-        self.received += 1;
-        let t0 = self.clock.now();
-        let arrival = pkt.departure + self.cost.msg_time(pkt.bytes);
-        self.clock.wait_until(arrival);
-        self.clock.charge(ChargeKind::Comm, self.cost.recv_overhead);
-        if hsim_telemetry::is_enabled() {
-            let now = self.clock.now();
-            hsim_telemetry::count(hsim_telemetry::Counter::MpiRecvs, 1);
-            hsim_telemetry::count(hsim_telemetry::Counter::MpiBytesReceived, pkt.bytes);
-            hsim_telemetry::time_stat(hsim_telemetry::TimeStat::MpiWait, arrival - t0);
-            hsim_telemetry::time_stat(hsim_telemetry::TimeStat::MessageLatency, now - t0);
-            hsim_telemetry::span_args(
-                self.rank as u32,
-                0,
-                tag_category(tag),
-                "mpi_recv",
-                t0,
-                now,
-                &[
-                    ("bytes", pkt.bytes),
-                    ("src", src as u64),
-                    ("tag", tag as u64),
-                ],
-            );
+        if pkt.parts != tags.len() {
+            return Err(MpiError::TypeMismatch { tag });
         }
-        T::from_body(pkt.body, pkt.bytes).ok_or(MpiError::TypeMismatch { tag })
+        // Virtual arrival: departure + wire time. Wait for it, then pay
+        // the receive-path overhead, message by message.
+        let wire = self.cost.msg_time(pkt.bytes);
+        for (&departure, &tag) in pkt.departures.iter().zip(tags) {
+            self.received += 1;
+            let t0 = self.clock.now();
+            let arrival = departure + wire;
+            self.clock.wait_until(arrival);
+            self.clock.charge(ChargeKind::Comm, self.cost.recv_overhead);
+            if hsim_telemetry::is_enabled() {
+                let now = self.clock.now();
+                hsim_telemetry::count(hsim_telemetry::Counter::MpiRecvs, 1);
+                hsim_telemetry::count(hsim_telemetry::Counter::MpiBytesReceived, pkt.bytes);
+                hsim_telemetry::time_stat(hsim_telemetry::TimeStat::MpiWait, arrival - t0);
+                hsim_telemetry::time_stat(hsim_telemetry::TimeStat::MessageLatency, now - t0);
+                hsim_telemetry::span_args(
+                    self.rank as u32,
+                    0,
+                    tag_category(tag),
+                    "mpi_recv",
+                    t0,
+                    now,
+                    &[
+                        ("bytes", pkt.bytes),
+                        ("src", src as u64),
+                        ("tag", tag as u64),
+                    ],
+                );
+            }
+        }
+        let bytes = pkt.bytes * tags.len() as u64;
+        T::from_body(pkt.body, bytes).ok_or(MpiError::TypeMismatch { tag })
     }
 
     fn next_coll_tag(&mut self) -> u32 {
@@ -385,11 +455,11 @@ impl Comm {
             if self.rank % group == 0 {
                 let peer = self.rank + offset;
                 if peer < self.size {
-                    let other: T = self.recv_internal(peer, tag).await?;
+                    let other: T = self.recv_internal(peer, &[tag]).await?;
                     val = op(val, other);
                 }
             } else if self.rank % group == offset {
-                self.send_internal(self.rank - offset, tag, val)?;
+                self.send_internal(self.rank - offset, &[tag], val)?;
                 return Ok(None);
             }
             offset = group;
@@ -423,10 +493,10 @@ impl Comm {
                             what: "broadcast value missing on a sending hop",
                         });
                     };
-                    self.send_internal(peer, tag, v)?;
+                    self.send_internal(peer, &[tag], v)?;
                 }
             } else if self.rank % group == offset {
-                let v: T = self.recv_internal(self.rank - offset, tag).await?;
+                let v: T = self.recv_internal(self.rank - offset, &[tag]).await?;
                 val = Some(v);
             }
             if offset == 1 {
@@ -510,7 +580,7 @@ impl Comm {
         for (dst, slot) in parts.iter_mut().enumerate() {
             if dst != self.rank {
                 let payload = std::mem::take(slot);
-                self.send_internal(dst, tag, payload)?;
+                self.send_internal(dst, &[tag], payload)?;
             }
         }
         let mut inbound = Vec::with_capacity(self.size);
@@ -518,7 +588,7 @@ impl Comm {
             if src == self.rank {
                 inbound.push(std::mem::take(slot));
             } else {
-                inbound.push(self.recv_internal(src, tag).await?);
+                inbound.push(self.recv_internal(src, &[tag]).await?);
             }
         }
         Ok(inbound)

@@ -377,6 +377,56 @@ mod tests {
     }
 
     #[test]
+    fn a_packet_of_parts_is_its_messages_sent_one_by_one() {
+        // Three 80-byte messages from rank 0 to rank 1, in one packet
+        // or one by one: the same clocks, buckets, counts and bytes.
+        let exchange = |packed: bool| {
+            on_every(2, CommCost::on_node(), move |mut comm| async move {
+                let tags = [4, 6, 8];
+                if comm.rank() == 0 {
+                    if packed {
+                        comm.send_parts(1, tags, vec![1.0f64; 30]).unwrap();
+                    } else {
+                        for tag in tags {
+                            comm.send(1, tag, vec![1.0f64; 10]).unwrap();
+                        }
+                    }
+                } else if packed {
+                    let all: Vec<f64> = comm.irecv_parts(0, tags).await.unwrap();
+                    assert_eq!(all.len(), 30);
+                } else {
+                    for tag in tags {
+                        let one: Vec<f64> = comm.irecv(0, tag).await.unwrap();
+                        assert_eq!(one.len(), 10);
+                    }
+                }
+                let clock = comm.clock_mut();
+                let comm_ns = clock.bucket(ChargeKind::Comm);
+                (clock.now(), comm_ns, comm.messages(), comm.bytes_sent())
+            })
+        };
+        let one_by_one = exchange(false);
+        assert_eq!(one_by_one[1].2, (0, 3));
+        assert_eq!(one_by_one[0].3, 240);
+        assert_eq!(exchange(true), one_by_one);
+
+        // A packet is received whole, by its tags: one of its messages
+        // alone is a mismatch, and a tag in the collective space is
+        // refused before anything is sent.
+        let out = on_every(2, CommCost::free(), |mut comm| async move {
+            if comm.rank() == 0 {
+                let reserved = comm.send_parts(1, [1, 0x8000_0000], vec![0.0f64; 2]);
+                assert_eq!(reserved, Err(MpiError::ReservedTag { tag: 0x8000_0000 }));
+                comm.send_parts(1, [1, 3], vec![0.0f64; 2]).unwrap();
+                Ok(0.0)
+            } else {
+                comm.irecv::<f64>(0, 1).await
+            }
+        });
+        assert_eq!(out[1], Err(MpiError::TypeMismatch { tag: 1 }));
+    }
+
+    #[test]
     fn ping_pong_roundtrip() {
         let out = on_every(2, CommCost::on_node(), |mut comm| async move {
             if comm.rank() == 0 {

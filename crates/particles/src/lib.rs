@@ -101,26 +101,56 @@ fn unit_f64(state: &mut u64) -> f64 {
     (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// The full global particle set: a pure function of the config and the
-/// grid's physical box, independent of any decomposition.
-pub fn init_global(cfg: &ParticlesConfig, grid: &GlobalGrid) -> Vec<Particle> {
-    let mut parts = Vec::with_capacity(cfg.count as usize);
-    for id in 0..cfg.count {
-        let mut s = cfg.seed ^ id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        // Burn one draw so consecutive ids decorrelate fully.
-        let _ = splitmix64(&mut s);
-        let pos = [
-            unit_f64(&mut s) * grid.lx,
-            unit_f64(&mut s) * grid.ly,
-            unit_f64(&mut s) * grid.lz,
-        ];
-        parts.push(Particle {
-            id,
-            pos,
-            vel: [0.0; 3],
-        });
+/// Particle `id` of the global set: a pure function of the config, the
+/// id and the grid's physical box.
+fn particle(cfg: &ParticlesConfig, grid: &GlobalGrid, id: u64) -> Particle {
+    let mut s = cfg.seed ^ id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    // Burn one draw so consecutive ids decorrelate fully.
+    let _ = splitmix64(&mut s);
+    let pos = [
+        unit_f64(&mut s) * grid.lx,
+        unit_f64(&mut s) * grid.ly,
+        unit_f64(&mut s) * grid.lz,
+    ];
+    Particle {
+        id,
+        pos,
+        vel: [0.0; 3],
     }
-    parts
+}
+
+/// A particle set the process cannot allocate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Unallocatable {
+    pub count: u64,
+}
+
+impl std::fmt::Display for Unallocatable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let bytes = u128::from(self.count) * std::mem::size_of::<Particle>() as u128;
+        write!(
+            f,
+            "{} particles need {bytes} bytes, more than can be allocated",
+            self.count
+        )
+    }
+}
+
+impl std::error::Error for Unallocatable {}
+
+/// The full global particle set: a pure function of the config and the
+/// grid's physical box, independent of any decomposition. A set the
+/// allocator refuses is [`Unallocatable`], not an abort.
+pub fn init_global(
+    cfg: &ParticlesConfig,
+    grid: &GlobalGrid,
+) -> Result<Vec<Particle>, Unallocatable> {
+    let refused = Unallocatable { count: cfg.count };
+    let count = usize::try_from(cfg.count).map_err(|_| refused)?;
+    let mut parts = Vec::new();
+    parts.try_reserve_exact(count).map_err(|_| refused)?;
+    parts.extend((0..cfg.count).map(|id| particle(cfg, grid, id)));
+    Ok(parts)
 }
 
 /// The zone containing `pos`, clamped to the grid.
@@ -146,10 +176,11 @@ pub struct PhaseState {
 
 impl PhaseState {
     /// This rank's slice of the global set: deterministic filter of
-    /// [`init_global`] by subdomain ownership.
+    /// [`init_global`] by subdomain ownership, drawn particle by
+    /// particle without holding the global set.
     pub fn init_owned(cfg: ParticlesConfig, grid: &GlobalGrid, sub: &Subdomain) -> PhaseState {
-        let parts = init_global(&cfg, grid)
-            .into_iter()
+        let parts = (0..cfg.count)
+            .map(|id| particle(&cfg, grid, id))
             .filter(|p| sub_contains(sub, zone_of(grid, p.pos)))
             .collect();
         PhaseState {
@@ -405,8 +436,8 @@ mod tests {
     fn init_is_a_pure_function_of_config() {
         let g = grid(32);
         let cfg = ParticlesConfig::default();
-        let a = init_global(&cfg, &g);
-        let b = init_global(&cfg, &g);
+        let a = init_global(&cfg, &g).unwrap();
+        let b = init_global(&cfg, &g).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), cfg.count as usize);
         for p in &a {
@@ -414,7 +445,7 @@ mod tests {
             assert!(p.pos[1] >= 0.0 && p.pos[1] < g.ly);
             assert!(p.pos[2] >= 0.0 && p.pos[2] < g.lz);
         }
-        let other = init_global(&ParticlesConfig { seed: 7, ..cfg }, &g);
+        let other = init_global(&ParticlesConfig { seed: 7, ..cfg }, &g).unwrap();
         assert_ne!(a, other, "seed must move the placement");
     }
 
@@ -429,19 +460,39 @@ mod tests {
             .map(|sub| PhaseState::init_owned(cfg, &g, sub).parts.len())
             .sum();
         assert_eq!(total, cfg.count as usize, "ranks must partition the set");
+        // Drawn particle by particle, a rank's slice is the global set's.
+        let all = init_global(&cfg, &g).unwrap();
+        for sub in &decomp.domains {
+            let owned = PhaseState::init_owned(cfg, &g, sub).parts;
+            assert_eq!(owned, PhaseState::from_global(cfg, &all, &g, sub).parts);
+        }
+    }
+
+    #[test]
+    fn an_unallocatable_set_is_an_error_not_an_abort() {
+        let cfg = ParticlesConfig {
+            count: 1_000_000_000_000_000,
+            ..ParticlesConfig::default()
+        };
+        let refused = init_global(&cfg, &grid(16)).unwrap_err();
+        assert_eq!(refused, Unallocatable { count: cfg.count });
+        assert_eq!(
+            refused.to_string(),
+            "1000000000000000 particles need 56000000000000000 bytes, more than can be allocated"
+        );
     }
 
     #[test]
     fn wire_roundtrip_is_lossless() {
         let g = grid(16);
-        let parts = init_global(&ParticlesConfig::default(), &g);
+        let parts = init_global(&ParticlesConfig::default(), &g).unwrap();
         assert_eq!(decode(&encode(&parts)), parts);
     }
 
     #[test]
     fn checksum_is_split_invariant() {
         let g = grid(16);
-        let parts = init_global(&ParticlesConfig::default(), &g);
+        let parts = init_global(&ParticlesConfig::default(), &g).unwrap();
         let whole = checksum(&parts);
         let (a, b) = parts.split_at(parts.len() / 3);
         let mut shuffled: Vec<Particle> = b.to_vec();

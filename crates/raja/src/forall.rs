@@ -373,25 +373,23 @@ impl Executor {
                 let overhead = client.launch(desc, shape, clock.now());
                 clock.charge(ChargeKind::Launch, overhead);
                 self.kernels.record_gpu_launch(desc.name, shape.elems)?;
-                hsim_telemetry::time_stat(hsim_telemetry::TimeStat::LaunchTime, overhead);
-                hsim_telemetry::rank_span(
-                    hsim_telemetry::Category::Launch,
-                    desc.name,
-                    t0,
-                    clock.now(),
-                );
+                if hsim_telemetry::is_enabled() {
+                    hsim_telemetry::time_stat(hsim_telemetry::TimeStat::LaunchTime, overhead);
+                    let cat = hsim_telemetry::Category::Launch;
+                    hsim_telemetry::rank_span(cat, desc.name, t0, clock.now());
+                }
                 return Ok(());
             }
         };
         clock.charge(ChargeKind::Compute, dur);
         self.kernels.record_host(desc.name, shape.elems, dur)?;
-        hsim_telemetry::kernel_launch(dur, None);
-        hsim_telemetry::rank_span(
-            hsim_telemetry::Category::CpuKernel,
-            desc.name,
-            t0,
-            clock.now(),
-        );
+        // Telemetry is asked once per launch; a run without a collector
+        // pays that one question.
+        if hsim_telemetry::is_enabled() {
+            hsim_telemetry::kernel_launch(dur, None);
+            let cat = hsim_telemetry::Category::CpuKernel;
+            hsim_telemetry::rank_span(cat, desc.name, t0, clock.now());
+        }
         Ok(())
     }
 

@@ -14,7 +14,7 @@
 use std::sync::{Arc, Mutex};
 
 use hsim_gpu::{Device, DeviceSpec, Executed, GpuError, KernelDesc, KernelShape};
-use hsim_telemetry::KernelTable;
+use hsim_telemetry::{KernelSums, KernelTable};
 use hsim_time::sync::lock;
 use hsim_time::task::{self, Waiting};
 use hsim_time::{advanced, Overflow, SimDuration, SimTime};
@@ -40,17 +40,20 @@ struct Inner {
     /// kernel table and span attribution independent of which client
     /// happened to lead the sync.
     resolved_kernels: Vec<Vec<Executed>>,
+    /// A drain's per-kernel totals, kept for the next drain.
+    totals: Vec<(&'static str, KernelSums)>,
 }
 
 impl Inner {
     /// Run the device over every launch of the epoch its last client
     /// has just joined, and open the next epoch.
     fn resolve_epoch(&mut self) {
-        for ran in self.device.run_pending() {
+        let (stream_end, resolved) = (&mut self.stream_end, &mut self.resolved_kernels);
+        self.device.run_pending(|ran| {
             let stream = ran.stream as usize;
-            self.stream_end[stream] = self.stream_end[stream].merge(ran.end);
-            self.resolved_kernels[stream].push(ran);
-        }
+            stream_end[stream] = stream_end[stream].merge(ran.end);
+            resolved[stream].push(ran);
+        });
         self.syncers = 0;
         self.epoch += 1;
     }
@@ -161,6 +164,7 @@ impl SharedDevice {
                 guarded: vec![false; clients],
                 stream_end: vec![SimTime::ZERO; clients],
                 resolved_kernels: vec![Vec::new(); clients],
+                totals: Vec::new(),
             }),
             spec,
             id,
@@ -286,37 +290,55 @@ impl GpuClient {
     /// cannot resolve, matching a real stream-sync against peers that
     /// never launch: the rank driver reports the world deadlocked.
     pub async fn sync(&self, at: SimTime, kernels: &mut KernelTable) -> Result<SimTime, Overflow> {
-        let unresolved = {
+        let my_epoch = {
             let mut inner = lock(&self.dev.inner);
             inner.syncers += 1;
             if inner.syncers == inner.clients {
                 inner.resolve_epoch();
-                None
-            } else {
-                Some(inner.epoch)
+                return self.drain(&mut inner, at, kernels);
             }
+            inner.epoch
         };
-        if let Some(my_epoch) = unresolved {
-            // The device-epoch wait: the rank parks until the last
-            // client of the epoch has been resumed (or has left).
-            let dev = &*self.dev;
-            let what = Waiting::DeviceSync {
-                device: dev.id,
-                epoch: my_epoch,
-            };
-            task::park(what, || (lock(&dev.inner).epoch != my_epoch).then_some(())).await;
+        // The device-epoch wait: the rank parks until the last client
+        // of the epoch has been resumed (or has left).
+        let dev = &*self.dev;
+        let what = Waiting::DeviceSync {
+            device: dev.id,
+            epoch: my_epoch,
+        };
+        task::park(what, || (lock(&dev.inner).epoch != my_epoch).then_some(())).await;
+        self.drain(&mut lock(&self.dev.inner), at, kernels)
+    }
+
+    /// Drain this stream's resolved kernels into the kernel table, each
+    /// kernel's epoch totals added once, and into the calling thread's
+    /// collector, each launch a device-timeline span: a device kernel
+    /// is timed here, not at launch. Returns the stream's end, or `at`
+    /// if that is later.
+    fn drain(
+        &self,
+        inner: &mut Inner,
+        at: SimTime,
+        kernels: &mut KernelTable,
+    ) -> Result<SimTime, Overflow> {
+        let traced = hsim_telemetry::is_enabled();
+        if traced {
+            hsim_telemetry::count(hsim_telemetry::Counter::DeviceSyncs, 1);
         }
-        let mut inner = lock(&self.dev.inner);
-        // Drain this stream's resolved kernels into the kernel table
-        // and the calling thread's collector (device-timeline spans):
-        // a device kernel is timed here, not at launch.
-        hsim_telemetry::count(hsim_telemetry::Counter::DeviceSyncs, 1);
         let pid = hsim_telemetry::DEVICE_PID_BASE + self.dev.id as u32;
         let tid = self.stream as u32;
-        let traced = hsim_telemetry::is_enabled();
-        for k in inner.resolved_kernels[self.stream].drain(..) {
+        let (resolved, totals) = (&mut inner.resolved_kernels[self.stream], &mut inner.totals);
+        totals.clear();
+        for k in resolved.drain(..) {
             let dur = k.end - k.start;
-            kernels.record_gpu_run(k.kernel, dur, k.occupancy)?;
+            let run = KernelSums::gpu_run(dur, k.occupancy);
+            match totals
+                .iter_mut()
+                .find(|(name, _)| std::ptr::eq(*name, k.kernel))
+            {
+                Some((_, sums)) => *sums = sums.checked_add(run).ok_or(Overflow)?,
+                None => totals.push((k.kernel, run)),
+            }
             if traced {
                 hsim_telemetry::span_args(
                     pid,
@@ -329,6 +351,9 @@ impl GpuClient {
                 );
                 hsim_telemetry::kernel_launch(dur, Some(k.occupancy));
             }
+        }
+        for &(name, sums) in totals.iter() {
+            kernels.add(name, sums)?;
         }
         Ok(inner.stream_end[self.stream].merge(at))
     }

@@ -33,7 +33,19 @@ pub struct KernelSums {
 }
 
 impl KernelSums {
-    fn checked_add(self, other: KernelSums) -> Option<KernelSums> {
+    /// A device launch's run, resolved at a sync: its virtual duration
+    /// and the share of the device rate it ran at.
+    pub fn gpu_run(dur: SimDuration, occupancy: f64) -> KernelSums {
+        KernelSums {
+            total_ns: dur.as_nanos(),
+            // At most 1.0, so the truncated fixed point fits a `u64`.
+            occupancy: u128::from((occupancy * OCCUPANCY_ONE as f64) as u64),
+            ..KernelSums::default()
+        }
+    }
+
+    /// Both sums added up, or `None` if one of them overflows.
+    pub fn checked_add(self, other: KernelSums) -> Option<KernelSums> {
         Some(KernelSums {
             launches: self.launches.checked_add(other.launches)?,
             gpu_launches: self.gpu_launches.checked_add(other.gpu_launches)?,
@@ -72,36 +84,86 @@ fn ratio(sum: f64, launches: u64) -> f64 {
     }
 }
 
+/// Slots of a [`KernelTable`]'s row index: twice the kernels a run
+/// names, so that probes stay short.
+const SLOTS: usize = 32;
+
 /// One [`KernelSums`] per kernel name, in name order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct KernelTable {
     /// Sorted by name, each name once.
     rows: Vec<(&'static str, KernelSums)>,
+    /// An open-addressed index from a hash of each name to its row.
+    /// An entry is checked against the row before it is used, so one
+    /// that a later insertion has shifted only costs a search; hash 0
+    /// marks a free slot.
+    index: [(u64, usize); SLOTS],
 }
+
+/// Two tables are equal when their rows are: the index is a cache.
+impl PartialEq for KernelTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+    }
+}
+
+impl Eq for KernelTable {}
 
 impl KernelTable {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Where the row of `name` is, or would be inserted.
-    fn find(&self, name: &str) -> Result<usize, usize> {
-        // A name is a kernel descriptor's `&'static str`, and a launch
-        // and its sync pass the same one: match the address first, the
-        // text only for a name not seen at that address.
-        let same = |(row, _): &(&'static str, KernelSums)| std::ptr::eq(*row, name);
-        match self.rows.iter().position(same) {
-            Some(at) => Ok(at),
-            None => self.rows.binary_search_by(|(row, _)| (*row).cmp(name)),
-        }
+    /// Where the row of `name` is, or would be inserted, by search.
+    fn search(&self, name: &str) -> Result<usize, usize> {
+        self.rows.binary_search_by(|(row, _)| (*row).cmp(name))
     }
 
-    /// Add `sums` to the row of `name`.
-    fn add(&mut self, name: &'static str, sums: KernelSums) -> Result<(), Overflow> {
-        let at = self.find(name).unwrap_or_else(|at| {
+    /// The row of `name`, found through the index (and recorded there),
+    /// inserted if it is new.
+    fn row(&mut self, name: &'static str) -> usize {
+        // A hash of the text's length and its first, middle and last
+        // bytes, never 0.
+        let text = name.as_bytes();
+        let byte = |at: usize| u64::from(text.get(at).copied().unwrap_or(0));
+        let len = text.len();
+        let mixed =
+            len as u64 | byte(0) << 16 | byte(len / 2) << 24 | byte(len.wrapping_sub(1)) << 32;
+        let key = mixed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut slot = (key >> 32) as usize % SLOTS;
+        for _ in 0..SLOTS {
+            let (hash, at) = self.index[slot];
+            if hash == key {
+                // A kernel descriptor's `&'static str`, which every
+                // launch of the kernel passes: the address matches,
+                // unless another crate placed the text elsewhere.
+                let same = |(row, _): &(&str, _)| std::ptr::eq(*row, name) || *row == name;
+                if self.rows.get(at).is_some_and(same) {
+                    return at;
+                }
+                break;
+            }
+            if hash == 0 {
+                break;
+            }
+            slot = (slot + 1) % SLOTS;
+        }
+        // A name not indexed, an index full of other names, a shifted
+        // row, or two names of one hash.
+        let at = self.search(name).unwrap_or_else(|at| {
             self.rows.insert(at, (name, KernelSums::default()));
             at
         });
+        if matches!(self.index[slot].0, 0) || self.index[slot].0 == key {
+            self.index[slot] = (key, at);
+        }
+        at
+    }
+
+    /// Add `sums` to the row of `name`: what one or more of its
+    /// launches did.
+    pub fn add(&mut self, name: &'static str, sums: KernelSums) -> Result<(), Overflow> {
+        let at = self.row(name);
         let row = &mut self.rows[at].1;
         *row = row.checked_add(sums).ok_or(Overflow)?;
         Ok(())
@@ -143,18 +205,12 @@ impl KernelTable {
         dur: SimDuration,
         occupancy: f64,
     ) -> Result<(), Overflow> {
-        let sums = KernelSums {
-            total_ns: dur.as_nanos(),
-            // At most 1.0, so the truncated fixed point fits a `u64`.
-            occupancy: u128::from((occupancy * OCCUPANCY_ONE as f64) as u64),
-            ..KernelSums::default()
-        };
-        self.add(name, sums)
+        self.add(name, KernelSums::gpu_run(dur, occupancy))
     }
 
     /// The row of `name`.
     pub fn get(&self, name: &str) -> Option<&KernelSums> {
-        self.find(name).ok().map(|at| &self.rows[at].1)
+        self.search(name).ok().map(|at| &self.rows[at].1)
     }
 
     /// Total launches across kernels.
@@ -187,6 +243,7 @@ impl KernelTable {
         });
         KernelTable {
             rows: rows.collect(),
+            ..KernelTable::default()
         }
     }
 
@@ -307,6 +364,31 @@ mod tests {
             merged.merge(&merged.clone()).unwrap();
         }
         assert_eq!(merged.merge(&merged.clone()), Err(Overflow));
+    }
+
+    #[test]
+    fn the_row_index_is_only_a_cache() {
+        // More names than the index has slots, inserted out of order so
+        // that rows shift under recorded entries, and one name's text at
+        // a second address: every launch still lands on its name's row.
+        let names: Vec<&'static str> = (0..2 * SLOTS)
+            .map(|i| &*Box::leak(format!("k{:02}", (i * 7) % (2 * SLOTS)).into_boxed_str()))
+            .collect();
+        let mut t = KernelTable::new();
+        for round in 0..3 {
+            for (i, &name) in names.iter().enumerate() {
+                t.record_host(name, i as u64, ns(1)).unwrap();
+            }
+            let again: &'static str = Box::leak(names[5].to_string().into_boxed_str());
+            t.record_host(again, 0, ns(1)).unwrap();
+            assert_eq!(t.get(names[5]).unwrap().launches, 2 * (round + 1));
+        }
+        assert_eq!(t.total_launches(), 3 * (2 * SLOTS as u64 + 1));
+        for (i, &name) in names.iter().enumerate() {
+            assert_eq!(t.get(name).unwrap().elems, 3 * i as u64, "{name}");
+        }
+        let json = t.to_json();
+        assert!(json.find("\"k00\"").unwrap() < json.find("\"k01\"").unwrap());
     }
 
     #[test]

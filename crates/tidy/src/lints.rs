@@ -119,8 +119,8 @@ fn unordered_iter(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 }
 
 /// Lint: telemetry naming. Counter/gauge/time-stat labels must be
-/// snake_case with `Host*`/`Fault*`/`Serve*`/`Balance*` variants
-/// mapped to `host_*` / `fault_*` / `serve_*` / `balance_*` labels;
+/// snake_case with `Fault*`/`Balance*` variants mapped to `fault_*` /
+/// `balance_*` labels;
 /// span names passed to `rank_span` must be snake_case, with
 /// `fault…`/`host…`/`serve…`/`balance…` names carrying the
 /// underscore.
@@ -160,12 +160,7 @@ fn telemetry_naming(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                     format!("label \"{}\" is not snake_case", label.text),
                 ));
             }
-            for (vprefix, lprefix) in [
-                ("Host", "host_"),
-                ("Fault", "fault_"),
-                ("Serve", "serve_"),
-                ("Balance", "balance_"),
-            ] {
+            for (vprefix, lprefix) in [("Fault", "fault_"), ("Balance", "balance_")] {
                 if variant.text.starts_with(vprefix) && !label.text.starts_with(lprefix) {
                     out.push(finding(
                         ctx,

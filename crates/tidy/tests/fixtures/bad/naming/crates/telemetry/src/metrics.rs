@@ -1,7 +1,6 @@
 pub enum Counter {
     FaultsInjected,
     KernelLaunches,
-    ServeHits,
     BalanceResplits,
 }
 
@@ -10,7 +9,6 @@ impl Counter {
         match self {
             Counter::FaultsInjected => "faults",
             Counter::KernelLaunches => "KernelLaunches",
-            Counter::ServeHits => "hits",
             Counter::BalanceResplits => "resplits",
         }
     }

@@ -1,8 +1,6 @@
 pub enum Counter {
     FaultsInjected,
     KernelLaunches,
-    ServeHits,
-    ServeQueueDepth,
     BalanceResplits,
 }
 
@@ -11,8 +9,6 @@ impl Counter {
         match self {
             Counter::FaultsInjected => "fault_injected",
             Counter::KernelLaunches => "kernel_launches",
-            Counter::ServeHits => "serve_hits",
-            Counter::ServeQueueDepth => "serve_queue_depth",
             Counter::BalanceResplits => "balance_resplits",
         }
     }

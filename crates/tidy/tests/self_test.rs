@@ -47,14 +47,13 @@ fn telemetry_naming_fixture_is_flagged() {
     expect(
         "bad/naming",
         &[
+            ("telemetry-naming", "crates/telemetry/src/metrics.rs", 10),
             ("telemetry-naming", "crates/telemetry/src/metrics.rs", 11),
             ("telemetry-naming", "crates/telemetry/src/metrics.rs", 12),
-            ("telemetry-naming", "crates/telemetry/src/metrics.rs", 13),
-            ("telemetry-naming", "crates/telemetry/src/metrics.rs", 14),
+            ("telemetry-naming", "crates/telemetry/src/metrics.rs", 20),
+            ("telemetry-naming", "crates/telemetry/src/metrics.rs", 21),
             ("telemetry-naming", "crates/telemetry/src/metrics.rs", 22),
             ("telemetry-naming", "crates/telemetry/src/metrics.rs", 23),
-            ("telemetry-naming", "crates/telemetry/src/metrics.rs", 24),
-            ("telemetry-naming", "crates/telemetry/src/metrics.rs", 25),
         ],
     );
 }

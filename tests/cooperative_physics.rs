@@ -58,13 +58,7 @@ fn mode_density(mode: ExecMode) -> Vec<f64> {
         sedov::init(&mut st, &SedovConfig::default());
         let mut exec = Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), Fidelity::Full);
         let mut clock = RankClock::new(rank);
-        let mut coupler = MpiCoupler {
-            comm,
-            plan,
-            decomp,
-            gpu_spec: None,
-            gpu_direct: false,
-        };
+        let mut coupler = MpiCoupler::new(comm, plan, decomp, None, false);
         for _ in 0..CYCLES {
             step(&mut st, &mut exec, &mut clock, &mut coupler, 0.3, 1.0).expect("cycle");
         }

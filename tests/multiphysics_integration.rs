@@ -56,13 +56,7 @@ fn multiphysics_multirank_matches_solo_bitwise() {
         sedov::init(&mut st, &SedovConfig::default());
         let mut exec = Executor::new(Target::CpuSeq, CpuModel::haswell_fixed(), Fidelity::Full);
         let mut clock = RankClock::new(rank);
-        let mut coupler = MpiCoupler {
-            comm,
-            plan,
-            decomp,
-            gpu_spec: None,
-            gpu_direct: false,
-        };
+        let mut coupler = MpiCoupler::new(comm, plan, decomp, None, false);
         let diff = DiffusionConfig { kappa: KAPPA };
         for _ in 0..CYCLES {
             let stats = step(&mut st, &mut exec, &mut clock, &mut coupler, 0.3, 1.0).unwrap();
