@@ -848,6 +848,10 @@ fn run_segment(
     if let Some(root) = root {
         return Err(root.clone());
     }
+    // Every launch a segment gave a device ran.
+    for device in &ranks.devices {
+        device.stranded().map_err(|e| e.to_string())?;
+    }
     let mut outs = Vec::with_capacity(outputs.len());
     outs.extend(outputs.into_iter().flatten());
     Ok((outs, ranks.devices.iter().map(|d| d.busy()).collect()))
@@ -1052,6 +1056,12 @@ async fn run_rank(ranks: &Ranks<'_>, comm: &mut Comm) -> Result<RankOut, Failed>
             // The injector reads the last cycle gone through.
             hsim_faults::set_cycle(cycle - 1);
         }
+    }
+    // The particle advect is launched after the cycle's last sync: the
+    // segment's last one runs at a sync of its own before the rank
+    // leaves its device.
+    if (me.gpu.as_ref()).is_some_and(|(client, ..)| client.stream_mark().queued > 0) {
+        me.exec.sync(&mut me.clock).await?;
     }
     Ok(me.report(stepped))
 }
@@ -1663,6 +1673,32 @@ mod tests {
             with.runtime,
             bare.runtime
         );
+    }
+
+    #[test]
+    fn every_particle_advect_a_gpu_rank_launches_runs() {
+        // The advect follows each cycle's last sync: each GPU rank of
+        // each segment syncs once more, so its last advect runs before
+        // the rank leaves the device (unsynced it is a stranded-launch
+        // error). Three syncs a cycle, plus one a segment.
+        use hsim_telemetry::Counter;
+        for mode in [ExecMode::Default, ExecMode::mps4(), ExecMode::hetero()] {
+            let mut cfg = sweep_cfg((32, 48, 32), mode);
+            cfg.cycles = 4;
+            cfg.telemetry = true;
+            let synced = |cfg: &RunConfig| {
+                let r = run(cfg).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+                let summary = r.telemetry.expect("telemetry on");
+                summary.metrics.counter(Counter::DeviceSyncs)
+            };
+            let gpu_ranks = match mode {
+                ExecMode::Mps { per_gpu } => 4 * per_gpu as u64,
+                _ => 4,
+            };
+            assert_eq!(synced(&cfg), gpu_ranks * 3 * 4, "{mode:?} without particles");
+            cfg.particles = Some(ParticlesConfig::default());
+            assert_eq!(synced(&cfg), gpu_ranks * (3 * 4 + 1), "{mode:?}");
+        }
     }
 
     #[test]

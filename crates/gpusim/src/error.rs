@@ -15,6 +15,9 @@ pub enum GpuError {
     LaunchFailed { reason: &'static str },
     /// A kernel's sums no longer fit their integers.
     Overflow(Overflow),
+    /// Launches were still queued on a device when its last client
+    /// left: no sync resolved them, so they never ran.
+    Stranded { device: usize, launches: usize },
 }
 
 impl From<Overflow> for GpuError {
@@ -30,6 +33,10 @@ impl fmt::Display for GpuError {
             GpuError::MpsRejected { reason } => write!(f, "MPS rejected client: {reason}"),
             GpuError::LaunchFailed { reason } => write!(f, "kernel launch failed: {reason}"),
             GpuError::Overflow(e) => e.fmt(f),
+            GpuError::Stranded { device, launches } => write!(
+                f,
+                "device {device}: {launches} launch(es) queued after the last sync never ran"
+            ),
         }
     }
 }

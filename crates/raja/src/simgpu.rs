@@ -226,6 +226,20 @@ impl SharedDevice {
         device.advance(period.busy, period.launches, times)
     }
 
+    /// Once every client has left, whether the device ran every launch
+    /// it was given: one still queued was placed after its client's
+    /// last sync, which is [`GpuError::Stranded`].
+    pub fn stranded(&self) -> Result<(), GpuError> {
+        let inner = lock(&self.inner);
+        match inner.device.pending().len() {
+            launches if launches > 0 && inner.clients == 0 => Err(GpuError::Stranded {
+                device: self.id,
+                launches,
+            }),
+            _ => Ok(()),
+        }
+    }
+
     /// Allocate a unified-memory region of `bytes` and fault it onto
     /// the device (ARES mesh data, Figure 8). Returns the migration
     /// charge the caller must add to its clock.
@@ -499,6 +513,33 @@ mod tests {
         // The last client alone is a whole epoch.
         block_on(sync(&clients[1], SimTime::ZERO));
         assert_eq!(dev.epoch(), 2);
+    }
+
+    #[test]
+    fn a_launch_its_client_never_synced_is_stranded() {
+        let launch = |c: &GpuClient| {
+            c.launch(&desc(), KernelShape::new(1_000_000, 40), SimTime::ZERO);
+        };
+        // Launched, synced, left: every launch ran.
+        let (dev, clients) = mps(2);
+        let guards: Vec<Departure> = clients.iter().map(|c| c.departure().unwrap()).collect();
+        synced(2, &clients, launch, SimTime::ZERO);
+        drop(guards);
+        assert_eq!(dev.stranded(), Ok(()));
+        // A launch after the last sync: queued while a client stays,
+        // stranded once the last one has left.
+        let (dev, clients) = mps(2);
+        let mut guards: Vec<Departure> = clients.iter().map(|c| c.departure().unwrap()).collect();
+        launch(&clients[0]);
+        launch(&clients[1]);
+        drop(guards.pop());
+        assert_eq!(dev.stranded(), Ok(()), "client 0 may still sync");
+        drop(guards.pop());
+        let stranded = GpuError::Stranded {
+            device: 0,
+            launches: 2,
+        };
+        assert_eq!(dev.stranded(), Err(stranded));
     }
 
     #[test]
