@@ -978,12 +978,14 @@ struct RankLocals {
 impl RankLocals {
     /// Trade places with whatever the calling thread has installed.
     fn swap(&mut self) {
-        // Two absent collectors trade nothing: a run without telemetry
-        // does not move one in and out on every poll.
+        // Two absent collectors or injectors trade nothing: a run
+        // without telemetry or faults moves neither on every poll.
         if self.collector.is_some() || hsim_telemetry::is_enabled() {
             self.collector = hsim_telemetry::swap(self.collector.take());
         }
-        self.injector = hsim_faults::swap(self.injector.take());
+        if self.injector.is_some() || hsim_faults::armed() {
+            self.injector = hsim_faults::swap(self.injector.take());
+        }
     }
 }
 
@@ -1105,9 +1107,12 @@ async fn set_up<'a>(ranks: &'a Ranks<'a>, comm: &'a mut Comm) -> Result<Rank<'a>
         hsim_telemetry::install(Collector::new(rank));
     }
     // Arm the injector under this rank's *original* id, so the plan
-    // keeps naming the same rank across the foldback.
-    hsim_faults::install(orig, Arc::clone(seg.fault_plan));
-    hsim_faults::set_cycle(seg.first_cycle);
+    // keeps naming the same rank across the foldback. An empty plan
+    // fires nothing: it arms none.
+    if !seg.fault_plan.events.is_empty() {
+        hsim_faults::install(orig, Arc::clone(seg.fault_plan));
+        hsim_faults::set_cycle(seg.first_cycle);
+    }
 
     // The Figure 8 memory scheme. A GPU-driving rank keeps its control
     // data in host memory, its mesh in unified memory (paying the
@@ -1695,7 +1700,11 @@ mod tests {
                 ExecMode::Mps { per_gpu } => 4 * per_gpu as u64,
                 _ => 4,
             };
-            assert_eq!(synced(&cfg), gpu_ranks * 3 * 4, "{mode:?} without particles");
+            assert_eq!(
+                synced(&cfg),
+                gpu_ranks * 3 * 4,
+                "{mode:?} without particles"
+            );
             cfg.particles = Some(ParticlesConfig::default());
             assert_eq!(synced(&cfg), gpu_ranks * (3 * 4 + 1), "{mode:?}");
         }

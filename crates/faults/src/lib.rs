@@ -455,6 +455,11 @@ pub fn swap(inj: Option<Injector>) -> Option<Injector> {
     INJECTOR.with(|slot| slot.replace(inj))
 }
 
+/// Whether this thread has an injector armed.
+pub fn armed() -> bool {
+    INJECTOR.with(|slot| slot.borrow().is_some())
+}
+
 /// Advance the injector to `cycle`; events fire only on their cycle.
 pub fn set_cycle(cycle: u64) {
     INJECTOR.with(|inj| {
