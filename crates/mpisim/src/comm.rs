@@ -95,10 +95,13 @@ pub(crate) struct PostOffice {
     inboxes: Vec<Inbox>,
     /// Cleared once, when the rank's `Comm` drops.
     live: Vec<AtomicBool>,
+    /// Whether a receive may sleep in an inbox: only one that blocks
+    /// its rank's own thread does. Driven ranks park instead.
+    blocking: bool,
 }
 
 impl PostOffice {
-    pub(crate) fn new(size: usize) -> Arc<Self> {
+    pub(crate) fn new(size: usize, blocking: bool) -> Arc<Self> {
         let inbox = || Inbox {
             mail: Mutex::new(Mail {
                 from: (0..size).map(|_| VecDeque::new()).collect(),
@@ -109,6 +112,7 @@ impl PostOffice {
         Arc::new(PostOffice {
             inboxes: (0..size).map(|_| inbox()).collect(),
             live: (0..size).map(|_| AtomicBool::new(true)).collect(),
+            blocking,
         })
     }
 
@@ -173,9 +177,14 @@ impl PostOffice {
     }
 
     /// `rank` has ended: what it sent stays deliverable, and every
-    /// receive that waits for more from it is woken to find out.
+    /// receive that waits for more from it is woken to find out — in a
+    /// world whose receives can sleep; a parked rank finds out when it
+    /// is next resumed.
     fn leave(&self, rank: usize) {
         self.live[rank].store(false, Ordering::Release);
+        if !self.blocking {
+            return;
+        }
         for inbox in &self.inboxes {
             if lock(&inbox.mail).sleeping {
                 inbox.arrived.notify_one();

@@ -43,7 +43,7 @@ impl World {
     {
         let body = &f;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = endpoints(size, cost)
+            let handles: Vec<_> = endpoints(size, cost, true)
                 .into_iter()
                 .map(|mut comm| scope.spawn(move || body(&mut comm)))
                 .collect();
@@ -79,15 +79,17 @@ impl World {
         F: Fn(Comm) -> Fut,
         Fut: Future<Output = Result<R, String>> + Send,
     {
-        let ranks = endpoints(size, cost).into_iter().map(f).collect();
+        let ranks = endpoints(size, cost, false).into_iter().map(f).collect();
         drive_ranks(workers.clamp(1, size), ranks)
     }
 }
 
-/// Build each rank's endpoint over one shared post office.
-fn endpoints(size: usize, cost: CommCost) -> Vec<Comm> {
+/// Build each rank's endpoint over one shared post office, whose
+/// receives may sleep when each rank is a thread of its own
+/// (`blocking`).
+fn endpoints(size: usize, cost: CommCost, blocking: bool) -> Vec<Comm> {
     assert!(size > 0, "world needs at least one rank");
-    let post = PostOffice::new(size);
+    let post = PostOffice::new(size, blocking);
     (0..size)
         .map(|rank| Comm::new(rank, cost.clone(), std::sync::Arc::clone(&post)))
         .collect()
