@@ -187,7 +187,7 @@ impl KernelTable {
     }
 
     /// One launch onto a device, counted when it is queued; its time
-    /// comes with [`KernelTable::record_gpu_run`].
+    /// is added at the sync that resolves it ([`KernelSums::gpu_run`]).
     pub fn record_gpu_launch(&mut self, name: &'static str, elems: u64) -> Result<(), Overflow> {
         let sums = KernelSums {
             launches: 1,
@@ -196,16 +196,6 @@ impl KernelTable {
             ..KernelSums::default()
         };
         self.add(name, sums)
-    }
-
-    /// A device launch's run, resolved at a sync.
-    pub fn record_gpu_run(
-        &mut self,
-        name: &'static str,
-        dur: SimDuration,
-        occupancy: f64,
-    ) -> Result<(), Overflow> {
-        self.add(name, KernelSums::gpu_run(dur, occupancy))
     }
 
     /// The row of `name`.
@@ -304,7 +294,7 @@ mod tests {
         t.record_host("eos", 100, ns(500)).unwrap();
         t.record_gpu_launch("eos", 100).unwrap();
         t.record_host("force", 50, ns(100)).unwrap();
-        t.record_gpu_run("eos", ns(700), 0.5).unwrap();
+        t.add("eos", KernelSums::gpu_run(ns(700), 0.5)).unwrap();
         assert_eq!(t.total_launches(), 3);
         let eos = t.get("eos").unwrap();
         assert_eq!((eos.launches, eos.gpu_launches, eos.elems), (2, 1, 200));
@@ -335,8 +325,8 @@ mod tests {
             t.record_host("eos", 100, ns(40)).unwrap();
             t.record_gpu_launch("flux", 50).unwrap();
             t.record_gpu_launch("flux", 50).unwrap();
-            t.record_gpu_run("flux", ns(9), 0.3).unwrap();
-            t.record_gpu_run("flux", ns(11), 0.7).unwrap();
+            t.add("flux", KernelSums::gpu_run(ns(9), 0.3)).unwrap();
+            t.add("flux", KernelSums::gpu_run(ns(11), 0.7)).unwrap();
         };
         cycle(&mut t);
         let period = t.since(&before);
@@ -352,10 +342,14 @@ mod tests {
         // is an error, not a saturated sum.
         assert_eq!(t.advance(&period, u64::MAX / 2), Err(Overflow));
         let mut long = KernelTable::new();
-        long.record_gpu_run("k", ns(u64::MAX), 0.0).unwrap();
-        assert_eq!(long.record_gpu_run("k", ns(1), 0.0), Err(Overflow));
+        long.add("k", KernelSums::gpu_run(ns(u64::MAX), 0.0))
+            .unwrap();
+        assert_eq!(
+            long.add("k", KernelSums::gpu_run(ns(1), 0.0)),
+            Err(Overflow)
+        );
         let mut busy = KernelTable::new();
-        busy.record_gpu_run("k", ns(0), 1.0).unwrap();
+        busy.add("k", KernelSums::gpu_run(ns(0), 1.0)).unwrap();
         assert_eq!(busy.advance(&busy.clone(), u64::MAX), Ok(()));
         let full = busy.get("k").unwrap().occupancy;
         assert_eq!(full, OCCUPANCY_ONE << 64);
@@ -397,7 +391,7 @@ mod tests {
         let mut b = KernelTable::new();
         a.record_host("flux_x", 100, ns(500)).unwrap();
         b.record_gpu_launch("flux_x", 100).unwrap();
-        b.record_gpu_run("flux_x", ns(700), 0.9).unwrap();
+        b.add("flux_x", KernelSums::gpu_run(ns(700), 0.9)).unwrap();
         b.record_host("eos", 50, ns(100)).unwrap();
         a.merge(&b).unwrap();
         let p = a.get("flux_x").unwrap();
