@@ -143,7 +143,7 @@ impl<'a> MpiCoupler<'a> {
         let faces = plan.exchanges_for_indexed(rank).map(|(idx, ex)| {
             let peer = if ex.a == rank { ex.b } else { ex.a };
             let bytes = ex.bytes(ghost);
-            if decomp.owners[peer].is_gpu() {
+            if decomp.owners[peer].is_gpu_driver() {
                 gpu_peer_bytes += bytes * NCONS as u64;
             } else {
                 other_bytes += bytes * NCONS as u64;
@@ -395,7 +395,7 @@ impl Coupler for MpiCoupler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsim_mesh::decomp::block::block_decomp;
+    use hsim_mesh::decomp::block_decomp;
     use hsim_mesh::GlobalGrid;
     use hsim_mpi::{CommCost, World};
     use hsim_raja::{CpuModel, Executor, Target};

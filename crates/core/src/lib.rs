@@ -11,17 +11,17 @@
 //!   4 K80s, the paper's testbed) and a Sierra-EA preset.
 //! * [`mode`] — the four ways to use the node (paper Figures 1–4):
 //!   CPU-only, Default (1 MPI/GPU), MPS (n MPI/GPU), Heterogeneous.
-//! * [`binding`] — rank → core/GPU bindings and roles (GPU driver vs
-//!   CPU worker); "the CPU core/GPU binding needs to be carefully set
-//!   up to avoid performance degradation" (§5).
 //! * [`balance`] — the §6.2 load balancer: FLOPS-based initial split,
 //!   measured per-role times, granularity-constrained adjustment
 //!   between iterations.
 //! * [`coupler`] — halo exchange + reductions over simulated MPI, with
 //!   host-staging charges for GPU ranks (and a GPU-direct toggle,
 //!   §5.3's future work).
-//! * [`runner`] — the cooperative runner: decompose per mode, bind,
-//!   spawn ranks, run hydro cycles, apply the host-bandwidth model,
+//! * [`runner`] — the cooperative runner: decompose per mode (one
+//!   nested partition, whose owners are the rank table: rank `r` runs
+//!   on core `r` and drives the GPU its piece names, if any — "the CPU
+//!   core/GPU binding needs to be carefully set up to avoid
+//!   performance degradation", §5), spawn ranks, run hydro cycles, apply the host-bandwidth model,
 //!   report per-rank time breakdowns. Rank set-up applies the Figure 8
 //!   memory scheme and charges a GPU rank its mesh's unified-memory
 //!   fault-in. One loop over *segments*
@@ -52,7 +52,6 @@
 //!   a [`runner::RunConfig`], the exact cache key for served results.
 
 pub mod balance;
-pub mod binding;
 pub mod calib;
 pub mod confhash;
 pub mod coupler;
@@ -70,7 +69,6 @@ pub mod spec;
 pub use hsim_faults as faults;
 
 pub use balance::{LoadBalancer, RebalanceConfig, Rebalancer};
-pub use binding::{build_bindings, RankRole};
 pub use figures::{FigureSpec, SweepPoint};
 pub use mode::ExecMode;
 pub use node::NodeConfig;

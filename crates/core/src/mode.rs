@@ -1,7 +1,5 @@
 //! Execution modes (paper Figures 1–4 and §2).
 
-use crate::node::NodeConfig;
-
 /// The four ways to use a heterogeneous node.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecMode {
@@ -27,16 +25,6 @@ impl ExecMode {
     /// Heterogeneous with the balancer's initial guess.
     pub fn hetero() -> Self {
         ExecMode::Heterogeneous { cpu_fraction: None }
-    }
-
-    /// Total MPI ranks this mode launches on `node`.
-    pub fn total_ranks(&self, node: &NodeConfig) -> usize {
-        match self {
-            ExecMode::CpuOnly => node.cores,
-            ExecMode::Default => node.gpus,
-            ExecMode::Mps { per_gpu } => node.gpus * per_gpu,
-            ExecMode::Heterogeneous { .. } => node.gpus + node.worker_cores(),
-        }
     }
 
     /// Figure-legend label.
@@ -75,17 +63,6 @@ impl ExecMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rank_counts_on_rzhasgpu_match_the_paper() {
-        let node = NodeConfig::rzhasgpu();
-        assert_eq!(ExecMode::CpuOnly.total_ranks(&node), 16);
-        assert_eq!(ExecMode::Default.total_ranks(&node), 4);
-        assert_eq!(ExecMode::mps4().total_ranks(&node), 16);
-        // "our heterogeneous approach … uses 4 MPI processes to drive
-        // the GPU[s], and the remaining 12 cores" → 16 ranks.
-        assert_eq!(ExecMode::hetero().total_ranks(&node), 16);
-    }
 
     #[test]
     fn labels_match_figure_legends() {

@@ -1,15 +1,16 @@
 //! Run results and CSV reporting.
 
+use hsim_mesh::OwnerKind;
 use hsim_telemetry::{gantt::render_gantt, SpanEvent};
 use hsim_time::SimDuration;
-
-use crate::binding::RankRole;
 
 /// One rank's virtual-time accounting for a run.
 #[derive(Debug, Clone)]
 pub struct RankReport {
     pub rank: usize,
-    pub role: RankRole,
+    /// What the rank computes on: its piece's owner in the run's
+    /// partition.
+    pub role: OwnerKind,
     pub zones: u64,
     /// One-time setup cost (memory scheme fault-in etc.), excluded
     /// from `total`.
@@ -248,8 +249,8 @@ impl RunResult {
         out.push_str("rank  role        zones      total      compute    launch     memory     comm       control    wait\n");
         for r in &self.ranks {
             let role = match r.role {
-                RankRole::GpuDriver { gpu, .. } => format!("gpu{gpu}-drv"),
-                RankRole::CpuWorker { .. } => "cpu-wrk".to_string(),
+                OwnerKind::Gpu(gpu) => format!("gpu{gpu}-drv"),
+                OwnerKind::Cpu => "cpu-wrk".to_string(),
             };
             out.push_str(&format!(
                 "{:>4}  {:<10} {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}\n",
@@ -277,9 +278,9 @@ mod tests {
         RankReport {
             rank,
             role: if gpu {
-                RankRole::GpuDriver { core: rank, gpu: 0 }
+                OwnerKind::Gpu(0)
             } else {
-                RankRole::CpuWorker { core: rank }
+                OwnerKind::Cpu
             },
             zones: 1000,
             setup: SimDuration::ZERO,

@@ -1,8 +1,9 @@
 //! The cooperative runner: the paper's §5 control code.
 //!
-//! For a given [`ExecMode`] the runner decomposes the grid, binds
-//! ranks to cores and GPUs, sets up the Figure 8 memory scheme, spawns
-//! one simulated MPI rank per binding, runs the Sedov hydro for a
+//! For a given [`ExecMode`] the runner partitions the grid — one piece
+//! per rank, rank `r` on core `r`, a GPU-owned piece's rank driving
+//! that GPU — sets up the Figure 8 memory scheme, spawns one simulated
+//! MPI rank per piece, runs the Sedov hydro for a
 //! fixed number of cycles, applies the node-level host-bandwidth
 //! model, and reports per-rank virtual-time breakdowns.
 
@@ -14,9 +15,7 @@ use std::task::{Context, Poll};
 
 use hsim_hydro::diffusion::{self, DiffusionConfig};
 use hsim_hydro::{step_with, HydroState, Reconstruction};
-use hsim_mesh::decomp::block::{block_decomp_yz, try_block_decomp};
-use hsim_mesh::decomp::hierarchical::hierarchical_decomp_yz;
-use hsim_mesh::decomp::weighted::{fold_lost_rank, weighted_hetero_decomp, WeightedConfig};
+use hsim_mesh::decomp::{fold_lost_rank, nested, Blocks, Pieces};
 use hsim_mesh::{Decomposition, GlobalGrid, HaloPlan, OwnerKind, SoaBlock, Subdomain};
 use hsim_mpi::{Comm, World};
 use hsim_particles::{Particle, ParticlesConfig, PhaseState};
@@ -28,7 +27,6 @@ use hsim_time::sync::lock;
 use hsim_time::{Overflow, RankClock, SimDuration, SimTime};
 
 use crate::balance::{LoadBalancer, RebalanceConfig, RebalanceDecision, Rebalancer};
-use crate::binding::{build_bindings, validate_bindings, RankRole};
 use crate::calib;
 use crate::coupler::{lend_clock, MpiCoupler};
 use crate::mode::ExecMode;
@@ -149,6 +147,16 @@ impl RunConfig {
         GlobalGrid::new(self.grid.0, self.grid.1, self.grid.2)
     }
 
+    /// The mode's level-1 split (paper §6.1): CPU-only cuts one block
+    /// per core over x, y and z, the GPU modes one x-pinned block per
+    /// GPU.
+    fn blocks(&self) -> Blocks {
+        match self.mode {
+            ExecMode::CpuOnly => Blocks::cubes(self.node.cores),
+            _ => Blocks::pinned(self.node.gpus),
+        }
+    }
+
     /// Why no run of this configuration can start, checked before any
     /// decomposition is built: a grid with a zero dimension, one whose
     /// zone count does not fit in `u64`, one the mode's top-level split
@@ -165,17 +173,10 @@ impl RunConfig {
         if zones.and_then(|z| z.checked_mul(nz as u64)).is_none() {
             return Err(format!("grid {nx},{ny},{nz}: the zone count overflows u64"));
         }
-        // Every mode's decomposition starts from one of two top-level
-        // splits: CPU-only cuts its cores' blocks, the others x-pinned
-        // GPU blocks.
-        let grid = self.global_grid();
-        let top = match self.mode {
-            ExecMode::CpuOnly => try_block_decomp(grid, self.node.cores, 1),
-            _ => block_decomp_yz(grid, self.node.gpus, 1),
-        };
+        let top = self.blocks().cut(self.global_grid());
         let top = top.map_err(|e| format!("{}: grid {nx},{ny},{nz}: {e}", self.mode.key()))?;
-        // Every rank's box lies inside one of the top-level boxes.
-        if top.domains.iter().any(|d| mesh_bytes(d.zones()).is_none()) {
+        // Every rank's box lies inside one of the level-1 blocks.
+        if top.iter().any(|d| mesh_bytes(d.zones()).is_none()) {
             return Err(format!(
                 "grid {nx},{ny},{nz}: a rank's mesh bytes overflow u64"
             ));
@@ -200,42 +201,39 @@ impl RunConfig {
     }
 }
 
-/// Build the mode's decomposition (paper §6.1).
+/// Build the mode's decomposition (paper §6.1): its level-1 blocks,
+/// each kept whole (CPU-only, Default), cut into `per_gpu` equal
+/// z-pieces (MPS) or carving a CPU slab of `cpu_fraction` of its
+/// y-extent (Heterogeneous). The partition's owners are the run's rank
+/// table, so no core may host two of its ranks (§5).
 pub fn build_decomposition(cfg: &RunConfig, cpu_fraction: f64) -> Result<Decomposition, String> {
-    let grid = cfg.global_grid();
-    let node = &cfg.node;
-    match cfg.mode {
-        ExecMode::CpuOnly => {
-            let mut d = try_block_decomp(grid, node.cores, 1)?;
-            for o in &mut d.owners {
-                *o = OwnerKind::Cpu;
-            }
-            Ok(d)
-        }
-        ExecMode::Default => block_decomp_yz(grid, node.gpus, 1),
-        ExecMode::Mps { per_gpu } => hierarchical_decomp_yz(grid, node.gpus, per_gpu, 2, 1),
-        ExecMode::Heterogeneous { .. } => {
-            let wc = WeightedConfig {
-                n_gpus: node.gpus,
-                cpu_per_gpu: node.workers_per_gpu(),
-                cpu_fraction,
-                carve_axis: 1,
-                ghost: 1,
-                pin_x: true,
-            };
-            weighted_hetero_decomp(grid, &wc)
-        }
+    let pieces = match cfg.mode {
+        ExecMode::CpuOnly => Pieces::Cpu,
+        ExecMode::Default => Pieces::Gpu(1),
+        ExecMode::Mps { per_gpu } => Pieces::Gpu(per_gpu),
+        ExecMode::Heterogeneous { .. } => Pieces::Slab {
+            cpus: cfg.node.workers_per_gpu(),
+            fraction: cpu_fraction,
+        },
+    };
+    let d = nested(cfg.global_grid(), cfg.blocks(), pieces)?;
+    if d.len() > cfg.node.cores {
+        return Err(format!(
+            "{} ranks oversubscribe the node's {} cores",
+            d.len(),
+            cfg.node.cores
+        ));
     }
+    Ok(d)
 }
 
 /// The minimum realizable CPU fraction of the heterogeneous
-/// decomposition (one carve-axis plane per CPU rank).
+/// decomposition: one y-plane per CPU rank of block 0, the thickest
+/// (the remainder of every cut goes to the leading pieces).
 pub fn hetero_min_fraction(cfg: &RunConfig) -> Result<f64, String> {
-    let grid = cfg.global_grid();
-    let node = &cfg.node;
-    let top = block_decomp_yz(grid, node.gpus, 1)?;
-    let ext = top.domains[0].extent(1).max(1);
-    Ok(node.workers_per_gpu() as f64 / ext as f64)
+    let blocks = cfg.blocks().cut(cfg.global_grid())?;
+    let ext = blocks[0].extent(1).max(1);
+    Ok(cfg.node.workers_per_gpu() as f64 / ext as f64)
 }
 
 /// Execute one cooperative run.
@@ -351,15 +349,6 @@ pub(crate) fn run_driven(
 
     let mut decomp = build_decomposition(cfg, rb.as_ref().map_or(cpu_fraction, |rb| rb.fraction))?;
     decomp.validate()?;
-    let mut roles = build_bindings(&cfg.mode, &cfg.node);
-    validate_bindings(&roles, &cfg.node)?;
-    if roles.len() != decomp.len() {
-        return Err(format!(
-            "binding count {} != decomposition count {}",
-            roles.len(),
-            decomp.len()
-        ));
-    }
     if let Some(rb) = rb.as_mut() {
         rb.note_realized(decomp.cpu_zone_fraction());
     }
@@ -372,7 +361,7 @@ pub(crate) fn run_driven(
         }
         // Owner layout is invariant across re-splits, so the check
         // against the initial decomposition holds at the loss cycle.
-        if decomp.owners[lost].is_gpu() {
+        if decomp.owners[lost].is_gpu_driver() {
             return Err(format!(
                 "injected loss of rank {lost} is fatal: it drives a GPU and its device \
                  block cannot be folded back onto the remaining ranks"
@@ -425,7 +414,6 @@ pub(crate) fn run_driven(
             cfg,
             fault_plan: &fault_plan,
             decomp: &decomp,
-            roles: &roles,
             orig_ids: &orig_ids,
             first_cycle: first,
             last_cycle: last,
@@ -455,7 +443,6 @@ pub(crate) fn run_driven(
                 let folded = fold_lost_rank(&decomp, lost)?;
                 let survivor = |j: usize| if j < lost { j } else { j + 1 };
                 acc.charge_move(cfg, &decomp, &folded, survivor, "balance_freeze");
-                roles.remove(lost);
                 orig_ids.remove(lost);
                 decomp = folded;
                 acc.count(Counter::FaultsInjected, 1);
@@ -763,7 +750,6 @@ struct Segment<'a> {
     cfg: &'a RunConfig,
     fault_plan: &'a Arc<hsim_faults::FaultPlan>,
     decomp: &'a Decomposition,
-    roles: &'a [RankRole],
     /// Pre-loss rank ids, keying fault-plan lookups and report merges.
     orig_ids: &'a [usize],
     /// Global cycle numbers `[first, last)`.
@@ -835,7 +821,7 @@ fn run_segment(
     let ranks = Ranks::new(seg, states, restore.particles.as_deref())?;
     let outputs = World::run_fallible(
         workers,
-        seg.roles.len(),
+        seg.decomp.len(),
         seg.cfg.node.comm.clone(),
         rank_task(|comm| rank_body(&ranks, comm)),
     );
@@ -895,22 +881,24 @@ impl<'a> Ranks<'a> {
     ) -> Result<Self, String> {
         let (cfg, node) = (seg.cfg, &seg.cfg.node);
         let mut devices: Vec<Arc<SharedDevice>> = Vec::new();
-        let mut gpus: Vec<Option<Gpu>> = (0..seg.roles.len()).map(|_| None).collect();
-        // Rank `g·per_gpu + i` is client `i` of GPU `g`.
-        let sharing = match cfg.mode {
-            ExecMode::CpuOnly => None,
-            ExecMode::Default | ExecMode::Heterogeneous { .. } => Some((1, false)),
-            ExecMode::Mps { per_gpu } => Some((per_gpu, true)),
-        };
-        if let Some((per_gpu, mps)) = sharing {
-            for g in 0..node.gpus {
-                let (shared, clients) = SharedDevice::new(g, node.gpu_spec.clone(), per_gpu, mps)
-                    .map_err(|e| e.to_string())?;
-                for (i, client) in clients.into_iter().enumerate() {
-                    gpus[g * per_gpu + i] = Some((client, Arc::clone(&shared), i == 0));
-                }
-                devices.push(shared);
+        let owners = &seg.decomp.owners;
+        let mut gpus: Vec<Option<Gpu>> = owners.iter().map(|_| None).collect();
+        // The ranks whose pieces GPU `g` owns are its clients, in rank
+        // order; under MPS they share it concurrently.
+        let mps = matches!(cfg.mode, ExecMode::Mps { .. });
+        for g in 0..node.gpus {
+            let ranks: Vec<usize> = (0..owners.len())
+                .filter(|&r| owners[r] == OwnerKind::Gpu(g))
+                .collect();
+            if ranks.is_empty() {
+                continue;
             }
+            let (shared, clients) = SharedDevice::new(g, node.gpu_spec.clone(), ranks.len(), mps)
+                .map_err(|e| e.to_string())?;
+            for (i, (r, client)) in ranks.into_iter().zip(clients).enumerate() {
+                gpus[r] = Some((client, Arc::clone(&shared), i == 0));
+            }
+            devices.push(shared);
         }
         let collect = cfg.telemetry || cfg.trace;
         // Spans are per cycle and particle positions are real even where
@@ -931,7 +919,7 @@ impl<'a> Ranks<'a> {
             // simultaneous served runs are safe.
             host_pool: (cfg.host_threads > 1).then(|| WorkPool::shared(cfg.host_threads - 1)),
             collect,
-            board: priced_only.then(|| PeriodBoard::new(seg.roles.len())),
+            board: priced_only.then(|| PeriodBoard::new(seg.decomp.len())),
         })
     }
 }
@@ -1154,7 +1142,7 @@ async fn set_up<'a>(ranks: &'a Ranks<'a>, comm: &'a mut Comm) -> Result<Rank<'a>
     // host traffic beyond the active cores' capacity costs extra,
     // distributed over ranks in proportion to their zones.
     let total_zones = seg.decomp.grid.zones() as f64;
-    let capacity = seg.roles.len() as f64 * calib::HOST_ZONES_PER_CORE;
+    let capacity = seg.decomp.len() as f64 * calib::HOST_ZONES_PER_CORE;
     let excess = (total_zones - capacity).max(0.0);
     let share = sub.zones() as f64 / total_zones;
     let penalty = SimDuration::from_nanos_f64(excess * calib::HOST_PENALTY_NS_PER_ZONE * share);
@@ -1253,7 +1241,7 @@ impl Rank<'_> {
             let cycle_end = clock.now();
             let busy_end =
                 SimTime::from_nanos(cycle_end.as_nanos().saturating_sub(wait_delta.as_nanos()));
-            let cat = if self.ranks.seg.roles[coupler.comm.rank()].is_gpu_driver() {
+            let cat = if self.ranks.seg.decomp.owners[coupler.comm.rank()].is_gpu_driver() {
                 Category::GpuKernel
             } else {
                 Category::CpuKernel
@@ -1281,7 +1269,7 @@ impl Rank<'_> {
         let rank = self.coupler.comm.rank();
         let report = RankReport {
             rank,
-            role: seg.roles[rank],
+            role: seg.decomp.owners[rank],
             zones: self.state.sub.zones(),
             setup: self.at_t0.now() - SimTime::ZERO,
             total: cycles.now() - SimTime::ZERO,
@@ -1388,7 +1376,8 @@ mod tests {
             let r = run(&cfg).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
             assert!(r.runtime > SimDuration::ZERO, "{mode:?}");
             assert_eq!(r.zones, 64 * 48 * 32);
-            assert_eq!(r.ranks.len(), mode.total_ranks(&cfg.node));
+            let ranks = build_decomposition(&cfg, 0.0).unwrap().len();
+            assert_eq!(r.ranks.len(), ranks);
         }
     }
 
@@ -1510,11 +1499,25 @@ mod tests {
     fn decompositions_match_modes() {
         let node = NodeConfig::rzhasgpu();
         let cfg = sweep_cfg((64, 48, 32), ExecMode::hetero());
+        // "our heterogeneous approach … uses 4 MPI processes to drive
+        // the GPU[s], and the remaining 12 cores" → 16 ranks.
         let d = build_decomposition(&cfg, 0.05).unwrap();
         assert_eq!(d.len(), 16);
+        assert_eq!(d.gpu_ranks(), [0, 1, 2, 3]);
         assert_eq!(d.gpu_ranks().len(), node.gpus);
-        let cfg2 = sweep_cfg((64, 48, 32), ExecMode::Default);
-        assert_eq!(build_decomposition(&cfg2, 0.0).unwrap().len(), 4);
+        let ranks = |mode| build_decomposition(&sweep_cfg((64, 48, 32), mode), 0.0).unwrap();
+        assert_eq!(ranks(ExecMode::Default).len(), 4);
+        assert_eq!(ranks(ExecMode::CpuOnly).cpu_ranks().len(), 16);
+        let mps = ranks(ExecMode::mps4());
+        assert_eq!(mps.len(), 16);
+        // GPU-major: ranks 4g..4g+4 are GPU g's MPS clients.
+        for (r, &owner) in mps.owners.iter().enumerate() {
+            assert_eq!(owner, OwnerKind::Gpu(r / 4));
+        }
+        // Eight clients per GPU need 32 of the node's 16 cores.
+        let mps8 = sweep_cfg((64, 48, 32), ExecMode::Mps { per_gpu: 8 });
+        let why = build_decomposition(&mps8, 0.0).unwrap_err();
+        assert_eq!(why, "32 ranks oversubscribe the node's 16 cores");
     }
 
     #[test]
@@ -2267,7 +2270,7 @@ mod tests {
                     hysteresis: calib::REBALANCE_DEFAULT_HYSTERESIS,
                 });
             }
-            let ranks = mode.total_ranks(&cfg.node) as u64;
+            let ranks = build_decomposition(&cfg, 0.0).unwrap().len() as u64;
             let mut plan = Vec::new();
             if draw(3) == 0 {
                 let site = [
@@ -2792,7 +2795,7 @@ mod tests {
                 // Four draws in sixteen lose no rank; a GPU driver
                 // cannot be lost.
                 match lose {
-                    lose if lose < 12 && !d.owners[lose + 4].is_gpu() => {
+                    lose if lose < 12 && !d.owners[lose + 4].is_gpu_driver() => {
                         fold_lost_rank(&d, lose + 4).unwrap()
                     }
                     _ => d,

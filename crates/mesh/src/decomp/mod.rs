@@ -1,18 +1,17 @@
 //! Domain decompositions.
 //!
-//! All three schemes of the paper's §6.1 produce a [`Decomposition`]:
-//! a list of disjoint subdomains covering the global grid, each tagged
-//! with the kind of processor that will compute it.
+//! Every layout of the paper's §6.1 is one [`nested::nested`]
+//! partition, a [`Decomposition`]: a list of disjoint subdomains
+//! covering the global grid, each tagged with the kind of processor
+//! that will compute it. That tag is the run's one rank table.
 
-pub mod block;
-pub mod hierarchical;
+pub mod nested;
 pub mod weighted;
 
 use crate::domain::Subdomain;
 use crate::grid::GlobalGrid;
 
-pub use block::{block_decomp, block_decomp_yz, factor3};
-pub use hierarchical::{hierarchical_decomp, hierarchical_decomp_yz};
+pub use nested::{block_decomp, factors, nested, Blocks, Pieces};
 pub use weighted::{fold_lost_rank, weighted_hetero_decomp, WeightedConfig};
 
 /// Which processor computes a domain.
@@ -25,7 +24,8 @@ pub enum OwnerKind {
 }
 
 impl OwnerKind {
-    pub fn is_gpu(self) -> bool {
+    /// The rank computing this domain drives a GPU.
+    pub fn is_gpu_driver(self) -> bool {
         matches!(self, OwnerKind::Gpu(_))
     }
 }
@@ -38,8 +38,6 @@ pub struct Decomposition {
     pub domains: Vec<Subdomain>,
     /// The processor kind computing each rank's domain.
     pub owners: Vec<OwnerKind>,
-    /// Human-readable scheme name for reports.
-    pub scheme: &'static str,
 }
 
 impl Decomposition {
@@ -55,14 +53,14 @@ impl Decomposition {
     /// Ranks whose domains run on a GPU.
     pub fn gpu_ranks(&self) -> Vec<usize> {
         (0..self.len())
-            .filter(|&r| self.owners[r].is_gpu())
+            .filter(|&r| self.owners[r].is_gpu_driver())
             .collect()
     }
 
     /// Ranks whose domains run on CPU cores.
     pub fn cpu_ranks(&self) -> Vec<usize> {
         (0..self.len())
-            .filter(|&r| !self.owners[r].is_gpu())
+            .filter(|&r| !self.owners[r].is_gpu_driver())
             .collect()
     }
 
@@ -130,7 +128,6 @@ mod tests {
                 Subdomain::new([2, 0, 0], [4, 4, 4], 1),
             ],
             owners: vec![OwnerKind::Gpu(0), OwnerKind::Gpu(1)],
-            scheme: "test",
         };
         assert!(good.validate().is_ok());
 
@@ -172,7 +169,6 @@ mod tests {
                 Subdomain::new([0, 3, 0], [4, 4, 4], 1),
             ],
             owners: vec![OwnerKind::Gpu(0), OwnerKind::Cpu],
-            scheme: "test",
         };
         assert_eq!(d.gpu_ranks(), vec![0]);
         assert_eq!(d.cpu_ranks(), vec![1]);

@@ -1,20 +1,20 @@
-//! The heterogeneous weighted decomposition (Figure 10c).
+//! The heterogeneous weighted decomposition (Figure 10c), and what a
+//! rank loss leaves of it.
 //!
 //! "To achieve load balance in the heterogeneous case, we used a
 //! weighted decomposition between the CPU cores and the GPUs,
 //! assigning less work to the CPU cores, as illustrated by the thin
-//! slabs in Figure 10 (c)." (§6.2.)
-//!
-//! Each GPU's near-cubic block donates a thin slab of `cpu_fraction`
-//! of its y-extent; the slab is split into one piece per CPU rank
-//! attached to that GPU. The *minimum granularity* is one y-plane per
-//! CPU rank: when `cpu_fraction` asks for less, the decomposition
-//! silently grows the slab to the minimum — this is precisely the
-//! regime where the paper's Figures 13/14 show the Heterogeneous mode
-//! losing (the CPU ranks cannot be given a small enough share).
+//! slabs in Figure 10 (c)." (§6.2.) The split itself is the nested
+//! partition's [`Pieces::Slab`] level: each GPU's x-pinned block
+//! donates a thin y-slab of `cpu_fraction` of its y-extent, cut into
+//! one piece per CPU rank. The *minimum granularity* is one y-plane
+//! per CPU rank: when `cpu_fraction` asks for less, the slab silently
+//! grows to the minimum — precisely the regime where the paper's
+//! Figures 13/14 show the Heterogeneous mode losing (the CPU ranks
+//! cannot be given a small enough share).
 
-use crate::decomp::block::{block_decomp_yz, try_block_decomp};
-use crate::decomp::{Decomposition, OwnerKind};
+use crate::decomp::nested::{nested, Blocks, Pieces};
+use crate::decomp::Decomposition;
 use crate::grid::GlobalGrid;
 
 /// Parameters of the weighted heterogeneous decomposition.
@@ -29,100 +29,33 @@ pub struct WeightedConfig {
     /// (0.0..1.0); the realized fraction honors the one-plane-per-rank
     /// minimum granularity.
     pub cpu_fraction: f64,
-    /// Axis from which CPU slabs are carved (the paper uses y = 1).
-    pub carve_axis: usize,
-    /// Ghost width.
-    pub ghost: usize,
-    /// Keep the x-dimension whole in the top-level GPU blocks (the
-    /// paper's Figure 10 arrangement).
-    pub pin_x: bool,
 }
 
 impl WeightedConfig {
     /// The paper's RZHasGPU arrangement: 4 GPUs, 3 CPU workers each
-    /// (12 of the 16 cores), carving in y.
+    /// (12 of the 16 cores).
     pub fn rzhasgpu(cpu_fraction: f64) -> Self {
         WeightedConfig {
             n_gpus: 4,
             cpu_per_gpu: 3,
             cpu_fraction,
-            carve_axis: 1,
-            ghost: 1,
-            pin_x: true,
         }
     }
 }
 
-/// Build the heterogeneous decomposition.
-///
-/// Rank order: ranks `0..n_gpus` are the GPU-driving ranks (owning the
-/// shrunken blocks); ranks `n_gpus..` are CPU workers, grouped by GPU
+/// The nested partition of `grid` into `n_gpus` x-pinned blocks, each
+/// carving a CPU slab: ranks `0..n_gpus` drive the GPUs (owning the
+/// shrunken blocks), ranks `n_gpus..` are CPU workers, grouped by
 /// block.
-///
-/// Fails when a block's carve axis cannot give each CPU rank at least
-/// one plane while leaving the GPU a non-empty remainder.
 pub fn weighted_hetero_decomp(
     grid: GlobalGrid,
     cfg: &WeightedConfig,
 ) -> Result<Decomposition, String> {
-    assert!(cfg.carve_axis < 3);
-    if cfg.n_gpus == 0 {
-        return Err("need at least one GPU".into());
-    }
-    if !(0.0..1.0).contains(&cfg.cpu_fraction) {
-        return Err(format!("cpu_fraction {} out of [0,1)", cfg.cpu_fraction));
-    }
-    let top = if cfg.pin_x {
-        block_decomp_yz(grid, cfg.n_gpus, cfg.ghost)?
-    } else {
-        try_block_decomp(grid, cfg.n_gpus, cfg.ghost)?
+    let slab = Pieces::Slab {
+        cpus: cfg.cpu_per_gpu,
+        fraction: cfg.cpu_fraction,
     };
-    if cfg.cpu_per_gpu == 0 {
-        // Pure GPU decomposition: identical to Default mode's blocks.
-        return Ok(Decomposition {
-            scheme: "weighted",
-            ..top
-        });
-    }
-
-    let mut gpu_domains = Vec::with_capacity(cfg.n_gpus);
-    let mut cpu_domains = Vec::with_capacity(cfg.n_gpus * cfg.cpu_per_gpu);
-    for (g, block) in top.domains.iter().enumerate() {
-        let extent = block.extent(cfg.carve_axis);
-        // Desired slab thickness in planes, honoring the minimum of
-        // one plane per CPU rank.
-        let desired = (cfg.cpu_fraction * extent as f64).round() as usize;
-        let thickness = desired.max(cfg.cpu_per_gpu);
-        if thickness >= extent {
-            return Err(format!(
-                "GPU block {g}: carve axis extent {extent} cannot host {} CPU planes \
-                 and a non-empty GPU remainder",
-                cfg.cpu_per_gpu
-            ));
-        }
-        let (gpu_part, slab) = block.carve_high(cfg.carve_axis, thickness);
-        gpu_domains.push((g, gpu_part));
-        for piece in slab.split_along(cfg.carve_axis, cfg.cpu_per_gpu) {
-            cpu_domains.push(piece);
-        }
-    }
-
-    let mut domains = Vec::with_capacity(cfg.n_gpus * (1 + cfg.cpu_per_gpu));
-    let mut owners = Vec::with_capacity(domains.capacity());
-    for (g, d) in gpu_domains {
-        domains.push(d);
-        owners.push(OwnerKind::Gpu(g));
-    }
-    for d in cpu_domains {
-        domains.push(d);
-        owners.push(OwnerKind::Cpu);
-    }
-    Ok(Decomposition {
-        grid,
-        domains,
-        owners,
-        scheme: "weighted",
-    })
+    nested(grid, Blocks::pinned(cfg.n_gpus), slab)
 }
 
 /// Graceful degradation after a permanent CPU-rank loss: fold the lost
@@ -142,7 +75,7 @@ pub fn fold_lost_rank(decomp: &Decomposition, lost: usize) -> Result<Decompositi
             decomp.len()
         ));
     }
-    if decomp.owners[lost].is_gpu() {
+    if decomp.owners[lost].is_gpu_driver() {
         return Err(format!(
             "rank {lost} drives a GPU; a lost device block cannot be folded back"
         ));
@@ -159,7 +92,7 @@ pub fn fold_lost_rank(decomp: &Decomposition, lost: usize) -> Result<Decompositi
     }
     let (absorber, merged) = candidates
         .iter()
-        .find(|(r, _)| decomp.owners[*r].is_gpu())
+        .find(|(r, _)| decomp.owners[*r].is_gpu_driver())
         .or_else(|| candidates.first())
         .copied()
         .ok_or_else(|| format!("rank {lost}: no box-mergeable neighbor can absorb its zones"))?;
@@ -172,7 +105,6 @@ pub fn fold_lost_rank(decomp: &Decomposition, lost: usize) -> Result<Decompositi
         grid: decomp.grid,
         domains,
         owners,
-        scheme: "weighted-foldback",
     };
     out.validate()?;
     Ok(out)
@@ -206,16 +138,8 @@ mod tests {
     fn minimum_granularity_inflates_small_requests() {
         // y = 80 per block and 3 CPU ranks: minimum slab is 3 planes
         // = 3.75% of the block even though we ask for 1%.
-        let grid = GlobalGrid::new(320, 80, 320);
-        let cfg = WeightedConfig {
-            n_gpus: 4,
-            cpu_per_gpu: 3,
-            cpu_fraction: 0.01,
-            carve_axis: 1,
-            ghost: 1,
-            pin_x: false,
-        };
-        let d = weighted_hetero_decomp(grid, &cfg).unwrap();
+        let grid = GlobalGrid::new(320, 160, 320);
+        let d = weighted_hetero_decomp(grid, &WeightedConfig::rzhasgpu(0.01)).unwrap();
         d.validate().unwrap();
         let f = d.cpu_zone_fraction();
         assert!(f > 0.03, "min granularity should force f up: {f}");
@@ -225,22 +149,12 @@ mod tests {
     fn paper_fifteen_percent_case() {
         // Paper: "the smallest number of zones we are able to assign to
         // the CPU (12 cores) is 15% of zones" at the low end of the
-        // y-dimension. With blocks of 20 y-planes and 3 CPU ranks per
-        // block, 3/20 = 15%.
-        let grid = GlobalGrid::new(320, 20, 320);
-        let cfg = WeightedConfig {
-            n_gpus: 4,
-            cpu_per_gpu: 3,
-            cpu_fraction: 0.01,
-            carve_axis: 1,
-            ghost: 1,
-            pin_x: false,
-        };
-        // Top blocks: factor3(4) = [1,2,2]; y is the smallest axis so
-        // it keeps factor 1 → blocks span all 20 y-planes.
-        let d = weighted_hetero_decomp(grid, &cfg).unwrap();
+        // y-dimension. The 2x2 blocks over (y, z) span 20 y-planes
+        // each; with 3 CPU ranks per block, 3/20 = 15%.
+        let grid = GlobalGrid::new(320, 40, 320);
+        let d = weighted_hetero_decomp(grid, &WeightedConfig::rzhasgpu(0.01)).unwrap();
         let f = d.cpu_zone_fraction();
-        assert!((f - 0.15).abs() < 0.01, "realized fraction {f}");
+        assert!((f - 0.15).abs() < 1e-12, "realized fraction {f}");
     }
 
     #[test]
@@ -263,9 +177,6 @@ mod tests {
             n_gpus: 1,
             cpu_per_gpu: 3,
             cpu_fraction: 0.5,
-            carve_axis: 1,
-            ghost: 1,
-            pin_x: false,
         };
         assert!(weighted_hetero_decomp(grid, &cfg).is_err());
     }
@@ -277,9 +188,6 @@ mod tests {
             n_gpus: 4,
             cpu_per_gpu: 0,
             cpu_fraction: 0.0,
-            carve_axis: 1,
-            ghost: 1,
-            pin_x: true,
         };
         let d = weighted_hetero_decomp(grid, &cfg).unwrap();
         assert_eq!(d.len(), 4);
@@ -311,7 +219,6 @@ mod tests {
         let folded = fold_lost_rank(&d, lost).unwrap();
         folded.validate().unwrap();
         assert_eq!(folded.len(), d.len() - 1);
-        assert_eq!(folded.scheme, "weighted-foldback");
         let total_before: u64 = d.domains.iter().map(|s| s.zones()).sum();
         let total_after: u64 = folded.domains.iter().map(|s| s.zones()).sum();
         assert_eq!(total_before, total_after, "zones conserved");
@@ -320,7 +227,7 @@ mod tests {
             folded.domains[0].zones(),
             d.domains[0].zones() + d.domains[lost].zones()
         );
-        assert!(folded.owners[0].is_gpu());
+        assert!(folded.owners[0].is_gpu_driver());
         // Degrading toward Default: the CPU share shrank.
         assert!(folded.cpu_zone_fraction() < d.cpu_zone_fraction());
     }

@@ -74,38 +74,11 @@ impl Subdomain {
         }
     }
 
-    /// Split this subdomain into `parts` pieces along `axis` with
-    /// near-equal thickness (remainder spread over the leading pieces).
-    pub fn split_along(&self, axis: usize, parts: usize) -> Vec<Subdomain> {
-        assert!(parts > 0);
-        let n = self.extent(axis);
-        assert!(
-            parts <= n,
-            "cannot split extent {n} into {parts} non-empty parts"
-        );
-        let base = n / parts;
-        let extra = n % parts;
-        let mut out = Vec::with_capacity(parts);
-        let mut cursor = self.lo[axis];
-        for p in 0..parts {
-            let thickness = base + usize::from(p < extra);
-            let mut lo = self.lo;
-            let mut hi = self.hi;
-            lo[axis] = cursor;
-            hi[axis] = cursor + thickness;
-            cursor += thickness;
-            out.push(Subdomain::new(lo, hi, self.ghost));
-        }
-        debug_assert_eq!(cursor, self.hi[axis]);
-        out
-    }
-
     /// If `self` and `other` tile a single box exactly — adjacent
     /// along one axis with identical extents on the other two — return
-    /// that box (the inverse of [`Subdomain::carve_high`] /
-    /// [`Subdomain::split_along`]). Used by the rank-loss foldback to
-    /// absorb a lost slab into a neighbor without fragmenting the
-    /// decomposition.
+    /// that box (the inverse of a single-axis cut). Used by the
+    /// rank-loss foldback to absorb a lost slab into a neighbor without
+    /// fragmenting the decomposition.
     pub fn merged_box(&self, other: &Subdomain) -> Option<Subdomain> {
         for axis in 0..3 {
             let transverse_equal = (0..3)
@@ -122,25 +95,6 @@ impl Subdomain {
             }
         }
         None
-    }
-
-    /// Carve a slab of `thickness` zones off the high end of `axis`,
-    /// returning `(remainder, slab)`. `thickness` must leave a
-    /// non-empty remainder.
-    pub fn carve_high(&self, axis: usize, thickness: usize) -> (Subdomain, Subdomain) {
-        assert!(
-            thickness > 0 && thickness < self.extent(axis),
-            "carve thickness {thickness} must be in 1..{}",
-            self.extent(axis)
-        );
-        let mut rem_hi = self.hi;
-        rem_hi[axis] -= thickness;
-        let mut slab_lo = self.lo;
-        slab_lo[axis] = rem_hi[axis];
-        (
-            Subdomain::new(self.lo, rem_hi, self.ghost),
-            Subdomain::new(slab_lo, self.hi, self.ghost),
-        )
     }
 }
 
@@ -197,59 +151,15 @@ mod tests {
     }
 
     #[test]
-    fn split_covers_exactly_with_remainder() {
-        let d = dom([0, 0, 0], [10, 4, 4]);
-        let parts = d.split_along(0, 3);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0].extent(0), 4); // 10 = 4 + 3 + 3
-        assert_eq!(parts[1].extent(0), 3);
-        assert_eq!(parts[2].extent(0), 3);
-        assert_eq!(parts[0].lo[0], 0);
-        assert_eq!(parts[2].hi[0], 10);
-        let total: u64 = parts.iter().map(Subdomain::zones).sum();
-        assert_eq!(total, d.zones());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty parts")]
-    fn oversplitting_panics() {
-        let d = dom([0, 0, 0], [2, 4, 4]);
-        let _ = d.split_along(0, 3);
-    }
-
-    #[test]
-    fn merged_box_inverts_carve_and_split() {
+    fn merged_box_inverts_a_single_axis_cut() {
         let d = dom([0, 0, 0], [4, 10, 4]);
-        let (rem, slab) = d.carve_high(1, 3);
+        let (rem, slab) = (dom([0, 0, 0], [4, 7, 4]), dom([0, 7, 0], [4, 10, 4]));
         assert_eq!(rem.merged_box(&slab), Some(d));
         assert_eq!(slab.merged_box(&rem), Some(d));
-        let parts = slab.split_along(1, 3);
-        assert_eq!(
-            parts[0].merged_box(&parts[1]).unwrap().zones(),
-            parts[0].zones() + parts[1].zones()
-        );
         // Non-adjacent pieces don't merge; neither do boxes with
         // mismatched transverse extents.
-        assert_eq!(parts[0].merged_box(&parts[2]), None);
+        assert_eq!(rem.merged_box(&dom([0, 8, 0], [4, 10, 4])), None);
         let offset = dom([1, 0, 0], [4, 3, 4]);
         assert_eq!(offset.merged_box(&dom([0, 3, 0], [4, 6, 4])), None);
-    }
-
-    #[test]
-    fn carve_high_splits_cleanly() {
-        let d = dom([0, 0, 0], [4, 10, 4]);
-        let (rem, slab) = d.carve_high(1, 2);
-        assert_eq!(rem.extents(), [4, 8, 4]);
-        assert_eq!(slab.extents(), [4, 2, 4]);
-        assert_eq!(slab.lo[1], 8);
-        assert!(rem.is_face_neighbor(&slab));
-        assert_eq!(rem.zones() + slab.zones(), d.zones());
-    }
-
-    #[test]
-    #[should_panic(expected = "carve thickness")]
-    fn carving_everything_panics() {
-        let d = dom([0, 0, 0], [4, 4, 4]);
-        let _ = d.carve_high(1, 4);
     }
 }

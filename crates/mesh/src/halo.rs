@@ -150,7 +150,7 @@ fn face_exchange(i: usize, j: usize, da: &Subdomain, db: &Subdomain) -> Option<E
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomp::block::block_decomp;
+    use crate::decomp::block_decomp;
     use crate::decomp::weighted::{weighted_hetero_decomp, WeightedConfig};
     use crate::grid::GlobalGrid;
 
@@ -206,7 +206,7 @@ mod tests {
         for &g in &d.gpu_ranks() {
             let touches_cpu = p
                 .exchanges_for(g)
-                .any(|ex| !d.owners[if ex.a == g { ex.b } else { ex.a }].is_gpu());
+                .any(|ex| !d.owners[if ex.a == g { ex.b } else { ex.a }].is_gpu_driver());
             assert!(touches_cpu, "gpu rank {g} has no CPU neighbor");
         }
     }

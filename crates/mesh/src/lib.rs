@@ -6,20 +6,19 @@
 //! lives in, the paper's three domain decompositions, and
 //! halo-exchange plans.
 //!
-//! Decompositions (paper §6.1, Figures 9–10):
+//! Decompositions (paper §6.1, Figures 9–10) are one two-level
+//! [`decomp::nested`] partition:
 //!
-//! * [`decomp::block`] — the traditional near-cubic decomposition
-//!   ("'square' domains", Figure 9). Good surface-to-volume, but the
-//!   neighbor count and communication volume grow quickly with rank
-//!   count on a single node.
-//! * [`decomp::hierarchical`] — the paper's two-level scheme (Figure
-//!   10b): first one near-cubic block per GPU, then each block
-//!   subdivided along a *single* dimension for the extra MPI ranks,
-//!   which keeps the halo neighbor count minimal.
-//! * [`decomp::weighted`] — the heterogeneous scheme (Figure 10c): one
-//!   block per GPU with thin y-slabs carved off for the CPU ranks, slab
-//!   thickness set by the load balancer subject to a one-plane minimum
-//!   granularity.
+//! * level 1 cuts near-cubic blocks — over all three axes for the
+//!   traditional "square" domains of Figure 9 (good surface-to-volume,
+//!   but the neighbor count and communication volume grow quickly with
+//!   rank count on a single node), over y and z only, one per GPU, for
+//!   the GPU modes;
+//! * level 2 cuts each block along a *single* dimension, which keeps
+//!   the halo neighbor count minimal: equal z-pieces for the extra MPI
+//!   ranks of a GPU (Figure 10b), or thin y-slabs for the CPU ranks
+//!   (Figure 10c, [`decomp::weighted`]), slab thickness set by the load
+//!   balancer subject to a one-plane minimum granularity.
 
 pub mod decomp;
 pub mod domain;

@@ -4,84 +4,134 @@
 use proptest::prelude::*;
 
 use heterosim::gpu::{Job, RateSharingTimeline};
-use heterosim::mesh::decomp::weighted::{weighted_hetero_decomp, WeightedConfig};
-use heterosim::mesh::decomp::{block_decomp, block_decomp_yz};
-use heterosim::mesh::{GlobalGrid, HaloPlan, SoaBlock, Subdomain};
+use heterosim::mesh::decomp::{nested, Blocks, Pieces};
+use heterosim::mesh::{Decomposition, GlobalGrid, HaloPlan, OwnerKind, SoaBlock, Subdomain};
 use heterosim::time::{SimDuration, SimTime, Welford};
 
+/// The nested partition's invariants (after Kelly, Ghattas & Sundar,
+/// arXiv 1307.4731) on one feasible case: its zones sum to the grid;
+/// every rank's box lies inside its level-1 block, and a GPU-mode box
+/// keeps the whole x extent; a CPU slab is exactly `max(round(f·ny),
+/// cpus)` planes, at least one per rank, so the realized CPU fraction
+/// never falls below the floor of one plane per rank of the thickest
+/// block; within one block a rank has at most two neighbours.
+fn check_partition(d: &Decomposition, blocks: Blocks, pieces: Pieces) {
+    d.validate().unwrap();
+    let zones: u64 = d.domains.iter().map(Subdomain::zones).sum();
+    assert_eq!(zones, d.grid.zones());
+    let top = blocks.cut(d.grid).unwrap();
+    let per_block = match pieces {
+        Pieces::Slab { cpus, .. } => cpus.max(1),
+        _ => 1,
+    };
+    let mut cpu_seen = 0;
+    let block_of: Vec<usize> = (d.owners.iter())
+        .map(|&o| match o {
+            OwnerKind::Gpu(g) => g,
+            OwnerKind::Cpu => {
+                cpu_seen += 1;
+                (cpu_seen - 1) / per_block
+            }
+        })
+        .collect();
+    for (r, s) in d.domains.iter().enumerate() {
+        let b = &top[block_of[r]];
+        assert!(
+            (0..3).all(|a| b.lo[a] <= s.lo[a] && s.hi[a] <= b.hi[a]),
+            "rank {r} {s:?} outside its block {b:?}"
+        );
+        if !blocks.cut_x {
+            assert_eq!(s.extent(0), d.grid.nx, "rank {r} cuts x");
+        }
+        let siblings = (0..d.len())
+            .filter(|&o| o != r && block_of[o] == block_of[r])
+            .filter(|&o| s.is_face_neighbor(&d.domains[o]))
+            .count();
+        assert!(
+            siblings <= 2,
+            "rank {r} has {siblings} same-block neighbours"
+        );
+    }
+    if let Pieces::Slab { cpus, fraction } = pieces {
+        if cpus > 0 {
+            for (g, b) in top.iter().enumerate() {
+                let slab: usize = (0..d.len())
+                    .filter(|&r| !d.owners[r].is_gpu_driver() && block_of[r] == g)
+                    .map(|r| d.domains[r].extent(1))
+                    .sum();
+                let want = ((fraction * b.extent(1) as f64).round() as usize).max(cpus);
+                assert_eq!(slab, want, "block {g}");
+            }
+            assert!(d.cpu_ranks().iter().all(|&r| d.domains[r].extent(1) >= 1));
+            let floor = cpus as f64 / top[0].extent(1) as f64;
+            assert!(d.cpu_zone_fraction() >= floor * (1.0 - 1e-12));
+        }
+    }
+}
+
 proptest! {
-    /// Any block decomposition covers the grid exactly once.
+    /// Level 1 over three axes, each block one CPU rank's (CPU-only
+    /// mode's "square" domains): valid wherever every axis has as many
+    /// zones as parts.
     #[test]
     fn block_decomposition_always_valid(
-        nx in 4usize..40,
-        ny in 4usize..40,
-        nz in 4usize..40,
-        n in 1usize..17,
+        nx in 1usize..40,
+        ny in 1usize..40,
+        nz in 1usize..40,
+        n in 1usize..41,
     ) {
         let grid = GlobalGrid::new(nx, ny, nz);
-        // Skip infeasible splits (more parts than zones on an axis).
-        let d = std::panic::catch_unwind(|| block_decomp(grid, n, 1));
-        if let Ok(d) = d {
-            prop_assert!(d.validate().is_ok(), "{:?}", d.validate());
-            prop_assert_eq!(d.len(), n);
+        match nested(grid, Blocks::cubes(n), Pieces::Cpu) {
+            Ok(d) => {
+                prop_assert_eq!(d.len(), n);
+                check_partition(&d, Blocks::cubes(n), Pieces::Cpu);
+            }
+            Err(why) => prop_assert!(why.contains("more ranks than zones"), "{why}"),
         }
     }
 
-    /// The x-pinned decomposition never cuts x and stays valid.
+    /// x-pinned blocks cut into equal z-pieces (the Default and MPS
+    /// modes) never cut x and stay valid.
     #[test]
     fn yz_decomposition_never_cuts_x(
-        nx in 4usize..64,
-        ny in 8usize..64,
-        nz in 8usize..64,
-        n in 1usize..9,
+        nx in 1usize..64,
+        ny in 1usize..64,
+        nz in 1usize..64,
+        gpus in 1usize..9,
+        per_gpu in 1usize..6,
     ) {
         let grid = GlobalGrid::new(nx, ny, nz);
-        if let Ok(d) = block_decomp_yz(grid, n, 1) {
-            prop_assert!(d.validate().is_ok());
-            for s in &d.domains {
-                prop_assert_eq!(s.extent(0), nx);
-            }
+        let (blocks, pieces) = (Blocks::pinned(gpus), Pieces::Gpu(per_gpu));
+        if let Ok(d) = nested(grid, blocks, pieces) {
+            prop_assert_eq!(d.len(), gpus * per_gpu);
+            check_partition(&d, blocks, pieces);
         }
     }
 
-    /// The weighted heterogeneous decomposition is valid for any
-    /// feasible fraction, and its realized CPU fraction respects the
-    /// one-plane-per-rank minimum.
+    /// The weighted heterogeneous partition is valid for any feasible
+    /// fraction, and its CPU slabs respect the one-plane-per-rank
+    /// floor.
     #[test]
     fn weighted_decomposition_valid_and_floored(
-        ny in 40usize..200,
-        fraction in 0.0f64..0.4,
+        nx in 1usize..48,
+        ny in 1usize..200,
+        nz in 1usize..48,
+        gpus in 1usize..7,
+        cpus in 0usize..10,
+        fraction in 0.0f64..0.6,
     ) {
-        let grid = GlobalGrid::new(64, ny, 64);
-        let cfg = WeightedConfig {
-            n_gpus: 4,
-            cpu_per_gpu: 3,
-            cpu_fraction: fraction,
-            carve_axis: 1,
-            ghost: 1,
-            pin_x: true,
-        };
-        match weighted_hetero_decomp(grid, &cfg) {
+        let grid = GlobalGrid::new(nx, ny, nz);
+        let (blocks, pieces) = (Blocks::pinned(gpus), Pieces::Slab { cpus, fraction });
+        match nested(grid, blocks, pieces) {
             Ok(d) => {
-                prop_assert!(d.validate().is_ok());
-                prop_assert_eq!(d.len(), 16);
-                // Every CPU rank got at least one plane of its block.
-                let block_y = d.domains[0].extent(1) + {
-                    // GPU block + its slab span the whole block.
-                    let cpu_zones: usize = (4..7)
-                        .map(|r| d.domains[r].extent(1))
-                        .sum();
-                    cpu_zones
-                };
-                prop_assert!(block_y >= 4);
-                for &r in &d.cpu_ranks() {
-                    prop_assert!(d.domains[r].extent(1) >= 1);
-                }
+                prop_assert_eq!(d.len(), gpus * (1 + cpus));
+                check_partition(&d, blocks, pieces);
             }
-            Err(_) => {
-                // Only legitimate when the carve cannot fit.
-                prop_assert!(ny / 2 <= 3 || fraction >= 0.99);
-            }
+            // Only where a block cannot host its ranks.
+            Err(why) => prop_assert!(
+                why.contains("cannot split") || why.contains("cannot host"),
+                "{why}"
+            ),
         }
     }
 
@@ -95,7 +145,7 @@ proptest! {
         n in 2usize..13,
     ) {
         let grid = GlobalGrid::new(nx, ny, nz);
-        if let Ok(d) = std::panic::catch_unwind(|| block_decomp(grid, n, 1)) {
+        if let Ok(d) = nested(grid, Blocks::cubes(n), Pieces::Gpu(1)) {
             let plan = HaloPlan::build(&d);
             let per_rank: u64 = (0..n).map(|r| plan.area_for(r)).sum();
             prop_assert_eq!(per_rank, 2 * plan.total_area());
