@@ -112,11 +112,11 @@ pub struct RunResult {
     pub device_busy: Vec<SimDuration>,
     /// The run's kernel table: every rank's launches, elements, time
     /// and occupancy per kernel name, kept on every run; the metrics
-    /// JSON renders it. A rank lost to a fault keeps what it launched
-    /// before the loss here, while [`RunResult::ranks`] holds only the
-    /// survivors: the table's launches are then
-    /// [`RunResult::total_launches`] plus the lost rank's pre-loss
-    /// launches.
+    /// JSON renders it, and its total is the run's one launch count.
+    /// A rank lost to a fault keeps what it launched before the loss
+    /// here, while [`RunResult::ranks`] holds only the survivors: the
+    /// table's launches are then the survivors' report launches plus
+    /// the lost rank's pre-loss launches.
     pub kernels: hsim_telemetry::KernelTable,
     /// The run's one span store, with metrics, when
     /// [`crate::RunConfig::telemetry`] or [`crate::RunConfig::trace`]
@@ -156,11 +156,6 @@ impl RunResult {
         slowest(self.ranks.iter().map(RankReport::account_residual))
     }
 
-    /// Total kernel launches across the ranks that finished the run.
-    pub fn total_launches(&self) -> u64 {
-        self.ranks.iter().map(|r| r.launches).sum()
-    }
-
     /// Total MPI bytes sent across ranks.
     pub fn total_bytes_sent(&self) -> u64 {
         self.ranks.iter().map(|r| r.bytes_sent).sum()
@@ -197,7 +192,7 @@ impl RunResult {
             self.cycles,
             self.runtime.as_secs_f64(),
             self.cpu_fraction,
-            self.total_launches(),
+            self.kernels.total_launches(),
             self.total_bytes_sent(),
         )
     }
@@ -325,7 +320,6 @@ mod tests {
         let r = result();
         assert_eq!(r.slowest_cpu_compute(), SimDuration::from_micros(9));
         assert_eq!(r.slowest_device_busy(), SimDuration::from_micros(18));
-        assert_eq!(r.total_launches(), 30);
         assert_eq!(r.total_bytes_sent(), 300);
     }
 
@@ -350,7 +344,7 @@ mod tests {
         assert_eq!(cycles, r.cycles);
         assert!((runtime_s - r.runtime.as_secs_f64()).abs() < 1e-6);
         assert!((cpu_fraction - r.cpu_fraction).abs() < 1e-4);
-        assert_eq!(launches, r.total_launches());
+        assert_eq!(launches, r.kernels.total_launches());
         assert_eq!(mpi_bytes, r.total_bytes_sent());
     }
 

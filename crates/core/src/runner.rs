@@ -158,9 +158,9 @@ impl RunConfig {
     }
 
     /// Why no run of this configuration can start, checked before any
-    /// decomposition is built: a grid with a zero dimension, one whose
-    /// zone count does not fit in `u64`, one the mode's top-level split
-    /// cannot carve, a particle set whose bytes overflow `isize` (every
+    /// rank does: a grid with a zero dimension, one whose zone count
+    /// does not fit in `u64`, one that cannot host the mode's partition
+    /// even at the floor (one y-plane per CPU rank), a particle set whose bytes overflow `isize` (every
     /// rank builds the global set), or a diffusivity that is not a
     /// finite κ ≥ 0 (a NaN would poison every zone's energy, an
     /// infinite one ask for unboundedly many substeps).
@@ -173,10 +173,16 @@ impl RunConfig {
         if zones.and_then(|z| z.checked_mul(nz as u64)).is_none() {
             return Err(format!("grid {nx},{ny},{nz}: the zone count overflows u64"));
         }
-        let top = self.blocks().cut(self.global_grid());
-        let top = top.map_err(|e| format!("{}: grid {nx},{ny},{nz}: {e}", self.mode.key()))?;
-        // Every rank's box lies inside one of the level-1 blocks.
-        if top.iter().any(|d| mesh_bytes(d.zones()).is_none()) {
+        // The floor is the one fraction every block that hosts the
+        // mode's ranks can carve; a thicker slab a run asks for may
+        // still not fit, and fails the run.
+        let floor = build_decomposition(self, 0.0);
+        let floor = floor.map_err(|e| format!("{}: grid {nx},{ny},{nz}: {e}", self.mode.key()))?;
+        if floor
+            .domains
+            .iter()
+            .any(|d| mesh_bytes(d.zones()).is_none())
+        {
             return Err(format!(
                 "grid {nx},{ny},{nz}: a rank's mesh bytes overflow u64"
             ));
@@ -1418,6 +1424,38 @@ mod tests {
             assert!(why.starts_with(&format!("{}: ", mode.key())), "{why}");
             assert!(why.contains("cannot split 4 ranks over y=1, z=32"), "{why}");
         }
+        // A block that cannot host its MPS clients or the one plane each
+        // of its CPU ranks needs is refused by the same check, by name;
+        // so is a mode with more ranks than the node has cores.
+        let refused = [
+            (
+                (64, 64, 2),
+                ExecMode::mps4(),
+                "mps4: grid 64,64,2: GPU block 0 extent 1 along axis 2 cannot host 4 ranks",
+            ),
+            (
+                (64, 3, 64),
+                ExecMode::hetero(),
+                "hetero: grid 64,3,64: GPU block 0: carve axis extent 2 cannot host 3 CPU planes",
+            ),
+            (
+                (80, 240, 320),
+                ExecMode::Mps { per_gpu: 8 },
+                "mps8: grid 80,240,320: 32 ranks oversubscribe the node's 16 cores",
+            ),
+        ];
+        for (grid, mode, want) in refused {
+            let cfg = sweep_cfg(grid, mode);
+            let why = cfg.check().unwrap_err();
+            assert!(why.starts_with(want), "{why}");
+            assert_eq!(run(&cfg).unwrap_err(), why);
+        }
+        // A requested fraction too thick for a block is the run's
+        // error, not the configuration's.
+        let thick = sweep_cfg((64, 8, 64), ExecMode::hetero());
+        thick.check().unwrap();
+        let why = run_with_fraction(&thick, 0.9).unwrap_err();
+        assert!(why.starts_with("GPU block 0: carve axis extent 4"), "{why}");
     }
 
     #[test]
@@ -1725,7 +1763,7 @@ mod tests {
             multi.runtime,
             base.runtime
         );
-        assert!(multi.total_launches() > base.total_launches());
+        assert!(multi.kernels.total_launches() > base.kernels.total_launches());
     }
 
     #[test]

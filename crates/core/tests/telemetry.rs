@@ -91,7 +91,8 @@ fn kernel_profiles_match_report_totals() {
     // so the kernel table, the counters written from it and the
     // RankReport accounting must all agree.
     let all = result.kernels.totals().unwrap();
-    assert_eq!(all.launches, result.total_launches());
+    let reported: u64 = result.ranks.iter().map(|r| r.launches).sum();
+    assert_eq!(all.launches, reported);
     let counter = |c| summary.metrics.counter(c);
     assert_eq!(counter(Counter::KernelLaunches), all.launches);
     assert_eq!(counter(Counter::GpuKernelLaunches), all.gpu_launches);
@@ -142,16 +143,13 @@ fn the_kernel_table_keeps_a_lost_ranks_launches_before_the_loss() {
     let result = lossy(4, Some("rank.loss@rank5.cycle2"));
     // Rank 5's report up to the loss: the same run stopped there.
     let pre_loss = lossy(2, None).ranks[5].launches;
-    // The CLI's "kernel launches" line sums the survivors' reports; the
-    // table, and the metrics JSON it renders, also hold rank 5's
-    // launches before the loss.
+    // The run's one launch count — the CLI's "kernel launches" line,
+    // the CSV row and the metrics JSON — is the table's: the
+    // survivors' reports plus rank 5's launches before the loss.
     assert_eq!(result.ranks.len(), 15);
-    assert_eq!(result.total_launches(), 6940);
     assert_eq!(result.kernels.total_launches(), 7166);
-    assert_eq!(
-        result.kernels.total_launches(),
-        result.total_launches() + pre_loss
-    );
+    let survivors: u64 = result.ranks.iter().map(|r| r.launches).sum();
+    assert_eq!(result.kernels.total_launches(), survivors + pre_loss);
     let summary = result.telemetry.as_ref().expect("telemetry requested");
     let counter = summary
         .metrics
@@ -181,7 +179,7 @@ fn telemetry_does_not_change_virtual_time() {
         r0.runtime, r1.runtime,
         "observability must never charge virtual time"
     );
-    assert_eq!(r0.total_launches(), r1.total_launches());
+    assert_eq!(r0.kernels.total_launches(), r1.kernels.total_launches());
 }
 
 #[test]

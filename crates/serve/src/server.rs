@@ -934,6 +934,13 @@ mod tests {
         let bad = RunConfig::sweep((0, 0, 0), ExecMode::Default);
         let err = server.submit(Request::direct(bad)).unwrap_err();
         assert!(matches!(err, ServeError::Run(_)), "got {err:?}");
+        // A grid too thin for four MPS clients per GPU block is refused
+        // before any rank starts, by the mode's name.
+        let thin = RunConfig::sweep((64, 64, 2), ExecMode::mps4());
+        let err = server.submit(Request::direct(thin)).unwrap_err();
+        assert_eq!(err.http_status(), 422);
+        let why = err.to_string();
+        assert!(why.starts_with("run failed: mps4: grid 64,64,2: "), "{why}");
     }
 
     #[test]

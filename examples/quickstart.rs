@@ -28,7 +28,7 @@ fn main() {
         "runtime:       {:.4} simulated seconds",
         result.runtime.as_secs_f64()
     );
-    println!("kernel launches: {}", result.total_launches());
+    println!("kernel launches: {}", result.kernels.total_launches());
     println!("MPI traffic:     {} bytes", result.total_bytes_sent());
     println!();
     println!("per-rank breakdown:");

@@ -198,7 +198,7 @@ fn main() {
                 .collect::<Vec<_>>()
         );
     }
-    println!("kernel launches: {}", result.total_launches());
+    println!("kernel launches: {}", result.kernels.total_launches());
     println!("MPI bytes:       {}", result.total_bytes_sent());
     if let Some(sc) = &result.scenario {
         match sc.error {
