@@ -343,7 +343,7 @@ pub static CLAIMS: &[Claim] = &[
         statement: "on one node, halo neighbours grow quickly from 4 to 16 'square' domains: max halo neighbours, square 16 / square 4, at 320×480×160",
         measure: || {
             let grid = GlobalGrid::new(320, 480, 160);
-            let square4 = nested(grid, Blocks::pinned(4), Pieces::Gpu(1))?;
+            let square4 = nested(grid, Blocks::Pinned(4), Pieces::Gpu(1))?;
             let square16 = block_decomp(grid, 16, 1);
             Ok(max_neighbours(square16) / max_neighbours(square4))
         },
@@ -355,7 +355,7 @@ pub static CLAIMS: &[Claim] = &[
         statement: "subdividing each GPU block in a single dimension keeps the neighbour count low: max halo neighbours, hierarchical 4×4 / square 16, at 320×480×160",
         measure: || {
             let grid = GlobalGrid::new(320, 480, 160);
-            let hier = max_neighbours(nested(grid, Blocks::pinned(4), Pieces::Gpu(4))?);
+            let hier = max_neighbours(nested(grid, Blocks::Pinned(4), Pieces::Gpu(4))?);
             Ok(hier / max_neighbours(block_decomp(grid, 16, 1)))
         },
         tolerance: Some(AtMost(1.0)),

@@ -152,18 +152,19 @@ impl RunConfig {
     /// GPU.
     fn blocks(&self) -> Blocks {
         match self.mode {
-            ExecMode::CpuOnly => Blocks::cubes(self.node.cores),
-            _ => Blocks::pinned(self.node.gpus),
+            ExecMode::CpuOnly => Blocks::Cubes(self.node.cores),
+            _ => Blocks::Pinned(self.node.gpus),
         }
     }
 
     /// Why no run of this configuration can start, checked before any
     /// rank does: a grid with a zero dimension, one whose zone count
     /// does not fit in `u64`, one that cannot host the mode's partition
-    /// even at the floor (one y-plane per CPU rank), a particle set whose bytes overflow `isize` (every
-    /// rank builds the global set), or a diffusivity that is not a
-    /// finite κ ≥ 0 (a NaN would poison every zone's energy, an
-    /// infinite one ask for unboundedly many substeps).
+    /// even at the floor (one y-plane per CPU rank), a particle set
+    /// whose bytes overflow `isize` (every rank builds the global set),
+    /// or a diffusivity that is not a finite κ ≥ 0 (a NaN would poison
+    /// every zone's energy, an infinite one ask for unboundedly many
+    /// substeps).
     fn check(&self) -> Result<(), String> {
         let (nx, ny, nz) = self.grid;
         if nx == 0 || ny == 0 || nz == 0 {
@@ -176,13 +177,9 @@ impl RunConfig {
         // The floor is the one fraction every block that hosts the
         // mode's ranks can carve; a thicker slab a run asks for may
         // still not fit, and fails the run.
-        let floor = build_decomposition(self, 0.0);
-        let floor = floor.map_err(|e| format!("{}: grid {nx},{ny},{nz}: {e}", self.mode.key()))?;
-        if floor
-            .domains
-            .iter()
-            .any(|d| mesh_bytes(d.zones()).is_none())
-        {
+        let d = build_decomposition(self, 0.0)
+            .map_err(|e| format!("{}: grid {nx},{ny},{nz}: {e}", self.mode.key()))?;
+        if d.domains.iter().any(|s| mesh_bytes(s.zones()).is_none()) {
             return Err(format!(
                 "grid {nx},{ny},{nz}: a rank's mesh bytes overflow u64"
             ));

@@ -11,7 +11,7 @@ pub mod weighted;
 use crate::domain::Subdomain;
 use crate::grid::GlobalGrid;
 
-pub use nested::{block_decomp, factors, nested, Blocks, Pieces};
+pub use nested::{block_decomp, nested, Blocks, Pieces};
 pub use weighted::{fold_lost_rank, weighted_hetero_decomp, WeightedConfig};
 
 /// Which processor computes a domain.

@@ -21,66 +21,51 @@ use crate::grid::GlobalGrid;
 /// The ghost width of every rank's box.
 const GHOST: usize = 1;
 
-/// Level 1: `parts` near-cubic blocks, rank order x fastest, then y,
-/// then z (the Cartesian communicator's).
+/// Level 1: near-cubic blocks, rank order x fastest, then y, then z
+/// (the Cartesian communicator's).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Blocks {
-    pub parts: usize,
-    /// Cut x as well as y and z (the CPU-only mode's "square" domains,
-    /// Figure 9). The GPU modes keep x, the innermost and vectorized
-    /// dimension, whole: Figure 10 keeps "the size of the x-dimension
-    /// the same for all approaches".
-    pub cut_x: bool,
+pub enum Blocks {
+    /// `n` blocks over x, y and z: the CPU-only mode's "square"
+    /// domains (Figure 9).
+    Cubes(usize),
+    /// `n` blocks over y and z, one per GPU. x, the innermost and
+    /// vectorized dimension, stays whole: Figure 10 keeps "the size of
+    /// the x-dimension the same for all approaches".
+    Pinned(usize),
 }
 
 impl Blocks {
-    /// `parts` blocks that never cut x.
-    pub fn pinned(parts: usize) -> Self {
-        Blocks {
-            parts,
-            cut_x: false,
-        }
-    }
-
-    /// `parts` blocks over all three axes.
-    pub fn cubes(parts: usize) -> Self {
-        Blocks { parts, cut_x: true }
-    }
-
-    /// The blocks of `grid`, in rank order: `parts` factored into
+    /// The blocks of `grid`, in rank order: their count factored into
     /// near-equal factors, ascending, paired with the cut axes by
     /// ascending extent (a tie in extent gives the later axis the
     /// larger factor). Fails where an axis has fewer zones than parts.
     pub fn cut(self, grid: GlobalGrid) -> Result<Vec<Subdomain>, String> {
-        if self.parts == 0 {
+        let (n, mut axes) = match self {
+            Blocks::Cubes(n) => (n, vec![0, 1, 2]),
+            Blocks::Pinned(n) => (n, vec![1, 2]),
+        };
+        if n == 0 {
             return Err("need at least one block".into());
         }
         let extents = [grid.nx, grid.ny, grid.nz];
-        let mut axes: Vec<usize> = if self.cut_x {
-            vec![0, 1, 2]
-        } else {
-            vec![1, 2]
-        };
         axes.sort_by_key(|&a| extents[a]);
         let mut parts = [1usize; 3];
-        for (&axis, f) in axes.iter().zip(factors(self.parts, axes.len())) {
+        for (&axis, f) in axes.iter().zip(factors(n, axes.len())) {
             parts[axis] = f;
         }
         if let Some(a) = (0..3).find(|&a| parts[a] > extents[a]) {
-            return Err(if self.cut_x {
-                format!(
+            return Err(match self {
+                Blocks::Cubes(_) => format!(
                     "more ranks than zones along axis {a}: {} > {}",
                     parts[a], extents[a]
-                )
-            } else {
-                format!(
-                    "cannot split {} ranks over y={}, z={}",
-                    self.parts, grid.ny, grid.nz
-                )
+                ),
+                Blocks::Pinned(_) => {
+                    format!("cannot split {n} ranks over y={}, z={}", grid.ny, grid.nz)
+                }
             });
         }
         let whole = Subdomain::new([0; 3], extents, GHOST);
-        let mut blocks = Vec::with_capacity(self.parts);
+        let mut blocks = Vec::with_capacity(n);
         for z in cuts(&whole, 2, parts[2]) {
             for y in cuts(&z, 1, parts[1]) {
                 blocks.extend(cuts(&y, 0, parts[0]));
@@ -117,10 +102,12 @@ pub enum Pieces {
 /// pieces, or one whose y-extent cannot give each CPU rank a plane
 /// and its GPU a non-empty remainder.
 pub fn nested(grid: GlobalGrid, blocks: Blocks, pieces: Pieces) -> Result<Decomposition, String> {
-    if let Pieces::Slab { fraction, .. } = pieces {
-        if !(0.0..1.0).contains(&fraction) {
+    match pieces {
+        Pieces::Gpu(0) => return Err("need at least one rank per GPU".into()),
+        Pieces::Slab { fraction, .. } if !(0.0..1.0).contains(&fraction) => {
             return Err(format!("cpu_fraction {fraction} out of [0,1)"));
         }
+        _ => {}
     }
     let mut gpu = Vec::new();
     let mut cpu = Vec::new();
@@ -168,7 +155,7 @@ pub fn nested(grid: GlobalGrid, blocks: Blocks, pieces: Pieces) -> Result<Decomp
 /// `n` GPU-owned blocks over all three axes. Panics where the grid
 /// cannot be carved so.
 pub fn block_decomp(grid: GlobalGrid, n: usize, ghost: usize) -> Decomposition {
-    let mut d = nested(grid, Blocks::cubes(n), Pieces::Gpu(1)).unwrap_or_else(|e| panic!("{e}"));
+    let mut d = nested(grid, Blocks::Cubes(n), Pieces::Gpu(1)).unwrap_or_else(|e| panic!("{e}"));
     for s in &mut d.domains {
         s.ghost = ghost;
     }
@@ -178,7 +165,7 @@ pub fn block_decomp(grid: GlobalGrid, n: usize, ghost: usize) -> Decomposition {
 /// `n` as the product of `k` factors, ascending, nearest to equal:
 /// the smallest spread between the largest and the smallest, then the
 /// smallest sum (`MPI_Dims_create`'s choice).
-pub fn factors(n: usize, k: usize) -> Vec<usize> {
+fn factors(n: usize, k: usize) -> Vec<usize> {
     assert!(n > 0 && k > 0);
     fn walk(rest: usize, k: usize, acc: &mut Vec<usize>, best: &mut (usize, Vec<usize>), n: usize) {
         let least = acc.last().copied().unwrap_or(1);
@@ -230,7 +217,7 @@ mod tests {
     use crate::halo::HaloPlan;
 
     fn pinned(grid: GlobalGrid, gpus: usize, pieces: Pieces) -> Decomposition {
-        nested(grid, Blocks::pinned(gpus), pieces).unwrap()
+        nested(grid, Blocks::Pinned(gpus), pieces).unwrap()
     }
 
     #[test]
@@ -363,8 +350,9 @@ mod tests {
     #[test]
     fn a_block_too_thin_for_its_pieces_is_an_error() {
         let grid = GlobalGrid::new(64, 64, 2);
-        assert!(nested(grid, Blocks::pinned(1), Pieces::Gpu(4)).is_err());
-        assert!(nested(grid, Blocks::cubes(0), Pieces::Cpu).is_err());
+        assert!(nested(grid, Blocks::Pinned(1), Pieces::Gpu(4)).is_err());
+        assert!(nested(grid, Blocks::Cubes(0), Pieces::Cpu).is_err());
+        assert!(nested(grid, Blocks::Pinned(1), Pieces::Gpu(0)).is_err());
     }
 
     #[test]
@@ -377,7 +365,7 @@ mod tests {
 
     #[test]
     fn cpu_blocks_are_cpu_owned_cubes() {
-        let d = nested(GlobalGrid::new(64, 48, 32), Blocks::cubes(16), Pieces::Cpu).unwrap();
+        let d = nested(GlobalGrid::new(64, 48, 32), Blocks::Cubes(16), Pieces::Cpu).unwrap();
         assert_eq!(d.cpu_ranks().len(), 16);
         assert_eq!(d.domains, block_decomp(d.grid, 16, 1).domains);
     }

@@ -55,7 +55,7 @@ pub fn weighted_hetero_decomp(
         cpus: cfg.cpu_per_gpu,
         fraction: cfg.cpu_fraction,
     };
-    nested(grid, Blocks::pinned(cfg.n_gpus), slab)
+    nested(grid, Blocks::Pinned(cfg.n_gpus), slab)
 }
 
 /// Graceful degradation after a permanent CPU-rank loss: fold the lost

@@ -40,7 +40,7 @@ fn check_partition(d: &Decomposition, blocks: Blocks, pieces: Pieces) {
             (0..3).all(|a| b.lo[a] <= s.lo[a] && s.hi[a] <= b.hi[a]),
             "rank {r} {s:?} outside its block {b:?}"
         );
-        if !blocks.cut_x {
+        if let Blocks::Pinned(_) = blocks {
             assert_eq!(s.extent(0), d.grid.nx, "rank {r} cuts x");
         }
         let siblings = (0..d.len())
@@ -81,10 +81,10 @@ proptest! {
         n in 1usize..41,
     ) {
         let grid = GlobalGrid::new(nx, ny, nz);
-        match nested(grid, Blocks::cubes(n), Pieces::Cpu) {
+        match nested(grid, Blocks::Cubes(n), Pieces::Cpu) {
             Ok(d) => {
                 prop_assert_eq!(d.len(), n);
-                check_partition(&d, Blocks::cubes(n), Pieces::Cpu);
+                check_partition(&d, Blocks::Cubes(n), Pieces::Cpu);
             }
             Err(why) => prop_assert!(why.contains("more ranks than zones"), "{why}"),
         }
@@ -101,7 +101,7 @@ proptest! {
         per_gpu in 1usize..6,
     ) {
         let grid = GlobalGrid::new(nx, ny, nz);
-        let (blocks, pieces) = (Blocks::pinned(gpus), Pieces::Gpu(per_gpu));
+        let (blocks, pieces) = (Blocks::Pinned(gpus), Pieces::Gpu(per_gpu));
         if let Ok(d) = nested(grid, blocks, pieces) {
             prop_assert_eq!(d.len(), gpus * per_gpu);
             check_partition(&d, blocks, pieces);
@@ -121,7 +121,7 @@ proptest! {
         fraction in 0.0f64..0.6,
     ) {
         let grid = GlobalGrid::new(nx, ny, nz);
-        let (blocks, pieces) = (Blocks::pinned(gpus), Pieces::Slab { cpus, fraction });
+        let (blocks, pieces) = (Blocks::Pinned(gpus), Pieces::Slab { cpus, fraction });
         match nested(grid, blocks, pieces) {
             Ok(d) => {
                 prop_assert_eq!(d.len(), gpus * (1 + cpus));
@@ -145,7 +145,7 @@ proptest! {
         n in 2usize..13,
     ) {
         let grid = GlobalGrid::new(nx, ny, nz);
-        if let Ok(d) = nested(grid, Blocks::cubes(n), Pieces::Gpu(1)) {
+        if let Ok(d) = nested(grid, Blocks::Cubes(n), Pieces::Gpu(1)) {
             let plan = HaloPlan::build(&d);
             let per_rank: u64 = (0..n).map(|r| plan.area_for(r)).sum();
             prop_assert_eq!(per_rank, 2 * plan.total_area());
