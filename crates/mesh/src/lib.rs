@@ -7,7 +7,7 @@
 //! halo-exchange plans.
 //!
 //! Decompositions (paper §6.1, Figures 9–10) are one two-level
-//! [`decomp::nested`] partition:
+//! [`decomp::nested()`] partition:
 //!
 //! * level 1 cuts near-cubic blocks — over all three axes for the
 //!   traditional "square" domains of Figure 9 (good surface-to-volume,
