@@ -11,7 +11,9 @@
 //! decomposition function per mode; a change to one of them is a
 //! change to which rank computes which zones.
 //!
-//! `HSIM_BLESS=1 cargo test --test decomp_goldens` rewrites the files.
+//! A file that differs is written out whole to the temp directory
+//! (the failure names the path), for a deliberate layout change to
+//! copy over the golden.
 
 use heterosim::core::figures::all_figures;
 use heterosim::core::runner::{build_decomposition, hetero_min_fraction};
@@ -93,13 +95,15 @@ fn line(node: &NodeConfig, grid: (usize, usize, usize), mode: ExecMode, fraction
     out + "\n"
 }
 
-/// Compare (or with `HSIM_BLESS` set, rewrite) one golden file.
+/// Compare one golden file, line by line.
 fn check(file: &str, got: String) {
     let path = format!("{}/tests/golden/decomp/{file}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("HSIM_BLESS").is_some() {
-        std::fs::write(&path, &got).expect("write the golden");
-    }
     let want = std::fs::read_to_string(&path).expect("read the golden");
+    if got != want {
+        let fresh = std::env::temp_dir().join(format!("hsim-decomp-{file}"));
+        std::fs::write(&fresh, &got).expect("write the new layout");
+        eprintln!("{file}: the new layout is in {}", fresh.display());
+    }
     for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
         assert_eq!(g, w, "{file}:{}", i + 1);
     }
