@@ -49,7 +49,8 @@ fn grids() -> Vec<(usize, usize, usize)> {
         (64, 8, 4),
         (64, 7, 7),
     ]);
-    grids.dedup();
+    let mut seen = std::collections::HashSet::new();
+    grids.retain(|&g| seen.insert(g));
     grids
 }
 

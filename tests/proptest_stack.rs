@@ -102,9 +102,22 @@ proptest! {
     ) {
         let grid = GlobalGrid::new(nx, ny, nz);
         let (blocks, pieces) = (Blocks::Pinned(gpus), Pieces::Gpu(per_gpu));
-        if let Ok(d) = nested(grid, blocks, pieces) {
-            prop_assert_eq!(d.len(), gpus * per_gpu);
-            check_partition(&d, blocks, pieces);
+        match nested(grid, blocks, pieces) {
+            Ok(d) => {
+                prop_assert_eq!(d.len(), gpus * per_gpu);
+                check_partition(&d, blocks, pieces);
+            }
+            // Only where a block is thinner along z than its pieces.
+            Err(why) => {
+                let infeasible = blocks
+                    .cut(grid)
+                    .map_or(true, |top| top.iter().any(|b| b.extent(2) < per_gpu));
+                prop_assert!(infeasible, "feasible case refused: {why}");
+                prop_assert!(
+                    why.contains("cannot split") || why.contains("cannot host"),
+                    "{why}"
+                );
+            }
         }
     }
 
@@ -127,11 +140,23 @@ proptest! {
                 prop_assert_eq!(d.len(), gpus * (1 + cpus));
                 check_partition(&d, blocks, pieces);
             }
-            // Only where a block cannot host its ranks.
-            Err(why) => prop_assert!(
-                why.contains("cannot split") || why.contains("cannot host"),
-                "{why}"
-            ),
+            // Only where a block cannot host its ranks: level 1 cannot
+            // cut the grid, or some block's y-extent is no thicker than
+            // its CPU slab, leaving the GPU no remainder.
+            Err(why) => {
+                let infeasible = blocks.cut(grid).map_or(true, |top| {
+                    cpus > 0
+                        && top.iter().any(|b| {
+                            let desired = (fraction * b.extent(1) as f64).round() as usize;
+                            b.extent(1) <= desired.max(cpus)
+                        })
+                });
+                prop_assert!(infeasible, "feasible case refused: {why}");
+                prop_assert!(
+                    why.contains("cannot split") || why.contains("cannot host"),
+                    "{why}"
+                );
+            }
         }
     }
 
