@@ -424,7 +424,6 @@ impl Comm {
                 hsim_telemetry::count(hsim_telemetry::Counter::MpiRecvs, 1);
                 hsim_telemetry::count(hsim_telemetry::Counter::MpiBytesReceived, pkt.bytes);
                 hsim_telemetry::time_stat(hsim_telemetry::TimeStat::MpiWait, arrival - t0);
-                hsim_telemetry::time_stat(hsim_telemetry::TimeStat::MessageLatency, now - t0);
                 hsim_telemetry::span_args(
                     self.rank as u32,
                     0,

@@ -13,8 +13,6 @@
 //!   saturating arithmetic (no silent overflow in long sweeps),
 //! * [`RankClock`] — the per-MPI-rank clock that the rest of the stack
 //!   advances and merges (Lamport-style) on communication,
-//! * [`stats`] — Welford mean/variance, min/max, and fixed-bucket
-//!   histograms for kernel-time aggregation,
 //! * [`rng`] — a SplitMix64 generator for deterministic workload
 //!   perturbations without external dependencies,
 //! * [`task`] — resumable rank tasks: the blocking and the stepped
@@ -24,12 +22,10 @@
 
 pub mod clock;
 pub mod rng;
-pub mod stats;
 pub mod sync;
 pub mod task;
 pub mod time;
 
 pub use clock::RankClock;
 pub use rng::SplitMix64;
-pub use stats::{Histogram, Welford};
 pub use time::{advanced, Overflow, SimDuration, SimTime};

@@ -206,7 +206,7 @@ mod tests {
         assert_eq!(c.spans[0].pid, 3);
         assert_eq!(c.spans[1].args, vec![("elems", 64)]);
         assert_eq!(c.metrics.gauge(Gauge::DeviceOccupancy), 0.5);
-        assert_eq!(c.metrics.time_stats(TimeStat::KernelTime).count(), 1);
+        assert_eq!(c.metrics.time_stats(TimeStat::KernelTime).count, 1);
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! heap traffic on the hot path:
 //!
 //! * [`metrics`] — a registry of pre-registered counters, gauges, and
-//!   virtual-time distributions (Welford + fixed-bucket histogram).
-//!   Handles are enum variants indexing fixed arrays, so recording is
-//!   an array store, never a hash lookup or allocation.
+//!   virtual-time distributions, each a count, Σns, Σns², minimum and
+//!   maximum in integer nanoseconds ([`Durations`]). Handles are enum
+//!   variants indexing fixed arrays, so recording is an array store,
+//!   never a hash lookup or allocation. Every entry merges by sum,
+//!   minimum or maximum, so the merged registry is the same in any
+//!   merge order.
 //! * [`mod@span`] / [`chrome`] — structured span tracing (rank, stream,
 //!   kernel, and message spans with categories and key/value
 //!   attributes) exporting Chrome trace-event JSON loadable in
@@ -41,7 +44,7 @@ pub use collector::{
     count, gauge_max, gauge_set, install, is_enabled, kernel_launch, rank_span, span, span_args,
     swap, time_stat, uninstall, Collector,
 };
-pub use metrics::{Counter, Gauge, Metrics, TimeStat};
+pub use metrics::{Counter, Durations, Gauge, Metrics, TimeStat};
 pub use profile::{KernelSums, KernelTable};
 pub use span::{Category, SpanEvent};
 pub use summary::Summary;

@@ -11,7 +11,7 @@
 //! request counts are kept by whoever measures them, so two runs of
 //! one configuration write the same registry.
 
-use hsim_time::{Histogram, SimDuration, Welford};
+use hsim_time::SimDuration;
 
 /// Monotonic event counters. Extend by adding a variant and a row in
 /// `ALL`/`label`.
@@ -154,7 +154,7 @@ impl Gauge {
     }
 }
 
-/// Virtual-duration distributions, tracked with Welford statistics.
+/// Virtual-duration distributions, each kept as one [`Durations`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum TimeStat {
@@ -164,8 +164,6 @@ pub enum TimeStat {
     LaunchTime,
     /// Time a rank spent blocked in recv/collective waits.
     MpiWait,
-    /// End-to-end latency of point-to-point messages.
-    MessageLatency,
     /// Duration of unified-memory migrations.
     MigrationTime,
     /// Wall-to-wall duration of each hydro cycle.
@@ -173,11 +171,10 @@ pub enum TimeStat {
 }
 
 impl TimeStat {
-    pub const ALL: [TimeStat; 6] = [
+    pub const ALL: [TimeStat; 5] = [
         TimeStat::KernelTime,
         TimeStat::LaunchTime,
         TimeStat::MpiWait,
-        TimeStat::MessageLatency,
         TimeStat::MigrationTime,
         TimeStat::CycleTime,
     ];
@@ -187,27 +184,95 @@ impl TimeStat {
             TimeStat::KernelTime => "kernel_time",
             TimeStat::LaunchTime => "launch_time",
             TimeStat::MpiWait => "mpi_wait",
-            TimeStat::MessageLatency => "message_latency",
             TimeStat::MigrationTime => "migration_time",
             TimeStat::CycleTime => "cycle_time",
         }
     }
 }
 
-/// Bucket count for the kernel-time histogram.
-const KERNEL_HIST_BUCKETS: usize = 64;
-/// Kernel-time histogram range in microseconds.
-const KERNEL_HIST_HI_US: f64 = 2000.0;
+/// One distribution of virtual durations as exact integer sums.
+/// Recording adds a sample and merging adds the sums and keeps the
+/// extremes, both saturating, so any grouping and order of merges
+/// gives the same record. Mean and standard deviation are derived from
+/// the sums when exported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Durations {
+    pub count: u64,
+    /// Σ ns.
+    pub sum_ns: u128,
+    /// Σ ns².
+    pub sum_sq_ns: u128,
+    /// The shortest sample; `u64::MAX` while there is none.
+    pub min_ns: u64,
+    pub max_ns: u64,
+}
+
+impl Durations {
+    /// No samples.
+    pub const EMPTY: Durations = Durations {
+        count: 0,
+        sum_ns: 0,
+        sum_sq_ns: 0,
+        min_ns: u64::MAX,
+        max_ns: 0,
+    };
+
+    /// Add one sample.
+    #[inline]
+    pub fn record(&mut self, d: SimDuration) {
+        let ns = d.as_nanos();
+        self.merge(&Durations {
+            count: 1,
+            sum_ns: ns.into(),
+            sum_sq_ns: u128::from(ns) * u128::from(ns),
+            min_ns: ns,
+            max_ns: ns,
+        });
+    }
+
+    /// Fold in another record of the same distribution.
+    pub fn merge(&mut self, other: &Durations) {
+        self.count = self.count.saturating_add(other.count);
+        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
+        self.sum_sq_ns = self.sum_sq_ns.saturating_add(other.sum_sq_ns);
+        self.min_ns = self.min_ns.min(other.min_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+    }
+
+    /// Σ ns / count; zero with no samples.
+    pub fn mean_ns(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum_ns as f64 / self.count as f64
+        }
+    }
+
+    /// Sample standard deviation (n − 1 denominator); zero for fewer
+    /// than two samples.
+    pub fn stddev_ns(&self) -> f64 {
+        if self.count < 2 {
+            return 0.0;
+        }
+        let n = u128::from(self.count);
+        // n·Σx² − (Σx)² = n(n − 1)·s², exact while it fits in a u128.
+        let spread = match (
+            n.checked_mul(self.sum_sq_ns),
+            self.sum_ns.checked_mul(self.sum_ns),
+        ) {
+            (Some(a), Some(b)) => a.saturating_sub(b) as f64,
+            _ => n as f64 * self.sum_sq_ns as f64 - (self.sum_ns as f64).powi(2),
+        };
+        (spread / (n * (n - 1)) as f64).max(0.0).sqrt()
+    }
+}
 
 /// The per-rank metrics registry.
 #[derive(Debug, Clone)]
 pub struct Metrics {
     counters: [u64; Counter::ALL.len()],
     gauges: [f64; Gauge::ALL.len()],
-    time_stats: Vec<Welford>,
-    /// Fixed-bucket histogram of kernel durations, in microseconds,
-    /// for quantile export.
-    kernel_time_us: Histogram,
+    time_stats: [Durations; TimeStat::ALL.len()],
 }
 
 impl Default for Metrics {
@@ -221,8 +286,7 @@ impl Metrics {
         Metrics {
             counters: [0; Counter::ALL.len()],
             gauges: [0.0; Gauge::ALL.len()],
-            time_stats: vec![Welford::new(); TimeStat::ALL.len()],
-            kernel_time_us: Histogram::new(0.0, KERNEL_HIST_HI_US, KERNEL_HIST_BUCKETS),
+            time_stats: [Durations::EMPTY; TimeStat::ALL.len()],
         }
     }
 
@@ -255,26 +319,15 @@ impl Metrics {
 
     #[inline]
     pub fn time_stat(&mut self, s: TimeStat, d: SimDuration) {
-        self.time_stats[s as usize].push_duration(d);
-        if s == TimeStat::KernelTime {
-            self.kernel_time_us.push(d.as_nanos() as f64 * 1e-3);
-        }
+        self.time_stats[s as usize].record(d);
     }
 
-    pub fn time_stats(&self, s: TimeStat) -> &Welford {
+    pub fn time_stats(&self, s: TimeStat) -> &Durations {
         &self.time_stats[s as usize]
     }
 
-    pub fn kernel_time_quantile_us(&self, q: f64) -> f64 {
-        if self.kernel_time_us.count() == 0 {
-            0.0
-        } else {
-            self.kernel_time_us.quantile(q)
-        }
-    }
-
     /// Fold another rank's registry into this one. Counters add,
-    /// gauges take the maximum, distributions Welford-merge.
+    /// gauges take the maximum, distributions merge their sums.
     pub fn merge(&mut self, other: &Metrics) {
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a = a.saturating_add(*b);
@@ -286,22 +339,6 @@ impl Metrics {
         }
         for (a, b) in self.time_stats.iter_mut().zip(&other.time_stats) {
             a.merge(b);
-        }
-        // Histograms with identical bucketing merge by re-adding
-        // counts at bucket midpoints; underflow/overflow re-add at the
-        // range ends. Approximate but bucket-exact for quantiles.
-        for (i, &n) in other.kernel_time_us.bucket_counts().iter().enumerate() {
-            let mid = other.kernel_time_us.bucket_lo(i)
-                + 0.5 * (KERNEL_HIST_HI_US / KERNEL_HIST_BUCKETS as f64);
-            for _ in 0..n {
-                self.kernel_time_us.push(mid);
-            }
-        }
-        for _ in 0..other.kernel_time_us.underflow() {
-            self.kernel_time_us.push(-1.0);
-        }
-        for _ in 0..other.kernel_time_us.overflow() {
-            self.kernel_time_us.push(KERNEL_HIST_HI_US + 1.0);
         }
     }
 
@@ -330,35 +367,20 @@ impl Metrics {
             if i > 0 {
                 out.push(',');
             }
-            let w = self.time_stats(*s);
-            // Welford samples are seconds (`push_duration`); export in
-            // nanoseconds to match the `_ns` keys.
-            let ns = |v: f64| fmt_f64(guard(w.count(), v * 1e9));
+            let d = self.time_stats(*s);
+            // An empty record's `min_ns` is `u64::MAX`: print 0.
             out.push_str(&format!(
                 "\n    \"{}\": {{\"count\": {}, \"mean_ns\": {}, \"stddev_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
                 s.label(),
-                w.count(),
-                ns(w.mean()),
-                ns(w.stddev()),
-                ns(w.min()),
-                ns(w.max()),
+                d.count,
+                fmt_f64(d.mean_ns()),
+                fmt_f64(d.stddev_ns()),
+                d.min_ns.min(d.max_ns),
+                d.max_ns,
             ));
         }
-        out.push_str(&format!(
-            "\n  }},\n  \"kernel_time_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}}}\n}}",
-            fmt_f64(self.kernel_time_quantile_us(0.50)),
-            fmt_f64(self.kernel_time_quantile_us(0.90)),
-            fmt_f64(self.kernel_time_quantile_us(0.99)),
-        ));
+        out.push_str("\n  }\n}");
         out
-    }
-}
-
-fn guard(count: u64, v: f64) -> f64 {
-    if count == 0 || !v.is_finite() {
-        0.0
-    } else {
-        v
     }
 }
 
@@ -391,14 +413,14 @@ mod tests {
     }
 
     #[test]
-    fn time_stats_welford_merge_matches_single_stream() {
+    fn time_stats_merge_equals_the_single_stream() {
         let mut a = Metrics::new();
         let mut b = Metrics::new();
         let mut whole = Metrics::new();
-        for i in 0..10u64 {
-            let d = SimDuration::from_nanos(100 + i * 10);
+        for (i, ns) in [2u64, 4, 4, 4, 5, 5, 7, 9].into_iter().enumerate() {
+            let d = SimDuration::from_nanos(ns);
             whole.time_stat(TimeStat::MpiWait, d);
-            if i < 5 {
+            if i < 3 {
                 a.time_stat(TimeStat::MpiWait, d);
             } else {
                 b.time_stat(TimeStat::MpiWait, d);
@@ -409,8 +431,20 @@ mod tests {
             a.time_stats(TimeStat::MpiWait),
             whole.time_stats(TimeStat::MpiWait),
         );
-        assert_eq!(m.count(), w.count());
-        assert!((m.mean() - w.mean()).abs() < 1e-9);
+        assert_eq!(m, w);
+        assert_eq!((m.count, m.sum_ns, m.min_ns, m.max_ns), (8, 40, 2, 9));
+        assert_eq!(m.mean_ns(), 5.0);
+        // The sample variance of this classic dataset is 32/7.
+        assert_eq!(m.stddev_ns(), (32.0f64 / 7.0).sqrt());
+    }
+
+    #[test]
+    fn stddev_survives_sums_past_u128() {
+        let mut d = Durations::EMPTY;
+        d.record(SimDuration::from_nanos(0));
+        d.record(SimDuration::from_nanos(u64::MAX));
+        let want = u64::MAX as f64 / 2f64.sqrt();
+        assert!((d.stddev_ns() / want - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -432,9 +466,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_metrics_guard_nonfinite_stats() {
-        let m = Metrics::new();
-        let json = m.to_json();
-        assert!(!json.contains("NaN") && !json.contains("inf"));
+    fn empty_time_stats_export_zeros() {
+        let json = Metrics::new().to_json();
+        let zeros =
+            "{\"count\": 0, \"mean_ns\": 0, \"stddev_ns\": 0, \"min_ns\": 0, \"max_ns\": 0}";
+        assert_eq!(json.matches(zeros).count(), TimeStat::ALL.len());
     }
 }

@@ -13,7 +13,7 @@ use crate::profile::KernelTable;
 use crate::span::{sort_spans, SpanEvent};
 
 /// Schema version stamped into the metrics JSON export.
-pub const METRICS_SCHEMA_VERSION: u32 = 3;
+pub const METRICS_SCHEMA_VERSION: u32 = 4;
 
 /// Merged telemetry for a whole run.
 #[derive(Debug, Clone, Default)]
@@ -25,16 +25,12 @@ pub struct Summary {
 
 impl Summary {
     /// Merge rank collectors. The input order does not matter: spans
-    /// are re-sorted into a canonical order and metric merges are
-    /// commutative in every exported field, so the exports are
+    /// are re-sorted into a canonical order and every metric merge is
+    /// an integer sum, a minimum or a maximum, so the exports are
     /// byte-identical however the ranks' resumes interleaved.
     pub fn from_collectors(collectors: impl IntoIterator<Item = Collector>) -> Summary {
         let mut s = Summary::default();
-        let mut parts: Vec<Collector> = collectors.into_iter().collect();
-        // Merge in rank order so Welford accumulation (not exactly
-        // associative in floating point) sees a fixed sequence.
-        parts.sort_by_key(|c| c.rank);
-        for c in parts {
+        for c in collectors {
             s.spans.extend(c.spans);
             s.metrics.merge(&c.metrics);
         }
@@ -132,7 +128,7 @@ mod tests {
         assert_eq!(s.metrics.counter(Counter::CpuKernelLaunches), 1);
         assert_eq!(s.metrics.counter(Counter::KernelElements), 12);
         let json = s.to_metrics_json(&kernels);
-        assert!(json.contains("\"schema_version\": 3"));
+        assert!(json.contains("\"schema_version\": 4"));
         assert!(json.contains("\"kernels\": [\n    {\"name\": \"eos\""));
     }
 

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use heterosim::gpu::{Job, RateSharingTimeline};
 use heterosim::mesh::decomp::{nested, Blocks, Pieces};
 use heterosim::mesh::{Decomposition, GlobalGrid, HaloPlan, OwnerKind, SoaBlock, Subdomain};
-use heterosim::time::{SimDuration, SimTime, Welford};
+use heterosim::time::{SimDuration, SimTime};
 
 /// The nested partition's invariants (after Kelly, Ghattas & Sundar,
 /// arXiv 1307.4731) on one feasible case: its zones sum to the grid;
@@ -264,31 +264,6 @@ proptest! {
             total_work <= window * 1.0 + 1e-6,
             "work {total_work} exceeds capacity x window {window}"
         );
-    }
-
-    /// Welford merge is order-independent (within fp tolerance).
-    #[test]
-    fn welford_merge_is_associative_enough(
-        xs in prop::collection::vec(-1e3f64..1e3, 2..60),
-        split in 1usize..59,
-    ) {
-        let split = split.min(xs.len() - 1);
-        let mut whole = Welford::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..split] {
-            a.push(x);
-        }
-        for &x in &xs[split..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-6);
     }
 
     /// Durations: saturating arithmetic never panics and ordering is
