@@ -118,6 +118,11 @@ pub struct RunResult {
     /// table's launches are then the survivors' report launches plus
     /// the lost rank's pre-loss launches.
     pub kernels: hsim_telemetry::KernelTable,
+    /// MPI payload bytes sent point-to-point over the run, the run's
+    /// one bytes count ([`RunResult::total_bytes_sent`]). Like
+    /// [`RunResult::kernels`] it keeps a lost rank's bytes before the
+    /// loss, so it then exceeds the sum over [`RunResult::ranks`].
+    pub(crate) bytes_sent: u64,
     /// The run's one span store, with metrics, when
     /// [`crate::RunConfig::telemetry`] or [`crate::RunConfig::trace`]
     /// was set.
@@ -156,9 +161,10 @@ impl RunResult {
         slowest(self.ranks.iter().map(RankReport::account_residual))
     }
 
-    /// Total MPI bytes sent across ranks.
+    /// Total MPI bytes sent across ranks, a lost rank's before the
+    /// loss included: the metrics JSON's `mpi_bytes_sent`.
     pub fn total_bytes_sent(&self) -> u64 {
-        self.ranks.iter().map(|r| r.bytes_sent).sum()
+        self.bytes_sent
     }
 
     /// The `--trace` timeline, `width` columns wide: one row per rank
@@ -293,7 +299,8 @@ mod tests {
 
     fn result() -> RunResult {
         // The table's total (37) differs from the per-rank reports' sum
-        // (30), as after a rank loss: the CSV column is the table's.
+        // (30), and so do the run's bytes (370 against 300), as after a
+        // rank loss: the CSV columns are the run's counts.
         let mut kernels = hsim_telemetry::KernelTable::new();
         for (name, launches) in [("sweep", 25), ("eos", 12)] {
             let sums = hsim_telemetry::KernelSums {
@@ -317,6 +324,7 @@ mod tests {
             ],
             device_busy: vec![SimDuration::from_micros(18)],
             kernels,
+            bytes_sent: 370,
             telemetry: None,
             mass: None,
             balance_history: Vec::new(),
@@ -330,7 +338,7 @@ mod tests {
         let r = result();
         assert_eq!(r.slowest_cpu_compute(), SimDuration::from_micros(9));
         assert_eq!(r.slowest_device_busy(), SimDuration::from_micros(18));
-        assert_eq!(r.total_bytes_sent(), 300);
+        assert_eq!(r.total_bytes_sent(), 370);
     }
 
     #[test]
@@ -355,7 +363,7 @@ mod tests {
         assert!((runtime_s - r.runtime.as_secs_f64()).abs() < 1e-6);
         assert!((cpu_fraction - r.cpu_fraction).abs() < 1e-4);
         assert_eq!(launches, 37);
-        assert_eq!(mpi_bytes, r.total_bytes_sent());
+        assert_eq!(mpi_bytes, 370);
     }
 
     #[test]

@@ -509,8 +509,8 @@ impl RunAcc {
 
     /// Fold one segment's rank outputs and device busy times in;
     /// `orig_ids` maps its ranks to their accumulators. A lost rank's
-    /// report is dropped with it; its kernel table and collector, what
-    /// it launched before the loss, are kept.
+    /// report, kernel table and collector — what it sent and launched
+    /// before the loss — stay in the run's accumulators.
     fn fold(
         &mut self,
         orig_ids: &[usize],
@@ -576,7 +576,8 @@ impl RunAcc {
     }
 
     /// Renumber the survivors into the final world's rank order, run
-    /// the telemetry epilogue and assemble the [`RunResult`].
+    /// the telemetry epilogue and assemble the [`RunResult`]; a lost
+    /// rank's bytes count in the run's total, its report is not listed.
     fn finish(
         mut self,
         cfg: &RunConfig,
@@ -584,6 +585,7 @@ impl RunAcc {
         orig_ids: &[usize],
         rb: Option<Rebalancer>,
     ) -> Result<RunResult, String> {
+        let bytes_sent = self.ranks.iter().flatten().map(|r| r.bytes_sent).sum();
         let mut ranks = Vec::with_capacity(orig_ids.len());
         for (new_rank, &orig) in orig_ids.iter().enumerate() {
             let mut rep = self.ranks[orig]
@@ -630,6 +632,7 @@ impl RunAcc {
             ranks,
             device_busy: self.device_busy,
             kernels: self.kernels,
+            bytes_sent,
             telemetry: summary,
             mass: full.then(|| tallies().map(|(mass, _)| mass).sum()),
             balance_history: rb.map(|rb| rb.history).unwrap_or_default(),

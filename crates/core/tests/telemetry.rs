@@ -101,11 +101,13 @@ fn kernel_profiles_match_report_totals() {
         all.launches - all.gpu_launches
     );
     assert_eq!(counter(Counter::KernelElements), all.elems);
-    // The kernel-time distribution holds each kernel's time once.
+    // The kernel-time distribution holds each kernel's time once: the
+    // same `dur` the table sums, so the two sums agree to the ns.
     let times = summary
         .metrics
         .time_stats(hsim_telemetry::TimeStat::KernelTime);
-    assert_eq!(times.count(), all.launches);
+    assert_eq!(times.count, all.launches);
+    assert_eq!(times.sum_ns, u128::from(all.total_ns));
     assert!(all.gpu_launches > 0 && all.total_ns > 0);
     assert_eq!(
         summary
@@ -125,21 +127,22 @@ fn kernel_profiles_match_report_totals() {
     );
     // The metrics JSON carries its schema version for archives.
     let json = summary.to_metrics_json(&result.kernels);
-    assert!(json.contains("\"schema_version\": 3"));
+    assert!(json.contains("\"schema_version\": 4"));
     assert!(!json.contains("\"bytes_moved\""));
 }
 
 /// `heterosim --mode hetero --grid 64,48,32 --cycles 4 --no-balance
 /// --faults rank.loss@rank5.cycle2`: rank 5 is lost after two cycles.
+fn lossy(cycles: u64, faults: Option<&str>) -> RunResult {
+    let mut cfg = RunConfig::sweep((64, 48, 32), ExecMode::hetero());
+    cfg.cycles = cycles;
+    cfg.telemetry = true;
+    cfg.faults = faults.map(|f| hsim_core::faults::FaultPlan::parse(f).unwrap());
+    runner::run(&cfg).expect("a CPU rank's loss is recovered")
+}
+
 #[test]
 fn the_kernel_table_keeps_a_lost_ranks_launches_before_the_loss() {
-    let lossy = |cycles, faults: Option<&str>| {
-        let mut cfg = RunConfig::sweep((64, 48, 32), ExecMode::hetero());
-        cfg.cycles = cycles;
-        cfg.telemetry = true;
-        cfg.faults = faults.map(|f| hsim_core::faults::FaultPlan::parse(f).unwrap());
-        runner::run(&cfg).expect("a CPU rank's loss is recovered")
-    };
     let result = lossy(4, Some("rank.loss@rank5.cycle2"));
     // Rank 5's report up to the loss: the same run stopped there.
     let pre_loss = lossy(2, None).ranks[5].launches;
@@ -155,6 +158,68 @@ fn the_kernel_table_keeps_a_lost_ranks_launches_before_the_loss() {
         .metrics
         .counter(hsim_telemetry::Counter::KernelLaunches);
     assert_eq!(counter, 7166);
+}
+
+#[test]
+fn the_bytes_count_keeps_a_lost_ranks_bytes_before_the_loss() {
+    let result = lossy(4, Some("rank.loss@rank5.cycle2"));
+    let pre_loss = lossy(2, None).ranks[5].bytes_sent;
+    // The CLI's "MPI bytes" line, the CSV row's `mpi_bytes` and the
+    // metrics JSON's `mpi_bytes_sent` are one count: the survivors'
+    // reports plus rank 5's bytes before the loss.
+    let survivors: u64 = result.ranks.iter().map(|r| r.bytes_sent).sum();
+    assert!(pre_loss > 0);
+    assert_eq!(result.total_bytes_sent(), survivors + pre_loss);
+    assert_eq!(result.total_bytes_sent(), 10_814_832);
+    let summary = result.telemetry.as_ref().expect("telemetry requested");
+    let counter = summary
+        .metrics
+        .counter(hsim_telemetry::Counter::MpiBytesSent);
+    assert_eq!(counter, result.total_bytes_sent());
+}
+
+/// Every distribution of the metrics JSON, on each of the four paper
+/// modes, prints integer `min_ns`/`max_ns` and a mean between them.
+#[test]
+fn every_time_stat_prints_integer_extremes_around_its_mean() {
+    for mode in [
+        ExecMode::CpuOnly,
+        ExecMode::Default,
+        ExecMode::mps4(),
+        ExecMode::hetero(),
+    ] {
+        let cfg = RunConfig {
+            mode,
+            ..telemetry_cfg()
+        };
+        let (result, summary) = run_summary(&cfg);
+        let json = summary.to_metrics_json(&result.kernels);
+        let block = json.split("\"time_stats\": {").nth(1).unwrap();
+        let block = &block[..block.find("\n  }").unwrap()];
+        let mut lines = 0;
+        for line in block.lines().skip(1) {
+            let field = |key: &str| {
+                let at = line.find(&format!("\"{key}\": ")).unwrap() + key.len() + 4;
+                let rest = &line[at..];
+                rest[..rest.find([',', '}']).unwrap()].to_string()
+            };
+            let int = |key: &str| {
+                (field(key).parse::<u64>())
+                    .unwrap_or_else(|_| panic!("{mode:?}: {key} not an integer in {line}"))
+            };
+            let (min, max) = (int("min_ns"), int("max_ns"));
+            let mean: f64 = field("mean_ns").parse().unwrap();
+            if int("count") > 0 {
+                assert!(min as f64 <= mean && mean <= max as f64, "{mode:?}: {line}");
+            }
+            lines += 1;
+        }
+        assert_eq!(
+            lines,
+            hsim_telemetry::TimeStat::ALL.len(),
+            "{mode:?}: {block}"
+        );
+    }
 }
 
 #[test]
