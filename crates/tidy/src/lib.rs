@@ -91,6 +91,9 @@ pub struct Report {
     /// Configured cost-charge names that matched no function (see
     /// [`deep::unresolved_cost_names`]).
     pub unresolved_cost_names: Vec<&'static str>,
+    /// Emission-path file-name fragments that matched no scanned file
+    /// (see [`lints::unmatched_emission_fragments`]).
+    pub unmatched_emission_fragments: Vec<&'static str>,
 }
 
 /// Directories never descended into. `fixtures` keeps tidy's own
@@ -116,6 +119,9 @@ pub fn check_dir(root: &Path) -> io::Result<Report> {
 
     let mut report = Report {
         files_scanned: rs_files.len() + tomls.len(),
+        unmatched_emission_fragments: lints::unmatched_emission_fragments(
+            rs_files.iter().filter_map(|p| p.file_name()?.to_str()),
+        ),
         ..Report::default()
     };
 

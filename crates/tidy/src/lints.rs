@@ -48,11 +48,21 @@ pub const LINTS: &[(&str, &str)] = &[
 
 /// File-name fragments marking trace/metrics/report/CSV emission
 /// paths, where unordered-map iteration silently breaks the
-/// byte-identical CI diffs.
+/// byte-identical CI diffs. Each must name at least one workspace file
+/// ([`unmatched_emission_fragments`]).
 const EMISSION_FILE_FRAGMENTS: &[&str] = &[
-    "trace", "metrics", "report", "chrome", "summary", "figures", "profile", "csv", "plot",
-    "registry",
+    "trace", "metrics", "report", "chrome", "summary", "figures", "profile", "plot",
 ];
+
+/// The `EMISSION_FILE_FRAGMENTS` that no file name in `names`
+/// contains: a fragment that guards nothing.
+pub fn unmatched_emission_fragments<'a>(
+    names: impl Iterator<Item = &'a str> + Clone,
+) -> Vec<&'static str> {
+    (EMISSION_FILE_FRAGMENTS.iter().copied())
+        .filter(|f| !names.clone().any(|name| name.contains(f)))
+        .collect()
+}
 
 /// Where the tile-bounds lint applies: the fused cache-blocked hydro
 /// kernels, whose inner loops must stay free of per-element indexed

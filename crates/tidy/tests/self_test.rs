@@ -126,6 +126,11 @@ fn live_workspace_scans_clean() {
         report.unresolved_cost_names
     );
     assert!(
+        report.unmatched_emission_fragments.is_empty(),
+        "emission-path fragments that match no workspace file: {:?}",
+        report.unmatched_emission_fragments
+    );
+    assert!(
         report.files_scanned > 100,
         "workspace scan looks truncated: {} files",
         report.files_scanned
