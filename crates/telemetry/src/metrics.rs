@@ -162,7 +162,9 @@ pub enum TimeStat {
     KernelTime,
     /// Per-launch host-side launch overhead.
     LaunchTime,
-    /// Time a rank spent blocked in recv/collective waits.
+    /// Per point-to-point message received, the time from the receive
+    /// call to the message's arrival (zero if it was there already).
+    /// Collective waits are not recorded.
     MpiWait,
     /// Duration of unified-memory migrations.
     MigrationTime,
